@@ -47,12 +47,14 @@
 use std::sync::Arc;
 
 use chipvqa_bench::{
-    paper_reference, run_table2, run_table2_fleet_merge, run_table2_fleet_worker,
-    run_table2_scaled, run_table2_scaled_supervised, run_table2_scaled_with_store,
+    paper_reference, run_table2_fleet_merge, run_table2_fleet_worker, run_table2_on,
 };
-use chipvqa_core::{ChipVqa, DatasetSpec};
+use chipvqa_core::DatasetSpec;
 use chipvqa_eval::fleet::FleetConfig;
 use chipvqa_eval::report::Table2;
+use chipvqa_eval::{
+    AnswerCache, AnswerStore, FaultPlan, ParallelExecutor, StoreConfig, Supervisor,
+};
 use chipvqa_telemetry::{JsonlSink, Telemetry};
 
 /// Exit code for a run that ends with a DEGRADED RUN footer.
@@ -203,21 +205,7 @@ fn main() {
         None => Telemetry::disabled(),
     };
 
-    if let Some(dir) = &fleet_dir {
-        if merge_mode {
-            let table = run_table2_fleet_merge(dir, scale, &telemetry).unwrap_or_else(|e| {
-                eprintln!("fleet merge refused: {e}");
-                std::process::exit(EXIT_MERGE_REFUSED);
-            });
-            println!("fleet merge: {} · scale {}\n", dir.display(), scale);
-            println!("{table}");
-            write_report_json(report_json, &table);
-            write_trace(trace_file, sink);
-            if table.is_degraded() {
-                std::process::exit(EXIT_DEGRADED);
-            }
-            return;
-        }
+    if let (Some(dir), false) = (&fleet_dir, merge_mode) {
         let started = std::time::Instant::now();
         let outcome =
             run_table2_fleet_worker(dir, scale, workers, &FleetConfig::default(), telemetry)
@@ -246,109 +234,119 @@ fn main() {
         return;
     }
 
-    if let Some(rate) = chaos_rate {
-        let seed = chaos_seed
-            .or_else(|| {
-                std::env::var("CHIPVQA_CHAOS_SEED")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            })
-            .unwrap_or(20_260_806);
-        let spec = DatasetSpec::scaled(scale);
-        println!(
-            "chaos run: {} questions per column ({}x), {} workers, \
-             seed {seed}, per-kind rate {rate}, {}\n",
-            spec.total(),
-            scale,
-            workers,
-            if batch_mode {
-                "batch (reference)"
-            } else {
-                "streamed"
-            },
-        );
-        let plan = chipvqa_eval::FaultPlan::uniform(seed, rate);
-        let table = run_table2_scaled_supervised(scale, workers, plan, !batch_mode, telemetry);
-        println!("{table}");
-        write_report_json(report_json, &table);
-        write_trace(trace_file, sink);
-        if table.is_degraded() {
-            std::process::exit(EXIT_DEGRADED);
+    let canonical = fleet_dir.is_none() && chaos_rate.is_none() && scale == 1;
+    let table = match &fleet_dir {
+        Some(dir) => {
+            let table = run_table2_fleet_merge(dir, scale, &telemetry).unwrap_or_else(|e| {
+                eprintln!("fleet merge refused: {e}");
+                std::process::exit(EXIT_MERGE_REFUSED);
+            });
+            println!("fleet merge: {} · scale {}\n", dir.display(), scale);
+            table
         }
-        return;
-    }
-
-    if scale > 1 {
-        let spec = DatasetSpec::scaled(scale);
-        println!(
-            "scaled run: {} questions per column ({}x), {} workers, streamed\n",
-            spec.total(),
-            scale,
-            workers
-        );
-        let table = match &store_dir {
-            Some(dir) => {
-                let started = std::time::Instant::now();
-                let (table, stats) =
-                    run_table2_scaled_with_store(scale, workers, dir, telemetry.clone())
-                        .unwrap_or_else(|e| {
-                            eprintln!("answer store at {} failed: {e}", dir.display());
-                            std::process::exit(1);
-                        });
-                println!(
-                    "store: {} · wall {:.3}s · warm hit-rate {:.3} ({} disk hits / {} lookups) \
-                     · lifetime {} hits / {} misses",
-                    dir.display(),
-                    started.elapsed().as_secs_f64(),
-                    stats.warm_hit_rate(),
-                    stats.store_hits,
-                    stats.hits + stats.misses,
-                    stats.lifetime_hits,
-                    stats.lifetime_misses,
-                );
-                table
-            }
-            None => run_table2_scaled(scale, workers),
-        };
-        println!("{table}");
-        write_report_json(report_json, &table);
-        write_trace(trace_file, sink);
-        if table.is_degraded() {
-            std::process::exit(EXIT_DEGRADED);
+        None => {
+            let chaos = chaos_rate.map(|rate| {
+                let seed = chaos_seed
+                    .or_else(|| {
+                        std::env::var("CHIPVQA_CHAOS_SEED")
+                            .ok()
+                            .and_then(|v| v.parse().ok())
+                    })
+                    .unwrap_or(20_260_806);
+                (seed, rate)
+            });
+            run_grid(scale, workers, chaos, batch_mode, store_dir, telemetry)
         }
-        return;
-    }
-
-    let bench = ChipVqa::standard();
-    let table = run_table2(&bench);
+    };
     println!("{table}");
-    println!("paper reference (all-column):");
-    println!(
-        "{:<16} {:>10} {:>10} {:>10} {:>10}",
-        "Model", "repro w/", "paper w/", "repro w/o", "paper w/o"
-    );
-    for (name, std_ref, chal_ref) in paper_reference() {
-        if let Some(row) = table.model(name) {
-            println!(
-                "{:<16} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
-                name,
-                row.standard.overall(),
-                std_ref,
-                row.challenge.overall(),
-                chal_ref
-            );
+    if canonical {
+        println!("paper reference (all-column):");
+        println!(
+            "{:<16} {:>10} {:>10} {:>10} {:>10}",
+            "Model", "repro w/", "paper w/", "repro w/o", "paper w/o"
+        );
+        for (name, std_ref, chal_ref) in paper_reference() {
+            if let Some(row) = table.model(name) {
+                println!(
+                    "{:<16} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
+                    name,
+                    row.standard.overall(),
+                    std_ref,
+                    row.challenge.overall(),
+                    chal_ref
+                );
+            }
         }
+        let gpt = table.model("GPT4o").expect("zoo includes GPT4o");
+        println!(
+            "\nGPT-4o lead over open-source mean: {:.2} (paper: ~0.20)",
+            gpt.standard.overall() - table.open_source_mean("GPT4o")
+        );
     }
-    let gpt = table.model("GPT4o").expect("zoo includes GPT4o");
-    println!(
-        "\nGPT-4o lead over open-source mean: {:.2} (paper: ~0.20)",
-        gpt.standard.overall() - table.open_source_mean("GPT4o")
-    );
     write_report_json(report_json, &table);
     write_trace(trace_file, sink);
     if table.is_degraded() {
         std::process::exit(EXIT_DEGRADED);
     }
+}
+
+/// Runs the Table II grid at `scale` on one executor configured from
+/// the flags — supervised under `chaos` (seed, per-kind rate), backed
+/// by the answer store at `store_dir` — printing the run header and the
+/// store summary line.
+fn run_grid(
+    scale: usize,
+    workers: usize,
+    chaos: Option<(u64, f64)>,
+    batch_mode: bool,
+    store_dir: Option<std::path::PathBuf>,
+    telemetry: Telemetry,
+) -> Table2 {
+    let mut exec = ParallelExecutor::new(workers).with_telemetry(telemetry.clone());
+    let shape = format!(
+        "{} questions per column ({scale}x), {workers} workers",
+        DatasetSpec::scaled(scale).total()
+    );
+    match chaos {
+        Some((seed, rate)) => {
+            let source = if batch_mode {
+                "batch (reference)"
+            } else {
+                "streamed"
+            };
+            println!("chaos run: {shape}, seed {seed}, per-kind rate {rate}, {source}\n");
+            chipvqa_eval::fault::install_quiet_panic_hook();
+            exec = exec.with_supervisor(Supervisor::new(FaultPlan::uniform(seed, rate)));
+        }
+        None if scale > 1 => println!("scaled run: {shape}, streamed\n"),
+        None => {}
+    }
+    let started = std::time::Instant::now();
+    let Some(dir) = store_dir else {
+        return run_table2_on(&exec, scale, !batch_mode);
+    };
+    let store_failed = |e: std::io::Error| -> ! {
+        eprintln!("answer store at {} failed: {e}", dir.display());
+        std::process::exit(1);
+    };
+    let store = AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), telemetry)
+        .unwrap_or_else(|e| store_failed(e));
+    let cache = Arc::new(AnswerCache::new().with_store(Arc::new(store)));
+    let table = run_table2_on(&exec.with_cache(Arc::clone(&cache)), scale, !batch_mode);
+    cache.flush_store().unwrap_or_else(|e| store_failed(e));
+    let stats = cache.stats();
+    println!(
+        "store: {} · wall {:.3}s · warm hit-rate {:.3} ({} disk hits / {} lookups) \
+         · lifetime {} hits / {} misses",
+        dir.display(),
+        started.elapsed().as_secs_f64(),
+        stats.warm_hit_rate(),
+        stats.store_hits,
+        stats.hits + stats.misses,
+        stats.lifetime_hits,
+        stats.lifetime_misses,
+    );
+    table
 }
 
 /// Writes the table as JSON with the run-metadata `cache_stats` nulled,

@@ -7,11 +7,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use chipvqa_core::{ChipVqa, DatasetSpec, BASE_SIZE};
+use chipvqa_eval::executor::ShardSource;
 use chipvqa_eval::fleet::{self, FleetConfig, FleetError, FleetJob, FleetOutcome};
 use chipvqa_eval::harness::{evaluate, EvalOptions};
 use chipvqa_eval::judge::RuleJudge;
 use chipvqa_eval::report::{ModelRow, Table2};
-use chipvqa_eval::{AnswerCache, AnswerStore, CacheStats, ParallelExecutor};
+use chipvqa_eval::{AnswerCache, AnswerStore, ParallelExecutor};
 use chipvqa_models::{ModelZoo, VlmPipeline};
 use chipvqa_telemetry::Telemetry;
 
@@ -32,132 +33,47 @@ pub fn run_table2(bench: &ChipVqa) -> Table2 {
     Table2 { rows }
 }
 
-/// Runs the Table-II evaluation on an N×-scaled collection: every zoo
-/// model on [`DatasetSpec::scaled`]`(scale)` (with-choice column) and
-/// the same spec at `mc_sa_ratio` 0 (no-choice column). Questions are
-/// streamed shard-by-shard through the executor — generation overlapped
-/// with inference — so the collection is never materialised whole.
+/// Runs the Table-II evaluation on an N×-scaled collection with
+/// unsupervised, uncached defaults: [`run_table2_on`] over a fresh
+/// `workers`-thread executor, streamed.
 pub fn run_table2_scaled(scale: usize, workers: usize) -> Table2 {
-    let standard = DatasetSpec::scaled(scale);
-    let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let exec = ParallelExecutor::new(workers);
-    let rows = ModelZoo::all()
-        .into_iter()
-        .map(|profile| {
-            let pipe = VlmPipeline::new(profile);
-            let (std_report, _) =
-                exec.evaluate_spec_stream(&pipe, &standard, BASE_SIZE, EvalOptions::default());
-            let (chal_report, _) =
-                exec.evaluate_spec_stream(&pipe, &challenge, BASE_SIZE, EvalOptions::default());
-            ModelRow {
-                standard: std_report,
-                challenge: chal_report,
-            }
-        })
-        .collect();
-    Table2 { rows }
+    run_table2_on(&ParallelExecutor::new(workers), scale, true)
 }
 
-/// [`run_table2_scaled`] under a [`chipvqa_eval::Supervisor`]:
-/// chaos-supervised
-/// Table-II at scale. With `streamed` true each column is evaluated
-/// through [`ParallelExecutor::evaluate_spec_stream`] (generation
-/// overlapped with inference, windowed breaker driven by the producer);
-/// with `streamed` false both collections are materialized once and
-/// evaluated on the batch supervised path. The two modes produce
-/// byte-identical tables — that contract is what the `stream-chaos` CI
-/// job `cmp`s.
-pub fn run_table2_scaled_supervised(
-    scale: usize,
-    workers: usize,
-    plan: chipvqa_eval::FaultPlan,
-    streamed: bool,
-    telemetry: Telemetry,
-) -> Table2 {
-    chipvqa_eval::fault::install_quiet_panic_hook();
-    let standard = DatasetSpec::scaled(scale);
-    let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let exec = ParallelExecutor::new(workers)
-        .with_supervisor(chipvqa_eval::Supervisor::new(plan))
-        .with_telemetry(telemetry);
-    let rows = if streamed {
-        ModelZoo::all()
-            .into_iter()
-            .map(|profile| {
-                let pipe = VlmPipeline::new(profile);
-                let (std_report, _) =
-                    exec.evaluate_spec_stream(&pipe, &standard, BASE_SIZE, EvalOptions::default());
-                let (chal_report, _) =
-                    exec.evaluate_spec_stream(&pipe, &challenge, BASE_SIZE, EvalOptions::default());
-                ModelRow {
-                    standard: std_report,
-                    challenge: chal_report,
-                }
-            })
-            .collect()
-    } else {
-        let standard_bench = standard.build();
-        let challenge_bench = challenge.build();
-        ModelZoo::all()
-            .into_iter()
-            .map(|profile| {
-                let pipe = VlmPipeline::new(profile);
-                ModelRow {
-                    standard: exec.evaluate(&pipe, &standard_bench, EvalOptions::default()),
-                    challenge: exec.evaluate(&pipe, &challenge_bench, EvalOptions::default()),
-                }
-            })
-            .collect()
+/// Runs the Table-II evaluation on an N×-scaled collection through
+/// `exec` as configured (cache, store, supervisor, telemetry): every zoo
+/// model on [`DatasetSpec::scaled`]`(scale)` (with-choice column) and
+/// the same spec at `mc_sa_ratio` 0 (no-choice column). Each column is
+/// one grid call over all twelve models, so each shard of the column is
+/// produced once. `streamed` picks the source: the spec generated
+/// shard-by-shard at [`BASE_SIZE`] questions (overlapped with
+/// inference, never materialised whole), or the bench built once and
+/// cut at [`SHARD_SIZE`](chipvqa_eval::executor::SHARD_SIZE). Both
+/// sources produce byte-identical tables, supervised or not — the
+/// contract the `stream-chaos` CI job `cmp`s — and a warm store serves
+/// every answer from disk without changing a byte.
+pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> Table2 {
+    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let column = |spec: DatasetSpec| {
+        let bench = (!streamed).then(|| spec.build());
+        let source = match &bench {
+            Some(bench) => ShardSource::Bench(bench, spec.fingerprint()),
+            None => ShardSource::Spec(&spec, BASE_SIZE),
+        };
+        exec.evaluate_source(&pipes, source, EvalOptions::default(), &RuleJudge::new())
+            .0
     };
-    Table2 { rows }
-}
-
-/// [`run_table2_scaled`] backed by a persistent [`AnswerStore`] at
-/// `store_dir`: a cache with the store attached is shared across the
-/// whole grid, so a rerun in a fresh process serves every answer from
-/// disk and never touches the inference path (a warm start). Returns
-/// the table plus the shared cache's final stats — `store_hits`,
-/// `warm_hit_rate` and the run-spanning `lifetime_*` counters tell a
-/// driver how warm the run actually was. The store is flushed before
-/// returning.
-///
-/// Determinism contract: the table (and every `EvalReport` in it, up
-/// to the `cache_stats` run metadata) is byte-identical to a cold
-/// [`run_table2_scaled`] run — the pipeline is deterministic per cache
-/// key, so a disk hit returns exactly what inference would have.
-pub fn run_table2_scaled_with_store(
-    scale: usize,
-    workers: usize,
-    store_dir: &Path,
-    telemetry: Telemetry,
-) -> std::io::Result<(Table2, CacheStats)> {
-    let store = Arc::new(AnswerStore::open_with_telemetry(
-        store_dir,
-        chipvqa_eval::StoreConfig::default(),
-        telemetry.clone(),
-    )?);
-    let cache = Arc::new(AnswerCache::new().with_store(store));
     let standard = DatasetSpec::scaled(scale);
     let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let exec = ParallelExecutor::new(workers)
-        .with_cache(Arc::clone(&cache))
-        .with_telemetry(telemetry);
-    let rows = ModelZoo::all()
+    let rows = column(standard)
         .into_iter()
-        .map(|profile| {
-            let pipe = VlmPipeline::new(profile);
-            let (std_report, _) =
-                exec.evaluate_spec_stream(&pipe, &standard, BASE_SIZE, EvalOptions::default());
-            let (chal_report, _) =
-                exec.evaluate_spec_stream(&pipe, &challenge, BASE_SIZE, EvalOptions::default());
-            ModelRow {
-                standard: std_report,
-                challenge: chal_report,
-            }
+        .zip(column(challenge))
+        .map(|(standard, challenge)| ModelRow {
+            standard,
+            challenge,
         })
         .collect();
-    cache.flush_store()?;
-    Ok((Table2 { rows }, cache.stats()))
+    Table2 { rows }
 }
 
 /// The pieces every fleet participant (worker or merge) derives from

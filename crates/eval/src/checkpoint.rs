@@ -1,13 +1,15 @@
 //! Checkpoint/resume for long grid evaluations.
 //!
 //! A [`Checkpoint`] records the identity of a grid run — model
-//! fingerprints, a benchmark content hash, the evaluation options — plus
-//! every completed shard's outcomes. A killed run can be resumed from
-//! the serialized checkpoint: already-completed shards are skipped, the
-//! remainder is executed by the [`ParallelExecutor`], and the merged
-//! reports are identical to an uninterrupted run (merging is positional,
-//! so it does not matter in which order, or in which process, shards
-//! completed).
+//! fingerprints, a benchmark content hash (or, for a streamed run, the
+//! spec fingerprint), the evaluation options — plus every completed
+//! shard's outcomes. A killed run can be resumed from the serialized
+//! checkpoint: the [`ParallelExecutor`] runs exactly the shards the
+//! checkpoint lacks, and the merged reports are identical to an
+//! uninterrupted run (merging is positional, so it does not matter in
+//! which order, or in which process, shards completed). A built bench
+//! and a streamed spec are both just [`ShardSource`]s to the engine, so
+//! either kind of run checkpoints and resumes the same way.
 //!
 //! Identity is checked on resume: a checkpoint taken with different
 //! models, a different benchmark revision, or different options is
@@ -28,6 +30,7 @@
 //! `requeue_quarantined` + resume cycle (`tests/fleet_chaos.rs`
 //! proves the two paths produce identical reports).
 
+use std::collections::HashSet;
 use std::fmt;
 
 use chipvqa_core::spec::DatasetSpec;
@@ -37,8 +40,7 @@ use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::prompt_hash;
-use crate::executor::internal::{merge_from_pairs, run_selected, shard_keys, ShardKey};
-use crate::executor::ParallelExecutor;
+use crate::executor::{merge_reports, ParallelExecutor, ShardKey, ShardSource};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::Judge;
 use crate::supervisor::EvalError;
@@ -57,7 +59,8 @@ pub struct ShardResult {
 pub struct Checkpoint {
     /// Fingerprints of the grid's models, in grid order.
     pub model_fingerprints: Vec<u64>,
-    /// Content hash of the benchmark (ids + prompts).
+    /// Content hash of the benchmark (ids + prompts); 0 for a streamed
+    /// run, whose content the spec fingerprint pins instead.
     pub bench_hash: u64,
     /// The evaluation options of the run.
     pub options: EvalOptions,
@@ -172,15 +175,7 @@ pub fn bench_hash(bench: &ChipVqa) -> u64 {
 impl Checkpoint {
     /// A fresh checkpoint (no completed shards) for a grid run.
     pub fn new(pipes: &[VlmPipeline], bench: &ChipVqa, options: EvalOptions) -> Self {
-        Checkpoint {
-            model_fingerprints: pipes.iter().map(VlmPipeline::fingerprint).collect(),
-            bench_hash: bench_hash(bench),
-            options,
-            completed: Vec::new(),
-            quarantined: Vec::new(),
-            spec_fingerprint: None,
-            store_generation: None,
-        }
+        Checkpoint::for_source(pipes, ShardSource::Bench(bench, 0), options)
     }
 
     /// A fresh checkpoint for a grid run over a scaled collection,
@@ -193,9 +188,34 @@ impl Checkpoint {
         options: EvalOptions,
         spec: &DatasetSpec,
     ) -> Self {
+        Checkpoint::for_source(
+            pipes,
+            ShardSource::Bench(bench, spec.fingerprint()),
+            options,
+        )
+    }
+
+    /// A fresh checkpoint for a grid run over `source`. A bench keyed
+    /// with a non-zero fingerprint binds that spec fingerprint; a
+    /// streamed spec binds its fingerprint and no bench hash, so the
+    /// collection is never built.
+    pub fn for_source(
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+    ) -> Self {
+        let (bench_hash, spec_fingerprint) = match source {
+            ShardSource::Bench(bench, fp) => (bench_hash(bench), (fp != 0).then_some(fp)),
+            ShardSource::Spec(spec, _) => (0, Some(spec.fingerprint())),
+        };
         Checkpoint {
-            spec_fingerprint: Some(spec.fingerprint()),
-            ..Checkpoint::new(pipes, bench, options)
+            model_fingerprints: pipes.iter().map(VlmPipeline::fingerprint).collect(),
+            bench_hash,
+            options,
+            completed: Vec::new(),
+            quarantined: Vec::new(),
+            spec_fingerprint,
+            store_generation: None,
         }
     }
 
@@ -224,21 +244,6 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// [`validate_for_spec`](Checkpoint::validate_for_spec) plus
-    /// [`validate_store`](Checkpoint::validate_store) — the full check
-    /// for resuming a spec-bound, store-backed run.
-    pub fn validate_for_spec_with_store(
-        &self,
-        pipes: &[VlmPipeline],
-        bench: &ChipVqa,
-        options: EvalOptions,
-        spec: &DatasetSpec,
-        store: &crate::store::AnswerStore,
-    ) -> Result<(), CheckpointError> {
-        self.validate_store(store)?;
-        self.validate_for_spec(pipes, bench, options, spec)
-    }
-
     /// [`validate`](Checkpoint::validate), additionally requiring the
     /// checkpoint to be bound to exactly `spec`.
     pub fn validate_for_spec(
@@ -248,10 +253,11 @@ impl Checkpoint {
         options: EvalOptions,
         spec: &DatasetSpec,
     ) -> Result<(), CheckpointError> {
-        if self.spec_fingerprint != Some(spec.fingerprint()) {
-            return Err(CheckpointError::SpecMismatch);
-        }
-        self.validate(pipes, bench, options)
+        self.validate_source(
+            pipes,
+            ShardSource::Bench(bench, spec.fingerprint()),
+            options,
+        )
     }
 
     /// Whether this checkpoint belongs to exactly this run.
@@ -261,28 +267,45 @@ impl Checkpoint {
         bench: &ChipVqa,
         options: EvalOptions,
     ) -> Result<(), CheckpointError> {
+        let source = ShardSource::Bench(bench, self.spec_fingerprint.unwrap_or(0));
+        self.validate_source(pipes, source, options)
+    }
+
+    /// Whether this checkpoint belongs to a grid run over `source`: its
+    /// fingerprint, the models, a bench source's content hash, the
+    /// options, and every recorded shard inside the source's plan. A
+    /// streamed spec is checked against its fingerprint, question count
+    /// and shard length without building the bench.
+    pub fn validate_source(
+        &self,
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+    ) -> Result<(), CheckpointError> {
+        if self.spec_fingerprint.unwrap_or(0) != source.fingerprint() {
+            return Err(CheckpointError::SpecMismatch);
+        }
         let fingerprints: Vec<u64> = pipes.iter().map(VlmPipeline::fingerprint).collect();
         if self.model_fingerprints != fingerprints {
             return Err(CheckpointError::ModelMismatch);
         }
-        if self.bench_hash != bench_hash(bench) {
-            return Err(CheckpointError::BenchMismatch);
+        if let ShardSource::Bench(bench, _) = source {
+            if self.bench_hash != bench_hash(bench) {
+                return Err(CheckpointError::BenchMismatch);
+            }
         }
         if self.options != options {
             return Err(CheckpointError::OptionsMismatch);
         }
-        let plan = shard_keys(pipes.len(), bench.len());
-        for done in &self.completed {
-            if !plan.contains(&done.key) {
-                return Err(CheckpointError::UnknownShard(done.key));
-            }
+        let plan: HashSet<ShardKey> = source.plan(pipes.len()).into_iter().collect();
+        let recorded = self.completed.iter().map(|done| &done.key);
+        match recorded
+            .chain(&self.quarantined)
+            .find(|key| !plan.contains(key))
+        {
+            Some(key) => Err(CheckpointError::UnknownShard(*key)),
+            None => Ok(()),
         }
-        for key in &self.quarantined {
-            if !plan.contains(key) {
-                return Err(CheckpointError::UnknownShard(*key));
-            }
-        }
-        Ok(())
     }
 
     /// Drops every quarantined shard's recorded outcomes so the next
@@ -328,7 +351,8 @@ impl Checkpoint {
 
     /// Total shards a full run of this grid needs.
     pub fn total_shards(&self, bench: &ChipVqa) -> usize {
-        shard_keys(self.model_fingerprints.len(), bench.len()).len()
+        let models = self.model_fingerprints.len();
+        ShardSource::Bench(bench, 0).plan(models).len()
     }
 
     /// Serialises to JSON (what a driver would write to disk).
@@ -351,6 +375,8 @@ impl ParallelExecutor {
     /// a test kill a run mid-flight). Returns `Ok(Some(reports))` once
     /// every shard of the grid is in the checkpoint, `Ok(None)` when work
     /// remains, and an error when the checkpoint does not match the run.
+    /// Answer-cache keys use the checkpoint's spec fingerprint (0 for a
+    /// canonical collection).
     pub fn evaluate_grid_resumable(
         &self,
         pipes: &[VlmPipeline],
@@ -361,57 +387,65 @@ impl ParallelExecutor {
         max_shards: Option<usize>,
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
         checkpoint.validate(pipes, bench, options)?;
+        let source = ShardSource::Bench(bench, checkpoint.spec_fingerprint.unwrap_or(0));
+        let mut budget = |dispatched: usize| max_shards.is_some_and(|max| dispatched >= max);
+        Ok(self.evaluate_checkpointed(pipes, source, options, judge, checkpoint, &mut budget))
+    }
 
-        let plan = shard_keys(pipes.len(), bench.len());
-        let pending: Vec<ShardKey> = plan
-            .iter()
-            .filter(|k| !checkpoint.completed.iter().any(|d| d.key == **k))
-            .copied()
-            .collect();
-        let budget = max_shards.unwrap_or(pending.len()).min(pending.len());
-        let batch = &pending[..budget];
-
-        if !batch.is_empty() {
-            let results = run_selected(self, pipes, bench, options, judge, batch);
-            for (key, outcomes) in batch.iter().zip(results) {
-                // a caught worker panic quarantines the shard: results are
-                // recorded (degraded) but flagged for retry-on-resume
-                if outcomes
-                    .iter()
-                    .any(|o| o.error == Some(EvalError::WorkerPanic))
-                    && !checkpoint.quarantined.contains(key)
-                {
-                    checkpoint.quarantined.push(*key);
-                    let tele = self.telemetry();
-                    if tele.enabled() {
-                        tele.counter("checkpoint.quarantined", 1);
-                        tele.event(
-                            "checkpoint.quarantine",
-                            vec![
-                                kv("model_idx", key.model_idx),
-                                kv("q_start", key.q_start),
-                                kv("q_end", key.q_end),
-                            ],
-                        );
-                    }
-                }
-                checkpoint.completed.push(ShardResult {
-                    key: *key,
-                    outcomes,
-                });
-            }
-        }
-
-        if checkpoint.completed.len() == plan.len() {
-            let pairs: Vec<(ShardKey, Vec<QuestionOutcome>)> = checkpoint
-                .completed
+    /// Runs the shards of the grid over `source` that `checkpoint` still
+    /// lacks, recording each finished shard. A shard whose worker caught
+    /// a panic is recorded (degraded) and quarantined for
+    /// [`Checkpoint::requeue_quarantined`]. `stop` is polled before each
+    /// dispatch with the number of shards dispatched so far; once it
+    /// returns true no further shard starts, and the ones already
+    /// dispatched finish and are recorded. Returns the merged reports
+    /// once the checkpoint covers the whole grid, `None` while work
+    /// remains. The caller validates the checkpoint against the run
+    /// ([`Checkpoint::validate_source`]).
+    pub fn evaluate_checkpointed(
+        &self,
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+        judge: &dyn Judge,
+        checkpoint: &mut Checkpoint,
+        stop: &mut dyn FnMut(usize) -> bool,
+    ) -> Option<Vec<EvalReport>> {
+        let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();
+        let run = self.run(pipes, source, options, judge, &|k| !done.contains(k), stop);
+        for (key, outcomes) in run.outcomes {
+            // a caught worker panic quarantines the shard: results are
+            // recorded (degraded) but flagged for retry-on-resume
+            if outcomes
                 .iter()
-                .map(|d| (d.key, d.outcomes.clone()))
-                .collect();
-            Ok(Some(self.finalize(merge_from_pairs(pipes, bench, &pairs))))
-        } else {
-            Ok(None)
+                .any(|o| o.error == Some(EvalError::WorkerPanic))
+                && !checkpoint.quarantined.contains(&key)
+            {
+                checkpoint.quarantined.push(key);
+                let tele = self.telemetry();
+                if tele.enabled() {
+                    tele.counter("checkpoint.quarantined", 1);
+                    tele.event(
+                        "checkpoint.quarantine",
+                        vec![
+                            kv("model_idx", key.model_idx),
+                            kv("q_start", key.q_start),
+                            kv("q_end", key.q_end),
+                        ],
+                    );
+                }
+            }
+            checkpoint.completed.push(ShardResult { key, outcomes });
         }
+        if checkpoint.completed.len() < source.plan(pipes.len()).len() {
+            return None;
+        }
+        let pairs: Vec<(ShardKey, Vec<QuestionOutcome>)> = checkpoint
+            .completed
+            .iter()
+            .map(|d| (d.key, d.outcomes.clone()))
+            .collect();
+        Some(self.finalize(merge_reports(pipes, source.questions(), pairs)))
     }
 }
 

@@ -1,43 +1,64 @@
-//! Work-stealing parallel evaluation.
+//! The shard engine: one producer/worker loop behind every evaluation.
 //!
-//! [`ParallelExecutor`] shards the model×question grid into contiguous
-//! question ranges, distributes the shards over a pool of scoped worker
-//! threads (per-worker deques with stealing, so a slow shard never
-//! serialises the run), and merges outcomes back **in question order**.
-//! Because the VLM pipeline is deterministic per (model, question,
-//! attempt) and merging is positional, the parallel report is
-//! *identical* — not just statistically equal — to the sequential
-//! [`evaluate`](crate::harness::evaluate) result, for any worker count.
+//! [`ParallelExecutor`] cuts a model×question grid into shards —
+//! contiguous question ranges of one [`ShardSource`], either a
+//! materialized bench cut at [`SHARD_SIZE`] or a [`DatasetSpec`]
+//! generated lazily at a chosen shard length — and evaluates them on a
+//! pool of scoped worker threads. The calling thread is the producer:
+//! it walks the source in shard order, generating each spec shard once
+//! however many models need it, and sends every selected (model, shard)
+//! item through a bounded channel that idle workers pull from. Outcomes
+//! come back keyed by [`ShardKey`] and merge **positionally**; because
+//! the VLM pipeline is deterministic per (model, question, attempt), the
+//! parallel report is *identical* — not just statistically equal — to
+//! the sequential [`evaluate`](crate::harness::evaluate) result, for any
+//! worker count.
 //!
-//! Two optional layers ride on the same code path:
+//! Every entry point is a thin caller that picks a source and a
+//! selection: [`evaluate`](ParallelExecutor::evaluate) and
+//! [`evaluate_grid`](ParallelExecutor::evaluate_grid) run a built bench
+//! whole, [`evaluate_spec_stream`](ParallelExecutor::evaluate_spec_stream)
+//! streams a spec for one model, checkpoint resume
+//! ([`evaluate_checkpointed`](ParallelExecutor::evaluate_checkpointed))
+//! runs the shards a [`Checkpoint`](crate::checkpoint::Checkpoint)
+//! lacks, a fleet claim runs one shard, and
+//! [`requeue_quarantined_stream`](ParallelExecutor::requeue_quarantined_stream)
+//! runs the quarantined ones.
+//!
+//! Optional layers ride on the same loop:
 //!
 //! * an [`AnswerCache`] that memoises model answers across runs (a warm
-//!   cache skips inference entirely and re-judges the stored answers);
+//!   cache skips inference entirely and re-judges the stored answers),
+//!   keyed with the source's dataset fingerprint so answers never cross
+//!   collections;
 //! * a [`RetryPolicy`] that re-queries a flaky judge (e.g.
 //!   [`NoisyJudge`](crate::noisy::NoisyJudge)) several times per verdict
 //!   and takes the majority, with seeded exponential backoff between
 //!   attempts. The default policy (one attempt, no backoff) reproduces
 //!   single-shot judging bit-for-bit;
 //! * a [`Supervisor`] that hardens the run against infrastructure
-//!   failure: per-call deadlines, bounded retries, a per-model circuit
-//!   breaker, and panic isolation (`catch_unwind` around each question,
-//!   so one poisoned question quarantines its shard instead of aborting
-//!   the run). With the all-zero [`FaultPlan`](crate::fault::FaultPlan)
-//!   the supervised path is byte-identical to the unsupervised one.
-//!   Supervision covers the streaming intake path too: the producer
-//!   drives the supervisor's windowed breaker
-//!   ([`WindowedBreaker`](crate::supervisor::WindowedBreaker)) in
-//!   global question order and ships each shard's admit decisions with
-//!   the shard, so supervised streamed reports are byte-identical to
-//!   supervised batch reports at any worker count and shard length.
+//!   failure: per-call deadlines, bounded retries and a per-model
+//!   windowed circuit breaker. The producer drives one
+//!   [`WindowedBreaker`] per model in global question order, starting
+//!   at the window that holds the model's first selected question, and
+//!   ships each shard's admit decisions with the item, so decisions
+//!   depend on neither worker count, shard length nor selection. With
+//!   the all-zero [`FaultPlan`](crate::fault::FaultPlan) the supervised
+//!   path is byte-identical to the unsupervised one.
+//!
+//! Every question runs under `catch_unwind`: a panic, injected or
+//! genuine, becomes an [`EvalError::WorkerPanic`] outcome that
+//! quarantines its shard instead of aborting the run.
 
-use std::collections::VecDeque;
+use std::collections::BTreeSet;
+use std::convert::Infallible;
+use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
 use chipvqa_core::question::Question;
-use chipvqa_core::spec::DatasetSpec;
+use chipvqa_core::spec::{DatasetSpec, ShardStream};
 use chipvqa_core::ChipVqa;
 use chipvqa_models::backbone::AnswerPath;
 use chipvqa_models::VlmPipeline;
@@ -47,11 +68,11 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{AnswerCache, CacheKey, CachedAnswer};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::{Judge, RuleJudge};
-use crate::supervisor::{BreakerSchedule, BreakerScope, EvalError, Supervisor};
+use crate::supervisor::{Admit, EvalError, Supervisor, WindowedBreaker, BREAKER_WINDOW};
 
-/// How many questions one shard covers. Small enough that 8 workers on
-/// one 142-question model all stay busy, large enough that shard
-/// bookkeeping is negligible against inference.
+/// How many questions one shard of a built bench covers. Small enough
+/// that 8 workers on one 142-question model all stay busy, large enough
+/// that shard bookkeeping is negligible against inference.
 pub const SHARD_SIZE: usize = 16;
 
 /// Judge retry behaviour for one verdict.
@@ -90,68 +111,131 @@ impl RetryPolicy {
 
     /// Judges `response` under this policy.
     pub fn judged(&self, judge: &dyn Judge, question: &Question, response: &str) -> bool {
-        let first = judge.verdict(question, response, 0);
-        if self.attempts <= 1 {
-            return first;
-        }
+        let verdict = |attempt| Ok::<_, Infallible>(judge.verdict(question, response, attempt));
+        self.vote(question, verdict)
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// Majority vote over `attempts` verdicts drawn from `verdict`, with
+    /// backoff between draws; the first error aborts the vote. Strict
+    /// majority wins, ties fall to the first attempt.
+    pub(crate) fn vote<E>(
+        &self,
+        question: &Question,
+        mut verdict: impl FnMut(u64) -> Result<bool, E>,
+    ) -> Result<bool, E> {
+        let first = verdict(0)?;
         let mut yes = u64::from(first);
         for attempt in 1..self.attempts {
-            self.sleep_backoff(question, attempt);
-            if judge.verdict(question, response, attempt) {
-                yes += 1;
-            }
+            backoff_sleep(self.backoff_base_ms, self.seed, &question.id, attempt);
+            yes += u64::from(verdict(attempt)?);
         }
-        // strict majority, ties to the first attempt
-        if 2 * yes == self.attempts {
+        Ok(if 2 * yes == self.attempts {
             first
         } else {
             2 * yes > self.attempts
-        }
-    }
-
-    pub(crate) fn sleep_backoff(&self, question: &Question, attempt: u64) {
-        if self.backoff_base_ms == 0 {
-            return;
-        }
-        let base = self.backoff_base_ms << (attempt - 1).min(16);
-        let jitter = seeded_jitter_ms(self.seed, &question.id, attempt, base);
-        std::thread::sleep(std::time::Duration::from_millis(base + jitter));
+        })
     }
 }
 
-/// Seeded jitter in `[0, base)`: deterministic per (seed, question,
-/// attempt), so reruns sleep identically. Shared by [`RetryPolicy`] and
-/// the [`Supervisor`]'s recovery backoff.
-pub(crate) fn seeded_jitter_ms(seed: u64, question_id: &str, attempt: u64, base: u64) -> u64 {
+/// Sleeps the backoff before retry `attempt` (>= 1): the base
+/// `base_ms << (attempt - 1)` plus seeded jitter in `[0, base)`,
+/// deterministic per (seed, question, attempt) so reruns sleep
+/// identically. Zero `base_ms` disables sleeping. Shared by
+/// [`RetryPolicy`] and the [`Supervisor`]'s recovery backoff.
+pub(crate) fn backoff_sleep(base_ms: u64, seed: u64, question_id: &str, attempt: u64) {
+    if base_ms == 0 {
+        return;
+    }
+    let base = base_ms << (attempt - 1).min(16);
     let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
     for b in question_id.bytes().chain(attempt.to_le_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    if base == 0 {
-        0
-    } else {
-        h % base
+    std::thread::sleep(std::time::Duration::from_millis(base + h % base));
+}
+
+/// One shard of a grid: a contiguous question range of one model — the
+/// key outcomes come back under, and the stable identity checkpoints
+/// and fleet records persist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct ShardKey {
+    /// Model index in the grid.
+    pub model_idx: usize,
+    /// First question index (inclusive).
+    pub q_start: usize,
+    /// Last question index (exclusive).
+    pub q_end: usize,
+}
+
+/// An indexed shard source: where an engine run's questions come from,
+/// with the dataset fingerprint its answer-cache keys use.
+#[derive(Debug, Clone, Copy)]
+pub enum ShardSource<'a> {
+    /// A materialized bench cut at [`SHARD_SIZE`], keyed with the given
+    /// fingerprint: 0 for canonical collections such as
+    /// [`ChipVqa::standard`], the spec's fingerprint for a bench built
+    /// from a [`DatasetSpec`].
+    Bench(&'a ChipVqa, u64),
+    /// A spec generated lazily, shard by shard, at the given shard
+    /// length (which must be positive), keyed with the spec's
+    /// fingerprint.
+    Spec(&'a DatasetSpec, usize),
+}
+
+impl ShardSource<'_> {
+    /// Questions per shard (the last shard may be shorter).
+    pub(crate) fn shard_len(&self) -> usize {
+        match self {
+            ShardSource::Bench(..) => SHARD_SIZE,
+            ShardSource::Spec(_, shard_len) => *shard_len,
+        }
+    }
+
+    /// Questions in the source.
+    pub(crate) fn questions(&self) -> usize {
+        match self {
+            ShardSource::Bench(bench, _) => bench.len(),
+            ShardSource::Spec(spec, _) => spec.total(),
+        }
+    }
+
+    /// The dataset fingerprint answer-cache keys use.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        match self {
+            ShardSource::Bench(_, fingerprint) => *fingerprint,
+            ShardSource::Spec(spec, _) => spec.fingerprint(),
+        }
+    }
+
+    /// The shard plan of a `models`-model grid over this source, in
+    /// canonical (model, question-range) order.
+    pub fn plan(&self, models: usize) -> Vec<ShardKey> {
+        let (questions, shard_len) = (self.questions(), self.shard_len());
+        (0..models)
+            .flat_map(|model_idx| {
+                (0..questions)
+                    .step_by(shard_len)
+                    .map(move |q_start| ShardKey {
+                        model_idx,
+                        q_start,
+                        q_end: (q_start + shard_len).min(questions),
+                    })
+            })
+            .collect()
     }
 }
 
-/// One unit of parallel work: a contiguous question range of one model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shard {
-    model_idx: usize,
-    q_start: usize,
-    q_end: usize,
-}
-
-/// Work-stealing evaluator producing sequential-identical reports.
+/// Parallel evaluator producing sequential-identical reports.
 ///
 /// Worker threads are scoped per call: every entry point joins its
 /// workers before returning, so a driver that returns from (or stops
 /// calling) the executor has no evaluation threads left running. The
-/// resident service (`chipvqa-serve`) builds its cancel-at-batch-
+/// resident service (`chipvqa-serve`) builds its cancel-at-shard-
 /// boundary and graceful-shutdown guarantees directly on this property
-/// plus [`evaluate_grid_resumable`](ParallelExecutor::evaluate_grid_resumable)'s
-/// bounded `max_shards` budget.
+/// plus the stop hook of
+/// [`evaluate_checkpointed`](ParallelExecutor::evaluate_checkpointed).
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     workers: usize,
@@ -258,15 +342,16 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> EvalReport {
-        let pipes = std::slice::from_ref(pipe);
-        let shards = plan_shards(1, bench.len());
-        let results = self.run_shards(pipes, bench, options, judge, &shards);
-        self.finalize(merge_reports(pipes, bench, results))
+        self.evaluate_grid(std::slice::from_ref(pipe), bench, options, judge)
             .pop()
             .expect("one model")
     }
 
-    /// Evaluates every model of a grid, returning reports in model order.
+    /// Evaluates every model of a grid over `bench`, returning reports
+    /// in model order. Cache keys treat `bench` as a canonical collection
+    /// (fingerprint 0); a bench built from a [`DatasetSpec`] goes through
+    /// [`evaluate_source`](Self::evaluate_source) with the spec's
+    /// fingerprint instead.
     pub fn evaluate_grid(
         &self,
         pipes: &[VlmPipeline],
@@ -274,9 +359,102 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> Vec<EvalReport> {
-        let shards = plan_shards(pipes.len(), bench.len());
-        let results = self.run_shards(pipes, bench, options, judge, &shards);
-        self.finalize(merge_reports(pipes, bench, results))
+        self.evaluate_source(pipes, ShardSource::Bench(bench, 0), options, judge)
+            .0
+    }
+
+    /// Evaluates every model of a grid over `source`: each source shard
+    /// is produced once (generated, for a spec) and fanned out to every
+    /// model. Returns reports in model order plus the run's
+    /// [`StreamStats`].
+    pub fn evaluate_source(
+        &self,
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+        judge: &dyn Judge,
+    ) -> (Vec<EvalReport>, StreamStats) {
+        let run = self.run(pipes, source, options, judge, &|_| true, &mut |_| false);
+        let reports = merge_reports(pipes, source.questions(), run.outcomes);
+        (self.finalize(reports), run.stats)
+    }
+
+    /// Streaming evaluation of a [`DatasetSpec`] for one model, judged by
+    /// the default [`RuleJudge`] ([`evaluate_source`](Self::evaluate_source)
+    /// takes any judge and any number of models): generation runs
+    /// shard-by-shard on the calling thread, overlapped with inference
+    /// on the worker pool, with answer-cache keys bound to the spec's
+    /// fingerprint. Returns the report plus [`StreamStats`] whose
+    /// `generator_peak_resident` records the [`ShardStream`]'s
+    /// high-water mark
+    /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard_len` is zero or when the spec is invalid.
+    pub fn evaluate_spec_stream(
+        &self,
+        pipe: &VlmPipeline,
+        spec: &DatasetSpec,
+        shard_len: usize,
+        options: EvalOptions,
+    ) -> (EvalReport, StreamStats) {
+        let source = ShardSource::Spec(spec, shard_len);
+        let pipes = std::slice::from_ref(pipe);
+        let (mut reports, stats) = self.evaluate_source(pipes, source, options, &RuleJudge::new());
+        (reports.pop().expect("one model"), stats)
+    }
+
+    /// Heals a *streamed* supervised report, judged by the default
+    /// [`RuleJudge`], the way
+    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
+    /// heals a checkpointed one: every shard containing a
+    /// [`EvalError::WorkerPanic`] outcome is re-run *unsupervised* from
+    /// the spec (the walk stops after the last quarantined shard; clean
+    /// shards are generated but never evaluated), and the healed
+    /// outcomes are patched back positionally. Returns the number of
+    /// shards healed. `shard_len` must match the original streamed run,
+    /// and `report` must cover the full spec.
+    pub fn requeue_quarantined_stream(
+        &self,
+        pipe: &VlmPipeline,
+        spec: &DatasetSpec,
+        shard_len: usize,
+        options: EvalOptions,
+        report: &mut EvalReport,
+    ) -> usize {
+        assert!(shard_len > 0, "shard_len must be positive");
+        assert_eq!(
+            report.outcomes.len(),
+            spec.total(),
+            "report must cover the full spec"
+        );
+        let quarantined: BTreeSet<usize> = report
+            .outcomes
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| o.error == Some(EvalError::WorkerPanic))
+            .map(|(pos, _)| pos / shard_len * shard_len)
+            .collect();
+        if quarantined.is_empty() {
+            return 0;
+        }
+        if self.telemetry.enabled() {
+            self.telemetry
+                .counter("stream.requeue.shards", quarantined.len() as u64);
+        }
+        let healed = self.unsupervised().run(
+            std::slice::from_ref(pipe),
+            ShardSource::Spec(spec, shard_len),
+            options,
+            &RuleJudge::new(),
+            &|key| quarantined.contains(&key.q_start),
+            &mut |_| false,
+        );
+        for (key, outcomes) in healed.outcomes {
+            report.outcomes.splice(key.q_start..key.q_end, outcomes);
+        }
+        quarantined.len()
     }
 
     /// Stamps run metadata onto finished reports: the cache's traffic
@@ -299,542 +477,304 @@ impl ParallelExecutor {
         reports
     }
 
-    /// Runs `shards`, returning each shard's outcomes (same order as the
-    /// input slice). This is the engine shared by the plain entry points
-    /// and checkpoint resume.
-    fn run_shards(
+    /// The engine. The calling thread walks `source` in shard order and
+    /// sends every (model, shard) item `select` picks through a bounded
+    /// channel to the scoped workers; `stop` is polled before each
+    /// dispatch with the number of items dispatched so far and ends the
+    /// walk when it returns true (dispatched items still finish).
+    /// Returns every dispatched item's outcomes, sorted by key.
+    ///
+    /// In-flight questions — queued in the channel plus held by workers —
+    /// are tracked so the memory bound is observable, not aspirational:
+    /// the peak never exceeds `(workers + channel capacity + 1) ×
+    /// shard_len` = `(2·workers + 1) × shard_len`.
+    ///
+    /// Supervised, the producer drives each model's windowed breaker
+    /// from the window holding its first selected question through the
+    /// end of its last selected shard, deciding every question in order
+    /// — selected or not — so each one gets the decision a full run
+    /// gives it. A built bench's walk makes no clock-touching telemetry
+    /// call: with one worker, one thread traces the whole run in
+    /// dispatch order.
+    pub(crate) fn run(
         &self,
         pipes: &[VlmPipeline],
-        bench: &ChipVqa,
+        source: ShardSource<'_>,
         options: EvalOptions,
         judge: &dyn Judge,
-        shards: &[Shard],
-    ) -> Vec<Vec<QuestionOutcome>> {
-        let workers = self.workers.min(shards.len()).max(1);
-        let tele = &self.telemetry;
-        let _run_span = if tele.enabled() {
-            tele.counter("executor.shards", shards.len() as u64);
-            tele.span_kv(
-                "executor.run",
-                vec![
-                    kv("models", pipes.len()),
-                    kv("workers", workers),
-                    kv("shards", shards.len()),
-                ],
-            )
-        } else {
-            tele.span("executor.run")
-        };
-
-        // Supervised runs obey a precomputed per-model breaker schedule —
-        // the sequential-order breaker trajectory, derived purely from
-        // the fault plan — so shed/attempt decisions cannot depend on
-        // worker count or steal order.
-        let schedules: Option<Vec<BreakerSchedule>> = self.supervisor.as_deref().map(|sup| {
-            pipes
-                .iter()
-                .map(|p| sup.breaker_schedule_traced(p.fingerprint(), bench, tele))
-                .collect()
-        });
-
-        // Per-worker deques, round-robin seeded so early shards spread
-        // across workers; idle workers steal from the back of others.
-        let deques: Vec<Mutex<VecDeque<(usize, Shard)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, &shard) in shards.iter().enumerate() {
-            deques[i % workers]
-                .lock()
-                .expect("deque lock")
-                .push_back((i, shard));
-        }
-
-        let mut slots: Vec<Option<Vec<QuestionOutcome>>> = vec![None; shards.len()];
-        let cache = self.cache.as_deref();
-        let supervisor = self.supervisor.as_deref();
-        let retry = self.retry;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for me in 0..workers {
-                let deques = &deques;
-                let schedules = schedules.as_deref();
-                handles.push(scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<QuestionOutcome>)> = Vec::new();
-                    loop {
-                        let next = take_work(deques, me, tele);
-                        let Some((slot, shard)) = next else { break };
-                        let pipe = &pipes[shard.model_idx];
-                        let _shard_span = if tele.enabled() {
-                            tele.span_kv(
-                                "executor.shard",
-                                vec![
-                                    kv("model", &pipe.profile().name),
-                                    kv("q_start", shard.q_start),
-                                    kv("q_end", shard.q_end),
-                                ],
-                            )
-                        } else {
-                            tele.span("executor.shard")
-                        };
-                        let outcomes = bench.questions()[shard.q_start..shard.q_end]
-                            .iter()
-                            .enumerate()
-                            .map(|(offset, q)| {
-                                let _t = tele.timer("executor.question_ns");
-                                let _q_span = tele.span("executor.question");
-                                match (supervisor, schedules) {
-                                    (Some(sup), Some(schedules)) => eval_question_isolated(
-                                        pipe,
-                                        q,
-                                        options,
-                                        judge,
-                                        &retry,
-                                        cache,
-                                        sup,
-                                        &schedules[shard.model_idx],
-                                        shard.q_start + offset,
-                                        tele,
-                                        0,
-                                    ),
-                                    _ => eval_question(
-                                        pipe, q, options, judge, &retry, cache, tele, 0,
-                                    ),
-                                }
-                            })
-                            .collect();
-                        done.push((slot, outcomes));
-                    }
-                    done
-                }));
-            }
-            for handle in handles {
-                for (slot, outcomes) in handle.join().expect("worker panicked") {
-                    slots[slot] = Some(outcomes);
-                }
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|s| s.expect("every shard completed"))
-            .collect()
-    }
-
-    /// Evaluates one model on a *streamed* question sequence: shards are
-    /// consumed as the iterator produces them, so generation overlaps
-    /// inference and the whole collection is never materialized. The
-    /// report is byte-identical across worker counts (per-question
-    /// evaluation is deterministic and the merge is positional by shard
-    /// index). Judged by the default [`RuleJudge`].
-    ///
-    /// With a [`Supervisor`] attached the producer decides each
-    /// question's fate through the windowed breaker as it generates
-    /// (see the [`supervisor`](crate::supervisor) module docs on
-    /// determinism), so supervised streamed reports are byte-identical
-    /// to supervised batch reports.
-    pub fn evaluate_stream<I>(
-        &self,
-        pipe: &VlmPipeline,
-        shards: I,
-        options: EvalOptions,
-    ) -> (EvalReport, StreamStats)
-    where
-        I: IntoIterator<Item = Vec<Question>>,
-    {
-        self.evaluate_stream_with_judge(pipe, shards, options, &RuleJudge::new())
-    }
-
-    /// [`evaluate_stream`](ParallelExecutor::evaluate_stream) with a
-    /// caller-supplied judge.
-    pub fn evaluate_stream_with_judge<I>(
-        &self,
-        pipe: &VlmPipeline,
-        shards: I,
-        options: EvalOptions,
-        judge: &dyn Judge,
-    ) -> (EvalReport, StreamStats)
-    where
-        I: IntoIterator<Item = Vec<Question>>,
-    {
-        let mut iter = shards.into_iter();
-        let (report, stats) = self.run_stream(pipe, &mut iter, options, judge, 0);
-        (report, stats)
-    }
-
-    /// Streaming evaluation of a [`DatasetSpec`]: generation runs
-    /// shard-by-shard on the calling thread, overlapped with inference
-    /// on the worker pool, with answer-cache keys bound to the spec's
-    /// fingerprint. Returns the report plus [`StreamStats`] whose
-    /// `generator_peak_resident` records the [`ShardStream`]'s
-    /// high-water mark
-    /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_len` is zero or when the spec is invalid.
-    pub fn evaluate_spec_stream(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-    ) -> (EvalReport, StreamStats) {
-        self.evaluate_spec_stream_with_judge(pipe, spec, shard_len, options, &RuleJudge::new())
-    }
-
-    /// [`evaluate_spec_stream`](ParallelExecutor::evaluate_spec_stream)
-    /// with a caller-supplied judge.
-    pub fn evaluate_spec_stream_with_judge(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        judge: &dyn Judge,
-    ) -> (EvalReport, StreamStats) {
-        // the guard owns the stream so the generator-side high-water
-        // mark is emitted even when the run unwinds mid-stream
-        let mut guard = PeakResidentGuard {
-            stream: spec.stream(shard_len),
-            tele: self.telemetry.clone(),
-        };
-        let (report, mut stats) =
-            self.run_stream(pipe, &mut guard, options, judge, spec.fingerprint());
-        stats.generator_peak_resident = Some(guard.stream.peak_resident());
-        (report, stats)
-    }
-
-    /// Heals a *streamed* supervised report the way
-    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-    /// heals a checkpointed one: every shard containing a
-    /// [`EvalError::WorkerPanic`] outcome is regenerated lazily from the
-    /// spec (only those shards — the rest of the stream is skipped
-    /// without being evaluated) and re-run *unsupervised*, and the
-    /// healed outcomes are patched back positionally. Returns the
-    /// number of shards healed. `shard_len` must match the original
-    /// streamed run, and `report` must cover the full spec.
-    pub fn requeue_quarantined_stream(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        report: &mut EvalReport,
-    ) -> usize {
-        self.requeue_quarantined_stream_with_judge(
-            pipe,
-            spec,
-            shard_len,
-            options,
-            &RuleJudge::new(),
-            report,
-        )
-    }
-
-    /// [`requeue_quarantined_stream`](ParallelExecutor::requeue_quarantined_stream)
-    /// with a caller-supplied judge.
-    #[allow(clippy::too_many_arguments)]
-    pub fn requeue_quarantined_stream_with_judge(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        report: &mut EvalReport,
-    ) -> usize {
-        assert!(shard_len > 0, "shard_len must be positive");
-        assert_eq!(
-            report.outcomes.len(),
-            spec.total(),
-            "report must cover the full spec"
-        );
-        let quarantined: std::collections::BTreeSet<usize> = report
-            .outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.error == Some(EvalError::WorkerPanic))
-            .map(|(pos, _)| pos / shard_len)
-            .collect();
-        if quarantined.is_empty() {
-            return 0;
-        }
-        if self.telemetry.enabled() {
-            self.telemetry
-                .counter("stream.requeue.shards", quarantined.len() as u64);
-        }
-        // lazily regenerate only the quarantined shards — windowed
-        // shard indices are stable under regeneration, so skipping
-        // clean shards cannot shift the quarantined ones
-        let calm = self.unsupervised();
-        let mut selected = spec
-            .stream(shard_len)
-            .enumerate()
-            .filter_map(|(idx, shard)| quarantined.contains(&idx).then_some(shard));
-        let (healed, _) = calm.run_stream(pipe, &mut selected, options, judge, spec.fingerprint());
-        let total = report.outcomes.len();
-        let mut healed_iter = healed.outcomes.into_iter();
-        for &shard_idx in &quarantined {
-            let start = shard_idx * shard_len;
-            let end = ((shard_idx + 1) * shard_len).min(total);
-            for pos in start..end {
-                report.outcomes[pos] = healed_iter.next().expect("healed outcome per position");
-            }
-        }
-        debug_assert!(healed_iter.next().is_none(), "healed run matched selection");
-        quarantined.len()
-    }
-
-    /// The streaming engine: a bounded channel between the generating
-    /// (calling) thread and the worker pool. In-flight questions —
-    /// queued in the channel plus held by workers — are tracked so the
-    /// memory bound is observable, not aspirational: the peak never
-    /// exceeds `(workers + channel capacity + 1) × shard_len` =
-    /// `(2·workers + 1) × shard_len`.
-    ///
-    /// With a [`Supervisor`] attached, the producer drives the windowed
-    /// breaker in global question order as it generates and ships the
-    /// per-question admit decisions alongside each shard, so workers
-    /// obey the exact trajectory a batch [`BreakerSchedule`] would
-    /// prescribe — shed/attempt decisions cannot depend on worker
-    /// count, steal order or shard length.
-    fn run_stream(
-        &self,
-        pipe: &VlmPipeline,
-        shards: &mut dyn Iterator<Item = Vec<Question>>,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        dataset_fp: u64,
-    ) -> (EvalReport, StreamStats) {
+        select: &dyn Fn(&ShardKey) -> bool,
+        stop: &mut dyn FnMut(usize) -> bool,
+    ) -> Run {
         let workers = self.workers;
         let tele = &self.telemetry;
         let _run_span = if tele.enabled() {
-            tele.span_kv("executor.stream", vec![kv("workers", workers)])
+            tele.span_kv(
+                "executor.stream",
+                vec![kv("models", pipes.len()), kv("workers", workers)],
+            )
         } else {
             tele.span("executor.stream")
         };
-
-        let peak_in_flight = Arc::new(AtomicUsize::new(0));
-        // emits the run's lifetime gauges even if generation or a
-        // worker panic unwinds the scope below
-        let _stats_guard = StreamRunGuard {
-            tele: tele.clone(),
-            peak_in_flight: Arc::clone(&peak_in_flight),
-            cache: self.cache.clone(),
-        };
-
+        let shard_len = source.shard_len();
+        // each model's selected shard range (first, last); the walk ends
+        // after the last selected shard of any model
+        let mut ranges: Vec<Option<(usize, usize)>> = vec![None; pipes.len()];
+        for key in source.plan(pipes.len()).iter().filter(|k| select(k)) {
+            let shard = key.q_start / shard_len;
+            ranges[key.model_idx].get_or_insert((shard, shard)).1 = shard;
+        }
+        let walk_end = ranges.iter().flatten().map(|&(_, last)| last + 1).max();
         let supervisor = self.supervisor.as_deref();
-        let fingerprint = pipe.fingerprint();
-        let mut breaker = supervisor.map(Supervisor::stream_breaker);
+        let mut breakers: Vec<Option<WindowedBreaker>> = ranges
+            .iter()
+            .map(|range| {
+                let (sup, (first, _)) = supervisor.zip(*range)?;
+                Some(sup.stream_breaker_at(first * shard_len / BREAKER_WINDOW))
+            })
+            .collect();
+        let fingerprints: Vec<u64> = pipes.iter().map(VlmPipeline::fingerprint).collect();
+        let dataset_fp = source.fingerprint();
+        // dropped however the run ends, emitting its lifetime gauges
+        let mut producer = Producer {
+            walk: match source {
+                ShardSource::Bench(bench, _) => Walk::Bench(bench.questions().chunks(shard_len)),
+                ShardSource::Spec(spec, shard_len) => Walk::Spec(spec.stream(shard_len)),
+            },
+            peak_in_flight: 0,
+            exec: self,
+        };
+        let generated = matches!(producer.walk, Walk::Spec(_));
 
-        type StreamItem = (usize, Vec<Question>, Option<Vec<bool>>);
-        let (tx, rx) = mpsc::sync_channel::<StreamItem>(workers);
-        let rx = Mutex::new(rx);
+        let (tx, rx) = mpsc::sync_channel::<Item<'_>>(workers);
+        // the workers own the receiver: if they all die, sends fail
+        // instead of blocking the producer forever
+        let rx = Arc::new(Mutex::new(rx));
         let in_flight = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Vec<QuestionOutcome>)>> = Mutex::new(Vec::new());
+        let results: Mutex<Vec<(ShardKey, Vec<QuestionOutcome>)>> = Mutex::new(Vec::new());
         let cache = self.cache.as_deref();
         let retry = self.retry;
-        let mut shard_count = 0usize;
-        let mut question_count = 0usize;
+        let mut stats = StreamStats::default();
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let rx = &rx;
-                let results = &results;
-                let in_flight = &in_flight;
+                let rx = Arc::clone(&rx);
+                let (results, in_flight) = (&results, &in_flight);
+                let fingerprints = &fingerprints;
                 scope.spawn(move || loop {
-                    let received = rx.lock().expect("stream receiver lock").recv();
-                    let Ok((idx, shard, admits)) = received else {
+                    let received = rx.lock().expect("engine receiver lock").recv();
+                    let Ok((key, questions, admits)) = received else {
                         break;
                     };
-                    let _shard_span = tele.span("stream.shard");
-                    let outcomes: Vec<QuestionOutcome> = shard
+                    let pipe = &pipes[key.model_idx];
+                    let _shard_span = if tele.enabled() {
+                        tele.span_kv(
+                            "stream.shard",
+                            vec![
+                                kv("model", &pipe.profile().name),
+                                kv("q_start", key.q_start),
+                                kv("q_end", key.q_end),
+                            ],
+                        )
+                    } else {
+                        tele.span("stream.shard")
+                    };
+                    let outcomes: Vec<QuestionOutcome> = questions
                         .iter()
                         .enumerate()
                         .map(|(offset, q)| {
                             let _t = tele.timer("executor.question_ns");
                             let _q_span = tele.span("executor.question");
-                            match (supervisor, &admits) {
-                                (Some(sup), Some(admits)) => {
-                                    if !admits[offset] {
-                                        tele.counter("stream.breaker.shed", 1);
-                                        return failed_outcome(
-                                            q,
-                                            String::new(),
-                                            EvalError::BreakerOpen,
-                                        );
-                                    }
-                                    std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                        eval_question_supervised(
-                                            pipe, q, options, judge, &retry, cache, sup, tele,
-                                            dataset_fp,
-                                        )
-                                    }))
-                                    .unwrap_or_else(|_| {
-                                        if tele.enabled() {
-                                            tele.counter("executor.panic_caught", 1);
-                                            tele.event("worker.panic", vec![kv("question", &q.id)]);
-                                        }
-                                        failed_outcome(q, String::new(), EvalError::WorkerPanic)
-                                    })
+                            if let Some(admit) = admits.as_ref().map(|a| a[offset]) {
+                                admit.report(tele, fingerprints[key.model_idx], &q.id);
+                                if !admit.allowed {
+                                    return failed_outcome(q, EvalError::BreakerOpen);
                                 }
-                                _ => std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    eval_question(
-                                        pipe, q, options, judge, &retry, cache, tele, dataset_fp,
-                                    )
-                                }))
-                                .unwrap_or_else(|_| {
-                                    if tele.enabled() {
-                                        tele.counter("executor.panic_caught", 1);
-                                        tele.event("worker.panic", vec![kv("question", &q.id)]);
-                                    }
-                                    failed_outcome(q, String::new(), EvalError::WorkerPanic)
-                                }),
                             }
+                            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                                eval_question(
+                                    pipe, q, options, judge, &retry, cache, supervisor, tele,
+                                    dataset_fp,
+                                )
+                            }))
+                            .unwrap_or_else(|_| {
+                                if tele.enabled() {
+                                    tele.counter("executor.panic_caught", 1);
+                                    tele.event("worker.panic", vec![kv("question", &q.id)]);
+                                }
+                                failed_outcome(q, EvalError::WorkerPanic)
+                            })
                         })
                         .collect();
-                    in_flight.fetch_sub(shard.len(), Ordering::Relaxed);
+                    in_flight.fetch_sub(questions.len(), Ordering::Relaxed);
                     tele.counter("stream.shard_evaluated", 1);
                     results
                         .lock()
-                        .expect("stream results lock")
-                        .push((idx, outcomes));
+                        .expect("engine results lock")
+                        .push((key, outcomes));
                 });
             }
 
+            drop(rx);
             // the calling thread is the producer: generation (and,
             // supervised, breaker admission) overlaps the workers'
             // inference
-            let mut idx = 0usize;
-            loop {
-                let shard = {
-                    let _t = tele.timer("stream.generate_ns");
-                    let _g_span = tele.span("stream.generate");
-                    shards.next()
+            let mut dispatched = 0usize;
+            'walk: for shard in 0..walk_end.unwrap_or(0) {
+                let Some(questions) = producer.next_shard() else {
+                    break;
                 };
-                let Some(shard) = shard else { break };
-                let admits = supervisor.map(|sup| {
-                    let wb = breaker.as_mut().expect("breaker exists with supervisor");
-                    let _b_span = tele.span("stream.breaker");
-                    shard
-                        .iter()
-                        .map(|q| {
-                            sup.admit_traced(wb, fingerprint, &q.id, tele, BreakerScope::Stream)
-                        })
-                        .collect::<Vec<bool>>()
-                });
-                shard_count += 1;
-                question_count += shard.len();
-                let now = in_flight.fetch_add(shard.len(), Ordering::Relaxed) + shard.len();
-                peak_in_flight.fetch_max(now, Ordering::Relaxed);
+                stats.shards += 1;
+                stats.questions += questions.len();
                 if tele.enabled() {
                     tele.counter("stream.shard_generated", 1);
-                    tele.counter("stream.questions", shard.len() as u64);
+                    tele.counter("stream.questions", questions.len() as u64);
                 }
-                if tx.send((idx, shard, admits)).is_err() {
-                    break; // all workers gone (cannot happen unpanicked)
+                let q_start = shard * shard_len;
+                for (model_idx, range) in ranges.iter().enumerate() {
+                    let Some((_, last)) = *range else { continue };
+                    if shard > last {
+                        continue;
+                    }
+                    let admits = breakers[model_idx].as_mut().map(|wb| {
+                        let _b_span = generated.then(|| tele.span("stream.breaker"));
+                        let sup = supervisor.expect("breakers exist only when supervised");
+                        // questions before the breaker's first window
+                        // belong to no selected shard
+                        let skip = wb.next_index().saturating_sub(q_start);
+                        questions[skip.min(questions.len())..]
+                            .iter()
+                            .map(|q| sup.decide(wb, fingerprints[model_idx], &q.id))
+                            .collect::<Vec<Admit>>()
+                    });
+                    let key = ShardKey {
+                        model_idx,
+                        q_start,
+                        q_end: q_start + questions.len(),
+                    };
+                    if !select(&key) {
+                        continue;
+                    }
+                    if stop(dispatched) {
+                        break 'walk;
+                    }
+                    let now =
+                        in_flight.fetch_add(questions.len(), Ordering::Relaxed) + questions.len();
+                    producer.peak_in_flight = producer.peak_in_flight.max(now);
+                    if tx.send((key, questions.clone(), admits)).is_err() {
+                        break 'walk; // every worker died; the scope re-raises its panic
+                    }
+                    dispatched += 1;
                 }
-                idx += 1;
             }
             drop(tx); // closes the channel; workers drain and exit
         });
 
-        let mut pairs = results.into_inner().expect("stream results lock");
-        pairs.sort_by_key(|&(idx, _)| idx);
-        let quarantined_shards = pairs
+        let mut outcomes = results.into_inner().expect("engine results lock");
+        outcomes.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
+        stats.peak_in_flight = producer.peak_in_flight;
+        if let Walk::Spec(stream) = &producer.walk {
+            stats.generator_peak_resident = Some(stream.peak_resident());
+        }
+        stats.quarantined_shards = outcomes
             .iter()
-            .filter(|(_, outcomes)| {
-                outcomes
-                    .iter()
-                    .any(|o| o.error == Some(EvalError::WorkerPanic))
-            })
+            .filter(|(_, o)| o.iter().any(|o| o.error == Some(EvalError::WorkerPanic)))
             .count();
-        let report = EvalReport {
-            model: pipe.profile().name.clone(),
-            outcomes: pairs.into_iter().flat_map(|(_, o)| o).collect(),
-            cache_stats: None,
-        };
-        let report = self
-            .finalize(vec![report])
-            .pop()
-            .expect("one streamed report");
-        let stats = StreamStats {
-            shards: shard_count,
-            questions: question_count,
-            peak_in_flight: peak_in_flight.load(Ordering::Relaxed),
-            generator_peak_resident: None,
-            quarantined_shards,
-        };
-        (report, stats)
+        Run { outcomes, stats }
     }
 }
 
-/// Drop-guard that emits a streaming run's lifetime gauges —
-/// `stream.peak_in_flight` plus the attached cache's
-/// `cache.lifetime_hits` / `cache.lifetime_misses` — when the run ends
-/// *however* it ends. A panicking generator or a worker panic that
-/// escapes isolation unwinds through [`ParallelExecutor::run_stream`];
-/// without the guard those emissions would sit after the unwind point
-/// and be lost.
-struct StreamRunGuard {
-    tele: Telemetry,
-    peak_in_flight: Arc<AtomicUsize>,
-    cache: Option<Arc<AnswerCache>>,
+/// What one engine run produced: every dispatched item's outcomes,
+/// sorted by key, and the run's stream stats.
+pub(crate) struct Run {
+    pub(crate) outcomes: Vec<(ShardKey, Vec<QuestionOutcome>)>,
+    pub(crate) stats: StreamStats,
 }
 
-impl Drop for StreamRunGuard {
+/// One unit of work: a selected (model, shard) pair, with the shard's
+/// breaker decisions when supervised.
+type Item<'a> = (ShardKey, ShardQuestions<'a>, Option<Vec<Admit>>);
+
+/// A shard's questions as workers see them: borrowed from a built
+/// bench, or a generated shard shared by every model that needs it.
+#[derive(Clone)]
+enum ShardQuestions<'a> {
+    Borrowed(&'a [Question]),
+    Generated(Arc<Vec<Question>>),
+}
+
+impl Deref for ShardQuestions<'_> {
+    type Target = [Question];
+
+    fn deref(&self) -> &[Question] {
+        match self {
+            ShardQuestions::Borrowed(questions) => questions,
+            ShardQuestions::Generated(questions) => questions,
+        }
+    }
+}
+
+/// The producer's side of one run: its walk over the source and the
+/// in-flight high-water mark. Dropping it emits the run's lifetime
+/// gauges — `stream.peak_in_flight`, the generator-side
+/// `stream.peak_resident` of a spec walk, and the attached cache's
+/// `cache.lifetime_hits` / `cache.lifetime_misses` — however the run
+/// ends: a panic on the producer thread (a stop hook, say) unwinds
+/// through the engine, and emissions after the unwind point would be
+/// lost.
+struct Producer<'a> {
+    walk: Walk<'a>,
+    peak_in_flight: usize,
+    exec: &'a ParallelExecutor,
+}
+
+/// A built bench's shards are slices of it; a spec's are generated.
+enum Walk<'a> {
+    Bench(std::slice::Chunks<'a, Question>),
+    Spec(ShardStream),
+}
+
+impl<'a> Producer<'a> {
+    /// The walk's next shard; generating a spec shard is timed
+    /// (`stream.generate`).
+    fn next_shard(&mut self) -> Option<ShardQuestions<'a>> {
+        match &mut self.walk {
+            Walk::Bench(chunks) => chunks.next().map(ShardQuestions::Borrowed),
+            Walk::Spec(stream) => {
+                let _t = self.exec.telemetry.timer("stream.generate_ns");
+                let _g_span = self.exec.telemetry.span("stream.generate");
+                stream
+                    .next()
+                    .map(|shard| ShardQuestions::Generated(Arc::new(shard)))
+            }
+        }
+    }
+}
+
+impl Drop for Producer<'_> {
     fn drop(&mut self) {
-        if !self.tele.enabled() {
+        let tele = &self.exec.telemetry;
+        if !tele.enabled() {
             return;
         }
-        self.tele.gauge(
-            "stream.peak_in_flight",
-            self.peak_in_flight.load(Ordering::Relaxed) as f64,
-        );
-        if let Some(cache) = &self.cache {
+        tele.gauge("stream.peak_in_flight", self.peak_in_flight as f64);
+        if let Walk::Spec(stream) = &self.walk {
+            tele.gauge("stream.peak_resident", stream.peak_resident() as f64);
+        }
+        if let Some(cache) = &self.exec.cache {
             let stats = cache.stats();
-            self.tele
-                .gauge("cache.lifetime_hits", stats.lifetime_hits as f64);
-            self.tele
-                .gauge("cache.lifetime_misses", stats.lifetime_misses as f64);
+            tele.gauge("cache.lifetime_hits", stats.lifetime_hits as f64);
+            tele.gauge("cache.lifetime_misses", stats.lifetime_misses as f64);
         }
     }
 }
 
-/// Drop-guard around a [`ShardStream`](chipvqa_core::spec::ShardStream):
-/// delegates iteration, and emits the generator-side
-/// `stream.peak_resident` gauge on drop so the memory high-water mark
-/// survives error/early-return paths (the happy path additionally
-/// records it on [`StreamStats`]).
-struct PeakResidentGuard {
-    stream: chipvqa_core::spec::ShardStream,
-    tele: Telemetry,
-}
-
-impl Iterator for PeakResidentGuard {
-    type Item = Vec<Question>;
-
-    fn next(&mut self) -> Option<Vec<Question>> {
-        self.stream.next()
-    }
-}
-
-impl Drop for PeakResidentGuard {
-    fn drop(&mut self) {
-        if self.tele.enabled() {
-            self.tele
-                .gauge("stream.peak_resident", self.stream.peak_resident() as f64);
-        }
-    }
-}
-
-/// Observability of one streaming run: how much was generated and the
-/// high-water marks that certify the memory bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Observability of one engine run: how much of the source was walked
+/// and the high-water marks that certify the memory bound.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamStats {
-    /// Shards generated (and evaluated).
+    /// Source shards walked (generated, for a spec).
     pub shards: usize,
-    /// Questions generated (and evaluated).
+    /// Questions walked.
     pub questions: usize,
     /// Peak questions in flight inside the executor: queued in the
     /// bounded channel plus held by workers. Bounded by
@@ -842,8 +782,7 @@ pub struct StreamStats {
     pub peak_in_flight: usize,
     /// The generator-side high-water mark
     /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)),
-    /// recorded by the spec-streaming entry points; `None` for generic
-    /// iterator streams.
+    /// recorded for spec sources; `None` for built benches.
     pub generator_peak_resident: Option<usize>,
     /// Shards containing at least one
     /// [`EvalError::WorkerPanic`] outcome — the ones
@@ -853,48 +792,43 @@ pub struct StreamStats {
     pub quarantined_shards: usize,
 }
 
-/// Pops local work, stealing from the busiest-looking victim when the
-/// local deque is empty. Returns `None` when no work is left anywhere.
-fn take_work(
-    deques: &[Mutex<VecDeque<(usize, Shard)>>],
-    me: usize,
-    tele: &Telemetry,
-) -> Option<(usize, Shard)> {
-    if let Some(item) = deques[me].lock().expect("deque lock").pop_front() {
-        tele.counter("executor.queue.local_pop", 1);
-        return Some(item);
+/// Folds keyed shard outcomes into one report per model, question order
+/// restored positionally. Every shard of the `questions`-question grid
+/// must be present exactly once.
+pub(crate) fn merge_reports(
+    pipes: &[VlmPipeline],
+    questions: usize,
+    mut shards: Vec<(ShardKey, Vec<QuestionOutcome>)>,
+) -> Vec<EvalReport> {
+    shards.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
+    let mut reports: Vec<EvalReport> = pipes
+        .iter()
+        .map(|pipe| EvalReport {
+            model: pipe.profile().name.clone(),
+            outcomes: Vec::with_capacity(questions),
+            cache_stats: None,
+        })
+        .collect();
+    for (key, outcomes) in shards {
+        let report = &mut reports[key.model_idx];
+        assert_eq!(report.outcomes.len(), key.q_start, "shards tile the grid");
+        assert_eq!(outcomes.len(), key.q_end - key.q_start, "shard shape");
+        report.outcomes.extend(outcomes);
     }
-    for offset in 1..deques.len() {
-        let victim = (me + offset) % deques.len();
-        if let Some(item) = deques[victim].lock().expect("deque lock").pop_back() {
-            tele.counter("executor.queue.steal", 1);
-            return Some(item);
-        }
+    for report in &reports {
+        assert_eq!(report.outcomes.len(), questions, "grid fully covered");
     }
-    None
-}
-
-/// The grid's shard list in deterministic (model, question-range) order.
-fn plan_shards(models: usize, questions: usize) -> Vec<Shard> {
-    let mut shards = Vec::new();
-    for model_idx in 0..models {
-        let mut q_start = 0;
-        while q_start < questions {
-            let q_end = (q_start + SHARD_SIZE).min(questions);
-            shards.push(Shard {
-                model_idx,
-                q_start,
-                q_end,
-            });
-            q_start = q_end;
-        }
-    }
-    shards
+    reports
 }
 
 /// Exactly the sequential harness's per-question loop, with the cache
 /// interposed before inference and the retry policy around the judge.
-/// `dataset_fp` keys the cache to a [`DatasetSpec`] (0 = canonical).
+/// Supervised, every inference and judge call goes through the
+/// supervisor's fault injection + recovery, and the first terminal
+/// failure at any site aborts the question with a structured error
+/// (degraded truncated/garbled evidence is kept as the recorded
+/// response). `dataset_fp` keys the cache to the source's dataset (0 =
+/// canonical).
 #[allow(clippy::too_many_arguments)]
 fn eval_question(
     pipe: &VlmPipeline,
@@ -903,43 +837,72 @@ fn eval_question(
     judge: &dyn Judge,
     retry: &RetryPolicy,
     cache: Option<&AnswerCache>,
+    sup: Option<&Supervisor>,
     tele: &Telemetry,
     dataset_fp: u64,
 ) -> QuestionOutcome {
+    let fingerprint = pipe.fingerprint();
     let mut passed = false;
     let mut first_response = String::new();
     let mut first_path = AnswerPath::Failed;
+    let mut error = None;
     for attempt in 0..options.attempts.max(1) {
-        let answer = infer_cached_for(
-            pipe,
-            q,
-            options.downsample,
-            attempt,
-            cache,
-            tele,
-            dataset_fp,
-        );
+        let downsample = options.downsample;
+        let answer = match sup {
+            Some(sup) => sup.infer(pipe, q, downsample, attempt, cache, tele, dataset_fp),
+            None => Ok(infer_cached_for(
+                pipe, q, downsample, attempt, cache, tele, dataset_fp,
+            )),
+        };
+        let answer = match answer {
+            Ok(answer) => answer,
+            Err((e, degraded)) => {
+                if attempt == 0 {
+                    if let Some(text) = degraded {
+                        first_response = text;
+                    }
+                }
+                error = Some(e);
+                break;
+            }
+        };
         if attempt == 0 {
             first_response = answer.text.clone();
             first_path = answer.path;
         }
-        let verdict = {
+        let judged = {
             let _span = tele.span("judge");
-            retry.judged(judge, q, &answer.text)
+            let response = answer.text.as_str();
+            match sup {
+                Some(sup) => retry.vote(q, |attempt| {
+                    sup.verdict(judge, fingerprint, q, response, attempt, tele)
+                }),
+                None => retry.vote(q, |attempt| Ok(judge.verdict(q, response, attempt))),
+            }
         };
-        if verdict {
-            passed = true;
-            break;
+        match judged {
+            Ok(true) => {
+                passed = true;
+                break;
+            }
+            Ok(false) => {}
+            Err(e) => {
+                error = Some(e);
+                break;
+            }
         }
     }
-    note_verdict(tele, q, passed);
+    let passed = passed && error.is_none();
+    if error.is_none() {
+        note_verdict(tele, q, passed);
+    }
     QuestionOutcome {
         id: q.id.clone(),
         category: q.category,
         passed,
         response: first_response,
         path: first_path,
-        error: None,
+        error,
     }
 }
 
@@ -958,124 +921,12 @@ fn note_verdict(tele: &Telemetry, q: &Question, passed: bool) {
     tele.counter(name, 1);
 }
 
-/// Supervised per-question evaluation with panic isolation: breaker
-/// sheds never run, injected (or genuine) worker panics are caught with
-/// `catch_unwind` and become a structured [`EvalError::WorkerPanic`]
-/// outcome — quarantining the question instead of aborting the run.
-#[allow(clippy::too_many_arguments)]
-fn eval_question_isolated(
-    pipe: &VlmPipeline,
-    q: &Question,
-    options: EvalOptions,
-    judge: &dyn Judge,
-    retry: &RetryPolicy,
-    cache: Option<&AnswerCache>,
-    sup: &Supervisor,
-    schedule: &BreakerSchedule,
-    question_index: usize,
-    tele: &Telemetry,
-    dataset_fp: u64,
-) -> QuestionOutcome {
-    if !schedule.attempts_question(question_index) {
-        tele.counter("breaker.shed", 1);
-        return failed_outcome(q, String::new(), EvalError::BreakerOpen);
-    }
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        eval_question_supervised(pipe, q, options, judge, retry, cache, sup, tele, dataset_fp)
-    }))
-    .unwrap_or_else(|_| {
-        if tele.enabled() {
-            tele.counter("executor.panic_caught", 1);
-            tele.event("worker.panic", vec![kv("question", &q.id)]);
-        }
-        failed_outcome(q, String::new(), EvalError::WorkerPanic)
-    })
-}
-
-/// The supervised mirror of [`eval_question`]: every inference and judge
-/// call goes through the supervisor's fault injection + recovery. The
-/// first terminal failure at any site aborts the question with a
-/// structured error (degraded truncated/garbled evidence is kept as the
-/// recorded response).
-#[allow(clippy::too_many_arguments)]
-fn eval_question_supervised(
-    pipe: &VlmPipeline,
-    q: &Question,
-    options: EvalOptions,
-    judge: &dyn Judge,
-    retry: &RetryPolicy,
-    cache: Option<&AnswerCache>,
-    sup: &Supervisor,
-    tele: &Telemetry,
-    dataset_fp: u64,
-) -> QuestionOutcome {
-    let fingerprint = pipe.fingerprint();
-    let mut passed = false;
-    let mut first_response = String::new();
-    let mut first_path = AnswerPath::Failed;
-    let mut error = None;
-    'attempts: for attempt in 0..options.attempts.max(1) {
-        match sup.infer(
-            pipe,
-            q,
-            options.downsample,
-            attempt,
-            cache,
-            tele,
-            dataset_fp,
-        ) {
-            Ok(answer) => {
-                if attempt == 0 {
-                    first_response = answer.text.clone();
-                    first_path = answer.path;
-                }
-                let judged = {
-                    let _span = tele.span("judge");
-                    sup.judged(judge, retry, fingerprint, q, &answer.text, tele)
-                };
-                match judged {
-                    Ok(true) => {
-                        passed = true;
-                        break 'attempts;
-                    }
-                    Ok(false) => {}
-                    Err(e) => {
-                        error = Some(e);
-                        break 'attempts;
-                    }
-                }
-            }
-            Err((e, degraded)) => {
-                if attempt == 0 {
-                    if let Some(text) = degraded {
-                        first_response = text;
-                    }
-                }
-                error = Some(e);
-                break 'attempts;
-            }
-        }
-    }
-    let passed = passed && error.is_none();
-    if error.is_none() {
-        note_verdict(tele, q, passed);
-    }
-    QuestionOutcome {
-        id: q.id.clone(),
-        category: q.category,
-        passed,
-        response: first_response,
-        path: first_path,
-        error,
-    }
-}
-
-fn failed_outcome(q: &Question, response: String, error: EvalError) -> QuestionOutcome {
+fn failed_outcome(q: &Question, error: EvalError) -> QuestionOutcome {
     QuestionOutcome {
         id: q.id.clone(),
         category: q.category,
         passed: false,
-        response,
+        response: String::new(),
         path: AnswerPath::Failed,
         error: Some(error),
     }
@@ -1109,116 +960,6 @@ pub(crate) fn infer_cached_for(
     cache.insert(key, answer.clone());
     tele.counter("cache.insert", 1);
     answer
-}
-
-/// Merges per-shard outcomes into per-model reports, question order
-/// restored positionally.
-fn merge_reports(
-    pipes: &[VlmPipeline],
-    bench: &ChipVqa,
-    results: Vec<Vec<QuestionOutcome>>,
-) -> Vec<EvalReport> {
-    let shards = plan_shards(pipes.len(), bench.len());
-    assert_eq!(shards.len(), results.len(), "one result per shard");
-    let mut per_model: Vec<Vec<Option<QuestionOutcome>>> =
-        pipes.iter().map(|_| vec![None; bench.len()]).collect();
-    for (shard, outcomes) in shards.iter().zip(results) {
-        assert_eq!(outcomes.len(), shard.q_end - shard.q_start, "shard shape");
-        for (offset, outcome) in outcomes.into_iter().enumerate() {
-            per_model[shard.model_idx][shard.q_start + offset] = Some(outcome);
-        }
-    }
-    pipes
-        .iter()
-        .zip(per_model)
-        .map(|(pipe, slots)| EvalReport {
-            model: pipe.profile().name.clone(),
-            outcomes: slots
-                .into_iter()
-                .map(|s| s.expect("grid fully covered"))
-                .collect(),
-            cache_stats: None,
-        })
-        .collect()
-}
-
-/// Internal hooks for the checkpoint module: shard planning and shard
-/// execution with a caller-chosen subset.
-pub(crate) mod internal {
-    use super::*;
-
-    /// Serialisable mirror of the internal shard (stable identity for
-    /// checkpoints).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-    pub struct ShardKey {
-        /// Model index in the grid.
-        pub model_idx: usize,
-        /// First question index (inclusive).
-        pub q_start: usize,
-        /// Last question index (exclusive).
-        pub q_end: usize,
-    }
-
-    /// Shard keys for a grid, in canonical order.
-    pub fn shard_keys(models: usize, questions: usize) -> Vec<ShardKey> {
-        plan_shards(models, questions)
-            .into_iter()
-            .map(|s| ShardKey {
-                model_idx: s.model_idx,
-                q_start: s.q_start,
-                q_end: s.q_end,
-            })
-            .collect()
-    }
-
-    /// Runs exactly `keys` (any subset of the canonical plan) and
-    /// returns their outcomes in the same order.
-    pub fn run_selected(
-        exec: &ParallelExecutor,
-        pipes: &[VlmPipeline],
-        bench: &ChipVqa,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        keys: &[ShardKey],
-    ) -> Vec<Vec<QuestionOutcome>> {
-        let shards: Vec<Shard> = keys
-            .iter()
-            .map(|k| Shard {
-                model_idx: k.model_idx,
-                q_start: k.q_start,
-                q_end: k.q_end,
-            })
-            .collect();
-        exec.run_shards(pipes, bench, options, judge, &shards)
-    }
-
-    /// Positional merge exposed for checkpoint assembly.
-    pub fn merge_from_pairs(
-        pipes: &[VlmPipeline],
-        bench: &ChipVqa,
-        pairs: &[(ShardKey, Vec<QuestionOutcome>)],
-    ) -> Vec<EvalReport> {
-        let mut per_model: Vec<Vec<Option<QuestionOutcome>>> =
-            pipes.iter().map(|_| vec![None; bench.len()]).collect();
-        for (key, outcomes) in pairs {
-            assert_eq!(outcomes.len(), key.q_end - key.q_start, "shard shape");
-            for (offset, outcome) in outcomes.iter().enumerate() {
-                per_model[key.model_idx][key.q_start + offset] = Some(outcome.clone());
-            }
-        }
-        pipes
-            .iter()
-            .zip(per_model)
-            .map(|(pipe, slots)| EvalReport {
-                model: pipe.profile().name.clone(),
-                outcomes: slots
-                    .into_iter()
-                    .map(|s| s.expect("grid fully covered"))
-                    .collect(),
-                cache_stats: None,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1328,7 +1069,8 @@ mod tests {
 
     #[test]
     fn shard_plan_covers_grid_exactly_once() {
-        let shards = plan_shards(3, 142);
+        let bench = ChipVqa::standard();
+        let shards = ShardSource::Bench(&bench, 0).plan(3);
         let mut seen = vec![vec![0u8; 142]; 3];
         for s in &shards {
             #[allow(clippy::needless_range_loop)]
@@ -1454,12 +1196,7 @@ mod tests {
             "telemetry must be invisible in the serialized report"
         );
         let snap = tele.snapshot();
-        assert_eq!(snap.spans["executor.run"].count, 1);
-        assert_eq!(
-            snap.counters["executor.queue.local_pop"] + snap.counters["executor.queue.steal"],
-            snap.counters["executor.shards"],
-            "every shard was popped or stolen exactly once"
-        );
+        assert_eq!(snap.spans["executor.stream"].count, 1);
         let verdicts: u64 = snap
             .counters
             .iter()
@@ -1491,7 +1228,7 @@ mod tests {
         // spans are hierarchical: inference nests under the worker's
         // shard/question spans
         assert_eq!(
-            snap.spans["executor.shard/executor.question/inference"].count as usize,
+            snap.spans["stream.shard/executor.question/inference"].count as usize,
             bench.len()
         );
 
@@ -1510,14 +1247,10 @@ mod tests {
         let pipe = VlmPipeline::new(ModelZoo::gpt4o());
         let batch = crate::harness::evaluate(&pipe, &bench, EvalOptions::default());
         for workers in [1usize, 4] {
-            let shards: Vec<Vec<Question>> = bench
-                .questions()
-                .chunks(SHARD_SIZE)
-                .map(<[Question]>::to_vec)
-                .collect();
-            let (streamed, stats) = ParallelExecutor::new(workers).evaluate_stream(
+            let (streamed, stats) = ParallelExecutor::new(workers).evaluate_spec_stream(
                 &pipe,
-                shards,
+                &DatasetSpec::default(),
+                SHARD_SIZE,
                 EvalOptions::default(),
             );
             assert_eq!(batch, streamed, "workers = {workers}");
@@ -1648,7 +1381,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_gauges_survive_a_generator_panic() {
+    fn stream_gauges_survive_a_producer_panic() {
         use crate::fault::install_quiet_panic_hook;
         install_quiet_panic_hook();
         let bench = ChipVqa::standard();
@@ -1658,17 +1391,29 @@ mod tests {
         let exec = ParallelExecutor::new(2)
             .with_cache(Arc::clone(&cache))
             .with_telemetry(tele.clone());
-        let questions = bench.questions().to_vec();
-        let shards = (0..4).map(move |i| {
-            if i == 2 {
-                panic!("generator exploded mid-stream");
+        // the producer thread dies mid-walk, after two dispatches
+        let mut stop = |dispatched: usize| {
+            if dispatched == 2 {
+                panic!("producer exploded mid-walk");
             }
-            questions[i * SHARD_SIZE..(i + 1) * SHARD_SIZE].to_vec()
-        });
+            false
+        };
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.evaluate_stream(&pipe, shards, EvalOptions::default())
+            let mut ckpt = crate::checkpoint::Checkpoint::new(
+                std::slice::from_ref(&pipe),
+                &bench,
+                EvalOptions::default(),
+            );
+            exec.evaluate_checkpointed(
+                std::slice::from_ref(&pipe),
+                ShardSource::Bench(&bench, 0),
+                EvalOptions::default(),
+                &RuleJudge::new(),
+                &mut ckpt,
+                &mut stop,
+            )
         }));
-        assert!(caught.is_err(), "the generator panic propagates");
+        assert!(caught.is_err(), "the producer panic propagates");
         // the drop-guard emitted the lifetime gauges despite the unwind
         let snap = tele.snapshot();
         assert!(
@@ -1684,6 +1429,30 @@ mod tests {
             snap.gauges["cache.lifetime_hits"],
             stats.lifetime_hits as f64
         );
+    }
+
+    #[test]
+    fn dead_workers_fail_the_run_instead_of_hanging_the_producer() {
+        use crate::fault::{install_quiet_panic_hook, InjectedPanic};
+        use chipvqa_telemetry::{FnSink, TraceRecord};
+        install_quiet_panic_hook();
+        // a sink that panics outside per-question isolation kills every
+        // worker after its first shard, with shards still to dispatch
+        let sink = FnSink::new(|record: &TraceRecord| {
+            if record.name() == "stream.shard" {
+                std::panic::panic_any(InjectedPanic {
+                    fingerprint: 0,
+                    question_id: String::new(),
+                });
+            }
+        });
+        let exec = ParallelExecutor::new(2)
+            .with_telemetry(Telemetry::builder().sink(Arc::new(sink)).build());
+        let pipe = VlmPipeline::new(ModelZoo::gpt4o());
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            exec.evaluate(&pipe, &ChipVqa::standard(), EvalOptions::default())
+        }));
+        assert!(caught.is_err(), "the worker panic propagates");
     }
 
     #[test]

@@ -53,6 +53,11 @@
 //! semantics of
 //! [`Checkpoint::requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined).
 //!
+//! A claim, first pass or heal, is a one-key selection of the executor's
+//! shard engine over the job's bench, keyed with the job's spec
+//! fingerprint, so a claimed shard gets exactly the breaker decisions and
+//! cache keys a single-process run gives it.
+//!
 //! # Determinism contract
 //!
 //! For any worker count, any lease-steal interleaving, and any kill
@@ -78,14 +83,13 @@ use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{bench_hash, ShardResult};
-use crate::executor::internal::{merge_from_pairs, run_selected, shard_keys};
-use crate::executor::ParallelExecutor;
+use crate::executor::{merge_reports, ParallelExecutor, ShardSource};
 use crate::harness::{EvalOptions, EvalReport};
 use crate::judge::Judge;
 use crate::store::{fnv1a64, holder_dead, own_start_token, pid_alive};
 use crate::supervisor::EvalError;
 
-pub use crate::executor::internal::ShardKey;
+pub use crate::executor::ShardKey;
 
 /// On-disk fleet format version, stamped in `manifest.json`.
 pub const FLEET_FORMAT_VERSION: u32 = 1;
@@ -94,7 +98,7 @@ pub const FLEET_FORMAT_VERSION: u32 = 1;
 /// exactly this list, in exactly this order. Exposed so chaos tests can
 /// fabricate the wreckage (leases, quarantine records) of dead workers.
 pub fn shard_plan(job: &FleetJob<'_>) -> Vec<ShardKey> {
-    shard_keys(job.pipes.len(), job.bench.len())
+    job.source().plan(job.pipes.len())
 }
 
 /// Tuning knobs of a fleet worker.
@@ -149,6 +153,12 @@ pub struct FleetJob<'a> {
 }
 
 impl FleetJob<'_> {
+    /// The job's bench as an engine source, keyed with the spec
+    /// fingerprint (0 for canonical collections).
+    fn source(&self) -> ShardSource<'_> {
+        ShardSource::Bench(self.bench, self.spec_fingerprint.unwrap_or(0))
+    }
+
     /// The manifest this job stamps (and validates against).
     pub fn manifest(&self) -> FleetManifest {
         FleetManifest {
@@ -618,7 +628,7 @@ pub fn run_worker(
     }
     let manifest = ensure_manifest(dir, &job.manifest())?;
     let manifest_fp = manifest.fingerprint();
-    let keys = shard_keys(job.pipes.len(), job.bench.len());
+    let keys = shard_plan(job);
     let tele = exec.telemetry();
     if tele.enabled() {
         tele.event(
@@ -663,7 +673,16 @@ pub fn run_worker(
                 std::thread::sleep(config.post_claim_delay);
             }
             let runner = if healing { &calm } else { exec };
-            let outcomes = run_selected(runner, job.pipes, job.bench, job.options, judge, &[*key])
+            let (_, outcomes) = runner
+                .run(
+                    job.pipes,
+                    job.source(),
+                    job.options,
+                    judge,
+                    &|k| k == key,
+                    &mut |_| false,
+                )
+                .outcomes
                 .pop()
                 .expect("one shard requested");
             let panicked = outcomes
@@ -850,7 +869,7 @@ pub fn merge(
     let manifest = read_manifest(dir)?;
     validate_manifest(&job.manifest(), &manifest)?;
     let manifest_fp = manifest.fingerprint();
-    let keys = shard_keys(job.pipes.len(), job.bench.len());
+    let keys = shard_plan(job);
     let mut pairs = Vec::with_capacity(keys.len());
     let mut missing = 0usize;
     for (idx, key) in keys.iter().enumerate() {
@@ -881,7 +900,7 @@ pub fn merge(
             total: keys.len(),
         });
     }
-    let reports = merge_from_pairs(job.pipes, job.bench, &pairs);
+    let reports = merge_reports(job.pipes, job.bench.len(), pairs);
     telemetry.counter("fleet.merge.done", 1);
     if telemetry.enabled() {
         telemetry.event(
@@ -1009,7 +1028,7 @@ mod tests {
         .expect("writes manifest");
         // the wreckage of a kill -9'd worker: a lease held by a dead
         // pid, over a shard it had quarantined before dying
-        let keys = shard_keys(1, bench.len());
+        let keys = shard_plan(&job);
         let dead = Lease {
             shard_index: 0,
             shard: keys[0],
@@ -1103,7 +1122,7 @@ mod tests {
         // identity matches but nothing committed yet
         match merge(&dir, &job, &Telemetry::disabled()) {
             Err(FleetError::Incomplete { done: 0, total }) => {
-                assert_eq!(total, shard_keys(1, bench.len()).len());
+                assert_eq!(total, shard_plan(&job).len());
             }
             other => panic!("expected Incomplete, got {other:?}"),
         }

@@ -15,10 +15,10 @@
 //! degradation study; [`noisy`] models an imperfect LLM auto-judge and
 //! the paper's hybrid manual-override mechanism for robustness studies.
 //!
-//! For large runs, [`executor`] provides a work-stealing
-//! [`ParallelExecutor`] whose reports are identical to the sequential
-//! harness for any worker count, with an optional answer [`cache`]
-//! (hits skip inference) and judge retry with majority vote;
+//! For large runs, [`executor`] provides [`ParallelExecutor`], one
+//! producer/worker shard engine whose reports are identical to the
+//! sequential harness for any worker count, with an optional answer
+//! [`cache`] (hits skip inference) and judge retry with majority vote;
 //! [`checkpoint`] adds kill/resume for grid evaluations. The cache can
 //! be backed by a persistent content-addressed [`store`] — an
 //! append-only, checksummed, crash-recoverable on-disk tier — so reruns

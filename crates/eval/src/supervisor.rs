@@ -21,25 +21,28 @@
 //! is replayed from each question's *first-attempt health* (a pure
 //! function of the fault plan). A decision therefore depends only on
 //! `(plan seed, model fingerprint, window index, the window's own
-//! question ids)` — never on how much of the collection exists yet, so
-//! the same trajectory falls out whether the bench was materialized
-//! up-front (batch replays it into a [`BreakerSchedule`] workers
-//! consult read-only) or generated lazily (the streaming producer
-//! drives a [`WindowedBreaker`] incrementally). That is what lets
-//! supervised streamed reports be byte-identical to supervised batch
-//! reports at any worker count and any shard length.
+//! question ids)` — never on how much of the collection exists yet or
+//! on which shards a run selected. The executor's producer drives one
+//! [`WindowedBreaker`] per model incrementally, starting at the window
+//! that holds the model's first selected question, whether the source
+//! is a materialized bench or a lazily generated spec. That is what
+//! lets supervised streamed reports be byte-identical to supervised
+//! batch reports at any worker count and any shard length, and a
+//! resumed, healed or fleet-claimed shard get the decisions a full run
+//! gives it.
 
 use std::panic::panic_any;
 
 use chipvqa_core::question::Question;
-use chipvqa_core::ChipVqa;
 use chipvqa_models::VlmPipeline;
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{AnswerCache, CachedAnswer};
-use crate::executor::{seeded_jitter_ms, RetryPolicy};
-use crate::fault::{CallKey, CallSite, FaultInjector, FaultKind, FaultPlan, InjectedPanic};
+use crate::executor::backoff_sleep;
+use crate::fault::{
+    CallKey, CallSite, FaultInjector, FaultKind, FaultPlan, InjectedPanic, StreamCoord,
+};
 use crate::judge::Judge;
 
 /// Terminal failure taxonomy: why a question has no trustworthy answer.
@@ -107,8 +110,9 @@ pub struct RecoveryPolicy {
     /// `max_retries + 1` times).
     pub max_retries: u64,
     /// Base backoff before retry `r`, growing as `base << (r - 1)` with
-    /// seeded jitter (the [`RetryPolicy`] stream). Zero disables
-    /// sleeping — right for simulated faults and tests.
+    /// seeded jitter (the [`RetryPolicy`](crate::executor::RetryPolicy)
+    /// stream). Zero disables sleeping — right for simulated faults and
+    /// tests.
     pub backoff_base_ms: u64,
     /// Seed for the backoff jitter.
     pub seed: u64,
@@ -279,12 +283,11 @@ impl CircuitBreaker {
 /// streamed call-site coordinate system names exactly these windows.
 pub const BREAKER_WINDOW: usize = crate::fault::StreamCoord::WINDOW;
 
-/// The streaming face of the windowed breaker: incremental per-window
-/// replay, advanced one question at a time in global-index order by
-/// [`Supervisor::admit`]. Holds O(1) state — exactly what a lazily
-/// generated collection permits — while producing decisions identical
-/// to the batch [`BreakerSchedule`] (which is itself computed by
-/// driving one of these over the materialized bench).
+/// The windowed breaker: incremental per-window replay, advanced one
+/// question at a time in global-index order by [`Supervisor::admit`].
+/// Holds O(1) state — exactly what a lazily generated collection
+/// permits — so the same decisions fall out for a materialized bench
+/// and a streamed spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedBreaker {
     zero: bool,
@@ -311,71 +314,51 @@ impl WindowedBreaker {
     }
 }
 
-/// Which telemetry namespace a windowed-breaker decision reports under:
-/// `breaker.*` for the batch schedule replay, `stream.breaker.*` for
-/// streamed intake. The decisions themselves are identical — only the
-/// names differ, so traces say which path shed a question.
+/// One question's breaker decision. The state change deciding it
+/// caused travels with the question to the worker that evaluates it,
+/// which reports it ([`Admit::report`]): the producer that decides makes
+/// no clock-touching telemetry call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BreakerScope {
-    /// Batch replay into a [`BreakerSchedule`] (`breaker.*`).
-    Batch,
-    /// Incremental streamed intake (`stream.breaker.*`).
-    Stream,
+pub(crate) struct Admit {
+    /// Whether the question is attempted (false: shed unattempted).
+    pub(crate) allowed: bool,
+    /// `(from, to)` when deciding changed the breaker state.
+    transition: Option<(BreakerState, BreakerState)>,
+    /// Whether the change opened the breaker.
+    tripped: bool,
+    /// Global index of the question (its window tags the event).
+    index: usize,
 }
 
-impl BreakerScope {
-    pub(crate) fn transition(self) -> &'static str {
-        match self {
-            BreakerScope::Batch => "breaker.transition",
-            BreakerScope::Stream => "stream.breaker.transition",
+impl Admit {
+    /// Reports the decision: a state change emits one
+    /// `stream.breaker.transition` event (tagged with the
+    /// [`StreamCoord`] window) and bumps `stream.breaker.transitions`,
+    /// plus `stream.breaker.trips` when it opened the breaker; a shed
+    /// question bumps `stream.breaker.shed`.
+    pub(crate) fn report(&self, tele: &Telemetry, fingerprint: u64, question_id: &str) {
+        if !tele.enabled() {
+            return;
         }
-    }
-
-    pub(crate) fn transitions(self) -> &'static str {
-        match self {
-            BreakerScope::Batch => "breaker.transitions",
-            BreakerScope::Stream => "stream.breaker.transitions",
+        if let Some((from, to)) = self.transition {
+            tele.counter("stream.breaker.transitions", 1);
+            tele.event(
+                "stream.breaker.transition",
+                vec![
+                    kv("model_fingerprint", fingerprint),
+                    kv("question", question_id),
+                    kv("from", from.label()),
+                    kv("to", to.label()),
+                    kv("window", StreamCoord::of(self.index).window),
+                ],
+            );
         }
-    }
-
-    pub(crate) fn trips(self) -> &'static str {
-        match self {
-            BreakerScope::Batch => "breaker.trips",
-            BreakerScope::Stream => "stream.breaker.trips",
+        if self.tripped {
+            tele.counter("stream.breaker.trips", 1);
         }
-    }
-}
-
-/// Precomputed breaker decisions for one model over one benchmark —
-/// the windowed trajectory replayed over the materialized question
-/// sequence, shared read-only by all workers (see the module docs on
-/// determinism).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BreakerSchedule {
-    attempts: Vec<bool>,
-    trips: u32,
-    final_state: BreakerState,
-}
-
-impl BreakerSchedule {
-    /// Whether question `index` is attempted (false = shed by breaker).
-    pub fn attempts_question(&self, index: usize) -> bool {
-        self.attempts.get(index).copied().unwrap_or(true)
-    }
-
-    /// How many questions the breaker shed.
-    pub fn shed_count(&self) -> usize {
-        self.attempts.iter().filter(|&&a| !a).count()
-    }
-
-    /// How many times the breaker opened over the run.
-    pub fn trips(&self) -> u32 {
-        self.trips
-    }
-
-    /// Breaker state after the last question.
-    pub fn final_state(&self) -> BreakerState {
-        self.final_state
+        if !self.allowed {
+            tele.counter("stream.breaker.shed", 1);
+        }
     }
 }
 
@@ -446,7 +429,8 @@ impl Supervisor {
     /// First-attempt health of one `(model, question)` cell: the terminal
     /// error the supervised first pass attempt would suffer, or `None`
     /// if it recovers. A pure function of the fault plan — no inference
-    /// runs — which is what lets breaker trajectories be precomputed.
+    /// runs — which is what lets the producer decide breaker admits
+    /// before any worker evaluates the question.
     pub fn question_health(&self, fingerprint: u64, question_id: &str) -> Option<EvalError> {
         for site in [CallSite::Inference, CallSite::Judge] {
             let mut last = None;
@@ -474,45 +458,7 @@ impl Supervisor {
         None
     }
 
-    /// Replays the windowed breaker over `bench` in question order for
-    /// one model, producing the deterministic shed/attempt schedule
-    /// workers obey.
-    pub fn breaker_schedule(&self, fingerprint: u64, bench: &ChipVqa) -> BreakerSchedule {
-        self.breaker_schedule_traced(fingerprint, bench, &Telemetry::disabled())
-    }
-
-    /// [`breaker_schedule`](Supervisor::breaker_schedule), additionally
-    /// emitting one `breaker.transition` event per state change (with
-    /// the question that drove it) and bumping the
-    /// `breaker.transitions` / `breaker.trips` counters.
-    pub fn breaker_schedule_traced(
-        &self,
-        fingerprint: u64,
-        bench: &ChipVqa,
-        tele: &Telemetry,
-    ) -> BreakerSchedule {
-        if self.plan().is_zero() {
-            return BreakerSchedule {
-                attempts: vec![true; bench.len()],
-                trips: 0,
-                final_state: BreakerState::Closed,
-            };
-        }
-        let mut wb = self.stream_breaker();
-        let attempts: Vec<bool> = bench
-            .iter()
-            .map(|q| self.admit_traced(&mut wb, fingerprint, &q.id, tele, BreakerScope::Batch))
-            .collect();
-        BreakerSchedule {
-            attempts,
-            trips: wb.trips(),
-            final_state: wb.state(),
-        }
-    }
-
-    /// A fresh [`WindowedBreaker`] positioned at global index 0 — the
-    /// incremental twin of [`breaker_schedule`](Supervisor::breaker_schedule)
-    /// for streamed intake, where the bench is never materialized.
+    /// A fresh [`WindowedBreaker`] positioned at global index 0.
     pub fn stream_breaker(&self) -> WindowedBreaker {
         self.stream_breaker_at(0)
     }
@@ -521,8 +467,8 @@ impl Supervisor {
     /// `window` (global index `window × BREAKER_WINDOW`). Because state
     /// resets at every window boundary, decisions from here on are
     /// identical to a breaker that walked the whole prefix — the
-    /// order-independence the streamed requeue path and the chaos wall
-    /// rely on.
+    /// order-independence resumed, healed and fleet-claimed shards rely
+    /// on.
     pub fn stream_breaker_at(&self, window: usize) -> WindowedBreaker {
         WindowedBreaker {
             zero: self.plan().is_zero(),
@@ -534,38 +480,31 @@ impl Supervisor {
 
     /// Decides the question at `wb`'s next global index: `true` to
     /// attempt, `false` to shed. Must be called in global-index order
-    /// (the stream producer's natural order). A zero plan admits
-    /// everything without touching breaker state, so zero-plan
-    /// supervised streaming stays byte- and trace-identical to
-    /// unsupervised streaming.
+    /// (the producer's natural order). A zero plan admits everything
+    /// without touching breaker state, so zero-plan supervised runs stay
+    /// byte- and trace-identical to unsupervised ones.
     pub fn admit(&self, wb: &mut WindowedBreaker, fingerprint: u64, question_id: &str) -> bool {
-        self.admit_traced(
-            wb,
-            fingerprint,
-            question_id,
-            &Telemetry::disabled(),
-            BreakerScope::Stream,
-        )
+        self.decide(wb, fingerprint, question_id).allowed
     }
 
-    /// [`admit`](Supervisor::admit) with telemetry: state changes emit
-    /// one `{scope}.transition` event and bump the
-    /// `{scope}.transitions` / `{scope}.trips` counters, where the
-    /// scope prefix is `breaker` (batch replay) or `stream.breaker`
-    /// (streamed intake). Stream events additionally carry the
-    /// [`StreamCoord`](crate::fault::StreamCoord) window.
-    pub(crate) fn admit_traced(
+    /// [`admit`](Supervisor::admit), returning the full decision for the
+    /// evaluating worker to [`report`](Admit::report).
+    pub(crate) fn decide(
         &self,
         wb: &mut WindowedBreaker,
         fingerprint: u64,
         question_id: &str,
-        tele: &Telemetry,
-        scope: BreakerScope,
-    ) -> bool {
+    ) -> Admit {
         let index = wb.next_index;
         wb.next_index += 1;
+        let mut admit = Admit {
+            allowed: true,
+            transition: None,
+            tripped: false,
+            index,
+        };
         if wb.zero {
-            return true;
+            return admit;
         }
         if index.is_multiple_of(BREAKER_WINDOW) {
             // window boundary: state resets, cumulative trips persist
@@ -573,32 +512,20 @@ impl Supervisor {
         }
         let before = wb.breaker.state();
         let trips_before = wb.breaker.trips();
-        let allowed = wb.breaker.allow();
-        if allowed {
+        admit.allowed = wb.breaker.allow();
+        if admit.allowed {
             match self.question_health(fingerprint, question_id) {
                 None => wb.breaker.record_success(),
                 Some(_) => wb.breaker.record_failure(),
             }
         }
         let after = wb.breaker.state();
-        if tele.enabled() && after != before {
-            tele.counter(scope.transitions(), 1);
-            let mut kvs = vec![
-                kv("model_fingerprint", fingerprint),
-                kv("question", question_id),
-                kv("from", before.label()),
-                kv("to", after.label()),
-            ];
-            if scope == BreakerScope::Stream {
-                kvs.push(kv("window", crate::fault::StreamCoord::of(index).window));
-            }
-            tele.event(scope.transition(), kvs);
-        }
-        if wb.breaker.trips() > trips_before {
+        admit.transition = (after != before).then_some((before, after));
+        admit.tripped = wb.breaker.trips() > trips_before;
+        if admit.tripped {
             wb.trips += 1;
-            tele.counter(scope.trips(), 1);
         }
-        allowed
+        admit
     }
 
     /// Supervised inference: the faultable, retried, cache-aware call.
@@ -625,49 +552,63 @@ impl Supervisor {
         tele: &Telemetry,
         dataset_fp: u64,
     ) -> Result<CachedAnswer, (EvalError, Option<String>)> {
-        let fingerprint = pipe.fingerprint();
-        let mut last: Option<(FaultKind, Option<String>)> = None;
+        let clean = || {
+            crate::executor::infer_cached_for(
+                pipe, question, downsample, attempt, cache, tele, dataset_fp,
+            )
+        };
+        // Truncation/garbling corrupt a response that did arrive;
+        // reproduce it (uncached!) so the degraded evidence is real.
+        let degraded = |kind, key: CallKey<'_>| {
+            let text = pipe.infer(question, downsample, attempt).text;
+            self.injector.corrupt(kind, &text, key)
+        };
+        let site = (pipe.fingerprint(), CallSite::Inference, attempt);
+        self.call(question, site, clean, degraded, tele)
+    }
+
+    /// One supervised call at `site` (model fingerprint, call site,
+    /// attempt): a fault is drawn per recovery attempt, with backoff
+    /// between attempts, until one draws clean and runs `clean`. Every
+    /// fault is recorded; an injected [`FaultKind::WorkerPanic`]
+    /// genuinely panics, any other fault keeps `faulted`'s evidence, and
+    /// exhausting recovery returns the last fault's error with it.
+    fn call<T, D>(
+        &self,
+        question: &Question,
+        (fingerprint, site, attempt): (u64, CallSite, u64),
+        clean: impl FnOnce() -> T,
+        mut faulted: impl FnMut(FaultKind, CallKey<'_>) -> D,
+        tele: &Telemetry,
+    ) -> Result<T, (EvalError, D)> {
+        let mut last = None;
         for recovery in 0..=self.recovery.max_retries {
             if recovery > 0 {
-                self.backoff(&question.id, recovery);
+                let policy = self.recovery;
+                backoff_sleep(policy.backoff_base_ms, policy.seed, &question.id, recovery);
                 tele.counter("supervisor.retry", 1);
             }
             let key = CallKey {
                 fingerprint,
                 question_id: &question.id,
-                site: CallSite::Inference,
+                site,
                 attempt,
                 recovery,
             };
-            match self.injector.draw(key) {
-                None => {
-                    return Ok(crate::executor::infer_cached_for(
-                        pipe, question, downsample, attempt, cache, tele, dataset_fp,
-                    ));
-                }
-                Some(FaultKind::WorkerPanic) => {
-                    self.note_fault(tele, FaultKind::WorkerPanic, key);
-                    panic_any(InjectedPanic {
-                        fingerprint,
-                        question_id: question.id.clone(),
-                    })
-                }
-                Some(kind) => {
-                    self.note_fault(tele, kind, key);
-                    // Truncation/garbling corrupt a response that did
-                    // arrive; reproduce it (uncached!) so the degraded
-                    // evidence is real.
-                    let degraded = self.injector.corrupt(
-                        kind,
-                        &pipe.infer(question, downsample, attempt).text,
-                        key,
-                    );
-                    last = Some((kind, degraded));
-                }
+            let Some(kind) = self.injector.draw(key) else {
+                return Ok(clean());
+            };
+            self.note_fault(tele, kind, key);
+            if kind == FaultKind::WorkerPanic {
+                panic_any(InjectedPanic {
+                    fingerprint,
+                    question_id: question.id.clone(),
+                })
             }
+            last = Some((kind, faulted(kind, key)));
         }
-        let (kind, degraded) = last.expect("at least one recovery attempt ran");
-        Err((self.error_for(kind), degraded))
+        let (kind, evidence) = last.expect("at least one recovery attempt ran");
+        Err((self.error_for(kind), evidence))
     }
 
     /// Records one injected fault: the `fault.injected` counter (plus
@@ -706,65 +647,10 @@ impl Supervisor {
         judge_attempt: u64,
         tele: &Telemetry,
     ) -> Result<bool, EvalError> {
-        let mut last = None;
-        for recovery in 0..=self.recovery.max_retries {
-            if recovery > 0 {
-                self.backoff(&question.id, recovery);
-                tele.counter("supervisor.retry", 1);
-            }
-            let key = CallKey {
-                fingerprint,
-                question_id: &question.id,
-                site: CallSite::Judge,
-                attempt: judge_attempt,
-                recovery,
-            };
-            match self.injector.draw(key) {
-                None => return Ok(judge.verdict(question, response, judge_attempt)),
-                Some(FaultKind::WorkerPanic) => {
-                    self.note_fault(tele, FaultKind::WorkerPanic, key);
-                    panic_any(InjectedPanic {
-                        fingerprint,
-                        question_id: question.id.clone(),
-                    })
-                }
-                Some(kind) => {
-                    self.note_fault(tele, kind, key);
-                    last = Some(kind);
-                }
-            }
-        }
-        Err(self.error_for(last.expect("at least one recovery attempt ran")))
-    }
-
-    /// Supervised majority vote: [`RetryPolicy::judged`] with every
-    /// underlying verdict call going through fault injection + recovery.
-    pub(crate) fn judged(
-        &self,
-        judge: &dyn Judge,
-        retry: &RetryPolicy,
-        fingerprint: u64,
-        question: &Question,
-        response: &str,
-        tele: &Telemetry,
-    ) -> Result<bool, EvalError> {
-        let first = self.verdict(judge, fingerprint, question, response, 0, tele)?;
-        if retry.attempts <= 1 {
-            return Ok(first);
-        }
-        let mut yes = u64::from(first);
-        for attempt in 1..retry.attempts {
-            retry.sleep_backoff(question, attempt);
-            if self.verdict(judge, fingerprint, question, response, attempt, tele)? {
-                yes += 1;
-            }
-        }
-        // strict majority, ties to the first attempt
-        if 2 * yes == retry.attempts {
-            Ok(first)
-        } else {
-            Ok(2 * yes > retry.attempts)
-        }
+        let clean = || judge.verdict(question, response, judge_attempt);
+        let site = (fingerprint, CallSite::Judge, judge_attempt);
+        self.call(question, site, clean, |_, _| (), tele)
+            .map_err(|(e, ())| e)
     }
 
     fn error_for(&self, kind: FaultKind) -> EvalError {
@@ -779,24 +665,28 @@ impl Supervisor {
             FaultKind::WorkerPanic => EvalError::WorkerPanic,
         }
     }
-
-    /// Jittered exponential backoff before recovery attempt `recovery`
-    /// (>= 1), sharing [`RetryPolicy`]'s seeded jitter stream.
-    fn backoff(&self, question_id: &str, recovery: u64) {
-        if self.recovery.backoff_base_ms == 0 {
-            return;
-        }
-        let base = self.recovery.backoff_base_ms << (recovery - 1).min(16);
-        let jitter = seeded_jitter_ms(self.recovery.seed, question_id, recovery, base);
-        std::thread::sleep(std::time::Duration::from_millis(base + jitter));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::{ParallelExecutor, ShardSource};
+    use crate::harness::EvalOptions;
     use crate::judge::RuleJudge;
+    use chipvqa_core::spec::DatasetSpec;
+    use chipvqa_core::ChipVqa;
     use chipvqa_models::ModelZoo;
+
+    /// The admit sequence a full run gives model `fp`: one breaker
+    /// walking `bench` from the first question, in order.
+    fn full_walk(sup: &Supervisor, fp: u64, bench: &ChipVqa) -> (Vec<bool>, WindowedBreaker) {
+        let mut wb = sup.stream_breaker();
+        let admits = bench
+            .iter()
+            .map(|q| sup.admit(&mut wb, fp, &q.id))
+            .collect();
+        (admits, wb)
+    }
 
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
@@ -861,14 +751,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_plan_schedule_attempts_everything() {
+    fn zero_plan_run_attempts_everything() {
         let bench = ChipVqa::standard();
-        let sup = Supervisor::new(FaultPlan::none());
-        let sched = sup.breaker_schedule(1234, &bench);
-        assert_eq!(sched.shed_count(), 0);
-        assert_eq!(sched.trips(), 0);
-        assert_eq!(sched.final_state(), BreakerState::Closed);
-        assert!((0..bench.len()).all(|i| sched.attempts_question(i)));
+        let pipe = VlmPipeline::new(ModelZoo::gpt4o());
+        let tele = Telemetry::recording();
+        let report = ParallelExecutor::new(2)
+            .with_supervisor(Supervisor::new(FaultPlan::none()))
+            .with_telemetry(tele.clone())
+            .evaluate(&pipe, &bench, EvalOptions::default());
+        assert_eq!(report.breaker_skipped(), 0);
+        let snap = tele.snapshot();
+        for name in [
+            "stream.breaker.shed",
+            "stream.breaker.trips",
+            "stream.breaker.transitions",
+        ] {
+            assert!(
+                !snap.counters.contains_key(name),
+                "zero plan counted {name}"
+            );
+        }
     }
 
     #[test]
@@ -876,16 +778,16 @@ mod tests {
         let bench = ChipVqa::standard();
         let fp = 0xfeed_beef;
         let sup = Supervisor::new(FaultPlan::none().with_broken_model(fp));
-        let sched = sup.breaker_schedule(fp, &bench);
-        assert!(sched.trips() >= 1, "breaker must open");
+        let (admits, wb) = full_walk(&sup, fp, &bench);
+        let shed = admits.iter().filter(|&&a| !a).count();
+        assert!(wb.trips() >= 1, "breaker must open");
         assert!(
-            sched.shed_count() > bench.len() / 2,
-            "most of a dead model's grid is shed, got {}",
-            sched.shed_count()
+            shed > bench.len() / 2,
+            "most of a dead model's grid is shed, got {shed}"
         );
         // per window, attempts are bounded by threshold + periodic
         // probes; the windowed reset restarts that budget each window
-        let attempted = bench.len() - sched.shed_count();
+        let attempted = bench.len() - shed;
         let cfg = sup.breaker_config();
         let per_window =
             cfg.failure_threshold as usize + BREAKER_WINDOW / (cfg.cooldown as usize + 1) + 1;
@@ -895,37 +797,64 @@ mod tests {
             "{attempted} attempted > bound {max_attempted}"
         );
         // a healthy model on the same plan is untouched
-        assert_eq!(sup.breaker_schedule(0x1, &bench).shed_count(), 0);
+        assert!(full_walk(&sup, 0x1, &bench).0.iter().all(|&a| a));
     }
 
     #[test]
-    fn incremental_admits_match_the_batch_schedule() {
-        let bench = ChipVqa::standard();
-        for (fp, plan) in [
-            (
-                0xfeed_beef,
-                FaultPlan::none().with_broken_model(0xfeed_beef),
-            ),
-            (42, FaultPlan::uniform(7, 0.08)),
-            (42, FaultPlan::uniform(20_260_806, 0.15)),
+    fn engine_admits_match_a_full_walk_for_any_selection() {
+        // A resumed, healed or fleet-claimed selection gets exactly the
+        // decisions a full run gives it — including selections starting
+        // mid-window (shard_len 17) and 142-question shards straddling
+        // the 16-question windows — for every model of a grid.
+        crate::fault::install_quiet_panic_hook();
+        let pipes: Vec<VlmPipeline> = [ModelZoo::gpt4o(), ModelZoo::fuyu_8b()]
+            .into_iter()
+            .map(VlmPipeline::new)
+            .collect();
+        let spec = DatasetSpec::scaled(2);
+        let bench = spec.build();
+        for plan in [
+            FaultPlan::none().with_broken_model(pipes[1].fingerprint()),
+            FaultPlan::uniform(7, 0.08),
+            FaultPlan::uniform(20_260_806, 0.15),
         ] {
             let sup = Supervisor::new(plan);
-            let sched = sup.breaker_schedule(fp, &bench);
-            let mut wb = sup.stream_breaker();
-            let admits: Vec<bool> = bench
+            let full: Vec<Vec<bool>> = pipes
                 .iter()
-                .map(|q| sup.admit(&mut wb, fp, &q.id))
+                .map(|p| full_walk(&sup, p.fingerprint(), &bench).0)
                 .collect();
-            let replayed: Vec<bool> = (0..bench.len())
-                .map(|i| sched.attempts_question(i))
-                .collect();
-            assert_eq!(
-                admits, replayed,
-                "streamed admits diverge from batch schedule"
-            );
-            assert_eq!(wb.trips(), sched.trips());
-            assert_eq!(wb.state(), sched.final_state());
-            assert_eq!(wb.next_index(), bench.len());
+            let exec = ParallelExecutor::new(2).with_supervisor(sup);
+            for (shard_len, from) in [(17, 51), (142, 142), (1, 100)] {
+                let picked = |k: &crate::executor::ShardKey| {
+                    k.q_start >= from && k.q_start < from + 2 * shard_len
+                };
+                let source = ShardSource::Spec(&spec, shard_len);
+                let run = exec.run(
+                    &pipes,
+                    source,
+                    EvalOptions::default(),
+                    &RuleJudge::new(),
+                    &picked,
+                    &mut |_| false,
+                );
+                let selected = source
+                    .plan(pipes.len())
+                    .iter()
+                    .filter(|k| picked(k))
+                    .count();
+                assert_eq!(run.outcomes.len(), selected);
+                for (key, outcomes) in run.outcomes {
+                    for (offset, outcome) in outcomes.iter().enumerate() {
+                        let index = key.q_start + offset;
+                        assert_eq!(
+                            outcome.error == Some(EvalError::BreakerOpen),
+                            !full[key.model_idx][index],
+                            "model {} question {index} (shard_len {shard_len})",
+                            key.model_idx
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -971,37 +900,6 @@ mod tests {
         assert_eq!(wb.trips(), 0);
         assert_eq!(wb.state(), BreakerState::Closed);
         assert_eq!(wb.next_index(), bench.len());
-    }
-
-    #[test]
-    fn stream_scope_emits_prefixed_telemetry() {
-        use chipvqa_telemetry::{MemorySink, MockClock};
-        use std::sync::Arc;
-
-        let bench = ChipVqa::standard();
-        let fp = 0xfeed_beef;
-        let sup = Supervisor::new(FaultPlan::none().with_broken_model(fp));
-        let sink = Arc::new(MemorySink::new());
-        let tele = chipvqa_telemetry::Telemetry::builder()
-            .clock(MockClock::new(1))
-            .sink(Arc::clone(&sink))
-            .build();
-        let mut wb = sup.stream_breaker();
-        for q in bench.iter() {
-            sup.admit_traced(&mut wb, fp, &q.id, &tele, BreakerScope::Stream);
-        }
-        let snap = tele.snapshot();
-        assert!(snap.counters["stream.breaker.trips"] >= 1);
-        assert_eq!(snap.counters["stream.breaker.trips"], u64::from(wb.trips()));
-        assert!(
-            !snap.counters.contains_key("breaker.trips"),
-            "batch names unused"
-        );
-        let transitions = sink.named("stream.breaker.transition");
-        assert!(!transitions.is_empty());
-        assert_eq!(transitions[0].get("from"), Some("closed"));
-        assert_eq!(transitions[0].get("to"), Some("open"));
-        assert_eq!(transitions[0].get("window"), Some("0"));
     }
 
     #[test]
@@ -1073,31 +971,43 @@ mod tests {
     }
 
     #[test]
-    fn traced_schedule_matches_untraced_and_emits_transitions() {
+    fn traced_run_emits_stream_breaker_transitions() {
         use chipvqa_telemetry::{MemorySink, MockClock};
         use std::sync::Arc;
 
         let bench = ChipVqa::standard();
-        let fp = 0xfeed_beef;
+        let pipe = VlmPipeline::new(ModelZoo::gpt4o());
+        let fp = pipe.fingerprint();
         let sup = Supervisor::new(FaultPlan::none().with_broken_model(fp));
+        let (admits, wb) = full_walk(&sup, fp, &bench);
         let sink = Arc::new(MemorySink::new());
         let tele = chipvqa_telemetry::Telemetry::builder()
             .clock(MockClock::new(1))
             .sink(Arc::clone(&sink))
             .build();
-        let traced = sup.breaker_schedule_traced(fp, &bench, &tele);
-        assert_eq!(traced, sup.breaker_schedule(fp, &bench));
+        let report = ParallelExecutor::new(1)
+            .with_supervisor(sup)
+            .with_telemetry(tele.clone())
+            .evaluate(&pipe, &bench, EvalOptions::default());
         let snap = tele.snapshot();
-        assert!(snap.counters["breaker.trips"] >= 1);
+        assert!(snap.counters["stream.breaker.trips"] >= 1);
         assert_eq!(
-            snap.counters["breaker.trips"],
-            u64::from(traced.trips()),
-            "counter matches the schedule's trip count"
+            snap.counters["stream.breaker.trips"],
+            u64::from(wb.trips()),
+            "counter matches the full walk's trip count"
         );
-        let transitions = sink.named("breaker.transition");
+        let shed = admits.iter().filter(|&&a| !a).count();
+        assert_eq!(snap.counters["stream.breaker.shed"] as usize, shed);
+        assert_eq!(report.breaker_skipped(), shed);
+        assert!(
+            !snap.counters.contains_key("breaker.trips"),
+            "one namespace for every source"
+        );
+        let transitions = sink.named("stream.breaker.transition");
         assert!(!transitions.is_empty());
         assert_eq!(transitions[0].get("from"), Some("closed"));
         assert_eq!(transitions[0].get("to"), Some("open"));
+        assert_eq!(transitions[0].get("window"), Some("0"));
     }
 
     #[test]

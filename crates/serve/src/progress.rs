@@ -1,7 +1,7 @@
 //! Streamed per-shard progress events.
 //!
 //! Progress is not a new instrumentation layer: the executor already
-//! emits an `executor.shard` span (with `model`/`q_start`/`q_end`
+//! emits a `stream.shard` span (with `model`/`q_start`/`q_end`
 //! annotations) for every shard it completes, into whatever
 //! [`Telemetry`] handle it carries. The service gives each running
 //! session its own handle whose sink — a
@@ -136,7 +136,7 @@ impl std::fmt::Debug for ProgressHub {
 }
 
 /// Builds the per-session [`Telemetry`] handle whose sink turns the
-/// executor's `executor.shard` spans into [`ProgressEvent::Shard`]s.
+/// executor's `stream.shard` spans into [`ProgressEvent::Shard`]s.
 ///
 /// `done` carries the session's completed-shard count (pre-seeded with
 /// the checkpoint's count on resume, so a resumed session's events
@@ -150,7 +150,7 @@ pub fn session_progress_telemetry(
     epoch: Arc<AtomicU64>,
 ) -> Telemetry {
     let sink = FnSink::new(move |record: &TraceRecord| {
-        if record.name() != "executor.shard" {
+        if record.name() != "stream.shard" {
             return;
         }
         let (Some(model), Some(q_start), Some(q_end)) = (

@@ -11,17 +11,22 @@
 //!
 //! ## Determinism
 //!
-//! A session runs on the checkpointed grid path
-//! ([`ParallelExecutor::evaluate_grid_resumable`]) in batches of
-//! `shard_batch` shards, checking its cancel flag between batches.
-//! Cancellation therefore never tears a shard: the retained
-//! [`Checkpoint`] holds only whole-shard results, and a resumed
-//! session replays the identical plan, so its report is byte-identical
-//! to an uninterrupted run — the same merge-is-positional argument the
+//! Every session runs on the executor's checkpointed engine
+//! ([`ParallelExecutor::evaluate_checkpointed`]): over the bench built
+//! from its spec, or — when `stream_shard_len` is set — over the spec
+//! streamed at that shard length, never materialized. The request's
+//! `fault_plan`, if any, attaches a supervisor either way. The engine
+//! polls a stop hook before each shard dispatch; the hook paces the run
+//! (`step_delay` every `shard_batch` shards) and checks the cancel flag
+//! there. Cancellation therefore never tears a shard: the retained
+//! [`Checkpoint`] holds only whole-shard results, and a resumed session
+//! runs exactly the missing shards, so its report is byte-identical to
+//! an uninterrupted run — the same merge-is-positional argument the
 //! fleet subsystem relies on. The shared cache plane adds speed, never
-//! content: answers are keyed on (model fingerprint, question, prompt,
-//! resolution), so concurrent sessions over the same model share
-//! inference without observing each other.
+//! content: answers are keyed on (model fingerprint, spec fingerprint,
+//! question, prompt, resolution), so concurrent sessions over the same
+//! model and collection share inference without observing each other,
+//! and sessions over different collections never share an answer.
 //!
 //! ## Backpressure
 //!
@@ -47,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use chipvqa_eval::cache::AnswerCache;
 use chipvqa_eval::checkpoint::Checkpoint;
-use chipvqa_eval::executor::ParallelExecutor;
+use chipvqa_eval::executor::{ParallelExecutor, ShardSource};
 use chipvqa_eval::judge::RuleJudge;
 use chipvqa_eval::store::AnswerStore;
 use chipvqa_eval::CacheStats;
@@ -71,9 +76,8 @@ pub struct ServiceConfig {
     pub runners: usize,
     /// Admission policy (queue bound, quotas, breakers).
     pub admission: AdmissionConfig,
-    /// Shards evaluated per resumable step; the cancel flag is checked
-    /// between steps, so this is the cancellation (and shutdown)
-    /// granularity.
+    /// Shards dispatched per step; the cancel flag is checked between
+    /// steps, so this is the cancellation (and shutdown) granularity.
     pub shard_batch: usize,
     /// Optional pause between steps — a pacing knob for tests and load
     /// shaping; zero (the default) runs flat out.
@@ -571,51 +575,38 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         .cloned()
         .map(VlmPipeline::new)
         .collect();
-
-    if let Some(shard_len) = request.stream_shard_len {
-        run_session_streamed(
-            shared,
-            id,
-            tenant,
-            &request,
-            &pipes,
-            shard_len,
-            &cancel,
-            &shards_done,
-            &epoch,
-        );
-        return;
-    }
-
-    let bench = request.spec.build();
+    let spec = &request.spec;
     let options = request.options;
-
-    // Bind or re-validate the checkpoint: a resumed session must still
-    // match its models, bench, options, spec and store epoch.
-    let mut checkpoint = match taken_checkpoint {
-        Some(ckpt) => {
-            let valid = match shared.cache.store() {
-                Some(store) => {
-                    ckpt.validate_for_spec_with_store(&pipes, &bench, options, &request.spec, store)
-                }
-                None => ckpt.validate_for_spec(&pipes, &bench, options, &request.spec),
-            };
-            if let Err(e) = valid {
-                finish_failed(shared, id, tenant, format!("resume refused: {e}"));
-                return;
-            }
-            ckpt
+    let bench;
+    let source = match request.stream_shard_len {
+        Some(0) => {
+            let error = "stream_shard_len must be >= 1".to_string();
+            return finish_failed(shared, id, tenant, error);
         }
+        Some(shard_len) => ShardSource::Spec(spec, shard_len),
         None => {
-            let mut ckpt = Checkpoint::for_spec(&pipes, &bench, options, &request.spec);
-            if let Some(store) = shared.cache.store() {
-                ckpt.bind_store_generation(store);
-            }
-            ckpt
+            bench = spec.build();
+            ShardSource::Bench(&bench, spec.fingerprint())
         }
     };
 
-    let shards_total = checkpoint.total_shards(&bench);
+    // Bind or re-validate the checkpoint: a resumed session must still
+    // match its models, collection, options, shard plan and store epoch.
+    let store = shared.cache.store();
+    let mut checkpoint = taken_checkpoint.unwrap_or_else(|| {
+        let mut fresh = Checkpoint::for_source(&pipes, source, options);
+        if let Some(store) = store {
+            fresh.bind_store_generation(store);
+        }
+        fresh
+    });
+    let valid = store.map_or(Ok(()), |store| checkpoint.validate_store(store));
+    if let Err(e) = valid.and_then(|()| checkpoint.validate_source(&pipes, source, options)) {
+        finish_failed(shared, id, tenant, format!("resume refused: {e}"));
+        return;
+    }
+
+    let shards_total = source.plan(pipes.len()).len();
     shards_done.store(checkpoint.completed_shards(), Ordering::SeqCst);
     {
         let mut st = lock(&shared.state);
@@ -632,116 +623,36 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         shards_done,
         epoch,
     );
-    let executor = ParallelExecutor::new(shared.config.workers)
-        .with_cache(Arc::clone(&shared.cache))
-        .with_telemetry(telemetry);
-    let judge = RuleJudge::new();
-
-    loop {
-        if cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
-            finish_cancelled(shared, id, tenant, Some(checkpoint));
-            return;
-        }
-        match executor.evaluate_grid_resumable(
-            &pipes,
-            &bench,
-            options,
-            &judge,
-            &mut checkpoint,
-            Some(shared.config.shard_batch),
-        ) {
-            Err(e) => {
-                finish_failed(shared, id, tenant, e.to_string());
-                return;
-            }
-            Ok(Some(reports)) => {
-                finish_done(shared, id, tenant, SessionReport::new(reports));
-                return;
-            }
-            Ok(None) => {
-                if shared.config.step_delay > Duration::ZERO {
-                    std::thread::sleep(shared.config.step_delay);
-                }
-            }
-        }
-    }
-}
-
-/// Runs a streamed (optionally chaos-supervised) session: one
-/// [`ParallelExecutor::evaluate_spec_stream`] per model over the lazy
-/// [`ShardStream`](chipvqa_core::spec::ShardStream), never
-/// materializing the collection. The cancel flag is checked between
-/// models; a cancelled streamed session retains no checkpoint —
-/// resuming restarts it, and determinism (the windowed breaker's
-/// decisions are a pure function of plan seed, model fingerprint and
-/// question position) converges the rerun to the same bytes an
-/// uninterrupted run would have produced.
-///
-/// Chaos sessions share the service's answer-cache plane safely:
-/// answers are keyed to the spec fingerprint, and the supervised
-/// inference path caches only clean (fault-free) answers.
-#[allow(clippy::too_many_arguments)]
-fn run_session_streamed(
-    shared: &Shared,
-    id: SessionId,
-    tenant: &str,
-    request: &SessionRequest,
-    pipes: &[VlmPipeline],
-    shard_len: usize,
-    cancel: &AtomicBool,
-    shards_done: &Arc<AtomicUsize>,
-    epoch: &Arc<AtomicU64>,
-) {
-    if shard_len == 0 {
-        finish_failed(
-            shared,
-            id,
-            tenant,
-            "stream_shard_len must be >= 1".to_string(),
-        );
-        return;
-    }
-    let shards_per_model = request.spec.total().div_ceil(shard_len);
-    let shards_total = shards_per_model * pipes.len();
-    shards_done.store(0, Ordering::SeqCst);
-    {
-        let mut st = lock(&shared.state);
-        let entry = st.sessions.get_mut(&id).expect("admitted session exists");
-        entry.shards_total = shards_total;
-        entry.state = SessionState::Running;
-        shared.publish_state(id, SessionState::Running);
-    }
-
-    let telemetry = session_progress_telemetry(
-        Arc::clone(&shared.hub),
-        id,
-        shards_total,
-        Arc::clone(shards_done),
-        Arc::clone(epoch),
-    );
     let mut executor = ParallelExecutor::new(shared.config.workers)
         .with_cache(Arc::clone(&shared.cache))
         .with_telemetry(telemetry);
     if let Some(plan) = &request.fault_plan {
         executor = executor.with_supervisor(chipvqa_eval::Supervisor::new(plan.clone()));
     }
-
-    let mut reports = Vec::with_capacity(pipes.len());
-    for pipe in pipes {
-        if cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst) {
-            finish_cancelled(shared, id, tenant, None);
-            return;
+    // polled before every dispatch: a step boundary every `shard_batch`
+    // shards paces the run and checks for cancellation
+    let config = &shared.config;
+    let mut stop = |dispatched: usize| {
+        if !dispatched.is_multiple_of(config.shard_batch) {
+            return false;
         }
-        let (report, _stats) =
-            executor.evaluate_spec_stream(pipe, &request.spec, shard_len, request.options);
-        reports.push(report);
-        // The streamed executor traces `stream.shard` spans, which the
-        // progress sink (watching `executor.shard`) ignores — so tick
-        // progress here, at model granularity.
-        shards_done.fetch_add(shards_per_model, Ordering::SeqCst);
-        epoch.fetch_add(1, Ordering::SeqCst);
+        if dispatched > 0 && config.step_delay > Duration::ZERO {
+            std::thread::sleep(config.step_delay);
+        }
+        cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst)
+    };
+    let judge = RuleJudge::new();
+    match executor.evaluate_checkpointed(
+        &pipes,
+        source,
+        options,
+        &judge,
+        &mut checkpoint,
+        &mut stop,
+    ) {
+        Some(reports) => finish_done(shared, id, tenant, SessionReport::new(reports)),
+        None => finish_cancelled(shared, id, tenant, checkpoint),
     }
-    finish_done(shared, id, tenant, SessionReport::new(reports));
 }
 
 fn finish_done(shared: &Shared, id: SessionId, tenant: &str, report: SessionReport) {
@@ -758,11 +669,11 @@ fn finish_done(shared: &Shared, id: SessionId, tenant: &str, report: SessionRepo
     shared.done_cv.notify_all();
 }
 
-fn finish_cancelled(shared: &Shared, id: SessionId, tenant: &str, checkpoint: Option<Checkpoint>) {
+fn finish_cancelled(shared: &Shared, id: SessionId, tenant: &str, checkpoint: Checkpoint) {
     let mut st = lock(&shared.state);
     let entry = st.sessions.get_mut(&id).expect("running session exists");
     entry.state = SessionState::Cancelled;
-    entry.checkpoint = checkpoint;
+    entry.checkpoint = Some(checkpoint);
     entry.total_ns = Some(entry.submitted_at.elapsed().as_nanos() as u64);
     st.cancelled += 1;
     st.admission.settle(tenant, SessionOutcome::Neutral);

@@ -97,9 +97,8 @@ pub struct SessionRequest {
     /// Evaluate through the streaming intake path with this shard
     /// length instead of materializing the collection. Streamed
     /// sessions produce reports byte-identical to their batch
-    /// equivalents (supervised or not); they cancel at model
-    /// granularity and resume from the start — determinism makes the
-    /// restart converge to the same bytes.
+    /// equivalents (supervised or not), and cancel and resume at shard
+    /// granularity like every session.
     #[serde(default)]
     pub stream_shard_len: Option<usize>,
 }

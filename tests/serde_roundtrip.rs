@@ -200,7 +200,7 @@ fn jsonl_trace_roundtrip() {
     let text = sink.to_jsonl();
     let records = parse_jsonl(&text).expect("every line parses back");
     assert_eq!(records.len(), sink.len());
-    assert!(records.iter().any(|r| r.name() == "executor.run"));
+    assert!(records.iter().any(|r| r.name() == "executor.stream"));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Integration suite for the resident evaluation service: cancel/resume
-//! byte-identity across worker counts with a warm store, admission
-//! shedding under saturation, per-tenant breaker protection, graceful
-//! shutdown with no torn store tail, cross-session answer sharing, and
-//! the progress event stream.
+//! byte-identity across worker counts with a warm store (batch and
+//! streamed intake), admission shedding under saturation, per-tenant
+//! breaker protection, graceful shutdown with no torn store tail,
+//! cross-session answer sharing without cross-spec collisions, fault
+//! plans on every intake path, and the progress event stream.
 
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
@@ -15,6 +16,7 @@ use chipvqa::serve::{
     AdmissionConfig, EvalService, ProgressEvent, ServiceConfig, SessionId, SessionReport,
     SessionRequest, SessionState, ShedReason,
 };
+use chipvqa_bench::batch_reference_report;
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -685,6 +687,155 @@ fn cancelled_streamed_chaos_sessions_resume_to_identical_bytes() {
     assert_eq!(
         service.report(id).expect("done").canonical_json(),
         reference
+    );
+    service.shutdown().expect("clean stop");
+}
+
+#[test]
+fn sessions_over_different_specs_never_share_answers() {
+    // The shared answer plane keys every answer with its collection's
+    // spec fingerprint: a session over one re-seeded collection must not
+    // take answers a session over another left in the cache, even where
+    // question id and prompt match.
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    for seed in [1001, 1002] {
+        let request = gpt4o_request("reseeded").with_spec(DatasetSpec::default().with_seed(seed));
+        let reference = batch_reference_report(&request.models, &request.spec, request.options)
+            .canonical_json();
+        let id = service.submit(request).expect("accepted");
+        assert_eq!(
+            service.wait(id, WAIT).expect("terminates"),
+            SessionState::Done
+        );
+        assert_eq!(
+            service.report(id).expect("done").canonical_json(),
+            reference,
+            "session over seed {seed} diverged from its batch reference"
+        );
+    }
+    service.shutdown().expect("clean stop");
+}
+
+#[test]
+fn non_streamed_sessions_honour_the_fault_plan() {
+    use chipvqa::eval::{FaultPlan, ParallelExecutor, Supervisor};
+
+    let plan = FaultPlan::uniform(907, 0.04);
+    let spec = DatasetSpec::scaled(2);
+    let request = SessionRequest::single("chaos", ModelZoo::gpt4o())
+        .with_spec(spec.clone())
+        .with_fault_plan(plan.clone());
+    // the supervised batch reference of
+    // `supervised_streamed_sessions_match_supervised_batch_bytes`
+    let exec = ParallelExecutor::new(2).with_supervisor(Supervisor::new(plan));
+    let reference = SessionReport::new(vec![exec.evaluate(
+        &VlmPipeline::new(ModelZoo::gpt4o()),
+        &spec.build(),
+        request.options,
+    )])
+    .canonical_json();
+
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    let id = service.submit(request).expect("accepted");
+    assert_eq!(
+        service.wait(id, WAIT).expect("terminates"),
+        SessionState::Done
+    );
+    let report = service.report(id).expect("done");
+    assert!(
+        report.reports[0].is_degraded(),
+        "the fault plan must reach a non-streamed session"
+    );
+    assert_eq!(report.canonical_json(), reference);
+    service.shutdown().expect("clean stop");
+}
+
+#[test]
+fn cancelled_streamed_sessions_resume_from_their_checkpoint() {
+    use chipvqa::eval::{FaultPlan, ParallelExecutor, Supervisor};
+
+    let plan = FaultPlan::uniform(31, 0.05);
+    let spec = DatasetSpec::scaled(2);
+    let request = SessionRequest {
+        tenant: "resume".to_string(),
+        models: vec![ModelZoo::gpt4o(), ModelZoo::llava_7b()],
+        spec: spec.clone(),
+        options: EvalOptions::default(),
+        fault_plan: Some(plan.clone()),
+        stream_shard_len: Some(17),
+    };
+    let bench = spec.build();
+    let exec = ParallelExecutor::new(2).with_supervisor(Supervisor::new(plan));
+    let reference = SessionReport::new(
+        request
+            .models
+            .iter()
+            .map(|profile| {
+                exec.evaluate(&VlmPipeline::new(profile.clone()), &bench, request.options)
+            })
+            .collect(),
+    )
+    .canonical_json();
+
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        shard_batch: 1,
+        step_delay: Duration::from_millis(20),
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    let rx = service.subscribe();
+    let id = service.submit(request).expect("accepted");
+    await_first_shard(&rx, id);
+    service.cancel(id).expect("running session cancels");
+    assert_eq!(
+        service.wait(id, WAIT).expect("terminates"),
+        SessionState::Cancelled
+    );
+    let at_cancel = service.snapshot(id).expect("exists");
+    assert!(
+        at_cancel.shards_done > 0 && at_cancel.shards_done < at_cancel.shards_total,
+        "cancellation must land mid-run, got {}/{} shards",
+        at_cancel.shards_done,
+        at_cancel.shards_total
+    );
+
+    service.resume(id).expect("cancelled session resumes");
+    assert_eq!(
+        service.wait(id, WAIT).expect("terminates"),
+        SessionState::Done
+    );
+    // the resumed run starts from the checkpoint, not from zero
+    let resumed_first = rx
+        .try_iter()
+        .skip_while(|e| {
+            !matches!(e, ProgressEvent::State { session, state: SessionState::Cancelled }
+                if *session == id)
+        })
+        .find_map(|e| match e {
+            ProgressEvent::Shard {
+                session,
+                shards_done,
+                ..
+            } if session == id => Some(shards_done),
+            _ => None,
+        });
+    assert_eq!(resumed_first, Some(at_cancel.shards_done + 1));
+    assert_eq!(
+        service.report(id).expect("done").canonical_json(),
+        reference,
+        "a resumed streamed session ends byte-equal to the supervised reference"
     );
     service.shutdown().expect("clean stop");
 }
