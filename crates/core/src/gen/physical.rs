@@ -461,14 +461,22 @@ fn legalize_question(idx: &mut usize, rng: &mut StdRng) -> Question {
         sites_per_row: 12,
     };
     let n = 3 + rng.gen_range(0..2);
-    let cells: Vec<Cell> = (0..n)
-        .map(|i| Cell {
-            name: format!("c{i}"),
-            width: rng.gen_range(2..5),
-            target: Point::new(rng.gen_range(0..6), 0), // overlapped targets
-        })
-        .collect();
-    let placed = legalize(&cells, region).expect("region has capacity");
+    // The greedy legalizer can strand a cell behind both fill pointers
+    // (`PlaceError::NoRowFits`); re-draw until it places them all. Extra
+    // draws happen only then, so every block whose first draw legalizes
+    // keeps its bytes.
+    let (cells, placed) = loop {
+        let cells: Vec<Cell> = (0..n)
+            .map(|i| Cell {
+                name: format!("c{i}"),
+                width: rng.gen_range(2..5),
+                target: Point::new(rng.gen_range(0..6), 0), // overlapped targets
+            })
+            .collect();
+        if let Ok(placed) = legalize(&cells, region) {
+            break (cells, placed);
+        }
+    };
     let gold = total_displacement(&placed) as f64;
     let lines: Vec<String> = std::iter::once("global placement (row 0):".to_string())
         .chain(

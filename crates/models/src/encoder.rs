@@ -2,21 +2,12 @@
 //! facts from real pixels, with success tied to each fact's ink
 //! legibility at the encoder's effective input resolution.
 
-use std::cell::RefCell;
-
 use chipvqa_core::question::Question;
-use chipvqa_raster::{legibility_with_downsampled, Pixmap};
+use chipvqa_raster::legibility_after_downsample;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::profile::ModelProfile;
-
-thread_local! {
-    // Per-thread scratch for the downsampled image: perception runs once
-    // per (model, question) on the executor's hot path, and reusing one
-    // buffer avoids a full-image allocation per call.
-    static DOWNSAMPLE_SCRATCH: RefCell<Pixmap> = RefCell::new(Pixmap::new(1, 1));
-}
 
 /// What the encoder extracted from the image.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,7 +24,11 @@ pub struct Percept {
 /// pixels after the *total* downsampling the encoder implies
 /// (`external_factor` from the experiment times the resize the encoder's
 /// input resolution forces), then extract the fact with probability
-/// `acuity · (0.3 + 0.7 · legibility)`.
+/// `acuity · (0.15 + 0.85 · legibility^2.5)`.
+///
+/// Each mark is scored from its own pixels
+/// ([`legibility_after_downsample`] filters only the blocks under the
+/// mark), so a call costs the key marks' area, not the whole image's.
 pub fn perceive(
     profile: &ModelProfile,
     question: &Question,
@@ -44,29 +39,19 @@ pub fn perceive(
     let max_dim = image.width().max(image.height()).max(1);
     let enc_factor = max_dim.div_ceil(profile.encoder_resolution).max(1);
     let total = external_factor.max(1) * enc_factor;
-    // Every key mark shares the same image and factor, so downsample once
-    // per question (into per-thread scratch) instead of once per mark —
-    // the single biggest win on the perception path, with bit-identical
-    // legibility values and an unchanged RNG call sequence.
     let mut perceived = Vec::new();
-    DOWNSAMPLE_SCRATCH.with(|scratch| {
-        let mut down = scratch.borrow_mut();
-        if total > 1 && !question.key_marks.is_empty() {
-            image.downsample_into(total, &mut down);
+    for &mark_idx in &question.key_marks {
+        let Some(mark) = question.visual.marks.get(mark_idx) else {
+            continue;
+        };
+        let legibility = legibility_after_downsample(image, mark.region, total);
+        // Perception falls off sharply once strokes start dissolving:
+        // a small floor for coarse context, then a superlinear ramp.
+        let p = (profile.visual_acuity * (0.15 + 0.85 * legibility.powf(2.5))).clamp(0.0, 1.0);
+        if rng.gen_bool(p) {
+            perceived.push(mark_idx);
         }
-        for &mark_idx in &question.key_marks {
-            let Some(mark) = question.visual.marks.get(mark_idx) else {
-                continue;
-            };
-            let legibility = legibility_with_downsampled(image, &down, mark.region, total);
-            // Perception falls off sharply once strokes start dissolving:
-            // a small floor for coarse context, then a superlinear ramp.
-            let p = (profile.visual_acuity * (0.15 + 0.85 * legibility.powf(2.5))).clamp(0.0, 1.0);
-            if rng.gen_bool(p) {
-                perceived.push(mark_idx);
-            }
-        }
-    });
+    }
     let required = question.key_marks.len();
     let coverage = if required == 0 {
         1.0

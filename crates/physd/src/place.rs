@@ -55,6 +55,13 @@ pub enum PlaceError {
         /// The offending cell name.
         name: String,
     },
+    /// No row has room for a cell past its fill pointer, although the
+    /// region's total capacity suffices (the greedy pass never back-fills
+    /// gaps it left behind).
+    NoRowFits {
+        /// The stranded cell name.
+        name: String,
+    },
 }
 
 impl fmt::Display for PlaceError {
@@ -64,6 +71,9 @@ impl fmt::Display for PlaceError {
                 write!(f, "placement demands {demand} sites, region has {capacity}")
             }
             PlaceError::CellTooWide { name } => write!(f, "cell {name} wider than a row"),
+            PlaceError::NoRowFits { name } => {
+                write!(f, "no row has room for cell {name} past its fill pointer")
+            }
         }
     }
 }
@@ -77,7 +87,8 @@ impl std::error::Error for PlaceError {}
 ///
 /// [`PlaceError::Overfull`] when the cells cannot fit,
 /// [`PlaceError::CellTooWide`] when any single cell exceeds the row
-/// width.
+/// width, [`PlaceError::NoRowFits`] when the greedy pass strands a cell
+/// that the region's total capacity could hold.
 pub fn legalize(cells: &[Cell], region: PlacementRegion) -> Result<Vec<PlacedCell>, PlaceError> {
     let demand: i64 = cells.iter().map(|c| c.width).sum();
     let capacity = region.rows * region.sites_per_row;
@@ -114,7 +125,9 @@ pub fn legalize(cells: &[Cell], region: PlacementRegion) -> Result<Vec<PlacedCel
                 best = Some((cost, row, x));
             }
         }
-        let (cost, row, x) = best.ok_or(PlaceError::Overfull { demand, capacity })?;
+        let (cost, row, x) = best.ok_or_else(|| PlaceError::NoRowFits {
+            name: cell.name.clone(),
+        })?;
         fill[row as usize] = x + cell.width;
         placed.push(PlacedCell {
             name: cell.name.clone(),
@@ -189,6 +202,21 @@ mod tests {
             legalize(&cells, region()),
             Err(PlaceError::Overfull { .. })
         ));
+    }
+
+    #[test]
+    fn stranded_cell_is_reported_as_no_row_fits() {
+        // 12 of 24 sites demanded, but the first two cells leave both
+        // fill pointers at x=9, so the third cell fits in neither row.
+        let cells = vec![cell("a", 4, 5, 0), cell("b", 4, 5, 0), cell("c", 4, 5, 0)];
+        let two_rows = PlacementRegion {
+            rows: 2,
+            sites_per_row: 12,
+        };
+        assert_eq!(
+            legalize(&cells, two_rows),
+            Err(PlaceError::NoRowFits { name: "c".into() })
+        );
     }
 
     #[test]

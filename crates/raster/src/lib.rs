@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod pixmap;
 
 pub use mark::{Annotated, Mark};
-pub use metrics::{legibility_after_downsample, legibility_with_downsampled, Region};
+pub use metrics::{legibility_after_downsample, Region};
 pub use pixmap::Pixmap;
 
 /// Shade value for fully black ink.

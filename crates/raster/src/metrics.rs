@@ -2,12 +2,16 @@
 //! encoders.
 //!
 //! Legibility is measured mechanically from pixels rather than asserted
-//! from metadata: an image is downsampled with a box filter, then the
+//! from metadata: a region is downsampled with a box filter, then the
 //! fraction of original ink that still registers as ink (darker than
 //! [`crate::INK_THRESHOLD`]) is computed. Thin strokes average out into
 //! light gray under aggressive downsampling and stop counting as ink —
 //! exactly the mechanism by which real low-resolution inputs destroy
-//! fine schematic detail.
+//! fine schematic detail. Only the blocks covering the region are
+//! filtered, each to the value a whole-image [`Pixmap::downsample`]
+//! gives it, so measuring a small mark costs a small mark's pixels.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -60,23 +64,12 @@ impl Pixmap {
     /// Fraction of pixels in `region` (clipped to the image) that count as
     /// ink. Returns `0.0` for regions entirely outside the image.
     pub fn ink_fraction(&self, region: Region) -> f64 {
-        let x1 = region.x.min(self.width());
-        let y1 = region.y.min(self.height());
-        let x2 = (region.x + region.w).min(self.width());
-        let y2 = (region.y + region.h).min(self.height());
-        let area = (x2 - x1) * (y2 - y1);
+        let (cols, rows) = clip(region, self.width(), self.height());
+        let area = cols.len() * rows.len();
         if area == 0 {
             return 0.0;
         }
-        let mut ink = 0usize;
-        for y in y1..y2 {
-            let base = y * self.width();
-            ink += self.pixels()[base + x1..base + x2]
-                .iter()
-                .filter(|&&p| p < INK_THRESHOLD)
-                .count();
-        }
-        ink as f64 / area as f64
+        region_ink(self, region) as f64 / area as f64
     }
 }
 
@@ -87,6 +80,12 @@ impl Pixmap {
 /// by `factor²`) to ink area before, clamped to `[0, 1]`. Regions with no
 /// original ink report `1.0` (nothing to lose). A factor of `1` always
 /// reports `1.0`.
+///
+/// "After downsampling" means the pixels of `region.scaled_down(factor)`
+/// in `img.downsample(factor)`, clipped to that image. Only those blocks
+/// are box-filtered, so the cost follows the region's area rather than
+/// the image's, and every block mean is the one
+/// [`Pixmap::downsample`] would compute.
 ///
 /// # Example
 ///
@@ -108,51 +107,37 @@ pub fn legibility_after_downsample(img: &Pixmap, region: Region, factor: usize) 
     if original_ink == 0 {
         return 1.0;
     }
-    let small = img.downsample(factor);
-    retained_fraction(&small, region, factor, original_ink)
-}
-
-/// [`legibility_after_downsample`] against a caller-supplied
-/// `downsampled` image (which must be `img.downsample(factor)`). Lets
-/// callers measuring many regions of the *same* image at the *same*
-/// factor — the encoder's per-question key marks — downsample once
-/// instead of once per region, with bit-identical results.
-pub fn legibility_with_downsampled(
-    img: &Pixmap,
-    downsampled: &Pixmap,
-    region: Region,
-    factor: usize,
-) -> f64 {
-    if factor <= 1 {
-        return 1.0;
-    }
-    let original_ink = region_ink(img, region);
-    if original_ink == 0 {
-        return 1.0;
-    }
-    retained_fraction(downsampled, region, factor, original_ink)
-}
-
-fn retained_fraction(small: &Pixmap, region: Region, factor: usize, original_ink: usize) -> f64 {
-    let small_region = region.scaled_down(factor);
-    let retained = region_ink(small, small_region) * factor * factor;
+    let (cols, rows) = clip(
+        region.scaled_down(factor),
+        img.width().div_ceil(factor),
+        img.height().div_ceil(factor),
+    );
+    let mut small_ink = 0usize;
+    img.box_filter(factor, cols, rows, |mean| {
+        small_ink += usize::from(mean < INK_THRESHOLD);
+    });
+    let retained = small_ink * factor * factor;
     (retained as f64 / original_ink as f64).min(1.0)
 }
 
+/// The column and row ranges of `region` clipped to a `w × h` image.
+fn clip(region: Region, w: usize, h: usize) -> (Range<usize>, Range<usize>) {
+    (
+        region.x.min(w)..(region.x + region.w).min(w),
+        region.y.min(h)..(region.y + region.h).min(h),
+    )
+}
+
 fn region_ink(img: &Pixmap, region: Region) -> usize {
-    let x1 = region.x.min(img.width());
-    let y1 = region.y.min(img.height());
-    let x2 = (region.x + region.w).min(img.width());
-    let y2 = (region.y + region.h).min(img.height());
-    let mut ink = 0usize;
-    for y in y1..y2 {
+    let (cols, rows) = clip(region, img.width(), img.height());
+    rows.map(|y| {
         let base = y * img.width();
-        ink += img.pixels()[base + x1..base + x2]
+        img.pixels()[base + cols.start..base + cols.end]
             .iter()
             .filter(|&&p| p < INK_THRESHOLD)
-            .count();
-    }
-    ink
+            .count()
+    })
+    .sum()
 }
 
 #[cfg(test)]

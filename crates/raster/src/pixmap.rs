@@ -1,5 +1,7 @@
 //! Grayscale pixel buffer with drawing primitives.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use crate::font;
@@ -314,54 +316,47 @@ impl Pixmap {
         let nw = self.width.div_ceil(factor);
         let nh = self.height.div_ceil(factor);
         let mut out = Pixmap::new(nw, nh);
-        self.box_filter(factor, nw, nh, &mut out.data);
+        let mut px = out.data.iter_mut();
+        self.box_filter(factor, 0..nw, 0..nh, |mean| {
+            *px.next().expect("one mean per block") = mean;
+        });
         out
     }
 
-    /// [`Pixmap::downsample`] into a caller-owned scratch image, avoiding
-    /// the per-call allocation on hot encoder paths. `out` is resized (and
-    /// its previous contents discarded) to the downsampled dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn downsample_into(&self, factor: usize, out: &mut Pixmap) {
-        assert!(factor > 0, "downsample factor must be nonzero");
-        let nw = self.width.div_ceil(factor);
-        let nh = self.height.div_ceil(factor);
-        out.width = nw;
-        out.height = nh;
-        out.data.clear();
-        out.data.resize(nw * nh, WHITE);
-        if factor == 1 {
-            out.data.copy_from_slice(&self.data);
-        } else {
-            self.box_filter(factor, nw, nh, &mut out.data);
-        }
-    }
-
     /// Box filter core shared by [`Pixmap::downsample`] and
-    /// [`Pixmap::downsample_into`]: accumulates each output row band by
-    /// walking input rows once and summing `factor`-wide chunks, instead
-    /// of re-deriving block bounds per output pixel. Integer sums are
-    /// order-independent, so the result is bit-identical to the naive
-    /// per-block mean.
-    fn box_filter(&self, factor: usize, nw: usize, nh: usize, out: &mut [u8]) {
-        let mut sums = vec![0u64; nw];
-        for by in 0..nh {
+    /// [`crate::legibility_after_downsample`]: hands `visit` the mean of
+    /// every block in `cols × rows` of the `div_ceil(factor)` grid, in
+    /// row-major order. Each row band walks its input rows once, summing
+    /// `factor`-wide chunks; integer sums are order-independent, so every
+    /// mean is bit-identical to the naive per-block mean however much of
+    /// the grid is visited.
+    pub(crate) fn box_filter(
+        &self,
+        factor: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        mut visit: impl FnMut(u8),
+    ) {
+        if cols.is_empty() || rows.is_empty() {
+            return;
+        }
+        let x_start = cols.start * factor;
+        let x_end = (cols.end * factor).min(self.width);
+        let mut sums = vec![0u64; cols.len()];
+        for by in rows {
             sums.fill(0);
             let y_start = by * factor;
             let y_end = ((by + 1) * factor).min(self.height);
             for yy in y_start..y_end {
-                let row = &self.data[yy * self.width..(yy + 1) * self.width];
+                let row = &self.data[yy * self.width + x_start..yy * self.width + x_end];
                 for (sum, chunk) in sums.iter_mut().zip(row.chunks(factor)) {
                     *sum += chunk.iter().map(|&p| u64::from(p)).sum::<u64>();
                 }
             }
-            let rows = (y_end - y_start) as u64;
-            for (bx, o) in out[by * nw..(by + 1) * nw].iter_mut().enumerate() {
-                let cols = (((bx + 1) * factor).min(self.width) - bx * factor) as u64;
-                *o = (sums[bx] / (rows * cols).max(1)) as u8;
+            let n_rows = (y_end - y_start) as u64;
+            for (bx, &sum) in cols.clone().zip(&sums) {
+                let n_cols = (((bx + 1) * factor).min(self.width) - bx * factor) as u64;
+                visit((sum / (n_rows * n_cols).max(1)) as u8);
             }
         }
     }

@@ -328,3 +328,50 @@ fn streamed_scale10_report_bytes_are_frozen() {
          the perf campaign must be behaviour-neutral"
     );
 }
+
+#[test]
+fn resolution_study_report_bytes_are_frozen() {
+    // The paper's resolution study (§IV-B) byte for byte: perception at
+    // external downsampling factors above 1, through three encoder
+    // resolutions (224, 336 and 1024 px), so every (question, key mark)
+    // legibility at every total factor these imply is pinned by report
+    // bytes. Re-capture (only for a deliberate behaviour change) with
+    // CHIPVQA_PRINT_GOLDENS=1.
+    use chipvqa::eval::harness::{evaluate, EvalOptions};
+    use chipvqa::models::{ModelZoo, VlmPipeline};
+
+    let bench = ChipVqa::standard();
+    let mut reports = Vec::new();
+    for profile in [
+        ModelZoo::kosmos_2(),
+        ModelZoo::llava_7b(),
+        ModelZoo::gpt4o(),
+    ] {
+        let pipe = VlmPipeline::new(profile);
+        for downsample in [2, 4, 8, 16] {
+            let options = EvalOptions {
+                downsample,
+                ..EvalOptions::default()
+            };
+            reports.push(evaluate(&pipe, &bench, options));
+        }
+    }
+    let json = serde_json::to_string(&reports).expect("reports serialize");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in json.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    if std::env::var("CHIPVQA_PRINT_GOLDENS").is_ok() {
+        println!(
+            "resolution-study report hash: 0x{h:016x} ({} bytes)",
+            json.len()
+        );
+        return;
+    }
+    const FROZEN: u64 = 0xb854003435c8cea9;
+    assert_eq!(
+        h, FROZEN,
+        "resolution-study report bytes drifted (got 0x{h:016x})"
+    );
+}

@@ -17,7 +17,9 @@
 //! 2. **Scalar-reference differential proptest** — random op sequences
 //!    are driven through the optimized primitives and through scalar
 //!    per-pixel reference implementations (built only from `get`/`set`),
-//!    asserting byte-identical buffers.
+//!    asserting byte-identical buffers. Region-local legibility is held
+//!    to its definition (a whole-image downsample, then an ink count)
+//!    bit for bit.
 
 use chipvqa::raster::{Pixmap, Region, WHITE};
 
@@ -291,6 +293,21 @@ fn ref_downsample(img: &Pixmap, factor: usize) -> Vec<u8> {
     out
 }
 
+/// Ink pixels inside `region`, clipped to the image.
+fn ref_ink(img: &Pixmap, region: Region) -> usize {
+    let x2 = (region.x + region.w).min(img.width());
+    let y2 = (region.y + region.h).min(img.height());
+    let mut ink = 0usize;
+    for y in region.y.min(y2)..y2 {
+        for x in region.x.min(x2)..x2 {
+            if img.pixels()[y * img.width() + x] < chipvqa::raster::INK_THRESHOLD {
+                ink += 1;
+            }
+        }
+    }
+    ink
+}
+
 fn ref_ink_fraction(img: &Pixmap, region: Region) -> f64 {
     let x1 = region.x.min(img.width());
     let y1 = region.y.min(img.height());
@@ -300,19 +317,28 @@ fn ref_ink_fraction(img: &Pixmap, region: Region) -> f64 {
     if area == 0 {
         return 0.0;
     }
-    let mut ink = 0usize;
-    for y in y1..y2 {
-        for x in x1..x2 {
-            if img.pixels()[y * img.width() + x] < chipvqa::raster::INK_THRESHOLD {
-                ink += 1;
-            }
-        }
+    ref_ink(img, region) as f64 / area as f64
+}
+
+/// Legibility by its definition: downsample the whole image, then count
+/// ink over `region.scaled_down(factor)` of the result (clipped to it)
+/// against ink over `region` of the original.
+fn ref_legibility(img: &Pixmap, region: Region, factor: usize) -> f64 {
+    if factor <= 1 {
+        return 1.0;
     }
-    ink as f64 / area as f64
+    let original = ref_ink(img, region);
+    if original == 0 {
+        return 1.0;
+    }
+    let small = img.downsample(factor);
+    let retained = ref_ink(&small, region.scaled_down(factor)) * factor * factor;
+    (retained as f64 / original as f64).min(1.0)
 }
 
 mod differential {
     use super::*;
+    use chipvqa::raster::legibility_after_downsample;
     use proptest::prelude::*;
 
     /// One random drawing op, applied identically to both images.
@@ -384,6 +410,50 @@ mod differential {
             prop_assert_eq!(fast.pixels(), &slow[..]);
             prop_assert_eq!(fast.width(), img.width().div_ceil(factor));
             prop_assert_eq!(fast.height(), img.height().div_ceil(factor));
+        }
+
+        /// Region-local legibility == whole-image downsample then ink
+        /// count, bit for bit, for regions that are empty, ragged at the
+        /// right or bottom edge, or partly or wholly outside the image.
+        #[test]
+        fn region_local_legibility_matches_reference(
+            w in 1usize..90,
+            h in 1usize..70,
+            factor in 1usize..20,
+            rx in 0usize..110,
+            ry in 0usize..90,
+            rw in 0usize..110,
+            rh in 0usize..90,
+            ops in proptest::collection::vec(
+                (-20i64..100, -20i64..100, -20i64..100, -20i64..100, 1i64..4),
+                0..10,
+            ),
+        ) {
+            let mut img = Pixmap::new(w, h);
+            for (a, b, c, d, stroke) in ops {
+                img.draw_line(a, b, c, d, stroke, 0);
+                img.fill_rect(c, d, a.rem_euclid(12), b.rem_euclid(12), 96);
+            }
+            let mut regions = vec![
+                Region::new(rx, ry, rw, rh),
+                Region::full(&img),
+                Region::new(rx, ry, 0, rh),
+                Region::new(w.saturating_sub(rw % w + 1), ry % h, rw, rh),
+                Region::new(rx % w, h.saturating_sub(rh % h + 1), rw, rh),
+                Region::new(w + rx, h + ry, rw, rh),
+            ];
+            regions.extend([1, factor, 2 * factor].map(|s| {
+                Region::new(w.saturating_sub(s), h.saturating_sub(s), s + rw % 7, s + rh % 7)
+            }));
+            for region in regions {
+                let fast = legibility_after_downsample(&img, region, factor);
+                let slow = ref_legibility(&img, region, factor);
+                prop_assert_eq!(
+                    fast.to_bits(),
+                    slow.to_bits(),
+                    "{:?} at factor {}: {} vs {}", region, factor, fast, slow
+                );
+            }
         }
 
         /// Row-sliced ink scans == scalar reference (fraction and count).
