@@ -38,7 +38,8 @@
 //! fleet *worker* (only `merge` produces the table; workers would
 //! silently drop the flag), `--chaos` with `--fleet` or `--store`
 //! (supervised runs are a differential fixture, not a durability mode),
-//! and `--batch` without `--chaos` (unsupervised runs already stream).
+//! and `--batch` or `--chaos-seed` without `--chaos` (both only qualify
+//! a chaos run: unsupervised runs already stream and inject no faults).
 //!
 //! Exit codes: 0 ok · 1 store/trace/report i/o failure · 2 usage ·
 //! 3 table printed with a DEGRADED RUN footer · 4 fleet merge refused ·
@@ -192,10 +193,10 @@ fn main() {
              be persisted, so supervised runs always take the uncached path",
         );
     }
-    if batch_mode && chaos_rate.is_none() {
+    if (batch_mode || chaos_seed.is_some()) && chaos_rate.is_none() {
         flag_conflict(
-            "--batch only selects the reference mode for a --chaos run: \
-             unsupervised runs already stream; add --chaos RATE",
+            "--batch and --chaos-seed only qualify a --chaos run: unsupervised \
+             runs already stream and inject no faults; add --chaos RATE",
         );
     }
 

@@ -163,12 +163,11 @@ pub fn run_table2_fleet_worker(
 }
 
 /// Folds a completed fleet directory into the canonical Table II.
-/// Validates both sub-fleet manifests against the `--scale`-derived
-/// spec fingerprints and the shared store's *current* generation, so a
-/// merge against the wrong scale or a since-compacted store is a
-/// structured refusal ([`FleetError::SpecFingerprintMismatch`] /
-/// [`FleetError::StoreGenerationMismatch`]) rather than a silently
-/// wrong table.
+/// Checks both sub-fleet manifests against the `--scale`-derived run
+/// identity and the shared store's *current* generation, so a merge
+/// against the wrong scale or a since-evicted store is a structured
+/// refusal ([`FleetError::Mismatch`], naming the spec fingerprint or
+/// the store generation) rather than a silently wrong table.
 pub fn run_table2_fleet_merge(
     dir: &Path,
     scale: usize,

@@ -21,9 +21,8 @@
 //! streams a spec for one model, checkpoint resume
 //! ([`evaluate_checkpointed`](ParallelExecutor::evaluate_checkpointed))
 //! runs the shards a [`Checkpoint`](crate::checkpoint::Checkpoint)
-//! lacks, a fleet claim runs one shard, and
-//! [`requeue_quarantined_stream`](ParallelExecutor::requeue_quarantined_stream)
-//! runs the quarantined ones.
+//! lacks — after a requeue, the quarantined ones — and a fleet claim
+//! runs one shard.
 //!
 //! Optional layers ride on the same loop:
 //!
@@ -50,7 +49,6 @@
 //! genuine, becomes an [`EvalError::WorkerPanic`] outcome that
 //! quarantines its shard instead of aborting the run.
 
-use std::collections::BTreeSet;
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
@@ -313,10 +311,9 @@ impl ParallelExecutor {
 
     /// A copy of this executor with the supervisor detached (cache,
     /// retry policy and telemetry are kept). The calm twin of a
-    /// supervised executor: used by fleet healing to re-run a
-    /// quarantined shard without fault injection, matching
-    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-    /// semantics.
+    /// supervised executor: a heal resumes a checkpoint on it after
+    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined),
+    /// and a fleet worker re-runs a quarantined shard on it.
     pub fn unsupervised(&self) -> ParallelExecutor {
         ParallelExecutor {
             supervisor: None,
@@ -403,58 +400,6 @@ impl ParallelExecutor {
         let pipes = std::slice::from_ref(pipe);
         let (mut reports, stats) = self.evaluate_source(pipes, source, options, &RuleJudge::new());
         (reports.pop().expect("one model"), stats)
-    }
-
-    /// Heals a *streamed* supervised report, judged by the default
-    /// [`RuleJudge`], the way
-    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-    /// heals a checkpointed one: every shard containing a
-    /// [`EvalError::WorkerPanic`] outcome is re-run *unsupervised* from
-    /// the spec (the walk stops after the last quarantined shard; clean
-    /// shards are generated but never evaluated), and the healed
-    /// outcomes are patched back positionally. Returns the number of
-    /// shards healed. `shard_len` must match the original streamed run,
-    /// and `report` must cover the full spec.
-    pub fn requeue_quarantined_stream(
-        &self,
-        pipe: &VlmPipeline,
-        spec: &DatasetSpec,
-        shard_len: usize,
-        options: EvalOptions,
-        report: &mut EvalReport,
-    ) -> usize {
-        assert!(shard_len > 0, "shard_len must be positive");
-        assert_eq!(
-            report.outcomes.len(),
-            spec.total(),
-            "report must cover the full spec"
-        );
-        let quarantined: BTreeSet<usize> = report
-            .outcomes
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| o.error == Some(EvalError::WorkerPanic))
-            .map(|(pos, _)| pos / shard_len * shard_len)
-            .collect();
-        if quarantined.is_empty() {
-            return 0;
-        }
-        if self.telemetry.enabled() {
-            self.telemetry
-                .counter("stream.requeue.shards", quarantined.len() as u64);
-        }
-        let healed = self.unsupervised().run(
-            std::slice::from_ref(pipe),
-            ShardSource::Spec(spec, shard_len),
-            options,
-            &RuleJudge::new(),
-            &|key| quarantined.contains(&key.q_start),
-            &mut |_| false,
-        );
-        for (key, outcomes) in healed.outcomes {
-            report.outcomes.splice(key.q_start..key.q_end, outcomes);
-        }
-        quarantined.len()
     }
 
     /// Stamps run metadata onto finished reports: the cache's traffic
@@ -675,10 +620,7 @@ impl ParallelExecutor {
         if let Walk::Spec(stream) = &producer.walk {
             stats.generator_peak_resident = Some(stream.peak_resident());
         }
-        stats.quarantined_shards = outcomes
-            .iter()
-            .filter(|(_, o)| o.iter().any(|o| o.error == Some(EvalError::WorkerPanic)))
-            .count();
+        stats.quarantined_shards = outcomes.iter().filter(|(_, o)| quarantines(o)).count();
         Run { outcomes, stats }
     }
 }
@@ -785,11 +727,20 @@ pub struct StreamStats {
     /// recorded for spec sources; `None` for built benches.
     pub generator_peak_resident: Option<usize>,
     /// Shards containing at least one
-    /// [`EvalError::WorkerPanic`] outcome — the ones
-    /// [`requeue_quarantined_stream`](ParallelExecutor::requeue_quarantined_stream)
-    /// would heal. Zero on unsupervised runs without genuine panics.
+    /// [`EvalError::WorkerPanic`] outcome — the ones a checkpointed run
+    /// quarantines for
+    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined).
+    /// Zero on unsupervised runs without genuine panics.
     #[serde(default)]
     pub quarantined_shards: usize,
+}
+
+/// Whether a shard's outcomes quarantine it: a worker caught a panic on
+/// at least one of its questions.
+pub(crate) fn quarantines(outcomes: &[QuestionOutcome]) -> bool {
+    outcomes
+        .iter()
+        .any(|o| o.error == Some(EvalError::WorkerPanic))
 }
 
 /// Folds keyed shard outcomes into one report per model, question order
@@ -1340,44 +1291,50 @@ mod tests {
 
     #[test]
     fn streamed_quarantine_heals_by_requeue() {
+        use crate::checkpoint::Checkpoint;
         use crate::fault::{install_quiet_panic_hook, FaultPlan};
         install_quiet_panic_hook();
-        let pipe = VlmPipeline::new(ModelZoo::paligemma());
+        let pipes = [VlmPipeline::new(ModelZoo::paligemma())];
         let spec = DatasetSpec::scaled(1);
-        let clean = ParallelExecutor::new(4).evaluate(&pipe, &spec.build(), EvalOptions::default());
+        let source = ShardSource::Spec(&spec, SHARD_SIZE);
+        let options = EvalOptions::default();
+        let clean = ParallelExecutor::new(4).evaluate(&pipes[0], &spec.build(), options);
         let exec = ParallelExecutor::new(4).with_supervisor(Supervisor::new(FaultPlan {
             panic_rate: 0.08,
             ..FaultPlan::none()
         }));
-        let (mut report, stats) =
-            exec.evaluate_spec_stream(&pipe, &spec, SHARD_SIZE, EvalOptions::default());
-        assert!(stats.quarantined_shards > 0, "panics were injected");
-        let healed = exec.requeue_quarantined_stream(
-            &pipe,
-            &spec,
-            SHARD_SIZE,
-            EvalOptions::default(),
-            &mut report,
-        );
-        assert_eq!(healed, stats.quarantined_shards);
-        report.cache_stats = None;
+        let resume = |exec: &ParallelExecutor, ckpt: &mut Checkpoint| {
+            exec.evaluate_checkpointed(
+                &pipes,
+                source,
+                options,
+                &RuleJudge::new(),
+                ckpt,
+                &mut |_| false,
+            )
+            .expect("valid checkpoint")
+            .expect("grid completes")
+            .pop()
+            .expect("one model")
+        };
+        let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+        let stormy = resume(&exec, &mut ckpt);
+        let quarantined = stormy
+            .outcomes
+            .chunks(SHARD_SIZE)
+            .filter(|shard| quarantines(shard))
+            .count();
+        assert!(quarantined > 0, "panics were injected");
+        let healed = ckpt.requeue_quarantined();
+        assert_eq!(healed, quarantined);
+        let report = resume(&exec.unsupervised(), &mut ckpt);
         assert_eq!(
             serde_json::to_string(&clean).expect("serializes"),
             serde_json::to_string(&report).expect("serializes"),
             "healed streamed report converges to the clean bytes"
         );
         // a clean report heals nothing
-        let mut untouched = report.clone();
-        assert_eq!(
-            exec.requeue_quarantined_stream(
-                &pipe,
-                &spec,
-                SHARD_SIZE,
-                EvalOptions::default(),
-                &mut untouched
-            ),
-            0
-        );
+        assert_eq!(ckpt.requeue_quarantined(), 0);
     }
 
     #[test]
@@ -1399,9 +1356,9 @@ mod tests {
             false
         };
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut ckpt = crate::checkpoint::Checkpoint::new(
+            let mut ckpt = crate::checkpoint::Checkpoint::for_source(
                 std::slice::from_ref(&pipe),
-                &bench,
+                ShardSource::Bench(&bench, 0),
                 EvalOptions::default(),
             );
             exec.evaluate_checkpointed(

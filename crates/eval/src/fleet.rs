@@ -15,8 +15,9 @@
 //!
 //! ```text
 //! fleet/
-//!   manifest.json            run identity (models, bench, options,
-//!                            spec fingerprint, store generation)
+//!   manifest.json            format version + the run's RunIdentity
+//!                            (models, bench hash or spec fingerprint,
+//!                            options, store generation)
 //!   leases/shard-0007.lease  in-flight claim: pid + start token +
 //!                            nonce + heartbeat
 //!   done/shard-0007.json     committed ShardRecord (exactly one, ever)
@@ -35,11 +36,15 @@
 //! A lease is judged **stale** — and stolen — when its holder is dead
 //! (`/proc` pid gone), recycled (pid alive but the kernel start token
 //! differs from the stamp), unparsable, or *stalled* (the heartbeat
-//! counter, bumped by a background thread of the owner, has not moved
-//! for [`FleetConfig::stall_timeout`]). Stealing a live-but-slow
-//! worker's lease is safe: evaluation is deterministic per shard, so
-//! the two workers race to commit byte-identical records and the
-//! `hard_link` commit lets exactly the first one win
+//! counter, bumped by a background thread of the owner every
+//! [`FleetConfig::heartbeat_interval`], has not moved for
+//! [`FleetConfig::stall_timeout`]). The heartbeat thread sleeps on a
+//! channel the claim's guard holds: releasing the lease hangs up, which
+//! wakes the thread at once, and the release joins it before removing
+//! the lease file, so no bump lands after the release. Stealing a
+//! live-but-slow worker's lease is safe: evaluation is deterministic per
+//! shard, so the two workers race to commit byte-identical records and
+//! the `hard_link` commit lets exactly the first one win
 //! (**at-least-once evaluation, exactly-once commit**).
 //!
 //! # Healing
@@ -51,7 +56,8 @@
 //! [`ParallelExecutor::unsupervised`], the same executor minus the
 //! fault plan — and commits the clean outcomes to `done/`, exactly the
 //! semantics of
-//! [`Checkpoint::requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined).
+//! [`Checkpoint::requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
+//! followed by a resume on the unsupervised executor.
 //!
 //! A claim, first pass or heal, is a one-key selection of the executor's
 //! shard engine over the job's bench, keyed with the job's spec
@@ -63,18 +69,20 @@
 //! For any worker count, any lease-steal interleaving, and any kill
 //! schedule, the merged report is byte-identical to a single-process
 //! run of the same grid (`tests/fleet_chaos.rs` enforces this with
-//! seeded `kill -9` schedules). [`merge`] refuses — with a structured
-//! [`FleetError`] — manifests whose spec fingerprint or store
-//! generation disagree with the caller's, incomplete fleets, and shard
-//! records from a different manifest.
+//! seeded `kill -9` schedules). Workers and [`merge`] check the
+//! manifest's [`RunIdentity`] against the caller's job with
+//! [`RunIdentity::check`], the comparison a checkpoint resume makes, and
+//! refuse a foreign run with [`FleetError::Mismatch`] carrying the same
+//! [`RunMismatch`] a checkpoint would. [`merge`] also refuses incomplete
+//! fleets and shard records from a different manifest.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use chipvqa_core::ChipVqa;
@@ -82,17 +90,17 @@ use chipvqa_models::VlmPipeline;
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{bench_hash, ShardResult};
-use crate::executor::{merge_reports, ParallelExecutor, ShardSource};
+use crate::checkpoint::{RunIdentity, RunMismatch, ShardResult};
+use crate::executor::{merge_reports, quarantines, ParallelExecutor, ShardSource};
 use crate::harness::{EvalOptions, EvalReport};
 use crate::judge::Judge;
 use crate::store::{fnv1a64, holder_dead, own_start_token, pid_alive};
-use crate::supervisor::EvalError;
 
 pub use crate::executor::ShardKey;
 
-/// On-disk fleet format version, stamped in `manifest.json`.
-pub const FLEET_FORMAT_VERSION: u32 = 1;
+/// On-disk fleet format version, stamped in `manifest.json`. Version 2
+/// nests the run's [`RunIdentity`] under `identity`.
+pub const FLEET_FORMAT_VERSION: u32 = 2;
 
 /// The canonical shard plan of a job: every worker and the merge walk
 /// exactly this list, in exactly this order. Exposed so chaos tests can
@@ -159,42 +167,31 @@ impl FleetJob<'_> {
         ShardSource::Bench(self.bench, self.spec_fingerprint.unwrap_or(0))
     }
 
-    /// The manifest this job stamps (and validates against).
+    /// The manifest this job stamps (and checks against): the identity
+    /// a checkpoint of the same run carries.
     pub fn manifest(&self) -> FleetManifest {
         FleetManifest {
             format_version: FLEET_FORMAT_VERSION,
-            model_fingerprints: self.pipes.iter().map(VlmPipeline::fingerprint).collect(),
-            bench_hash: bench_hash(self.bench),
-            options: self.options,
-            spec_fingerprint: self.spec_fingerprint,
-            store_generation: self.store_generation,
-            models: self.pipes.len(),
-            questions: self.bench.len(),
+            identity: RunIdentity::new(
+                self.pipes,
+                self.source(),
+                self.options,
+                self.store_generation,
+            ),
         }
     }
 }
 
 /// Durable identity of a fleet run: the first worker creates it
-/// atomically, every later worker and the merge validate against it
-/// field by field.
+/// atomically, every later worker and the merge check their job's
+/// identity against it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetManifest {
     /// On-disk fleet format version.
     pub format_version: u32,
-    /// Fingerprints of the grid's models, in grid order.
-    pub model_fingerprints: Vec<u64>,
-    /// Content hash of the benchmark (ids + prompts).
-    pub bench_hash: u64,
-    /// The evaluation options of the run.
-    pub options: EvalOptions,
-    /// Spec fingerprint the bench was built from, if any.
-    pub spec_fingerprint: Option<u64>,
-    /// Store generation the fleet warms from, if any.
-    pub store_generation: Option<u64>,
-    /// Model count (shard-plan shape).
-    pub models: usize,
-    /// Question count (shard-plan shape).
-    pub questions: usize,
+    /// The run's identity, as a [`Checkpoint`](crate::checkpoint::Checkpoint)
+    /// of the same run stamps it.
+    pub identity: RunIdentity,
 }
 
 impl FleetManifest {
@@ -275,30 +272,17 @@ pub enum FleetError {
     Io(io::Error),
     /// `manifest.json` does not exist — no fleet ever ran here.
     ManifestMissing,
-    /// The directory's manifest disagrees with the caller's job on the
-    /// named field.
-    ManifestMismatch {
-        /// Which manifest field disagreed.
-        field: &'static str,
+    /// `manifest.json` was written in another on-disk fleet format.
+    FormatVersion {
+        /// Version stamped in the manifest.
+        stamped: u32,
+        /// [`FLEET_FORMAT_VERSION`] of this build.
+        expected: u32,
     },
-    /// The directory's manifest was stamped with a different dataset
-    /// spec than the caller is merging — the reports would describe a
-    /// different collection.
-    SpecFingerprintMismatch {
-        /// Fingerprint stamped in the manifest.
-        stamped: Option<u64>,
-        /// Fingerprint of the caller's spec.
-        expected: Option<u64>,
-    },
-    /// The directory's manifest was stamped against a different answer
-    /// store generation: answers the fleet assumed cached may since
-    /// have been evicted.
-    StoreGenerationMismatch {
-        /// Generation stamped in the manifest.
-        stamped: Option<u64>,
-        /// The store's current generation.
-        current: Option<u64>,
-    },
+    /// The directory's manifest stamps a different run than the caller's
+    /// job: the first identity field that differs, as a checkpoint
+    /// resume would report it.
+    Mismatch(RunMismatch),
     /// Not every shard has a committed done record yet.
     Incomplete {
         /// Shards committed.
@@ -329,23 +313,14 @@ impl fmt::Display for FleetError {
             FleetError::ManifestMissing => {
                 write!(f, "fleet directory has no manifest.json: no fleet ran here")
             }
-            FleetError::ManifestMismatch { field } => write!(
+            FleetError::FormatVersion { stamped, expected } => write!(
                 f,
-                "fleet manifest disagrees with this job on `{field}`: the directory \
-                 belongs to a different run"
+                "fleet manifest has format version {stamped}; this build reads \
+                 version {expected}"
             ),
-            FleetError::SpecFingerprintMismatch { stamped, expected } => write!(
-                f,
-                "fleet manifest spec fingerprint {stamped:?} does not match the \
-                 spec being merged ({expected:?}): refusing to fold shards from a \
-                 different collection"
-            ),
-            FleetError::StoreGenerationMismatch { stamped, current } => write!(
-                f,
-                "fleet manifest store generation {stamped:?} does not match the \
-                 store's current generation {current:?}: the fleet's cache epoch \
-                 is stale"
-            ),
+            FleetError::Mismatch(mismatch) => {
+                write!(f, "fleet manifest belongs to a different run: {mismatch}")
+            }
             FleetError::Incomplete { done, total } => write!(
                 f,
                 "fleet is incomplete: {done}/{total} shards committed — run more \
@@ -439,73 +414,47 @@ fn read_lease(path: &Path) -> io::Result<LeaseRead> {
     }
 }
 
-/// Creates `manifest.json` atomically, or validates the one a faster
+/// Creates `manifest.json` atomically, or checks the one a faster
 /// worker already created.
-fn ensure_manifest(dir: &Path, expected: &FleetManifest) -> Result<FleetManifest, FleetError> {
-    let path = dir.join("manifest.json");
+fn ensure_manifest(dir: &Path, expected: &FleetManifest) -> Result<(), FleetError> {
     let bytes = serde_json::to_string(expected).expect("manifest serializes");
-    if atomic_create(&path, bytes.as_bytes())? {
-        return Ok(expected.clone());
+    if atomic_create(&dir.join("manifest.json"), bytes.as_bytes())? {
+        return Ok(());
     }
-    let found = read_manifest(dir)?;
-    validate_manifest(expected, &found)?;
-    Ok(found)
+    check_manifest(dir, expected)
 }
 
-/// Reads and parses `manifest.json`.
-fn read_manifest(dir: &Path) -> Result<FleetManifest, FleetError> {
+/// Reads `manifest.json` and checks its format version, then the run
+/// identity it stamps, against `expected`.
+fn check_manifest(dir: &Path, expected: &FleetManifest) -> Result<(), FleetError> {
     let path = dir.join("manifest.json");
     let json = match fs::read_to_string(&path) {
         Ok(json) => json,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(FleetError::ManifestMissing),
         Err(e) => return Err(e.into()),
     };
-    serde_json::from_str(&json).map_err(|e| FleetError::Corrupt {
-        path,
+    let corrupt = |e: serde_json::Error| FleetError::Corrupt {
+        path: path.clone(),
         detail: e.to_string(),
-    })
-}
-
-/// Field-by-field manifest validation; spec fingerprint and store
-/// generation get their own structured refusals because they are the
-/// mismatches operators actually hit (wrong `--scale`, evicted store).
-fn validate_manifest(expected: &FleetManifest, found: &FleetManifest) -> Result<(), FleetError> {
-    if found.format_version != expected.format_version {
-        return Err(FleetError::ManifestMismatch {
-            field: "format_version",
+    };
+    // the version alone first: a manifest of another format is refused
+    // as such, not as unparsable
+    #[derive(Deserialize)]
+    struct Version {
+        format_version: u32,
+    }
+    let Version { format_version } = serde_json::from_str(&json).map_err(corrupt)?;
+    if format_version != expected.format_version {
+        return Err(FleetError::FormatVersion {
+            stamped: format_version,
+            expected: expected.format_version,
         });
     }
-    if found.spec_fingerprint != expected.spec_fingerprint {
-        return Err(FleetError::SpecFingerprintMismatch {
-            stamped: found.spec_fingerprint,
-            expected: expected.spec_fingerprint,
-        });
-    }
-    if found.store_generation != expected.store_generation {
-        return Err(FleetError::StoreGenerationMismatch {
-            stamped: found.store_generation,
-            current: expected.store_generation,
-        });
-    }
-    if found.model_fingerprints != expected.model_fingerprints {
-        return Err(FleetError::ManifestMismatch {
-            field: "model_fingerprints",
-        });
-    }
-    if found.bench_hash != expected.bench_hash {
-        return Err(FleetError::ManifestMismatch {
-            field: "bench_hash",
-        });
-    }
-    if found.options != expected.options {
-        return Err(FleetError::ManifestMismatch { field: "options" });
-    }
-    if (found.models, found.questions) != (expected.models, expected.questions) {
-        return Err(FleetError::ManifestMismatch {
-            field: "grid_shape",
-        });
-    }
-    Ok(())
+    let found: FleetManifest = serde_json::from_str(&json).map_err(corrupt)?;
+    found
+        .identity
+        .check(&expected.identity)
+        .map_err(FleetError::Mismatch)
 }
 
 /// Why a lease was judged stale.
@@ -542,27 +491,21 @@ fn staleness(
 struct LeaseGuard {
     path: PathBuf,
     nonce: u64,
-    stop: Arc<AtomicBool>,
+    /// Dropping the sender wakes the heartbeat thread and ends it.
+    stop: Option<mpsc::Sender<()>>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
 }
 
 impl LeaseGuard {
     fn start(path: PathBuf, lease: Lease, interval: Duration, telemetry: Telemetry) -> LeaseGuard {
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread_path = path.clone();
         let nonce = lease.nonce;
+        let interval = interval.max(Duration::from_millis(1));
         let heartbeat = std::thread::spawn(move || {
             let mut lease = lease;
-            let tick = Duration::from_millis(5).min(interval.max(Duration::from_millis(1)));
-            let mut since_bump = Duration::ZERO;
-            while !thread_stop.load(Ordering::Relaxed) {
-                std::thread::sleep(tick);
-                since_bump += tick;
-                if since_bump < interval {
-                    continue;
-                }
-                since_bump = Duration::ZERO;
+            // a timeout is a heartbeat; a hang-up is the release
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 lease.heartbeat += 1;
                 // tmp + rename: the bump is atomic. If a thief claimed
                 // the lease after judging us stalled, this recreates it
@@ -581,7 +524,7 @@ impl LeaseGuard {
         LeaseGuard {
             path,
             nonce,
-            stop,
+            stop: Some(stop),
             heartbeat: Some(heartbeat),
         }
     }
@@ -597,7 +540,8 @@ impl LeaseGuard {
 
 impl Drop for LeaseGuard {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // hang up, then join: no bump can land after the removal below
+        drop(self.stop.take());
         if let Some(handle) = self.heartbeat.take() {
             let _ = handle.join();
         }
@@ -626,7 +570,8 @@ pub fn run_worker(
     for sub in ["leases", "done", "quarantine"] {
         fs::create_dir_all(dir.join(sub))?;
     }
-    let manifest = ensure_manifest(dir, &job.manifest())?;
+    let manifest = job.manifest();
+    ensure_manifest(dir, &manifest)?;
     let manifest_fp = manifest.fingerprint();
     let keys = shard_plan(job);
     let tele = exec.telemetry();
@@ -685,9 +630,7 @@ pub fn run_worker(
                 .outcomes
                 .pop()
                 .expect("one shard requested");
-            let panicked = outcomes
-                .iter()
-                .any(|o| o.error == Some(EvalError::WorkerPanic));
+            let panicked = quarantines(&outcomes);
             let record = ShardRecord {
                 manifest_fingerprint: manifest_fp,
                 quarantined: panicked,
@@ -856,9 +799,9 @@ fn try_claim(
 
 /// Folds a completed fleet directory into the canonical reports — the
 /// deterministic merge. Refuses (structured, never silently wrong):
-/// a missing or foreign manifest ([`FleetError::ManifestMismatch`],
-/// [`FleetError::SpecFingerprintMismatch`],
-/// [`FleetError::StoreGenerationMismatch`]), an incomplete fleet
+/// a missing manifest ([`FleetError::ManifestMissing`]), one of another
+/// format ([`FleetError::FormatVersion`]) or of another run
+/// ([`FleetError::Mismatch`]), an incomplete fleet
 /// ([`FleetError::Incomplete`]), and done records that do not belong to
 /// this manifest ([`FleetError::ForeignShard`]).
 pub fn merge(
@@ -866,8 +809,8 @@ pub fn merge(
     job: &FleetJob<'_>,
     telemetry: &Telemetry,
 ) -> Result<Vec<EvalReport>, FleetError> {
-    let manifest = read_manifest(dir)?;
-    validate_manifest(&job.manifest(), &manifest)?;
+    let manifest = job.manifest();
+    check_manifest(dir, &manifest)?;
     let manifest_fp = manifest.fingerprint();
     let keys = shard_plan(job);
     let mut pairs = Vec::with_capacity(keys.len());
@@ -1090,11 +1033,24 @@ mod tests {
             Err(FleetError::ManifestMissing)
         ));
         fs::create_dir_all(&dir).expect("mkdir");
+        let manifest = serde_json::to_string(&job.manifest()).expect("serializes");
+        // a manifest of another format version is refused as such
         fs::write(
             dir.join("manifest.json"),
-            serde_json::to_string(&job.manifest()).expect("serializes"),
+            manifest.replace(
+                &format!("\"format_version\":{FLEET_FORMAT_VERSION}"),
+                "\"format_version\":1",
+            ),
         )
         .expect("writes");
+        assert!(matches!(
+            merge(&dir, &job, &Telemetry::disabled()),
+            Err(FleetError::FormatVersion {
+                stamped: 1,
+                expected: FLEET_FORMAT_VERSION,
+            })
+        ));
+        fs::write(dir.join("manifest.json"), manifest).expect("writes");
         // wrong spec fingerprint (e.g. merge invoked with wrong --scale)
         let wrong_spec = FleetJob {
             spec_fingerprint: Some(0xBBBB),
@@ -1102,10 +1058,10 @@ mod tests {
         };
         assert!(matches!(
             merge(&dir, &wrong_spec, &Telemetry::disabled()),
-            Err(FleetError::SpecFingerprintMismatch {
+            Err(FleetError::Mismatch(RunMismatch::SpecFingerprint {
                 stamped: Some(0xAAAA),
                 expected: Some(0xBBBB),
-            })
+            }))
         ));
         // wrong store generation (the store evicted since the fleet ran)
         let wrong_gen = FleetJob {
@@ -1114,10 +1070,10 @@ mod tests {
         };
         assert!(matches!(
             merge(&dir, &wrong_gen, &Telemetry::disabled()),
-            Err(FleetError::StoreGenerationMismatch {
+            Err(FleetError::Mismatch(RunMismatch::StoreGeneration {
                 stamped: Some(3),
                 current: Some(4),
-            })
+            }))
         ));
         // identity matches but nothing committed yet
         match merge(&dir, &job, &Telemetry::disabled()) {
@@ -1130,7 +1086,124 @@ mod tests {
         let exec = ParallelExecutor::new(1);
         assert!(matches!(
             run_worker(&dir, &exec, &wrong_spec, &RuleJudge::new(), &quick_config()),
-            Err(FleetError::SpecFingerprintMismatch { .. })
+            Err(FleetError::Mismatch(RunMismatch::SpecFingerprint { .. }))
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint and a fleet manifest of the same run carry one
+    /// identity, and a foreign run is refused by the checkpoint, the
+    /// merge and a worker with the same mismatch, field by field.
+    #[test]
+    fn checkpoint_and_fleet_refuse_a_foreign_run_with_the_same_mismatch() {
+        use crate::checkpoint::{bench_hash, Checkpoint, CheckpointError};
+        let dir = tmp_dir("parity");
+        let bench = ChipVqa::standard();
+        let other_bench = ChipVqa::with_seed(bench.seed() + 1);
+        let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
+        let other_pipes = vec![VlmPipeline::new(ModelZoo::fuyu_8b())];
+        let run = FleetJob {
+            spec_fingerprint: Some(0xAAAA),
+            store_generation: Some(3),
+            ..small_job(&pipes, &bench)
+        };
+        let mut checkpoint = Checkpoint::for_source(&pipes, run.source(), run.options);
+        checkpoint.identity.store_generation = run.store_generation;
+        assert_eq!(checkpoint.identity, run.manifest().identity);
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(
+            dir.join("manifest.json"),
+            serde_json::to_string(&run.manifest()).expect("serializes"),
+        )
+        .expect("writes manifest");
+
+        let options = EvalOptions {
+            attempts: 3,
+            ..run.options
+        };
+        let cases = [
+            (
+                "models",
+                FleetJob {
+                    pipes: &other_pipes,
+                    ..run
+                },
+                RunMismatch::Models {
+                    stamped: vec![pipes[0].fingerprint()],
+                    expected: vec![other_pipes[0].fingerprint()],
+                },
+            ),
+            (
+                "bench content",
+                FleetJob {
+                    bench: &other_bench,
+                    ..run
+                },
+                RunMismatch::Bench {
+                    stamped: bench_hash(&bench),
+                    expected: bench_hash(&other_bench),
+                },
+            ),
+            (
+                "options",
+                FleetJob { options, ..run },
+                RunMismatch::Options {
+                    stamped: run.options,
+                    expected: options,
+                },
+            ),
+            (
+                "spec fingerprint",
+                FleetJob {
+                    spec_fingerprint: Some(0xBBBB),
+                    ..run
+                },
+                RunMismatch::SpecFingerprint {
+                    stamped: Some(0xAAAA),
+                    expected: Some(0xBBBB),
+                },
+            ),
+            (
+                "store generation",
+                FleetJob {
+                    store_generation: Some(4),
+                    ..run
+                },
+                RunMismatch::StoreGeneration {
+                    stamped: Some(3),
+                    current: Some(4),
+                },
+            ),
+        ];
+        let exec = ParallelExecutor::new(1);
+        for (field, job, expected) in cases {
+            assert_eq!(
+                checkpoint.validate_source(
+                    job.pipes,
+                    job.source(),
+                    job.options,
+                    job.store_generation
+                ),
+                Err(CheckpointError::Mismatch(expected.clone())),
+                "{field}: checkpoint resume"
+            );
+            match merge(&dir, &job, &Telemetry::disabled()) {
+                Err(FleetError::Mismatch(found)) => assert_eq!(found, expected, "{field}: merge"),
+                other => panic!("{field}: merge gave {other:?}"),
+            }
+            match run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config()) {
+                Err(FleetError::Mismatch(found)) => assert_eq!(found, expected, "{field}: worker"),
+                other => panic!("{field}: worker gave {other:?}"),
+            }
+        }
+        // the run itself passes both checks
+        assert_eq!(
+            checkpoint.validate_source(&pipes, run.source(), run.options, run.store_generation),
+            Ok(())
+        );
+        assert!(matches!(
+            merge(&dir, &run, &Telemetry::disabled()),
+            Err(FleetError::Incomplete { done: 0, .. })
         ));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1142,13 +1215,13 @@ mod tests {
         let base = small_job(&pipes, &bench).manifest();
         let fp = base.fingerprint();
         let mut other = base.clone();
-        other.spec_fingerprint = Some(1);
+        other.identity.spec_fingerprint = Some(1);
         assert_ne!(fp, other.fingerprint());
         let mut other = base.clone();
-        other.store_generation = Some(1);
+        other.identity.store_generation = Some(1);
         assert_ne!(fp, other.fingerprint());
         let mut other = base.clone();
-        other.bench_hash ^= 1;
+        other.identity.bench_hash ^= 1;
         assert_ne!(fp, other.fingerprint());
         assert_eq!(fp, base.clone().fingerprint(), "stable for equal content");
     }

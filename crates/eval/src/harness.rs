@@ -14,7 +14,7 @@ use crate::judge::{Judge, RuleJudge};
 use crate::supervisor::EvalError;
 
 /// Evaluation options.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvalOptions {
     /// Attempts per question; pass@k succeeds if any attempt is judged
     /// correct.

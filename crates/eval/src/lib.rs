@@ -41,9 +41,9 @@
 //! created lease files, share one [`store`] (opened shared) as the
 //! common answer plane, steal the leases of dead, recycled, or stalled
 //! workers, heal their quarantined shards, and commit per-shard records
-//! that [`fleet::merge`] folds — after validating spec fingerprints and
-//! store generations — into reports byte-identical to a single-process
-//! run under any kill schedule.
+//! that [`fleet::merge`] folds — after checking the run identity a
+//! checkpoint of the same run would carry — into reports byte-identical
+//! to a single-process run under any kill schedule.
 //!
 //! Every layer is instrumented through `chipvqa-telemetry`: attach a
 //! [`Telemetry`](chipvqa_telemetry::Telemetry) handle via
@@ -84,7 +84,7 @@ pub mod store;
 pub mod supervisor;
 
 pub use cache::{AnswerCache, CacheKey, CacheSnapshot, CacheStats, CachedAnswer};
-pub use checkpoint::{Checkpoint, CheckpointError, ShardResult};
+pub use checkpoint::{Checkpoint, CheckpointError, RunIdentity, RunMismatch, ShardResult};
 pub use executor::{ParallelExecutor, RetryPolicy, StreamStats};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use fleet::{FleetConfig, FleetError, FleetJob, FleetManifest, FleetOutcome};

@@ -12,10 +12,10 @@
 //! ## Determinism
 //!
 //! Every session runs on the executor's checkpointed engine
-//! ([`ParallelExecutor::evaluate_checkpointed`]): over the bench built
-//! from its spec, or — when `stream_shard_len` is set — over the spec
-//! streamed at that shard length, never materialized. The request's
-//! `fault_plan`, if any, attaches a supervisor either way. The engine
+//! ([`ParallelExecutor::evaluate_checkpointed`]) over its spec streamed
+//! at `stream_shard_len` (default [`SHARD_SIZE`], the shard plan of a
+//! built bench), never materialized. The request's `fault_plan`, if
+//! any, attaches a supervisor. The engine
 //! polls a stop hook before each shard dispatch; the hook paces the run
 //! (`step_delay` every `shard_batch` shards) and checks the cancel flag
 //! there. Cancellation therefore never tears a shard: the retained
@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use chipvqa_eval::cache::AnswerCache;
 use chipvqa_eval::checkpoint::Checkpoint;
-use chipvqa_eval::executor::{ParallelExecutor, ShardSource};
+use chipvqa_eval::executor::{ParallelExecutor, ShardSource, SHARD_SIZE};
 use chipvqa_eval::judge::RuleJudge;
 use chipvqa_eval::store::AnswerStore;
 use chipvqa_eval::CacheStats;
@@ -575,39 +575,19 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         .cloned()
         .map(VlmPipeline::new)
         .collect();
-    let spec = &request.spec;
     let options = request.options;
-    let bench;
-    let source = match request.stream_shard_len {
-        Some(0) => {
-            let error = "stream_shard_len must be >= 1".to_string();
-            return finish_failed(shared, id, tenant, error);
-        }
-        Some(shard_len) => ShardSource::Spec(spec, shard_len),
-        None => {
-            bench = spec.build();
-            ShardSource::Bench(&bench, spec.fingerprint())
-        }
-    };
-
-    // Bind or re-validate the checkpoint: a resumed session must still
-    // match its models, collection, options, shard plan and store epoch.
-    let store = shared.cache.store();
-    let mut checkpoint = taken_checkpoint.unwrap_or_else(|| {
-        let mut fresh = Checkpoint::for_source(&pipes, source, options);
-        if let Some(store) = store {
-            fresh.bind_store_generation(store);
-        }
-        fresh
-    });
-    let valid = store.map_or(Ok(()), |store| checkpoint.validate_store(store));
-    if let Err(e) = valid.and_then(|()| checkpoint.validate_source(&pipes, source, options)) {
-        finish_failed(shared, id, tenant, format!("resume refused: {e}"));
-        return;
+    let shard_len = request.stream_shard_len.unwrap_or(SHARD_SIZE);
+    if shard_len == 0 {
+        let error = "stream_shard_len must be >= 1".to_string();
+        return finish_failed(shared, id, tenant, error);
     }
+    let source = ShardSource::Spec(&request.spec, shard_len);
 
     let shards_total = source.plan(pipes.len()).len();
-    shards_done.store(checkpoint.completed_shards(), Ordering::SeqCst);
+    let resumed_shards = taken_checkpoint
+        .as_ref()
+        .map_or(0, Checkpoint::completed_shards);
+    shards_done.store(resumed_shards, Ordering::SeqCst);
     {
         let mut st = lock(&shared.state);
         let entry = st.sessions.get_mut(&id).expect("admitted session exists");
@@ -642,6 +622,17 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst)
     };
     let judge = RuleJudge::new();
+    // A fresh checkpoint is bound to the store epoch just before the
+    // engine checks it, leaving another session's eviction no time to
+    // land in between; a resumed one that no longer matches its models,
+    // collection, options, shard plan or store epoch is refused.
+    let mut checkpoint = taken_checkpoint.unwrap_or_else(|| {
+        let mut fresh = Checkpoint::for_source(&pipes, source, options);
+        if let Some(store) = shared.cache.store() {
+            fresh.bind_store_generation(store);
+        }
+        fresh
+    });
     match executor.evaluate_checkpointed(
         &pipes,
         source,
@@ -650,8 +641,9 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         &mut checkpoint,
         &mut stop,
     ) {
-        Some(reports) => finish_done(shared, id, tenant, SessionReport::new(reports)),
-        None => finish_cancelled(shared, id, tenant, checkpoint),
+        Ok(Some(reports)) => finish_done(shared, id, tenant, SessionReport::new(reports)),
+        Ok(None) => finish_cancelled(shared, id, tenant, checkpoint),
+        Err(e) => finish_failed(shared, id, tenant, format!("resume refused: {e}")),
     }
 }
 

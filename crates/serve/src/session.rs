@@ -94,11 +94,12 @@ pub struct SessionRequest {
     /// unsupervised run.
     #[serde(default)]
     pub fault_plan: Option<chipvqa_eval::FaultPlan>,
-    /// Evaluate through the streaming intake path with this shard
-    /// length instead of materializing the collection. Streamed
-    /// sessions produce reports byte-identical to their batch
-    /// equivalents (supervised or not), and cancel and resume at shard
-    /// granularity like every session.
+    /// Shard length of the session's streamed intake. `None` (the
+    /// default, and what old clients send) streams at
+    /// [`SHARD_SIZE`](chipvqa_eval::executor::SHARD_SIZE), the shard plan
+    /// of a built bench. Every session streams its spec, never
+    /// materializing it, and its report is byte-identical to the batch
+    /// equivalent (supervised or not) at any shard length.
     #[serde(default)]
     pub stream_shard_len: Option<usize>,
 }
@@ -134,7 +135,7 @@ impl SessionRequest {
         self
     }
 
-    /// Routes the session through the streaming intake path.
+    /// Sets the shard length of the session's streamed intake.
     pub fn with_streaming(mut self, shard_len: usize) -> Self {
         assert!(shard_len >= 1, "shard_len must be >= 1");
         self.stream_shard_len = Some(shard_len);
@@ -298,7 +299,8 @@ mod tests {
     #[test]
     fn old_client_requests_without_chaos_fields_still_parse() {
         // A pre-chaos client omits `fault_plan` and `stream_shard_len`
-        // entirely; both must default to None (unsupervised batch).
+        // entirely; both must default to None (unsupervised, default
+        // shard length).
         let req = SessionRequest::single("legacy", ModelZoo::gpt4o());
         let mut value: serde_json::Value =
             serde_json::from_str(&serde_json::to_string(&req).expect("serializes"))

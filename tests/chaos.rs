@@ -17,6 +17,7 @@
 //! CI seed explores a different storm while staying reproducible.
 
 use chipvqa::core::{ChipVqa, DatasetSpec};
+use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::fault::{install_quiet_panic_hook, is_corrupted_text};
 use chipvqa::eval::harness::{evaluate, EvalOptions};
 use chipvqa::eval::store::{decode_segment, AnswerStore};
@@ -210,9 +211,17 @@ fn panic_quarantine_then_requeue_resumes_to_a_clean_report() {
         ..FaultPlan::none()
     };
     let stormy = ParallelExecutor::new(4).with_supervisor(Supervisor::new(plan));
-    let mut ckpt = Checkpoint::new(&pipes, &bench, options);
+    let source = ShardSource::Bench(&bench, 0);
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
     let degraded = stormy
-        .evaluate_grid_resumable(&pipes, &bench, options, &RuleJudge::new(), &mut ckpt, None)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            &mut ckpt,
+            &mut |_| false,
+        )
         .expect("compatible checkpoint")
         .expect("no budget, runs to completion");
     let panicked = degraded[0]
@@ -229,7 +238,14 @@ fn panic_quarantine_then_requeue_resumes_to_a_clean_report() {
     assert_eq!(ckpt.quarantined_shards(), 0);
     let calm = ParallelExecutor::new(4);
     let recovered = calm
-        .evaluate_grid_resumable(&pipes, &bench, options, &RuleJudge::new(), &mut ckpt, None)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            &mut ckpt,
+            &mut |_| false,
+        )
         .expect("compatible checkpoint")
         .expect("runs to completion");
     assert_eq!(recovered[0], clean, "requeued shards heal the report");
@@ -255,11 +271,19 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
         ..FaultPlan::none()
     };
     let stormy = ParallelExecutor::new(4).with_supervisor(Supervisor::new(plan));
-    let mut ckpt = Checkpoint::for_spec(&pipes, &bench, options, &spec);
-    ckpt.validate_for_spec(&pipes, &bench, options, &spec)
+    let source = ShardSource::Bench(&bench, spec.fingerprint());
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+    ckpt.validate_source(&pipes, source, options, None)
         .expect("freshly taken checkpoint matches its own spec");
     let degraded = stormy
-        .evaluate_grid_resumable(&pipes, &bench, options, &RuleJudge::new(), &mut ckpt, None)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            &mut ckpt,
+            &mut |_| false,
+        )
         .expect("compatible checkpoint")
         .expect("no budget, runs to completion");
     let panicked = degraded[0]
@@ -276,12 +300,13 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
     );
 
     // a checkpoint taken for this spec refuses to resume another one
+    let other_spec = spec.clone().with_seed(spec.seed + 1);
     assert!(ckpt
-        .validate_for_spec(
+        .validate_source(
             &pipes,
-            &bench,
+            ShardSource::Bench(&bench, other_spec.fingerprint()),
             options,
-            &spec.clone().with_seed(spec.seed + 1)
+            None
         )
         .is_err());
 
@@ -289,7 +314,14 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
     assert!(requeued > 0);
     assert_eq!(ckpt.quarantined_shards(), 0);
     let recovered = ParallelExecutor::new(4)
-        .evaluate_grid_resumable(&pipes, &bench, options, &RuleJudge::new(), &mut ckpt, None)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            &mut ckpt,
+            &mut |_| false,
+        )
         .expect("compatible checkpoint")
         .expect("runs to completion");
     assert_eq!(
@@ -325,35 +357,58 @@ fn streamed_accounting_closes_at_scale_10() {
 #[test]
 fn scaled_streamed_quarantine_and_requeue_heal_a_1420_question_storm() {
     // The streamed twin of the scaled checkpoint test above: a panic
-    // storm on the streaming path quarantines shards (counted in
-    // StreamStats), and requeue_quarantined_stream re-derives exactly
-    // those shards from the spec and heals the report to clean bytes.
+    // storm on the streaming path quarantines shards in a checkpoint
+    // over the spec, and the same requeue + calm resume re-derives
+    // exactly those shards from the spec and heals the report to clean
+    // bytes.
     install_quiet_panic_hook();
     let spec = DatasetSpec::scaled(10);
     let shard_len = 142;
     let options = EvalOptions::default();
-    let pipe = VlmPipeline::new(ModelZoo::neva_22b());
+    let pipes = [VlmPipeline::new(ModelZoo::neva_22b())];
     let (clean, _) =
-        ParallelExecutor::new(4).evaluate_spec_stream(&pipe, &spec, shard_len, options);
+        ParallelExecutor::new(4).evaluate_spec_stream(&pipes[0], &spec, shard_len, options);
 
     let plan = FaultPlan {
         panic_rate: 0.02,
         ..FaultPlan::none()
     };
     let stormy = ParallelExecutor::new(4).with_supervisor(Supervisor::new(plan));
-    let (mut report, stats) = stormy.evaluate_spec_stream(&pipe, &spec, shard_len, options);
-    assert!(
-        stats.quarantined_shards > 0,
-        "the storm must hit something at N = 1420"
-    );
+    let source = ShardSource::Spec(&spec, shard_len);
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+    let resume = |exec: &ParallelExecutor, ckpt: &mut Checkpoint| {
+        exec.evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            ckpt,
+            &mut |_| false,
+        )
+        .expect("compatible checkpoint")
+        .expect("runs to completion")
+        .remove(0)
+    };
+    let report = resume(&stormy, &mut ckpt);
+    let quarantined = report
+        .outcomes
+        .chunks(shard_len)
+        .filter(|shard| {
+            shard
+                .iter()
+                .any(|o| o.error == Some(EvalError::WorkerPanic))
+        })
+        .count();
+    assert!(quarantined > 0, "the storm must hit something at N = 1420");
     assert_eq!(
         report.answered() + report.failed() + report.breaker_skipped(),
         1420,
         "degraded streamed accounting closes at scale"
     );
 
-    let healed = stormy.requeue_quarantined_stream(&pipe, &spec, shard_len, options, &mut report);
-    assert_eq!(healed, stats.quarantined_shards);
+    let healed = ckpt.requeue_quarantined();
+    assert_eq!(healed, quarantined);
+    let report = resume(&stormy.unsupervised(), &mut ckpt);
     assert_eq!(report, clean, "requeued shards heal the streamed report");
     assert!(!report.is_degraded());
 }

@@ -32,6 +32,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use chipvqa::core::ChipVqa;
+use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::fault::install_quiet_panic_hook;
 use chipvqa::eval::fleet::{
     self, done_path, lease_path, quarantine_path, shard_plan, FleetConfig, FleetError, FleetJob,
@@ -39,7 +40,9 @@ use chipvqa::eval::fleet::{
 };
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
 use chipvqa::eval::store::{decode_segment, AnswerStore, StoreConfig};
-use chipvqa::eval::{AnswerCache, Checkpoint, FaultPlan, ParallelExecutor, RuleJudge, Supervisor};
+use chipvqa::eval::{
+    AnswerCache, Checkpoint, FaultPlan, ParallelExecutor, RuleJudge, RunMismatch, Supervisor,
+};
 use chipvqa::models::{ModelZoo, VlmPipeline};
 use chipvqa::telemetry::{MemorySink, MockClock, Telemetry};
 
@@ -488,10 +491,10 @@ fn merge_refusals_are_structured() {
     };
     assert!(matches!(
         fleet::merge(&dir, &wrong_spec, &Telemetry::disabled()),
-        Err(FleetError::SpecFingerprintMismatch {
+        Err(FleetError::Mismatch(RunMismatch::SpecFingerprint {
             stamped: Some(111),
             expected: Some(222),
-        })
+        }))
     ));
     let wrong_gen = FleetJob {
         store_generation: Some(3),
@@ -499,10 +502,10 @@ fn merge_refusals_are_structured() {
     };
     assert!(matches!(
         fleet::merge(&dir, &wrong_gen, &Telemetry::disabled()),
-        Err(FleetError::StoreGenerationMismatch {
+        Err(FleetError::Mismatch(RunMismatch::StoreGeneration {
             stamped: Some(2),
             current: Some(3),
-        })
+        }))
     ));
     match fleet::merge(&dir, &stamped, &Telemetry::disabled()) {
         Err(FleetError::Incomplete { done: 0, total }) => {
@@ -538,13 +541,28 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
     let supervised = ParallelExecutor::new(2).with_supervisor(Supervisor::new(plan.clone()));
     let calm = ParallelExecutor::new(2);
     let options = EvalOptions::default();
-    let mut cp = Checkpoint::new(&pipes, &bench, options);
+    let source = ShardSource::Bench(&bench, 0);
+    let mut cp = Checkpoint::for_source(&pipes, source, options);
     supervised
-        .evaluate_grid_resumable(&pipes, &bench, options, &RuleJudge::new(), &mut cp, None)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            &mut cp,
+            &mut |_| false,
+        )
         .expect("supervised pass");
     cp.requeue_quarantined();
     let via_checkpoint: Vec<String> = calm
-        .evaluate_grid_resumable(&pipes, &bench, options, &RuleJudge::new(), &mut cp, None)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            &mut cp,
+            &mut |_| false,
+        )
         .expect("calm resume")
         .expect("grid completes")
         .into_iter()

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use chipvqa::core::ChipVqa;
+use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::harness::{evaluate, EvalOptions};
 use chipvqa::eval::{
     AnswerCache, Checkpoint, NoisyJudge, ParallelExecutor, RetryPolicy, RuleJudge,
@@ -96,19 +97,20 @@ fn interrupted_grid_resume_matches_sequential() {
 
     // drive the run in small budget slices through serialized checkpoints,
     // as a repeatedly-killed driver process would
-    let mut json = Checkpoint::new(&pipes, &bench, options)
+    let source = ShardSource::Bench(&bench, 0);
+    let mut json = Checkpoint::for_source(&pipes, source, options)
         .to_json()
         .expect("serialize");
     let reports = loop {
         let mut ckpt = Checkpoint::from_json(&json).expect("parse");
         match exec
-            .evaluate_grid_resumable(
+            .evaluate_checkpointed(
                 &pipes,
-                &bench,
+                source,
                 options,
                 &RuleJudge::new(),
                 &mut ckpt,
-                Some(2),
+                &mut |dispatched| dispatched >= 2,
             )
             .expect("compatible checkpoint")
         {

@@ -2,6 +2,7 @@
 
 use chipvqa::core::stats::DatasetStats;
 use chipvqa::core::ChipVqa;
+use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::harness::EvalOptions;
 use chipvqa::eval::{
     AnswerCache, CacheKey, CacheSnapshot, CachedAnswer, Checkpoint, ParallelExecutor, RuleJudge,
@@ -57,15 +58,16 @@ fn checkpoint_json_roundtrip_mid_run() {
         downsample: 2,
     };
     let exec = ParallelExecutor::new(4);
-    let mut ckpt = Checkpoint::new(&pipes, &bench, options);
+    let source = ShardSource::Bench(&bench, 0);
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
     let partial = exec
-        .evaluate_grid_resumable(
+        .evaluate_checkpointed(
             &pipes,
-            &bench,
+            source,
             options,
             &RuleJudge::new(),
             &mut ckpt,
-            Some(4),
+            &mut |dispatched| dispatched >= 4,
         )
         .expect("compatible");
     assert!(partial.is_none(), "4 of 18 shards is not a full grid");
@@ -78,14 +80,18 @@ fn checkpoint_json_roundtrip_mid_run() {
         back, ckpt,
         "checkpoint round-trips mid-run, outcomes and all"
     );
-    assert!(back.validate(&pipes, &bench, options).is_ok());
+    assert!(back.validate_source(&pipes, source, options, None).is_ok());
 }
 
 #[test]
 fn empty_checkpoint_roundtrip() {
     let bench = ChipVqa::standard();
     let pipes = vec![VlmPipeline::new(ModelZoo::kosmos_2())];
-    let ckpt = Checkpoint::new(&pipes, &bench, EvalOptions::default());
+    let ckpt = Checkpoint::for_source(
+        &pipes,
+        ShardSource::Bench(&bench, 0),
+        EvalOptions::default(),
+    );
     let back = Checkpoint::from_json(&ckpt.to_json().expect("serializes")).expect("deserializes");
     assert_eq!(back, ckpt);
     assert_eq!(back.completed_shards(), 0);

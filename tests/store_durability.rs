@@ -22,9 +22,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use chipvqa::core::{ChipVqa, DatasetSpec, BASE_SIZE};
+use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
 use chipvqa::eval::store::{decode_segment, AnswerStore, StoreConfig, StoreStats};
-use chipvqa::eval::{AnswerCache, CacheStats, Checkpoint, CheckpointError, ParallelExecutor};
+use chipvqa::eval::{
+    AnswerCache, CacheStats, Checkpoint, CheckpointError, ParallelExecutor, RunMismatch,
+};
 use chipvqa::models::{ModelZoo, VlmPipeline};
 use chipvqa::telemetry::Telemetry;
 use proptest::prelude::*;
@@ -232,15 +235,21 @@ fn rotation_compaction_and_eviction_all_converge() {
     // a checkpoint stamped before the eviction epoch is refused
     let bench = ChipVqa::standard();
     let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
-    let mut ckpt = Checkpoint::new(&pipes, &bench, EvalOptions::default());
-    ckpt.store_generation = Some(0);
+    let source = ShardSource::Bench(&bench, 0);
+    let options = EvalOptions::default();
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+    ckpt.identity.store_generation = Some(0);
     let store = AnswerStore::open_read_only(&dir).expect("reader opens");
+    let validate =
+        |ckpt: &Checkpoint| ckpt.validate_source(&pipes, source, options, Some(store.generation()));
     assert!(matches!(
-        ckpt.validate_store(&store),
-        Err(CheckpointError::StoreGenerationMismatch { .. })
+        validate(&ckpt),
+        Err(CheckpointError::Mismatch(
+            RunMismatch::StoreGeneration { .. }
+        ))
     ));
     ckpt.bind_store_generation(&store);
-    assert_eq!(ckpt.validate_store(&store), Ok(()));
+    assert_eq!(validate(&ckpt), Ok(()));
     drop(store);
 
     // partially-warm restart: evicted answers re-inferred, same bytes.

@@ -15,8 +15,8 @@
 //!    unsupervised stream (and quarantines nothing);
 //! 3. streamed coverage accounting closes (answered + failed +
 //!    breaker-skipped = N) and panic-quarantined shards heal through
-//!    [`ParallelExecutor::requeue_quarantined_stream`] to the clean
-//!    bytes;
+//!    [`Checkpoint::requeue_quarantined`] and a calm resume over the
+//!    spec to the clean bytes;
 //! 4. the run's `stream.*` peak gauges and cache lifetime gauges are
 //!    emitted even when a panic storm unwinds workers mid-run — the
 //!    drop-guards fire on every exit path.
@@ -27,9 +27,11 @@
 use std::sync::Arc;
 
 use chipvqa::core::DatasetSpec;
+use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::fault::install_quiet_panic_hook;
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
-use chipvqa::eval::{AnswerCache, FaultPlan, ParallelExecutor, Supervisor};
+use chipvqa::eval::supervisor::EvalError;
+use chipvqa::eval::{AnswerCache, Checkpoint, FaultPlan, ParallelExecutor, RuleJudge, Supervisor};
 use chipvqa::models::{ModelZoo, VlmPipeline};
 use chipvqa::telemetry::{MemorySink, Telemetry};
 use proptest::prelude::*;
@@ -166,16 +168,16 @@ fn broken_model_is_shed_on_the_streaming_path_too() {
 
 #[test]
 fn streamed_panic_quarantine_heals_by_requeue_to_clean_bytes() {
-    // Property 3 (healing half): a panic storm quarantines shards on
-    // the streaming path; re-running just those shards calmly through
-    // `requeue_quarantined_stream` converges the report to the clean
-    // bytes an unfaulted run produces.
+    // Property 3 (healing half): a panic storm quarantines shards of a
+    // checkpoint over the streamed spec; requeueing them and resuming
+    // calmly re-runs just those shards and converges the report to the
+    // clean bytes an unfaulted run produces.
     install_quiet_panic_hook();
     let spec = DatasetSpec::scaled(2);
     let shard_len = 17;
-    let pipe = VlmPipeline::new(ModelZoo::neva_22b());
+    let pipes = [VlmPipeline::new(ModelZoo::neva_22b())];
     let (clean, _) = ParallelExecutor::new(4).evaluate_spec_stream(
-        &pipe,
+        &pipes[0],
         &spec,
         shard_len,
         EvalOptions::default(),
@@ -186,19 +188,38 @@ fn streamed_panic_quarantine_heals_by_requeue_to_clean_bytes() {
         ..FaultPlan::none()
     };
     let stormy = ParallelExecutor::new(4).with_supervisor(Supervisor::new(plan));
-    let (mut report, stats) =
-        stormy.evaluate_spec_stream(&pipe, &spec, shard_len, EvalOptions::default());
-    assert!(stats.quarantined_shards > 0, "the storm must hit something");
+    let source = ShardSource::Spec(&spec, shard_len);
+    let options = EvalOptions::default();
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+    let resume = |exec: &ParallelExecutor, ckpt: &mut Checkpoint| {
+        exec.evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            ckpt,
+            &mut |_| false,
+        )
+        .expect("compatible checkpoint")
+        .expect("runs to completion")
+        .remove(0)
+    };
+    let report = resume(&stormy, &mut ckpt);
+    let quarantined = report
+        .outcomes
+        .chunks(shard_len)
+        .filter(|shard| {
+            shard
+                .iter()
+                .any(|o| o.error == Some(EvalError::WorkerPanic))
+        })
+        .count();
+    assert!(quarantined > 0, "the storm must hit something");
     assert!(report.is_degraded());
 
-    let healed = stormy.requeue_quarantined_stream(
-        &pipe,
-        &spec,
-        shard_len,
-        EvalOptions::default(),
-        &mut report,
-    );
-    assert_eq!(healed, stats.quarantined_shards);
+    let healed = ckpt.requeue_quarantined();
+    assert_eq!(healed, quarantined);
+    let report = resume(&stormy.unsupervised(), &mut ckpt);
     assert_eq!(
         json(&clean),
         json(&report),
@@ -206,17 +227,8 @@ fn streamed_panic_quarantine_heals_by_requeue_to_clean_bytes() {
     );
     assert!(!report.is_degraded());
 
-    // healing is idempotent: a clean report has nothing to requeue
-    assert_eq!(
-        stormy.requeue_quarantined_stream(
-            &pipe,
-            &spec,
-            shard_len,
-            EvalOptions::default(),
-            &mut report,
-        ),
-        0
-    );
+    // healing is idempotent: a clean run has nothing to requeue
+    assert_eq!(ckpt.requeue_quarantined(), 0);
 }
 
 #[test]
