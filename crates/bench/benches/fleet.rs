@@ -72,7 +72,6 @@ fn bench_fleet_vs_direct(c: &mut Criterion) {
                 bench: &bench,
                 options: EvalOptions::default(),
                 spec_fingerprint: None,
-                store_generation: None,
             };
             let out = fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config())
                 .expect("worker runs");
@@ -95,7 +94,6 @@ fn bench_merge(c: &mut Criterion) {
         bench: &bench,
         options: EvalOptions::default(),
         spec_fingerprint: None,
-        store_generation: None,
     };
     fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config())
         .expect("fleet completes");

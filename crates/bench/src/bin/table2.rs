@@ -2,15 +2,16 @@
 //! standard (with-choice) and challenge (no-choice) collections.
 //!
 //! `--scale N` runs the same grid on an N×-scaled [`DatasetSpec`]
-//! collection, streamed shard-by-shard through the parallel executor
-//! (`--workers W`, default 4). The paper-reference comparison applies
-//! only at scale 1, where the collection is the paper's.
+//! collection. Every run, scale 1 included, streams shard-by-shard
+//! through the parallel executor (`--workers W`, default 4). The
+//! paper-reference comparison applies only at scale 1, where the
+//! collection is the paper's.
 //!
-//! `--store DIR` (scaled runs) backs the answer cache with a persistent
-//! [`AnswerStore`](chipvqa_eval::AnswerStore) at DIR: the first run
-//! populates it, every later run warm-starts from it — byte-identical
-//! table, no inference. `--trace FILE` exports the run's telemetry
-//! (including `store.*` traffic) as JSON lines to FILE.
+//! `--store DIR` backs the executor's answer cache with a persistent
+//! [`AnswerStore`](chipvqa_eval::AnswerStore) at DIR, at any scale: the
+//! first run populates it, every later run warm-starts from it —
+//! byte-identical table, no inference. `--trace FILE` exports the run's
+//! telemetry (including `store.*` traffic) as JSON lines to FILE.
 //!
 //! `--fleet DIR` joins (or starts) a crash-tolerant multi-process fleet
 //! at DIR: any number of `table2 --scale N --fleet DIR` processes share
@@ -18,9 +19,9 @@
 //! stealing the leases of killed workers and healing their quarantined
 //! shards. When every shard is committed, `table2 merge --fleet DIR
 //! --scale N` folds the records into the canonical table — byte-identical
-//! to a single-process run — refusing mismatched spec fingerprints and
-//! store generations. `--report-json FILE` writes the table (with the
-//! run-metadata `cache_stats` nulled) as JSON for byte comparison.
+//! to a single-process run — refusing a mismatched spec fingerprint.
+//! `--report-json FILE` writes the table (with the run-metadata
+//! `cache_stats` nulled) as JSON for byte comparison.
 //!
 //! `--chaos RATE` (scaled runs) places the whole grid under a seeded
 //! fault supervisor: every fault kind injected at RATE, seed taken from
@@ -33,10 +34,9 @@
 //! Conflicting mode flags are refused up front with a structured
 //! JSON error on stderr (`{"error":"flag_conflict",...}`) instead of
 //! last-flag-wins or silent ignoring: `--store` with `--fleet` (the
-//! fleet manages its own shared store), `--store` at scale 1 (the
-//! canonical run takes the uncached path), `--report-json` on a
-//! fleet *worker* (only `merge` produces the table; workers would
-//! silently drop the flag), `--chaos` with `--fleet` or `--store`
+//! fleet manages its own shared store), `--report-json` on a fleet
+//! *worker* (only `merge` produces the table; workers would silently
+//! drop the flag), `--chaos` with `--fleet` or `--store`
 //! (supervised runs are a differential fixture, not a durability mode),
 //! and `--batch` or `--chaos-seed` without `--chaos` (both only qualify
 //! a chaos run: unsupervised runs already stream and inject no faults).
@@ -166,12 +166,6 @@ fn main() {
         flag_conflict(
             "--store cannot be combined with --fleet: the fleet manages its own \
              shared answer store inside the fleet directory",
-        );
-    }
-    if store_dir.is_some() && scale == 1 {
-        flag_conflict(
-            "--store requires --scale N with N > 1: the canonical scale-1 run \
-             takes the uncached reference path and would silently ignore the store",
         );
     }
     if fleet_dir.is_some() && !merge_mode && report_json.is_some() {

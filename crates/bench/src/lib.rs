@@ -100,13 +100,12 @@ impl FleetPlan {
         }
     }
 
-    fn job<'a>(&'a self, bench: &'a ChipVqa, spec_fp: u64, store_gen: Option<u64>) -> FleetJob<'a> {
+    fn job<'a>(&'a self, bench: &'a ChipVqa, spec_fp: u64) -> FleetJob<'a> {
         FleetJob {
             pipes: &self.pipes,
             bench,
             options: EvalOptions::default(),
             spec_fingerprint: Some(spec_fp),
-            store_generation: store_gen,
         }
     }
 }
@@ -132,7 +131,6 @@ pub fn run_table2_fleet_worker(
         chipvqa_eval::StoreConfig::default(),
         telemetry.clone(),
     )?);
-    let store_gen = Some(store.generation());
     let cache = Arc::new(AnswerCache::new().with_store(store));
     let exec = ParallelExecutor::new(workers)
         .with_cache(cache)
@@ -141,14 +139,14 @@ pub fn run_table2_fleet_worker(
     let std_out = fleet::run_worker(
         &dir.join("std"),
         &exec,
-        &plan.job(&plan.standard, plan.standard_fp, store_gen),
+        &plan.job(&plan.standard, plan.standard_fp),
         &judge,
         config,
     )?;
     let chal_out = fleet::run_worker(
         &dir.join("chal"),
         &exec,
-        &plan.job(&plan.challenge, plan.challenge_fp, store_gen),
+        &plan.job(&plan.challenge, plan.challenge_fp),
         &judge,
         config,
     )?;
@@ -164,29 +162,24 @@ pub fn run_table2_fleet_worker(
 
 /// Folds a completed fleet directory into the canonical Table II.
 /// Checks both sub-fleet manifests against the `--scale`-derived run
-/// identity and the shared store's *current* generation, so a merge
-/// against the wrong scale or a since-evicted store is a structured
-/// refusal ([`FleetError::Mismatch`], naming the spec fingerprint or
-/// the store generation) rather than a silently wrong table.
+/// identity, so a merge against the wrong scale is a structured refusal
+/// ([`FleetError::Mismatch`], naming the spec fingerprint) rather than a
+/// silently wrong table. The merge reads only the committed records and
+/// never opens the shared answer store.
 pub fn run_table2_fleet_merge(
     dir: &Path,
     scale: usize,
     telemetry: &Telemetry,
 ) -> Result<Table2, FleetError> {
     let plan = FleetPlan::new(scale);
-    let store_gen = match AnswerStore::open_read_only(dir.join("store")) {
-        Ok(store) => Some(store.generation()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e.into()),
-    };
     let std_reports = fleet::merge(
         &dir.join("std"),
-        &plan.job(&plan.standard, plan.standard_fp, store_gen),
+        &plan.job(&plan.standard, plan.standard_fp),
         telemetry,
     )?;
     let chal_reports = fleet::merge(
         &dir.join("chal"),
-        &plan.job(&plan.challenge, plan.challenge_fp, store_gen),
+        &plan.job(&plan.challenge, plan.challenge_fp),
         telemetry,
     )?;
     let rows = std_reports
@@ -238,17 +231,5 @@ pub fn paper_reference() -> Vec<(&'static str, f64, f64)> {
         ("VILA-Yi-34B", 0.29, 0.09),
         ("LLaMA-3.2-90B", 0.31, 0.09),
         ("GPT4o", 0.44, 0.20),
-    ]
-}
-
-/// The paper's GPT-4o per-category reference `(standard, challenge)` in
-/// `Category::ALL` order.
-pub fn paper_gpt4o_categories() -> [(f64, f64); 5] {
-    [
-        (0.49, 0.17),
-        (0.51, 0.09),
-        (0.30, 0.15),
-        (0.20, 0.30),
-        (0.61, 0.48),
     ]
 }

@@ -236,7 +236,6 @@ impl DatasetSpec {
             block_pos: 0,
             mc_ordinal: 0,
             peak_resident: 0,
-            shards_emitted: 0,
         }
     }
 }
@@ -281,7 +280,6 @@ pub struct ShardStream {
     block_pos: usize,
     mc_ordinal: u64,
     peak_resident: usize,
-    shards_emitted: usize,
 }
 
 impl ShardStream {
@@ -300,23 +298,6 @@ impl ShardStream {
     /// Always ≤ `shard_len + RESIDENT_SLACK`.
     pub fn peak_resident(&self) -> usize {
         self.peak_resident
-    }
-
-    /// How many shards this stream has emitted so far — i.e. the shard
-    /// index the *next* [`next`](Iterator::next) call will produce.
-    /// Shard indices are a stable property of `(spec, shard_len)`:
-    /// regenerating the stream yields the same shard at the same index,
-    /// which is what lets a quarantined-shard requeue regenerate only
-    /// selected indices.
-    pub fn shards_emitted(&self) -> usize {
-        self.shards_emitted
-    }
-
-    /// [`next`](Iterator::next) paired with the emitted shard's stable
-    /// index.
-    pub fn next_indexed(&mut self) -> Option<(usize, Vec<Question>)> {
-        let idx = self.shards_emitted;
-        self.next().map(|shard| (idx, shard))
     }
 
     /// The next question of the global sequence, or `None` when every
@@ -405,7 +386,6 @@ impl Iterator for ShardStream {
         if shard.is_empty() {
             None
         } else {
-            self.shards_emitted += 1;
             Some(shard)
         }
     }
@@ -505,9 +485,11 @@ mod tests {
         for shard_len in [1usize, 17, 142] {
             let mut stream = spec.stream(shard_len);
             let mut flat = Vec::new();
+            let mut shards = 0;
             for shard in &mut stream {
                 assert!(shard.len() <= shard_len);
                 flat.extend(shard);
+                shards += 1;
             }
             assert_eq!(flat.len(), built.len(), "shard_len {shard_len}");
             for (a, b) in flat.iter().zip(built.iter()) {
@@ -519,7 +501,7 @@ mod tests {
                 stream.peak_resident()
             );
             assert_eq!(
-                stream.shards_emitted(),
+                shards,
                 built.len().div_ceil(shard_len),
                 "shard_len {shard_len}"
             );
@@ -530,14 +512,7 @@ mod tests {
     fn shard_indices_are_stable_under_selective_regeneration() {
         let spec = DatasetSpec::scaled(2);
         let shard_len = 17;
-        let all: Vec<(usize, Vec<Question>)> = {
-            let mut stream = spec.stream(shard_len);
-            let mut out = Vec::new();
-            while let Some(pair) = stream.next_indexed() {
-                out.push(pair);
-            }
-            out
-        };
+        let all: Vec<(usize, Vec<Question>)> = spec.stream(shard_len).enumerate().collect();
         assert_eq!(all.first().map(|(i, _)| *i), Some(0));
         assert_eq!(all.last().map(|(i, _)| *i), Some(all.len() - 1));
         // regenerate, keeping only a scattered subset of indices: each

@@ -24,10 +24,11 @@
 //! [`AnswerStore::insert`](crate::store::AnswerStore::insert).
 //!
 //! **Persistent tier.** [`AnswerCache::with_store`] attaches an
-//! [`AnswerStore`](crate::store::AnswerStore) as a read-through /
-//! write-behind tier: memory misses fall through to disk (hits are
-//! promoted back into memory), and every clean insert is appended to
-//! the store, so the next process warm-starts from the same answers.
+//! [`AnswerStore`](crate::store::AnswerStore) that then holds the one
+//! copy of every answer: lookups read the store's index, and every
+//! clean insert is appended to the store (write-behind), so the next
+//! process warm-starts from the same answers. The cache keeps no map of
+//! its own beside the store's.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,11 +166,11 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Entries removed by invalidation or [`AnswerCache::clear`].
     pub evictions: u64,
-    /// Memory misses served from the persistent store this run (a
-    /// warm start shows up here: disk answers instead of inference).
+    /// Lookups served from the persistent store this run (a warm
+    /// start shows up here: disk answers instead of inference).
     #[serde(default)]
     pub store_hits: u64,
-    /// Memory misses the store could not serve either.
+    /// Lookups the store could not serve.
     #[serde(default)]
     pub store_misses: u64,
     /// Run-spanning store hits, persisted across processes in the
@@ -197,8 +198,9 @@ impl CacheStats {
     }
 
     /// Fraction of this run's lookups served by the *persistent* tier —
-    /// 1.0 on a perfectly warm restart, 0.0 on a cold run or without a
-    /// store.
+    /// 1.0 on a perfectly warm restart, 0.0 without a store or on a cold
+    /// run that looks each key up once (a repeated key is served by the
+    /// store the second time).
     pub fn warm_hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -218,6 +220,8 @@ impl CacheStats {
 /// cached and uncached evaluations yield identical reports.
 #[derive(Debug, Default)]
 pub struct AnswerCache {
+    /// The answers of a memory-only cache; empty once a store is
+    /// attached, whose index then holds them.
     entries: RwLock<HashMap<CacheKey, CachedAnswer>>,
     store: Option<Arc<crate::store::AnswerStore>>,
     hits: AtomicU64,
@@ -235,8 +239,13 @@ impl AnswerCache {
     }
 
     /// Attaches a persistent [`AnswerStore`](crate::store::AnswerStore)
-    /// as the read-through / write-behind tier beneath this cache.
+    /// as the one home of this cache's answers; answers already held in
+    /// memory move into it.
     pub fn with_store(mut self, store: Arc<crate::store::AnswerStore>) -> Self {
+        let entries = self.entries.get_mut().unwrap_or_else(|p| p.into_inner());
+        for (key, answer) in entries.drain() {
+            store.insert(key, answer);
+        }
         self.store = Some(store);
         self
     }
@@ -256,37 +265,36 @@ impl AnswerCache {
         }
     }
 
-    /// Looks up an answer, counting a hit or miss. A memory miss falls
-    /// through to the persistent store when one is attached; a disk hit
-    /// is promoted into memory (without counting as an insertion) and
-    /// counted as both a hit and a store hit — it avoided inference,
-    /// which is what the counters measure.
+    /// Looks up an answer, counting a hit or miss. With a store
+    /// attached every lookup reads the store, and a hit there counts as
+    /// both a hit and a store hit — it avoided inference, which is what
+    /// the counters measure.
     pub fn lookup(&self, key: &CacheKey) -> Option<CachedAnswer> {
-        let found = read_lock(&self.entries).get(key).cloned();
-        match found {
-            Some(a) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(a)
+        let found = match &self.store {
+            Some(store) => {
+                let found = store.lookup(key);
+                let tier = if found.is_some() {
+                    &self.store_hits
+                } else {
+                    &self.store_misses
+                };
+                tier.fetch_add(1, Ordering::Relaxed);
+                found
             }
-            None => {
-                if let Some(store) = &self.store {
-                    if let Some(answer) = store.lookup(key) {
-                        write_lock(&self.entries).insert(key.clone(), answer.clone());
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.store_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(answer);
-                    }
-                    self.store_misses.fetch_add(1, Ordering::Relaxed);
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            None => read_lock(&self.entries).get(key).cloned(),
+        };
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Stores an answer (last write wins; all writers compute identical
     /// values for a key, so races are benign). With a store attached,
-    /// the answer is also appended to disk (write-behind: durable after
+    /// the answer goes to the store only (write-behind: durable after
     /// [`flush_store`](AnswerCache::flush_store)).
     ///
     /// Callers must only insert *clean* (non-faulted) answers — see the
@@ -299,13 +307,20 @@ impl AnswerCache {
             answer.text
         );
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        if let Some(store) = &self.store {
-            store.insert(key.clone(), answer.clone());
+        match &self.store {
+            Some(store) => {
+                store.insert(key, answer);
+            }
+            None => {
+                write_lock(&self.entries).insert(key, answer);
+            }
         }
-        write_lock(&self.entries).insert(key, answer);
     }
 
-    /// Removes one entry; returns whether it existed.
+    /// Removes one entry of a memory-only cache; returns whether it
+    /// existed. A store-backed cache holds no entries of its own, so
+    /// there is nothing to remove: the store is content-addressed and
+    /// drops answers only by its own eviction.
     pub fn invalidate(&self, key: &CacheKey) -> bool {
         let removed = write_lock(&self.entries).remove(key).is_some();
         if removed {
@@ -314,8 +329,10 @@ impl AnswerCache {
         removed
     }
 
-    /// Drops every entry for one model fingerprint (e.g. after a
-    /// recalibration); returns how many were removed.
+    /// Drops every entry of a memory-only cache for one model
+    /// fingerprint (e.g. after a recalibration); returns how many were
+    /// removed. A recalibrated model has a new fingerprint, so a store
+    /// never serves it the old answers.
     pub fn invalidate_model(&self, model_fingerprint: u64) -> usize {
         let removed = {
             let mut map = write_lock(&self.entries);
@@ -327,7 +344,7 @@ impl AnswerCache {
         removed
     }
 
-    /// Drops everything.
+    /// Drops every entry of a memory-only cache.
     pub fn clear(&self) {
         let removed = {
             let mut map = write_lock(&self.entries);
@@ -338,9 +355,13 @@ impl AnswerCache {
         self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
     }
 
-    /// Number of cached answers.
+    /// Number of cached answers (the store's live entries, when one is
+    /// attached).
     pub fn len(&self) -> usize {
-        read_lock(&self.entries).len()
+        match &self.store {
+            Some(store) => store.len(),
+            None => read_lock(&self.entries).len(),
+        }
     }
 
     /// Whether the cache holds no answers.
@@ -382,9 +403,14 @@ impl AnswerCache {
         }
     }
 
-    /// Serialisable snapshot of the current contents, in deterministic
-    /// key order.
+    /// Serialisable snapshot of the current contents (the store's, when
+    /// one is attached), in deterministic key order.
     pub fn snapshot(&self) -> CacheSnapshot {
+        if let Some(store) = &self.store {
+            return CacheSnapshot {
+                entries: store.entries(),
+            };
+        }
         let map = read_lock(&self.entries);
         let mut entries: Vec<(CacheKey, CachedAnswer)> =
             map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
@@ -479,6 +505,35 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 0));
         assert_eq!(stats.hit_rate(), 1.0);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn a_store_backed_cache_keeps_its_answers_in_the_store_only() {
+        use crate::store::AnswerStore;
+        let dir =
+            std::env::temp_dir().join(format!("chipvqa-cache-one-copy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let bench = ChipVqa::standard();
+        let pipe = VlmPipeline::new(ModelZoo::gpt4o());
+        let store = Arc::new(AnswerStore::open(&dir).expect("store opens"));
+        let cache = AnswerCache::new().with_store(Arc::clone(&store));
+        for q in bench.iter().take(3) {
+            let key = CacheKey::new(pipe.fingerprint(), q, 1, 0);
+            cache.insert(key, CachedAnswer::from(&pipe.infer(q, 1, 0)));
+        }
+        assert_eq!(cache.len(), store.len());
+        assert_eq!(cache.len(), 3);
+        assert!(read_lock(&cache.entries).is_empty(), "no second copy");
+
+        let key = CacheKey::new(pipe.fingerprint(), &bench.questions()[0], 1, 0);
+        let first = cache.lookup(&key).expect("stored");
+        assert_eq!(cache.lookup(&key), Some(first));
+        assert_eq!(store.stats().hits, 2, "both lookups read the store");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.store_hits, stats.misses), (2, 2, 0));
+        assert_eq!(cache.snapshot().entries, store.entries());
+        drop((cache, store));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //!
 //! A [`RunIdentity`] names a grid run: its model fingerprints, the
 //! content hash of a built bench or the fingerprint of the spec it comes
-//! from, the evaluation options, and the generation of the answer store
-//! it warms from. A checkpoint stamps it, and so does a fleet's
-//! `manifest.json` ([`crate::fleet`]). A resume, a fleet worker and a
-//! fleet merge all compare the stamped identity with their own through
-//! [`RunIdentity::check`], which names the first field that differs in a
-//! [`RunMismatch`] instead of silently blending incompatible partial
-//! results.
+//! from, and the evaluation options. A checkpoint stamps it, and so does
+//! a fleet's `manifest.json` ([`crate::fleet`]). A resume, a fleet
+//! worker and a fleet merge all compare the stamped identity with their
+//! own through [`RunIdentity::check`], which names the first field that
+//! differs in a [`RunMismatch`] instead of silently blending
+//! incompatible partial results. The answer store a run warms from is
+//! no part of it: recorded outcomes are final, and the store only ever
+//! serves the answer inference would return, so a resume may run with or
+//! without a store, and across any eviction.
 //!
 //! # Healing
 //!
@@ -45,7 +47,6 @@ use crate::cache::prompt_hash;
 use crate::executor::{merge_reports, quarantines, ParallelExecutor, ShardKey, ShardSource};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::Judge;
-use crate::store::AnswerStore;
 
 /// Outcomes of one completed shard.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,25 +74,14 @@ pub struct RunIdentity {
     /// and for checkpoints serialized before the scale engine existed.
     #[serde(default)]
     pub spec_fingerprint: Option<u64>,
-    /// Eviction generation of the [`AnswerStore`] the run warms from;
-    /// `None` when it has none. A run whose stamped generation predates
-    /// an eviction belongs to a cache epoch whose answers may be gone.
-    #[serde(default)]
-    pub store_generation: Option<u64>,
 }
 
 impl RunIdentity {
-    /// The identity of a grid run of `pipes` over `source`, warming from
-    /// a store at `store_generation`. A bench binds its content hash and,
-    /// keyed with a non-zero fingerprint, that spec fingerprint too; a
-    /// streamed spec binds its fingerprint and no bench hash, so the
-    /// collection is never built.
-    pub fn new(
-        pipes: &[VlmPipeline],
-        source: ShardSource<'_>,
-        options: EvalOptions,
-        store_generation: Option<u64>,
-    ) -> Self {
+    /// The identity of a grid run of `pipes` over `source`. A bench
+    /// binds its content hash and, keyed with a non-zero fingerprint,
+    /// that spec fingerprint too; a streamed spec binds its fingerprint
+    /// and no bench hash, so the collection is never built.
+    pub fn new(pipes: &[VlmPipeline], source: ShardSource<'_>, options: EvalOptions) -> Self {
         let (bench_hash, spec_fingerprint) = match source {
             ShardSource::Bench(bench, fp) => (bench_hash(bench), (fp != 0).then_some(fp)),
             ShardSource::Spec(spec, _) => (0, Some(spec.fingerprint())),
@@ -101,7 +91,6 @@ impl RunIdentity {
             bench_hash,
             options,
             spec_fingerprint,
-            store_generation,
         }
     }
 
@@ -115,11 +104,6 @@ impl RunIdentity {
             RunMismatch::SpecFingerprint {
                 stamped: self.spec_fingerprint,
                 expected: expected.spec_fingerprint,
-            }
-        } else if self.store_generation != expected.store_generation {
-            RunMismatch::StoreGeneration {
-                stamped: self.store_generation,
-                current: expected.store_generation,
             }
         } else if self.model_fingerprints != expected.model_fingerprints {
             RunMismatch::Models {
@@ -155,14 +139,6 @@ pub enum RunMismatch {
         /// Fingerprint of the checking run's spec.
         expected: Option<u64>,
     },
-    /// The record's cache epoch is not the store's current one: answers
-    /// it assumes cached may have been evicted since.
-    StoreGeneration {
-        /// Generation the record stamps (`None`: bound to no store).
-        stamped: Option<u64>,
-        /// The store's current generation (`None`: the run has no store).
-        current: Option<u64>,
-    },
     /// The record was taken with a different model grid.
     Models {
         /// Model fingerprints the record stamps.
@@ -192,11 +168,6 @@ impl fmt::Display for RunMismatch {
             RunMismatch::SpecFingerprint { stamped, expected } => write!(
                 f,
                 "spec fingerprint {stamped:?} does not match this run's {expected:?}"
-            ),
-            RunMismatch::StoreGeneration { stamped, current } => write!(
-                f,
-                "store generation {stamped:?} does not match the store's current \
-                 generation {current:?}: answers assumed cached may have been evicted"
             ),
             RunMismatch::Models { stamped, expected } => write!(
                 f,
@@ -271,40 +242,30 @@ pub fn bench_hash(bench: &ChipVqa) -> u64 {
 
 impl Checkpoint {
     /// A fresh checkpoint (no completed shards) for a grid run over
-    /// `source`, bound to no answer store.
+    /// `source`.
     pub fn for_source(
         pipes: &[VlmPipeline],
         source: ShardSource<'_>,
         options: EvalOptions,
     ) -> Self {
         Checkpoint {
-            identity: RunIdentity::new(pipes, source, options, None),
+            identity: RunIdentity::new(pipes, source, options),
             completed: Vec::new(),
             quarantined: Vec::new(),
         }
     }
 
-    /// Stamps the current eviction generation of `store` onto the
-    /// checkpoint, binding it to the store's cache epoch. A resume on an
-    /// executor whose cache is backed by that store then detects
-    /// eviction in between.
-    pub fn bind_store_generation(&mut self, store: &AnswerStore) {
-        self.identity.store_generation = Some(store.generation());
-    }
-
-    /// Whether this checkpoint belongs to a grid run over `source`
-    /// warming from a store at `store_generation`: its [`RunIdentity`]
-    /// equals the run's, and every recorded shard lies inside the
-    /// source's plan. A streamed spec is checked without building the
-    /// bench.
+    /// Whether this checkpoint belongs to a grid run over `source`: its
+    /// [`RunIdentity`] equals the run's, and every recorded shard lies
+    /// inside the source's plan. A streamed spec is checked without
+    /// building the bench.
     pub fn validate_source(
         &self,
         pipes: &[VlmPipeline],
         source: ShardSource<'_>,
         options: EvalOptions,
-        store_generation: Option<u64>,
     ) -> Result<(), CheckpointError> {
-        let expected = RunIdentity::new(pipes, source, options, store_generation);
+        let expected = RunIdentity::new(pipes, source, options);
         self.identity
             .check(&expected)
             .map_err(CheckpointError::Mismatch)?;
@@ -353,9 +314,8 @@ impl Checkpoint {
 impl ParallelExecutor {
     /// Runs the shards of the grid over `source` that `checkpoint` still
     /// lacks, recording each finished shard. First checks the checkpoint
-    /// against the run ([`Checkpoint::validate_source`], with the store
-    /// behind this executor's cache, if any). A shard whose worker caught
-    /// a panic is recorded (degraded) and quarantined for
+    /// against the run ([`Checkpoint::validate_source`]). A shard whose
+    /// worker caught a panic is recorded (degraded) and quarantined for
     /// [`Checkpoint::requeue_quarantined`]. `stop` is polled before each
     /// dispatch with the number of shards dispatched so far; once it
     /// returns true no further shard starts, and the ones already
@@ -371,8 +331,7 @@ impl ParallelExecutor {
         checkpoint: &mut Checkpoint,
         stop: &mut dyn FnMut(usize) -> bool,
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
-        let store = self.cache().and_then(|cache| cache.store());
-        checkpoint.validate_source(pipes, source, options, store.map(|s| s.generation()))?;
+        checkpoint.validate_source(pipes, source, options)?;
         let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();
         let run = self.run(pipes, source, options, judge, &|k| !done.contains(k), stop);
         for (key, outcomes) in run.outcomes {
@@ -504,7 +463,7 @@ mod tests {
         let options = EvalOptions::default();
         let ckpt = Checkpoint::for_source(&pipes, source, options);
         let mismatch = |pipes: &[VlmPipeline], source, options| match ckpt
-            .validate_source(pipes, source, options, None)
+            .validate_source(pipes, source, options)
         {
             Err(CheckpointError::Mismatch(mismatch)) => mismatch,
             other => panic!("expected a mismatch, got {other:?}"),
@@ -561,7 +520,7 @@ mod tests {
         let options = EvalOptions::default();
         let ckpt = Checkpoint::for_source(&pipes, source, options);
         assert_eq!(ckpt.identity.spec_fingerprint, Some(spec.fingerprint()));
-        assert_eq!(ckpt.validate_source(&pipes, source, options, None), Ok(()));
+        assert_eq!(ckpt.validate_source(&pipes, source, options), Ok(()));
 
         // a different spec is refused even though the bench bytes match
         let other = spec.clone().with_mc_sa_ratio(0.5);
@@ -569,8 +528,7 @@ mod tests {
             ckpt.validate_source(
                 &pipes,
                 ShardSource::Bench(&bench, other.fingerprint()),
-                options,
-                None
+                options
             ),
             Err(CheckpointError::Mismatch(RunMismatch::SpecFingerprint {
                 stamped: Some(spec.fingerprint()),
@@ -580,7 +538,7 @@ mod tests {
         // an unbound checkpoint is refused for spec-bound resumes
         let unbound = Checkpoint::for_source(&pipes, ShardSource::Bench(&bench, 0), options);
         assert_eq!(
-            unbound.validate_source(&pipes, source, options, None),
+            unbound.validate_source(&pipes, source, options),
             Err(CheckpointError::Mismatch(RunMismatch::SpecFingerprint {
                 stamped: None,
                 expected: Some(spec.fingerprint()),
@@ -597,11 +555,14 @@ mod tests {
         assert_eq!(legacy.identity.spec_fingerprint, None);
     }
 
+    /// Eviction costs re-inference, never a refused resume: a checkpoint
+    /// taken without a store resumes on an executor whose bounded store
+    /// evicts while the resume runs, to the uninterrupted bytes.
     #[test]
-    fn stale_store_generation_is_rejected() {
-        use crate::cache::{CacheKey, CachedAnswer};
-        use crate::store::StoreConfig;
-        use chipvqa_models::backbone::AnswerPath;
+    fn resume_across_an_eviction_matches_uninterrupted() {
+        use crate::cache::AnswerCache;
+        use crate::store::{AnswerStore, StoreConfig};
+        use std::sync::Arc;
 
         let dir = std::env::temp_dir().join(format!(
             "chipvqa-ckpt-store-{}-{:?}",
@@ -613,65 +574,51 @@ mod tests {
         let source = ShardSource::Bench(&bench, 0);
         let pipes = pipes();
         let options = EvalOptions::default();
+        let storeless = ParallelExecutor::new(2);
 
-        // tiny budget so inserts can force an eviction later
-        let store = AnswerStore::open_with(
-            &dir,
-            StoreConfig {
-                segment_max_bytes: 256,
-                max_bytes: 768,
-                ..StoreConfig::default()
-            },
-        )
-        .expect("store opens");
-        let validate = |ckpt: &Checkpoint| {
-            ckpt.validate_source(&pipes, source, options, Some(store.generation()))
-        };
+        let mut fresh = Checkpoint::for_source(&pipes, source, options);
+        let full = resume(&storeless, &pipes, source, &mut fresh, None)
+            .expect("valid")
+            .expect("complete");
 
         let mut ckpt = Checkpoint::for_source(&pipes, source, options);
-        assert_eq!(
-            validate(&ckpt),
-            Err(CheckpointError::Mismatch(RunMismatch::StoreGeneration {
-                stamped: None,
-                current: Some(0)
-            })),
-            "an unbound checkpoint is refused for store-backed resumes"
-        );
-        ckpt.bind_store_generation(&store);
-        assert_eq!(validate(&ckpt), Ok(()));
+        let first = resume(&storeless, &pipes, source, &mut ckpt, Some(3)).expect("valid");
+        assert!(first.is_none(), "run is incomplete after 3 shards");
+        assert_eq!(ckpt.completed_shards(), 3);
+        // JSON written while identities still stamped a store epoch parses
+        let legacy = ckpt
+            .to_json()
+            .expect("serializes")
+            .replace("\"identity\":{", "\"identity\":{\"store_generation\":3,");
+        let mut restored = Checkpoint::from_json(&legacy).expect("legacy json parses");
+        assert_eq!(restored, ckpt);
 
-        // overflow the store so LRU eviction bumps the generation …
-        for (i, q) in bench.iter().take(60).enumerate() {
-            store.insert(
-                CacheKey::new(7, q, 1, 0),
-                CachedAnswer {
-                    text: format!("a{i}"),
-                    path: AnswerPath::Solved,
-                    solve_probability: 0.5,
+        // tiny budget: every few inserts evict a sealed segment
+        let store = Arc::new(
+            AnswerStore::open_with(
+                &dir,
+                StoreConfig {
+                    segment_max_bytes: 256,
+                    max_bytes: 768,
+                    ..StoreConfig::default()
                 },
-            );
-        }
-        assert!(store.generation() > 0, "eviction must have happened");
-
-        // … and the stamped checkpoint's cache epoch is now stale
-        let err = validate(&ckpt).unwrap_err();
-        assert!(matches!(
-            err,
-            CheckpointError::Mismatch(RunMismatch::StoreGeneration {
-                stamped: Some(0),
-                ..
-            })
-        ));
-        // re-binding heals it
-        ckpt.bind_store_generation(&store);
-        assert_eq!(validate(&ckpt), Ok(()));
-        // the stamp survives serialization
-        let restored = Checkpoint::from_json(&ckpt.to_json().expect("serializes")).expect("parses");
-        assert_eq!(
-            restored.identity.store_generation,
-            ckpt.identity.store_generation
+            )
+            .expect("store opens"),
         );
-        drop(store);
+        let bounded = ParallelExecutor::new(2)
+            .with_cache(Arc::new(AnswerCache::new().with_store(Arc::clone(&store))));
+        let resumed = resume(&bounded, &pipes, source, &mut restored, None)
+            .expect("a store-backed resume accepts a storeless checkpoint")
+            .expect("complete after resume");
+        assert!(
+            store.stats().evicted > 0,
+            "the store evicted during the resume"
+        );
+        assert_eq!(resumed, full, "resumed run is bit-identical");
+        for (pipe, report) in pipes.iter().zip(&resumed) {
+            assert_eq!(&evaluate(pipe, &bench, options), report);
+        }
+        drop((bounded, store));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

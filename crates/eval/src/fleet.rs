@@ -17,7 +17,7 @@
 //! fleet/
 //!   manifest.json            format version + the run's RunIdentity
 //!                            (models, bench hash or spec fingerprint,
-//!                            options, store generation)
+//!                            options)
 //!   leases/shard-0007.lease  in-flight claim: pid + start token +
 //!                            nonce + heartbeat
 //!   done/shard-0007.json     committed ShardRecord (exactly one, ever)
@@ -98,9 +98,9 @@ use crate::store::{fnv1a64, holder_dead, own_start_token, pid_alive};
 
 pub use crate::executor::ShardKey;
 
-/// On-disk fleet format version, stamped in `manifest.json`. Version 2
-/// nests the run's [`RunIdentity`] under `identity`.
-pub const FLEET_FORMAT_VERSION: u32 = 2;
+/// On-disk fleet format version, stamped in `manifest.json`. Version 3
+/// nests the run's four-field [`RunIdentity`] under `identity`.
+pub const FLEET_FORMAT_VERSION: u32 = 3;
 
 /// The canonical shard plan of a job: every worker and the merge walk
 /// exactly this list, in exactly this order. Exposed so chaos tests can
@@ -155,9 +155,6 @@ pub struct FleetJob<'a> {
     /// Fingerprint of the [`DatasetSpec`](chipvqa_core::spec::DatasetSpec)
     /// the bench was built from (`None` for canonical collections).
     pub spec_fingerprint: Option<u64>,
-    /// Eviction generation of the shared answer store (`None` when the
-    /// fleet runs without one).
-    pub store_generation: Option<u64>,
 }
 
 impl FleetJob<'_> {
@@ -172,12 +169,7 @@ impl FleetJob<'_> {
     pub fn manifest(&self) -> FleetManifest {
         FleetManifest {
             format_version: FLEET_FORMAT_VERSION,
-            identity: RunIdentity::new(
-                self.pipes,
-                self.source(),
-                self.options,
-                self.store_generation,
-            ),
+            identity: RunIdentity::new(self.pipes, self.source(), self.options),
         }
     }
 }
@@ -879,7 +871,6 @@ mod tests {
             bench,
             options: EvalOptions::default(),
             spec_fingerprint: None,
-            store_generation: None,
         }
     }
 
@@ -1024,7 +1015,6 @@ mod tests {
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
         let job = FleetJob {
             spec_fingerprint: Some(0xAAAA),
-            store_generation: Some(3),
             ..small_job(&pipes, &bench)
         };
         // no manifest yet
@@ -1035,21 +1025,22 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let manifest = serde_json::to_string(&job.manifest()).expect("serializes");
         // a manifest of another format version is refused as such
-        fs::write(
-            dir.join("manifest.json"),
-            manifest.replace(
-                &format!("\"format_version\":{FLEET_FORMAT_VERSION}"),
-                "\"format_version\":1",
-            ),
-        )
-        .expect("writes");
-        assert!(matches!(
-            merge(&dir, &job, &Telemetry::disabled()),
-            Err(FleetError::FormatVersion {
-                stamped: 1,
-                expected: FLEET_FORMAT_VERSION,
-            })
-        ));
+        for old in [1, 2] {
+            fs::write(
+                dir.join("manifest.json"),
+                manifest.replace(
+                    &format!("\"format_version\":{FLEET_FORMAT_VERSION}"),
+                    &format!("\"format_version\":{old}"),
+                ),
+            )
+            .expect("writes");
+            match merge(&dir, &job, &Telemetry::disabled()) {
+                Err(FleetError::FormatVersion { stamped, expected }) => {
+                    assert_eq!((stamped, expected), (old, FLEET_FORMAT_VERSION));
+                }
+                other => panic!("v{old} manifest: expected FormatVersion, got {other:?}"),
+            }
+        }
         fs::write(dir.join("manifest.json"), manifest).expect("writes");
         // wrong spec fingerprint (e.g. merge invoked with wrong --scale)
         let wrong_spec = FleetJob {
@@ -1061,18 +1052,6 @@ mod tests {
             Err(FleetError::Mismatch(RunMismatch::SpecFingerprint {
                 stamped: Some(0xAAAA),
                 expected: Some(0xBBBB),
-            }))
-        ));
-        // wrong store generation (the store evicted since the fleet ran)
-        let wrong_gen = FleetJob {
-            store_generation: Some(4),
-            ..job
-        };
-        assert!(matches!(
-            merge(&dir, &wrong_gen, &Telemetry::disabled()),
-            Err(FleetError::Mismatch(RunMismatch::StoreGeneration {
-                stamped: Some(3),
-                current: Some(4),
             }))
         ));
         // identity matches but nothing committed yet
@@ -1104,11 +1083,9 @@ mod tests {
         let other_pipes = vec![VlmPipeline::new(ModelZoo::fuyu_8b())];
         let run = FleetJob {
             spec_fingerprint: Some(0xAAAA),
-            store_generation: Some(3),
             ..small_job(&pipes, &bench)
         };
-        let mut checkpoint = Checkpoint::for_source(&pipes, run.source(), run.options);
-        checkpoint.identity.store_generation = run.store_generation;
+        let checkpoint = Checkpoint::for_source(&pipes, run.source(), run.options);
         assert_eq!(checkpoint.identity, run.manifest().identity);
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(
@@ -1163,27 +1140,11 @@ mod tests {
                     expected: Some(0xBBBB),
                 },
             ),
-            (
-                "store generation",
-                FleetJob {
-                    store_generation: Some(4),
-                    ..run
-                },
-                RunMismatch::StoreGeneration {
-                    stamped: Some(3),
-                    current: Some(4),
-                },
-            ),
         ];
         let exec = ParallelExecutor::new(1);
         for (field, job, expected) in cases {
             assert_eq!(
-                checkpoint.validate_source(
-                    job.pipes,
-                    job.source(),
-                    job.options,
-                    job.store_generation
-                ),
+                checkpoint.validate_source(job.pipes, job.source(), job.options),
                 Err(CheckpointError::Mismatch(expected.clone())),
                 "{field}: checkpoint resume"
             );
@@ -1198,7 +1159,7 @@ mod tests {
         }
         // the run itself passes both checks
         assert_eq!(
-            checkpoint.validate_source(&pipes, run.source(), run.options, run.store_generation),
+            checkpoint.validate_source(&pipes, run.source(), run.options),
             Ok(())
         );
         assert!(matches!(
@@ -1218,10 +1179,13 @@ mod tests {
         other.identity.spec_fingerprint = Some(1);
         assert_ne!(fp, other.fingerprint());
         let mut other = base.clone();
-        other.identity.store_generation = Some(1);
+        other.identity.bench_hash ^= 1;
         assert_ne!(fp, other.fingerprint());
         let mut other = base.clone();
-        other.identity.bench_hash ^= 1;
+        other.identity.model_fingerprints[0] ^= 1;
+        assert_ne!(fp, other.fingerprint());
+        let mut other = base.clone();
+        other.identity.options.attempts += 1;
         assert_ne!(fp, other.fingerprint());
         assert_eq!(fp, base.clone().fingerprint(), "stable for equal content");
     }

@@ -15,7 +15,7 @@
 //! ```text
 //! store/
 //!   store.lock        exclusive writer lock (pid inside)
-//!   meta.json         generation + run-spanning traffic counters
+//!   meta.json         format version + run-spanning traffic counters
 //!   seg-00000001.log  append-only record segments
 //!   seg-00000002.log
 //! ```
@@ -56,11 +56,12 @@
 //! [`AnswerStore::compact`] rewrites only the live records — in
 //! deterministic key order — and deletes the old segments. When the
 //! store exceeds [`StoreConfig::max_bytes`], whole least-recently-*hit*
-//! sealed segments are evicted and the store's **generation** is bumped;
-//! a [`Checkpoint`](crate::checkpoint::Checkpoint) stamped with an older
-//! generation no longer validates (its cache epoch predates eviction).
-//! Compaction preserves every live answer and therefore does *not* bump
-//! the generation.
+//! sealed segments are evicted. The store is a transparent cache: an
+//! answer is either exactly what inference returns for its key or
+//! absent, so an evicted answer costs one re-inference and never
+//! invalidates a [`Checkpoint`](crate::checkpoint::Checkpoint) or fleet
+//! record, which hold final outcomes rather than references into the
+//! store.
 //!
 //! # Concurrency
 //!
@@ -264,9 +265,6 @@ struct StoreMeta {
     /// On-disk format version.
     #[serde(default)]
     format_version: u32,
-    /// Eviction epoch: bumped whenever live answers are dropped.
-    #[serde(default)]
-    generation: u64,
     /// Run-spanning lookup hits across every process that used this
     /// store.
     #[serde(default)]
@@ -309,8 +307,6 @@ pub struct StoreStats {
     pub segments: usize,
     /// Total segment bytes currently on disk.
     pub bytes: u64,
-    /// Current eviction generation.
-    pub generation: u64,
 }
 
 impl StoreStats {
@@ -680,7 +676,6 @@ pub struct AnswerStore {
     lock: Mutex<Option<HeldLock>>,
     inner: Mutex<Inner>,
     telemetry: Telemetry,
-    generation: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
@@ -698,7 +693,6 @@ impl fmt::Debug for AnswerStore {
         f.debug_struct("AnswerStore")
             .field("dir", &self.dir)
             .field("mode", &self.mode)
-            .field("generation", &self.generation.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -753,8 +747,8 @@ impl AnswerStore {
     /// per-handle `store.lock.*` marker instead of the exclusive lock.
     /// A shared handle never truncates, compacts, evicts, or writes
     /// `meta.json` — another writer's unflushed tail is pending data,
-    /// not damage, and the generation must stay frozen while a fleet
-    /// runs. Refused ([`WouldBlock`](io::ErrorKind::WouldBlock)) while
+    /// not damage, and any sealed segment may be another writer's
+    /// active one. Refused ([`WouldBlock`](io::ErrorKind::WouldBlock)) while
     /// a live exclusive writer holds the store, and vice versa.
     pub fn open_shared(
         dir: impl AsRef<Path>,
@@ -797,7 +791,6 @@ impl AnswerStore {
             lock: Mutex::new(lock),
             inner: Mutex::new(Inner::default()),
             telemetry,
-            generation: AtomicU64::new(meta.generation),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
@@ -970,7 +963,6 @@ impl AnswerStore {
                 vec![
                     kv("entries", entries),
                     kv("segments", segments),
-                    kv("generation", self.generation.load(Ordering::Relaxed)),
                     kv("read_only", self.mode == StoreMode::ReadOnly),
                 ],
             );
@@ -1015,21 +1007,9 @@ impl AnswerStore {
         &self.dir
     }
 
-    /// Whether this handle was opened read-only.
-    pub fn is_read_only(&self) -> bool {
-        self.mode == StoreMode::ReadOnly
-    }
-
     /// How this handle was opened.
     pub fn mode(&self) -> StoreMode {
         self.mode
-    }
-
-    /// The current eviction generation: bumped whenever live answers
-    /// are dropped (segment eviction), never by compaction. Checkpoints
-    /// stamp this to detect stale cache epochs.
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
     }
 
     /// Live entries currently indexed.
@@ -1205,11 +1185,11 @@ impl AnswerStore {
 
     /// Evicts least-recently-hit sealed segments until the store fits
     /// [`StoreConfig::max_bytes`]. Each eviction drops that segment's
-    /// live entries and bumps the generation.
+    /// live entries; later lookups of them miss and re-infer.
     fn evict_to_bound(&self, inner: &mut Inner) -> io::Result<()> {
         if self.mode != StoreMode::Exclusive {
-            // shared writers never drop live answers: the generation
-            // must stay frozen while a fleet runs
+            // a shared writer deletes no segment: the victim could be
+            // another writer's active one
             return Ok(());
         }
         loop {
@@ -1231,9 +1211,6 @@ impl AnswerStore {
             let info = inner.segments.remove(&seq).expect("victim exists");
             inner.index.retain(|_, e| e.segment != seq);
             let _ = fs::remove_file(self.segment_path(seq));
-            if info.live > 0 {
-                self.generation.fetch_add(1, Ordering::Relaxed);
-            }
             self.evicted.fetch_add(info.live as u64, Ordering::Relaxed);
             self.telemetry.counter("store.evict", 1);
             if self.telemetry.enabled() {
@@ -1243,7 +1220,6 @@ impl AnswerStore {
                         kv("segment", seq),
                         kv("live_dropped", info.live),
                         kv("bytes", info.bytes),
-                        kv("generation", self.generation.load(Ordering::Relaxed)),
                     ],
                 );
             }
@@ -1252,8 +1228,7 @@ impl AnswerStore {
 
     /// Rewrites the live entries — in deterministic key order — into
     /// fresh segments and deletes the superseded files. Preserves every
-    /// live answer, so the generation is untouched. Returns bytes
-    /// reclaimed.
+    /// live answer. Returns bytes reclaimed.
     pub fn compact(&self) -> io::Result<u64> {
         if self.mode != StoreMode::Exclusive {
             return Ok(0);
@@ -1367,11 +1342,10 @@ impl AnswerStore {
         Ok(reclaimed)
     }
 
-    /// Flushes buffered appends and persists `meta.json` (generation +
-    /// run-spanning counters). A no-op on read-only handles. Shared
-    /// handles flush their segment but skip `meta.json` — concurrent
-    /// writers would race the lifetime counters, and the generation
-    /// never changes in shared mode anyway.
+    /// Flushes buffered appends and persists `meta.json` (format
+    /// version + run-spanning counters). A no-op on read-only handles.
+    /// Shared handles flush their segment but skip `meta.json` —
+    /// concurrent writers would race the lifetime counters.
     pub fn flush(&self) -> io::Result<()> {
         if self.mode == StoreMode::ReadOnly {
             return Ok(());
@@ -1389,7 +1363,6 @@ impl AnswerStore {
             &self.dir,
             StoreMeta {
                 format_version: FORMAT_VERSION,
-                generation: self.generation.load(Ordering::Relaxed),
                 lifetime_hits: self.lifetime_hits.load(Ordering::Relaxed),
                 lifetime_misses: self.lifetime_misses.load(Ordering::Relaxed),
                 lifetime_inserts: self.lifetime_inserts.load(Ordering::Relaxed),
@@ -1427,7 +1400,6 @@ impl AnswerStore {
             entries: inner.index.len(),
             segments: inner.segments.len(),
             bytes: inner.segments.values().map(|s| s.bytes).sum(),
-            generation: self.generation.load(Ordering::Relaxed),
         }
     }
 
@@ -1549,6 +1521,28 @@ mod tests {
     }
 
     #[test]
+    fn meta_written_with_an_eviction_generation_still_parses() {
+        let dir = tmp_dir("legacymeta");
+        fs::create_dir_all(&dir).expect("mkdir");
+        fs::write(
+            dir.join("meta.json"),
+            r#"{"format_version":1,"generation":3,"lifetime_hits":5,"lifetime_misses":6,"lifetime_inserts":7}"#,
+        )
+        .expect("plants meta");
+        let stats = AnswerStore::open(&dir).expect("opens").stats();
+        assert_eq!(
+            (
+                stats.lifetime_hits,
+                stats.lifetime_misses,
+                stats.lifetime_inserts
+            ),
+            (5, 6, 7),
+            "the counters beside the old key are read"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rotation_produces_multiple_segments_and_compaction_reclaims() {
         let dir = tmp_dir("rotate");
         let config = StoreConfig {
@@ -1578,13 +1572,11 @@ mod tests {
         for i in 20..40 {
             assert_eq!(store.lookup(&key(i)), Some(answer(i)));
         }
-        // generation untouched: no live data was lost
-        assert_eq!(store.generation(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn eviction_bounds_size_and_bumps_generation() {
+    fn eviction_bounds_size_and_counts_evicted_entries() {
         let dir = tmp_dir("evict");
         let config = StoreConfig {
             segment_max_bytes: 400,
@@ -1598,7 +1590,6 @@ mod tests {
         store.flush().expect("flushes");
         assert!(store.total_bytes() <= 1600 + 400, "bounded (active slack)");
         assert!(store.len() < 200, "old entries evicted");
-        assert!(store.generation() > 0, "eviction bumps the generation");
         assert!(store.stats().evicted > 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1794,7 +1785,6 @@ mod tests {
         }
         store.flush().expect("flushes");
         assert_eq!(store.len(), 50, "nothing evicted");
-        assert_eq!(store.generation(), 0, "generation frozen");
         assert_eq!(store.stats().evicted, 0);
         assert_eq!(store.compact().expect("no-op"), 0);
         assert!(

@@ -471,7 +471,7 @@ mod tests {
     #[test]
     fn primitives_roundtrip() {
         assert_eq!(i64::from_value(&42u8.to_value()).unwrap(), 42);
-        assert_eq!(bool::from_value(&true.to_value()).unwrap(), true);
+        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
         let v: Vec<u32> = Deserialize::from_value(&vec![1u32, 2, 3].to_value()).unwrap();
         assert_eq!(v, vec![1, 2, 3]);

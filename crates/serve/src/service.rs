@@ -459,12 +459,6 @@ impl EvalService {
         self.shared.cache.stats()
     }
 
-    /// Eviction generation of the persistent store, if one is
-    /// configured.
-    pub fn store_generation(&self) -> Option<u64> {
-        self.shared.cache.store().map(|store| store.generation())
-    }
-
     /// The service's tuning.
     pub fn config(&self) -> &ServiceConfig {
         &self.shared.config
@@ -622,17 +616,10 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst)
     };
     let judge = RuleJudge::new();
-    // A fresh checkpoint is bound to the store epoch just before the
-    // engine checks it, leaving another session's eviction no time to
-    // land in between; a resumed one that no longer matches its models,
-    // collection, options, shard plan or store epoch is refused.
-    let mut checkpoint = taken_checkpoint.unwrap_or_else(|| {
-        let mut fresh = Checkpoint::for_source(&pipes, source, options);
-        if let Some(store) = shared.cache.store() {
-            fresh.bind_store_generation(store);
-        }
-        fresh
-    });
+    // a resumed checkpoint that no longer matches its models,
+    // collection, options or shard plan is refused by the engine
+    let mut checkpoint =
+        taken_checkpoint.unwrap_or_else(|| Checkpoint::for_source(&pipes, source, options));
     match executor.evaluate_checkpointed(
         &pipes,
         source,

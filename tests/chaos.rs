@@ -273,7 +273,7 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
     let stormy = ParallelExecutor::new(4).with_supervisor(Supervisor::new(plan));
     let source = ShardSource::Bench(&bench, spec.fingerprint());
     let mut ckpt = Checkpoint::for_source(&pipes, source, options);
-    ckpt.validate_source(&pipes, source, options, None)
+    ckpt.validate_source(&pipes, source, options)
         .expect("freshly taken checkpoint matches its own spec");
     let degraded = stormy
         .evaluate_checkpointed(
@@ -305,8 +305,7 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
         .validate_source(
             &pipes,
             ShardSource::Bench(&bench, other_spec.fingerprint()),
-            options,
-            None
+            options
         )
         .is_err());
 

@@ -14,8 +14,8 @@
 //!    or conflicting records (the chaos storm scan, extended to the
 //!    fleet's shared store);
 //! 3. a **stalled** live worker (heartbeat frozen) loses its lease too;
-//! 4. `merge` refuses mismatched spec fingerprints, store generations,
-//!    and incomplete fleets with structured errors.
+//! 4. `merge` refuses mismatched spec fingerprints and incomplete
+//!    fleets with structured errors.
 //!
 //! Subprocess workers re-exec this test binary: the
 //! `fleet_worker_subprocess_entry` "test" is a no-op unless
@@ -77,13 +77,12 @@ fn grid() -> (Vec<VlmPipeline>, ChipVqa) {
     )
 }
 
-fn job<'a>(pipes: &'a [VlmPipeline], bench: &'a ChipVqa, store_gen: Option<u64>) -> FleetJob<'a> {
+fn job<'a>(pipes: &'a [VlmPipeline], bench: &'a ChipVqa) -> FleetJob<'a> {
     FleetJob {
         pipes,
         bench,
         options: EvalOptions::default(),
         spec_fingerprint: None,
-        store_generation: store_gen,
     }
 }
 
@@ -118,7 +117,7 @@ fn fleets_of_1_2_and_4_workers_merge_byte_identical_to_single_process() {
     let reference = reference_bytes(&pipes, &bench);
     for workers in [1usize, 2, 4] {
         let dir = tmp_dir(&format!("n{workers}"));
-        let job = job(&pipes, &bench, None);
+        let job = job(&pipes, &bench);
         let exec = ParallelExecutor::new(2);
         let config = FleetConfig {
             heartbeat_interval: Duration::from_millis(20),
@@ -183,7 +182,6 @@ fn fleet_worker_subprocess_entry() {
         )
         .expect("shared store opens"),
     );
-    let store_gen = store.generation();
     let cache = Arc::new(AnswerCache::new().with_store(store));
     let mut exec = ParallelExecutor::new(2).with_cache(cache);
     if panic_rate > 0.0 {
@@ -194,7 +192,7 @@ fn fleet_worker_subprocess_entry() {
         };
         exec = exec.with_supervisor(Supervisor::new(plan));
     }
-    let job = job(&pipes, &bench, Some(store_gen));
+    let job = job(&pipes, &bench);
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(25),
         idle_backoff: Duration::from_millis(5),
@@ -257,7 +255,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     // fabricate the one piece of wreckage the schedule can't guarantee:
     // a dead worker's lease over a shard it had already quarantined —
     // the steal-then-heal path must cope with it regardless
-    let job_probe = job(&pipes, &bench, None);
+    let job_probe = job(&pipes, &bench);
     let keys = shard_plan(&job_probe);
     let manifest_fp = {
         let manifest: fleet::FleetManifest = serde_json::from_str(
@@ -322,12 +320,11 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         AnswerStore::open_shared(dir.join("store"), StoreConfig::default(), tele.clone())
             .expect("shared store reopens despite dead writers' markers"),
     );
-    let store_gen = store.generation();
     let cache = Arc::new(AnswerCache::new().with_store(store));
     let exec = ParallelExecutor::new(2)
         .with_cache(cache)
         .with_telemetry(tele.clone());
-    let job = job(&pipes, &bench, Some(store_gen));
+    let job = job(&pipes, &bench);
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(25),
         idle_backoff: Duration::from_millis(5),
@@ -407,7 +404,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
 fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
     let (pipes, bench) = grid();
     let dir = tmp_dir("stall");
-    let job = job(&pipes, &bench, None);
+    let job = job(&pipes, &bench);
     let manifest = job.manifest();
     let manifest_fp = manifest.fingerprint();
     for sub in ["leases", "done", "quarantine"] {
@@ -466,17 +463,15 @@ fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Contract 4: merge refuses wrong spec fingerprints, wrong store
-/// generations, and incomplete fleets with structured errors — never a
-/// silently wrong report.
+/// Contract 4: merge refuses wrong spec fingerprints and incomplete
+/// fleets with structured errors — never a silently wrong report.
 #[test]
 fn merge_refusals_are_structured() {
     let (pipes, bench) = grid();
     let dir = tmp_dir("refuse");
     let stamped = FleetJob {
         spec_fingerprint: Some(111),
-        store_generation: Some(2),
-        ..job(&pipes, &bench, None)
+        ..job(&pipes, &bench)
     };
     fs::create_dir_all(&dir).expect("mkdir");
     fs::write(
@@ -494,17 +489,6 @@ fn merge_refusals_are_structured() {
         Err(FleetError::Mismatch(RunMismatch::SpecFingerprint {
             stamped: Some(111),
             expected: Some(222),
-        }))
-    ));
-    let wrong_gen = FleetJob {
-        store_generation: Some(3),
-        ..stamped
-    };
-    assert!(matches!(
-        fleet::merge(&dir, &wrong_gen, &Telemetry::disabled()),
-        Err(FleetError::Mismatch(RunMismatch::StoreGeneration {
-            stamped: Some(2),
-            current: Some(3),
         }))
     ));
     match fleet::merge(&dir, &stamped, &Telemetry::disabled()) {
@@ -571,7 +555,7 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
 
     // fleet path: one supervised worker (self-heals on later passes)
     let dir = tmp_dir("heal-parity");
-    let job = job(&pipes, &bench, None);
+    let job = job(&pipes, &bench);
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(20),
         idle_backoff: Duration::from_millis(2),

@@ -80,7 +80,7 @@ fn checkpoint_json_roundtrip_mid_run() {
         back, ckpt,
         "checkpoint round-trips mid-run, outcomes and all"
     );
-    assert!(back.validate_source(&pipes, source, options, None).is_ok());
+    assert!(back.validate_source(&pipes, source, options).is_ok());
 }
 
 #[test]
