@@ -43,27 +43,35 @@ pub fn run_table2_scaled(scale: usize, workers: usize) -> Table2 {
 /// Runs the Table-II evaluation on an N×-scaled collection through
 /// `exec` as configured (cache, store, supervisor, telemetry): every zoo
 /// model on [`DatasetSpec::scaled`]`(scale)` (with-choice column) and
-/// the same spec at `mc_sa_ratio` 0 (no-choice column). Each column is
-/// one grid call over all twelve models, so each shard of the column is
-/// produced once. `streamed` picks the source: the spec generated
+/// the same spec at `mc_sa_ratio` 0 (no-choice column).
+///
+/// Streamed, the grid is one engine run
+/// ([`ParallelExecutor::evaluate_table2`]): the spec is generated
 /// shard-by-shard at [`BASE_SIZE`] questions (overlapped with
-/// inference, never materialised whole), or the bench built once and
-/// cut at [`SHARD_SIZE`](chipvqa_eval::executor::SHARD_SIZE). Both
-/// sources produce byte-identical tables, supervised or not — the
-/// contract the `stream-chaos` CI job `cmp`s — and a warm store serves
-/// every answer from disk without changing a byte.
+/// inference, never materialised whole), each shard once, and its
+/// no-choice twin is derived from it, so every model in both columns
+/// shares the shard's legibility slots. With `streamed` false
+/// (`--batch`), both collections are built whole with
+/// [`DatasetSpec::build`] and each is one grid call cut at
+/// [`SHARD_SIZE`](chipvqa_eval::executor::SHARD_SIZE). Both produce
+/// byte-identical tables, supervised or not — the contract the
+/// `stream-chaos` CI job `cmp`s, which so also checks the derived twin —
+/// and a warm store serves every answer from disk without changing a
+/// byte.
 pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> Table2 {
     let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
-    let column = |spec: DatasetSpec| {
-        let bench = (!streamed).then(|| spec.build());
-        let source = match &bench {
-            Some(bench) => ShardSource::Bench(bench, spec.fingerprint()),
-            None => ShardSource::Spec(&spec, BASE_SIZE),
-        };
-        exec.evaluate_source(&pipes, source, EvalOptions::default(), &RuleJudge::new())
-            .0
-    };
+    let (options, judge) = (EvalOptions::default(), RuleJudge::new());
     let standard = DatasetSpec::scaled(scale);
+    if streamed {
+        return exec
+            .evaluate_table2(&pipes, &standard, BASE_SIZE, options, &judge)
+            .0;
+    }
+    let column = |spec: DatasetSpec| {
+        let bench = spec.build();
+        let source = ShardSource::Bench(&bench, spec.fingerprint());
+        exec.evaluate_source(&pipes, source, options, &judge).0
+    };
     let challenge = standard.clone().with_mc_sa_ratio(0.0);
     let rows = column(standard)
         .into_iter()
@@ -77,7 +85,8 @@ pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> T
 }
 
 /// The pieces every fleet participant (worker or merge) derives from
-/// `--scale N`: the two materialised collections, the model grid, and
+/// `--scale N`: the two materialised collections (the no-choice one
+/// derived from the standard one, pixels shared), the model grid, and
 /// the per-column [`FleetJob`] identities.
 struct FleetPlan {
     standard: ChipVqa,
@@ -91,9 +100,10 @@ impl FleetPlan {
     fn new(scale: usize) -> FleetPlan {
         let standard_spec = DatasetSpec::scaled(scale);
         let challenge_spec = standard_spec.clone().with_mc_sa_ratio(0.0);
+        let standard = standard_spec.build();
         FleetPlan {
-            standard: standard_spec.build(),
-            challenge: challenge_spec.build(),
+            challenge: standard.challenge(),
+            standard,
             pipes: ModelZoo::all().into_iter().map(VlmPipeline::new).collect(),
             standard_fp: standard_spec.fingerprint(),
             challenge_fp: challenge_spec.fingerprint(),

@@ -95,11 +95,7 @@ impl ChipVqa {
     /// with its short-answer form, prompts unchanged (§IV-A).
     pub fn challenge(&self) -> ChipVqa {
         ChipVqa {
-            questions: self
-                .questions
-                .iter()
-                .map(Question::to_short_answer)
-                .collect(),
+            questions: crate::spec::no_choice(&self.questions),
             seed: self.seed,
         }
     }

@@ -111,7 +111,7 @@ fn cs_gain_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.55, 2, 0.95, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -144,7 +144,7 @@ fn degenerated_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.65, 3, 0.95, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -178,7 +178,7 @@ fn follower_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.55, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -213,7 +213,7 @@ fn output_resistance_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("kOhm".into()),
         },
         difficulty: Difficulty::new(0.7, 3, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -312,7 +312,7 @@ fn divider_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("V".into()),
         },
         difficulty: Difficulty::new(0.4, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -374,7 +374,7 @@ fn adc_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some(unit.into()),
         },
         difficulty: Difficulty::new(0.5, 2, 0.6, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -409,7 +409,7 @@ fn feedback_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.5, 2, 0.85, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -477,7 +477,7 @@ fn bode_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some(unit.into()),
         },
         difficulty: Difficulty::new(0.6, 3, 0.95, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -510,7 +510,7 @@ fn tf_pole_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("rad/s".into()),
         },
         difficulty: Difficulty::new(0.45, 1, 0.95, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1],
     }
 }
@@ -544,7 +544,7 @@ fn tf_match_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec!["ideal integrator".to_string()],
         },
         difficulty: Difficulty::new(0.4, 1, 0.7, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1],
     }
 }

@@ -130,7 +130,7 @@ fn pipeline_stall_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Quest
             unit: Some(unit.into()),
         },
         difficulty: Difficulty::new(0.6, 4, 0.7, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -162,7 +162,7 @@ fn bypass_tradeoff_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec!["lower CPI, longer cycle time".to_string()],
         },
         difficulty: Difficulty::new(0.6, 3, 0.8, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -206,7 +206,7 @@ fn mesi_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![format!("{next:?}")],
         },
         difficulty: Difficulty::new(0.55, 2, 0.6, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -240,7 +240,7 @@ fn cache_bits_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("bits".into()),
         },
         difficulty: Difficulty::new(0.5, 3, 0.6, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -278,7 +278,7 @@ fn cache_trace_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("hits".into()),
         },
         difficulty: Difficulty::new(0.55, 4, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -320,7 +320,7 @@ fn page_walk_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![format!("{pa:#x}"), format!("{pa:X}"), pa.to_string()],
         },
         difficulty: Difficulty::new(0.5, 3, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -350,7 +350,7 @@ fn noc_mc_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec!["3-cube".to_string(), "binary hypercube".to_string()],
         },
         difficulty: Difficulty::new(0.45, 1, 1.0, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -386,7 +386,7 @@ fn noc_sa_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.5, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -429,7 +429,7 @@ fn branch_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("percent".into()),
         },
         difficulty: Difficulty::new(0.6, 4, 0.6, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -474,7 +474,7 @@ fn vector_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("convoys".into()),
         },
         difficulty: Difficulty::new(0.65, 3, 0.8, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }

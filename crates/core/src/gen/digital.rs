@@ -140,7 +140,7 @@ fn state_table_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question
             canonical: gold.to_string(),
         },
         difficulty: Difficulty::new(0.55, 3, 0.95, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -182,7 +182,7 @@ fn kmap_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             canonical: gold.to_string(),
         },
         difficulty: Difficulty::new(0.4, 2, 0.95, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -212,7 +212,7 @@ fn schematic_function_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             canonical: gold.to_string(),
         },
         difficulty: Difficulty::new(0.35, 2, 1.0, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -268,7 +268,7 @@ fn identify_block_question(block: usize, idx: &mut usize, rng: &mut StdRng) -> Q
             aliases,
         },
         difficulty: Difficulty::new(0.25, 1, 1.0, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -301,7 +301,7 @@ fn critical_path_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("gate delays".into()),
         },
         difficulty: Difficulty::new(0.45, 3, 0.8, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -347,7 +347,7 @@ fn twos_complement_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.3, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1],
     }
 }
@@ -389,7 +389,7 @@ fn gray_code_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.4, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1],
     }
 }
@@ -437,7 +437,7 @@ fn overflow_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![],
         },
         difficulty: Difficulty::new(0.45, 3, 0.85, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![0, 1],
     }
 }
@@ -480,7 +480,7 @@ fn waveform_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![gold.replace(" flip-flop", " FF")],
         },
         difficulty: Difficulty::new(0.4, 2, 1.0, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -521,7 +521,7 @@ fn counter_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![gold.to_string()],
         },
         difficulty: Difficulty::new(0.35, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -555,7 +555,7 @@ fn characteristic_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Quest
             aliases: vec![gold.replace(" flip-flop", "")],
         },
         difficulty: Difficulty::new(0.45, 1, 0.95, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1],
     }
 }
@@ -605,7 +605,7 @@ fn flow_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![],
         },
         difficulty: Difficulty::new(0.3, 1, 0.8, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }

@@ -92,7 +92,7 @@ fn sat_count_question(k: usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.5, 3, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1],
     }
 }
@@ -155,7 +155,7 @@ fn diff_pair_question(k: usize, rng: &mut StdRng) -> Question {
             unit: unit.map(String::from),
         },
         difficulty: Difficulty::new(0.65, 3, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1, 2, 3, 4],
     }
 }
@@ -208,7 +208,7 @@ fn mirror_question(k: usize, rng: &mut StdRng) -> Question {
             unit: Some(unit.into()),
         },
         difficulty: Difficulty::new(0.6, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1, 2, 3],
     }
 }
@@ -247,7 +247,7 @@ fn opamp_question(rng: &mut StdRng) -> Question {
             unit: Some("MHz".into()),
         },
         difficulty: Difficulty::new(0.7, 3, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1, 2],
     }
 }
@@ -311,7 +311,7 @@ fn ooo_question(k: usize, rng: &mut StdRng) -> Question {
             unit: Some("cycles".into()),
         },
         difficulty: Difficulty::new(0.7, 4, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -365,7 +365,7 @@ fn floorplan_question(k: usize, rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.7, 4, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -414,7 +414,7 @@ fn buffering_question(k: usize, rng: &mut StdRng) -> Question {
             unit: Some(unit.into()),
         },
         difficulty: Difficulty::new(0.75, 4, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -449,7 +449,7 @@ fn implant_question(rng: &mut StdRng) -> Question {
             unit: None,
         },
         difficulty: Difficulty::new(0.75, 3, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![2, 3],
     }
 }

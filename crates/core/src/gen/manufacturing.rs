@@ -136,7 +136,7 @@ fn boe_overetch_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Questio
             unit: Some("minutes".into()),
         },
         difficulty: Difficulty::new(0.7, 3, 0.85, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -183,7 +183,7 @@ fn stack_remaining_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("nm".into()),
         },
         difficulty: Difficulty::new(0.75, 4, 0.85, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -219,7 +219,7 @@ fn ret_mc_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec![ret.signature().to_string()],
         },
         difficulty: Difficulty::new(0.65, 1, 1.0, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -248,7 +248,7 @@ fn ret_sa_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             },
         },
         difficulty: Difficulty::new(0.7, 1, 1.0, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -285,7 +285,7 @@ fn resolution_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("nm".into()),
         },
         difficulty: Difficulty::new(0.55, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -315,7 +315,7 @@ fn dof_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("nm".into()),
         },
         difficulty: Difficulty::new(0.6, 2, 0.9, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![0, 1, 2],
     }
 }
@@ -356,7 +356,7 @@ fn junction_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("um".into()),
         },
         difficulty: Difficulty::new(0.8, 4, 0.7, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -419,7 +419,7 @@ fn oxidation_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some(unit.into()),
         },
         difficulty: Difficulty::new(0.65, 3, 0.6, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -491,7 +491,7 @@ fn dies_per_wafer_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("dies".into()),
         },
         difficulty: Difficulty::new(0.6, 3, 0.7, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -532,7 +532,7 @@ fn yield_mc_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("percent".into()),
         },
         difficulty: Difficulty::new(0.6, 2, 0.5, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -583,7 +583,7 @@ fn flow_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
                 aliases: vec![],
             },
             difficulty: Difficulty::new(0.6, 2, 0.85, false),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     } else {
@@ -609,7 +609,7 @@ fn flow_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
                 ],
             },
             difficulty: Difficulty::new(0.7, 2, 0.6, false),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     }

@@ -114,7 +114,7 @@ fn route_comparison_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Que
                 aliases: vec![gold.replace("topology ", "")],
             },
             difficulty: Difficulty::new(0.55, 3, 1.0, true),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     } else {
@@ -135,7 +135,7 @@ fn route_comparison_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Que
                 unit: Some("units".into()),
             },
             difficulty: Difficulty::new(0.6, 4, 1.0, true),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     }
@@ -164,7 +164,7 @@ fn hpwl_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("units".into()),
         },
         difficulty: Difficulty::new(0.45, 2, 1.0, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -200,7 +200,7 @@ fn steiner_gain_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("units".into()),
         },
         difficulty: Difficulty::new(0.65, 4, 1.0, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -257,7 +257,7 @@ fn maze_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
                 unit: Some("steps".into()),
             },
             difficulty: Difficulty::new(0.55, 3, 1.0, true),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     } else {
@@ -276,7 +276,7 @@ fn maze_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
                 unit: Some("steps".into()),
             },
             difficulty: Difficulty::new(0.6, 4, 1.0, true),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     }
@@ -311,7 +311,7 @@ fn clock_tree_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question 
                 unit: Some("ns".into()),
             },
             difficulty: Difficulty::new(0.6, 3, 0.9, true),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     } else {
@@ -339,7 +339,7 @@ fn clock_tree_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question 
                 aliases: vec!["H-tree".to_string(), "h tree".to_string()],
             },
             difficulty: Difficulty::new(0.5, 2, 0.8, false),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     }
@@ -402,7 +402,7 @@ fn sta_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
                 unit: Some("ns".into()),
             },
             difficulty: Difficulty::new(0.6, 4, 0.9, true),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     } else {
@@ -438,7 +438,7 @@ fn sta_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
                 aliases: vec![],
             },
             difficulty: Difficulty::new(0.55, 3, 0.9, false),
-            visual: vis,
+            visual: vis.into(),
             key_marks,
         }
     }
@@ -505,7 +505,7 @@ fn legalize_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             unit: Some("sites".into()),
         },
         difficulty: Difficulty::new(0.65, 4, 0.85, true),
-        visual: vis,
+        visual: vis.into(),
         key_marks,
     }
 }
@@ -539,7 +539,7 @@ fn useful_skew_question(idx: &mut usize, rng: &mut StdRng) -> Question {
             aliases: vec!["borrow time via useful skew".to_string()],
         },
         difficulty: Difficulty::new(0.7, 3, 0.7, false),
-        visual: vis,
+        visual: vis.into(),
         key_marks: vec![1, 2],
     }
 }

@@ -39,4 +39,4 @@ pub mod tokens;
 
 pub use dataset::ChipVqa;
 pub use question::{AnswerSpec, Category, Difficulty, Question, QuestionKind, VisualKind};
-pub use spec::{DatasetSpec, ShardStream, BASE_SIZE, RESIDENT_SLACK, TABLE1_WEIGHTS};
+pub use spec::{no_choice, DatasetSpec, ShardStream, BASE_SIZE, RESIDENT_SLACK, TABLE1_WEIGHTS};

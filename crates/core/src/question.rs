@@ -2,6 +2,7 @@
 //! kinds and difficulty attributes.
 
 use std::fmt;
+use std::sync::Arc;
 
 use chipvqa_raster::Annotated;
 use serde::{Deserialize, Serialize};
@@ -241,11 +242,13 @@ pub struct Question {
     pub answer: AnswerSpec,
     /// Difficulty attributes.
     pub difficulty: Difficulty,
-    /// Rendered visual. Skipped in serialization — the dataset is
-    /// deterministic from its seed, so exports carry metadata only and
-    /// images are regenerated.
+    /// Rendered visual, shared rather than copied: a clone of the
+    /// question (its [`to_short_answer`](Question::to_short_answer)
+    /// form included) points at the same pixels. Skipped in
+    /// serialization — the dataset is deterministic from its seed, so
+    /// exports carry metadata only and images are regenerated.
     #[serde(skip)]
-    pub visual: Annotated,
+    pub visual: Arc<Annotated>,
     /// Indices into `visual.marks` that a solver must perceive.
     pub key_marks: Vec<usize>,
 }
@@ -280,7 +283,11 @@ impl Question {
     }
 
     /// Converts an MC question into its challenge-collection short-answer
-    /// form (prompt unchanged, choices removed — §IV-A of the paper).
+    /// form (prompt unchanged, choices removed — §IV-A of the paper); a
+    /// short-answer question comes back unchanged. The id, the key marks
+    /// and the visual carry over, the visual by reference, so the
+    /// converted question shares its source's pixels and perceives
+    /// exactly as the source does.
     pub fn to_short_answer(&self) -> Question {
         let mut q = self.clone();
         q.kind = QuestionKind::ShortAnswer;
@@ -311,7 +318,7 @@ mod tests {
                 canonical: "S'Q + SR'".into(),
             },
             difficulty: Difficulty::new(0.5, 3, 0.9, false),
-            visual: Annotated::default(),
+            visual: Arc::default(),
             key_marks: vec![],
         }
     }
@@ -364,7 +371,7 @@ mod tests {
         assert!(!json.contains("pixels"));
         let back: Question = serde_json::from_str(&json).unwrap();
         assert_eq!(back.prompt, q.prompt);
-        assert_eq!(back.visual, Annotated::default());
+        assert_eq!(*back.visual, Annotated::default());
     }
 
     #[test]

@@ -249,6 +249,17 @@ fn keep_mc(ordinal: u64, ratio: f64) -> bool {
     ((ordinal + 1) as f64 * ratio).floor() > (ordinal as f64 * ratio).floor()
 }
 
+/// The no-choice twin of a run of questions: each one in its
+/// [`short-answer form`](Question::to_short_answer), ids, key marks and
+/// pixels shared with the source. Because the challenge transform
+/// converts every multiple-choice question whatever the source kept,
+/// the twin of shard `k` of any `spec.stream(len)` equals shard `k` of
+/// `spec.with_mc_sa_ratio(0.0).stream(len)`, so a grid generates each
+/// question once for both Table II columns.
+pub fn no_choice(questions: &[Question]) -> Vec<Question> {
+    questions.iter().map(Question::to_short_answer).collect()
+}
+
 /// Deterministic seed for replica `r` of a spec seed. Replica 0 is the
 /// raw seed (the identity contract); later replicas go through a
 /// splitmix64 finalizer so sibling replicas decorrelate.
@@ -320,9 +331,8 @@ impl ShardStream {
                 self.block_pos = 0;
                 self.replica += 1;
             }
-            let mut q = self.block[self.block_pos].clone();
-            // drop the handed-out slot so residency genuinely shrinks
-            self.block[self.block_pos] = placeholder();
+            // take the handed-out slot so residency genuinely shrinks
+            let mut q = std::mem::replace(&mut self.block[self.block_pos], placeholder());
             self.block_pos += 1;
             self.produced_in_cat += 1;
             if q.is_multiple_choice() {
@@ -362,7 +372,7 @@ fn placeholder() -> Question {
             aliases: Vec::new(),
         },
         difficulty: Difficulty::new(0.0, 1, 0.0, false),
-        visual: chipvqa_raster::Annotated::new(chipvqa_raster::Pixmap::new(1, 1)),
+        visual: Default::default(),
         key_marks: Vec::new(),
     }
 }

@@ -590,6 +590,7 @@ mod tests {
             .infer(
                 &pipe,
                 recovered,
+                &crate::executor::LegibilitySlots::new(recovered, std::slice::from_ref(&pipe), 1),
                 1,
                 0,
                 Some(&cache),

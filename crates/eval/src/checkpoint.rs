@@ -333,8 +333,9 @@ impl ParallelExecutor {
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
         checkpoint.validate_source(pipes, source, options)?;
         let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();
-        let run = self.run(pipes, source, options, judge, &|k| !done.contains(k), stop);
-        for (key, outcomes) in run.outcomes {
+        let (finished, _) =
+            self.run_shards(pipes, source, options, judge, &|k| !done.contains(k), stop);
+        for (key, outcomes) in finished {
             // a caught worker panic quarantines the shard: results are
             // recorded (degraded) but flagged for retry-on-resume
             if quarantines(&outcomes) && !checkpoint.quarantined.contains(&key) {

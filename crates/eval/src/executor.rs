@@ -6,8 +6,13 @@
 //! generated lazily at a chosen shard length — and evaluates them on a
 //! pool of scoped worker threads. The calling thread is the producer:
 //! it walks the source in shard order, generating each spec shard once
-//! however many models need it, and sends every selected (model, shard)
-//! item through a bounded channel that idle workers pull from. Outcomes
+//! however many models need it, and sends every selected (row, shard)
+//! item through a bounded channel that idle workers pull from. A row is
+//! one model over one column: a grid call has one row per model, and
+//! [`evaluate_table2`](ParallelExecutor::evaluate_table2) adds a second
+//! row per model over each shard's no-choice twin. Every model in every
+//! column reads a shard's key-mark legibility from one set of slots,
+//! filled once per (question, total factor). Outcomes
 //! come back keyed by [`ShardKey`] and merge **positionally**; because
 //! the VLM pipeline is deterministic per (model, question, attempt), the
 //! parallel report is *identical* — not just statistically equal — to
@@ -18,7 +23,9 @@
 //! selection: [`evaluate`](ParallelExecutor::evaluate) and
 //! [`evaluate_grid`](ParallelExecutor::evaluate_grid) run a built bench
 //! whole, [`evaluate_spec_stream`](ParallelExecutor::evaluate_spec_stream)
-//! streams a spec for one model, checkpoint resume
+//! streams a spec for one model,
+//! [`evaluate_table2`](ParallelExecutor::evaluate_table2) streams a spec
+//! and its no-choice twin for every model, checkpoint resume
 //! ([`evaluate_checkpointed`](ParallelExecutor::evaluate_checkpointed))
 //! runs the shards a [`Checkpoint`](crate::checkpoint::Checkpoint)
 //! lacks — after a requeue, the quarantined ones — and a fleet claim
@@ -49,23 +56,25 @@
 //! genuine, becomes an [`EvalError::WorkerPanic`] outcome that
 //! quarantines its shard instead of aborting the run.
 
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 use chipvqa_core::question::Question;
-use chipvqa_core::spec::{DatasetSpec, ShardStream};
+use chipvqa_core::spec::{no_choice, DatasetSpec, ShardStream};
 use chipvqa_core::ChipVqa;
 use chipvqa_models::backbone::AnswerPath;
-use chipvqa_models::VlmPipeline;
+use chipvqa_models::{encoder, ModelResponse, VlmPipeline};
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{AnswerCache, CacheKey, CachedAnswer};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::{Judge, RuleJudge};
+use crate::report::{ModelRow, Table2};
 use crate::supervisor::{Admit, EvalError, Supervisor, WindowedBreaker, BREAKER_WINDOW};
 
 /// How many questions one shard of a built bench covers. Small enough
@@ -159,7 +168,8 @@ pub(crate) fn backoff_sleep(base_ms: u64, seed: u64, question_id: &str, attempt:
 /// and fleet records persist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ShardKey {
-    /// Model index in the grid.
+    /// Model index in the grid; inside a run with a no-choice twin
+    /// column, the row (`models + m` for model `m` over the twin).
     pub model_idx: usize,
     /// First question index (inclusive).
     pub q_start: usize,
@@ -371,9 +381,66 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> (Vec<EvalReport>, StreamStats) {
-        let run = self.run(pipes, source, options, judge, &|_| true, &mut |_| false);
-        let reports = merge_reports(pipes, source.questions(), run.outcomes);
-        (self.finalize(reports), run.stats)
+        let reports = Reports::new(pipes, source.questions());
+        let sink = |key, outcomes| reports.push(key, outcomes);
+        let stats = self.run(
+            pipes,
+            source,
+            None,
+            options,
+            judge,
+            &|_| true,
+            &mut |_| false,
+            &sink,
+        );
+        (self.finalize(reports.finish()), stats)
+    }
+
+    /// Evaluates every model on both Table II columns of `spec` in one
+    /// engine run. The with-choice column is `spec` generated at
+    /// `shard_len`; the no-choice column is each generated shard's
+    /// [`no_choice`] twin, equal to the matching shard of
+    /// `spec.with_mc_sa_ratio(0.0)` and cached under that spec's
+    /// fingerprint. So each question is generated once, and every model
+    /// in both columns reads one legibility slot per (question, total
+    /// factor). Each (model, column) row keeps its own breaker walk: the
+    /// table is byte-identical to evaluating the two specs in separate
+    /// runs, supervised or not.
+    pub fn evaluate_table2(
+        &self,
+        pipes: &[VlmPipeline],
+        spec: &DatasetSpec,
+        shard_len: usize,
+        options: EvalOptions,
+        judge: &dyn Judge,
+    ) -> (Table2, StreamStats) {
+        let twin = Some(spec.clone().with_mc_sa_ratio(0.0).fingerprint());
+        let source = ShardSource::Spec(spec, shard_len);
+        // rows in run order: the with-choice rows of all models, then
+        // their no-choice rows
+        let reports = Reports::new(pipes.iter().chain(pipes), spec.total());
+        let sink = |key, outcomes| reports.push(key, outcomes);
+        let stats = self.run(
+            pipes,
+            source,
+            twin,
+            options,
+            judge,
+            &|_| true,
+            &mut |_| false,
+            &sink,
+        );
+        let mut standard = self.finalize(reports.finish());
+        let challenge = standard.split_off(pipes.len());
+        let rows = standard
+            .into_iter()
+            .zip(challenge)
+            .map(|(standard, challenge)| ModelRow {
+                standard,
+                challenge,
+            })
+            .collect();
+        (Table2 { rows }, stats)
     }
 
     /// Streaming evaluation of a [`DatasetSpec`] for one model, judged by
@@ -423,33 +490,47 @@ impl ParallelExecutor {
     }
 
     /// The engine. The calling thread walks `source` in shard order and
-    /// sends every (model, shard) item `select` picks through a bounded
+    /// sends every (row, shard) item `select` picks through a bounded
     /// channel to the scoped workers; `stop` is polled before each
     /// dispatch with the number of items dispatched so far and ends the
-    /// walk when it returns true (dispatched items still finish).
-    /// Returns every dispatched item's outcomes, sorted by key.
+    /// walk when it returns true (dispatched items still finish). Each
+    /// finished item's outcomes go to `sink` from the worker that
+    /// finished it, in completion order; the run returns its stats.
+    ///
+    /// A row is one model over one column. Row `m` is model `m` over the
+    /// source's shards as produced. With `twin` set, row
+    /// `pipes.len() + m` is model `m` over each shard's [`no_choice`]
+    /// twin, whose answers are cached under the dataset fingerprint
+    /// `twin`; [`ShardKey::model_idx`] holds the row.
+    ///
+    /// Every shard carries one [`LegibilitySlots`] per question, shared
+    /// by all rows and by the twin, filled on the first cache miss that
+    /// reads a slot, and dropped with the shard's last item.
     ///
     /// In-flight questions — queued in the channel plus held by workers —
     /// are tracked so the memory bound is observable, not aspirational:
     /// the peak never exceeds `(workers + channel capacity + 1) ×
     /// shard_len` = `(2·workers + 1) × shard_len`.
     ///
-    /// Supervised, the producer drives each model's windowed breaker
+    /// Supervised, the producer drives each row's windowed breaker
     /// from the window holding its first selected question through the
     /// end of its last selected shard, deciding every question in order
     /// — selected or not — so each one gets the decision a full run
     /// gives it. A built bench's walk makes no clock-touching telemetry
     /// call: with one worker, one thread traces the whole run in
     /// dispatch order.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &self,
         pipes: &[VlmPipeline],
         source: ShardSource<'_>,
+        twin: Option<u64>,
         options: EvalOptions,
         judge: &dyn Judge,
         select: &dyn Fn(&ShardKey) -> bool,
         stop: &mut dyn FnMut(usize) -> bool,
-    ) -> Run {
+        sink: &(dyn Fn(ShardKey, Vec<QuestionOutcome>) + Sync),
+    ) -> StreamStats {
         let workers = self.workers;
         let tele = &self.telemetry;
         let _run_span = if tele.enabled() {
@@ -461,10 +542,12 @@ impl ParallelExecutor {
             tele.span("executor.stream")
         };
         let shard_len = source.shard_len();
-        // each model's selected shard range (first, last); the walk ends
-        // after the last selected shard of any model
-        let mut ranges: Vec<Option<(usize, usize)>> = vec![None; pipes.len()];
-        for key in source.plan(pipes.len()).iter().filter(|k| select(k)) {
+        let models = pipes.len();
+        let rows = models * if twin.is_some() { 2 } else { 1 };
+        // each row's selected shard range (first, last); the walk ends
+        // after the last selected shard of any row
+        let mut ranges: Vec<Option<(usize, usize)>> = vec![None; rows];
+        for key in source.plan(rows).iter().filter(|k| select(k)) {
             let shard = key.q_start / shard_len;
             ranges[key.model_idx].get_or_insert((shard, shard)).1 = shard;
         }
@@ -478,7 +561,6 @@ impl ParallelExecutor {
             })
             .collect();
         let fingerprints: Vec<u64> = pipes.iter().map(VlmPipeline::fingerprint).collect();
-        let dataset_fp = source.fingerprint();
         // dropped however the run ends, emitting its lifetime gauges
         let mut producer = Producer {
             walk: match source {
@@ -495,7 +577,7 @@ impl ParallelExecutor {
         // instead of blocking the producer forever
         let rx = Arc::new(Mutex::new(rx));
         let in_flight = AtomicUsize::new(0);
-        let results: Mutex<Vec<(ShardKey, Vec<QuestionOutcome>)>> = Mutex::new(Vec::new());
+        let quarantined = AtomicUsize::new(0);
         let cache = self.cache.as_deref();
         let retry = self.retry;
         let mut stats = StreamStats::default();
@@ -503,14 +585,15 @@ impl ParallelExecutor {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let rx = Arc::clone(&rx);
-                let (results, in_flight) = (&results, &in_flight);
+                let (in_flight, quarantined) = (&in_flight, &quarantined);
                 let fingerprints = &fingerprints;
                 scope.spawn(move || loop {
                     let received = rx.lock().expect("engine receiver lock").recv();
-                    let Ok((key, questions, admits)) = received else {
+                    let Ok((key, shard, admits)) = received else {
                         break;
                     };
-                    let pipe = &pipes[key.model_idx];
+                    let model_idx = key.model_idx % models;
+                    let pipe = &pipes[model_idx];
                     let _shard_span = if tele.enabled() {
                         tele.span_kv(
                             "stream.shard",
@@ -523,22 +606,32 @@ impl ParallelExecutor {
                     } else {
                         tele.span("stream.shard")
                     };
-                    let outcomes: Vec<QuestionOutcome> = questions
+                    let outcomes: Vec<QuestionOutcome> = shard
+                        .questions
                         .iter()
+                        .zip(shard.legibility.iter())
                         .enumerate()
-                        .map(|(offset, q)| {
+                        .map(|(offset, (q, legibility))| {
                             let _t = tele.timer("executor.question_ns");
                             let _q_span = tele.span("executor.question");
                             if let Some(admit) = admits.as_ref().map(|a| a[offset]) {
-                                admit.report(tele, fingerprints[key.model_idx], &q.id);
+                                admit.report(tele, fingerprints[model_idx], &q.id);
                                 if !admit.allowed {
                                     return failed_outcome(q, EvalError::BreakerOpen);
                                 }
                             }
                             std::panic::catch_unwind(AssertUnwindSafe(|| {
                                 eval_question(
-                                    pipe, q, options, judge, &retry, cache, supervisor, tele,
-                                    dataset_fp,
+                                    pipe,
+                                    q,
+                                    legibility,
+                                    options,
+                                    judge,
+                                    &retry,
+                                    cache,
+                                    supervisor,
+                                    tele,
+                                    shard.dataset_fp,
                                 )
                             }))
                             .unwrap_or_else(|_| {
@@ -550,12 +643,12 @@ impl ParallelExecutor {
                             })
                         })
                         .collect();
-                    in_flight.fetch_sub(questions.len(), Ordering::Relaxed);
+                    in_flight.fetch_sub(outcomes.len(), Ordering::Relaxed);
                     tele.counter("stream.shard_evaluated", 1);
-                    results
-                        .lock()
-                        .expect("engine results lock")
-                        .push((key, outcomes));
+                    if quarantines(&outcomes) {
+                        quarantined.fetch_add(1, Ordering::Relaxed);
+                    }
+                    sink(key, outcomes);
                 });
             }
 
@@ -575,12 +668,16 @@ impl ParallelExecutor {
                     tele.counter("stream.questions", questions.len() as u64);
                 }
                 let q_start = shard * shard_len;
-                for (model_idx, range) in ranges.iter().enumerate() {
+                // the shard as produced and its no-choice twin, each made
+                // when the first item that reads it is dispatched
+                let mut produced: Option<Shard<'_>> = None;
+                let mut twinned: Option<Shard<'_>> = None;
+                for (row, range) in ranges.iter().enumerate() {
                     let Some((_, last)) = *range else { continue };
                     if shard > last {
                         continue;
                     }
-                    let admits = breakers[model_idx].as_mut().map(|wb| {
+                    let admits = breakers[row].as_mut().map(|wb| {
                         let _b_span = generated.then(|| tele.span("stream.breaker"));
                         let sup = supervisor.expect("breakers exist only when supervised");
                         // questions before the breaker's first window
@@ -588,11 +685,11 @@ impl ParallelExecutor {
                         let skip = wb.next_index().saturating_sub(q_start);
                         questions[skip.min(questions.len())..]
                             .iter()
-                            .map(|q| sup.decide(wb, fingerprints[model_idx], &q.id))
+                            .map(|q| sup.decide(wb, fingerprints[row % models], &q.id))
                             .collect::<Vec<Admit>>()
                     });
                     let key = ShardKey {
-                        model_idx,
+                        model_idx: row,
                         q_start,
                         q_end: q_start + questions.len(),
                     };
@@ -602,10 +699,20 @@ impl ParallelExecutor {
                     if stop(dispatched) {
                         break 'walk;
                     }
+                    let produced = produced.get_or_insert_with(|| {
+                        let fp = source.fingerprint();
+                        Shard::new(questions.clone(), pipes, options.downsample, fp)
+                    });
+                    let view = match twin {
+                        Some(fp) if row >= models => twinned
+                            .get_or_insert_with(|| produced.no_choice_twin(fp))
+                            .clone(),
+                        _ => produced.clone(),
+                    };
                     let now =
                         in_flight.fetch_add(questions.len(), Ordering::Relaxed) + questions.len();
                     producer.peak_in_flight = producer.peak_in_flight.max(now);
-                    if tx.send((key, questions.clone(), admits)).is_err() {
+                    if tx.send((key, view, admits)).is_err() {
                         break 'walk; // every worker died; the scope re-raises its panic
                     }
                     dispatched += 1;
@@ -614,27 +721,136 @@ impl ParallelExecutor {
             drop(tx); // closes the channel; workers drain and exit
         });
 
-        let mut outcomes = results.into_inner().expect("engine results lock");
-        outcomes.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
         stats.peak_in_flight = producer.peak_in_flight;
         if let Walk::Spec(stream) = &producer.walk {
             stats.generator_peak_resident = Some(stream.peak_resident());
         }
-        stats.quarantined_shards = outcomes.iter().filter(|(_, o)| quarantines(o)).count();
-        Run { outcomes, stats }
+        stats.quarantined_shards = quarantined.into_inner();
+        stats
+    }
+
+    /// [`run`](Self::run) over the models' own rows, keeping every
+    /// finished shard: returns them sorted by key, with the run's stats.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_shards(
+        &self,
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+        judge: &dyn Judge,
+        select: &dyn Fn(&ShardKey) -> bool,
+        stop: &mut dyn FnMut(usize) -> bool,
+    ) -> (Vec<(ShardKey, Vec<QuestionOutcome>)>, StreamStats) {
+        let finished = Mutex::new(Vec::new());
+        let sink = |key, outcomes| {
+            let mut finished = finished.lock().expect("finished shards lock");
+            finished.push((key, outcomes));
+        };
+        let stats = self.run(pipes, source, None, options, judge, select, stop, &sink);
+        let mut finished = finished.into_inner().expect("finished shards lock");
+        finished.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
+        (finished, stats)
     }
 }
 
-/// What one engine run produced: every dispatched item's outcomes,
-/// sorted by key, and the run's stream stats.
-pub(crate) struct Run {
-    pub(crate) outcomes: Vec<(ShardKey, Vec<QuestionOutcome>)>,
-    pub(crate) stats: StreamStats,
+/// One unit of work: a selected (row, shard) pair, with the shard's
+/// breaker decisions when supervised.
+type Item<'a> = (ShardKey, Shard<'a>, Option<Vec<Admit>>);
+
+/// A shard as workers see it: its questions, one [`LegibilitySlots`] per
+/// question, and the dataset fingerprint its answers are cached under.
+/// Every item of the shard holds a clone; the slots die with the last.
+#[derive(Clone)]
+struct Shard<'a> {
+    questions: ShardQuestions<'a>,
+    legibility: Arc<[LegibilitySlots]>,
+    dataset_fp: u64,
 }
 
-/// One unit of work: a selected (model, shard) pair, with the shard's
-/// breaker decisions when supervised.
-type Item<'a> = (ShardKey, ShardQuestions<'a>, Option<Vec<Admit>>);
+impl<'a> Shard<'a> {
+    /// A produced shard with empty slots for every total factor `pipes`
+    /// see its questions at.
+    fn new(
+        questions: ShardQuestions<'a>,
+        pipes: &[VlmPipeline],
+        downsample: usize,
+        dataset_fp: u64,
+    ) -> Self {
+        let legibility = questions
+            .iter()
+            .map(|q| LegibilitySlots::new(q, pipes, downsample))
+            .collect();
+        Shard {
+            questions,
+            legibility,
+            dataset_fp,
+        }
+    }
+
+    /// The shard's [`no_choice`] twin, keyed with `dataset_fp`: same ids,
+    /// same pixels, same key marks, so it shares the legibility slots.
+    fn no_choice_twin(&self, dataset_fp: u64) -> Shard<'a> {
+        Shard {
+            questions: ShardQuestions::Generated(Arc::new(no_choice(&self.questions))),
+            legibility: Arc::clone(&self.legibility),
+            dataset_fp,
+        }
+    }
+}
+
+/// One question's key-mark legibility
+/// ([`encoder::key_mark_legibility`]): one slot per total downsampling
+/// factor the run's models see the question at, each filled by the
+/// first cache miss that reads it. A cache hit never reads a slot, so a
+/// warm restart does no legibility work.
+pub(crate) struct LegibilitySlots(Box<[(usize, OnceLock<Vec<f64>>)]>);
+
+impl LegibilitySlots {
+    /// Empty slots for every total factor `pipes` see `q` at under
+    /// `downsample`.
+    pub(crate) fn new(q: &Question, pipes: &[VlmPipeline], downsample: usize) -> Self {
+        let mut factors: Vec<usize> = pipes
+            .iter()
+            .map(|p| p.total_factor(q, downsample))
+            .collect();
+        factors.sort_unstable();
+        factors.dedup();
+        LegibilitySlots(factors.into_iter().map(|f| (f, OnceLock::new())).collect())
+    }
+
+    /// `pipe`'s response to `q`, the question these slots belong to:
+    /// `pipe.infer(q, downsample, attempt)` bit for bit, with the
+    /// legibility read from the slot of the model's total factor.
+    pub(crate) fn infer(
+        &self,
+        pipe: &VlmPipeline,
+        q: &Question,
+        downsample: usize,
+        attempt: u64,
+        tele: &Telemetry,
+    ) -> ModelResponse {
+        let legibility = self.read(q, pipe.total_factor(q, downsample), tele);
+        pipe.infer_legible(q, attempt, legibility)
+    }
+
+    /// The slot of total factor `total`, filled first if empty. A fill
+    /// at a factor of 2 or more adds its key-mark count to the
+    /// `perceive.legibility_filled` counter.
+    fn read(&self, q: &Question, total: usize, tele: &Telemetry) -> &[f64] {
+        let (_, slot) = self
+            .0
+            .iter()
+            .find(|&&(factor, _)| factor == total)
+            .expect("a slot for every model of the run");
+        slot.get_or_init(|| {
+            let values = encoder::key_mark_legibility(q, total);
+            if total >= 2 {
+                tele.counter("perceive.legibility_filled", values.len() as u64);
+            }
+            values
+        })
+    }
+}
 
 /// A shard's questions as workers see them: borrowed from a built
 /// bench, or a generated shard shared by every model that needs it.
@@ -749,27 +965,80 @@ pub(crate) fn quarantines(outcomes: &[QuestionOutcome]) -> bool {
 pub(crate) fn merge_reports(
     pipes: &[VlmPipeline],
     questions: usize,
-    mut shards: Vec<(ShardKey, Vec<QuestionOutcome>)>,
+    shards: Vec<(ShardKey, Vec<QuestionOutcome>)>,
 ) -> Vec<EvalReport> {
-    shards.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
-    let mut reports: Vec<EvalReport> = pipes
-        .iter()
-        .map(|pipe| EvalReport {
-            model: pipe.profile().name.clone(),
-            outcomes: Vec::with_capacity(questions),
-            cache_stats: None,
-        })
-        .collect();
+    let reports = Reports::new(pipes, questions);
     for (key, outcomes) in shards {
-        let report = &mut reports[key.model_idx];
-        assert_eq!(report.outcomes.len(), key.q_start, "shards tile the grid");
+        reports.push(key, outcomes);
+    }
+    reports.finish()
+}
+
+/// One report per row of a grid, filled as shards finish: a shard that
+/// continues its row moves straight in (and any early successors it
+/// unblocks follow), so a grid never holds its outcomes twice — once
+/// per shard and again per row — the way collecting every shard before
+/// merging would.
+pub(crate) struct Reports {
+    questions: usize,
+    rows: Mutex<Rows>,
+}
+
+/// The reports so far, and the shards that arrived before their
+/// predecessor, keyed by (row, first question).
+struct Rows {
+    reports: Vec<EvalReport>,
+    early: BTreeMap<(usize, usize), Vec<QuestionOutcome>>,
+}
+
+impl Reports {
+    /// Empty reports for the rows `pipes` name, `questions` each.
+    pub(crate) fn new<'p>(
+        pipes: impl IntoIterator<Item = &'p VlmPipeline>,
+        questions: usize,
+    ) -> Self {
+        let reports = pipes
+            .into_iter()
+            .map(|pipe| EvalReport {
+                model: pipe.profile().name.clone(),
+                outcomes: Vec::new(),
+                cache_stats: None,
+            })
+            .collect();
+        Reports {
+            questions,
+            rows: Mutex::new(Rows {
+                reports,
+                early: BTreeMap::new(),
+            }),
+        }
+    }
+
+    /// Takes one finished shard.
+    pub(crate) fn push(&self, key: ShardKey, outcomes: Vec<QuestionOutcome>) {
         assert_eq!(outcomes.len(), key.q_end - key.q_start, "shard shape");
-        report.outcomes.extend(outcomes);
+        let mut rows = self.rows.lock().expect("reports lock");
+        let Rows { reports, early } = &mut *rows;
+        let fresh = early.insert((key.model_idx, key.q_start), outcomes);
+        assert!(fresh.is_none(), "shards tile the grid");
+        let row = &mut reports[key.model_idx].outcomes;
+        while let Some(next) = early.remove(&(key.model_idx, row.len())) {
+            if row.is_empty() {
+                row.reserve_exact(self.questions);
+            }
+            row.extend(next);
+        }
     }
-    for report in &reports {
-        assert_eq!(report.outcomes.len(), questions, "grid fully covered");
+
+    /// The finished reports, in row order.
+    pub(crate) fn finish(self) -> Vec<EvalReport> {
+        let Rows { reports, early } = self.rows.into_inner().expect("reports lock");
+        assert!(early.is_empty(), "shards tile the grid");
+        for report in &reports {
+            assert_eq!(report.outcomes.len(), self.questions, "grid fully covered");
+        }
+        reports
     }
-    reports
 }
 
 /// Exactly the sequential harness's per-question loop, with the cache
@@ -778,12 +1047,13 @@ pub(crate) fn merge_reports(
 /// supervisor's fault injection + recovery, and the first terminal
 /// failure at any site aborts the question with a structured error
 /// (degraded truncated/garbled evidence is kept as the recorded
-/// response). `dataset_fp` keys the cache to the source's dataset (0 =
-/// canonical).
+/// response). Inference reads `q`'s legibility from its shard's slots;
+/// `dataset_fp` keys the cache to the source's dataset (0 = canonical).
 #[allow(clippy::too_many_arguments)]
 fn eval_question(
     pipe: &VlmPipeline,
     q: &Question,
+    legibility: &LegibilitySlots,
     options: EvalOptions,
     judge: &dyn Judge,
     retry: &RetryPolicy,
@@ -800,9 +1070,11 @@ fn eval_question(
     for attempt in 0..options.attempts.max(1) {
         let downsample = options.downsample;
         let answer = match sup {
-            Some(sup) => sup.infer(pipe, q, downsample, attempt, cache, tele, dataset_fp),
+            Some(sup) => sup.infer(
+                pipe, q, legibility, downsample, attempt, cache, tele, dataset_fp,
+            ),
             None => Ok(infer_cached_for(
-                pipe, q, downsample, attempt, cache, tele, dataset_fp,
+                pipe, q, legibility, downsample, attempt, cache, tele, dataset_fp,
             )),
         };
         let answer = match answer {
@@ -884,10 +1156,13 @@ fn failed_outcome(q: &Question, error: EvalError) -> QuestionOutcome {
 }
 
 /// Cache-interposed inference, keyed to a spec fingerprint so answers
-/// for spec-generated collections never cross specs (0 = canonical).
+/// for spec-generated collections never cross specs (0 = canonical). A
+/// miss infers through `q`'s legibility slots; a hit never reads them.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn infer_cached_for(
     pipe: &VlmPipeline,
     q: &Question,
+    legibility: &LegibilitySlots,
     downsample: usize,
     attempt: u64,
     cache: Option<&AnswerCache>,
@@ -896,7 +1171,7 @@ pub(crate) fn infer_cached_for(
 ) -> CachedAnswer {
     let Some(cache) = cache else {
         let _span = tele.span("inference");
-        return CachedAnswer::from(&pipe.infer(q, downsample, attempt));
+        return CachedAnswer::from(&legibility.infer(pipe, q, downsample, attempt, tele));
     };
     let key = CacheKey::for_dataset(pipe.fingerprint(), dataset_fp, q, downsample, attempt);
     if let Some(hit) = cache.lookup(&key) {
@@ -906,7 +1181,7 @@ pub(crate) fn infer_cached_for(
     tele.counter("cache.miss", 1);
     let answer = {
         let _span = tele.span("inference");
-        CachedAnswer::from(&pipe.infer(q, downsample, attempt))
+        CachedAnswer::from(&legibility.infer(pipe, q, downsample, attempt, tele))
     };
     cache.insert(key, answer.clone());
     tele.counter("cache.insert", 1);
@@ -1431,5 +1706,50 @@ mod tests {
         // attempts = 4: 2 yes, 2 no -> tie -> still the first attempt
         let policy = RetryPolicy::with_attempts(4);
         assert!(policy.judged(&AlternatingJudge, q, "x"));
+    }
+
+    #[test]
+    fn shared_legibility_matches_the_one_definition_bit_for_bit() {
+        use chipvqa_raster::legibility_after_downsample;
+        let bench = DatasetSpec::scaled(2).build();
+        let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+        let tele = Telemetry::disabled();
+        let mut checked = 0usize;
+        for downsample in [1, 2, 16] {
+            for (i, q) in bench.iter().enumerate() {
+                let slots = LegibilitySlots::new(q, &pipes, downsample);
+                let mut factors = std::collections::BTreeSet::new();
+                for pipe in &pipes {
+                    let total = pipe.total_factor(q, downsample);
+                    let shared = slots.read(q, total, &tele);
+                    assert_eq!(shared.len(), q.key_marks.len(), "{}", q.id);
+                    for (&mark, value) in q.key_marks.iter().zip(shared) {
+                        if !factors.insert((mark, total)) {
+                            continue;
+                        }
+                        let region = q.visual.marks[mark].region;
+                        let direct = legibility_after_downsample(&q.visual.image, region, total);
+                        assert_eq!(
+                            value.to_bits(),
+                            direct.to_bits(),
+                            "{} mark {mark} at factor {total}",
+                            q.id
+                        );
+                        checked += 1;
+                    }
+                    // the percept (and the whole response) through the
+                    // shared path equals `encoder::perceive`'s
+                    let attempt = (i % 3) as u64;
+                    assert_eq!(
+                        slots.infer(pipe, q, downsample, attempt, &tele),
+                        pipe.infer(q, downsample, attempt),
+                        "{} on {} at downsample {downsample}",
+                        pipe.profile().name,
+                        q.id
+                    );
+                }
+            }
+        }
+        assert!(checked > 0);
     }
 }

@@ -611,7 +611,7 @@ pub fn run_worker(
             }
             let runner = if healing { &calm } else { exec };
             let (_, outcomes) = runner
-                .run(
+                .run_shards(
                     job.pipes,
                     job.source(),
                     job.options,
@@ -619,7 +619,7 @@ pub fn run_worker(
                     &|k| k == key,
                     &mut |_| false,
                 )
-                .outcomes
+                .0
                 .pop()
                 .expect("one shard requested");
             let panicked = quarantines(&outcomes);

@@ -114,7 +114,6 @@ impl Judge for RuleJudge {
 mod tests {
     use super::*;
     use chipvqa_core::question::{Category, Difficulty, VisualKind};
-    use chipvqa_raster::Annotated;
 
     fn question(kind: QuestionKind, answer: AnswerSpec) -> Question {
         Question {
@@ -125,7 +124,7 @@ mod tests {
             kind,
             answer,
             difficulty: Difficulty::new(0.5, 1, 0.5, false),
-            visual: Annotated::default(),
+            visual: Default::default(),
             key_marks: vec![],
         }
     }

@@ -39,7 +39,7 @@ use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{AnswerCache, CachedAnswer};
-use crate::executor::backoff_sleep;
+use crate::executor::{backoff_sleep, LegibilitySlots};
 use crate::fault::{
     CallKey, CallSite, FaultInjector, FaultKind, FaultPlan, InjectedPanic, StreamCoord,
 };
@@ -537,7 +537,9 @@ impl Supervisor {
     /// [`AnswerStore`](crate::store::AnswerStore) can never persist a
     /// faulted answer either — and the store independently re-checks
     /// the corruption markers in release builds as a second line of
-    /// defence.
+    /// defence. Clean and degraded inference both read `question`'s
+    /// legibility slots; a degraded re-inference runs in an
+    /// `inference.degraded` span.
     ///
     /// An injected [`FaultKind::WorkerPanic`] genuinely panics — the
     /// executor isolates it with `catch_unwind`.
@@ -546,6 +548,7 @@ impl Supervisor {
         &self,
         pipe: &VlmPipeline,
         question: &Question,
+        legibility: &LegibilitySlots,
         downsample: usize,
         attempt: u64,
         cache: Option<&AnswerCache>,
@@ -554,13 +557,20 @@ impl Supervisor {
     ) -> Result<CachedAnswer, (EvalError, Option<String>)> {
         let clean = || {
             crate::executor::infer_cached_for(
-                pipe, question, downsample, attempt, cache, tele, dataset_fp,
+                pipe, question, legibility, downsample, attempt, cache, tele, dataset_fp,
             )
         };
         // Truncation/garbling corrupt a response that did arrive;
-        // reproduce it (uncached!) so the degraded evidence is real.
+        // reproduce it (uncached!) so the degraded evidence is real. Any
+        // other fault destroys the response, so there is none to infer.
         let degraded = |kind, key: CallKey<'_>| {
-            let text = pipe.infer(question, downsample, attempt).text;
+            if !matches!(kind, FaultKind::Truncated | FaultKind::Garbled) {
+                return None;
+            }
+            let _span = tele.span("inference.degraded");
+            let text = legibility
+                .infer(pipe, question, downsample, attempt, tele)
+                .text;
             self.injector.corrupt(kind, &text, key)
         };
         let site = (pipe.fingerprint(), CallSite::Inference, attempt);
@@ -829,7 +839,7 @@ mod tests {
                     k.q_start >= from && k.q_start < from + 2 * shard_len
                 };
                 let source = ShardSource::Spec(&spec, shard_len);
-                let run = exec.run(
+                let (finished, _) = exec.run_shards(
                     &pipes,
                     source,
                     EvalOptions::default(),
@@ -842,8 +852,8 @@ mod tests {
                     .iter()
                     .filter(|k| picked(k))
                     .count();
-                assert_eq!(run.outcomes.len(), selected);
-                for (key, outcomes) in run.outcomes {
+                assert_eq!(finished.len(), selected);
+                for (key, outcomes) in finished {
                     for (offset, outcome) in outcomes.iter().enumerate() {
                         let index = key.q_start + offset;
                         assert_eq!(
@@ -889,6 +899,11 @@ mod tests {
         }
     }
 
+    /// Legibility slots for `pipe` alone on `q`, at native resolution.
+    fn slots(pipe: &VlmPipeline, q: &Question) -> LegibilitySlots {
+        LegibilitySlots::new(q, std::slice::from_ref(pipe), 1)
+    }
+
     #[test]
     fn zero_plan_admits_everything_without_breaker_state() {
         let bench = ChipVqa::standard();
@@ -917,7 +932,16 @@ mod tests {
         let sup = Supervisor::new(FaultPlan::none());
         let q = &bench.questions()[0];
         let supervised = sup
-            .infer(&pipe, q, 1, 0, None, &Telemetry::disabled(), 0)
+            .infer(
+                &pipe,
+                q,
+                &slots(&pipe, q),
+                1,
+                0,
+                None,
+                &Telemetry::disabled(),
+                0,
+            )
             .expect("no faults");
         let plain = pipe.infer(q, 1, 0);
         assert_eq!(supervised.text, plain.text);
@@ -935,7 +959,16 @@ mod tests {
             });
         let q = &bench.questions()[0];
         let (err, degraded) = sup
-            .infer(&pipe, q, 1, 0, None, &Telemetry::disabled(), 0)
+            .infer(
+                &pipe,
+                q,
+                &slots(&pipe, q),
+                1,
+                0,
+                None,
+                &Telemetry::disabled(),
+                0,
+            )
             .unwrap_err();
         assert_eq!(err, EvalError::Transient);
         assert_eq!(degraded, None, "transient errors leave no evidence");
@@ -964,7 +997,16 @@ mod tests {
         .with_deadline_ms(1234);
         let q = &bench.questions()[3];
         let (err, _) = sup
-            .infer(&pipe, q, 1, 0, None, &Telemetry::disabled(), 0)
+            .infer(
+                &pipe,
+                q,
+                &slots(&pipe, q),
+                1,
+                0,
+                None,
+                &Telemetry::disabled(),
+                0,
+            )
             .unwrap_err();
         assert_eq!(err, EvalError::Timeout { deadline_ms: 1234 });
         assert_eq!(err.label(), "timeout");
@@ -1032,7 +1074,9 @@ mod tests {
             .sink(Arc::clone(&sink))
             .build();
         let q = &bench.questions()[0];
-        let (err, _) = sup.infer(&pipe, q, 1, 0, None, &tele, 0).unwrap_err();
+        let (err, _) = sup
+            .infer(&pipe, q, &slots(&pipe, q), 1, 0, None, &tele, 0)
+            .unwrap_err();
         assert!(matches!(err, EvalError::Timeout { .. }));
         let snap = tele.snapshot();
         assert_eq!(snap.counters["fault.injected"], 2, "two recovery draws");

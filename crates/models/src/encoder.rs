@@ -22,29 +22,78 @@ pub struct Percept {
 
 /// Runs perception: for each key mark, measure the legibility of its
 /// pixels after the *total* downsampling the encoder implies
-/// (`external_factor` from the experiment times the resize the encoder's
-/// input resolution forces), then extract the fact with probability
-/// `acuity · (0.15 + 0.85 · legibility^2.5)`.
+/// ([`total_factor`]: `external_factor` from the experiment times the
+/// resize the encoder's input resolution forces), then extract the fact
+/// with probability `acuity · (0.15 + 0.85 · legibility^2.5)`
+/// ([`score`]).
 ///
 /// Each mark is scored from its own pixels
 /// ([`legibility_after_downsample`] filters only the blocks under the
 /// mark), so a call costs the key marks' area, not the whole image's.
+/// Legibility reads only the image, the mark's region and the total
+/// factor, never the model: an engine that evaluates many models on one
+/// question computes [`key_mark_legibility`] once per total factor and
+/// passes it to [`score`], which makes the same draws and returns the
+/// same percept as this function.
 pub fn perceive(
     profile: &ModelProfile,
     question: &Question,
     external_factor: usize,
     rng: &mut StdRng,
 ) -> Percept {
+    let total = total_factor(profile, question, external_factor);
+    score(
+        profile,
+        question,
+        &key_mark_legibility(question, total),
+        rng,
+    )
+}
+
+/// The total downsampling factor the encoder sees `question`'s image
+/// at: `external_factor × ⌈max_dim / encoder_resolution⌉`.
+pub fn total_factor(profile: &ModelProfile, question: &Question, external_factor: usize) -> usize {
     let image = &question.visual.image;
     let max_dim = image.width().max(image.height()).max(1);
     let enc_factor = max_dim.div_ceil(profile.encoder_resolution).max(1);
-    let total = external_factor.max(1) * enc_factor;
+    external_factor.max(1) * enc_factor
+}
+
+/// The [`legibility_after_downsample`] of each of `question`'s key marks
+/// at `total` factor, in `key_marks` order (1.0 for an index with no
+/// mark, which [`score`] skips).
+pub fn key_mark_legibility(question: &Question, total: usize) -> Vec<f64> {
+    let visual = &question.visual;
+    question
+        .key_marks
+        .iter()
+        .map(|&mark_idx| {
+            visual.marks.get(mark_idx).map_or(1.0, |mark| {
+                legibility_after_downsample(&visual.image, mark.region, total)
+            })
+        })
+        .collect()
+}
+
+/// The scoring step of [`perceive`]: one draw per key mark that has a
+/// mark, perceived with probability `acuity · (0.15 + 0.85 ·
+/// legibility^2.5)`, where `legibility[i]` belongs to `key_marks[i]`.
+pub fn score(
+    profile: &ModelProfile,
+    question: &Question,
+    legibility: &[f64],
+    rng: &mut StdRng,
+) -> Percept {
+    assert_eq!(
+        legibility.len(),
+        question.key_marks.len(),
+        "one legibility value per key mark"
+    );
     let mut perceived = Vec::new();
-    for &mark_idx in &question.key_marks {
-        let Some(mark) = question.visual.marks.get(mark_idx) else {
+    for (&mark_idx, &legibility) in question.key_marks.iter().zip(legibility) {
+        if question.visual.marks.get(mark_idx).is_none() {
             continue;
-        };
-        let legibility = legibility_after_downsample(image, mark.region, total);
+        }
         // Perception falls off sharply once strokes start dissolving:
         // a small floor for coarse context, then a superlinear ramp.
         let p = (profile.visual_acuity * (0.15 + 0.85 * legibility.powf(2.5))).clamp(0.0, 1.0);

@@ -104,19 +104,7 @@ impl VlmPipeline {
         // name), so only the adherence mechanism differs
         let mut rng = self.rng_for(question, attempt);
         let percept = encoder::perceive(&styled.profile, question, config.downsample, &mut rng);
-        let ans = backbone::answer(
-            &styled.profile,
-            question,
-            &percept,
-            config.temperature,
-            &mut rng,
-        );
-        ModelResponse {
-            text: ans.text,
-            path: ans.path,
-            percept,
-            solve_probability: ans.solve_probability,
-        }
+        styled.respond(question, percept, config.temperature, &mut rng)
     }
 
     /// Inference with explicit settings.
@@ -128,15 +116,45 @@ impl VlmPipeline {
     ) -> ModelResponse {
         let mut rng = self.rng_for(question, attempt);
         let percept = encoder::perceive(&self.profile, question, config.downsample, &mut rng);
-        // (projector: identity in the simulation — visual tokens join the
-        // text tokens directly)
-        let ans = backbone::answer(
-            &self.profile,
-            question,
-            &percept,
-            config.temperature,
-            &mut rng,
-        );
+        self.respond(question, percept, config.temperature, &mut rng)
+    }
+
+    /// The total downsampling factor this model's encoder sees
+    /// `question` at, after `downsample` ([`encoder::total_factor`]).
+    pub fn total_factor(&self, question: &Question, downsample: usize) -> usize {
+        encoder::total_factor(&self.profile, question, downsample)
+    }
+
+    /// Zero-shot inference (temperature 0.1) from the key marks'
+    /// legibility at [`total_factor`](Self::total_factor)`(question,
+    /// downsample)`, as [`encoder::key_mark_legibility`] computes it.
+    /// Perception makes the same draws from the same seed, so the
+    /// response equals [`infer`](Self::infer)`(question, downsample,
+    /// attempt)` bit for bit; an engine evaluating many models on one
+    /// question computes the legibility once per total factor.
+    pub fn infer_legible(
+        &self,
+        question: &Question,
+        attempt: u64,
+        legibility: &[f64],
+    ) -> ModelResponse {
+        let mut rng = self.rng_for(question, attempt);
+        let percept = encoder::score(&self.profile, question, legibility, &mut rng);
+        let temperature = InferenceConfig::default().temperature;
+        self.respond(question, percept, temperature, &mut rng)
+    }
+
+    /// The language backbone's answer to what the encoder perceived
+    /// (projector: identity in the simulation — visual tokens join the
+    /// text tokens directly).
+    fn respond(
+        &self,
+        question: &Question,
+        percept: Percept,
+        temperature: f64,
+        rng: &mut StdRng,
+    ) -> ModelResponse {
+        let ans = backbone::answer(&self.profile, question, &percept, temperature, rng);
         ModelResponse {
             text: ans.text,
             path: ans.path,

@@ -375,3 +375,72 @@ fn resolution_study_report_bytes_are_frozen() {
         "resolution-study report bytes drifted (got 0x{h:016x})"
     );
 }
+
+/// FNV-1a 64 of the canonical JSON `table2 --report-json` writes for a
+/// table: the run-metadata `cache_stats` nulled.
+fn table2_report_hash(mut table: chipvqa::eval::report::Table2) -> u64 {
+    for row in &mut table.rows {
+        row.standard.cache_stats = None;
+        row.challenge.cache_stats = None;
+    }
+    let json = serde_json::to_string(&table).expect("table serializes");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in json.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn table2_grid_report_bytes_are_frozen() {
+    // The binary's own grid path (`run_table2_on`, streamed: one engine
+    // run over both columns) at scale 2. The value is what `table2
+    // --scale 2 --report-json` wrote before that path shared legibility
+    // and derived the no-choice column; it is the same at 1, 2 and 3
+    // workers. Re-capture (only for a deliberate behaviour change) with
+    // CHIPVQA_PRINT_GOLDENS=1.
+    use chipvqa::eval::ParallelExecutor;
+    let h = table2_report_hash(chipvqa_bench::run_table2_on(
+        &ParallelExecutor::new(2),
+        2,
+        true,
+    ));
+    if std::env::var("CHIPVQA_PRINT_GOLDENS").is_ok() {
+        println!("table2 --scale 2 report hash: 0x{h:016x}");
+        return;
+    }
+    const FROZEN: u64 = 0xffc296e0f3818022;
+    assert_eq!(
+        h, FROZEN,
+        "table2 --scale 2 report bytes drifted (got 0x{h:016x})"
+    );
+}
+
+#[test]
+fn supervised_table2_grid_report_bytes_are_frozen() {
+    // The same grid under a seeded fault storm: breaker sheds, retries,
+    // quarantined panics and degraded (truncated or garbled) evidence
+    // all reach the report, so this pins the supervised path, degraded
+    // re-inference included, which the streamed-vs-batch `cmp` alone
+    // cannot (a drift on both sides passes it). The value is what
+    // `table2 --scale 2 --chaos 0.05 --chaos-seed 42 --report-json`
+    // wrote before the grid became one engine run; it is the same at 1,
+    // 2 and 3 workers. Re-capture (only for a deliberate behaviour
+    // change) with CHIPVQA_PRINT_GOLDENS=1.
+    use chipvqa::eval::fault::install_quiet_panic_hook;
+    use chipvqa::eval::{FaultPlan, ParallelExecutor, Supervisor};
+    install_quiet_panic_hook();
+    let exec =
+        ParallelExecutor::new(3).with_supervisor(Supervisor::new(FaultPlan::uniform(42, 0.05)));
+    let h = table2_report_hash(chipvqa_bench::run_table2_on(&exec, 2, true));
+    if std::env::var("CHIPVQA_PRINT_GOLDENS").is_ok() {
+        println!("supervised table2 --scale 2 report hash: 0x{h:016x}");
+        return;
+    }
+    const FROZEN: u64 = 0xe6388638c5c93644;
+    assert_eq!(
+        h, FROZEN,
+        "supervised table2 --scale 2 report bytes drifted (got 0x{h:016x})"
+    );
+}

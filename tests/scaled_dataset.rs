@@ -6,12 +6,16 @@
 //! worker counts while holding the peak resident question count to the
 //! shard-size bound.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use chipvqa::core::gen::verify::{reverify, verify_collection};
 use chipvqa::core::stats::DatasetStats;
-use chipvqa::core::{DatasetSpec, RESIDENT_SLACK};
+use chipvqa::core::{no_choice, DatasetSpec, RESIDENT_SLACK};
 use chipvqa::eval::harness::EvalOptions;
 use chipvqa::eval::{Judge, ParallelExecutor, RuleJudge};
 use chipvqa::models::{ModelZoo, VlmPipeline};
+use chipvqa::telemetry::Telemetry;
 use proptest::prelude::*;
 
 #[test]
@@ -198,4 +202,94 @@ fn streamed_scale10_identical_across_worker_counts_in_bounded_memory() {
     }
     assert_eq!(reports[0], reports[1], "2 workers diverged from 1");
     assert_eq!(reports[0], reports[2], "8 workers diverged from 1");
+}
+
+proptest! {
+    // each case streams two specs at four shard lengths — keep few
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The engine's derived no-choice twin: for random specs (any MC/SA
+    /// ratio) and shard lengths straddling the block sizes, `no_choice`
+    /// of every shard equals the same shard of the spec at
+    /// `mc_sa_ratio` 0, pixels included, and shares its source's pixel
+    /// storage instead of copying it.
+    #[test]
+    fn derived_no_choice_shards_equal_generated_ones_and_share_pixels(
+        scale in 1usize..3,
+        seed in 0u64..(1 << 48),
+        w in (1u32..100, 1u32..100, 1u32..100, 1u32..100, 1u32..100),
+        ratio_pct in 0u32..101,
+    ) {
+        let spec = DatasetSpec::scaled(scale)
+            .with_seed(seed)
+            .with_weights([w.0 as f64, w.1 as f64, w.2 as f64, w.3 as f64, w.4 as f64])
+            .with_mc_sa_ratio(f64::from(ratio_pct) / 100.0);
+        let challenge = spec.clone().with_mc_sa_ratio(0.0);
+        for shard_len in [1usize, 17, 142, 1000] {
+            let mut shards = 0;
+            for (source, generated) in spec.stream(shard_len).zip(challenge.stream(shard_len)) {
+                let derived = no_choice(&source);
+                prop_assert!(derived == generated, "shard {} at length {}", shards, shard_len);
+                for (twin, q) in derived.iter().zip(&source) {
+                    prop_assert!(Arc::ptr_eq(&twin.visual, &q.visual), "{} copied its pixels", q.id);
+                }
+                shards += 1;
+            }
+            prop_assert_eq!(shards, spec.total().div_ceil(shard_len));
+        }
+    }
+}
+
+/// A grid computes each legibility value once: over both columns of a
+/// small grid and all twelve models, the slot fills at total factors of
+/// 2 or more count exactly the distinct (question, key mark, factor)
+/// triples the models need, and the table equals two separate column
+/// runs.
+#[test]
+fn a_grid_fills_each_legibility_value_once() {
+    let spec = DatasetSpec::default();
+    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let options = EvalOptions {
+        downsample: 2,
+        ..EvalOptions::default()
+    };
+    let tele = Telemetry::recording();
+    let exec = ParallelExecutor::new(2).with_telemetry(tele.clone());
+    let (table, stats) = exec.evaluate_table2(&pipes, &spec, 17, options, &RuleJudge::new());
+    assert_eq!(
+        stats.questions,
+        spec.total(),
+        "each question generated once"
+    );
+
+    let mut needed = BTreeSet::new();
+    for q in spec.build().iter() {
+        for pipe in &pipes {
+            let total = pipe.total_factor(q, options.downsample);
+            if total >= 2 {
+                for position in 0..q.key_marks.len() {
+                    needed.insert((q.id.clone(), position, total));
+                }
+            }
+        }
+    }
+    let filled = tele.snapshot().counters["perceive.legibility_filled"];
+    assert_eq!(filled, needed.len() as u64);
+
+    let exec = ParallelExecutor::new(2);
+    let column = |spec: &DatasetSpec| {
+        exec.evaluate_source(
+            &pipes,
+            chipvqa::eval::executor::ShardSource::Spec(spec, 17),
+            options,
+            &RuleJudge::new(),
+        )
+        .0
+    };
+    let challenge = spec.clone().with_mc_sa_ratio(0.0);
+    for ((row, standard), challenge) in table.rows.iter().zip(column(&spec)).zip(column(&challenge))
+    {
+        assert_eq!(row.standard, standard);
+        assert_eq!(row.challenge, challenge);
+    }
 }

@@ -154,3 +154,36 @@ fn cache_counters_agree_with_report_stats() {
         "second pass hits the cache"
     );
 }
+
+/// Degraded re-inference is visible in traces: every truncated or
+/// garbled fault at the inference site reproduces the response it
+/// corrupts inside its own `inference.degraded` span, and no other
+/// fault re-infers (it leaves no evidence to reproduce).
+#[test]
+fn degraded_reinference_runs_in_its_own_span() {
+    install_quiet_panic_hook();
+    let sink = Arc::new(MemorySink::new());
+    let tele = Telemetry::builder().sink(Arc::clone(&sink)).build();
+    let exec = ParallelExecutor::new(2)
+        .with_supervisor(Supervisor::new(FaultPlan::uniform(chaos_seed(), 0.05)))
+        .with_telemetry(tele);
+    let pipes: Vec<VlmPipeline> = [ModelZoo::gpt4o(), ModelZoo::llava_7b(), ModelZoo::fuyu_8b()]
+        .into_iter()
+        .map(VlmPipeline::new)
+        .collect();
+    exec.evaluate_grid(
+        &pipes,
+        &ChipVqa::standard(),
+        EvalOptions::default(),
+        &chipvqa::eval::RuleJudge::new(),
+    );
+    let spans = sink.named("inference.degraded").len();
+    let corrupting = sink
+        .named("fault.injected")
+        .iter()
+        .filter(|e| e.get("site") == Some("inference"))
+        .filter(|e| matches!(e.get("kind"), Some("truncated" | "garbled")))
+        .count();
+    assert!(corrupting > 0, "the storm corrupts some responses");
+    assert_eq!(spans, corrupting);
+}
