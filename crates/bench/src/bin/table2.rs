@@ -21,7 +21,9 @@
 //! --scale N` folds the records into the canonical table — byte-identical
 //! to a single-process run — refusing a mismatched spec fingerprint.
 //! `--report-json FILE` writes the table (with the run-metadata
-//! `cache_stats` nulled) as JSON for byte comparison.
+//! `cache_stats` nulled) as JSON for byte comparison, one row at a time.
+//! A `--trace` file ends with one `telemetry.snapshot` event holding
+//! every counter and gauge of the run.
 //!
 //! `--chaos RATE` (scaled runs) places the whole grid under a seeded
 //! fault supervisor: every fault kind injected at RATE, seed taken from
@@ -49,6 +51,7 @@ use std::sync::Arc;
 
 use chipvqa_bench::{
     paper_reference, run_table2_fleet_merge, run_table2_fleet_worker, run_table2_on,
+    write_report_json,
 };
 use chipvqa_core::DatasetSpec;
 use chipvqa_eval::fleet::FleetConfig;
@@ -202,12 +205,12 @@ fn main() {
 
     if let (Some(dir), false) = (&fleet_dir, merge_mode) {
         let started = std::time::Instant::now();
-        let outcome =
-            run_table2_fleet_worker(dir, scale, workers, &FleetConfig::default(), telemetry)
-                .unwrap_or_else(|e| {
-                    eprintln!("fleet worker failed: {e}");
-                    std::process::exit(1);
-                });
+        let config = FleetConfig::default();
+        let outcome = run_table2_fleet_worker(dir, scale, workers, &config, telemetry.clone())
+            .unwrap_or_else(|e| {
+                eprintln!("fleet worker failed: {e}");
+                std::process::exit(1);
+            });
         println!(
             "fleet worker pid {} done in {:.3}s: {} shards evaluated ({} healed), \
              {} quarantined, {} leases stolen ({} lost), {} duplicate commits",
@@ -225,7 +228,7 @@ fn main() {
             dir.display(),
             scale
         );
-        write_trace(trace_file, sink);
+        write_trace(trace_file, sink, &telemetry);
         return;
     }
 
@@ -250,7 +253,7 @@ fn main() {
                     .unwrap_or(20_260_806);
                 (seed, rate)
             });
-            run_grid(scale, workers, chaos, batch_mode, store_dir, telemetry)
+            run_grid(scale, workers, chaos, batch_mode, store_dir, &telemetry)
         }
     };
     println!("{table}");
@@ -278,8 +281,8 @@ fn main() {
             gpt.standard.overall() - table.open_source_mean("GPT4o")
         );
     }
-    write_report_json(report_json, &table);
-    write_trace(trace_file, sink);
+    write_report(report_json, &table);
+    write_trace(trace_file, sink, &telemetry);
     if table.is_degraded() {
         std::process::exit(EXIT_DEGRADED);
     }
@@ -295,7 +298,7 @@ fn run_grid(
     chaos: Option<(u64, f64)>,
     batch_mode: bool,
     store_dir: Option<std::path::PathBuf>,
-    telemetry: Telemetry,
+    telemetry: &Telemetry,
 ) -> Table2 {
     let mut exec = ParallelExecutor::new(workers).with_telemetry(telemetry.clone());
     let shape = format!(
@@ -324,7 +327,7 @@ fn run_grid(
         eprintln!("answer store at {} failed: {e}", dir.display());
         std::process::exit(1);
     };
-    let store = AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), telemetry)
+    let store = AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), telemetry.clone())
         .unwrap_or_else(|e| store_failed(e));
     let cache = Arc::new(AnswerCache::new().with_store(Arc::new(store)));
     let table = run_table2_on(&exec.with_cache(Arc::clone(&cache)), scale, !batch_mode);
@@ -344,31 +347,31 @@ fn run_grid(
     table
 }
 
-/// Writes the table as JSON with the run-metadata `cache_stats` nulled,
-/// so two runs with identical results (one warm, one cold; one fleet,
-/// one single-process) produce byte-identical files.
-fn write_report_json(path: Option<std::path::PathBuf>, table: &Table2) {
+/// Writes the `--report-json` file, if one was requested
+/// ([`write_report_json`]).
+fn write_report(path: Option<std::path::PathBuf>, table: &Table2) {
     let Some(path) = path else { return };
-    let mut canonical = table.clone();
-    for row in &mut canonical.rows {
-        row.standard.cache_stats = None;
-        row.challenge.cache_stats = None;
-    }
-    let json = serde_json::to_string(&canonical).expect("table serializes");
-    if let Err(e) = std::fs::write(&path, json) {
+    let written = std::fs::File::create(&path).and_then(|file| write_report_json(table, file));
+    if let Err(e) = written {
         eprintln!("failed to write report {}: {e}", path.display());
         std::process::exit(1);
     }
     println!("report: {}", path.display());
 }
 
-/// Writes the captured telemetry trace (if any was requested) to disk.
-fn write_trace(path: Option<std::path::PathBuf>, sink: Option<Arc<JsonlSink>>) {
+/// Writes the captured telemetry trace (if any was requested) to disk,
+/// ending it with the run's `telemetry.snapshot` event.
+fn write_trace(
+    path: Option<std::path::PathBuf>,
+    sink: Option<Arc<JsonlSink>>,
+    telemetry: &Telemetry,
+) {
     if let (Some(path), Some(sink)) = (path, sink) {
-        if let Err(e) = std::fs::write(&path, sink.to_jsonl()) {
+        telemetry.emit_snapshot();
+        if let Err(e) = sink.write_to(&path) {
             eprintln!("failed to write trace {}: {e}", path.display());
             std::process::exit(1);
         }
-        println!("trace: {} lines -> {}", sink.lines().len(), path.display());
+        println!("trace: {} lines -> {}", sink.len(), path.display());
     }
 }

@@ -3,11 +3,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use chipvqa_core::{ChipVqa, DatasetSpec, BASE_SIZE};
-use chipvqa_eval::executor::ShardSource;
+use chipvqa_core::{ChipVqa, DatasetSpec};
+use chipvqa_eval::executor::{ShardSource, SHARD_SIZE};
 use chipvqa_eval::fleet::{self, FleetConfig, FleetError, FleetJob, FleetOutcome};
 use chipvqa_eval::harness::{evaluate, EvalOptions};
 use chipvqa_eval::judge::RuleJudge;
@@ -47,13 +48,16 @@ pub fn run_table2_scaled(scale: usize, workers: usize) -> Table2 {
 ///
 /// Streamed, the grid is one engine run
 /// ([`ParallelExecutor::evaluate_table2`]): the spec is generated
-/// shard-by-shard at [`BASE_SIZE`] questions (overlapped with
+/// shard-by-shard at [`SHARD_SIZE`] questions (overlapped with
 /// inference, never materialised whole), each shard once, and its
 /// no-choice twin is derived from it, so every model in both columns
-/// shares the shard's legibility slots. With `streamed` false
+/// shares the shard's legibility slots. At most `2·workers + 1` shards
+/// are resident, three at one worker: fewer questions than one
+/// 142-question shard, yet more than one replica block, the unit the
+/// generator makes. With `streamed` false
 /// (`--batch`), both collections are built whole with
 /// [`DatasetSpec::build`] and each is one grid call cut at
-/// [`SHARD_SIZE`](chipvqa_eval::executor::SHARD_SIZE). Both produce
+/// [`SHARD_SIZE`]. Both produce
 /// byte-identical tables, supervised or not — the contract the
 /// `stream-chaos` CI job `cmp`s, which so also checks the derived twin —
 /// and a warm store serves every answer from disk without changing a
@@ -64,7 +68,7 @@ pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> T
     let standard = DatasetSpec::scaled(scale);
     if streamed {
         return exec
-            .evaluate_table2(&pipes, &standard, BASE_SIZE, options, &judge)
+            .evaluate_table2(&pipes, &standard, SHARD_SIZE, options, &judge)
             .0;
     }
     let column = |spec: DatasetSpec| {
@@ -82,6 +86,30 @@ pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> T
         })
         .collect();
     Table2 { rows }
+}
+
+/// Writes `table` as `table2 --report-json` does: JSON with each
+/// report's run-metadata `cache_stats` nulled, so two runs with
+/// identical results (one warm, one cold; one fleet, one
+/// single-process) produce byte-identical files. The bytes equal
+/// `serde_json::to_string` of the nulled table, but rows are serialized
+/// and written one at a time through a buffer, so neither the nulled
+/// copy nor the document ever exists whole in memory.
+pub fn write_report_json(table: &Table2, out: impl Write) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    out.write_all(b"{\"rows\":[")?;
+    for (i, row) in table.rows.iter().enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        let mut row = row.clone();
+        row.standard.cache_stats = None;
+        row.challenge.cache_stats = None;
+        let json = serde_json::to_string(&row).map_err(io::Error::other)?;
+        out.write_all(json.as_bytes())?;
+    }
+    out.write_all(b"]}")?;
+    out.flush()
 }
 
 /// The pieces every fleet participant (worker or merge) derives from
@@ -242,4 +270,27 @@ pub fn paper_reference() -> Vec<(&'static str, f64, f64)> {
         ("LLaMA-3.2-90B", 0.31, 0.09),
         ("GPT4o", 0.44, 0.20),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_json_is_the_nulled_table_serialized_whole() {
+        let cache = Arc::new(AnswerCache::new());
+        let table = run_table2_on(&ParallelExecutor::new(2).with_cache(cache), 1, true);
+        assert!(table.rows[0].standard.cache_stats.is_some());
+        let mut canonical = table.clone();
+        for row in &mut canonical.rows {
+            row.standard.cache_stats = None;
+            row.challenge.cache_stats = None;
+        }
+        let mut written = Vec::new();
+        write_report_json(&table, &mut written).expect("report written");
+        assert_eq!(
+            String::from_utf8(written).expect("utf-8"),
+            serde_json::to_string(&canonical).expect("table serializes")
+        );
+    }
 }

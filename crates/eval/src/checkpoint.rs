@@ -317,11 +317,12 @@ impl ParallelExecutor {
     /// against the run ([`Checkpoint::validate_source`]). A shard whose
     /// worker caught a panic is recorded (degraded) and quarantined for
     /// [`Checkpoint::requeue_quarantined`]. `stop` is polled before each
-    /// dispatch with the number of shards dispatched so far; once it
+    /// dispatch — when an executor worker takes the next shard, on that
+    /// worker — with the number of shards dispatched so far; once it
     /// returns true no further shard starts, and the ones already
-    /// dispatched finish and are recorded. Returns the merged reports
-    /// once the checkpoint covers the whole grid, `None` while work
-    /// remains.
+    /// dispatched (at most one per worker) finish and are recorded.
+    /// Returns the merged reports once the checkpoint covers the whole
+    /// grid, `None` while work remains.
     pub fn evaluate_checkpointed(
         &self,
         pipes: &[VlmPipeline],
@@ -329,7 +330,7 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
         checkpoint: &mut Checkpoint,
-        stop: &mut dyn FnMut(usize) -> bool,
+        stop: &mut (dyn FnMut(usize) -> bool + Send),
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
         checkpoint.validate_source(pipes, source, options)?;
         let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();

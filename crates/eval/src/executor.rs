@@ -6,8 +6,13 @@
 //! generated lazily at a chosen shard length — and evaluates them on a
 //! pool of scoped worker threads. The calling thread is the producer:
 //! it walks the source in shard order, generating each spec shard once
-//! however many models need it, and sends every selected (row, shard)
-//! item through a bounded channel that idle workers pull from. A row is
+//! however many models need it, and queues every selected (row, shard)
+//! item on a channel that idle workers pull from. An item is dispatched
+//! when a worker takes it, so a stop leaves at most `workers` items to
+//! finish. The run is bounded by resident shards, not by queued items:
+//! at most `2·workers + 1` shards (fewer when a shard has several rows)
+//! are generated and not yet finished, so a grid generates shard k + 1
+//! while its workers evaluate the rows of shard k. A row is
 //! one model over one column: a grid call has one row per model, and
 //! [`evaluate_table2`](ParallelExecutor::evaluate_table2) adds a second
 //! row per model over each shard's no-choice twin. Every model in every
@@ -61,7 +66,7 @@ use std::convert::Infallible;
 use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use chipvqa_core::question::Question;
 use chipvqa_core::spec::{no_choice, DatasetSpec, ShardStream};
@@ -490,11 +495,14 @@ impl ParallelExecutor {
     }
 
     /// The engine. The calling thread walks `source` in shard order and
-    /// sends every (row, shard) item `select` picks through a bounded
-    /// channel to the scoped workers; `stop` is polled before each
-    /// dispatch with the number of items dispatched so far and ends the
-    /// walk when it returns true (dispatched items still finish). Each
-    /// finished item's outcomes go to `sink` from the worker that
+    /// queues every (row, shard) item `select` picks for the scoped
+    /// workers. An item is dispatched when a worker takes it from the
+    /// queue, in queue order: `stop` is polled then, on that worker, with
+    /// the number of items dispatched before it. Once it returns true no
+    /// further item is dispatched, the queued ones are dropped unrun and
+    /// the walk ends; the dispatched ones still finish, so a stop waits
+    /// for at most `workers` items however far generation has run ahead.
+    /// Each finished item's outcomes go to `sink` from the worker that
     /// finished it, in completion order; the run returns its stats.
     ///
     /// A row is one model over one column. Row `m` is model `m` over the
@@ -507,10 +515,22 @@ impl ParallelExecutor {
     /// by all rows and by the twin, filled on the first cache miss that
     /// reads a slot, and dropped with the shard's last item.
     ///
-    /// In-flight questions — queued in the channel plus held by workers —
-    /// are tracked so the memory bound is observable, not aspirational:
-    /// the peak never exceeds `(workers + channel capacity + 1) ×
-    /// shard_len` = `(2·workers + 1) × shard_len`.
+    /// The run is bounded by resident shards: the producer takes a
+    /// permit before it generates (or slices) a shard, queues all of the
+    /// shard's selected rows without blocking, and the shard returns its
+    /// permit when its last item in either column finishes or is
+    /// dropped. A single-row stream gets `2·workers + 1` permits, the
+    /// items it always had in flight. With more rows per shard it gets
+    /// the shards that many items can span plus one generated ahead,
+    /// `⌈(2·workers + 1) / rows⌉ + 2`, if that is fewer: a many-model
+    /// run holds about one shard more than a `workers`-item queue let it,
+    /// not `2·workers + 1`. So with one worker, three shards can be
+    /// resident: one evaluated, two queued, and the producer generates
+    /// the next as soon as the oldest finishes. Generation stays on the
+    /// calling thread. Both bounds are observable, not aspirational:
+    /// `peak_resident_shards` never exceeds the permits, and in-flight
+    /// questions — queued plus held by workers — never exceed
+    /// `rows × permits × shard_len`.
     ///
     /// Supervised, the producer drives each row's windowed breaker
     /// from the window holding its first selected question through the
@@ -528,7 +548,7 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
         select: &dyn Fn(&ShardKey) -> bool,
-        stop: &mut dyn FnMut(usize) -> bool,
+        stop: &mut (dyn FnMut(usize) -> bool + Send),
         sink: &(dyn Fn(ShardKey, Vec<QuestionOutcome>) + Sync),
     ) -> StreamStats {
         let workers = self.workers;
@@ -568,14 +588,23 @@ impl ParallelExecutor {
                 ShardSource::Spec(spec, shard_len) => Walk::Spec(spec.stream(shard_len)),
             },
             peak_in_flight: 0,
+            peak_resident_shards: 0,
             exec: self,
         };
         let generated = matches!(producer.walk, Walk::Spec(_));
 
-        let (tx, rx) = mpsc::sync_channel::<Item<'_>>(workers);
-        // the workers own the receiver: if they all die, sends fail
-        // instead of blocking the producer forever
-        let rx = Arc::new(Mutex::new(rx));
+        let lookahead = 2 * workers + 1;
+        let residency = Residency::new(lookahead.min(lookahead.div_ceil(rows.max(1)) + 2));
+        let (tx, rx) = mpsc::channel::<Item<'_>>();
+        // the workers own the receiver: once they have all stopped or
+        // died, it drops the queued items (returning their shards'
+        // permits) and sends fail, instead of blocking the producer
+        let dispatch = Arc::new(Mutex::new(Dispatch {
+            rx,
+            stop,
+            dispatched: 0,
+            stopped: false,
+        }));
         let in_flight = AtomicUsize::new(0);
         let quarantined = AtomicUsize::new(0);
         let cache = self.cache.as_deref();
@@ -584,12 +613,18 @@ impl ParallelExecutor {
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let rx = Arc::clone(&rx);
+                let dispatch = Arc::clone(&dispatch);
                 let (in_flight, quarantined) = (&in_flight, &quarantined);
-                let fingerprints = &fingerprints;
+                let (fingerprints, residency) = (&fingerprints, &residency);
                 scope.spawn(move || loop {
-                    let received = rx.lock().expect("engine receiver lock").recv();
-                    let Ok((key, shard, admits)) = received else {
+                    // a worker whose stop hook panicked poisons the lock:
+                    // the others stop too
+                    let Some((key, shard, admits)) = dispatch
+                        .lock()
+                        .ok()
+                        .and_then(|mut dispatch| dispatch.next())
+                    else {
+                        residency.stop();
                         break;
                     };
                     let model_idx = key.model_idx % models;
@@ -609,7 +644,7 @@ impl ParallelExecutor {
                     let outcomes: Vec<QuestionOutcome> = shard
                         .questions
                         .iter()
-                        .zip(shard.legibility.iter())
+                        .zip(shard.resident.legibility.iter())
                         .enumerate()
                         .map(|(offset, (q, legibility))| {
                             let _t = tele.timer("executor.question_ns");
@@ -652,12 +687,19 @@ impl ParallelExecutor {
                 });
             }
 
-            drop(rx);
+            drop(dispatch);
             // the calling thread is the producer: generation (and,
             // supervised, breaker admission) overlaps the workers'
             // inference
-            let mut dispatched = 0usize;
             'walk: for shard in 0..walk_end.unwrap_or(0) {
+                // a shard is resident from before it is generated until
+                // its last item finishes; none is taken once the
+                // workers have stopped
+                let Some((permit, resident)) = residency.acquire() else {
+                    break;
+                };
+                producer.peak_resident_shards = producer.peak_resident_shards.max(resident);
+                let mut permit = Some(permit);
                 let Some(questions) = producer.next_shard() else {
                     break;
                 };
@@ -696,12 +738,10 @@ impl ParallelExecutor {
                     if !select(&key) {
                         continue;
                     }
-                    if stop(dispatched) {
-                        break 'walk;
-                    }
                     let produced = produced.get_or_insert_with(|| {
                         let fp = source.fingerprint();
-                        Shard::new(questions.clone(), pipes, options.downsample, fp)
+                        let permit = permit.take().expect("one permit per shard");
+                        Shard::new(questions.clone(), pipes, options.downsample, fp, permit)
                     });
                     let view = match twin {
                         Some(fp) if row >= models => twinned
@@ -713,15 +753,15 @@ impl ParallelExecutor {
                         in_flight.fetch_add(questions.len(), Ordering::Relaxed) + questions.len();
                     producer.peak_in_flight = producer.peak_in_flight.max(now);
                     if tx.send((key, view, admits)).is_err() {
-                        break 'walk; // every worker died; the scope re-raises its panic
+                        break 'walk; // every worker stopped or died
                     }
-                    dispatched += 1;
                 }
             }
             drop(tx); // closes the channel; workers drain and exit
         });
 
         stats.peak_in_flight = producer.peak_in_flight;
+        stats.peak_resident_shards = producer.peak_resident_shards;
         if let Walk::Spec(stream) = &producer.walk {
             stats.generator_peak_resident = Some(stream.peak_resident());
         }
@@ -739,7 +779,7 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
         select: &dyn Fn(&ShardKey) -> bool,
-        stop: &mut dyn FnMut(usize) -> bool,
+        stop: &mut (dyn FnMut(usize) -> bool + Send),
     ) -> (Vec<(ShardKey, Vec<QuestionOutcome>)>, StreamStats) {
         let finished = Mutex::new(Vec::new());
         let sink = |key, outcomes| {
@@ -757,24 +797,33 @@ impl ParallelExecutor {
 /// breaker decisions when supervised.
 type Item<'a> = (ShardKey, Shard<'a>, Option<Vec<Admit>>);
 
-/// A shard as workers see it: its questions, one [`LegibilitySlots`] per
-/// question, and the dataset fingerprint its answers are cached under.
-/// Every item of the shard holds a clone; the slots die with the last.
+/// A shard as workers see it: its questions, what it shares with its
+/// twin while resident, and the dataset fingerprint its answers are
+/// cached under. Every item of the shard holds a clone.
 #[derive(Clone)]
 struct Shard<'a> {
     questions: ShardQuestions<'a>,
-    legibility: Arc<[LegibilitySlots]>,
+    resident: Arc<Resident<'a>>,
     dataset_fp: u64,
 }
 
+/// What a shard and its no-choice twin share: one [`LegibilitySlots`]
+/// per question, and the shard's residency permit. Both die with the
+/// last item of either column, which returns the permit.
+struct Resident<'a> {
+    legibility: Box<[LegibilitySlots]>,
+    _permit: Permit<'a>,
+}
+
 impl<'a> Shard<'a> {
-    /// A produced shard with empty slots for every total factor `pipes`
-    /// see its questions at.
+    /// A produced shard holding `permit`, with empty slots for every
+    /// total factor `pipes` see its questions at.
     fn new(
         questions: ShardQuestions<'a>,
         pipes: &[VlmPipeline],
         downsample: usize,
         dataset_fp: u64,
+        permit: Permit<'a>,
     ) -> Self {
         let legibility = questions
             .iter()
@@ -782,19 +831,112 @@ impl<'a> Shard<'a> {
             .collect();
         Shard {
             questions,
-            legibility,
+            resident: Arc::new(Resident {
+                legibility,
+                _permit: permit,
+            }),
             dataset_fp,
         }
     }
 
     /// The shard's [`no_choice`] twin, keyed with `dataset_fp`: same ids,
-    /// same pixels, same key marks, so it shares the legibility slots.
+    /// same pixels, same key marks, so it shares the legibility slots
+    /// (and the permit).
     fn no_choice_twin(&self, dataset_fp: u64) -> Shard<'a> {
         Shard {
             questions: ShardQuestions::Generated(Arc::new(no_choice(&self.questions))),
-            legibility: Arc::clone(&self.legibility),
+            resident: Arc::clone(&self.resident),
             dataset_fp,
         }
+    }
+}
+
+/// The workers' side of the queue: whoever holds the lock takes the
+/// next item and polls `stop` before dispatching it.
+struct Dispatch<'a, 's> {
+    rx: mpsc::Receiver<Item<'a>>,
+    stop: &'s mut (dyn FnMut(usize) -> bool + Send),
+    dispatched: usize,
+    stopped: bool,
+}
+
+impl<'a> Dispatch<'a, '_> {
+    /// The next queued item, unless the queue is closed or `stop` has
+    /// returned true (a stopped run dispatches nothing more).
+    fn next(&mut self) -> Option<Item<'a>> {
+        if self.stopped {
+            return None;
+        }
+        let item = self.rx.recv().ok()?;
+        if (self.stop)(self.dispatched) {
+            self.stopped = true;
+            return None;
+        }
+        self.dispatched += 1;
+        Some(item)
+    }
+}
+
+/// A run's resident-shard budget: a counting semaphore of `limit`
+/// permits, closed for good once the workers stop.
+struct Residency {
+    state: Mutex<Held>,
+    returned: Condvar,
+    limit: usize,
+}
+
+/// Permits held, and whether the workers have stopped.
+#[derive(Default)]
+struct Held {
+    permits: usize,
+    stopped: bool,
+}
+
+/// One resident shard's hold on its run's [`Residency`], returned on
+/// drop.
+struct Permit<'a>(&'a Residency);
+
+impl Residency {
+    fn new(limit: usize) -> Self {
+        Residency {
+            state: Mutex::new(Held::default()),
+            returned: Condvar::new(),
+            limit,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Held> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until fewer than `limit` shards are resident, then takes a
+    /// permit; returns it with the number of permits now held, or `None`
+    /// once the workers have stopped.
+    fn acquire(&self) -> Option<(Permit<'_>, usize)> {
+        let mut held = self
+            .returned
+            .wait_while(self.lock(), |held| {
+                !held.stopped && held.permits >= self.limit
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if held.stopped {
+            return None;
+        }
+        held.permits += 1;
+        Some((Permit(self), held.permits))
+    }
+
+    /// Wakes the producer for good: no further permit is handed out.
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.returned.notify_all();
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().permits -= 1;
+        self.0.returned.notify_one();
     }
 }
 
@@ -872,8 +1014,9 @@ impl Deref for ShardQuestions<'_> {
 }
 
 /// The producer's side of one run: its walk over the source and the
-/// in-flight high-water mark. Dropping it emits the run's lifetime
-/// gauges — `stream.peak_in_flight`, the generator-side
+/// in-flight and resident-shard high-water marks. Dropping it emits the
+/// run's lifetime gauges — `stream.peak_in_flight`,
+/// `stream.peak_resident_shards`, the generator-side
 /// `stream.peak_resident` of a spec walk, and the attached cache's
 /// `cache.lifetime_hits` / `cache.lifetime_misses` — however the run
 /// ends: a panic on the producer thread (a stop hook, say) unwinds
@@ -882,6 +1025,7 @@ impl Deref for ShardQuestions<'_> {
 struct Producer<'a> {
     walk: Walk<'a>,
     peak_in_flight: usize,
+    peak_resident_shards: usize,
     exec: &'a ParallelExecutor,
 }
 
@@ -915,6 +1059,10 @@ impl Drop for Producer<'_> {
             return;
         }
         tele.gauge("stream.peak_in_flight", self.peak_in_flight as f64);
+        tele.gauge(
+            "stream.peak_resident_shards",
+            self.peak_resident_shards as f64,
+        );
         if let Walk::Spec(stream) = &self.walk {
             tele.gauge("stream.peak_resident", stream.peak_resident() as f64);
         }
@@ -934,10 +1082,17 @@ pub struct StreamStats {
     pub shards: usize,
     /// Questions walked.
     pub questions: usize,
-    /// Peak questions in flight inside the executor: queued in the
-    /// bounded channel plus held by workers. Bounded by
-    /// `(2·workers + 1) × shard_len`.
+    /// Peak questions in flight inside the executor: queued plus held by
+    /// workers. At most `rows × peak_resident_shards × shard_len`, where
+    /// a row is one model over one column: every selected row of each
+    /// resident shard.
     pub peak_in_flight: usize,
+    /// Peak shards resident at once: each taken before it is generated
+    /// (or sliced) and held until its last item in either column
+    /// finishes. At most `2·workers + 1`, and at most
+    /// `⌈(2·workers + 1) / rows⌉ + 2`.
+    #[serde(default)]
+    pub peak_resident_shards: usize,
     /// The generator-side high-water mark
     /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)),
     /// recorded for spec sources; `None` for built benches.
@@ -1623,7 +1778,8 @@ mod tests {
         let exec = ParallelExecutor::new(2)
             .with_cache(Arc::clone(&cache))
             .with_telemetry(tele.clone());
-        // the producer thread dies mid-walk, after two dispatches
+        // the run dies mid-walk, after two dispatches: the stop hook
+        // panics on a worker and the scope re-raises it on the producer
         let mut stop = |dispatched: usize| {
             if dispatched == 2 {
                 panic!("producer exploded mid-walk");
@@ -1685,6 +1841,103 @@ mod tests {
             exec.evaluate(&pipe, &ChipVqa::standard(), EvalOptions::default())
         }));
         assert!(caught.is_err(), "the worker panic propagates");
+    }
+
+    #[test]
+    fn a_grid_generates_the_next_shard_while_its_rows_are_evaluated() {
+        use chipvqa_telemetry::{FnSink, TraceRecord};
+        use std::time::Duration;
+        // one worker, four rows per shard: the first verdict waits until
+        // a second shard has been generated. An engine bounded by a
+        // `workers`-item queue would hold its producer on row 2 of
+        // shard 0, and the wait would time out. Judges run under
+        // `catch_unwind`: the result is recorded and asserted after the
+        // run.
+        struct WaitingJudge {
+            generated: Mutex<mpsc::Receiver<()>>,
+            overlapped: OnceLock<bool>,
+        }
+        impl Judge for WaitingJudge {
+            fn is_correct(&self, q: &Question, response: &str) -> bool {
+                self.overlapped.get_or_init(|| {
+                    let generated = self.generated.lock().expect("receiver lock");
+                    generated.recv_timeout(Duration::from_secs(30)).is_ok()
+                });
+                RuleJudge::new().is_correct(q, response)
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        let (tx, spans) = (Mutex::new(tx), AtomicUsize::new(0));
+        let sink = FnSink::new(move |record: &TraceRecord| {
+            let generate =
+                matches!(record, TraceRecord::Span { name, .. } if name == "stream.generate");
+            if generate && spans.fetch_add(1, Ordering::Relaxed) == 1 {
+                let _ = tx.lock().expect("sender lock").send(());
+            }
+        });
+        let exec = ParallelExecutor::new(1)
+            .with_telemetry(Telemetry::builder().sink(Arc::new(sink)).build());
+        let pipes = [
+            VlmPipeline::new(ModelZoo::gpt4o()),
+            VlmPipeline::new(ModelZoo::llava_7b()),
+        ];
+        let judge = WaitingJudge {
+            generated: Mutex::new(rx),
+            overlapped: OnceLock::new(),
+        };
+        let spec = DatasetSpec::default();
+        let (table, stats) =
+            exec.evaluate_table2(&pipes, &spec, SHARD_SIZE, EvalOptions::default(), &judge);
+        assert_eq!(
+            judge.overlapped.get(),
+            Some(&true),
+            "shard 1 was not generated while shard 0 was evaluated"
+        );
+        assert_eq!(table.rows.len(), pipes.len());
+        assert!(stats.peak_resident_shards <= 3, "{stats:?}");
+    }
+
+    #[test]
+    fn a_stop_leaves_queued_items_unrun() {
+        use crate::checkpoint::Checkpoint;
+        use chipvqa_telemetry::{FnSink, TraceRecord};
+        use std::sync::atomic::AtomicBool;
+        // twelve models streamed at 16: every generated shard queues
+        // twelve items, and the producer runs shards ahead. A stop that
+        // turns true once the first item has finished dispatches nothing
+        // more, so only the items the workers had already taken finish;
+        // the ones queued behind them are left for the next run.
+        let workers = 2;
+        let finished = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&finished);
+        let sink = FnSink::new(move |record: &TraceRecord| {
+            if record.name() == "stream.shard" {
+                flag.store(true, Ordering::SeqCst);
+            }
+        });
+        let exec = ParallelExecutor::new(workers)
+            .with_telemetry(Telemetry::builder().sink(Arc::new(sink)).build());
+        let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+        let spec = DatasetSpec::default();
+        let source = ShardSource::Spec(&spec, SHARD_SIZE);
+        let options = EvalOptions::default();
+        let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+        let partial = exec
+            .evaluate_checkpointed(
+                &pipes,
+                source,
+                options,
+                &RuleJudge::new(),
+                &mut ckpt,
+                &mut |_| finished.load(Ordering::SeqCst),
+            )
+            .expect("a fresh checkpoint matches its run");
+        assert!(partial.is_none(), "the stop ended the run early");
+        let done = ckpt.completed_shards();
+        assert!(
+            (1..=workers).contains(&done),
+            "{done} items finished; at most one per worker was dispatched"
+        );
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! at `stream_shard_len` (default [`SHARD_SIZE`], the shard plan of a
 //! built bench), never materialized. The request's `fault_plan`, if
 //! any, attaches a supervisor. The engine
-//! polls a stop hook before each shard dispatch; the hook paces the run
-//! (`step_delay` every `shard_batch` shards) and checks the cancel flag
-//! there. Cancellation therefore never tears a shard: the retained
+//! polls a stop hook before each shard dispatch — when an executor
+//! worker takes the shard — and the hook paces the run (`step_delay`
+//! every `shard_batch` shards) and checks the cancel flag there; shards
+//! queued behind a cancel never start. Cancellation therefore never
+//! tears a shard: the retained
 //! [`Checkpoint`] holds only whole-shard results, and a resumed session
 //! runs exactly the missing shards, so its report is byte-identical to
 //! an uninterrupted run — the same merge-is-positional argument the
@@ -77,7 +79,9 @@ pub struct ServiceConfig {
     /// Admission policy (queue bound, quotas, breakers).
     pub admission: AdmissionConfig,
     /// Shards dispatched per step; the cancel flag is checked between
-    /// steps, so this is the cancellation (and shutdown) granularity.
+    /// steps, so this is the cancellation (and shutdown) granularity:
+    /// after a cancel at most `shard_batch - 1` more shards start, and
+    /// the ones the workers already hold (at most `workers`) finish.
     pub shard_batch: usize,
     /// Optional pause between steps — a pacing knob for tests and load
     /// shaping; zero (the default) runs flat out.

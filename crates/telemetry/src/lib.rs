@@ -178,6 +178,20 @@ impl Telemetry {
         }
     }
 
+    /// Emits one `telemetry.snapshot` event carrying every counter and
+    /// gauge of [`snapshot`](Self::snapshot) as `(name, value)` pairs,
+    /// counters first, each in name order. A trace that ends with it
+    /// holds the run's totals and high-water marks beside its spans.
+    pub fn emit_snapshot(&self) {
+        if !self.enabled() {
+            return;
+        }
+        let snap = self.snapshot();
+        let counters = snap.counters.iter().map(|(name, n)| kv(name.as_str(), n));
+        let gauges = snap.gauges.iter().map(|(name, v)| kv(name.as_str(), v));
+        self.event("telemetry.snapshot", counters.chain(gauges).collect());
+    }
+
     /// The human summary of everything recorded so far.
     pub fn summary(&self) -> TelemetrySummary {
         TelemetrySummary::from_snapshot(&self.snapshot())
@@ -284,6 +298,23 @@ mod tests {
         assert_eq!(a.named("run.degraded").len(), 1);
         assert_eq!(b.named("run.degraded").len(), 1);
         assert_eq!(a.records()[0].get("model"), Some("Fuyu-8B"));
+    }
+
+    #[test]
+    fn snapshot_event_carries_every_counter_and_gauge() {
+        let sink = Arc::new(MemorySink::new());
+        let tele = Telemetry::builder()
+            .clock(MockClock::new(1))
+            .sink(sink.clone())
+            .build();
+        tele.counter("stream.shard_generated", 3);
+        tele.gauge("stream.peak_resident_shards", 2.0);
+        tele.emit_snapshot();
+        let events = sink.named("telemetry.snapshot");
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].get("stream.shard_generated"), Some("3"));
+        assert_eq!(events[0].get("stream.peak_resident_shards"), Some("2"));
+        Telemetry::disabled().emit_snapshot();
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! renders each record as one JSON line (the exported trace format,
 //! parseable back with [`parse_jsonl`]).
 
+use std::io::{BufWriter, Write};
 use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
@@ -144,11 +145,6 @@ impl JsonlSink {
         JsonlSink::default()
     }
 
-    /// Lines captured so far.
-    pub fn lines(&self) -> Vec<String> {
-        lock(&self.lines).clone()
-    }
-
     /// The whole trace as one newline-terminated JSONL document.
     pub fn to_jsonl(&self) -> String {
         let lines = lock(&self.lines);
@@ -160,9 +156,16 @@ impl JsonlSink {
         out
     }
 
-    /// Writes the trace to a file.
+    /// Writes the trace to a file, the same bytes as
+    /// [`to_jsonl`](Self::to_jsonl), streamed line by line through a
+    /// buffer instead of joined in memory first.
     pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
+        let mut out = BufWriter::new(std::fs::File::create(path)?);
+        for line in lock(&self.lines).iter() {
+            out.write_all(line.as_bytes())?;
+            out.write_all(b"\n")?;
+        }
+        out.flush()
     }
 
     /// How many records have been captured.
@@ -269,6 +272,19 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         let back = parse_jsonl(&text).expect("parses");
         assert_eq!(back, records);
+    }
+
+    #[test]
+    fn write_to_writes_the_jsonl_document() {
+        let sink = JsonlSink::new();
+        for r in sample() {
+            sink.record(&r);
+        }
+        let path = std::env::temp_dir().join(format!("jsonl-sink-{}.jsonl", std::process::id()));
+        sink.write_to(&path).expect("trace written");
+        let written = std::fs::read_to_string(&path).expect("trace read");
+        std::fs::remove_file(&path).expect("trace removed");
+        assert_eq!(written, sink.to_jsonl());
     }
 
     #[test]

@@ -204,6 +204,54 @@ fn streamed_scale10_identical_across_worker_counts_in_bounded_memory() {
     assert_eq!(reports[0], reports[2], "8 workers diverged from 1");
 }
 
+/// The engine bounds a grid by resident shards, not by queued items:
+/// on the 12-model, two-column grid (24 rows per shard) at 1, 2 and 4
+/// workers, at most `min(2·workers + 1, ⌈(2·workers + 1) / rows⌉ + 2)`
+/// shards — three here — are resident, the generator holds at most one
+/// shard plus one replica block, and the table does not depend on the
+/// worker count.
+#[test]
+fn a_grid_keeps_its_resident_shards_bounded() {
+    use chipvqa::eval::executor::SHARD_SIZE;
+    let spec = DatasetSpec::default();
+    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let rows = 2 * pipes.len();
+    let mut tables = Vec::new();
+    for workers in [1usize, 2, 4] {
+        let (table, stats) = ParallelExecutor::new(workers).evaluate_table2(
+            &pipes,
+            &spec,
+            SHARD_SIZE,
+            EvalOptions::default(),
+            &RuleJudge::new(),
+        );
+        assert_eq!(stats.shards, spec.total().div_ceil(SHARD_SIZE));
+        let lookahead = 2 * workers + 1;
+        let bound = lookahead.min(lookahead.div_ceil(rows) + 2);
+        assert_eq!(bound, 3);
+        assert!(
+            (1..=bound).contains(&stats.peak_resident_shards),
+            "{workers} workers: {} shards resident",
+            stats.peak_resident_shards
+        );
+        assert!(
+            stats.peak_in_flight <= rows * bound * SHARD_SIZE,
+            "{workers} workers: {} questions in flight",
+            stats.peak_in_flight
+        );
+        let resident = stats
+            .generator_peak_resident
+            .expect("spec streams report residency");
+        assert!(
+            resident <= SHARD_SIZE + RESIDENT_SLACK,
+            "{workers} workers: generator held {resident} questions"
+        );
+        tables.push(table);
+    }
+    assert_eq!(tables[0], tables[1], "2 workers diverged from 1");
+    assert_eq!(tables[0], tables[2], "4 workers diverged from 1");
+}
+
 proptest! {
     // each case streams two specs at four shard lengths — keep few
     #![proptest_config(ProptestConfig::with_cases(3))]
