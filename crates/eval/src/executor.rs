@@ -976,8 +976,9 @@ impl LegibilitySlots {
     }
 
     /// The slot of total factor `total`, filled first if empty. A fill
-    /// at a factor of 2 or more adds its key-mark count to the
-    /// `perceive.legibility_filled` counter.
+    /// runs in a `perceive.legibility` span (a read that finds the slot
+    /// full records none), and a fill at a factor of 2 or more adds its
+    /// key-mark count to the `perceive.legibility_filled` counter.
     fn read(&self, q: &Question, total: usize, tele: &Telemetry) -> &[f64] {
         let (_, slot) = self
             .0
@@ -985,6 +986,7 @@ impl LegibilitySlots {
             .find(|&&(factor, _)| factor == total)
             .expect("a slot for every model of the run");
         slot.get_or_init(|| {
+            let _span = tele.span("perceive.legibility");
             let values = encoder::key_mark_legibility(q, total);
             if total >= 2 {
                 tele.counter("perceive.legibility_filled", values.len() as u64);

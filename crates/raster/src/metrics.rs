@@ -15,6 +15,7 @@ use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::pixmap::count_ink;
 use crate::{Pixmap, INK_THRESHOLD};
 
 /// An axis-aligned pixel region (used to localise visual facts on an
@@ -84,8 +85,14 @@ impl Pixmap {
 /// "After downsampling" means the pixels of `region.scaled_down(factor)`
 /// in `img.downsample(factor)`, clipped to that image. Only those blocks
 /// are box-filtered, so the cost follows the region's area rather than
-/// the image's, and every block mean is the one
-/// [`Pixmap::downsample`] would compute.
+/// the image's, and no block is divided: [`Pixmap::downsample`] stores
+/// the mean `⌊sum / n⌋` of a block's `n > 0` pixels, and for integers
+/// `⌊sum / n⌋ < T ⟺ sum < T · n`, so a block counts as ink exactly when
+/// `sum < INK_THRESHOLD · n`. The sums come from the same box-filter
+/// core as the downsample's, exact integers (`u32` column sums, which
+/// hold any band of up to 16,843,009 rows, and `u64` block sums), and
+/// integer sums do not depend on the order they were added in, so the
+/// result is bit for bit the one the definition gives.
 ///
 /// # Example
 ///
@@ -112,9 +119,10 @@ pub fn legibility_after_downsample(img: &Pixmap, region: Region, factor: usize) 
         img.width().div_ceil(factor),
         img.height().div_ceil(factor),
     );
+    let threshold = u64::from(INK_THRESHOLD);
     let mut small_ink = 0usize;
-    img.box_filter(factor, cols, rows, |mean| {
-        small_ink += usize::from(mean < INK_THRESHOLD);
+    img.box_filter(factor, cols, rows, |sum, n| {
+        small_ink += usize::from(sum < threshold * n);
     });
     let retained = small_ink * factor * factor;
     (retained as f64 / original_ink as f64).min(1.0)
@@ -132,10 +140,7 @@ fn region_ink(img: &Pixmap, region: Region) -> usize {
     let (cols, rows) = clip(region, img.width(), img.height());
     rows.map(|y| {
         let base = y * img.width();
-        img.pixels()[base + cols.start..base + cols.end]
-            .iter()
-            .filter(|&&p| p < INK_THRESHOLD)
-            .count()
+        count_ink(&img.pixels()[base + cols.start..base + cols.end])
     })
     .sum()
 }
@@ -198,6 +203,20 @@ mod tests {
                 "legibility should not rise sharply: f={factor} l={l} last={last}"
             );
             last = l;
+        }
+    }
+
+    #[test]
+    fn a_block_whose_mean_is_the_threshold_is_not_ink() {
+        // Two pixels of 161 and two of 255 sum to exactly 208 · 4: the
+        // block's mean is INK_THRESHOLD, which is not ink. With 160 the
+        // mean is 207, which is.
+        for (shade, mean, legibility) in [(161, 208, 0.0), (160, 207, 1.0)] {
+            let mut img = Pixmap::new(4, 4);
+            img.fill_rect(0, 0, 1, 4, shade);
+            assert_eq!(img.downsample(2).get(0, 0), Some(mean));
+            let all = Region::full(&img);
+            assert_eq!(legibility_after_downsample(&img, all, 2), legibility);
         }
     }
 

@@ -317,53 +317,74 @@ impl Pixmap {
         let nh = self.height.div_ceil(factor);
         let mut out = Pixmap::new(nw, nh);
         let mut px = out.data.iter_mut();
-        self.box_filter(factor, 0..nw, 0..nh, |mean| {
-            *px.next().expect("one mean per block") = mean;
+        self.box_filter(factor, 0..nw, 0..nh, |sum, n| {
+            *px.next().expect("one mean per block") = (sum / n) as u8;
         });
         out
     }
 
-    /// Box filter core shared by [`Pixmap::downsample`] and
-    /// [`crate::legibility_after_downsample`]: hands `visit` the mean of
-    /// every block in `cols × rows` of the `div_ceil(factor)` grid, in
-    /// row-major order. Each row band walks its input rows once, summing
-    /// `factor`-wide chunks; integer sums are order-independent, so every
-    /// mean is bit-identical to the naive per-block mean however much of
-    /// the grid is visited.
+    /// The one box-filter core, behind [`Pixmap::downsample`],
+    /// [`Pixmap::to_ascii_into`] and
+    /// [`crate::legibility_after_downsample`]: hands `visit(sum, n)` the
+    /// integer pixel sum and the in-bounds pixel count `n > 0` of every
+    /// block in `cols × rows` of the `div_ceil(factor)` grid, in
+    /// row-major order. Callers take the mean as `sum / n`, or compare
+    /// against it without dividing.
+    ///
+    /// It works one block row (band) at a time: the band's first pixel
+    /// row is copied into a `u32` column-sum buffer and the others are
+    /// added to it, in plain widening loops the compiler vectorizes;
+    /// then each block's `factor` columns are summed into a `u64`.
+    /// Integer sums are order-independent, so every `sum` equals the
+    /// naive per-pixel block sum however much of the grid is visited.
+    /// A column sum is at most `255 ×` the band's rows, so `u32` is
+    /// exact for bands of up to `u32::MAX / 255` (16,843,009) rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a band could hold more rows than that bound.
     pub(crate) fn box_filter(
         &self,
         factor: usize,
         cols: Range<usize>,
         rows: Range<usize>,
-        mut visit: impl FnMut(u8),
+        mut visit: impl FnMut(u64, u64),
     ) {
         if cols.is_empty() || rows.is_empty() {
             return;
         }
+        assert!(
+            factor.min(self.height) <= (u32::MAX / u32::from(WHITE)) as usize,
+            "box-filter band too tall for u32 column sums"
+        );
         let x_start = cols.start * factor;
         let x_end = (cols.end * factor).min(self.width);
-        let mut sums = vec![0u64; cols.len()];
+        let mut column_sums = vec![0u32; x_end - x_start];
         for by in rows {
-            sums.fill(0);
             let y_start = by * factor;
             let y_end = ((by + 1) * factor).min(self.height);
-            for yy in y_start..y_end {
-                let row = &self.data[yy * self.width + x_start..yy * self.width + x_end];
-                for (sum, chunk) in sums.iter_mut().zip(row.chunks(factor)) {
-                    *sum += chunk.iter().map(|&p| u64::from(p)).sum::<u64>();
+            let mut band = (y_start..y_end)
+                .map(|yy| &self.data[yy * self.width + x_start..yy * self.width + x_end]);
+            let first = band.next().expect("every band holds a row");
+            for (sum, &p) in column_sums.iter_mut().zip(first) {
+                *sum = u32::from(p);
+            }
+            for row in band {
+                for (sum, &p) in column_sums.iter_mut().zip(row) {
+                    *sum += u32::from(p);
                 }
             }
             let n_rows = (y_end - y_start) as u64;
-            for (bx, &sum) in cols.clone().zip(&sums) {
-                let n_cols = (((bx + 1) * factor).min(self.width) - bx * factor) as u64;
-                visit((sum / (n_rows * n_cols).max(1)) as u8);
+            for block in column_sums.chunks(factor) {
+                let sum = block.iter().map(|&s| u64::from(s)).sum();
+                visit(sum, n_rows * block.len() as u64);
             }
         }
     }
 
     /// Counts pixels darker than [`INK_THRESHOLD`] over the whole image.
     pub fn ink_pixels(&self) -> usize {
-        self.data.iter().filter(|&&p| p < INK_THRESHOLD).count()
+        count_ink(&self.data)
     }
 
     /// Renders the image as ASCII art (one character per `cell x cell`
@@ -383,25 +404,16 @@ impl Pixmap {
         let nh = self.height.div_ceil(cell);
         s.clear();
         s.reserve(nh * (nw + 1));
-        let mut sums = vec![0u64; nw];
-        for by in 0..nh {
-            sums.fill(0);
-            let y_start = by * cell;
-            let y_end = ((by + 1) * cell).min(self.height);
-            for yy in y_start..y_end {
-                let row = &self.data[yy * self.width..(yy + 1) * self.width];
-                for (sum, chunk) in sums.iter_mut().zip(row.chunks(cell)) {
-                    *sum += chunk.iter().map(|&p| u64::from(p)).sum::<u64>();
-                }
+        let mut bx = 0;
+        self.box_filter(cell, 0..nw, 0..nh, |sum, n| {
+            let avg = (sum / n) as usize;
+            s.push(shades[avg * shades.len() / 256] as char);
+            bx += 1;
+            if bx == nw {
+                s.push('\n');
+                bx = 0;
             }
-            let rows = (y_end - y_start) as u64;
-            for (bx, &sum) in sums.iter().enumerate() {
-                let cols = (((bx + 1) * cell).min(self.width) - bx * cell) as u64;
-                let avg = (sum / (rows * cols).max(1)) as usize;
-                s.push(shades[avg * shades.len() / 256] as char);
-            }
-            s.push('\n');
-        }
+        });
     }
 
     /// Writes the image as a binary PGM (P5) stream. A mutable reference
@@ -429,6 +441,24 @@ impl Pixmap {
         let half = (s - 1) / 2;
         self.fill_rect(x - half, y - half, s, s, shade);
     }
+}
+
+/// The one ink counter: pixels of `pixels` darker than
+/// [`INK_THRESHOLD`]. [`Pixmap::ink_pixels`] hands it the whole buffer,
+/// [`Pixmap::ink_fraction`] and legibility's region ink one clipped row
+/// at a time. Each 255-byte chunk is counted in a `u8`, which holds its
+/// at most 255 hits exactly and which the compiler vectorizes as byte
+/// lanes; the chunk counts are summed as `usize`.
+pub(crate) fn count_ink(pixels: &[u8]) -> usize {
+    pixels
+        .chunks(usize::from(u8::MAX))
+        .map(|chunk| {
+            let hits = chunk
+                .iter()
+                .fold(0u8, |n, &p| n + u8::from(p < INK_THRESHOLD));
+            usize::from(hits)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -569,6 +599,21 @@ mod tests {
         let inked: Vec<bool> = (0..64).map(|x| img.get(x, 4) == Some(0)).collect();
         assert!(inked.iter().any(|&b| b));
         assert!(inked.iter().any(|&b| !b));
+    }
+
+    #[test]
+    fn ink_count_is_exact_at_its_u8_lane_edge() {
+        // A 255-byte chunk of solid ink fills its `u8` count exactly; one
+        // byte more starts the next chunk.
+        for len in [0, 1, 254, 255, 256, 509, 510, 511, 765, 766] {
+            assert_eq!(count_ink(&vec![0; len]), len, "solid ink, {len} bytes");
+            assert_eq!(count_ink(&vec![INK_THRESHOLD; len]), 0, "at threshold");
+            assert_eq!(count_ink(&vec![INK_THRESHOLD - 1; len]), len);
+        }
+        let mut img = Pixmap::new(300, 4);
+        img.fill(0);
+        assert_eq!(img.ink_pixels(), 1200);
+        assert_eq!(img.ink_fraction(crate::Region::new(0, 1, 300, 2)), 1.0);
     }
 
     #[test]

@@ -370,6 +370,43 @@ mod differential {
         }
     }
 
+    /// Legibility of every key mark of the standard collection at
+    /// factors 2–32 == its definition, bit for bit: the regions and
+    /// factors perception actually reads. Each reference call
+    /// downsamples a whole image, so the questions are split over a few
+    /// threads.
+    #[test]
+    fn standard_key_marks_match_reference() {
+        let bench = chipvqa::core::ChipVqa::standard();
+        let questions: Vec<_> = bench.iter().collect();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        std::thread::scope(|s| {
+            for part in questions.chunks(questions.len().div_ceil(threads)) {
+                s.spawn(move || {
+                    for q in part {
+                        let image = &q.visual.image;
+                        for mark in q.key_marks.iter().filter_map(|&k| q.visual.marks.get(k)) {
+                            for factor in 2..=32 {
+                                let fast = legibility_after_downsample(image, mark.region, factor);
+                                let slow = ref_legibility(image, mark.region, factor);
+                                assert_eq!(
+                                    fast.to_bits(),
+                                    slow.to_bits(),
+                                    "{} {:?} at factor {}: {} vs {}",
+                                    q.id,
+                                    mark.region,
+                                    factor,
+                                    fast,
+                                    slow
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
     proptest! {
         /// Optimized primitives == scalar reference, pixel for pixel,
         /// under arbitrary (including out-of-range) op sequences.
@@ -389,14 +426,15 @@ mod differential {
         }
 
         /// Optimized downsample == scalar block-mean reference for every
-        /// factor, including ragged edges.
+        /// factor, including ragged edges, on images up to 600 px wide
+        /// (rows longer than the 255-byte ink lanes) at factors up to 71.
         #[test]
         fn optimized_downsample_matches_reference(
-            w in 1usize..90,
-            h in 1usize..70,
-            factor in 1usize..20,
+            w in 1usize..600,
+            h in 1usize..100,
+            factor in 1usize..72,
             ops in proptest::collection::vec(
-                (-20i64..100, -20i64..100, -20i64..100, -20i64..100),
+                (-20i64..620, -20i64..120, -20i64..620, -20i64..120),
                 0..10,
             ),
         ) {
@@ -414,25 +452,30 @@ mod differential {
 
         /// Region-local legibility == whole-image downsample then ink
         /// count, bit for bit, for regions that are empty, ragged at the
-        /// right or bottom edge, or partly or wholly outside the image.
+        /// right or bottom edge, or partly or wholly outside the image,
+        /// on images up to 600 px wide at factors up to 71.
         #[test]
         fn region_local_legibility_matches_reference(
-            w in 1usize..90,
-            h in 1usize..70,
-            factor in 1usize..20,
-            rx in 0usize..110,
-            ry in 0usize..90,
-            rw in 0usize..110,
-            rh in 0usize..90,
+            w in 1usize..600,
+            h in 1usize..90,
+            factor in 1usize..72,
+            rx in 0usize..660,
+            ry in 0usize..110,
+            rw in 0usize..660,
+            rh in 0usize..110,
             ops in proptest::collection::vec(
-                (-20i64..100, -20i64..100, -20i64..100, -20i64..100, 1i64..4),
+                (-20i64..620, -20i64..110, -20i64..620, -20i64..110, 1i64..4),
                 0..10,
             ),
         ) {
             let mut img = Pixmap::new(w, h);
             for (a, b, c, d, stroke) in ops {
                 img.draw_line(a, b, c, d, stroke, 0);
-                img.fill_rect(c, d, a.rem_euclid(12), b.rem_euclid(12), 96);
+                // Beside white, 161 (2 of 4 pixels), 67 (1 of 4) and 114
+                // (3 of 9) can make a block's mean exactly
+                // INK_THRESHOLD, the boundary of its ink test.
+                let shade = [96, 161, 67, 114][a.rem_euclid(4) as usize];
+                img.fill_rect(c, d, a.rem_euclid(12), b.rem_euclid(12), shade);
             }
             let mut regions = vec![
                 Region::new(rx, ry, rw, rh),
@@ -456,21 +499,25 @@ mod differential {
             }
         }
 
-        /// Row-sliced ink scans == scalar reference (fraction and count).
+        /// Row-sliced ink scans == scalar reference (fraction and count),
+        /// on rows up to 700 px wide with solid ink runs longer than the
+        /// counter's 255-byte lanes.
         #[test]
         fn optimized_ink_scans_match_reference(
-            rx in 0usize..140,
+            w in 1usize..700,
+            rx in 0usize..760,
             ry in 0usize..100,
-            rw in 0usize..140,
+            rw in 0usize..760,
             rh in 0usize..100,
             ops in proptest::collection::vec(
-                (-20i64..150, -20i64..110, -20i64..150, -20i64..110),
+                (-20i64..720, -20i64..110, -20i64..720, -20i64..110),
                 0..8,
             ),
         ) {
-            let mut img = Pixmap::new(128, 96);
+            let mut img = Pixmap::new(w, 96);
             for (a, b, c, d) in ops {
                 img.draw_line(a, b, c, d, 3, 0);
+                img.fill_rect(a.min(c), b, (a - c).abs(), d.rem_euclid(4), 0);
             }
             let region = Region::new(rx, ry, rw, rh);
             prop_assert_eq!(img.ink_fraction(region), ref_ink_fraction(&img, region));
