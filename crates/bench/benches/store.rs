@@ -1,6 +1,6 @@
 //! Persistent answer-store benches: the cold-vs-warm evaluation gap the
 //! store exists to create, plus the micro costs that bound it (append,
-//! lookup, replay-on-open, compaction).
+//! lookup, replay-on-open).
 //!
 //! Run with `CRITERION_JSON=BENCH_store.json cargo bench --bench store`
 //! to export the machine-readable summary CI tracks as the perf
@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use chipvqa_core::ChipVqa;
 use chipvqa_eval::harness::EvalOptions;
-use chipvqa_eval::store::{AnswerStore, StoreConfig};
+use chipvqa_eval::store::AnswerStore;
 use chipvqa_eval::{AnswerCache, CacheKey, CachedAnswer, ParallelExecutor};
 use chipvqa_models::backbone::AnswerPath;
 use chipvqa_models::{ModelZoo, VlmPipeline};
@@ -91,8 +91,7 @@ fn bench_cold_vs_warm_eval(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&warm_dir);
 }
 
-/// Micro costs: append and lookup throughput, replay-on-open, and a
-/// compaction over a half-dead store.
+/// Micro costs: append and lookup throughput and replay-on-open.
 fn bench_store_micro(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_micro");
     group.sample_size(10);
@@ -134,30 +133,6 @@ fn bench_store_micro(c: &mut Criterion) {
     }
     group.bench_function("replay_open_1k", |b| {
         b.iter(|| black_box(AnswerStore::open(&replay_dir).expect("store reopens").len()))
-    });
-
-    group.bench_function("compact_half_dead_1k", |b| {
-        b.iter(|| {
-            let dir = fresh_dir("compact");
-            let store = AnswerStore::open_with(
-                &dir,
-                StoreConfig {
-                    segment_max_bytes: 64 << 10,
-                    ..StoreConfig::default()
-                },
-            )
-            .expect("store opens");
-            for i in 0..1_000u64 {
-                store.insert(key(i), answer(i));
-            }
-            for i in 0..500u64 {
-                store.insert(key(i), answer(i + 10_000));
-            }
-            let reclaimed = store.compact().expect("compacts");
-            drop(store);
-            let _ = std::fs::remove_dir_all(&dir);
-            black_box(reclaimed)
-        })
     });
 
     group.finish();

@@ -213,7 +213,7 @@ fn main() {
             });
         println!(
             "fleet worker pid {} done in {:.3}s: {} shards evaluated ({} healed), \
-             {} quarantined, {} leases stolen ({} lost), {} duplicate commits",
+             {} quarantined, {} leases stolen ({} lost), {} swept, {} duplicate commits",
             std::process::id(),
             started.elapsed().as_secs_f64(),
             outcome.shards_evaluated,
@@ -221,6 +221,7 @@ fn main() {
             outcome.shards_quarantined,
             outcome.leases_stolen,
             outcome.steals_lost,
+            outcome.leases_swept,
             outcome.duplicate_commits,
         );
         println!(

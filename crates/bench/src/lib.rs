@@ -194,6 +194,7 @@ pub fn run_table2_fleet_worker(
         shards_quarantined: std_out.shards_quarantined + chal_out.shards_quarantined,
         leases_stolen: std_out.leases_stolen + chal_out.leases_stolen,
         steals_lost: std_out.steals_lost + chal_out.steals_lost,
+        leases_swept: std_out.leases_swept + chal_out.leases_swept,
         duplicate_commits: std_out.duplicate_commits + chal_out.duplicate_commits,
     })
 }

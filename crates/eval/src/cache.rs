@@ -164,8 +164,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries stored (overwrites count too).
     pub insertions: u64,
-    /// Entries removed by invalidation or [`AnswerCache::clear`].
-    pub evictions: u64,
     /// Lookups served from the persistent store this run (a warm
     /// start shows up here: disk answers instead of inference).
     #[serde(default)]
@@ -213,7 +211,7 @@ impl CacheStats {
 
 /// Thread-safe answer cache shared by executor workers.
 ///
-/// Reads take a shared lock; hit/miss/insert/evict counters are
+/// Reads take a shared lock; hit/miss/insert counters are
 /// lock-free and surfaced via [`AnswerCache::stats`]. The cache is
 /// *semantically transparent*: because the pipeline is deterministic
 /// per key, a hit returns exactly what inference would have produced, so
@@ -227,7 +225,6 @@ pub struct AnswerCache {
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
-    evictions: AtomicU64,
     store_hits: AtomicU64,
     store_misses: AtomicU64,
 }
@@ -317,45 +314,7 @@ impl AnswerCache {
         }
     }
 
-    /// Removes one entry of a memory-only cache; returns whether it
-    /// existed. A store-backed cache holds no entries of its own, so
-    /// there is nothing to remove: the store is content-addressed and
-    /// drops answers only by its own eviction.
-    pub fn invalidate(&self, key: &CacheKey) -> bool {
-        let removed = write_lock(&self.entries).remove(key).is_some();
-        if removed {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
-    /// Drops every entry of a memory-only cache for one model
-    /// fingerprint (e.g. after a recalibration); returns how many were
-    /// removed. A recalibrated model has a new fingerprint, so a store
-    /// never serves it the old answers.
-    pub fn invalidate_model(&self, model_fingerprint: u64) -> usize {
-        let removed = {
-            let mut map = write_lock(&self.entries);
-            let before = map.len();
-            map.retain(|k, _| k.model_fingerprint != model_fingerprint);
-            before - map.len()
-        };
-        self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
-
-    /// Drops every entry of a memory-only cache.
-    pub fn clear(&self) {
-        let removed = {
-            let mut map = write_lock(&self.entries);
-            let before = map.len();
-            map.clear();
-            before
-        };
-        self.evictions.fetch_add(removed as u64, Ordering::Relaxed);
-    }
-
-    /// Number of cached answers (the store's live entries, when one is
+    /// Number of cached answers (the store's entries, when one is
     /// attached).
     pub fn len(&self) -> usize {
         match &self.store {
@@ -395,7 +354,6 @@ impl AnswerCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
             lifetime_hits,
@@ -485,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_insertions_and_evictions() {
+    fn stats_count_insertions() {
         let bench = ChipVqa::standard();
         let pipe = VlmPipeline::new(ModelZoo::gpt4o());
         let cache = AnswerCache::new();
@@ -496,12 +454,9 @@ mod tests {
         let q0 = &bench.questions()[0];
         let key0 = CacheKey::new(pipe.fingerprint(), q0, 1, 0);
         assert!(cache.lookup(&key0).is_some());
-        assert!(cache.invalidate(&key0));
-        assert!(!cache.invalidate(&key0), "second invalidate finds nothing");
-        cache.clear();
         let stats = cache.stats();
         assert_eq!(stats.insertions, 3);
-        assert_eq!(stats.evictions, 3, "one invalidate + two cleared");
+        assert_eq!(cache.len(), 3);
         assert_eq!((stats.hits, stats.misses), (1, 0));
         assert_eq!(stats.hit_rate(), 1.0);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
@@ -622,24 +577,5 @@ mod tests {
             cache.insert(key, corrupted)
         }));
         assert!(result.is_err(), "debug assertion must reject faulted text");
-    }
-
-    #[test]
-    fn model_invalidation_is_selective() {
-        let bench = ChipVqa::standard();
-        let a = VlmPipeline::new(ModelZoo::gpt4o());
-        let b = VlmPipeline::new(ModelZoo::llava_7b());
-        let cache = AnswerCache::new();
-        for q in bench.iter().take(4) {
-            for pipe in [&a, &b] {
-                let key = CacheKey::new(pipe.fingerprint(), q, 1, 0);
-                cache.insert(key, CachedAnswer::from(&pipe.infer(q, 1, 0)));
-            }
-        }
-        assert_eq!(cache.len(), 8);
-        assert_eq!(cache.invalidate_model(a.fingerprint()), 4);
-        assert_eq!(cache.len(), 4);
-        let survivor = CacheKey::new(b.fingerprint(), &bench.questions()[0], 1, 0);
-        assert!(cache.lookup(&survivor).is_some());
     }
 }

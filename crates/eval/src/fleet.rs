@@ -47,6 +47,12 @@
 //! the `hard_link` commit lets exactly the first one win
 //! (**at-least-once evaluation, exactly-once commit**).
 //!
+//! A worker killed between its done commit and its lease release leaves
+//! a lease over a done shard, which no claim looks at again. So once
+//! every shard is done, a worker makes one pass over `leases/` and
+//! removes each lease over a done shard whose holder is dead or whose
+//! file is corrupt, counted as `fleet.lease.swept`, not as a steal.
+//!
 //! # Healing
 //!
 //! A shard whose supervised evaluation caught a worker panic is
@@ -252,6 +258,9 @@ pub struct FleetOutcome {
     pub leases_stolen: usize,
     /// Stale leases this worker removed but lost the re-claim race for.
     pub steals_lost: usize,
+    /// Leases of dead holders (or corrupt lease files) left over done
+    /// shards, removed by this worker's closing sweep.
+    pub leases_swept: usize,
     /// Commits that found the target record already present (another
     /// worker finished the same shard first — benign by determinism).
     pub duplicate_commits: usize,
@@ -449,6 +458,19 @@ fn check_manifest(dir: &Path, expected: &FleetManifest) -> Result<(), FleetError
         .map_err(FleetError::Mismatch)
 }
 
+/// Why a lease's holder is gone, if it is: its pid vanished, or the
+/// pid now belongs to a newer process.
+fn dead_holder(lease: &Lease) -> Option<&'static str> {
+    let dead = holder_dead(lease.pid, Some(lease.start_token));
+    dead.then(|| {
+        if pid_alive(lease.pid) {
+            "pid-reuse"
+        } else {
+            "dead-pid"
+        }
+    })
+}
+
 /// Why a lease was judged stale.
 fn staleness(
     lease: &Lease,
@@ -456,12 +478,8 @@ fn staleness(
     observed: &mut HashMap<usize, (u64, Instant)>,
     stall_timeout: Duration,
 ) -> Option<&'static str> {
-    if holder_dead(lease.pid, Some(lease.start_token)) {
-        return Some(if pid_alive(lease.pid) {
-            "pid-reuse"
-        } else {
-            "dead-pid"
-        });
+    if let Some(reason) = dead_holder(lease) {
+        return Some(reason);
     }
     match observed.get(&idx) {
         Some(&(heartbeat, since)) if heartbeat == lease.heartbeat => {
@@ -674,6 +692,7 @@ pub fn run_worker(
             std::thread::sleep(config.idle_backoff);
         }
     }
+    sweep_leases(dir, tele, &mut outcome)?;
 
     if let Some(cache) = exec.cache() {
         cache.flush_store()?;
@@ -686,10 +705,56 @@ pub fn run_worker(
                 kv("evaluated", outcome.shards_evaluated),
                 kv("healed", outcome.shards_healed),
                 kv("stolen", outcome.leases_stolen),
+                kv("swept", outcome.leases_swept),
             ],
         );
     }
     Ok(outcome)
+}
+
+/// The closing sweep over `leases/` (see the module docs). A live
+/// holder's lease is left to its own guard.
+fn sweep_leases(dir: &Path, tele: &Telemetry, outcome: &mut FleetOutcome) -> io::Result<()> {
+    for entry in fs::read_dir(dir.join("leases"))? {
+        let path = entry?.path();
+        let idx = path.file_name().and_then(|name| {
+            let name = name.to_str()?;
+            name.strip_prefix("shard-")?
+                .strip_suffix(".lease")?
+                .parse::<usize>()
+                .ok()
+        });
+        let Some(idx) = idx.filter(|&idx| done_path(dir, idx).exists()) else {
+            continue;
+        };
+        let (reason, victim) = match read_lease(&path)? {
+            LeaseRead::Missing => continue,
+            LeaseRead::Corrupt => ("corrupt", 0),
+            LeaseRead::Held(lease) => match dead_holder(&lease) {
+                Some(reason) => (reason, lease.pid),
+                None => continue,
+            },
+        };
+        // a rival sweeper that removed it first is not counted twice
+        match fs::remove_file(&path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e),
+        }
+        outcome.leases_swept += 1;
+        tele.counter("fleet.lease.swept", 1);
+        if tele.enabled() {
+            tele.event(
+                "fleet.lease.swept",
+                vec![
+                    kv("shard", idx),
+                    kv("reason", reason),
+                    kv("victim_pid", victim),
+                ],
+            );
+        }
+    }
+    Ok(())
 }
 
 /// One claim attempt for shard `idx`. Judges an existing lease, steals

@@ -48,20 +48,20 @@
 //! deterministic per key, **every recovery path converges to the same
 //! report bytes as a cold run**.
 //!
-//! # Rotation, compaction, eviction
+//! # Invariant: segments only grow
 //!
-//! The active segment rotates once it exceeds
-//! [`StoreConfig::segment_max_bytes`]. Re-inserting a key appends a new
-//! record and deadens the old one (last write wins on replay);
-//! [`AnswerStore::compact`] rewrites only the live records — in
-//! deterministic key order — and deletes the old segments. When the
-//! store exceeds [`StoreConfig::max_bytes`], whole least-recently-*hit*
-//! sealed segments are evicted. The store is a transparent cache: an
-//! answer is either exactly what inference returns for its key or
-//! absent, so an evicted answer costs one re-inference and never
-//! invalidates a [`Checkpoint`](crate::checkpoint::Checkpoint) or fleet
-//! record, which hold final outcomes rather than references into the
-//! store.
+//! A segment is only ever appended to, or truncated back to its last
+//! good record by a writable open's recovery. No code path rewrites,
+//! renames or deletes a segment. The active segment rotates once it
+//! exceeds [`StoreConfig::segment_max_bytes`], and a rotated segment is
+//! never written again. Inference is deterministic per key and
+//! [`AnswerStore::insert`] skips a key that already holds the same
+//! answer, so a handle writes each key once; were a key ever given a
+//! different answer, replay would keep the last one. The store is a
+//! transparent cache: an answer is either exactly what inference
+//! returns for its key or absent, and a
+//! [`Checkpoint`](crate::checkpoint::Checkpoint) or fleet record holds
+//! final outcomes rather than references into the store.
 //!
 //! # Concurrency
 //!
@@ -71,20 +71,15 @@
 //! unrelated newer process is recognised as stale and broken instead of
 //! blocking forever. A lock left by a dead (or crashed same-process)
 //! writer is broken automatically. Readers skip the lock entirely:
-//! segments are append-only and every record is checksummed, so a
-//! reader racing a writer sees a clean prefix; a reader racing a
-//! writer's [`compact`](AnswerStore::compact) restarts its replay from
-//! a fresh directory listing whenever a listed segment vanishes
-//! mid-replay — compaction writes the survivors before deleting the
-//! old segments, so the re-list always finds them and the reader never
-//! observes a torn segment set.
+//! segments only grow and every record is checksummed, so a reader
+//! racing a writer sees a clean prefix.
 //!
 //! [`AnswerStore::open_shared`] adds a cooperative *multi-writer* mode
 //! for fleet execution (see [`fleet`](crate::fleet)): each shared
 //! writer claims its own fresh segment sequence numbers atomically
 //! (`create_new`), takes a per-handle `store.lock.*` marker instead of
-//! the exclusive lock, and never truncates, compacts or evicts —
-//! another writer's unflushed tail is pending data, not damage.
+//! the exclusive lock, and never truncates — another writer's unflushed
+//! tail is pending data, not damage.
 //! Inference is deterministic per key, so two shared writers racing on
 //! the same key append byte-identical answers; last-write-wins replay
 //! makes the duplicate benign.
@@ -226,19 +221,12 @@ pub fn decode_segment(path: &Path) -> io::Result<(Vec<StoredRecord>, SegmentScan
 pub struct StoreConfig {
     /// Rotate the active segment once it exceeds this many bytes.
     pub segment_max_bytes: u64,
-    /// Evict least-recently-hit sealed segments once the store exceeds
-    /// this many bytes. `u64::MAX` (the default) disables eviction.
-    pub max_bytes: u64,
-    /// Compact on open when the dead-record fraction exceeds this.
-    pub compact_dead_ratio: f64,
 }
 
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             segment_max_bytes: 4 << 20,
-            max_bytes: u64::MAX,
-            compact_dead_ratio: 0.6,
         }
     }
 }
@@ -247,15 +235,14 @@ impl Default for StoreConfig {
 /// section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreMode {
-    /// Sole writer (`store.lock`): may truncate torn tails, compact,
-    /// evict, and persist `meta.json`.
+    /// Sole writer (`store.lock`): may truncate torn tails and persist
+    /// `meta.json`.
     Exclusive,
     /// No lock, no modification: recovery stops at corruption instead
     /// of truncating; inserts are refused.
     ReadOnly,
     /// Cooperative multi-writer (fleet): appends into its own freshly
-    /// claimed segments; never truncates, compacts, evicts, or writes
-    /// `meta.json`.
+    /// claimed segments; never truncates or writes `meta.json`.
     Shared,
 }
 
@@ -288,8 +275,6 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Faulted answers refused by the persistence guard this session.
     pub rejected: u64,
-    /// Live entries dropped by segment eviction this session.
-    pub evicted: u64,
     /// Segments repaired by truncated-tail recovery at open.
     pub recovered_segments: u64,
     /// Bytes dropped by recovery at open.
@@ -301,7 +286,7 @@ pub struct StoreStats {
     pub lifetime_misses: u64,
     /// Run-spanning inserts.
     pub lifetime_inserts: u64,
-    /// Live entries currently indexed.
+    /// Keys currently indexed.
     pub entries: usize,
     /// Segment files currently on disk.
     pub segments: usize,
@@ -348,8 +333,9 @@ struct StoreLock {
 impl StoreLock {
     fn acquire(dir: &Path) -> io::Result<StoreLock> {
         let dir = fs::canonicalize(dir)?;
-        // shared (fleet) writers exclude an exclusive open — it would
-        // truncate/compact/evict under them. Dead markers are swept.
+        // shared (fleet) writers exclude an exclusive open — its
+        // recovery would truncate their unflushed tails. Dead markers
+        // are swept.
         for marker in shared_markers(&dir)? {
             let live = match marker.holder {
                 // own pid: live only while the handle actually exists
@@ -447,8 +433,8 @@ impl Drop for StoreLock {
 /// Per-handle marker of a *shared* (cooperative multi-writer) open: a
 /// `store.lock.<pid>-<token>-<n>` file. Shared writers never conflict
 /// with each other; the markers exist so an exclusive open can refuse
-/// to truncate/compact under live shared writers, and so dead shared
-/// markers can be swept.
+/// to truncate under live shared writers, and so dead shared markers
+/// can be swept.
 #[derive(Debug)]
 struct SharedLock {
     path: PathBuf,
@@ -459,8 +445,8 @@ impl SharedLock {
     fn acquire(dir: &Path) -> io::Result<SharedLock> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let dir = fs::canonicalize(dir)?;
-        // an exclusive writer excludes shared ones (it may truncate,
-        // compact or evict under us); a stale exclusive lock is broken
+        // an exclusive writer excludes shared ones (its recovery may
+        // truncate under us); a stale exclusive lock is broken
         let exclusive = dir.join("store.lock");
         match fs::read_to_string(&exclusive) {
             Ok(stamp) => {
@@ -634,22 +620,6 @@ pub fn own_start_token() -> u64 {
     *TOKEN.get_or_init(|| process_start_token(std::process::id()).unwrap_or(0))
 }
 
-/// Where one live entry currently resides.
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    answer: CachedAnswer,
-    segment: u64,
-}
-
-/// Bookkeeping for one on-disk segment.
-#[derive(Debug, Clone, Copy, Default)]
-struct SegmentInfo {
-    bytes: u64,
-    live: usize,
-    total: usize,
-    last_touch: u64,
-}
-
 /// The writer half: the currently-open active segment.
 #[derive(Debug)]
 struct ActiveSegment {
@@ -660,11 +630,10 @@ struct ActiveSegment {
 
 #[derive(Debug, Default)]
 struct Inner {
-    index: HashMap<CacheKey, IndexEntry>,
-    segments: BTreeMap<u64, SegmentInfo>,
+    index: HashMap<CacheKey, CachedAnswer>,
+    /// Bytes of every segment on disk, by sequence number.
+    segments: BTreeMap<u64, u64>,
     active: Option<ActiveSegment>,
-    /// Logical clock for segment LRU: bumped on every disk hit.
-    touch_clock: u64,
 }
 
 /// The persistent content-addressed answer store. See the module docs
@@ -680,7 +649,6 @@ pub struct AnswerStore {
     misses: AtomicU64,
     inserts: AtomicU64,
     rejected: AtomicU64,
-    evicted: AtomicU64,
     recovered_segments: AtomicU64,
     recovered_bytes: AtomicU64,
     lifetime_hits: AtomicU64,
@@ -728,8 +696,8 @@ impl AnswerStore {
 
     /// Opens an existing store for reading only: no lock is taken and
     /// no file is modified (recovery stops at corruption instead of
-    /// truncating). Lookups work; [`AnswerStore::insert`],
-    /// [`AnswerStore::compact`] and meta persistence are inert.
+    /// truncating). Lookups work; [`AnswerStore::insert`] and meta
+    /// persistence are inert.
     pub fn open_read_only(dir: impl AsRef<Path>) -> io::Result<AnswerStore> {
         AnswerStore::open_impl(
             dir.as_ref(),
@@ -745,11 +713,11 @@ impl AnswerStore {
     /// Any number of shared handles (across processes) coexist: each
     /// appends into its own freshly claimed segments and takes a
     /// per-handle `store.lock.*` marker instead of the exclusive lock.
-    /// A shared handle never truncates, compacts, evicts, or writes
-    /// `meta.json` — another writer's unflushed tail is pending data,
-    /// not damage, and any sealed segment may be another writer's
-    /// active one. Refused ([`WouldBlock`](io::ErrorKind::WouldBlock)) while
-    /// a live exclusive writer holds the store, and vice versa.
+    /// A shared handle never truncates or writes `meta.json` — another
+    /// writer's unflushed tail is pending data, not damage, and
+    /// concurrent writers would race the lifetime counters. Refused
+    /// ([`WouldBlock`](io::ErrorKind::WouldBlock)) while a live
+    /// exclusive writer holds the store, and vice versa.
     pub fn open_shared(
         dir: impl AsRef<Path>,
         config: StoreConfig,
@@ -795,7 +763,6 @@ impl AnswerStore {
             misses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
             recovered_segments: AtomicU64::new(0),
             recovered_bytes: AtomicU64::new(0),
             lifetime_hits: AtomicU64::new(meta.lifetime_hits),
@@ -803,18 +770,11 @@ impl AnswerStore {
             lifetime_inserts: AtomicU64::new(meta.lifetime_inserts),
         };
         store.replay_segments()?;
-        if mode == StoreMode::Exclusive {
-            let dead = store.dead_ratio();
-            if dead > store.config.compact_dead_ratio {
-                store.compact()?;
-            }
-            store.evict_to_bound(&mut lock_inner(&store.inner))?;
-        }
         Ok(store)
     }
 
-    /// Attaches a telemetry handle; `store.{hit,miss,insert,compaction,
-    /// evict,recovered,rejected}` counters and structured events report
+    /// Attaches a telemetry handle; `store.{hit,miss,insert,rotate,
+    /// recovered,rejected}` counters and structured events report
     /// through it. Telemetry never changes store behaviour. Open-time
     /// recovery signals precede this call — use
     /// [`open_with_telemetry`](AnswerStore::open_with_telemetry) to
@@ -826,112 +786,45 @@ impl AnswerStore {
 
     /// Rebuilds the in-memory index by replaying every segment in
     /// sequence order, repairing truncated tails on writable opens.
-    ///
-    /// A non-exclusive open can race an exclusive writer's `compact()`:
-    /// a listed segment may vanish before we read it. Skipping it would
-    /// tear the view — its live records were rewritten into segments
-    /// created *after* our directory listing, which we would never
-    /// visit. Compaction writes its replacement segments before it
-    /// deletes the old ones, so a fresh listing always contains the
-    /// survivors: on any vanished segment we discard the partial replay
-    /// and re-list, which converges once no deletion interleaves.
     fn replay_segments(&self) -> io::Result<()> {
-        // each retry is caused by a deletion that interleaved with the
-        // previous listing; this many consecutive lost races means the
-        // writer is compacting pathologically faster than we can list
-        const MAX_RELISTS: usize = 64;
         let mut inner = lock_inner(&self.inner);
-        let mut recovered: Vec<(u64, SegmentScan)> = Vec::new();
-        for attempt in 0.. {
-            inner.index.clear();
-            inner.segments.clear();
-            recovered.clear();
-            let mut seqs: Vec<u64> = Vec::new();
-            if self.dir.is_dir() {
-                for entry in fs::read_dir(&self.dir)? {
-                    let name = entry?.file_name();
-                    if let Some(seq) = segment_seq(&name.to_string_lossy()) {
-                        seqs.push(seq);
-                    }
+        let mut seqs: Vec<u64> = Vec::new();
+        if self.dir.is_dir() {
+            for entry in fs::read_dir(&self.dir)? {
+                let name = entry?.file_name();
+                if let Some(seq) = segment_seq(&name.to_string_lossy()) {
+                    seqs.push(seq);
                 }
             }
-            seqs.sort_unstable();
+        }
+        seqs.sort_unstable();
 
-            let mut relist = false;
-            for &seq in &seqs {
-                let path = self.segment_path(seq);
-                let (records, scan) = match decode_segment(&path) {
-                    Ok(decoded) => decoded,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::NotFound
-                            && self.mode != StoreMode::Exclusive =>
-                    {
-                        relist = true;
-                        break;
-                    }
-                    Err(e) => return Err(e),
-                };
-                if scan.dropped_bytes > 0 {
-                    if self.mode == StoreMode::Exclusive {
-                        let f = OpenOptions::new().write(true).open(&path)?;
-                        f.set_len(scan.good_bytes)?;
-                    }
-                    recovered.push((seq, scan.clone()));
+        for &seq in &seqs {
+            let path = self.segment_path(seq);
+            let (records, scan) = decode_segment(&path)?;
+            if scan.dropped_bytes > 0 {
+                if self.mode == StoreMode::Exclusive {
+                    let f = OpenOptions::new().write(true).open(&path)?;
+                    f.set_len(scan.good_bytes)?;
                 }
-                let mut info = SegmentInfo {
-                    bytes: scan.good_bytes,
-                    live: 0,
-                    total: scan.records,
-                    last_touch: 0,
-                };
-                inner.segments.insert(seq, info);
-                for record in records {
-                    if let Some(old) = inner.index.insert(
-                        record.key,
-                        IndexEntry {
-                            answer: record.answer,
-                            segment: seq,
-                        },
-                    ) {
-                        if let Some(prev) = inner.segments.get_mut(&old.segment) {
-                            prev.live = prev.live.saturating_sub(1);
-                        }
-                    }
-                    info.live += 1;
-                    inner.segments.insert(seq, info);
-                }
+                self.recovered_segments.fetch_add(1, Ordering::Relaxed);
+                self.recovered_bytes
+                    .fetch_add(scan.dropped_bytes, Ordering::Relaxed);
+                self.telemetry.counter("store.recovered", 1);
+                self.telemetry.event(
+                    "store.recovery",
+                    vec![
+                        kv("segment", seq),
+                        kv("good_bytes", scan.good_bytes),
+                        kv("dropped_bytes", scan.dropped_bytes),
+                    ],
+                );
             }
-            if !relist {
-                break;
-            }
-            if attempt + 1 >= MAX_RELISTS {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    format!(
-                        "answer store {} kept compacting away listed segments across \
-                         {MAX_RELISTS} replay attempts",
-                        self.dir.display()
-                    ),
-                ));
-            }
+            inner.segments.insert(seq, scan.good_bytes);
+            inner
+                .index
+                .extend(records.into_iter().map(|r| (r.key, r.answer)));
         }
-        // recovery accounting is committed only for the listing that
-        // won — discarded partial replays must not double-count
-        for (seq, scan) in recovered.drain(..) {
-            self.recovered_segments.fetch_add(1, Ordering::Relaxed);
-            self.recovered_bytes
-                .fetch_add(scan.dropped_bytes, Ordering::Relaxed);
-            self.telemetry.counter("store.recovered", 1);
-            self.telemetry.event(
-                "store.recovery",
-                vec![
-                    kv("segment", seq),
-                    kv("good_bytes", scan.good_bytes),
-                    kv("dropped_bytes", scan.dropped_bytes),
-                ],
-            );
-        }
-        let seqs: Vec<u64> = inner.segments.keys().copied().collect();
 
         match self.mode {
             // the highest segment continues as the active one
@@ -939,8 +832,7 @@ impl AnswerStore {
                 let seq = seqs.last().copied().unwrap_or(0).max(1);
                 let path = self.segment_path(seq);
                 let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                let bytes = inner.segments.get(&seq).map_or(0, |s| s.bytes);
-                inner.segments.entry(seq).or_default();
+                let bytes = *inner.segments.entry(seq).or_default();
                 inner.active = Some(ActiveSegment {
                     seq,
                     writer: BufWriter::new(file),
@@ -971,8 +863,8 @@ impl AnswerStore {
     }
 
     /// Claims the first free segment sequence number at or after `from`
-    /// with `create_new` — atomic against every other shared writer —
-    /// and installs it as this handle's active segment.
+    /// with `create_new` — atomic against every other writer — and
+    /// installs it as this handle's active segment.
     fn claim_fresh_segment(&self, inner: &mut Inner, from: u64) -> io::Result<()> {
         let mut seq = from.max(1);
         loop {
@@ -1012,34 +904,14 @@ impl AnswerStore {
         self.mode
     }
 
-    /// Live entries currently indexed.
+    /// Keys currently indexed.
     pub fn len(&self) -> usize {
         lock_inner(&self.inner).index.len()
     }
 
-    /// Whether the store holds no live entries.
+    /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total bytes across all segment files.
-    pub fn total_bytes(&self) -> u64 {
-        lock_inner(&self.inner)
-            .segments
-            .values()
-            .map(|s| s.bytes)
-            .sum()
-    }
-
-    /// Fraction of replayed records that are superseded (dead). 0 when
-    /// the store is empty.
-    pub fn dead_ratio(&self) -> f64 {
-        let inner = lock_inner(&self.inner);
-        let total: usize = inner.segments.values().map(|s| s.total).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        (total - inner.index.len()) as f64 / total as f64
     }
 
     /// Paths of every segment currently on disk, in sequence order.
@@ -1053,27 +925,17 @@ impl AnswerStore {
 
     /// Looks up one answer on disk (well: in the replayed index).
     pub fn lookup(&self, key: &CacheKey) -> Option<CachedAnswer> {
-        let mut inner = lock_inner(&self.inner);
-        inner.touch_clock += 1;
-        let clock = inner.touch_clock;
-        if let Some(entry) = inner.index.get(key) {
-            let answer = entry.answer.clone();
-            let segment = entry.segment;
-            if let Some(info) = inner.segments.get_mut(&segment) {
-                info.last_touch = clock;
-            }
-            drop(inner);
+        let found = lock_inner(&self.inner).index.get(key).cloned();
+        if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.lifetime_hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("store.hit", 1);
-            Some(answer)
         } else {
-            drop(inner);
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.lifetime_misses.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("store.miss", 1);
-            None
         }
+        found
     }
 
     /// Appends one answer (write-behind: buffered, durable after
@@ -1102,7 +964,7 @@ impl AnswerStore {
             return false;
         }
         let mut inner = lock_inner(&self.inner);
-        if inner.index.get(&key).is_some_and(|e| e.answer == answer) {
+        if inner.index.get(&key) == Some(&answer) {
             return false;
         }
         if self.append_record(&mut inner, key, answer).is_err() {
@@ -1130,22 +992,8 @@ impl AnswerStore {
         active.writer.write_all(&bytes)?;
         active.bytes += bytes.len() as u64;
         let (seq, active_bytes) = (active.seq, active.bytes);
-        let info = inner.segments.entry(seq).or_default();
-        info.bytes = active_bytes;
-        info.total += 1;
-        info.live += 1;
-        if let Some(old) = inner.index.insert(
-            key,
-            IndexEntry {
-                answer,
-                segment: seq,
-            },
-        ) {
-            if let Some(prev) = inner.segments.get_mut(&old.segment) {
-                prev.live = prev.live.saturating_sub(1);
-            }
-        }
-        self.evict_to_bound(inner)?;
+        inner.segments.insert(seq, active_bytes);
+        inner.index.insert(key, answer);
         Ok(())
     }
 
@@ -1159,187 +1007,14 @@ impl AnswerStore {
         if !needs {
             return Ok(());
         }
-        let old = inner.active.take().expect("checked above");
-        let mut writer = old.writer;
-        writer.flush()?;
-        let seq = old.seq + 1;
-        if self.mode == StoreMode::Shared {
-            // another shared writer may own seq already — claim
-            // atomically past it
-            self.claim_fresh_segment(inner, seq)?;
-        } else {
-            let file = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.segment_path(seq))?;
-            inner.segments.entry(seq).or_default();
-            inner.active = Some(ActiveSegment {
-                seq,
-                writer: BufWriter::new(file),
-                bytes: 0,
-            });
-        }
+        let mut old = inner.active.take().expect("checked above");
+        old.writer.flush()?;
+        // another shared writer may own the next sequence number
+        // already; claiming atomically moves past it (an exclusive
+        // writer holds the highest segment, so its next one is free)
+        self.claim_fresh_segment(inner, old.seq + 1)?;
         self.telemetry.counter("store.rotate", 1);
         Ok(())
-    }
-
-    /// Evicts least-recently-hit sealed segments until the store fits
-    /// [`StoreConfig::max_bytes`]. Each eviction drops that segment's
-    /// live entries; later lookups of them miss and re-infer.
-    fn evict_to_bound(&self, inner: &mut Inner) -> io::Result<()> {
-        if self.mode != StoreMode::Exclusive {
-            // a shared writer deletes no segment: the victim could be
-            // another writer's active one
-            return Ok(());
-        }
-        loop {
-            let total: u64 = inner.segments.values().map(|s| s.bytes).sum();
-            if total <= self.config.max_bytes {
-                return Ok(());
-            }
-            let active_seq = inner.active.as_ref().map(|a| a.seq);
-            let victim = inner
-                .segments
-                .iter()
-                .filter(|(seq, _)| Some(**seq) != active_seq)
-                .min_by_key(|(seq, info)| (info.last_touch, **seq))
-                .map(|(&seq, _)| seq);
-            let Some(seq) = victim else {
-                // only the active segment remains; nothing evictable
-                return Ok(());
-            };
-            let info = inner.segments.remove(&seq).expect("victim exists");
-            inner.index.retain(|_, e| e.segment != seq);
-            let _ = fs::remove_file(self.segment_path(seq));
-            self.evicted.fetch_add(info.live as u64, Ordering::Relaxed);
-            self.telemetry.counter("store.evict", 1);
-            if self.telemetry.enabled() {
-                self.telemetry.event(
-                    "store.evict",
-                    vec![
-                        kv("segment", seq),
-                        kv("live_dropped", info.live),
-                        kv("bytes", info.bytes),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Rewrites the live entries — in deterministic key order — into
-    /// fresh segments and deletes the superseded files. Preserves every
-    /// live answer. Returns bytes reclaimed.
-    pub fn compact(&self) -> io::Result<u64> {
-        if self.mode != StoreMode::Exclusive {
-            return Ok(0);
-        }
-        let mut inner = lock_inner(&self.inner);
-        if let Some(active) = inner.active.as_mut() {
-            active.writer.flush()?;
-        }
-        let before: u64 = inner.segments.values().map(|s| s.bytes).sum();
-        let old_seqs: Vec<u64> = inner.segments.keys().copied().collect();
-        let next_seq = old_seqs.last().copied().unwrap_or(0) + 1;
-
-        let mut entries: Vec<(CacheKey, CachedAnswer)> = inner
-            .index
-            .iter()
-            .map(|(k, e)| (k.clone(), e.answer.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // write the survivors into fresh segments
-        let mut seq = next_seq;
-        let mut writer = BufWriter::new(
-            OpenOptions::new()
-                .create_new(true)
-                .append(true)
-                .open(self.segment_path(seq))?,
-        );
-        let mut new_segments: BTreeMap<u64, SegmentInfo> = BTreeMap::new();
-        let mut bytes_in_seq = 0u64;
-        let mut new_index = HashMap::with_capacity(entries.len());
-        for (key, answer) in entries {
-            let record = encode_record(&key, &answer);
-            if bytes_in_seq > 0
-                && bytes_in_seq + record.len() as u64 > self.config.segment_max_bytes
-            {
-                writer.flush()?;
-                new_segments.insert(
-                    seq,
-                    SegmentInfo {
-                        bytes: bytes_in_seq,
-                        live: new_index
-                            .values()
-                            .filter(|e: &&IndexEntry| e.segment == seq)
-                            .count(),
-                        total: 0,
-                        last_touch: 0,
-                    },
-                );
-                seq += 1;
-                writer = BufWriter::new(
-                    OpenOptions::new()
-                        .create_new(true)
-                        .append(true)
-                        .open(self.segment_path(seq))?,
-                );
-                bytes_in_seq = 0;
-            }
-            writer.write_all(&record)?;
-            bytes_in_seq += record.len() as u64;
-            new_index.insert(
-                key,
-                IndexEntry {
-                    answer,
-                    segment: seq,
-                },
-            );
-        }
-        writer.flush()?;
-        let live_in_last = new_index
-            .values()
-            .filter(|e: &&IndexEntry| e.segment == seq)
-            .count();
-        new_segments.insert(
-            seq,
-            SegmentInfo {
-                bytes: bytes_in_seq,
-                live: live_in_last,
-                total: live_in_last,
-                last_touch: 0,
-            },
-        );
-        for (&s, info) in new_segments.iter_mut() {
-            info.total = new_index.values().filter(|e| e.segment == s).count();
-            info.live = info.total;
-        }
-
-        for old in old_seqs {
-            let _ = fs::remove_file(self.segment_path(old));
-        }
-        inner.index = new_index;
-        inner.segments = new_segments;
-        // continue appending to the last compacted segment
-        let file = OpenOptions::new()
-            .append(true)
-            .open(self.segment_path(seq))?;
-        inner.active = Some(ActiveSegment {
-            seq,
-            writer: BufWriter::new(file),
-            bytes: bytes_in_seq,
-        });
-        let after: u64 = inner.segments.values().map(|s| s.bytes).sum();
-        drop(inner);
-        let reclaimed = before.saturating_sub(after);
-        self.telemetry.counter("store.compaction", 1);
-        if self.telemetry.enabled() {
-            self.telemetry.event(
-                "store.compaction",
-                vec![kv("reclaimed_bytes", reclaimed), kv("bytes", after)],
-            );
-        }
-        Ok(reclaimed)
     }
 
     /// Flushes buffered appends and persists `meta.json` (format
@@ -1370,14 +1045,14 @@ impl AnswerStore {
         )
     }
 
-    /// All live entries in deterministic key order — the persistent
+    /// All entries in deterministic key order — the persistent
     /// mirror of [`AnswerCache::snapshot`](crate::cache::AnswerCache::snapshot).
     pub fn entries(&self) -> Vec<(CacheKey, CachedAnswer)> {
         let inner = lock_inner(&self.inner);
         let mut entries: Vec<(CacheKey, CachedAnswer)> = inner
             .index
             .iter()
-            .map(|(k, e)| (k.clone(), e.answer.clone()))
+            .map(|(k, a)| (k.clone(), a.clone()))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
@@ -1391,7 +1066,6 @@ impl AnswerStore {
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
             recovered_segments: self.recovered_segments.load(Ordering::Relaxed),
             recovered_bytes: self.recovered_bytes.load(Ordering::Relaxed),
             lifetime_hits: self.lifetime_hits.load(Ordering::Relaxed),
@@ -1399,7 +1073,7 @@ impl AnswerStore {
             lifetime_inserts: self.lifetime_inserts.load(Ordering::Relaxed),
             entries: inner.index.len(),
             segments: inner.segments.len(),
-            bytes: inner.segments.values().map(|s| s.bytes).sum(),
+            bytes: inner.segments.values().sum(),
         }
     }
 
@@ -1543,54 +1217,37 @@ mod tests {
     }
 
     #[test]
-    fn rotation_produces_multiple_segments_and_compaction_reclaims() {
+    fn rotation_produces_multiple_segments_and_replay_keeps_the_last_write() {
         let dir = tmp_dir("rotate");
         let config = StoreConfig {
             segment_max_bytes: 512,
-            ..StoreConfig::default()
         };
-        let store = AnswerStore::open_with(&dir, config).expect("opens");
-        for i in 0..40 {
-            store.insert(key(i), answer(i));
+        {
+            let store = AnswerStore::open_with(&dir, config).expect("opens");
+            for i in 0..40 {
+                store.insert(key(i), answer(i));
+            }
+            // a second answer for half the keys: appended, never rewritten
+            for i in 0..20 {
+                store.insert(key(i), answer(i + 100));
+            }
+            store.flush().expect("flushes");
+            assert!(store.segment_paths().len() > 1, "rotation happened");
         }
-        // supersede half the keys so compaction has dead weight to drop
-        for i in 0..20 {
-            store.insert(key(i), answer(i + 100));
-        }
-        store.flush().expect("flushes");
-        assert!(store.segment_paths().len() > 1, "rotation happened");
-        let before = store.total_bytes();
-        assert!(store.dead_ratio() > 0.0);
-        let reclaimed = store.compact().expect("compacts");
-        assert!(reclaimed > 0);
-        assert_eq!(store.total_bytes(), before - reclaimed);
-        assert_eq!(store.dead_ratio(), 0.0);
+        let store = AnswerStore::open_with(&dir, config).expect("reopens");
         assert_eq!(store.len(), 40);
+        let records: usize = store
+            .segment_paths()
+            .iter()
+            .map(|seg| decode_segment(seg).expect("decodes").1.records)
+            .sum();
+        assert_eq!(records, 60, "every appended record is still on disk");
         for i in 0..20 {
             assert_eq!(store.lookup(&key(i)), Some(answer(i + 100)));
         }
         for i in 20..40 {
             assert_eq!(store.lookup(&key(i)), Some(answer(i)));
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn eviction_bounds_size_and_counts_evicted_entries() {
-        let dir = tmp_dir("evict");
-        let config = StoreConfig {
-            segment_max_bytes: 400,
-            max_bytes: 1600,
-            ..StoreConfig::default()
-        };
-        let store = AnswerStore::open_with(&dir, config).expect("opens");
-        for i in 0..200 {
-            store.insert(key(i), answer(i));
-        }
-        store.flush().expect("flushes");
-        assert!(store.total_bytes() <= 1600 + 400, "bounded (active slack)");
-        assert!(store.len() < 200, "old entries evicted");
-        assert!(store.stats().evicted > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1772,21 +1429,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_mode_never_compacts_evicts_or_writes_meta() {
+    fn shared_mode_never_writes_meta() {
         let dir = tmp_dir("sharedro");
         let config = StoreConfig {
             segment_max_bytes: 256,
-            max_bytes: 512, // would trigger eviction in exclusive mode
-            compact_dead_ratio: 0.0,
         };
         let store = AnswerStore::open_shared(&dir, config, Telemetry::disabled()).expect("opens");
         for i in 0..50 {
             assert!(store.insert(key(i), answer(i)));
         }
         store.flush().expect("flushes");
-        assert_eq!(store.len(), 50, "nothing evicted");
-        assert_eq!(store.stats().evicted, 0);
-        assert_eq!(store.compact().expect("no-op"), 0);
+        assert_eq!(store.len(), 50);
+        assert!(store.segment_paths().len() > 1, "shared writers rotate too");
         assert!(
             !dir.join("meta.json").exists(),
             "shared flush skips meta.json"

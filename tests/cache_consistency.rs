@@ -1,5 +1,5 @@
 //! T1: property tests for the answer cache — under arbitrary
-//! interleavings of insert / lookup / invalidate, a lookup never returns
+//! interleavings of insert / lookup, a lookup never returns
 //! a stale answer: whatever comes back was inserted under *exactly* the
 //! queried key (same model fingerprint, same prompt hash), and presence
 //! always agrees with a reference model.
@@ -126,42 +126,27 @@ proptest! {
 
     #[test]
     fn interleavings_never_serve_stale_answers(
-        ops in proptest::collection::vec((0u8..4, 0usize..48), 1..80)
+        ops in proptest::collection::vec((any::<bool>(), 0usize..48), 1..80)
     ) {
         let keys = key_universe();
         prop_assert_eq!(keys.len(), 48);
         let cache = AnswerCache::new();
         let mut reference: HashMap<CacheKey, CachedAnswer> = HashMap::new();
 
-        for (op, idx) in ops {
+        for (insert, idx) in ops {
             let key = &keys[idx];
-            match op {
+            if insert {
                 // insert the canonical answer for this exact key
-                0 => {
-                    cache.insert(key.clone(), canonical_answer(key));
-                    reference.insert(key.clone(), canonical_answer(key));
-                }
+                cache.insert(key.clone(), canonical_answer(key));
+                reference.insert(key.clone(), canonical_answer(key));
+            } else {
                 // lookup: must agree with the reference, and any hit
                 // must be the canonical answer for *this* key
-                1 => {
-                    let got = cache.lookup(key);
-                    let want = reference.get(key).cloned();
-                    prop_assert_eq!(got.clone(), want);
-                    if let Some(hit) = got {
-                        prop_assert_eq!(hit, canonical_answer(key));
-                    }
-                }
-                // point invalidation
-                2 => {
-                    let existed = cache.invalidate(key);
-                    prop_assert_eq!(existed, reference.remove(key).is_some());
-                }
-                // model-wide invalidation
-                _ => {
-                    let removed = cache.invalidate_model(key.model_fingerprint);
-                    let before = reference.len();
-                    reference.retain(|k, _| k.model_fingerprint != key.model_fingerprint);
-                    prop_assert_eq!(removed, before - reference.len());
+                let got = cache.lookup(key);
+                let want = reference.get(key).cloned();
+                prop_assert_eq!(got.clone(), want);
+                if let Some(hit) = got {
+                    prop_assert_eq!(hit, canonical_answer(key));
                 }
             }
         }

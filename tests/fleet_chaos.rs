@@ -8,11 +8,12 @@
 //!    report is byte-identical to a single-process grid evaluation;
 //! 2. for **any kill schedule** — real `kill -9`'d subprocess workers,
 //!    leases left mid-flight — the survivors steal exactly the
-//!    orphaned leases (`fleet.lease.steal` telemetry counts match),
-//!    heal the dead workers' quarantined shards, and the merge is still
-//!    byte-identical, with the shared `AnswerStore` free of corrupted
-//!    or conflicting records (the chaos storm scan, extended to the
-//!    fleet's shared store);
+//!    orphaned leases over unfinished shards (`fleet.lease.steal`
+//!    telemetry counts match), sweep the dead leases left over done
+//!    shards, heal the dead workers' quarantined shards, and the merge
+//!    is still byte-identical, with the shared `AnswerStore` free of
+//!    corrupted or conflicting records (the chaos storm scan, extended
+//!    to the fleet's shared store);
 //! 3. a **stalled** live worker (heartbeat frozen) loses its lease too;
 //! 4. `merge` refuses mismatched spec fingerprints and incomplete
 //!    fleets with structured errors.
@@ -204,6 +205,29 @@ fn fleet_worker_subprocess_entry() {
     std::process::exit(0);
 }
 
+/// The pid of a child process that has exited and been reaped.
+fn dead_pid() -> u32 {
+    let mut child = Command::new(std::env::current_exe().expect("own binary"))
+        .arg("--list")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawns a short-lived child");
+    child.wait().expect("child exits");
+    child.id()
+}
+
+/// Every `*.lease` file left in a fleet directory's `leases/`.
+fn lease_files(fleet_dir: &Path) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = fs::read_dir(fleet_dir.join("leases"))
+        .expect("leases dir lists")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "lease"))
+        .collect();
+    found.sort();
+    found
+}
+
 fn spawn_worker(dir: &Path, post_claim_ms: u64, panic_rate: f64) -> std::process::Child {
     Command::new(std::env::current_exe().expect("own binary"))
         .args([
@@ -300,9 +324,15 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     }
 
     // exact wreckage census, after the fabrication: the finisher must
-    // steal every orphan lease and heal every orphan quarantine
+    // steal every orphan lease over an unfinished shard, sweep every
+    // lease left over a done shard (by a worker killed between its done
+    // commit and its lease release: no claim looks at a done shard, so
+    // no steal can count it), and heal every orphan quarantine
     let orphan_leases = (0..keys.len())
-        .filter(|&i| lease_path(&fleet_dir, i).exists())
+        .filter(|&i| lease_path(&fleet_dir, i).exists() && !done_path(&fleet_dir, i).exists())
+        .count();
+    let done_leases = (0..keys.len())
+        .filter(|&i| lease_path(&fleet_dir, i).exists() && done_path(&fleet_dir, i).exists())
         .count();
     let orphan_quarantines = (0..keys.len())
         .filter(|&i| quarantine_path(&fleet_dir, i).exists() && !done_path(&fleet_dir, i).exists())
@@ -342,6 +372,10 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         "no rival thief: steal counts are exact"
     );
     assert_eq!(
+        outcome.leases_swept, done_leases,
+        "every dead lease over a done shard swept (seed {seed})"
+    );
+    assert_eq!(
         outcome.shards_healed, orphan_quarantines,
         "every orphan quarantine healed calm (seed {seed})"
     );
@@ -365,6 +399,11 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         merged_bytes(&fleet_dir, &job),
         reference,
         "kill -9 storm: merged report is byte-identical (seed {seed})"
+    );
+    assert_eq!(
+        lease_files(&fleet_dir),
+        Vec::<PathBuf>::new(),
+        "no lease survives the finisher (seed {seed})"
     );
 
     // chaos storm scan, extended to the fleet's shared store: every
@@ -394,6 +433,83 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         records > 0,
         "the fleet persisted answers to the shared store"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A worker killed between its done commit and its lease release leaves
+/// a lease over a done shard. The finishing worker's closing sweep
+/// removes it and counts it as swept, never as a steal.
+#[test]
+fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
+    let (pipes, bench) = grid();
+    let dir = tmp_dir("sweep");
+    let job = job(&pipes, &bench);
+    let manifest = job.manifest();
+    let manifest_fp = manifest.fingerprint();
+    for sub in ["leases", "done", "quarantine"] {
+        fs::create_dir_all(dir.join(sub)).expect("mkdir");
+    }
+    fs::write(
+        dir.join("manifest.json"),
+        serde_json::to_string(&manifest).expect("serializes"),
+    )
+    .expect("writes manifest");
+    let keys = shard_plan(&job);
+    let victim = dead_pid();
+    let done = ShardRecord {
+        manifest_fingerprint: manifest_fp,
+        quarantined: false,
+        worker_pid: victim,
+        result: chipvqa::eval::ShardResult {
+            key: keys[0],
+            outcomes: Vec::new(),
+        },
+    };
+    fs::write(
+        done_path(&dir, 0),
+        serde_json::to_string(&done).expect("serializes"),
+    )
+    .expect("plants done record");
+    let leftover = Lease {
+        shard_index: 0,
+        shard: keys[0],
+        pid: victim,
+        start_token: 1, // irrelevant: the pid is dead
+        nonce: 99,
+        heartbeat: 0,
+        manifest_fingerprint: manifest_fp,
+        healing: false,
+    };
+    fs::write(
+        lease_path(&dir, 0),
+        serde_json::to_string(&leftover).expect("serializes"),
+    )
+    .expect("plants leftover lease");
+
+    let sink = Arc::new(MemorySink::new());
+    let tele = Telemetry::builder()
+        .clock(MockClock::new(1))
+        .sink(Arc::clone(&sink))
+        .build();
+    let exec = ParallelExecutor::new(2).with_telemetry(tele.clone());
+    let config = FleetConfig {
+        heartbeat_interval: Duration::from_millis(20),
+        idle_backoff: Duration::from_millis(2),
+        ..FleetConfig::default()
+    };
+    let outcome =
+        fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &config).expect("worker runs");
+    assert_eq!(lease_files(&dir), Vec::<PathBuf>::new(), "no lease is left");
+    assert_eq!(outcome.leases_swept, 1);
+    assert_eq!(outcome.leases_stolen, 0, "a sweep is not a steal");
+    assert_eq!(outcome.shards_evaluated, keys.len() - 1);
+    let counters = tele.snapshot().counters;
+    assert_eq!(counters.get("fleet.lease.swept"), Some(&1));
+    assert_eq!(counters.get("fleet.lease.steal"), None);
+    let swept = sink.named("fleet.lease.swept");
+    assert_eq!(swept.len(), 1);
+    assert_eq!(swept[0].get("reason"), Some("dead-pid"));
+    assert_eq!(swept[0].get("shard"), Some("0"));
     let _ = fs::remove_dir_all(&dir);
 }
 
