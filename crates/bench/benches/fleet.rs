@@ -14,7 +14,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use chipvqa_core::ChipVqa;
+use chipvqa_core::DatasetSpec;
+use chipvqa_eval::executor::SHARD_SIZE;
 use chipvqa_eval::fleet::{self, FleetConfig, FleetJob};
 use chipvqa_eval::harness::EvalOptions;
 use chipvqa_eval::{ParallelExecutor, RuleJudge};
@@ -32,13 +33,13 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn grid() -> (Vec<VlmPipeline>, ChipVqa) {
+fn grid() -> (Vec<VlmPipeline>, DatasetSpec) {
     (
         vec![
             VlmPipeline::new(ModelZoo::gpt4o()),
             VlmPipeline::new(ModelZoo::fuyu_8b()),
         ],
-        ChipVqa::standard(),
+        DatasetSpec::default(),
     )
 }
 
@@ -53,14 +54,15 @@ fn quick_config() -> FleetConfig {
 /// The coordination tax: one worker driving the whole grid through
 /// lease files versus the same executor evaluating the grid directly.
 fn bench_fleet_vs_direct(c: &mut Criterion) {
-    let (pipes, bench) = grid();
+    let (pipes, spec) = grid();
     let exec = ParallelExecutor::new(4);
     let mut group = c.benchmark_group("fleet_grid");
     group.sample_size(10);
 
     group.bench_function("direct_grid", |b| {
         b.iter(|| {
-            black_box(exec.evaluate_grid(&pipes, &bench, EvalOptions::default(), &RuleJudge::new()))
+            let options = EvalOptions::default();
+            black_box(exec.evaluate_table2(&pipes, &spec, SHARD_SIZE, options, &RuleJudge::new()))
         })
     });
 
@@ -69,9 +71,8 @@ fn bench_fleet_vs_direct(c: &mut Criterion) {
             let dir = fresh_dir("solo");
             let job = FleetJob {
                 pipes: &pipes,
-                bench: &bench,
+                spec: &spec,
                 options: EvalOptions::default(),
-                spec_fingerprint: None,
             };
             let out = fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config())
                 .expect("worker runs");
@@ -86,14 +87,13 @@ fn bench_fleet_vs_direct(c: &mut Criterion) {
 /// Merge cost over a fully committed fleet directory — the fold a
 /// driver pays once per run, after the workers are done.
 fn bench_merge(c: &mut Criterion) {
-    let (pipes, bench) = grid();
+    let (pipes, spec) = grid();
     let exec = ParallelExecutor::new(4);
     let dir = fresh_dir("merge");
     let job = FleetJob {
         pipes: &pipes,
-        bench: &bench,
+        spec: &spec,
         options: EvalOptions::default(),
-        spec_fingerprint: None,
     };
     fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config())
         .expect("fleet completes");

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use chipvqa_bench::run_table2_scaled;
+use chipvqa_bench::run_table2_on;
 use chipvqa_core::{ChipVqa, DatasetSpec, BASE_SIZE};
 use chipvqa_eval::harness::EvalOptions;
 use chipvqa_eval::{AnswerCache, ParallelExecutor};
@@ -235,7 +235,7 @@ fn bench_streamed_table2_macro(_c: &mut Criterion) {
         .filter_map(|s| s.trim().parse::<usize>().ok())
     {
         let start = Instant::now();
-        let table = run_table2_scaled(scale, 4);
+        let table = run_table2_on(&ParallelExecutor::new(4), scale, true);
         let elapsed = start.elapsed();
         black_box(&table);
         criterion::export_measurement(&format!("hotpath_macro/streamed_table2/{scale}"), elapsed);

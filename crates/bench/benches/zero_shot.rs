@@ -4,9 +4,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use chipvqa_bench::run_table2;
+use chipvqa_bench::run_table2_on;
 use chipvqa_core::ChipVqa;
 use chipvqa_eval::harness::{evaluate, EvalOptions};
+use chipvqa_eval::ParallelExecutor;
 use chipvqa_models::{ModelZoo, VlmPipeline};
 
 fn bench_zero_shot(c: &mut Criterion) {
@@ -25,8 +26,9 @@ fn bench_zero_shot(c: &mut Criterion) {
         b.iter(|| black_box(evaluate(&gpt, &bench, EvalOptions::default())))
     });
 
+    let exec = ParallelExecutor::new(1);
     group.bench_function("table2_all_12_models", |b| {
-        b.iter(|| black_box(run_table2(&bench)))
+        b.iter(|| black_box(run_table2_on(&exec, 1, true)))
     });
 
     group.finish();

@@ -15,11 +15,14 @@
 //!
 //! `--fleet DIR` joins (or starts) a crash-tolerant multi-process fleet
 //! at DIR: any number of `table2 --scale N --fleet DIR` processes share
-//! the shard grid through lease files and one shared answer store,
-//! stealing the leases of killed workers and healing their quarantined
-//! shards. When every shard is committed, `table2 merge --fleet DIR
-//! --scale N` folds the records into the canonical table — byte-identical
-//! to a single-process run — refusing a mismatched spec fingerprint.
+//! the streamed run's grid through lease files and one shared answer
+//! store — one claim per 16-question spec shard, every model in both
+//! columns, so no fleet process builds a collection — stealing the
+//! leases of killed workers and healing their quarantined shards. When
+//! every shard is committed, `table2 merge --fleet DIR --scale N` folds
+//! the records into the canonical table — byte-identical to a
+//! single-process run, generating nothing — refusing a mismatched spec
+//! fingerprint or a directory of another fleet format (exit 4).
 //! `--report-json FILE` writes the table (with the run-metadata
 //! `cache_stats` nulled) as JSON for byte comparison, one row at a time.
 //! A `--trace` file ends with one `telemetry.snapshot` event holding

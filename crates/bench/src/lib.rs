@@ -7,39 +7,15 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use chipvqa_core::{ChipVqa, DatasetSpec};
+use chipvqa_core::DatasetSpec;
 use chipvqa_eval::executor::{ShardSource, SHARD_SIZE};
 use chipvqa_eval::fleet::{self, FleetConfig, FleetError, FleetJob, FleetOutcome};
 use chipvqa_eval::harness::{evaluate, EvalOptions};
 use chipvqa_eval::judge::RuleJudge;
-use chipvqa_eval::report::{ModelRow, Table2};
-use chipvqa_eval::{AnswerCache, AnswerStore, ParallelExecutor};
+use chipvqa_eval::report::Table2;
+use chipvqa_eval::{AnswerCache, AnswerStore, ParallelExecutor, StoreConfig};
 use chipvqa_models::{ModelZoo, VlmPipeline};
 use chipvqa_telemetry::Telemetry;
-
-/// Runs the full Table-II evaluation: every zoo model on the standard and
-/// challenge collections.
-pub fn run_table2(bench: &ChipVqa) -> Table2 {
-    let challenge = bench.challenge();
-    let rows = ModelZoo::all()
-        .into_iter()
-        .map(|profile| {
-            let pipe = VlmPipeline::new(profile);
-            ModelRow {
-                standard: evaluate(&pipe, bench, EvalOptions::default()),
-                challenge: evaluate(&pipe, &challenge, EvalOptions::default()),
-            }
-        })
-        .collect();
-    Table2 { rows }
-}
-
-/// Runs the Table-II evaluation on an N×-scaled collection with
-/// unsupervised, uncached defaults: [`run_table2_on`] over a fresh
-/// `workers`-thread executor, streamed.
-pub fn run_table2_scaled(scale: usize, workers: usize) -> Table2 {
-    run_table2_on(&ParallelExecutor::new(workers), scale, true)
-}
 
 /// Runs the Table-II evaluation on an N×-scaled collection through
 /// `exec` as configured (cache, store, supervisor, telemetry): every zoo
@@ -63,7 +39,7 @@ pub fn run_table2_scaled(scale: usize, workers: usize) -> Table2 {
 /// and a warm store serves every answer from disk without changing a
 /// byte.
 pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> Table2 {
-    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let pipes = zoo();
     let (options, judge) = (EvalOptions::default(), RuleJudge::new());
     let standard = DatasetSpec::scaled(scale);
     if streamed {
@@ -77,15 +53,7 @@ pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> T
         exec.evaluate_source(&pipes, source, options, &judge).0
     };
     let challenge = standard.clone().with_mc_sa_ratio(0.0);
-    let rows = column(standard)
-        .into_iter()
-        .zip(column(challenge))
-        .map(|(standard, challenge)| ModelRow {
-            standard,
-            challenge,
-        })
-        .collect();
-    Table2 { rows }
+    Table2::from_columns([column(standard), column(challenge)].concat())
 }
 
 /// Writes `table` as `table2 --report-json` does: JSON with each
@@ -112,50 +80,19 @@ pub fn write_report_json(table: &Table2, out: impl Write) -> io::Result<()> {
     out.flush()
 }
 
-/// The pieces every fleet participant (worker or merge) derives from
-/// `--scale N`: the two materialised collections (the no-choice one
-/// derived from the standard one, pixels shared), the model grid, and
-/// the per-column [`FleetJob`] identities.
-struct FleetPlan {
-    standard: ChipVqa,
-    challenge: ChipVqa,
-    pipes: Vec<VlmPipeline>,
-    standard_fp: u64,
-    challenge_fp: u64,
+/// The twelve zoo models, in paper order.
+fn zoo() -> Vec<VlmPipeline> {
+    ModelZoo::all().into_iter().map(VlmPipeline::new).collect()
 }
 
-impl FleetPlan {
-    fn new(scale: usize) -> FleetPlan {
-        let standard_spec = DatasetSpec::scaled(scale);
-        let challenge_spec = standard_spec.clone().with_mc_sa_ratio(0.0);
-        let standard = standard_spec.build();
-        FleetPlan {
-            challenge: standard.challenge(),
-            standard,
-            pipes: ModelZoo::all().into_iter().map(VlmPipeline::new).collect(),
-            standard_fp: standard_spec.fingerprint(),
-            challenge_fp: challenge_spec.fingerprint(),
-        }
-    }
-
-    fn job<'a>(&'a self, bench: &'a ChipVqa, spec_fp: u64) -> FleetJob<'a> {
-        FleetJob {
-            pipes: &self.pipes,
-            bench,
-            options: EvalOptions::default(),
-            spec_fingerprint: Some(spec_fp),
-        }
-    }
-}
-
-/// Runs one fleet worker over the Table-II grid at `--scale N`: the
-/// standard column as a sub-fleet at `DIR/std`, the challenge column at
-/// `DIR/chal`, both sharing one answer store at `DIR/store` opened in
-/// cooperative shared mode — every process that calls this on the same
-/// `dir` joins the same run. Returns the combined contribution of this
-/// worker across both columns. Safe to invoke any number of times, from
-/// any number of processes, in any kill order: shards already committed
-/// are skipped, stale leases are stolen, quarantined shards are healed.
+/// Runs one fleet worker in `dir` over the Table-II grid at `--scale N`:
+/// the grid [`run_table2_on`] streams, claimed one 16-question spec
+/// shard (every model in both columns) at a time, with one answer store
+/// at `DIR/store` opened in cooperative shared mode — every process that
+/// calls this on the same `dir` joins the same run. Safe to invoke any
+/// number of times, from any number of processes, in any kill order:
+/// shards already committed are skipped, stale leases are stolen,
+/// quarantined shards are healed. No process builds a collection.
 pub fn run_table2_fleet_worker(
     dir: &Path,
     scale: usize,
@@ -163,73 +100,39 @@ pub fn run_table2_fleet_worker(
     config: &FleetConfig,
     telemetry: Telemetry,
 ) -> Result<FleetOutcome, FleetError> {
-    let plan = FleetPlan::new(scale);
-    let store = Arc::new(AnswerStore::open_shared(
-        dir.join("store"),
-        chipvqa_eval::StoreConfig::default(),
-        telemetry.clone(),
-    )?);
-    let cache = Arc::new(AnswerCache::new().with_store(store));
+    let (pipes, spec) = (zoo(), DatasetSpec::scaled(scale));
+    let store =
+        AnswerStore::open_shared(dir.join("store"), StoreConfig::default(), telemetry.clone())?;
+    let cache = Arc::new(AnswerCache::new().with_store(Arc::new(store)));
     let exec = ParallelExecutor::new(workers)
         .with_cache(cache)
         .with_telemetry(telemetry);
-    let judge = RuleJudge::new();
-    let std_out = fleet::run_worker(
-        &dir.join("std"),
-        &exec,
-        &plan.job(&plan.standard, plan.standard_fp),
-        &judge,
-        config,
-    )?;
-    let chal_out = fleet::run_worker(
-        &dir.join("chal"),
-        &exec,
-        &plan.job(&plan.challenge, plan.challenge_fp),
-        &judge,
-        config,
-    )?;
-    Ok(FleetOutcome {
-        shards_evaluated: std_out.shards_evaluated + chal_out.shards_evaluated,
-        shards_healed: std_out.shards_healed + chal_out.shards_healed,
-        shards_quarantined: std_out.shards_quarantined + chal_out.shards_quarantined,
-        leases_stolen: std_out.leases_stolen + chal_out.leases_stolen,
-        steals_lost: std_out.steals_lost + chal_out.steals_lost,
-        leases_swept: std_out.leases_swept + chal_out.leases_swept,
-        duplicate_commits: std_out.duplicate_commits + chal_out.duplicate_commits,
-    })
+    let job = FleetJob {
+        pipes: &pipes,
+        spec: &spec,
+        options: EvalOptions::default(),
+    };
+    fleet::run_worker(dir, &exec, &job, &RuleJudge::new(), config)
 }
 
-/// Folds a completed fleet directory into the canonical Table II.
-/// Checks both sub-fleet manifests against the `--scale`-derived run
-/// identity, so a merge against the wrong scale is a structured refusal
+/// Folds a completed fleet directory into the canonical Table II,
+/// checking its manifest against the `--scale`-derived run identity, so
+/// a merge against the wrong scale is a structured refusal
 /// ([`FleetError::Mismatch`], naming the spec fingerprint) rather than a
-/// silently wrong table. The merge reads only the committed records and
-/// never opens the shared answer store.
+/// silently wrong table. The merge reads only the committed records: it
+/// generates nothing and never opens the shared answer store.
 pub fn run_table2_fleet_merge(
     dir: &Path,
     scale: usize,
     telemetry: &Telemetry,
 ) -> Result<Table2, FleetError> {
-    let plan = FleetPlan::new(scale);
-    let std_reports = fleet::merge(
-        &dir.join("std"),
-        &plan.job(&plan.standard, plan.standard_fp),
-        telemetry,
-    )?;
-    let chal_reports = fleet::merge(
-        &dir.join("chal"),
-        &plan.job(&plan.challenge, plan.challenge_fp),
-        telemetry,
-    )?;
-    let rows = std_reports
-        .into_iter()
-        .zip(chal_reports)
-        .map(|(standard, challenge)| ModelRow {
-            standard,
-            challenge,
-        })
-        .collect();
-    Ok(Table2 { rows })
+    let (pipes, spec) = (zoo(), DatasetSpec::scaled(scale));
+    let job = FleetJob {
+        pipes: &pipes,
+        spec: &spec,
+        options: EvalOptions::default(),
+    };
+    fleet::merge(dir, &job, telemetry)
 }
 
 /// The batch-mode equivalent of an evaluation session: each model

@@ -32,6 +32,10 @@
 //! most one generator block (≤ [`RESIDENT_SLACK`] questions) plus the
 //! shard under construction. [`ShardStream::peak_resident`] exposes the
 //! high-water mark so the bound is *testable*, not just documented.
+//! [`DatasetSpec::stream_from`] starts the same sequence at any shard,
+//! generating only the replica blocks from that shard on: every replica
+//! of a category has the same size and the same multiple-choice
+//! positions, so the global MC ordinal at any position is arithmetic.
 //!
 //! Scaled collections must not be mixed with the extension set: the
 //! extension continues each category's numbering from 100, which replica
@@ -55,6 +59,26 @@ pub const TABLE1_WEIGHTS: [f64; 5] = [35.0, 44.0, 20.0, 20.0, 23.0];
 /// under construction: one generator block (the largest block is
 /// Analog's 44).
 pub const RESIDENT_SLACK: usize = 44;
+
+/// Each category's replica block, in [`Category::ALL`] order: its
+/// question count, and its naturally multiple-choice positions (bit `i`
+/// for position `i`). Every replica of a category, under any seed, has
+/// this shape; the `block_shapes_hold_in_every_replica` test pins it.
+const BLOCKS: [(usize, u64); 5] = [
+    (35, 0x7_ffff_ffff),
+    (44, 0xfff_ffff_ffff),
+    (20, 0xc_20f0),
+    (20, 0x7_8010),
+    (23, 0x4c_c803),
+];
+
+/// Naturally multiple-choice questions among the first `n` of category
+/// `cat`'s sequence of replica blocks.
+fn mc_before(cat: usize, n: usize) -> u64 {
+    let (size, mask) = BLOCKS[cat];
+    let partial = mask & ((1u64 << (n % size)) - 1);
+    (n / size) as u64 * u64::from(mask.count_ones()) + u64::from(partial.count_ones())
+}
 
 /// A recipe for an arbitrary-N ChipVQA collection.
 ///
@@ -223,18 +247,45 @@ impl DatasetSpec {
     ///
     /// Panics when `shard_len` is zero or the spec is invalid.
     pub fn stream(&self, shard_len: usize) -> ShardStream {
+        self.stream_from(shard_len, 0)
+    }
+
+    /// [`stream`](DatasetSpec::stream) from shard `shard` on: the same
+    /// shards as `self.stream(shard_len).skip(shard)`, generating only
+    /// the replica blocks they touch. Past the last shard the stream is
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard_len` is zero or the spec is invalid.
+    pub fn stream_from(&self, shard_len: usize, shard: usize) -> ShardStream {
         self.validate();
         assert!(shard_len > 0, "shard_len must be positive");
+        let counts = self.category_counts();
+        // whole categories first, then whole blocks, then the questions
+        // of the first block to drop
+        let mut pos = shard.saturating_mul(shard_len).min(self.total());
+        let (mut cat, mut mc_ordinal) = (0, 0);
+        while cat < counts.len() && pos >= counts[cat] {
+            mc_ordinal += mc_before(cat, counts[cat]);
+            pos -= counts[cat];
+            cat += 1;
+        }
+        // past the end `pos` is 0, and any category's arithmetic holds
+        let within = cat.min(BLOCKS.len() - 1);
+        mc_ordinal += mc_before(within, pos);
+        let size = BLOCKS[within].0;
         ShardStream {
             spec: self.clone(),
-            counts: self.category_counts(),
+            counts,
             shard_len,
-            cat: 0,
-            produced_in_cat: 0,
-            replica: 0,
+            cat,
+            produced_in_cat: pos,
+            replica: pos / size,
             block: Vec::new(),
             block_pos: 0,
-            mc_ordinal: 0,
+            skip: pos % size,
+            mc_ordinal,
             peak_resident: 0,
         }
     }
@@ -289,6 +340,8 @@ pub struct ShardStream {
     replica: usize,
     block: Vec<Question>,
     block_pos: usize,
+    /// Questions of the next generated block that a seek skips.
+    skip: usize,
     mc_ordinal: u64,
     peak_resident: usize,
 }
@@ -328,6 +381,7 @@ impl ShardStream {
             }
             if self.block_pos == self.block.len() {
                 self.block = generate_block(self.cat, self.spec.seed, self.replica);
+                self.block.drain(..std::mem::take(&mut self.skip));
                 self.block_pos = 0;
                 self.replica += 1;
             }
@@ -539,6 +593,26 @@ mod tests {
                 shard, &all[*idx].1,
                 "shard {idx} drifted under regeneration"
             );
+        }
+    }
+
+    /// The seek arithmetic's premise: every replica of a category, under
+    /// any seed, has the block's size and multiple-choice positions.
+    #[test]
+    fn block_shapes_hold_in_every_replica() {
+        for seed in [DEFAULT_SEED, 1, 0xdead_beef] {
+            for replica in [0usize, 1, 2, 41, 997] {
+                for (cat, &(size, mask)) in BLOCKS.iter().enumerate() {
+                    let block = generate_block(cat, seed, replica);
+                    let found = block
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, q)| q.is_multiple_choice())
+                        .fold(0u64, |m, (i, _)| m | 1 << i);
+                    assert_eq!(block.len(), size, "cat {cat} replica {replica} seed {seed}");
+                    assert_eq!(found, mask, "cat {cat} replica {replica} seed {seed}");
+                }
+            }
         }
     }
 

@@ -37,6 +37,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Mutex;
 
 use chipvqa_core::ChipVqa;
 use chipvqa_models::VlmPipeline;
@@ -44,7 +45,7 @@ use chipvqa_telemetry::kv;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::prompt_hash;
-use crate::executor::{merge_reports, quarantines, ParallelExecutor, ShardKey, ShardSource};
+use crate::executor::{quarantines, ParallelExecutor, Reports, ShardKey, ShardSource};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::Judge;
 
@@ -334,8 +335,15 @@ impl ParallelExecutor {
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
         checkpoint.validate_source(pipes, source, options)?;
         let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();
-        let (finished, _) =
-            self.run_shards(pipes, source, options, judge, &|k| !done.contains(k), stop);
+        let finished = Mutex::new(Vec::new());
+        let sink = |key, outcomes| {
+            let mut finished = finished.lock().expect("finished shards lock");
+            finished.push((key, outcomes));
+        };
+        let select = |k: &ShardKey| !done.contains(k);
+        self.run(pipes, source, None, options, judge, &select, stop, &sink);
+        let mut finished = finished.into_inner().expect("finished shards lock");
+        finished.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
         for (key, outcomes) in finished {
             // a caught worker panic quarantines the shard: results are
             // recorded (degraded) but flagged for retry-on-resume
@@ -359,16 +367,11 @@ impl ParallelExecutor {
         if checkpoint.completed.len() < source.plan(pipes.len()).len() {
             return Ok(None);
         }
-        let pairs: Vec<(ShardKey, Vec<QuestionOutcome>)> = checkpoint
-            .completed
-            .iter()
-            .map(|d| (d.key, d.outcomes.clone()))
-            .collect();
-        Ok(Some(self.finalize(merge_reports(
-            pipes,
-            source.questions(),
-            pairs,
-        ))))
+        let reports = Reports::new(pipes, source.questions());
+        for done in &checkpoint.completed {
+            reports.push(done.key, done.outcomes.clone());
+        }
+        Ok(Some(self.finalize(reports.finish())))
     }
 }
 

@@ -34,7 +34,7 @@
 //! ([`evaluate_checkpointed`](ParallelExecutor::evaluate_checkpointed))
 //! runs the shards a [`Checkpoint`](crate::checkpoint::Checkpoint)
 //! lacks — after a requeue, the quarantined ones — and a fleet claim
-//! runs one shard.
+//! runs one spec shard over every row of the Table II grid.
 //!
 //! Optional layers ride on the same loop:
 //!
@@ -79,7 +79,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{AnswerCache, CacheKey, CachedAnswer};
 use crate::harness::{EvalOptions, EvalReport, QuestionOutcome};
 use crate::judge::{Judge, RuleJudge};
-use crate::report::{ModelRow, Table2};
+use crate::report::Table2;
 use crate::supervisor::{Admit, EvalError, Supervisor, WindowedBreaker, BREAKER_WINDOW};
 
 /// How many questions one shard of a built bench covers. Small enough
@@ -328,7 +328,8 @@ impl ParallelExecutor {
     /// retry policy and telemetry are kept). The calm twin of a
     /// supervised executor: a heal resumes a checkpoint on it after
     /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined),
-    /// and a fleet worker re-runs a quarantined shard on it.
+    /// and a fleet worker re-runs a quarantined claim's panicked rows on
+    /// it.
     pub fn unsupervised(&self) -> ParallelExecutor {
         ParallelExecutor {
             supervisor: None,
@@ -435,17 +436,8 @@ impl ParallelExecutor {
             &mut |_| false,
             &sink,
         );
-        let mut standard = self.finalize(reports.finish());
-        let challenge = standard.split_off(pipes.len());
-        let rows = standard
-            .into_iter()
-            .zip(challenge)
-            .map(|(standard, challenge)| ModelRow {
-                standard,
-                challenge,
-            })
-            .collect();
-        (Table2 { rows }, stats)
+        let table = Table2::from_columns(self.finalize(reports.finish()));
+        (table, stats)
     }
 
     /// Streaming evaluation of a [`DatasetSpec`] for one model, judged by
@@ -536,9 +528,13 @@ impl ParallelExecutor {
     /// from the window holding its first selected question through the
     /// end of its last selected shard, deciding every question in order
     /// — selected or not — so each one gets the decision a full run
-    /// gives it. A built bench's walk makes no clock-touching telemetry
-    /// call: with one worker, one thread traces the whole run in
-    /// dispatch order.
+    /// gives it. The walk starts at the first shard any row needs (its
+    /// first selected shard or, supervised, the one holding its
+    /// breaker's first question), and a spec is generated from there
+    /// ([`DatasetSpec::stream_from`]): a resume, a heal or a fleet claim
+    /// generates no shard before its first. A built bench's walk makes
+    /// no clock-touching telemetry call: with one worker, one thread
+    /// traces the whole run in dispatch order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &self,
@@ -580,12 +576,25 @@ impl ParallelExecutor {
                 Some(sup.stream_breaker_at(first * shard_len / BREAKER_WINDOW))
             })
             .collect();
+        let walk_start = ranges
+            .iter()
+            .zip(&breakers)
+            .filter_map(|(range, breaker)| match breaker {
+                Some(wb) => Some(wb.next_index() / shard_len),
+                None => range.map(|(first, _)| first),
+            })
+            .min()
+            .unwrap_or(0);
         let fingerprints: Vec<u64> = pipes.iter().map(VlmPipeline::fingerprint).collect();
         // dropped however the run ends, emitting its lifetime gauges
         let mut producer = Producer {
             walk: match source {
-                ShardSource::Bench(bench, _) => Walk::Bench(bench.questions().chunks(shard_len)),
-                ShardSource::Spec(spec, shard_len) => Walk::Spec(spec.stream(shard_len)),
+                ShardSource::Bench(bench, _) => {
+                    Walk::Bench(bench.questions()[walk_start * shard_len..].chunks(shard_len))
+                }
+                ShardSource::Spec(spec, shard_len) => {
+                    Walk::Spec(spec.stream_from(shard_len, walk_start))
+                }
             },
             peak_in_flight: 0,
             peak_resident_shards: 0,
@@ -691,7 +700,7 @@ impl ParallelExecutor {
             // the calling thread is the producer: generation (and,
             // supervised, breaker admission) overlaps the workers'
             // inference
-            'walk: for shard in 0..walk_end.unwrap_or(0) {
+            'walk: for shard in walk_start..walk_end.unwrap_or(0) {
                 // a shard is resident from before it is generated until
                 // its last item finishes; none is taken once the
                 // workers have stopped
@@ -767,29 +776,6 @@ impl ParallelExecutor {
         }
         stats.quarantined_shards = quarantined.into_inner();
         stats
-    }
-
-    /// [`run`](Self::run) over the models' own rows, keeping every
-    /// finished shard: returns them sorted by key, with the run's stats.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_shards(
-        &self,
-        pipes: &[VlmPipeline],
-        source: ShardSource<'_>,
-        options: EvalOptions,
-        judge: &dyn Judge,
-        select: &dyn Fn(&ShardKey) -> bool,
-        stop: &mut (dyn FnMut(usize) -> bool + Send),
-    ) -> (Vec<(ShardKey, Vec<QuestionOutcome>)>, StreamStats) {
-        let finished = Mutex::new(Vec::new());
-        let sink = |key, outcomes| {
-            let mut finished = finished.lock().expect("finished shards lock");
-            finished.push((key, outcomes));
-        };
-        let stats = self.run(pipes, source, None, options, judge, select, stop, &sink);
-        let mut finished = finished.into_inner().expect("finished shards lock");
-        finished.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
-        (finished, stats)
     }
 }
 
@@ -1114,21 +1100,6 @@ pub(crate) fn quarantines(outcomes: &[QuestionOutcome]) -> bool {
     outcomes
         .iter()
         .any(|o| o.error == Some(EvalError::WorkerPanic))
-}
-
-/// Folds keyed shard outcomes into one report per model, question order
-/// restored positionally. Every shard of the `questions`-question grid
-/// must be present exactly once.
-pub(crate) fn merge_reports(
-    pipes: &[VlmPipeline],
-    questions: usize,
-    shards: Vec<(ShardKey, Vec<QuestionOutcome>)>,
-) -> Vec<EvalReport> {
-    let reports = Reports::new(pipes, questions);
-    for (key, outcomes) in shards {
-        reports.push(key, outcomes);
-    }
-    reports.finish()
 }
 
 /// One report per row of a grid, filled as shards finish: a shard that

@@ -1,12 +1,17 @@
 //! Crash-tolerant multi-process fleet execution.
 //!
-//! A *fleet* is N independent worker processes cooperating on one grid
-//! evaluation through a shared directory — no coordinator, no network,
-//! no shared memory. Each worker claims shards through an atomically
-//! created **lease** file, evaluates them, and commits the outcomes as
-//! per-shard **done** records; a final [`merge`] folds the records into
-//! the canonical `Vec<EvalReport>`. The shared
-//! [`AnswerStore`](crate::store::AnswerStore) (opened with
+//! A *fleet* is N independent worker processes cooperating on one Table
+//! II grid through a shared directory — no coordinator, no network, no
+//! shared memory. The grid is the one
+//! [`evaluate_table2`](ParallelExecutor::evaluate_table2) runs: every
+//! model over a [`DatasetSpec`] and over its no-choice twin. A *claim* is
+//! one [`SHARD_SIZE`]-question shard of the spec over every row (each
+//! model in both columns): the shard is generated once, and every row
+//! reads its legibility slots. Each worker claims shards through an
+//! atomically created **lease** file, evaluates them, and commits each
+//! shard's rows as one **done** record; a final [`merge`] folds the
+//! records into the canonical [`Table2`] without generating a question.
+//! The shared [`AnswerStore`](crate::store::AnswerStore) (opened with
 //! [`open_shared`](crate::store::AnswerStore::open_shared)) is the
 //! common answer plane, so work one worker already inferred is a disk
 //! hit for every other.
@@ -16,12 +21,13 @@
 //! ```text
 //! fleet/
 //!   manifest.json            format version + the run's RunIdentity
-//!                            (models, bench hash or spec fingerprint,
-//!                            options)
+//!                            (models, spec fingerprint, options)
 //!   leases/shard-0007.lease  in-flight claim: pid + start token +
 //!                            nonce + heartbeat
-//!   done/shard-0007.json     committed ShardRecord (exactly one, ever)
-//!   quarantine/shard-0007.json  panic-degraded outcomes awaiting heal
+//!   done/shard-0007.json     committed ShardRecord, every row of shard
+//!                            7 (exactly one, ever)
+//!   quarantine/shard-0007.json  a record with panicked rows, awaiting
+//!                            heal
 //! ```
 //!
 //! # The lease protocol
@@ -55,20 +61,22 @@
 //!
 //! # Healing
 //!
-//! A shard whose supervised evaluation caught a worker panic is
-//! committed to `quarantine/` instead of `done/` and stays claimable.
-//! The next worker to claim it (possibly the same process, possibly a
-//! thief healing a dead worker's wreckage) re-runs it *calm* — on
-//! [`ParallelExecutor::unsupervised`], the same executor minus the
-//! fault plan — and commits the clean outcomes to `done/`, exactly the
-//! semantics of
+//! A claim in which some row's supervised evaluation caught a worker
+//! panic is committed to `quarantine/` instead of `done/` and stays
+//! claimable. The next worker to claim it (possibly the same process,
+//! possibly a thief healing a dead worker's wreckage) keeps the
+//! record's rows that caught no panic, re-runs the others — and any row
+//! the record lacks — *calm*, on [`ParallelExecutor::unsupervised`] (the
+//! same executor minus the fault plan), and commits every row to
+//! `done/`. That is the granularity of
 //! [`Checkpoint::requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-//! followed by a resume on the unsupervised executor.
+//! followed by a resume on the unsupervised executor: one (row, shard).
 //!
-//! A claim, first pass or heal, is a one-key selection of the executor's
-//! shard engine over the job's bench, keyed with the job's spec
-//! fingerprint, so a claimed shard gets exactly the breaker decisions and
-//! cache keys a single-process run gives it.
+//! A claim, first pass or heal, is one engine run over both columns of
+//! the job's spec, made as `evaluate_table2` makes it and selecting the
+//! claim's shard (and, healing, its rows). Its walk starts at that shard,
+//! so it generates that shard alone, and each row gets exactly the
+//! breaker decisions and cache keys a single-process run gives it.
 //!
 //! # Determinism contract
 //!
@@ -80,40 +88,35 @@
 //! [`RunIdentity::check`], the comparison a checkpoint resume makes, and
 //! refuse a foreign run with [`FleetError::Mismatch`] carrying the same
 //! [`RunMismatch`] a checkpoint would. [`merge`] also refuses incomplete
-//! fleets and shard records from a different manifest.
+//! fleets, records from a different manifest, and records whose rows do
+//! not tile their shard. A directory of another on-disk format is
+//! refused whole, never merged.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{self};
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use chipvqa_core::ChipVqa;
+use chipvqa_core::DatasetSpec;
 use chipvqa_models::VlmPipeline;
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{RunIdentity, RunMismatch, ShardResult};
-use crate::executor::{merge_reports, quarantines, ParallelExecutor, ShardSource};
-use crate::harness::{EvalOptions, EvalReport};
+use crate::executor::{quarantines, ParallelExecutor, Reports, ShardKey, ShardSource, SHARD_SIZE};
+use crate::harness::EvalOptions;
 use crate::judge::Judge;
+use crate::report::Table2;
 use crate::store::{fnv1a64, holder_dead, own_start_token, pid_alive};
 
-pub use crate::executor::ShardKey;
-
-/// On-disk fleet format version, stamped in `manifest.json`. Version 3
-/// nests the run's four-field [`RunIdentity`] under `identity`.
-pub const FLEET_FORMAT_VERSION: u32 = 3;
-
-/// The canonical shard plan of a job: every worker and the merge walk
-/// exactly this list, in exactly this order. Exposed so chaos tests can
-/// fabricate the wreckage (leases, quarantine records) of dead workers.
-pub fn shard_plan(job: &FleetJob<'_>) -> Vec<ShardKey> {
-    job.source().plan(job.pipes.len())
-}
+/// On-disk fleet format version, stamped in `manifest.json`. Version 4
+/// holds one directory per Table II grid, one claim per spec shard and
+/// one record per claim with every row.
+pub const FLEET_FORMAT_VERSION: u32 = 4;
 
 /// Tuning knobs of a fleet worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,7 +149,8 @@ impl Default for FleetConfig {
     }
 }
 
-/// The identity of one fleet run, as the caller knows it. Workers and
+/// The identity of one fleet run, as the caller knows it: the Table II
+/// grid of `pipes` over `spec` and its no-choice twin. Workers and
 /// [`merge`] both derive the on-disk [`FleetManifest`] from this; a
 /// worker whose job disagrees with the directory's manifest is refused
 /// before it can pollute the run.
@@ -154,29 +158,71 @@ impl Default for FleetConfig {
 pub struct FleetJob<'a> {
     /// The model grid, in canonical order.
     pub pipes: &'a [VlmPipeline],
-    /// The benchmark every worker must evaluate.
-    pub bench: &'a ChipVqa,
+    /// The with-choice column; the no-choice column is its twin.
+    pub spec: &'a DatasetSpec,
     /// Evaluation options.
     pub options: EvalOptions,
-    /// Fingerprint of the [`DatasetSpec`](chipvqa_core::spec::DatasetSpec)
-    /// the bench was built from (`None` for canonical collections).
-    pub spec_fingerprint: Option<u64>,
 }
 
 impl FleetJob<'_> {
-    /// The job's bench as an engine source, keyed with the spec
-    /// fingerprint (0 for canonical collections).
-    fn source(&self) -> ShardSource<'_> {
-        ShardSource::Bench(self.bench, self.spec_fingerprint.unwrap_or(0))
-    }
-
     /// The manifest this job stamps (and checks against): the identity
-    /// a checkpoint of the same run carries.
+    /// a checkpoint of the with-choice column carries.
     pub fn manifest(&self) -> FleetManifest {
+        let source = ShardSource::Spec(self.spec, SHARD_SIZE);
         FleetManifest {
             format_version: FLEET_FORMAT_VERSION,
-            identity: RunIdentity::new(self.pipes, self.source(), self.options),
+            identity: RunIdentity::new(self.pipes, source, self.options),
         }
+    }
+
+    /// Claims in the fleet: one per [`SHARD_SIZE`]-question shard of the
+    /// spec.
+    pub fn claims(&self) -> usize {
+        self.spec.total().div_ceil(SHARD_SIZE)
+    }
+
+    /// Rows of every claim: each model over the with-choice column, then
+    /// each over the no-choice one.
+    fn rows(&self) -> usize {
+        2 * self.pipes.len()
+    }
+
+    /// Whether `row` is one of claim `idx`'s rows, with an outcome per
+    /// question of the shard.
+    fn fits(&self, idx: usize, row: &ShardResult) -> bool {
+        let q_start = idx * SHARD_SIZE;
+        let q_end = (q_start + SHARD_SIZE).min(self.spec.total());
+        row.key.model_idx < self.rows()
+            && (row.key.q_start, row.key.q_end) == (q_start, q_end)
+            && row.outcomes.len() == q_end - q_start
+    }
+
+    /// Runs the rows of claim `idx` that `row` selects on `exec` — one
+    /// engine run with the no-choice twin, made as
+    /// [`evaluate_table2`](ParallelExecutor::evaluate_table2) makes it —
+    /// and returns them in row order.
+    fn run_claim(
+        &self,
+        exec: &ParallelExecutor,
+        judge: &dyn Judge,
+        idx: usize,
+        row: &dyn Fn(usize) -> bool,
+    ) -> Vec<ShardResult> {
+        let twin = Some(self.spec.clone().with_mc_sa_ratio(0.0).fingerprint());
+        let source = ShardSource::Spec(self.spec, SHARD_SIZE);
+        let finished = Mutex::new(Vec::new());
+        let sink = |key, outcomes| {
+            let mut finished = finished.lock().expect("claim rows lock");
+            finished.push(ShardResult { key, outcomes });
+        };
+        let select = |key: &ShardKey| key.q_start == idx * SHARD_SIZE && row(key.model_idx);
+        let (options, stop) = (self.options, &mut |_| false);
+        exec.run(
+            self.pipes, source, twin, options, judge, &select, stop, &sink,
+        );
+        let mut rows = finished.into_inner().expect("claim rows lock");
+        rows.sort_by_key(|row| row.key.model_idx);
+        rows
     }
 }
 
@@ -210,10 +256,8 @@ impl FleetManifest {
 /// hand.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lease {
-    /// Index of the shard in the canonical plan.
+    /// Index of the claimed shard.
     pub shard_index: usize,
-    /// The claimed shard.
-    pub shard: ShardKey,
     /// Owner pid.
     pub pid: u32,
     /// Owner's kernel start token (guards against pid reuse; 0 when the
@@ -230,18 +274,20 @@ pub struct Lease {
     pub healing: bool,
 }
 
-/// One committed shard: the done/quarantine file payload.
+/// One committed claim: the done/quarantine file payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardRecord {
     /// Fingerprint of the manifest the shard was evaluated under.
     pub manifest_fingerprint: u64,
-    /// Whether the outcomes are panic-degraded (quarantine files only;
+    /// Whether some row caught a worker panic (quarantine files only;
     /// [`merge`] refuses a done record with this set).
     pub quarantined: bool,
     /// Pid of the committing worker (forensics only).
     pub worker_pid: u32,
-    /// The shard and its outcomes.
-    pub result: ShardResult,
+    /// The shard's rows in row order, each keyed with its row
+    /// ([`ShardKey::model_idx`]): every model over the with-choice
+    /// column, then every model over the no-choice one.
+    pub rows: Vec<ShardResult>,
 }
 
 /// What one worker did, for logging and assertions.
@@ -291,8 +337,8 @@ pub enum FleetError {
         /// Shards in the plan.
         total: usize,
     },
-    /// A done record carries a foreign manifest fingerprint, a
-    /// mismatched shard key, or a quarantined flag — it does not belong
+    /// A done record carries a foreign manifest fingerprint, rows that
+    /// do not tile its shard, or a quarantined flag — it does not belong
     /// to this run's `done/` set.
     ForeignShard {
         /// Index of the offending shard.
@@ -413,6 +459,21 @@ fn read_lease(path: &Path) -> io::Result<LeaseRead> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(LeaseRead::Missing),
         Err(e) => Err(e),
     }
+}
+
+/// Reads a committed record; `None` when there is none.
+fn read_record(path: &Path) -> Result<Option<ShardRecord>, FleetError> {
+    let json = match fs::read_to_string(path) {
+        Ok(json) => json,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    serde_json::from_str(&json)
+        .map(Some)
+        .map_err(|e| FleetError::Corrupt {
+            path: path.to_path_buf(),
+            detail: e.to_string(),
+        })
 }
 
 /// Creates `manifest.json` atomically, or checks the one a faster
@@ -561,15 +622,16 @@ impl Drop for LeaseGuard {
     }
 }
 
-/// Runs one fleet worker to completion: scans the shard plan, claims
-/// (or steals) leases, evaluates, commits, and loops until every shard
-/// of the plan has a done record. Returns what this worker contributed.
+/// Runs one fleet worker to completion: scans the claims, claims (or
+/// steals) leases, evaluates, commits, and loops until every claim has a
+/// done record. Returns what this worker contributed.
 ///
 /// The worker evaluates with `exec` as given (supervised, if a fault
-/// plan is attached) for first-pass shards, and with
-/// [`exec.unsupervised()`](ParallelExecutor::unsupervised) when healing
-/// a quarantined shard. If `exec` carries a cache backed by the shared
-/// answer store, the store is flushed before returning.
+/// plan is attached) for first-pass claims, and heals a quarantined
+/// claim's panicked rows on
+/// [`exec.unsupervised()`](ParallelExecutor::unsupervised). If `exec`
+/// carries a cache backed by the shared answer store, the store is
+/// flushed before returning.
 pub fn run_worker(
     dir: &Path,
     exec: &ParallelExecutor,
@@ -583,14 +645,14 @@ pub fn run_worker(
     let manifest = job.manifest();
     ensure_manifest(dir, &manifest)?;
     let manifest_fp = manifest.fingerprint();
-    let keys = shard_plan(job);
+    let claims = job.claims();
     let tele = exec.telemetry();
     if tele.enabled() {
         tele.event(
             "fleet.worker.start",
             vec![
                 kv("pid", std::process::id()),
-                kv("shards", keys.len()),
+                kv("shards", claims),
                 kv("manifest", manifest_fp),
             ],
         );
@@ -602,7 +664,7 @@ pub fn run_worker(
     loop {
         let mut remaining = 0usize;
         let mut progressed = false;
-        for (idx, key) in keys.iter().enumerate() {
+        for idx in 0..claims {
             if done_path(dir, idx).exists() {
                 continue;
             }
@@ -611,7 +673,6 @@ pub fn run_worker(
             let Some(guard) = try_claim(
                 dir,
                 idx,
-                key,
                 manifest_fp,
                 healing,
                 &mut observed,
@@ -627,28 +688,17 @@ pub fn run_worker(
             if config.post_claim_delay > Duration::ZERO {
                 std::thread::sleep(config.post_claim_delay);
             }
-            let runner = if healing { &calm } else { exec };
-            let (_, outcomes) = runner
-                .run_shards(
-                    job.pipes,
-                    job.source(),
-                    job.options,
-                    judge,
-                    &|k| k == key,
-                    &mut |_| false,
-                )
-                .0
-                .pop()
-                .expect("one shard requested");
-            let panicked = quarantines(&outcomes);
+            let rows = if healing {
+                heal(dir, idx, job, &calm, judge, manifest_fp)
+            } else {
+                job.run_claim(exec, judge, idx, &|_| true)
+            };
+            let panicked = rows.iter().any(|row| quarantines(&row.outcomes));
             let record = ShardRecord {
                 manifest_fingerprint: manifest_fp,
                 quarantined: panicked,
                 worker_pid: std::process::id(),
-                result: ShardResult {
-                    key: *key,
-                    outcomes,
-                },
+                rows,
             };
             let bytes = serde_json::to_string(&record).expect("record serializes");
             if panicked {
@@ -712,6 +762,38 @@ pub fn run_worker(
     Ok(outcome)
 }
 
+/// Claim `idx`'s rows, healed (see the module docs): each row of the
+/// quarantine record that fits the claim and caught no panic is kept,
+/// and every other row re-runs on `calm`. An unreadable record, or one
+/// of another manifest, keeps no row.
+fn heal(
+    dir: &Path,
+    idx: usize,
+    job: &FleetJob<'_>,
+    calm: &ParallelExecutor,
+    judge: &dyn Judge,
+    manifest_fp: u64,
+) -> Vec<ShardResult> {
+    let recorded = match read_record(&quarantine_path(dir, idx)) {
+        Ok(Some(record)) if record.manifest_fingerprint == manifest_fp => record.rows,
+        _ => Vec::new(),
+    };
+    let mut rows: Vec<Option<ShardResult>> = vec![None; job.rows()];
+    for row in recorded {
+        if job.fits(idx, &row) && !quarantines(&row.outcomes) {
+            rows[row.key.model_idx].get_or_insert(row);
+        }
+    }
+    let rerun = job.run_claim(calm, judge, idx, &|row| rows[row].is_none());
+    for row in rerun {
+        let slot = row.key.model_idx;
+        rows[slot] = Some(row);
+    }
+    rows.into_iter()
+        .map(|row| row.expect("every row kept or re-run"))
+        .collect()
+}
+
 /// The closing sweep over `leases/` (see the module docs). A live
 /// holder's lease is left to its own guard.
 fn sweep_leases(dir: &Path, tele: &Telemetry, outcome: &mut FleetOutcome) -> io::Result<()> {
@@ -764,7 +846,6 @@ fn sweep_leases(dir: &Path, tele: &Telemetry, outcome: &mut FleetOutcome) -> io:
 fn try_claim(
     dir: &Path,
     idx: usize,
-    key: &ShardKey,
     manifest_fp: u64,
     healing: bool,
     observed: &mut HashMap<usize, (u64, Instant)>,
@@ -798,7 +879,6 @@ fn try_claim(
 
     let lease = Lease {
         shard_index: idx,
-        shard: *key,
         pid: std::process::id(),
         start_token: own_start_token(),
         nonce: fresh_nonce(),
@@ -854,61 +934,51 @@ fn try_claim(
     )))
 }
 
-/// Folds a completed fleet directory into the canonical reports — the
-/// deterministic merge. Refuses (structured, never silently wrong):
-/// a missing manifest ([`FleetError::ManifestMissing`]), one of another
-/// format ([`FleetError::FormatVersion`]) or of another run
+/// Folds a completed fleet directory into the canonical [`Table2`] —
+/// the deterministic merge, which generates nothing. Refuses
+/// (structured, never silently wrong): a missing manifest
+/// ([`FleetError::ManifestMissing`]), one of another format
+/// ([`FleetError::FormatVersion`]) or of another run
 /// ([`FleetError::Mismatch`]), an incomplete fleet
 /// ([`FleetError::Incomplete`]), and done records that do not belong to
-/// this manifest ([`FleetError::ForeignShard`]).
-pub fn merge(
-    dir: &Path,
-    job: &FleetJob<'_>,
-    telemetry: &Telemetry,
-) -> Result<Vec<EvalReport>, FleetError> {
+/// this manifest or do not tile their shard ([`FleetError::ForeignShard`]).
+pub fn merge(dir: &Path, job: &FleetJob<'_>, telemetry: &Telemetry) -> Result<Table2, FleetError> {
     let manifest = job.manifest();
     check_manifest(dir, &manifest)?;
     let manifest_fp = manifest.fingerprint();
-    let keys = shard_plan(job);
-    let mut pairs = Vec::with_capacity(keys.len());
+    let claims = job.claims();
+    let reports = Reports::new(job.pipes.iter().chain(job.pipes), job.spec.total());
     let mut missing = 0usize;
-    for (idx, key) in keys.iter().enumerate() {
-        let path = done_path(dir, idx);
-        let json = match fs::read_to_string(&path) {
-            Ok(json) => json,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                missing += 1;
-                continue;
-            }
-            Err(e) => return Err(e.into()),
+    for idx in 0..claims {
+        let Some(record) = read_record(&done_path(dir, idx))? else {
+            missing += 1;
+            continue;
         };
-        let record: ShardRecord = serde_json::from_str(&json).map_err(|e| FleetError::Corrupt {
-            path: path.clone(),
-            detail: e.to_string(),
-        })?;
-        if record.manifest_fingerprint != manifest_fp
-            || record.quarantined
-            || record.result.key != *key
-        {
+        let tiles = record.rows.len() == job.rows()
+            && (record.rows.iter().enumerate())
+                .all(|(row, result)| result.key.model_idx == row && job.fits(idx, result));
+        if record.manifest_fingerprint != manifest_fp || record.quarantined || !tiles {
             return Err(FleetError::ForeignShard { shard_index: idx });
         }
-        pairs.push((record.result.key, record.result.outcomes));
+        for row in record.rows {
+            reports.push(row.key, row.outcomes);
+        }
     }
     if missing > 0 {
         return Err(FleetError::Incomplete {
-            done: keys.len() - missing,
-            total: keys.len(),
+            done: claims - missing,
+            total: claims,
         });
     }
-    let reports = merge_reports(job.pipes, job.bench.len(), pairs);
+    let table = Table2::from_columns(reports.finish());
     telemetry.counter("fleet.merge.done", 1);
     if telemetry.enabled() {
         telemetry.event(
             "fleet.merge.done",
-            vec![kv("shards", keys.len()), kv("models", reports.len())],
+            vec![kv("shards", claims), kv("models", table.rows.len())],
         );
     }
-    Ok(reports)
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -930,12 +1000,11 @@ mod tests {
         dir
     }
 
-    fn small_job<'a>(pipes: &'a [VlmPipeline], bench: &'a ChipVqa) -> FleetJob<'a> {
+    fn small_job<'a>(pipes: &'a [VlmPipeline], spec: &'a DatasetSpec) -> FleetJob<'a> {
         FleetJob {
             pipes,
-            bench,
+            spec,
             options: EvalOptions::default(),
-            spec_fingerprint: None,
         }
     }
 
@@ -948,37 +1017,42 @@ mod tests {
         }
     }
 
+    /// The single-process table of `job`'s grid.
+    fn reference(exec: &ParallelExecutor, job: &FleetJob<'_>) -> Table2 {
+        let judge = RuleJudge::new();
+        (exec.evaluate_table2(job.pipes, job.spec, SHARD_SIZE, job.options, &judge)).0
+    }
+
     #[test]
     fn single_worker_fleet_matches_direct_grid_evaluation() {
         let dir = tmp_dir("single");
-        let bench = ChipVqa::standard();
+        let spec = DatasetSpec::default();
         let pipes = vec![
             VlmPipeline::new(ModelZoo::gpt4o()),
             VlmPipeline::new(ModelZoo::fuyu_8b()),
         ];
-        let job = small_job(&pipes, &bench);
+        let job = small_job(&pipes, &spec);
         let exec = ParallelExecutor::new(2);
         let outcome =
             run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config()).expect("runs");
+        assert_eq!(outcome.shards_evaluated, job.claims());
         assert_eq!(outcome.shards_quarantined, 0);
         assert_eq!(outcome.leases_stolen, 0);
         let merged = merge(&dir, &job, &Telemetry::disabled()).expect("merges");
-        let reference =
-            exec.evaluate_grid(&pipes, &bench, EvalOptions::default(), &RuleJudge::new());
-        assert_eq!(merged.len(), reference.len());
-        for (m, r) in merged.iter().zip(&reference) {
-            assert_eq!(m.model, r.model);
-            assert_eq!(m.outcomes, r.outcomes, "fleet merge is byte-identical");
-        }
+        assert_eq!(
+            merged,
+            reference(&exec, &job),
+            "fleet merge is byte-identical"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn panic_faults_quarantine_then_heal_to_the_clean_report() {
         let dir = tmp_dir("heal");
-        let bench = ChipVqa::standard();
+        let spec = DatasetSpec::default();
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
-        let job = small_job(&pipes, &bench);
+        let job = small_job(&pipes, &spec);
         let plan = FaultPlan {
             panic_rate: 0.25,
             seed: 7,
@@ -996,14 +1070,9 @@ mod tests {
             "the same worker heals its own quarantine on later passes"
         );
         let merged = merge(&dir, &job, &Telemetry::disabled()).expect("merges");
-        let clean = ParallelExecutor::new(2).evaluate_grid(
-            &pipes,
-            &bench,
-            EvalOptions::default(),
-            &RuleJudge::new(),
-        );
         assert_eq!(
-            merged[0].outcomes, clean[0].outcomes,
+            merged,
+            reference(&ParallelExecutor::new(2), &job),
             "healed fleet converges to the calm single-process report"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -1012,9 +1081,9 @@ mod tests {
     #[test]
     fn dead_pid_lease_is_stolen_and_fabricated_quarantine_healed() {
         let dir = tmp_dir("steal");
-        let bench = ChipVqa::standard();
+        let spec = DatasetSpec::default();
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
-        let job = small_job(&pipes, &bench);
+        let job = small_job(&pipes, &spec);
         let manifest = job.manifest();
         let manifest_fp = manifest.fingerprint();
         for sub in ["leases", "done", "quarantine"] {
@@ -1027,10 +1096,8 @@ mod tests {
         .expect("writes manifest");
         // the wreckage of a kill -9'd worker: a lease held by a dead
         // pid, over a shard it had quarantined before dying
-        let keys = shard_plan(&job);
         let dead = Lease {
             shard_index: 0,
-            shard: keys[0],
             pid: u32::MAX - 2, // far beyond any real pid on the box
             start_token: 12345,
             nonce: 999,
@@ -1047,10 +1114,7 @@ mod tests {
             manifest_fingerprint: manifest_fp,
             quarantined: true,
             worker_pid: dead.pid,
-            result: ShardResult {
-                key: keys[0],
-                outcomes: Vec::new(), // never read on the heal path
-            },
+            rows: Vec::new(), // lacks every row: the heal re-runs them all
         };
         fs::write(
             quarantine_path(&dir, 0),
@@ -1067,21 +1131,17 @@ mod tests {
             "the dead worker's quarantined shard is healed"
         );
         let merged = merge(&dir, &job, &Telemetry::disabled()).expect("merges");
-        let reference =
-            exec.evaluate_grid(&pipes, &bench, EvalOptions::default(), &RuleJudge::new());
-        assert_eq!(merged[0].outcomes, reference[0].outcomes);
+        assert_eq!(merged, reference(&exec, &job));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn merge_refuses_mismatched_identity_and_incomplete_fleets() {
         let dir = tmp_dir("refuse");
-        let bench = ChipVqa::standard();
+        let spec = DatasetSpec::default();
+        let other_spec = DatasetSpec::scaled(2);
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
-        let job = FleetJob {
-            spec_fingerprint: Some(0xAAAA),
-            ..small_job(&pipes, &bench)
-        };
+        let job = small_job(&pipes, &spec);
         // no manifest yet
         assert!(matches!(
             merge(&dir, &job, &Telemetry::disabled()),
@@ -1090,7 +1150,7 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let manifest = serde_json::to_string(&job.manifest()).expect("serializes");
         // a manifest of another format version is refused as such
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             fs::write(
                 dir.join("manifest.json"),
                 manifest.replace(
@@ -1107,23 +1167,18 @@ mod tests {
             }
         }
         fs::write(dir.join("manifest.json"), manifest).expect("writes");
-        // wrong spec fingerprint (e.g. merge invoked with wrong --scale)
-        let wrong_spec = FleetJob {
-            spec_fingerprint: Some(0xBBBB),
-            ..job
-        };
+        // wrong spec (e.g. merge invoked with wrong --scale)
+        let wrong_spec = small_job(&pipes, &other_spec);
         assert!(matches!(
             merge(&dir, &wrong_spec, &Telemetry::disabled()),
             Err(FleetError::Mismatch(RunMismatch::SpecFingerprint {
-                stamped: Some(0xAAAA),
-                expected: Some(0xBBBB),
-            }))
+                stamped: Some(s),
+                expected: Some(e),
+            })) if (s, e) == (spec.fingerprint(), other_spec.fingerprint())
         ));
         // identity matches but nothing committed yet
         match merge(&dir, &job, &Telemetry::disabled()) {
-            Err(FleetError::Incomplete { done: 0, total }) => {
-                assert_eq!(total, shard_plan(&job).len());
-            }
+            Err(FleetError::Incomplete { done: 0, total }) => assert_eq!(total, job.claims()),
             other => panic!("expected Incomplete, got {other:?}"),
         }
         // a worker whose job disagrees is refused up front, too
@@ -1140,17 +1195,17 @@ mod tests {
     /// merge and a worker with the same mismatch, field by field.
     #[test]
     fn checkpoint_and_fleet_refuse_a_foreign_run_with_the_same_mismatch() {
-        use crate::checkpoint::{bench_hash, Checkpoint, CheckpointError};
+        use crate::checkpoint::{Checkpoint, CheckpointError};
         let dir = tmp_dir("parity");
-        let bench = ChipVqa::standard();
-        let other_bench = ChipVqa::with_seed(bench.seed() + 1);
+        let spec = DatasetSpec::default();
+        let other_spec = spec.clone().with_seed(spec.seed + 1);
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
         let other_pipes = vec![VlmPipeline::new(ModelZoo::fuyu_8b())];
-        let run = FleetJob {
-            spec_fingerprint: Some(0xAAAA),
-            ..small_job(&pipes, &bench)
-        };
-        let checkpoint = Checkpoint::for_source(&pipes, run.source(), run.options);
+        let run = small_job(&pipes, &spec);
+        fn source<'a>(job: &FleetJob<'a>) -> ShardSource<'a> {
+            ShardSource::Spec(job.spec, SHARD_SIZE)
+        }
+        let checkpoint = Checkpoint::for_source(&pipes, source(&run), run.options);
         assert_eq!(checkpoint.identity, run.manifest().identity);
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(
@@ -1176,17 +1231,6 @@ mod tests {
                 },
             ),
             (
-                "bench content",
-                FleetJob {
-                    bench: &other_bench,
-                    ..run
-                },
-                RunMismatch::Bench {
-                    stamped: bench_hash(&bench),
-                    expected: bench_hash(&other_bench),
-                },
-            ),
-            (
                 "options",
                 FleetJob { options, ..run },
                 RunMismatch::Options {
@@ -1197,19 +1241,19 @@ mod tests {
             (
                 "spec fingerprint",
                 FleetJob {
-                    spec_fingerprint: Some(0xBBBB),
+                    spec: &other_spec,
                     ..run
                 },
                 RunMismatch::SpecFingerprint {
-                    stamped: Some(0xAAAA),
-                    expected: Some(0xBBBB),
+                    stamped: Some(spec.fingerprint()),
+                    expected: Some(other_spec.fingerprint()),
                 },
             ),
         ];
         let exec = ParallelExecutor::new(1);
         for (field, job, expected) in cases {
             assert_eq!(
-                checkpoint.validate_source(job.pipes, job.source(), job.options),
+                checkpoint.validate_source(job.pipes, source(&job), job.options),
                 Err(CheckpointError::Mismatch(expected.clone())),
                 "{field}: checkpoint resume"
             );
@@ -1224,7 +1268,7 @@ mod tests {
         }
         // the run itself passes both checks
         assert_eq!(
-            checkpoint.validate_source(&pipes, run.source(), run.options),
+            checkpoint.validate_source(&pipes, source(&run), run.options),
             Ok(())
         );
         assert!(matches!(
@@ -1236,9 +1280,9 @@ mod tests {
 
     #[test]
     fn manifest_fingerprint_pins_every_identity_field() {
-        let bench = ChipVqa::standard();
+        let spec = DatasetSpec::default();
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
-        let base = small_job(&pipes, &bench).manifest();
+        let base = small_job(&pipes, &spec).manifest();
         let fp = base.fingerprint();
         let mut other = base.clone();
         other.identity.spec_fingerprint = Some(1);

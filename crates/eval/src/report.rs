@@ -31,6 +31,21 @@ pub struct Table2 {
 }
 
 impl Table2 {
+    /// The table of a grid's reports in row order: every model over the
+    /// with-choice column, then every model over the no-choice one.
+    pub fn from_columns(mut reports: Vec<EvalReport>) -> Table2 {
+        let challenge = reports.split_off(reports.len() / 2);
+        let rows = reports
+            .into_iter()
+            .zip(challenge)
+            .map(|(standard, challenge)| ModelRow {
+                standard,
+                challenge,
+            })
+            .collect();
+        Table2 { rows }
+    }
+
     /// Finds a model's row by name.
     pub fn model(&self, name: &str) -> Option<&ModelRow> {
         self.rows.iter().find(|r| r.standard.model == name)

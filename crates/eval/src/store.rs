@@ -337,16 +337,7 @@ impl StoreLock {
         // recovery would truncate their unflushed tails. Dead markers
         // are swept.
         for marker in shared_markers(&dir)? {
-            let live = match marker.holder {
-                // own pid: live only while the handle actually exists
-                // in this process (a simulated-crash marker is stale)
-                Some((pid, _)) if pid == std::process::id() => {
-                    lock_inner(live_locks()).contains(&marker.path)
-                }
-                Some((pid, token)) => !holder_dead(pid, Some(token)),
-                None => false,
-            };
-            if live {
+            if marker.live() {
                 return Err(io::Error::new(
                     io::ErrorKind::WouldBlock,
                     format!(
@@ -473,18 +464,27 @@ impl SharedLock {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
+        // dead shared writers' markers are swept, as an exclusive open
+        // sweeps them
+        for marker in shared_markers(&dir)? {
+            if !marker.live() {
+                let _ = fs::remove_file(&marker.path);
+            }
+        }
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!(
             "store.lock.{}-{}-{n}",
             std::process::id(),
             own_start_token()
         ));
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        let _ = write!(f, "{}", lock_stamp());
+        // registered live before the file exists, so a sweep in another
+        // thread of this process never takes it for a crashed handle's
         lock_inner(live_locks()).insert(path.clone());
+        let created = OpenOptions::new().write(true).create_new(true).open(&path);
+        let mut f = created.inspect_err(|_| {
+            lock_inner(live_locks()).remove(&path);
+        })?;
+        let _ = write!(f, "{}", lock_stamp());
         Ok(SharedLock { path, armed: true })
     }
 
@@ -508,6 +508,21 @@ impl Drop for SharedLock {
 struct SharedMarker {
     path: PathBuf,
     holder: Option<(u32, u64)>,
+}
+
+impl SharedMarker {
+    /// Whether the marker's handle may still be open: its holder is
+    /// alive and, for our own pid, the handle exists in this process (a
+    /// simulated-crash marker is stale). An unparsable name is dead.
+    fn live(&self) -> bool {
+        match self.holder {
+            Some((pid, _)) if pid == std::process::id() => {
+                lock_inner(live_locks()).contains(&self.path)
+            }
+            Some((pid, token)) => !holder_dead(pid, Some(token)),
+            None => false,
+        }
+    }
 }
 
 /// Every shared-writer marker in `dir`, with the holder parsed from
@@ -1425,6 +1440,40 @@ mod tests {
         assert_eq!(markers.len(), 1, "crash leaves the marker");
         let again = AnswerStore::open(&dir).expect("stale shared marker is swept");
         assert_eq!(again.lookup(&key(1)), Some(answer(1)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A shared open sweeps a dead writer's marker and leaves a live
+    /// handle's alone.
+    #[test]
+    fn shared_open_sweeps_dead_markers_only() {
+        let dir = tmp_dir("sharedsweep");
+        let live = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
+            .expect("first shared handle");
+        let canonical = fs::canonicalize(&dir).expect("canon");
+        let names = || -> Vec<PathBuf> {
+            let mut paths: Vec<PathBuf> = shared_markers(&canonical)
+                .expect("lists")
+                .into_iter()
+                .map(|marker| marker.path)
+                .collect();
+            paths.sort();
+            paths
+        };
+        let live_marker = names();
+        assert_eq!(live_marker.len(), 1);
+        // far beyond any real pid on the box
+        let dead = canonical.join(format!("store.lock.{}-1-0", u32::MAX - 2));
+        fs::write(&dead, format!("{} 1", u32::MAX - 2)).expect("plants dead marker");
+
+        let second = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
+            .expect("second shared handle");
+        let after = names();
+        assert!(!dead.exists(), "the dead writer's marker is swept");
+        assert!(after.contains(&live_marker[0]), "the live marker stays");
+        assert_eq!(after.len(), 2, "the live handle's and the new one's");
+        drop((live, second));
+        assert!(names().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

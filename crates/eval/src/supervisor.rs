@@ -839,14 +839,19 @@ mod tests {
                     k.q_start >= from && k.q_start < from + 2 * shard_len
                 };
                 let source = ShardSource::Spec(&spec, shard_len);
-                let (finished, _) = exec.run_shards(
+                let finished = std::sync::Mutex::new(Vec::new());
+                let sink = |key, outcomes| finished.lock().unwrap().push((key, outcomes));
+                exec.run(
                     &pipes,
                     source,
+                    None,
                     EvalOptions::default(),
                     &RuleJudge::new(),
                     &picked,
                     &mut |_| false,
+                    &sink,
                 );
+                let finished = finished.into_inner().unwrap();
                 let selected = source
                     .plan(pipes.len())
                     .iter()

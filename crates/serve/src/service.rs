@@ -47,6 +47,7 @@
 //! on reopen.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -539,7 +540,15 @@ fn runner_loop(shared: &Shared) {
             }
         };
         let Some((id, tenant)) = admitted else { return };
-        run_session(shared, id, &tenant);
+        // A request the engine panics on (an invalid spec, say) fails
+        // its own session; the runner keeps serving.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| run_session(shared, id, &tenant)));
+        if let Err(payload) = ran {
+            let message = (payload.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            finish_failed(shared, id, &tenant, format!("session panicked: {message}"));
+        }
         // A freed run slot may unblock a quota-skipped queue entry.
         shared.work_cv.notify_all();
     }

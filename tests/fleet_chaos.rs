@@ -2,12 +2,16 @@
 //! seeded `kill -9` schedules.
 //!
 //! The determinism contract from the robustness issue, checked
-//! end-to-end:
+//! end-to-end on a Table II grid (two models over a scale-2 spec and its
+//! no-choice twin: 18 claims of four rows each):
 //!
 //! 1. for **any worker count** (1, 2, 4 cooperating workers) the merged
-//!    report is byte-identical to a single-process grid evaluation;
+//!    table is byte-identical to the single-process
+//!    `evaluate_table2` run, and a lone worker generates and perceives
+//!    exactly what that run does;
 //! 2. for **any kill schedule** — real `kill -9`'d subprocess workers,
-//!    leases left mid-flight — the survivors steal exactly the
+//!    each killed once the fleet has committed a seeded number of
+//!    claims, leases left mid-flight — the survivors steal exactly the
 //!    orphaned leases over unfinished shards (`fleet.lease.steal`
 //!    telemetry counts match), sweep the dead leases left over done
 //!    shards, heal the dead workers' quarantined shards, and the merge
@@ -15,8 +19,8 @@
 //!    corrupted or conflicting records (the chaos storm scan, extended
 //!    to the fleet's shared store);
 //! 3. a **stalled** live worker (heartbeat frozen) loses its lease too;
-//! 4. `merge` refuses mismatched spec fingerprints and incomplete
-//!    fleets with structured errors.
+//! 4. `merge` refuses mismatched spec fingerprints, incomplete fleets
+//!    and directories of another fleet format with structured errors.
 //!
 //! Subprocess workers re-exec this test binary: the
 //! `fleet_worker_subprocess_entry` "test" is a no-op unless
@@ -30,16 +34,17 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use chipvqa::core::ChipVqa;
-use chipvqa::eval::executor::ShardSource;
+use chipvqa::core::DatasetSpec;
+use chipvqa::eval::executor::{ShardSource, SHARD_SIZE};
 use chipvqa::eval::fault::install_quiet_panic_hook;
 use chipvqa::eval::fleet::{
-    self, done_path, lease_path, quarantine_path, shard_plan, FleetConfig, FleetError, FleetJob,
-    Lease, ShardRecord,
+    self, done_path, lease_path, quarantine_path, FleetConfig, FleetError, FleetJob, Lease,
+    ShardRecord, FLEET_FORMAT_VERSION,
 };
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
+use chipvqa::eval::report::Table2;
 use chipvqa::eval::store::{decode_segment, AnswerStore, StoreConfig};
 use chipvqa::eval::{
     AnswerCache, Checkpoint, FaultPlan, ParallelExecutor, RuleJudge, RunMismatch, Supervisor,
@@ -66,59 +71,61 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The chaos grid: two models over the standard bench — 18 shards,
-/// enough for real contention, small enough for CI.
-fn grid() -> (Vec<VlmPipeline>, ChipVqa) {
+/// The chaos grid: two models over a scale-2 spec — 18 claims, enough
+/// for real contention, small enough for CI.
+fn grid() -> (Vec<VlmPipeline>, DatasetSpec) {
     (
         vec![
             VlmPipeline::new(ModelZoo::gpt4o()),
             VlmPipeline::new(ModelZoo::fuyu_8b()),
         ],
-        ChipVqa::standard(),
+        DatasetSpec::scaled(2),
     )
 }
 
-fn job<'a>(pipes: &'a [VlmPipeline], bench: &'a ChipVqa) -> FleetJob<'a> {
+fn job<'a>(pipes: &'a [VlmPipeline], spec: &'a DatasetSpec) -> FleetJob<'a> {
     FleetJob {
         pipes,
-        bench,
+        spec,
         options: EvalOptions::default(),
-        spec_fingerprint: None,
     }
 }
 
-/// Result bytes of a report with the run-metadata `cache_stats` nulled.
-fn report_bytes(mut report: EvalReport) -> String {
-    report.cache_stats = None;
-    serde_json::to_string(&report).expect("report serializes")
+/// Result bytes of a table with the run-metadata `cache_stats` nulled.
+fn table_bytes(mut table: Table2) -> String {
+    for row in &mut table.rows {
+        row.standard.cache_stats = None;
+        row.challenge.cache_stats = None;
+    }
+    serde_json::to_string(&table).expect("table serializes")
 }
 
-/// The single-process reference: a plain grid evaluation, serialized.
-fn reference_bytes(pipes: &[VlmPipeline], bench: &ChipVqa) -> Vec<String> {
-    ParallelExecutor::new(4)
-        .evaluate_grid(pipes, bench, EvalOptions::default(), &RuleJudge::new())
-        .into_iter()
-        .map(report_bytes)
-        .collect()
+/// The single-process reference: the grid's `evaluate_table2` run,
+/// serialized.
+fn reference_bytes(pipes: &[VlmPipeline], spec: &DatasetSpec) -> String {
+    let (table, _) = ParallelExecutor::new(4).evaluate_table2(
+        pipes,
+        spec,
+        SHARD_SIZE,
+        EvalOptions::default(),
+        &RuleJudge::new(),
+    );
+    table_bytes(table)
 }
 
-fn merged_bytes(dir: &Path, job: &FleetJob<'_>) -> Vec<String> {
-    fleet::merge(dir, job, &Telemetry::disabled())
-        .expect("fleet merges")
-        .into_iter()
-        .map(report_bytes)
-        .collect()
+fn merged_bytes(dir: &Path, job: &FleetJob<'_>) -> String {
+    table_bytes(fleet::merge(dir, job, &Telemetry::disabled()).expect("fleet merges"))
 }
 
 /// Contract 1: 1, 2, and 4 cooperating in-process workers all converge
 /// to the single-process reference, byte for byte.
 #[test]
 fn fleets_of_1_2_and_4_workers_merge_byte_identical_to_single_process() {
-    let (pipes, bench) = grid();
-    let reference = reference_bytes(&pipes, &bench);
+    let (pipes, spec) = grid();
+    let reference = reference_bytes(&pipes, &spec);
     for workers in [1usize, 2, 4] {
         let dir = tmp_dir(&format!("n{workers}"));
-        let job = job(&pipes, &bench);
+        let job = job(&pipes, &spec);
         let exec = ParallelExecutor::new(2);
         let config = FleetConfig {
             heartbeat_interval: Duration::from_millis(20),
@@ -140,7 +147,7 @@ fn fleets_of_1_2_and_4_workers_merge_byte_identical_to_single_process() {
                 .sum();
             assert_eq!(
                 total,
-                shard_plan(&job).len(),
+                job.claims(),
                 "{workers} workers: every shard committed exactly once"
             );
         });
@@ -151,6 +158,49 @@ fn fleets_of_1_2_and_4_workers_merge_byte_identical_to_single_process() {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A lone worker runs the engine's grid: it generates each question once
+/// and fills each legibility value once, as the single-process run does,
+/// and the merge generates nothing.
+#[test]
+fn a_lone_worker_generates_and_perceives_what_a_single_process_run_does() {
+    let (pipes, spec) = grid();
+    let counters = |tele: &Telemetry| {
+        let snap = tele.snapshot();
+        [
+            "stream.shard_generated",
+            "stream.questions",
+            "perceive.legibility_filled",
+        ]
+        .map(|name| snap.counters.get(name).copied().unwrap_or(0))
+    };
+    let single = Telemetry::recording();
+    let exec = ParallelExecutor::new(2).with_telemetry(single.clone());
+    let options = EvalOptions::default();
+    exec.evaluate_table2(&pipes, &spec, SHARD_SIZE, options, &RuleJudge::new());
+
+    let dir = tmp_dir("lone");
+    let job = job(&pipes, &spec);
+    let lone = Telemetry::recording();
+    let exec = ParallelExecutor::new(2).with_telemetry(lone.clone());
+    let config = FleetConfig::default();
+    fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &config).expect("worker runs");
+    assert_eq!(counters(&lone), counters(&single));
+    assert_eq!(
+        counters(&lone)[..2],
+        [job.claims() as u64, spec.total() as u64]
+    );
+
+    let merging = Telemetry::recording();
+    fleet::merge(&dir, &job, &merging).expect("fleet merges");
+    let snap = merging.snapshot();
+    assert!(!snap
+        .spans
+        .keys()
+        .any(|path| path.contains("stream.generate")));
+    assert_eq!(snap.counters.get("stream.questions"), None);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Re-exec entry point: joins the fleet named by
@@ -174,7 +224,7 @@ fn fleet_worker_subprocess_entry() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.0);
-    let (pipes, bench) = grid();
+    let (pipes, spec) = grid();
     let store = Arc::new(
         AnswerStore::open_shared(
             dir.join("store"),
@@ -193,7 +243,7 @@ fn fleet_worker_subprocess_entry() {
         };
         exec = exec.with_supervisor(Supervisor::new(plan));
     }
-    let job = job(&pipes, &bench);
+    let job = job(&pipes, &spec);
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(25),
         idle_backoff: Duration::from_millis(5),
@@ -228,6 +278,17 @@ fn lease_files(fleet_dir: &Path) -> Vec<PathBuf> {
     found
 }
 
+/// Done records a fleet directory holds (none before its first worker
+/// has created `done/`).
+fn done_records(fleet_dir: &Path) -> usize {
+    fs::read_dir(fleet_dir.join("done")).map_or(0, |entries| {
+        entries
+            .filter_map(Result::ok)
+            .filter(|entry| entry.path().extension().is_some_and(|ext| ext == "json"))
+            .count()
+    })
+}
+
 fn spawn_worker(dir: &Path, post_claim_ms: u64, panic_rate: f64) -> std::process::Child {
     Command::new(std::env::current_exe().expect("own binary"))
         .args([
@@ -245,17 +306,18 @@ fn spawn_worker(dir: &Path, post_claim_ms: u64, panic_rate: f64) -> std::process
         .expect("spawns worker subprocess")
 }
 
-/// Contract 2, the headline: three real subprocess workers, all
-/// `kill -9`'d mid-run on a seeded schedule, leases and quarantines
+/// Contract 2, the headline: three real subprocess workers, each
+/// `kill -9`'d once the fleet's `done/` holds a seeded number of the 18
+/// claims (at most 12, so work is always left), leases and quarantines
 /// left as wreckage. A fresh worker steals exactly the orphaned leases
 /// (telemetry counts match), heals the dead workers' quarantined
-/// shards, and the merged report is byte-identical to the
-/// single-process reference — with the shared store clean.
+/// shards, and the merged table is byte-identical to the single-process
+/// reference — with the shared store clean.
 #[test]
 fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() {
     let seed = chaos_seed();
-    let (pipes, bench) = grid();
-    let reference = reference_bytes(&pipes, &bench);
+    let (pipes, spec) = grid();
+    let reference = reference_bytes(&pipes, &spec);
     let dir = tmp_dir("kill9");
     let fleet_dir = dir.join("fleet");
 
@@ -266,10 +328,20 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         spawn_worker(&dir, 150, 0.0),
         spawn_worker(&dir, 150, 0.0),
     ];
+    // kill thresholds: rising, one to four records apart, the last at
+    // most 12 of 18
+    let mut threshold = 0;
     let mut dead_pids = Vec::new();
     for (k, child) in children.iter_mut().enumerate() {
-        let delay = 350 + seed.wrapping_mul(k as u64 + 1) % 600;
-        std::thread::sleep(Duration::from_millis(delay / (k as u64 + 1)));
+        threshold += 1 + (seed >> (2 * k)) as usize % 4;
+        let deadline = Instant::now() + Duration::from_secs(300);
+        while done_records(&fleet_dir) < threshold {
+            assert!(
+                Instant::now() < deadline,
+                "done/ never reached {threshold} records (seed {seed})"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let pid = child.id();
         let _ = child.kill(); // SIGKILL: no destructors, no lease release
         let _ = child.wait(); // reap, so /proc/<pid> is really gone
@@ -279,8 +351,8 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     // fabricate the one piece of wreckage the schedule can't guarantee:
     // a dead worker's lease over a shard it had already quarantined —
     // the steal-then-heal path must cope with it regardless
-    let job_probe = job(&pipes, &bench);
-    let keys = shard_plan(&job_probe);
+    let job = job(&pipes, &spec);
+    let claims = job.claims();
     let manifest_fp = {
         let manifest: fleet::FleetManifest = serde_json::from_str(
             &fs::read_to_string(fleet_dir.join("manifest.json")).expect("manifest exists"),
@@ -288,12 +360,11 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         .expect("manifest parses");
         manifest.fingerprint()
     };
-    let open_idx = (0..keys.len())
+    let open_idx = (0..claims)
         .find(|&i| !done_path(&fleet_dir, i).exists())
         .expect("the kill schedule left work unfinished");
     let wreck = Lease {
         shard_index: open_idx,
-        shard: keys[open_idx],
         pid: dead_pids[0],
         start_token: 1, // irrelevant: the pid is dead
         nonce: 7,
@@ -311,10 +382,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
             manifest_fingerprint: manifest_fp,
             quarantined: true,
             worker_pid: dead_pids[0],
-            result: chipvqa::eval::ShardResult {
-                key: keys[open_idx],
-                outcomes: Vec::new(),
-            },
+            rows: Vec::new(),
         };
         fs::write(
             quarantine_path(&fleet_dir, open_idx),
@@ -328,13 +396,13 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     // lease left over a done shard (by a worker killed between its done
     // commit and its lease release: no claim looks at a done shard, so
     // no steal can count it), and heal every orphan quarantine
-    let orphan_leases = (0..keys.len())
+    let orphan_leases = (0..claims)
         .filter(|&i| lease_path(&fleet_dir, i).exists() && !done_path(&fleet_dir, i).exists())
         .count();
-    let done_leases = (0..keys.len())
+    let done_leases = (0..claims)
         .filter(|&i| lease_path(&fleet_dir, i).exists() && done_path(&fleet_dir, i).exists())
         .count();
-    let orphan_quarantines = (0..keys.len())
+    let orphan_quarantines = (0..claims)
         .filter(|&i| quarantine_path(&fleet_dir, i).exists() && !done_path(&fleet_dir, i).exists())
         .count();
     assert!(orphan_leases >= 1, "census includes the fabricated lease");
@@ -354,7 +422,6 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     let exec = ParallelExecutor::new(2)
         .with_cache(cache)
         .with_telemetry(tele.clone());
-    let job = job(&pipes, &bench);
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(25),
         idle_backoff: Duration::from_millis(5),
@@ -398,7 +465,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     assert_eq!(
         merged_bytes(&fleet_dir, &job),
         reference,
-        "kill -9 storm: merged report is byte-identical (seed {seed})"
+        "kill -9 storm: merged table is byte-identical (seed {seed})"
     );
     assert_eq!(
         lease_files(&fleet_dir),
@@ -436,34 +503,36 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A worker killed between its done commit and its lease release leaves
-/// a lease over a done shard. The finishing worker's closing sweep
-/// removes it and counts it as swept, never as a steal.
-#[test]
-fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
-    let (pipes, bench) = grid();
-    let dir = tmp_dir("sweep");
-    let job = job(&pipes, &bench);
-    let manifest = job.manifest();
-    let manifest_fp = manifest.fingerprint();
+/// Writes `job`'s manifest into a fresh fleet directory, as a first
+/// worker would.
+fn plant_manifest(dir: &Path, job: &FleetJob<'_>) -> u64 {
     for sub in ["leases", "done", "quarantine"] {
         fs::create_dir_all(dir.join(sub)).expect("mkdir");
     }
+    let manifest = job.manifest();
     fs::write(
         dir.join("manifest.json"),
         serde_json::to_string(&manifest).expect("serializes"),
     )
     .expect("writes manifest");
-    let keys = shard_plan(&job);
+    manifest.fingerprint()
+}
+
+/// A worker killed between its done commit and its lease release leaves
+/// a lease over a done shard. The finishing worker's closing sweep
+/// removes it and counts it as swept, never as a steal.
+#[test]
+fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
+    let (pipes, spec) = grid();
+    let dir = tmp_dir("sweep");
+    let job = job(&pipes, &spec);
+    let manifest_fp = plant_manifest(&dir, &job);
     let victim = dead_pid();
     let done = ShardRecord {
         manifest_fingerprint: manifest_fp,
         quarantined: false,
         worker_pid: victim,
-        result: chipvqa::eval::ShardResult {
-            key: keys[0],
-            outcomes: Vec::new(),
-        },
+        rows: Vec::new(),
     };
     fs::write(
         done_path(&dir, 0),
@@ -472,7 +541,6 @@ fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
     .expect("plants done record");
     let leftover = Lease {
         shard_index: 0,
-        shard: keys[0],
         pid: victim,
         start_token: 1, // irrelevant: the pid is dead
         nonce: 99,
@@ -502,7 +570,7 @@ fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
     assert_eq!(lease_files(&dir), Vec::<PathBuf>::new(), "no lease is left");
     assert_eq!(outcome.leases_swept, 1);
     assert_eq!(outcome.leases_stolen, 0, "a sweep is not a steal");
-    assert_eq!(outcome.shards_evaluated, keys.len() - 1);
+    assert_eq!(outcome.shards_evaluated, job.claims() - 1);
     let counters = tele.snapshot().counters;
     assert_eq!(counters.get("fleet.lease.swept"), Some(&1));
     assert_eq!(counters.get("fleet.lease.steal"), None);
@@ -518,25 +586,14 @@ fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
 /// of an unchanged counter, never on first sight.
 #[test]
 fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
-    let (pipes, bench) = grid();
+    let (pipes, spec) = grid();
     let dir = tmp_dir("stall");
-    let job = job(&pipes, &bench);
-    let manifest = job.manifest();
-    let manifest_fp = manifest.fingerprint();
-    for sub in ["leases", "done", "quarantine"] {
-        fs::create_dir_all(dir.join(sub)).expect("mkdir");
-    }
-    fs::write(
-        dir.join("manifest.json"),
-        serde_json::to_string(&manifest).expect("serializes"),
-    )
-    .expect("writes manifest");
+    let job = job(&pipes, &spec);
+    let manifest_fp = plant_manifest(&dir, &job);
     // a lease held by THIS live process with a real start token, but no
     // heartbeat thread behind it: only the stall path can reclaim it
-    let keys = shard_plan(&job);
     let frozen = Lease {
         shard_index: 0,
-        shard: keys[0],
         pid: std::process::id(),
         start_token: chipvqa::eval::store::own_start_token(),
         nonce: 424_242,
@@ -573,43 +630,50 @@ fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
     assert_eq!(steal_events[0].get("reason"), Some("stalled"));
     assert_eq!(
         merged_bytes(&dir, &job),
-        reference_bytes(&pipes, &bench),
+        reference_bytes(&pipes, &spec),
         "a stall-steal does not perturb the merged bytes"
     );
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Contract 4: merge refuses wrong spec fingerprints and incomplete
-/// fleets with structured errors — never a silently wrong report.
+/// Contract 4: merge refuses wrong spec fingerprints, incomplete fleets
+/// and directories of another fleet format with structured errors —
+/// never a silently wrong report.
 #[test]
 fn merge_refusals_are_structured() {
-    let (pipes, bench) = grid();
+    let (pipes, spec) = grid();
+    let other_spec = DatasetSpec::scaled(3);
     let dir = tmp_dir("refuse");
-    let stamped = FleetJob {
-        spec_fingerprint: Some(111),
-        ..job(&pipes, &bench)
-    };
-    fs::create_dir_all(&dir).expect("mkdir");
-    fs::write(
-        dir.join("manifest.json"),
-        serde_json::to_string(&stamped.manifest()).expect("serializes"),
-    )
-    .expect("writes manifest");
+    let stamped = job(&pipes, &spec);
+    let wrong_spec = job(&pipes, &other_spec);
+    let manifest = serde_json::to_string(&stamped.manifest()).expect("serializes");
 
-    let wrong_spec = FleetJob {
-        spec_fingerprint: Some(222),
-        ..stamped
-    };
+    // the two-sub-fleet layout of format 3 (`std/` and `chal/`, no
+    // top-level manifest) is refused whole
+    for column in ["std", "chal"] {
+        fs::create_dir_all(dir.join(column).join("done")).expect("mkdir");
+        let v3 = manifest.replace(
+            &format!("\"format_version\":{FLEET_FORMAT_VERSION}"),
+            "\"format_version\":3",
+        );
+        fs::write(dir.join(column).join("manifest.json"), v3).expect("writes");
+    }
+    assert!(matches!(
+        fleet::merge(&dir, &stamped, &Telemetry::disabled()),
+        Err(FleetError::ManifestMissing)
+    ));
+
+    fs::write(dir.join("manifest.json"), &manifest).expect("writes manifest");
     assert!(matches!(
         fleet::merge(&dir, &wrong_spec, &Telemetry::disabled()),
         Err(FleetError::Mismatch(RunMismatch::SpecFingerprint {
-            stamped: Some(111),
-            expected: Some(222),
-        }))
+            stamped: Some(s),
+            expected: Some(e),
+        })) if (s, e) == (spec.fingerprint(), other_spec.fingerprint())
     ));
     match fleet::merge(&dir, &stamped, &Telemetry::disabled()) {
         Err(FleetError::Incomplete { done: 0, total }) => {
-            assert_eq!(total, shard_plan(&stamped).len());
+            assert_eq!(total, stamped.claims());
         }
         other => panic!("expected Incomplete, got {other:?}"),
     }
@@ -625,59 +689,53 @@ fn merge_refusals_are_structured() {
 }
 
 /// The fleet's healing semantics match the checkpoint layer's
-/// `requeue_quarantined`: both re-run quarantined shards calm and
-/// converge to the clean report (cross-layer consistency probe).
+/// `requeue_quarantined`: a supervised checkpointed run of each column,
+/// requeued and resumed calm, converges to the same bytes as a
+/// supervised fleet that heals its own quarantined claims. The plan
+/// injects every fault kind, so the rows a heal keeps carry supervised
+/// outcomes a calm re-run would not: only a heal that re-runs exactly
+/// the panicked (row, shard) pairs matches.
 #[test]
 fn fleet_healing_matches_checkpoint_requeue_semantics() {
-    let (pipes, bench) = grid();
-    let plan = FaultPlan {
-        panic_rate: 0.3,
-        seed: chaos_seed(),
-        ..FaultPlan::none()
-    };
+    let (pipes, spec) = grid();
+    let plan = FaultPlan::uniform(chaos_seed(), 0.05);
     install_quiet_panic_hook();
 
-    // checkpoint path: supervised run, requeue, calm resume
+    // checkpoint path, per column: supervised run, requeue, calm resume
     let supervised = ParallelExecutor::new(2).with_supervisor(Supervisor::new(plan.clone()));
     let calm = ParallelExecutor::new(2);
     let options = EvalOptions::default();
-    let source = ShardSource::Bench(&bench, 0);
-    let mut cp = Checkpoint::for_source(&pipes, source, options);
-    supervised
-        .evaluate_checkpointed(
-            &pipes,
-            source,
-            options,
-            &RuleJudge::new(),
-            &mut cp,
-            &mut |_| false,
-        )
-        .expect("supervised pass");
-    cp.requeue_quarantined();
-    let via_checkpoint: Vec<String> = calm
-        .evaluate_checkpointed(
-            &pipes,
-            source,
-            options,
-            &RuleJudge::new(),
-            &mut cp,
-            &mut |_| false,
-        )
-        .expect("calm resume")
-        .expect("grid completes")
-        .into_iter()
-        .map(report_bytes)
-        .collect();
+    let column = |spec: &DatasetSpec| -> Vec<EvalReport> {
+        let source = ShardSource::Spec(spec, SHARD_SIZE);
+        let mut cp = Checkpoint::for_source(&pipes, source, options);
+        let judge = RuleJudge::new();
+        supervised
+            .evaluate_checkpointed(&pipes, source, options, &judge, &mut cp, &mut |_| false)
+            .expect("supervised pass");
+        assert!(cp.requeue_quarantined() > 0, "the plan quarantines shards");
+        calm.evaluate_checkpointed(&pipes, source, options, &judge, &mut cp, &mut |_| false)
+            .expect("calm resume")
+            .expect("grid completes")
+    };
+    let challenge = spec.clone().with_mc_sa_ratio(0.0);
+    let table = Table2::from_columns([column(&spec), column(&challenge)].concat());
+    assert!(
+        table.is_degraded(),
+        "faults other than panics survive the heal"
+    );
+    let via_checkpoint = table_bytes(table);
 
     // fleet path: one supervised worker (self-heals on later passes)
     let dir = tmp_dir("heal-parity");
-    let job = job(&pipes, &bench);
+    let job = job(&pipes, &spec);
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(20),
         idle_backoff: Duration::from_millis(2),
         ..FleetConfig::default()
     };
-    fleet::run_worker(&dir, &supervised, &job, &RuleJudge::new(), &config).expect("worker runs");
+    let outcome = fleet::run_worker(&dir, &supervised, &job, &RuleJudge::new(), &config)
+        .expect("worker runs");
+    assert!(outcome.shards_healed > 0, "the worker healed its claims");
     assert_eq!(
         merged_bytes(&dir, &job),
         via_checkpoint,

@@ -341,3 +341,79 @@ fn a_grid_fills_each_legibility_value_once() {
         assert_eq!(row.challenge, challenge);
     }
 }
+
+proptest! {
+    // each case generates up to three scale-3 collections — keep few
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Seeking: for random specs (zero weights and any MC/SA ratio
+    /// included) and shard lengths straddling the block sizes, the
+    /// stream started at shard `k` is the full stream with `k` shards
+    /// skipped, past the end included.
+    #[test]
+    fn a_stream_started_at_shard_k_is_the_stream_with_k_shards_skipped(
+        scale in 1usize..4,
+        seed in 0u64..(1 << 48),
+        w in (0u32..100, 0u32..100, 0u32..100, 0u32..100, 1u32..100),
+        ratio_pct in 0u32..101,
+        at in (0.0f64..1.1, 0.0f64..1.1, 0.0f64..1.1),
+    ) {
+        let spec = DatasetSpec::scaled(scale)
+            .with_seed(seed)
+            .with_weights([w.0 as f64, w.1 as f64, w.2 as f64, w.3 as f64, w.4 as f64])
+            .with_mc_sa_ratio(f64::from(ratio_pct) / 100.0);
+        for (shard_len, at) in [(1usize, at.0), (17, at.1), (142, at.2)] {
+            let k = (spec.total().div_ceil(shard_len) as f64 * at) as usize;
+            let skipped = spec.stream(shard_len).skip(k);
+            prop_assert!(
+                spec.stream_from(shard_len, k).eq(skipped),
+                "shard {} at length {}", k, shard_len
+            );
+        }
+    }
+}
+
+/// A checkpoint resume over a spec whose first shards are complete
+/// generates only the shards from the first pending one on, and still
+/// merges to the uninterrupted reports.
+#[test]
+fn a_resume_generates_only_its_pending_shards() {
+    use chipvqa::eval::executor::ShardSource;
+    use chipvqa::eval::Checkpoint;
+    let spec = DatasetSpec::scaled(2).with_seed(11);
+    let pipes = [VlmPipeline::new(ModelZoo::gpt4o())];
+    let (shard_len, options, judge) = (17, EvalOptions::default(), RuleJudge::new());
+    let source = ShardSource::Spec(&spec, shard_len);
+    let exec = ParallelExecutor::new(2);
+    let mut full = Checkpoint::for_source(&pipes, source, options);
+    let reference = exec
+        .evaluate_checkpointed(&pipes, source, options, &judge, &mut full, &mut |_| false)
+        .expect("valid checkpoint")
+        .expect("grid completes");
+    let shards = spec.total().div_ceil(shard_len);
+    for done in [1, 5, shards - 1] {
+        let mut resumed = full.clone();
+        resumed
+            .completed
+            .retain(|s| s.key.q_start < done * shard_len);
+        let tele = Telemetry::recording();
+        let reports = (exec.clone().with_telemetry(tele.clone()))
+            .evaluate_checkpointed(&pipes, source, options, &judge, &mut resumed, &mut |_| {
+                false
+            })
+            .expect("valid checkpoint")
+            .expect("grid completes");
+        assert_eq!(reports, reference, "{done} shards done");
+        let counters = tele.snapshot().counters;
+        assert_eq!(
+            counters["stream.shard_generated"],
+            (shards - done) as u64,
+            "{done} shards done"
+        );
+        assert_eq!(
+            counters["stream.questions"],
+            (spec.total() - done * shard_len) as u64,
+            "{done} shards done"
+        );
+    }
+}

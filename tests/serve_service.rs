@@ -507,6 +507,46 @@ fn progress_stream_narrates_the_full_lifecycle() {
     service.shutdown().expect("clean stop");
 }
 
+/// A request whose spec the engine refuses (it panics validating it)
+/// fails its own session with the panic's message; the one runner keeps
+/// serving the next session.
+#[test]
+fn a_malformed_request_fails_its_session_and_the_runner_keeps_serving() {
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    for spec in [
+        DatasetSpec::default().with_mc_sa_ratio(2.0),
+        DatasetSpec::scaled(0),
+    ] {
+        let bad = service
+            .submit(SessionRequest {
+                spec,
+                ..gpt4o_request("careless")
+            })
+            .expect("admitted");
+        assert_eq!(
+            service.wait(bad, WAIT).expect("terminates"),
+            SessionState::Failed
+        );
+        let error = service.snapshot(bad).expect("exists").error;
+        assert!(
+            error.as_deref().is_some_and(|e| e.contains("DatasetSpec")),
+            "the panic's message is the session's error: {error:?}"
+        );
+    }
+    let good = service.submit(gpt4o_request("careful")).expect("admitted");
+    assert_eq!(
+        service.wait(good, WAIT).expect("terminates"),
+        SessionState::Done
+    );
+    assert_eq!(service.stats().failed, 2);
+    service.shutdown().expect("clean stop");
+}
+
 #[test]
 fn session_api_rejects_nonsense() {
     let mut service = EvalService::new();
