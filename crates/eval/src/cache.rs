@@ -25,8 +25,9 @@
 //!
 //! **Persistent tier.** [`AnswerCache::with_store`] attaches an
 //! [`AnswerStore`](crate::store::AnswerStore) that then holds the one
-//! copy of every answer: lookups read the store's index, and every
-//! clean insert is appended to the store (write-behind), so the next
+//! copy of every answer: lookups read the store (its index locates each
+//! record on disk), and every clean insert is appended to the store
+//! (write-behind), so the next
 //! process warm-starts from the same answers. The cache keeps no map of
 //! its own beside the store's.
 
@@ -34,18 +35,27 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use chipvqa_core::question::Question;
+use chipvqa_core::question::{Question, QuestionKind};
 use chipvqa_models::backbone::AnswerPath;
 use chipvqa_models::ModelResponse;
 use serde::{Deserialize, Serialize};
 
+use crate::store::{fnv1a64, fnv1a64_extend};
+
 /// FNV-1a over the question's full prompt (prompt text plus rendered
-/// choices), so any wording or option edit changes the key.
+/// choices), so any wording or option edit changes the key. Hashes the
+/// pieces [`Question::full_prompt`] joins, in its order, without
+/// building the string.
 pub fn prompt_hash(question: &Question) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in question.full_prompt().bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut h = fnv1a64(question.prompt.as_bytes());
+    if let QuestionKind::MultipleChoice { choices, .. } = &question.kind {
+        for (i, choice) in choices.iter().enumerate() {
+            let mut letter = [0u8; 4];
+            let letter = ((b'a' + i as u8) as char).encode_utf8(&mut letter);
+            for piece in ["\n(", letter, ") ", choice] {
+                h = fnv1a64_extend(h, piece.as_bytes());
+            }
+        }
     }
     h
 }
@@ -125,7 +135,7 @@ impl CacheKey {
     /// FNV-1a 64 over [`canonical_bytes`](CacheKey::canonical_bytes) —
     /// the content hash stored in every persisted record's framing.
     pub fn content_hash(&self) -> u64 {
-        crate::store::fnv1a64(&self.canonical_bytes())
+        fnv1a64(&self.canonical_bytes())
     }
 }
 

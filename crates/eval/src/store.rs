@@ -20,33 +20,68 @@
 //!   seg-00000002.log
 //! ```
 //!
-//! # Record format
+//! # Record format (v2)
 //!
 //! Each segment is a sequence of checksummed records:
 //!
 //! ```text
-//! [magic  u32 LE = 0xC51A_D0C5]
+//! [magic  u32 LE = 0xC51A_D0C2]
 //! [len    u32 LE]               payload byte length
-//! [khash  u64 LE]               CacheKey::content_hash of the record's key
+//! [khash  u64 LE]               FNV-1a 64 over the payload's key bytes
 //! [phash  u64 LE]               FNV-1a 64 over the payload bytes
-//! [payload]                     serde_json of StoredRecord { key, answer }
+//! [payload]
+//!   key   CacheKey::canonical_bytes   five u64 fields, id length, id
+//!   path  u8                          AnswerPath: 0 Solved, 1 Guessed, 2 Failed
+//!   prob  u64 LE                      solve_probability.to_bits()
+//!   tlen  u32 LE                      text byte length
+//!   text  UTF-8 bytes
 //! ```
 //!
-//! The payload is JSON — debuggable with `jq`, resilient to struct
-//! evolution via `#[serde(default)]` — while the framing is binary so
-//! truncation and bit corruption are *detected*, never parsed around.
+//! The key hash is [`CacheKey::content_hash`], so it covers exactly the
+//! payload's key prefix: FNV-1a is a running hash, and one pass over
+//! the payload checks both sums (the key hash is the state after the
+//! key bytes). Encoding and decoding are direct byte copies; no serde.
+//!
+//! # Index and read path
+//!
+//! Open reads every segment front to back and checks each record in
+//! full (magic, length, both checksums, payload structure), but decodes
+//! no answer: the in-memory index maps each key hash to the record's
+//! store position — its segment's start (the bytes of the segments
+//! before it) plus its offset there — 16 bytes per key whatever the
+//! answer's size; the record's length is in its header. A lookup hashes
+//! the key, reads the record through its segment's read-ahead block
+//! (one [`READ_BLOCK_BYTES`] buffer per segment, refilled from the
+//! record's offset when the record is not in it), re-checks the record,
+//! compares the full key bytes and decodes only that answer. So two
+//! keys whose hashes collide never cross answers: the loser's lookup is
+//! a miss, and its re-inserted record takes the index entry. A record
+//! still in the active segment's write buffer is flushed before it is
+//! read. Positions never move: only the last segment grows, and
+//! recovery truncates only at open, before the index exists.
+//!
+//! # Format versions
+//!
+//! `meta.json` stamps [`FORMAT_VERSION`]. A directory written in format
+//! v1 (JSON payloads under the magic `0xC51A_D0C5`), recognised by its
+//! `meta.json` or by a segment that starts with a v1 record, is refused
+//! with [`InvalidData`](io::ErrorKind::InvalidData) before the open
+//! touches any file: no v1 reader exists, and reading v1 segments as
+//! damaged v2 ones would truncate them. Deleting the directory starts a
+//! new store.
 //!
 //! # Recovery
 //!
 //! Opening scans every segment front to back. The first bad record —
 //! wrong magic, a length that overruns the file, a checksum mismatch, a
-//! key hash that disagrees with the decoded key, or a payload that does
-//! not parse — ends the scan for that segment: a writable open truncates
-//! the file back to the last good record (the classic WAL
-//! truncated-tail recovery), a read-only open simply stops. Dropped
-//! records are re-inferred on the next run; because inference is
-//! deterministic per key, **every recovery path converges to the same
-//! report bytes as a cold run**.
+//! key hash that disagrees with the key bytes, or a payload that is not
+//! a well-formed key and answer — ends the scan for that segment: a
+//! writable open truncates the file back to the last good record (the
+//! classic WAL truncated-tail recovery), a read-only open simply stops.
+//! Dropped records are re-inferred on the next run; because inference
+//! is deterministic per key, **every recovery path converges to the
+//! same report bytes as a cold run**. A record damaged after open fails
+//! its re-check at lookup and is a miss.
 //!
 //! # Invariant: segments only grow
 //!
@@ -93,36 +128,60 @@
 //! counts the refusal on `store.rejected`. A crashed chaos run can
 //! therefore never poison future runs through the persistent tier.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use chipvqa_models::backbone::AnswerPath;
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, CachedAnswer};
 use crate::fault::is_corrupted_text;
 
-/// Per-record framing magic (`C5` for ChipVQA store, visibly not JSON).
-pub const RECORD_MAGIC: u32 = 0xC51A_D0C5;
+/// Per-record framing magic of format v2 (`C5` for ChipVQA store).
+pub const RECORD_MAGIC: u32 = 0xC51A_D0C2;
+
+/// The framing magic of format v1, whose payloads were JSON: known only
+/// so that a v1 store is refused rather than read as damage.
+const V1_RECORD_MAGIC: u32 = 0xC51A_D0C5;
 
 /// Bytes of framing before each payload: magic + len + key hash +
 /// payload hash.
 pub const RECORD_HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 
 /// On-disk format version, stored in `meta.json`. Bump on any framing
-/// or payload change; an open refuses a newer version than it knows.
-pub const FORMAT_VERSION: u32 = 1;
+/// or payload change; an open refuses a store stamped with another
+/// version.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Bytes a lookup reads ahead from a segment into that segment's block.
+pub const READ_BLOCK_BYTES: usize = 64 << 10;
+
+/// Bytes of [`CacheKey::canonical_bytes`] before the question id: five
+/// u64 fields and the id length.
+const KEY_FIXED_BYTES: usize = 6 * 8;
+
+/// Bytes of a payload's answer before its text: path, probability bits
+/// and text length.
+const ANSWER_FIXED_BYTES: usize = 1 + 8 + 4;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64 over arbitrary bytes — the store's checksum. The same
 /// constants as [`prompt_hash`](crate::cache::prompt_hash), frozen by
 /// the golden test in `tests/cache_consistency.rs`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues the FNV-1a 64 state `h` over `bytes`:
+/// `fnv1a64_extend(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -131,7 +190,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// One persisted cache entry: the content-addressed key and its answer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredRecord {
     /// The full cache key (not just its hash — collisions must never
     /// cross answers).
@@ -144,19 +203,115 @@ pub struct StoredRecord {
 /// [`decode_segment`]'s per-record step. Exposed so tests can freeze
 /// the byte format and tools can write segments.
 pub fn encode_record(key: &CacheKey, answer: &CachedAnswer) -> Vec<u8> {
-    let payload = serde_json::to_string(&StoredRecord {
-        key: key.clone(),
-        answer: answer.clone(),
-    })
-    .expect("record serializes")
-    .into_bytes();
-    let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
+    let key_bytes = key.canonical_bytes();
+    let text = answer.text.as_bytes();
+    let payload_len = key_bytes.len() + ANSWER_FIXED_BYTES + text.len();
+    let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload_len);
     out.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&key.content_hash().to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
+    // both hashes are filled in once the payload is written
+    out.extend_from_slice(&[0; 16]);
+    out.extend_from_slice(&key_bytes);
+    out.push(path_byte(answer.path));
+    out.extend_from_slice(&answer.solve_probability.to_bits().to_le_bytes());
+    out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    out.extend_from_slice(text);
+    let (key_part, answer_part) = out[RECORD_HEADER_BYTES..].split_at(key_bytes.len());
+    let khash = fnv1a64(key_part);
+    let phash = fnv1a64_extend(khash, answer_part);
+    out[8..16].copy_from_slice(&khash.to_le_bytes());
+    out[16..24].copy_from_slice(&phash.to_le_bytes());
     out
+}
+
+fn path_byte(path: AnswerPath) -> u8 {
+    match path {
+        AnswerPath::Solved => 0,
+        AnswerPath::Guessed => 1,
+        AnswerPath::Failed => 2,
+    }
+}
+
+fn path_from_byte(byte: u8) -> Option<AnswerPath> {
+    match byte {
+        0 => Some(AnswerPath::Solved),
+        1 => Some(AnswerPath::Guessed),
+        2 => Some(AnswerPath::Failed),
+        _ => None,
+    }
+}
+
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// A record at the head of a byte slice that passed every check, with
+/// its fields borrowed from the slice.
+struct RecordView<'a> {
+    khash: u64,
+    /// The key's canonical bytes.
+    key: &'a [u8],
+    id: &'a str,
+    path: AnswerPath,
+    solve_probability: f64,
+    text: &'a str,
+}
+
+impl RecordView<'_> {
+    fn key(&self) -> CacheKey {
+        CacheKey {
+            model_fingerprint: le_u64(self.key, 0),
+            prompt_hash: le_u64(self.key, 8),
+            downsample: le_u64(self.key, 16) as usize,
+            attempt: le_u64(self.key, 24),
+            dataset_fingerprint: le_u64(self.key, 32),
+            question_id: self.id.to_owned(),
+        }
+    }
+
+    fn answer(&self) -> CachedAnswer {
+        CachedAnswer {
+            text: self.text.to_owned(),
+            path: self.path,
+            solve_probability: self.solve_probability,
+        }
+    }
+}
+
+/// Checks the record at the head of `bytes` — magic, length, payload
+/// structure, key hash and payload hash — without allocating. `None`
+/// for a truncated or damaged record.
+fn check_record(bytes: &[u8]) -> Option<RecordView<'_>> {
+    let header = bytes.get(..RECORD_HEADER_BYTES)?;
+    if le_u32(header, 0) != RECORD_MAGIC {
+        return None;
+    }
+    let len = RECORD_HEADER_BYTES + le_u32(header, 4) as usize;
+    let payload = bytes.get(RECORD_HEADER_BYTES..len)?;
+    let id_len = usize::try_from(le_u64(payload.get(..KEY_FIXED_BYTES)?, 40)).ok()?;
+    let key_len = KEY_FIXED_BYTES.checked_add(id_len)?;
+    let key = payload.get(..key_len)?;
+    let answer = &payload[key_len..];
+    let fixed = answer.get(..ANSWER_FIXED_BYTES)?;
+    if answer.len() - ANSWER_FIXED_BYTES != le_u32(fixed, 9) as usize {
+        return None;
+    }
+    let khash = fnv1a64(key);
+    if khash != le_u64(header, 8) || fnv1a64_extend(khash, answer) != le_u64(header, 16) {
+        return None;
+    }
+    Some(RecordView {
+        khash,
+        key,
+        id: std::str::from_utf8(&key[KEY_FIXED_BYTES..]).ok()?,
+        path: path_from_byte(fixed[0])?,
+        solve_probability: f64::from_bits(le_u64(fixed, 1)),
+        text: std::str::from_utf8(&answer[ANSWER_FIXED_BYTES..]).ok()?,
+    })
 }
 
 /// Outcome of scanning one segment file.
@@ -170,49 +325,58 @@ pub struct SegmentScan {
     pub records: usize,
 }
 
+/// Reads a segment's records front to back through a
+/// [`READ_BLOCK_BYTES`] buffer, handing each good one and its offset to
+/// `each`, and stops at the first bad one. Never modifies the file.
+fn scan_segment(path: &Path, mut each: impl FnMut(u64, RecordView<'_>)) -> io::Result<SegmentScan> {
+    let file = File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut reader = BufReader::with_capacity(READ_BLOCK_BYTES, file);
+    let mut record = Vec::new();
+    let (mut offset, mut records) = (0u64, 0usize);
+    // false once the file ends early: a writable open may have
+    // truncated it under this (read-only) scan
+    let mut fill = |record: &mut Vec<u8>, len: usize| -> io::Result<bool> {
+        let from = record.len();
+        record.resize(len, 0);
+        match reader.read_exact(&mut record[from..]) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+            read => read.map(|()| true),
+        }
+    };
+    while file_len - offset >= RECORD_HEADER_BYTES as u64 {
+        record.clear();
+        if !fill(&mut record, RECORD_HEADER_BYTES)? {
+            break;
+        }
+        let len = RECORD_HEADER_BYTES as u64 + u64::from(le_u32(&record, 4));
+        if len > file_len - offset || !fill(&mut record, len as usize)? {
+            break;
+        }
+        let Some(view) = check_record(&record) else {
+            break;
+        };
+        each(offset, view);
+        offset += len;
+        records += 1;
+    }
+    Ok(SegmentScan {
+        good_bytes: offset,
+        dropped_bytes: file_len - offset,
+        records,
+    })
+}
+
 /// Decodes every well-formed record of a segment, stopping at the
 /// first truncated or corrupted one. Never modifies the file.
 pub fn decode_segment(path: &Path) -> io::Result<(Vec<StoredRecord>, SegmentScan)> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < RECORD_HEADER_BYTES {
-            break;
-        }
-        let magic = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        if magic != RECORD_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-        let khash = u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes"));
-        let phash = u64::from_le_bytes(rest[16..24].try_into().expect("8 bytes"));
-        if rest.len() < RECORD_HEADER_BYTES + len {
-            break;
-        }
-        let payload = &rest[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + len];
-        if fnv1a64(payload) != phash {
-            break;
-        }
-        let Ok(payload_str) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Ok(record) = serde_json::from_str::<StoredRecord>(payload_str) else {
-            break;
-        };
-        if record.key.content_hash() != khash {
-            break;
-        }
-        records.push(record);
-        offset += RECORD_HEADER_BYTES + len;
-    }
-    let scan = SegmentScan {
-        good_bytes: offset as u64,
-        dropped_bytes: (bytes.len() - offset) as u64,
-        records: records.len(),
-    };
+    let scan = scan_segment(path, |_, record| {
+        records.push(StoredRecord {
+            key: record.key(),
+            answer: record.answer(),
+        })
+    })?;
     Ok((records, scan))
 }
 
@@ -635,20 +799,68 @@ pub fn own_start_token() -> u64 {
     *TOKEN.get_or_init(|| process_start_token(std::process::id()).unwrap_or(0))
 }
 
+/// One segment file on disk, with the read side of its records.
+#[derive(Debug)]
+struct Segment {
+    seq: u64,
+    /// Store position of the segment's first byte: the bytes of every
+    /// segment before it. Only the last segment grows, so a position
+    /// never moves.
+    start: u64,
+    /// Bytes of good records (buffered appends included).
+    bytes: u64,
+    /// Read handle, opened on the first read.
+    reader: Option<File>,
+    /// Offset of `block` in the segment.
+    block_start: u64,
+    /// The read-ahead block: the segment's bytes from `block_start`.
+    block: Vec<u8>,
+}
+
+impl Segment {
+    /// The `len` bytes at `offset` if the block holds all of them.
+    fn in_block(&self, offset: u64, len: usize) -> Option<&[u8]> {
+        let from = usize::try_from(offset.checked_sub(self.block_start)?).ok()?;
+        self.block.get(from..from.checked_add(len)?)
+    }
+}
+
 /// The writer half: the currently-open active segment.
 #[derive(Debug)]
 struct ActiveSegment {
-    seq: u64,
+    /// The segment's slot in `Inner::segments`.
+    slot: usize,
     writer: BufWriter<File>,
-    bytes: u64,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    index: HashMap<CacheKey, CachedAnswer>,
-    /// Bytes of every segment on disk, by sequence number.
-    segments: BTreeMap<u64, u64>,
+    /// Key hash → the store position of the key's latest record (its
+    /// segment's `start` plus its offset there). The record's length is
+    /// read from its header.
+    index: HashMap<u64, u64>,
+    /// Every segment on disk, in sequence order.
+    segments: Vec<Segment>,
     active: Option<ActiveSegment>,
+}
+
+impl Inner {
+    /// Adds a segment after every known one; returns its slot.
+    fn push_segment(&mut self, seq: u64, bytes: u64) -> usize {
+        let start = self
+            .segments
+            .last()
+            .map_or(0, |last| last.start + last.bytes);
+        self.segments.push(Segment {
+            seq,
+            start,
+            bytes,
+            reader: None,
+            block_start: 0,
+            block: Vec::new(),
+        });
+        self.segments.len() - 1
+    }
 }
 
 /// The persistent content-addressed answer store. See the module docs
@@ -747,6 +959,9 @@ impl AnswerStore {
         mode: StoreMode,
         telemetry: Telemetry,
     ) -> io::Result<AnswerStore> {
+        // a store of another format is refused before the lock, a new
+        // segment or a truncation touches it
+        check_format(dir)?;
         if mode != StoreMode::ReadOnly {
             fs::create_dir_all(dir)?;
         }
@@ -757,16 +972,6 @@ impl AnswerStore {
         };
 
         let meta = read_meta(dir)?;
-        if meta.format_version > FORMAT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "store format v{} is newer than supported v{FORMAT_VERSION}",
-                    meta.format_version
-                ),
-            ));
-        }
-
         let store = AnswerStore {
             dir: dir.to_path_buf(),
             config,
@@ -789,9 +994,9 @@ impl AnswerStore {
     }
 
     /// Attaches a telemetry handle; `store.{hit,miss,insert,rotate,
-    /// recovered,rejected}` counters and structured events report
-    /// through it. Telemetry never changes store behaviour. Open-time
-    /// recovery signals precede this call — use
+    /// recovered,rejected,block_read}` counters and structured events
+    /// report through it. Telemetry never changes store behaviour.
+    /// Open-time recovery signals precede this call — use
     /// [`open_with_telemetry`](AnswerStore::open_with_telemetry) to
     /// capture those too.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -799,24 +1004,19 @@ impl AnswerStore {
         self
     }
 
-    /// Rebuilds the in-memory index by replaying every segment in
+    /// Rebuilds the in-memory index by scanning every segment in
     /// sequence order, repairing truncated tails on writable opens.
     fn replay_segments(&self) -> io::Result<()> {
         let mut inner = lock_inner(&self.inner);
-        let mut seqs: Vec<u64> = Vec::new();
-        if self.dir.is_dir() {
-            for entry in fs::read_dir(&self.dir)? {
-                let name = entry?.file_name();
-                if let Some(seq) = segment_seq(&name.to_string_lossy()) {
-                    seqs.push(seq);
-                }
-            }
-        }
-        seqs.sort_unstable();
-
+        let inner = &mut *inner;
+        let seqs = segment_seqs(&self.dir)?;
         for &seq in &seqs {
             let path = self.segment_path(seq);
-            let (records, scan) = decode_segment(&path)?;
+            let slot = inner.push_segment(seq, 0);
+            let start = inner.segments[slot].start;
+            let scan = scan_segment(&path, |offset, record| {
+                inner.index.insert(record.khash, start + offset);
+            })?;
             if scan.dropped_bytes > 0 {
                 if self.mode == StoreMode::Exclusive {
                     let f = OpenOptions::new().write(true).open(&path)?;
@@ -835,10 +1035,7 @@ impl AnswerStore {
                     ],
                 );
             }
-            inner.segments.insert(seq, scan.good_bytes);
-            inner
-                .index
-                .extend(records.into_iter().map(|r| (r.key, r.answer)));
+            inner.segments[slot].bytes = scan.good_bytes;
         }
 
         match self.mode {
@@ -847,29 +1044,28 @@ impl AnswerStore {
                 let seq = seqs.last().copied().unwrap_or(0).max(1);
                 let path = self.segment_path(seq);
                 let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                let bytes = *inner.segments.entry(seq).or_default();
+                if seqs.is_empty() {
+                    inner.push_segment(seq, 0);
+                }
                 inner.active = Some(ActiveSegment {
-                    seq,
+                    slot: inner.segments.len() - 1,
                     writer: BufWriter::new(file),
-                    bytes,
                 });
             }
             // a shared writer must never append into another writer's
             // segment: claim a fresh sequence number atomically
             StoreMode::Shared => {
                 let from = seqs.last().copied().unwrap_or(0) + 1;
-                self.claim_fresh_segment(&mut inner, from)?;
+                self.claim_fresh_segment(inner, from)?;
             }
             StoreMode::ReadOnly => {}
         }
-        let (entries, segments) = (inner.index.len(), inner.segments.len());
-        drop(inner);
         if self.telemetry.enabled() {
             self.telemetry.event(
                 "store.open",
                 vec![
-                    kv("entries", entries),
-                    kv("segments", segments),
+                    kv("entries", inner.index.len()),
+                    kv("segments", inner.segments.len()),
                     kv("read_only", self.mode == StoreMode::ReadOnly),
                 ],
             );
@@ -889,11 +1085,10 @@ impl AnswerStore {
                 .open(self.segment_path(seq))
             {
                 Ok(file) => {
-                    inner.segments.entry(seq).or_default();
+                    let slot = inner.push_segment(seq, 0);
                     inner.active = Some(ActiveSegment {
-                        seq,
+                        slot,
                         writer: BufWriter::new(file),
-                        bytes: 0,
                     });
                     return Ok(());
                 }
@@ -906,7 +1101,7 @@ impl AnswerStore {
     }
 
     fn segment_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("seg-{seq:08}.log"))
+        segment_file(&self.dir, seq)
     }
 
     /// The store directory.
@@ -919,7 +1114,7 @@ impl AnswerStore {
         self.mode
     }
 
-    /// Keys currently indexed.
+    /// Keys currently indexed (one per key hash).
     pub fn len(&self) -> usize {
         lock_inner(&self.inner).index.len()
     }
@@ -933,14 +1128,83 @@ impl AnswerStore {
     pub fn segment_paths(&self) -> Vec<PathBuf> {
         lock_inner(&self.inner)
             .segments
-            .keys()
-            .map(|&seq| self.segment_path(seq))
+            .iter()
+            .map(|segment| self.segment_path(segment.seq))
             .collect()
     }
 
-    /// Looks up one answer on disk (well: in the replayed index).
+    /// A copy of the record at store position `pos`: its header, then
+    /// the length the header gives.
+    fn read_record(&self, inner: &mut Inner, pos: u64) -> io::Result<Vec<u8>> {
+        let slot = inner.segments.partition_point(|s| s.start <= pos) - 1;
+        let offset = pos - inner.segments[slot].start;
+        let header = self.read_span(inner, slot, offset, RECORD_HEADER_BYTES)?;
+        let len = RECORD_HEADER_BYTES + le_u32(header, 4) as usize;
+        Ok(self.read_span(inner, slot, offset, len)?.to_vec())
+    }
+
+    /// `len` bytes at `offset` of segment `slot`, read through the
+    /// segment's read-ahead block; bytes still in the write buffer are
+    /// flushed to the file first.
+    fn read_span<'a>(
+        &self,
+        inner: &'a mut Inner,
+        slot: usize,
+        offset: u64,
+        len: usize,
+    ) -> io::Result<&'a [u8]> {
+        let end = offset + len as u64;
+        if end > inner.segments[slot].bytes {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "record runs past the segment's good bytes",
+            ));
+        }
+        if let Some(active) = inner.active.as_mut().filter(|a| a.slot == slot) {
+            let on_disk = inner.segments[slot].bytes - active.writer.buffer().len() as u64;
+            if end > on_disk {
+                active.writer.flush()?;
+            }
+        }
+        let segment = &mut inner.segments[slot];
+        if segment.in_block(offset, len).is_none() {
+            self.telemetry.counter("store.block_read", 1);
+            let reader = match &mut segment.reader {
+                Some(reader) => reader,
+                empty => empty.insert(File::open(self.segment_path(segment.seq))?),
+            };
+            reader.seek(SeekFrom::Start(offset))?;
+            // set before the read, so bytes a failed read leaves behind
+            // still sit at their own offsets
+            segment.block.clear();
+            segment.block_start = offset;
+            reader
+                .take(READ_BLOCK_BYTES.max(len) as u64)
+                .read_to_end(&mut segment.block)?;
+        }
+        segment
+            .in_block(offset, len)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "segment file ends early"))
+    }
+
+    /// The answer stored under `key`, if its record is intact and holds
+    /// exactly this key.
+    fn find(&self, key: &CacheKey) -> Option<CachedAnswer> {
+        let key_bytes = key.canonical_bytes();
+        let record = {
+            let mut inner = lock_inner(&self.inner);
+            let pos = *inner.index.get(&fnv1a64(&key_bytes))?;
+            self.read_record(&mut inner, pos).ok()?
+        };
+        check_record(&record)
+            .filter(|record| record.key == key_bytes.as_slice())
+            .map(|record| record.answer())
+    }
+
+    /// Looks up one answer on disk: the index locates its record, which
+    /// is re-checked and decoded.
     pub fn lookup(&self, key: &CacheKey) -> Option<CachedAnswer> {
-        let found = lock_inner(&self.inner).index.get(key).cloned();
+        let found = self.find(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.lifetime_hits.fetch_add(1, Ordering::Relaxed);
@@ -978,11 +1242,19 @@ impl AnswerStore {
             );
             return false;
         }
+        let record = encode_record(&key, &answer);
+        let khash = le_u64(&record, 8);
         let mut inner = lock_inner(&self.inner);
-        if inner.index.get(&key) == Some(&answer) {
-            return false;
+        if let Some(&pos) = inner.index.get(&khash) {
+            // encoding is deterministic: equal bytes, same key and answer
+            if self
+                .read_record(&mut inner, pos)
+                .is_ok_and(|stored| stored == record)
+            {
+                return false;
+            }
         }
-        if self.append_record(&mut inner, key, answer).is_err() {
+        if self.append_record(&mut inner, khash, &record).is_err() {
             return false;
         }
         drop(inner);
@@ -992,34 +1264,28 @@ impl AnswerStore {
         true
     }
 
-    fn append_record(
-        &self,
-        inner: &mut Inner,
-        key: CacheKey,
-        answer: CachedAnswer,
-    ) -> io::Result<()> {
-        let bytes = encode_record(&key, &answer);
-        self.rotate_if_needed(inner, bytes.len() as u64)?;
+    fn append_record(&self, inner: &mut Inner, khash: u64, record: &[u8]) -> io::Result<()> {
+        self.rotate_if_needed(inner, record.len() as u64)?;
         let active = inner
             .active
             .as_mut()
             .expect("writable store has an active segment");
-        active.writer.write_all(&bytes)?;
-        active.bytes += bytes.len() as u64;
-        let (seq, active_bytes) = (active.seq, active.bytes);
-        inner.segments.insert(seq, active_bytes);
-        inner.index.insert(key, answer);
+        active.writer.write_all(record)?;
+        let segment = &mut inner.segments[active.slot];
+        let pos = segment.start + segment.bytes;
+        segment.bytes += record.len() as u64;
+        inner.index.insert(khash, pos);
         Ok(())
     }
 
     /// Seals the active segment and starts a fresh one when the next
     /// record would overflow [`StoreConfig::segment_max_bytes`].
     fn rotate_if_needed(&self, inner: &mut Inner, incoming: u64) -> io::Result<()> {
-        let needs = inner
-            .active
-            .as_ref()
-            .is_some_and(|a| a.bytes > 0 && a.bytes + incoming > self.config.segment_max_bytes);
-        if !needs {
+        let Some(active) = &inner.active else {
+            return Ok(());
+        };
+        let bytes = inner.segments[active.slot].bytes;
+        if bytes == 0 || bytes + incoming <= self.config.segment_max_bytes {
             return Ok(());
         }
         let mut old = inner.active.take().expect("checked above");
@@ -1027,7 +1293,8 @@ impl AnswerStore {
         // another shared writer may own the next sequence number
         // already; claiming atomically moves past it (an exclusive
         // writer holds the highest segment, so its next one is free)
-        self.claim_fresh_segment(inner, old.seq + 1)?;
+        let next = inner.segments[old.slot].seq + 1;
+        self.claim_fresh_segment(inner, next)?;
         self.telemetry.counter("store.rotate", 1);
         Ok(())
     }
@@ -1062,13 +1329,20 @@ impl AnswerStore {
 
     /// All entries in deterministic key order — the persistent
     /// mirror of [`AnswerCache::snapshot`](crate::cache::AnswerCache::snapshot).
+    /// Reads and decodes every indexed record, in file order.
     pub fn entries(&self) -> Vec<(CacheKey, CachedAnswer)> {
-        let inner = lock_inner(&self.inner);
-        let mut entries: Vec<(CacheKey, CachedAnswer)> = inner
-            .index
-            .iter()
-            .map(|(k, a)| (k.clone(), a.clone()))
+        let mut inner = lock_inner(&self.inner);
+        let mut positions: Vec<u64> = inner.index.values().copied().collect();
+        positions.sort_unstable();
+        let mut entries: Vec<(CacheKey, CachedAnswer)> = positions
+            .into_iter()
+            .filter_map(|pos| {
+                let record = self.read_record(&mut inner, pos).ok()?;
+                let view = check_record(&record)?;
+                Some((view.key(), view.answer()))
+            })
             .collect();
+        drop(inner);
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
     }
@@ -1088,7 +1362,7 @@ impl AnswerStore {
             lifetime_inserts: self.lifetime_inserts.load(Ordering::Relaxed),
             entries: inner.index.len(),
             segments: inner.segments.len(),
-            bytes: inner.segments.values().sum(),
+            bytes: inner.segments.iter().map(|segment| segment.bytes).sum(),
         }
     }
 
@@ -1119,12 +1393,66 @@ impl Drop for AnswerStore {
     }
 }
 
+fn segment_file(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("seg-{seq:08}.log"))
+}
+
 /// `seg-00000001.log` → `Some(1)`.
 fn segment_seq(name: &str) -> Option<u64> {
     name.strip_prefix("seg-")?
         .strip_suffix(".log")?
         .parse()
         .ok()
+}
+
+/// Sequence numbers of every segment in `dir`, ascending (none when the
+/// directory does not exist).
+fn segment_seqs(dir: &Path) -> io::Result<Vec<u64>> {
+    let mut seqs = Vec::new();
+    if dir.is_dir() {
+        for entry in fs::read_dir(dir)? {
+            if let Some(seq) = segment_seq(&entry?.file_name().to_string_lossy()) {
+                seqs.push(seq);
+            }
+        }
+    }
+    seqs.sort_unstable();
+    Ok(seqs)
+}
+
+/// Refuses a store this build cannot read, reading only `meta.json`
+/// and the first bytes of each segment: one stamped with a newer
+/// format, and a format-v1 store, known by its `meta.json` or by a
+/// segment that starts with a v1 record.
+fn check_format(dir: &Path) -> io::Result<()> {
+    let version = read_meta(dir)?.format_version;
+    if version > FORMAT_VERSION {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("store format v{version} is newer than supported v{FORMAT_VERSION}"),
+        ));
+    }
+    let mut v1 = version == 1;
+    for seq in segment_seqs(dir)? {
+        v1 = v1 || starts_with_v1_record(&segment_file(dir, seq))?;
+    }
+    if v1 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "answer store {} holds format v1 records, and this build reads only \
+                 format v{FORMAT_VERSION}: delete the directory to start a new store",
+                dir.display()
+            ),
+        ));
+    }
+    Ok(())
+}
+
+fn starts_with_v1_record(segment: &Path) -> io::Result<bool> {
+    let mut head = Vec::with_capacity(4);
+    File::open(segment)?.take(4).read_to_end(&mut head)?;
+    Ok(head == V1_RECORD_MAGIC.to_le_bytes())
 }
 
 fn read_meta(dir: &Path) -> io::Result<StoreMeta> {
@@ -1215,7 +1543,7 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(
             dir.join("meta.json"),
-            r#"{"format_version":1,"generation":3,"lifetime_hits":5,"lifetime_misses":6,"lifetime_inserts":7}"#,
+            r#"{"format_version":2,"generation":3,"lifetime_hits":5,"lifetime_misses":6,"lifetime_inserts":7}"#,
         )
         .expect("plants meta");
         let stats = AnswerStore::open(&dir).expect("opens").stats();
@@ -1494,6 +1822,82 @@ mod tests {
             !dir.join("meta.json").exists(),
             "shared flush skips meta.json"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_damaged_after_open_is_a_miss_and_its_reinsert_is_served() {
+        let dir = tmp_dir("late-damage");
+        {
+            let store = AnswerStore::open(&dir).expect("opens");
+            for i in 0..10 {
+                store.insert(key(i), answer(i));
+            }
+        }
+        let store = AnswerStore::open(&dir).expect("reopens");
+        assert_eq!(store.len(), 10, "every record indexed at open");
+        // flip the last text byte of record 3 behind the open handle
+        let seg = store.segment_paths()[0].clone();
+        let mut bytes = fs::read(&seg).expect("reads");
+        let record_3_end: usize = (0..4)
+            .map(|i| encode_record(&key(i), &answer(i)).len())
+            .sum();
+        bytes[record_3_end - 1] ^= 0x01;
+        fs::write(&seg, &bytes).expect("writes");
+
+        assert_eq!(store.lookup(&key(3)), None, "the damaged record is a miss");
+        assert!(
+            store.insert(key(3), answer(3)),
+            "its answer is appended again"
+        );
+        assert_eq!(store.lookup(&key(3)), Some(answer(3)));
+        for i in (0..10).filter(|&i| i != 3) {
+            assert_eq!(store.lookup(&key(i)), Some(answer(i)));
+        }
+        assert_eq!((store.stats().hits, store.stats().misses), (10, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_in_the_write_buffer_is_served() {
+        let dir = tmp_dir("buffered");
+        let store = AnswerStore::open(&dir).expect("opens");
+        assert!(store.insert(key(1), answer(1)));
+        let seg = store.segment_paths()[0].clone();
+        assert_eq!(
+            fs::metadata(&seg).expect("exists").len(),
+            0,
+            "still buffered"
+        );
+        assert_eq!(store.lookup(&key(1)), Some(answer(1)));
+        assert!(
+            fs::metadata(&seg).expect("exists").len() > 0,
+            "the read flushed the buffer"
+        );
+        // an idempotent re-insert reads the record too, and appends nothing
+        assert!(store.insert(key(2), answer(2)));
+        assert!(!store.insert(key(2), answer(2)));
+        assert_eq!(store.stats().inserts, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_key_hash_collision_is_a_miss_not_another_keys_answer() {
+        let dir = tmp_dir("collision");
+        let store = AnswerStore::open(&dir).expect("opens");
+        assert!(store.insert(key(1), answer(1)));
+        // point key 2's hash at key 1's record, as a collision would
+        {
+            let mut inner = lock_inner(&store.inner);
+            let pos = inner.index[&key(1).content_hash()];
+            inner.index.insert(key(2).content_hash(), pos);
+        }
+        assert_eq!(store.lookup(&key(2)), None, "full key bytes differ");
+        assert!(
+            store.insert(key(2), answer(2)),
+            "the loser's answer is appended"
+        );
+        assert_eq!(store.lookup(&key(2)), Some(answer(2)));
         let _ = fs::remove_dir_all(&dir);
     }
 

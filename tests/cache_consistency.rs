@@ -14,9 +14,11 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use chipvqa::core::ChipVqa;
+use chipvqa::core::{no_choice, ChipVqa, DatasetSpec};
 use chipvqa::eval::cache::{prompt_hash, AnswerCache, CacheKey, CachedAnswer};
-use chipvqa::eval::store::{encode_record, fnv1a64, RECORD_HEADER_BYTES, RECORD_MAGIC};
+use chipvqa::eval::store::{
+    decode_segment, encode_record, fnv1a64, RECORD_HEADER_BYTES, RECORD_MAGIC,
+};
 use chipvqa::models::backbone::AnswerPath;
 use proptest::prelude::*;
 
@@ -94,10 +96,18 @@ fn golden_cache_key_fingerprint_bytes_are_frozen() {
     );
 
     // prompt_hash is the same FNV over the full prompt — pinned by
-    // relation so a divergence between the two hashers is caught
-    let bench = ChipVqa::standard();
-    for q in bench.iter().take(5) {
-        assert_eq!(prompt_hash(q), fnv1a64(q.full_prompt().as_bytes()));
+    // relation so a divergence between the two hashers is caught, on
+    // every question of a scaled spec and on its no-choice twins
+    let scaled = DatasetSpec::scaled(2).build();
+    let twins = no_choice(scaled.questions());
+    assert!(twins.iter().any(|q| !q.is_multiple_choice()));
+    for q in scaled.questions().iter().chain(&twins) {
+        assert_eq!(
+            prompt_hash(q),
+            fnv1a64(q.full_prompt().as_bytes()),
+            "{}",
+            q.id
+        );
     }
 
     // record framing: magic, payload length, key hash, payload hash
@@ -109,7 +119,7 @@ fn golden_cache_key_fingerprint_bytes_are_frozen() {
     let record = encode_record(&key, &answer);
     assert_eq!(RECORD_HEADER_BYTES, 24);
     assert_eq!(&record[0..4], &RECORD_MAGIC.to_le_bytes());
-    assert_eq!(RECORD_MAGIC, 0xC51A_D0C5, "record magic moved");
+    assert_eq!(RECORD_MAGIC, 0xC51A_D0C2, "record magic moved");
     let payload = &record[RECORD_HEADER_BYTES..];
     let len = u32::from_le_bytes(record[4..8].try_into().expect("4 bytes")) as usize;
     assert_eq!(len, payload.len());
@@ -119,6 +129,70 @@ fn golden_cache_key_fingerprint_bytes_are_frozen() {
         "framing key hash must be the frozen content hash"
     );
     assert_eq!(&record[16..24], &fnv1a64(payload).to_le_bytes());
+    // format v2's payload: the key's canonical bytes, then the answer
+    // (path byte, probability bits, text length, text)
+    assert_eq!(&payload[..bytes.len()], bytes.as_slice());
+    assert_eq!(record.len(), 131);
+    assert_eq!(
+        fnv1a64(&record),
+        0x69f5_a975_5834_4c38,
+        "record bytes moved"
+    );
+}
+
+/// Strings for the round trip: empty, ASCII, multi-byte UTF-8 and the
+/// characters JSON would have escaped.
+fn any_text() -> impl Strategy<Value = String> {
+    let chars = vec!['a', 'Z', '7', ' ', '"', '\\', '\n', 'é', 'µ', '中', '🙂'];
+    proptest::collection::vec(proptest::sample::select(chars), 0..12)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// Solve probabilities compared by bits: ordinary values, any bit
+/// pattern (NaN payloads included), and the edge cases by name.
+fn any_probability() -> impl Strategy<Value = f64> {
+    let named = vec![
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 4.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    prop_oneof![
+        any::<f64>(),
+        any::<u64>().prop_map(f64::from_bits),
+        proptest::sample::select(named),
+    ]
+}
+
+fn any_record() -> impl Strategy<Value = (CacheKey, CachedAnswer)> {
+    let key = (
+        (any::<u64>(), any::<u64>(), any::<usize>()),
+        (any::<u64>(), any::<u64>(), any_text()),
+    )
+        .prop_map(
+            |((model, prompt, downsample), (attempt, dataset, id))| CacheKey {
+                model_fingerprint: model,
+                question_id: id,
+                prompt_hash: prompt,
+                downsample,
+                attempt,
+                dataset_fingerprint: dataset,
+            },
+        );
+    let paths = vec![AnswerPath::Solved, AnswerPath::Guessed, AnswerPath::Failed];
+    let answer = (
+        any_text(),
+        proptest::sample::select(paths),
+        any_probability(),
+    )
+        .prop_map(|(text, path, solve_probability)| CachedAnswer {
+            text,
+            path,
+            solve_probability,
+        });
+    (key, answer)
 }
 
 proptest! {
@@ -176,6 +250,43 @@ proptest! {
         prop_assert!(cache.lookup(&CacheKey::new(fp, q, 2, 0)).is_none());
         prop_assert!(cache.lookup(&CacheKey::new(fp, q, 1, 1)).is_none());
         prop_assert!(cache.lookup(&key).is_some());
+    }
+
+    /// Any key and answer survive `encode_record` → `decode_segment`
+    /// bit for bit, and re-encode to the same bytes.
+    #[test]
+    fn records_round_trip_bit_for_bit(
+        records in proptest::collection::vec(any_record(), 1..8)
+    ) {
+        let mut segment = Vec::new();
+        for (key, answer) in &records {
+            segment.extend_from_slice(&encode_record(key, answer));
+        }
+        let path = std::env::temp_dir().join(format!(
+            "chipvqa-record-roundtrip-{}-{:016x}.log",
+            std::process::id(),
+            fnv1a64(&segment)
+        ));
+        std::fs::write(&path, &segment).expect("writes the segment");
+        let decoded = decode_segment(&path);
+        let _ = std::fs::remove_file(&path);
+        let (decoded, scan) = decoded.expect("decodes");
+        prop_assert_eq!(scan.dropped_bytes, 0);
+        prop_assert_eq!(scan.good_bytes, segment.len() as u64);
+        prop_assert_eq!(decoded.len(), records.len());
+        for ((key, answer), record) in records.iter().zip(&decoded) {
+            prop_assert_eq!(&record.key, key);
+            prop_assert_eq!(&record.answer.text, &answer.text);
+            prop_assert_eq!(record.answer.path, answer.path);
+            prop_assert_eq!(
+                record.answer.solve_probability.to_bits(),
+                answer.solve_probability.to_bits()
+            );
+            prop_assert_eq!(
+                encode_record(&record.key, &record.answer),
+                encode_record(key, answer)
+            );
+        }
     }
 
     /// Snapshot round-trips preserve contents exactly.

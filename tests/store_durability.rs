@@ -23,8 +23,9 @@ use std::sync::Arc;
 
 use chipvqa::core::{ChipVqa, DatasetSpec, BASE_SIZE};
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
-use chipvqa::eval::store::{decode_segment, AnswerStore, StoreConfig, StoreStats};
-use chipvqa::eval::{AnswerCache, CacheStats, ParallelExecutor};
+use chipvqa::eval::store::{decode_segment, fnv1a64, AnswerStore, StoreConfig, StoreStats};
+use chipvqa::eval::{AnswerCache, CacheKey, CacheStats, CachedAnswer, ParallelExecutor};
+use chipvqa::models::backbone::AnswerPath;
 use chipvqa::models::{ModelZoo, VlmPipeline};
 use chipvqa::telemetry::Telemetry;
 use proptest::prelude::*;
@@ -283,6 +284,99 @@ fn concurrent_reader_sees_flushed_prefix_while_writer_holds_the_lock() {
         assert_eq!(writer.lookup(&key), Some(answer));
     }
     drop(writer);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A directory written in format v1 (JSON payloads under the magic
+/// `0xC51A_D0C5`) is refused by every kind of open, and nothing in it
+/// is touched: read as v2, its records would look like damage and a
+/// writable open would truncate them.
+#[test]
+fn a_v1_store_is_refused_and_left_untouched() {
+    let dir = tmp_dir("v1");
+    fs::create_dir_all(&dir).expect("mkdir");
+    let key = CacheKey {
+        model_fingerprint: 0x1122_3344_5566_7788,
+        question_id: "digital-042".to_string(),
+        prompt_hash: 0xCAFE_BABE_1234_5678,
+        downsample: 1,
+        attempt: 0,
+        dataset_fingerprint: 0,
+    };
+    let answer = CachedAnswer {
+        text: "(b)".to_string(),
+        path: AnswerPath::Solved,
+        solve_probability: 0.5,
+    };
+    // a v1 record: today's framing around a JSON {key, answer} payload
+    let payload = format!(
+        r#"{{"key":{},"answer":{}}}"#,
+        serde_json::to_string(&key).expect("key serializes"),
+        serde_json::to_string(&answer).expect("answer serializes")
+    );
+    let mut segment = Vec::new();
+    segment.extend_from_slice(&0xC51A_D0C5u32.to_le_bytes());
+    segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    segment.extend_from_slice(&key.content_hash().to_le_bytes());
+    segment.extend_from_slice(&fnv1a64(payload.as_bytes()).to_le_bytes());
+    segment.extend_from_slice(payload.as_bytes());
+    let seg = dir.join("seg-00000001.log");
+    fs::write(&seg, &segment).expect("plants the v1 segment");
+    let meta = r#"{"format_version":1,"lifetime_hits":0,"lifetime_misses":1,"lifetime_inserts":1}"#;
+    fs::write(dir.join("meta.json"), meta).expect("plants the v1 meta");
+
+    let refused = |what: &str, opened: std::io::Result<AnswerStore>| {
+        let err = opened.expect_err(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+        let message = err.to_string();
+        assert!(
+            message.contains("format v1") && message.contains("delete the directory"),
+            "{what}: {message}"
+        );
+    };
+    let tele = Telemetry::recording();
+    refused(
+        "exclusive",
+        AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), tele.clone()),
+    );
+    refused(
+        "shared",
+        AnswerStore::open_shared(&dir, StoreConfig::default(), tele.clone()),
+    );
+    refused("read-only", AnswerStore::open_read_only(&dir));
+
+    // a segment that starts with a v1 record is refused without the meta
+    fs::remove_file(dir.join("meta.json")).expect("drops the meta");
+    refused(
+        "exclusive, no meta",
+        AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), tele.clone()),
+    );
+    refused(
+        "shared, no meta",
+        AnswerStore::open_shared(&dir, StoreConfig::default(), tele.clone()),
+    );
+
+    assert_eq!(fs::read(&seg).expect("segment still there"), segment);
+    let mut names: Vec<String> = fs::read_dir(&dir)
+        .expect("lists")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["seg-00000001.log"],
+        "no segment, lock or meta left behind"
+    );
+    assert!(
+        !tele.snapshot().counters.contains_key("store.recovered"),
+        "a refusal is not a recovery"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
