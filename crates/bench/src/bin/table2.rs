@@ -10,8 +10,10 @@
 //! `--store DIR` backs the executor's answer cache with a persistent
 //! [`AnswerStore`](chipvqa_eval::AnswerStore) at DIR, at any scale: the
 //! first run populates it, every later run warm-starts from it —
-//! byte-identical table, no inference. `--trace FILE` exports the run's
-//! telemetry (including `store.*` traffic) as JSON lines to FILE.
+//! byte-identical table, no inference. Runs on one DIR may overlap, as
+//! fleet workers do: each appends only to segments it created. `--trace
+//! FILE` exports the run's telemetry (including `store.*` traffic) as
+//! JSON lines to FILE.
 //!
 //! `--fleet DIR` joins (or starts) a crash-tolerant multi-process fleet
 //! at DIR: any number of `table2 --scale N --fleet DIR` processes share
@@ -338,15 +340,12 @@ fn run_grid(
     cache.flush_store().unwrap_or_else(|e| store_failed(e));
     let stats = cache.stats();
     println!(
-        "store: {} · wall {:.3}s · warm hit-rate {:.3} ({} disk hits / {} lookups) \
-         · lifetime {} hits / {} misses",
+        "store: {} · wall {:.3}s · warm hit-rate {:.3} ({} disk hits / {} lookups)",
         dir.display(),
         started.elapsed().as_secs_f64(),
         stats.warm_hit_rate(),
         stats.store_hits,
         stats.hits + stats.misses,
-        stats.lifetime_hits,
-        stats.lifetime_misses,
     );
     table
 }

@@ -88,8 +88,9 @@ fn zoo() -> Vec<VlmPipeline> {
 /// Runs one fleet worker in `dir` over the Table-II grid at `--scale N`:
 /// the grid [`run_table2_on`] streams, claimed one 16-question spec
 /// shard (every model in both columns) at a time, with one answer store
-/// at `DIR/store` opened in cooperative shared mode — every process that
-/// calls this on the same `dir` joins the same run. Safe to invoke any
+/// at `DIR/store`, in which each worker appends only to segments it
+/// created — every process that calls this on the same `dir` joins the
+/// same run. Safe to invoke any
 /// number of times, from any number of processes, in any kill order:
 /// shards already committed are skipped, stale leases are stolen,
 /// quarantined shards are healed. No process builds a collection.
@@ -101,8 +102,11 @@ pub fn run_table2_fleet_worker(
     telemetry: Telemetry,
 ) -> Result<FleetOutcome, FleetError> {
     let (pipes, spec) = (zoo(), DatasetSpec::scaled(scale));
-    let store =
-        AnswerStore::open_shared(dir.join("store"), StoreConfig::default(), telemetry.clone())?;
+    let store = AnswerStore::open_with_telemetry(
+        dir.join("store"),
+        StoreConfig::default(),
+        telemetry.clone(),
+    )?;
     let cache = Arc::new(AnswerCache::new().with_store(Arc::new(store)));
     let exec = ParallelExecutor::new(workers)
         .with_cache(cache)

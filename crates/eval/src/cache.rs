@@ -181,15 +181,6 @@ pub struct CacheStats {
     /// Lookups the store could not serve.
     #[serde(default)]
     pub store_misses: u64,
-    /// Run-spanning store hits, persisted across processes in the
-    /// store's `meta.json` — the counter that used to reset between
-    /// runs. 0 when no store is attached.
-    #[serde(default)]
-    pub lifetime_hits: u64,
-    /// Run-spanning store misses; see
-    /// [`lifetime_hits`](CacheStats::lifetime_hits).
-    #[serde(default)]
-    pub lifetime_misses: u64,
 }
 
 impl CacheStats {
@@ -348,26 +339,14 @@ impl AnswerCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// All traffic counters at once. The `lifetime_*` fields come from
-    /// the attached store's persisted meta counters, so they span every
-    /// process that ever used the store — this is the counter that used
-    /// to reset between runs.
+    /// All traffic counters at once.
     pub fn stats(&self) -> CacheStats {
-        let (lifetime_hits, lifetime_misses) = match &self.store {
-            Some(store) => {
-                let s = store.stats();
-                (s.lifetime_hits, s.lifetime_misses)
-            }
-            None => (0, 0),
-        };
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             store_hits: self.store_hits.load(Ordering::Relaxed),
             store_misses: self.store_misses.load(Ordering::Relaxed),
-            lifetime_hits,
-            lifetime_misses,
         }
     }
 

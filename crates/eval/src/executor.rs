@@ -469,9 +469,7 @@ impl ParallelExecutor {
     /// Stamps run metadata onto finished reports: the cache's traffic
     /// stats when a cache is attached. Results themselves are untouched.
     /// Also flushes the cache's persistent store (if one is attached),
-    /// so a run that completes normally is durable on disk — the stats
-    /// are read *after* the flush so `lifetime_*` counters include this
-    /// run.
+    /// so a run that completes normally is durable on disk.
     pub(crate) fn finalize(&self, mut reports: Vec<EvalReport>) -> Vec<EvalReport> {
         if let Some(cache) = &self.cache {
             if let Err(e) = cache.flush_store() {
@@ -1004,12 +1002,10 @@ impl Deref for ShardQuestions<'_> {
 /// The producer's side of one run: its walk over the source and the
 /// in-flight and resident-shard high-water marks. Dropping it emits the
 /// run's lifetime gauges — `stream.peak_in_flight`,
-/// `stream.peak_resident_shards`, the generator-side
-/// `stream.peak_resident` of a spec walk, and the attached cache's
-/// `cache.lifetime_hits` / `cache.lifetime_misses` — however the run
-/// ends: a panic on the producer thread (a stop hook, say) unwinds
-/// through the engine, and emissions after the unwind point would be
-/// lost.
+/// `stream.peak_resident_shards` and the generator-side
+/// `stream.peak_resident` of a spec walk — however the run ends: a
+/// panic on the producer thread (a stop hook, say) unwinds through the
+/// engine, and emissions after the unwind point would be lost.
 struct Producer<'a> {
     walk: Walk<'a>,
     peak_in_flight: usize,
@@ -1053,11 +1049,6 @@ impl Drop for Producer<'_> {
         );
         if let Walk::Spec(stream) = &self.walk {
             tele.gauge("stream.peak_resident", stream.peak_resident() as f64);
-        }
-        if let Some(cache) = &self.exec.cache {
-            let stats = cache.stats();
-            tele.gauge("cache.lifetime_hits", stats.lifetime_hits as f64);
-            tele.gauge("cache.lifetime_misses", stats.lifetime_misses as f64);
         }
     }
 }
@@ -1780,15 +1771,6 @@ mod tests {
         assert!(
             snap.gauges["stream.peak_in_flight"] >= SHARD_SIZE as f64,
             "peak gauge emitted on the unwind path"
-        );
-        let stats = cache.stats();
-        assert_eq!(
-            snap.gauges["cache.lifetime_misses"],
-            stats.lifetime_misses as f64
-        );
-        assert_eq!(
-            snap.gauges["cache.lifetime_hits"],
-            stats.lifetime_hits as f64
         );
     }
 

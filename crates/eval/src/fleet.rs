@@ -11,10 +11,10 @@
 //! atomically created **lease** file, evaluates them, and commits each
 //! shard's rows as one **done** record; a final [`merge`] folds the
 //! records into the canonical [`Table2`] without generating a question.
-//! The shared [`AnswerStore`](crate::store::AnswerStore) (opened with
-//! [`open_shared`](crate::store::AnswerStore::open_shared)) is the
-//! common answer plane, so work one worker already inferred is a disk
-//! hit for every other.
+//! The shared [`AnswerStore`](crate::store::AnswerStore), in which each
+//! worker appends only to segments it created, is the common answer
+//! plane, so work one worker already inferred is a disk hit for every
+//! other.
 //!
 //! # Directory layout
 //!
@@ -111,7 +111,7 @@ use crate::executor::{quarantines, ParallelExecutor, Reports, ShardKey, ShardSou
 use crate::harness::EvalOptions;
 use crate::judge::Judge;
 use crate::report::Table2;
-use crate::store::{fnv1a64, holder_dead, own_start_token, pid_alive};
+use crate::store::fnv1a64;
 
 /// On-disk fleet format version, stamped in `manifest.json`. Version 4
 /// holds one directory per Table II grid, one claim per spec shard and
@@ -520,16 +520,53 @@ fn check_manifest(dir: &Path, expected: &FleetManifest) -> Result<(), FleetError
 }
 
 /// Why a lease's holder is gone, if it is: its pid vanished, or the
-/// pid now belongs to a newer process.
+/// pid is alive but its start token differs from the stamp, so it
+/// belongs to a newer process. A platform without start tokens falls
+/// back to pid liveness alone.
 fn dead_holder(lease: &Lease) -> Option<&'static str> {
-    let dead = holder_dead(lease.pid, Some(lease.start_token));
-    dead.then(|| {
-        if pid_alive(lease.pid) {
-            "pid-reuse"
-        } else {
-            "dead-pid"
-        }
-    })
+    if !pid_alive(lease.pid) {
+        return Some("dead-pid");
+    }
+    match process_start_token(lease.pid) {
+        Some(token) if token != lease.start_token => Some("pid-reuse"),
+        _ => None,
+    }
+}
+
+#[cfg(target_os = "linux")]
+fn pid_alive(pid: u32) -> bool {
+    Path::new(&format!("/proc/{pid}")).exists()
+}
+
+#[cfg(not(target_os = "linux"))]
+fn pid_alive(_pid: u32) -> bool {
+    // without a portable liveness probe, assume the holder is alive;
+    // the stall timeout still frees its leases
+    true
+}
+
+/// The kernel's start time of `pid` (clock ticks since boot) — a token
+/// that distinguishes a process from a later one that recycled its pid.
+/// `/proc/<pid>/stat` field 22; the command name can contain spaces and
+/// parentheses, so parsing anchors on the *last* `)`.
+#[cfg(target_os = "linux")]
+fn process_start_token(pid: u32) -> Option<u64> {
+    let stat = fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
+    let after_comm = &stat[stat.rfind(')')? + 1..];
+    // after_comm starts at field 3 (state); starttime is field 22
+    after_comm.split_whitespace().nth(19)?.parse().ok()
+}
+
+#[cfg(not(target_os = "linux"))]
+fn process_start_token(_pid: u32) -> Option<u64> {
+    None
+}
+
+/// This process's own start token, stamped into its leases beside the
+/// pid (0 when the platform offers none).
+pub fn own_start_token() -> u64 {
+    static TOKEN: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *TOKEN.get_or_init(|| process_start_token(std::process::id()).unwrap_or(0))
 }
 
 /// Why a lease was judged stale.
@@ -1297,5 +1334,26 @@ mod tests {
         other.identity.options.attempts += 1;
         assert_ne!(fp, other.fingerprint());
         assert_eq!(fp, base.clone().fingerprint(), "stable for equal content");
+    }
+
+    #[test]
+    fn dead_holder_tells_a_dead_pid_from_a_recycled_one() {
+        let lease = |pid, start_token| Lease {
+            shard_index: 0,
+            pid,
+            start_token,
+            nonce: 1,
+            heartbeat: 0,
+            manifest_fingerprint: 0,
+            healing: false,
+        };
+        if let Some(token) = process_start_token(1) {
+            // pid 1 is always alive; a stamp with another start token is
+            // from an older process that used to own pid 1
+            assert_eq!(dead_holder(&lease(1, token ^ 1)), Some("pid-reuse"));
+            assert_eq!(dead_holder(&lease(1, token)), None, "the live holder");
+        }
+        // far beyond any real pid on the box
+        assert_eq!(dead_holder(&lease(u32::MAX - 2, 1)), Some("dead-pid"));
     }
 }

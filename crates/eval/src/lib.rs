@@ -91,7 +91,7 @@ pub use fleet::{FleetConfig, FleetError, FleetJob, FleetManifest, FleetOutcome};
 pub use harness::{evaluate, EvalOptions, EvalReport};
 pub use judge::{Judge, RuleJudge};
 pub use noisy::{HybridJudge, NoisyJudge};
-pub use store::{AnswerStore, StoreConfig, StoreMode, StoreStats};
+pub use store::{AnswerStore, StoreConfig, StoreStats};
 pub use supervisor::{
     BreakerConfig, BreakerState, CircuitBreaker, EvalError, RecoveryPolicy, Supervisor,
     WindowedBreaker, BREAKER_WINDOW,

@@ -10,14 +10,12 @@
 //!
 //! # Layout
 //!
-//! A store is a directory:
+//! A store is a directory of record segments and nothing else:
 //!
 //! ```text
 //! store/
-//!   store.lock        exclusive writer lock (pid inside)
-//!   meta.json         format version + run-spanning traffic counters
-//!   seg-00000001.log  append-only record segments
-//!   seg-00000002.log
+//!   seg-00000001.log  append-only record segments, each created and
+//!   seg-00000002.log  written by one handle
 //! ```
 //!
 //! # Record format (v2)
@@ -52,44 +50,47 @@
 //! answer's size; the record's length is in its header. A lookup hashes
 //! the key, reads the record through its segment's read-ahead block
 //! (one [`READ_BLOCK_BYTES`] buffer per segment, refilled from the
-//! record's offset when the record is not in it), re-checks the record,
-//! compares the full key bytes and decodes only that answer. So two
-//! keys whose hashes collide never cross answers: the loser's lookup is
-//! a miss, and its re-inserted record takes the index entry. A record
-//! still in the active segment's write buffer is flushed before it is
-//! read. Positions never move: only the last segment grows, and
-//! recovery truncates only at open, before the index exists.
+//! record's offset when the record is not in it), compares the record's
+//! key bytes with its own, checks the header's key hash against its
+//! hash and the payload checksum continued from it, and decodes only
+//! that answer. So two keys whose hashes collide never cross answers:
+//! the loser's lookup is a miss, and its re-inserted record takes the
+//! index entry. A record still in the handle's write buffer is flushed
+//! before it is read. Positions never move: a handle appends only to
+//! its own active segment, the last one it knows, and no segment is
+//! ever truncated.
 //!
 //! # Format versions
 //!
-//! `meta.json` stamps [`FORMAT_VERSION`]. A directory written in format
-//! v1 (JSON payloads under the magic `0xC51A_D0C5`), recognised by its
-//! `meta.json` or by a segment that starts with a v1 record, is refused
-//! with [`InvalidData`](io::ErrorKind::InvalidData) before the open
-//! touches any file: no v1 reader exists, and reading v1 segments as
-//! damaged v2 ones would truncate them. Deleting the directory starts a
-//! new store.
+//! The record magic names the format, [`FORMAT_VERSION`]. A directory
+//! written in format v1 (JSON payloads under the magic `0xC51A_D0C5`)
+//! is refused with [`InvalidData`](io::ErrorKind::InvalidData) when the
+//! open's scan reads a segment that starts with a v1 record. No v1
+//! reader exists, and an open changes no file, so the directory is left
+//! as it was; deleting it starts a new store.
 //!
 //! # Recovery
 //!
 //! Opening scans every segment front to back. The first bad record —
 //! wrong magic, a length that overruns the file, a checksum mismatch, a
 //! key hash that disagrees with the key bytes, or a payload that is not
-//! a well-formed key and answer — ends the scan for that segment: a
-//! writable open truncates the file back to the last good record (the
-//! classic WAL truncated-tail recovery), a read-only open simply stops.
-//! Dropped records are re-inferred on the next run; because inference
-//! is deterministic per key, **every recovery path converges to the
-//! same report bytes as a cold run**. A record damaged after open fails
-//! its re-check at lookup and is a miss.
+//! a well-formed key and answer — ends the scan for that segment: the
+//! rest of it is skipped in place, never truncated, and counted in
+//! [`StoreStats::recovered_segments`] and `store.recovered`. No writer
+//! appends after a tear (see *Concurrency*), so a tear hides no later
+//! record, and every open skips it identically. Dropped records are
+//! re-inferred on the next run and appended to a new segment; because
+//! inference is deterministic per key, **every recovery path converges
+//! to the same report bytes as a cold run**. A record damaged after
+//! open fails its re-check at lookup and is a miss.
 //!
 //! # Invariant: segments only grow
 //!
-//! A segment is only ever appended to, or truncated back to its last
-//! good record by a writable open's recovery. No code path rewrites,
-//! renames or deletes a segment. The active segment rotates once it
-//! exceeds [`StoreConfig::segment_max_bytes`], and a rotated segment is
-//! never written again. Inference is deterministic per key and
+//! A segment is only ever appended to, and only by the handle that
+//! created it. No code path rewrites, truncates, renames or deletes a
+//! segment. A handle's segment is sealed once it would exceed
+//! [`StoreConfig::segment_max_bytes`], and a sealed segment is never
+//! written again. Inference is deterministic per key and
 //! [`AnswerStore::insert`] skips a key that already holds the same
 //! answer, so a handle writes each key once; were a key ever given a
 //! different answer, replay would keep the last one. The store is a
@@ -100,24 +101,21 @@
 //!
 //! # Concurrency
 //!
-//! One *exclusive* writer, any number of readers. Writers take
-//! `store.lock`, stamped `pid start-token` — the start token is the
-//! kernel's process start time, so a lock whose pid was recycled by an
-//! unrelated newer process is recognised as stale and broken instead of
-//! blocking forever. A lock left by a dead (or crashed same-process)
-//! writer is broken automatically. Readers skip the lock entirely:
-//! segments only grow and every record is checksummed, so a reader
-//! racing a writer sees a clean prefix.
-//!
-//! [`AnswerStore::open_shared`] adds a cooperative *multi-writer* mode
-//! for fleet execution (see [`fleet`](crate::fleet)): each shared
-//! writer claims its own fresh segment sequence numbers atomically
-//! (`create_new`), takes a per-handle `store.lock.*` marker instead of
-//! the exclusive lock, and never truncates — another writer's unflushed
-//! tail is pending data, not damage.
-//! Inference is deterministic per key, so two shared writers racing on
-//! the same key append byte-identical answers; last-write-wins replay
-//! makes the duplicate benign.
+//! Any number of handles, in one process or many (a
+//! [`fleet`](crate::fleet)'s workers), share one directory, and no
+//! handle takes a lock. A handle claims a fresh segment on its first
+//! insert, and another each time it seals one: the first free sequence
+//! number after every segment it knows, taken with `create_new`, which
+//! is atomic against every other writer. It appends only to segments it
+//! created and never truncates, so another writer's unflushed tail is
+//! pending data to it, not damage, and a writer killed mid-append
+//! leaves a torn tail that no one appends after. An open that inserts
+//! nothing creates no file but the directory (when it is absent) and
+//! changes none. Each handle indexes what
+//! was on disk when it opened, plus its own appends. Inference is
+//! deterministic per key, so two handles racing on the same key append
+//! byte-identical records, and replay keeps either. Each writing
+//! session starts at least one segment of its own.
 //!
 //! # Invariant: only clean answers are persisted
 //!
@@ -154,9 +152,8 @@ const V1_RECORD_MAGIC: u32 = 0xC51A_D0C5;
 /// payload hash.
 pub const RECORD_HEADER_BYTES: usize = 4 + 4 + 8 + 8;
 
-/// On-disk format version, stored in `meta.json`. Bump on any framing
-/// or payload change; an open refuses a store stamped with another
-/// version.
+/// On-disk format version, named by [`RECORD_MAGIC`]. Any framing or
+/// payload change takes a new version and a new magic.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// Bytes a lookup reads ahead from a segment into that segment's block.
@@ -284,8 +281,11 @@ impl RecordView<'_> {
 
 /// Checks the record at the head of `bytes` — magic, length, payload
 /// structure, key hash and payload hash — without allocating. `None`
-/// for a truncated or damaged record.
-fn check_record(bytes: &[u8]) -> Option<RecordView<'_>> {
+/// for a truncated or damaged record. With `expected`, a lookup's key
+/// bytes and their hash, the record's key bytes must equal the lookup's,
+/// and the checksums start from the lookup's hash instead of hashing
+/// the key again.
+fn check_record<'a>(bytes: &'a [u8], expected: Option<(&[u8], u64)>) -> Option<RecordView<'a>> {
     let header = bytes.get(..RECORD_HEADER_BYTES)?;
     if le_u32(header, 0) != RECORD_MAGIC {
         return None;
@@ -300,7 +300,10 @@ fn check_record(bytes: &[u8]) -> Option<RecordView<'_>> {
     if answer.len() - ANSWER_FIXED_BYTES != le_u32(fixed, 9) as usize {
         return None;
     }
-    let khash = fnv1a64(key);
+    let khash = match expected {
+        Some((expected_key, khash)) => (key == expected_key).then_some(khash)?,
+        None => fnv1a64(key),
+    };
     if khash != le_u64(header, 8) || fnv1a64_extend(khash, answer) != le_u64(header, 16) {
         return None;
     }
@@ -328,14 +331,16 @@ pub struct SegmentScan {
 /// Reads a segment's records front to back through a
 /// [`READ_BLOCK_BYTES`] buffer, handing each good one and its offset to
 /// `each`, and stops at the first bad one. Never modifies the file.
+/// Refuses, with [`InvalidData`](io::ErrorKind::InvalidData), a segment
+/// that starts with a format-v1 record.
 fn scan_segment(path: &Path, mut each: impl FnMut(u64, RecordView<'_>)) -> io::Result<SegmentScan> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
     let mut reader = BufReader::with_capacity(READ_BLOCK_BYTES, file);
     let mut record = Vec::new();
     let (mut offset, mut records) = (0u64, 0usize);
-    // false once the file ends early: a writable open may have
-    // truncated it under this (read-only) scan
+    // false once the file ends early: something outside the store cut
+    // it under this scan
     let mut fill = |record: &mut Vec<u8>, len: usize| -> io::Result<bool> {
         let from = record.len();
         record.resize(len, 0);
@@ -349,11 +354,21 @@ fn scan_segment(path: &Path, mut each: impl FnMut(u64, RecordView<'_>)) -> io::R
         if !fill(&mut record, RECORD_HEADER_BYTES)? {
             break;
         }
+        if offset == 0 && le_u32(&record, 0) == V1_RECORD_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "answer store segment {} holds format v1 records, and this build reads only \
+                     format v{FORMAT_VERSION}: delete the directory to start a new store",
+                    path.display()
+                ),
+            ));
+        }
         let len = RECORD_HEADER_BYTES as u64 + u64::from(le_u32(&record, 4));
         if len > file_len - offset || !fill(&mut record, len as usize)? {
             break;
         }
-        let Some(view) = check_record(&record) else {
+        let Some(view) = check_record(&record, None) else {
             break;
         };
         each(offset, view);
@@ -368,7 +383,9 @@ fn scan_segment(path: &Path, mut each: impl FnMut(u64, RecordView<'_>)) -> io::R
 }
 
 /// Decodes every well-formed record of a segment, stopping at the
-/// first truncated or corrupted one. Never modifies the file.
+/// first truncated or corrupted one. Never modifies the file; a segment
+/// that starts with a format-v1 record is an
+/// [`InvalidData`](io::ErrorKind::InvalidData) error.
 pub fn decode_segment(path: &Path) -> io::Result<(Vec<StoredRecord>, SegmentScan)> {
     let mut records = Vec::new();
     let scan = scan_segment(path, |_, record| {
@@ -383,7 +400,8 @@ pub fn decode_segment(path: &Path) -> io::Result<(Vec<StoredRecord>, SegmentScan
 /// Tuning knobs of an [`AnswerStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StoreConfig {
-    /// Rotate the active segment once it exceeds this many bytes.
+    /// Seal a handle's segment once the next record would take it past
+    /// this many bytes.
     pub segment_max_bytes: u64,
 }
 
@@ -393,39 +411,6 @@ impl Default for StoreConfig {
             segment_max_bytes: 4 << 20,
         }
     }
-}
-
-/// How a handle opened the store — see the module docs' *Concurrency*
-/// section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreMode {
-    /// Sole writer (`store.lock`): may truncate torn tails and persist
-    /// `meta.json`.
-    Exclusive,
-    /// No lock, no modification: recovery stops at corruption instead
-    /// of truncating; inserts are refused.
-    ReadOnly,
-    /// Cooperative multi-writer (fleet): appends into its own freshly
-    /// claimed segments; never truncates or writes `meta.json`.
-    Shared,
-}
-
-/// Durable store metadata, written atomically (tmp + rename) on flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-struct StoreMeta {
-    /// On-disk format version.
-    #[serde(default)]
-    format_version: u32,
-    /// Run-spanning lookup hits across every process that used this
-    /// store.
-    #[serde(default)]
-    lifetime_hits: u64,
-    /// Run-spanning lookup misses.
-    #[serde(default)]
-    lifetime_misses: u64,
-    /// Run-spanning insertions.
-    #[serde(default)]
-    lifetime_inserts: u64,
 }
 
 /// Point-in-time traffic and shape counters of an [`AnswerStore`].
@@ -439,22 +424,16 @@ pub struct StoreStats {
     pub inserts: u64,
     /// Faulted answers refused by the persistence guard this session.
     pub rejected: u64,
-    /// Segments repaired by truncated-tail recovery at open.
+    /// Segments whose scan at open ended at a torn or damaged record;
+    /// the rest of each was skipped in place.
     pub recovered_segments: u64,
-    /// Bytes dropped by recovery at open.
+    /// Bytes skipped at open after those records.
     pub recovered_bytes: u64,
-    /// Run-spanning hits (this session included), persisted in
-    /// `meta.json`.
-    pub lifetime_hits: u64,
-    /// Run-spanning misses.
-    pub lifetime_misses: u64,
-    /// Run-spanning inserts.
-    pub lifetime_inserts: u64,
     /// Keys currently indexed.
     pub entries: usize,
-    /// Segment files currently on disk.
+    /// Segments this handle knows: those on disk at open, plus its own.
     pub segments: usize,
-    /// Total segment bytes currently on disk.
+    /// Good bytes of those segments.
     pub bytes: u64,
 }
 
@@ -469,334 +448,6 @@ impl StoreStats {
             self.hits as f64 / total as f64
         }
     }
-}
-
-/// Lock paths currently held by a live [`StoreLock`] in *this*
-/// process. A lock file carrying our own pid but absent from this set
-/// belongs to a handle that crashed without unlocking — breakable —
-/// while a present entry means a genuinely live second writer.
-fn live_locks() -> &'static Mutex<std::collections::HashSet<PathBuf>> {
-    static LIVE: std::sync::OnceLock<Mutex<std::collections::HashSet<PathBuf>>> =
-        std::sync::OnceLock::new();
-    LIVE.get_or_init(|| Mutex::new(std::collections::HashSet::new()))
-}
-
-/// Exclusive writer lock: a `store.lock` file holding the owner's
-/// `pid start-token` stamp.
-///
-/// Dropping the guard removes the file. A lock whose holder is dead —
-/// a vanished pid, a recycled pid (live pid whose start token differs
-/// from the stamp), or our own pid with no live in-process guard — is
-/// broken and re-taken.
-#[derive(Debug)]
-struct StoreLock {
-    path: PathBuf,
-    armed: bool,
-}
-
-impl StoreLock {
-    fn acquire(dir: &Path) -> io::Result<StoreLock> {
-        let dir = fs::canonicalize(dir)?;
-        // shared (fleet) writers exclude an exclusive open — its
-        // recovery would truncate their unflushed tails. Dead markers
-        // are swept.
-        for marker in shared_markers(&dir)? {
-            if marker.live() {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    format!(
-                        "answer store {} has a live shared writer (pid {})",
-                        dir.display(),
-                        marker.holder.map(|(pid, _)| pid).unwrap_or(0)
-                    ),
-                ));
-            }
-            let _ = fs::remove_file(&marker.path);
-        }
-        let path = dir.join("store.lock");
-        loop {
-            let already_ours = lock_inner(live_locks()).contains(&path);
-            if already_ours {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    format!(
-                        "answer store {} is already open for writing in this process",
-                        path.display()
-                    ),
-                ));
-            }
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut f) => {
-                    let _ = write!(f, "{}", lock_stamp());
-                    lock_inner(live_locks()).insert(path.clone());
-                    return Ok(StoreLock { path, armed: true });
-                }
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let holder = fs::read_to_string(&path)
-                        .ok()
-                        .as_deref()
-                        .and_then(parse_lock_stamp);
-                    let stale = match holder {
-                        // unreadable/corrupt lock: break it
-                        None => true,
-                        // our own pid: stale only if no live guard in
-                        // this process (re-checked here — a racing
-                        // thread may have won create_new since the
-                        // check above)
-                        Some((pid, _)) if pid == std::process::id() => {
-                            !lock_inner(live_locks()).contains(&path)
-                        }
-                        Some((pid, token)) => holder_dead(pid, token),
-                    };
-                    if stale {
-                        // break the stale lock and retry; a concurrent
-                        // breaker racing us loses the create_new race
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        format!(
-                            "answer store {} is locked by live pid {}",
-                            path.display(),
-                            holder.map(|(pid, _)| pid).unwrap_or(0)
-                        ),
-                    ));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Leaves the lock file behind — test hook for crashed writers.
-    fn abandon(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for StoreLock {
-    fn drop(&mut self) {
-        // the in-process liveness entry goes away either way: an
-        // abandoned (simulated-crash) lock must look breakable
-        lock_inner(live_locks()).remove(&self.path);
-        if self.armed {
-            let _ = fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// Per-handle marker of a *shared* (cooperative multi-writer) open: a
-/// `store.lock.<pid>-<token>-<n>` file. Shared writers never conflict
-/// with each other; the markers exist so an exclusive open can refuse
-/// to truncate under live shared writers, and so dead shared markers
-/// can be swept.
-#[derive(Debug)]
-struct SharedLock {
-    path: PathBuf,
-    armed: bool,
-}
-
-impl SharedLock {
-    fn acquire(dir: &Path) -> io::Result<SharedLock> {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let dir = fs::canonicalize(dir)?;
-        // an exclusive writer excludes shared ones (its recovery may
-        // truncate under us); a stale exclusive lock is broken
-        let exclusive = dir.join("store.lock");
-        match fs::read_to_string(&exclusive) {
-            Ok(stamp) => {
-                let holder = parse_lock_stamp(&stamp);
-                let live = match holder {
-                    None => false,
-                    Some((pid, _)) if pid == std::process::id() => {
-                        lock_inner(live_locks()).contains(&exclusive)
-                    }
-                    Some((pid, token)) => !holder_dead(pid, token),
-                };
-                if live {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WouldBlock,
-                        format!(
-                            "answer store {} is exclusively locked by live pid {}",
-                            dir.display(),
-                            holder.map(|(pid, _)| pid).unwrap_or(0)
-                        ),
-                    ));
-                }
-                let _ = fs::remove_file(&exclusive);
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        // dead shared writers' markers are swept, as an exclusive open
-        // sweeps them
-        for marker in shared_markers(&dir)? {
-            if !marker.live() {
-                let _ = fs::remove_file(&marker.path);
-            }
-        }
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!(
-            "store.lock.{}-{}-{n}",
-            std::process::id(),
-            own_start_token()
-        ));
-        // registered live before the file exists, so a sweep in another
-        // thread of this process never takes it for a crashed handle's
-        lock_inner(live_locks()).insert(path.clone());
-        let created = OpenOptions::new().write(true).create_new(true).open(&path);
-        let mut f = created.inspect_err(|_| {
-            lock_inner(live_locks()).remove(&path);
-        })?;
-        let _ = write!(f, "{}", lock_stamp());
-        Ok(SharedLock { path, armed: true })
-    }
-
-    /// Leaves the marker behind — test hook for crashed shared writers.
-    fn abandon(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for SharedLock {
-    fn drop(&mut self) {
-        // as with StoreLock: an abandoned marker must look breakable
-        lock_inner(live_locks()).remove(&self.path);
-        if self.armed {
-            let _ = fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// One `store.lock.<pid>-<token>-<n>` marker found on disk.
-struct SharedMarker {
-    path: PathBuf,
-    holder: Option<(u32, u64)>,
-}
-
-impl SharedMarker {
-    /// Whether the marker's handle may still be open: its holder is
-    /// alive and, for our own pid, the handle exists in this process (a
-    /// simulated-crash marker is stale). An unparsable name is dead.
-    fn live(&self) -> bool {
-        match self.holder {
-            Some((pid, _)) if pid == std::process::id() => {
-                lock_inner(live_locks()).contains(&self.path)
-            }
-            Some((pid, token)) => !holder_dead(pid, Some(token)),
-            None => false,
-        }
-    }
-}
-
-/// Every shared-writer marker in `dir`, with the holder parsed from
-/// the filename.
-fn shared_markers(dir: &Path) -> io::Result<Vec<SharedMarker>> {
-    let mut markers = Vec::new();
-    if !dir.is_dir() {
-        return Ok(markers);
-    }
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(suffix) = name.strip_prefix("store.lock.") else {
-            continue;
-        };
-        let holder = (|| {
-            let mut parts = suffix.split('-');
-            let pid = parts.next()?.parse().ok()?;
-            let token = parts.next()?.parse().ok()?;
-            Some((pid, token))
-        })();
-        markers.push(SharedMarker {
-            path: entry.path(),
-            holder,
-        });
-    }
-    Ok(markers)
-}
-
-/// Either lock flavour a writable handle holds.
-#[derive(Debug)]
-enum HeldLock {
-    Exclusive(StoreLock),
-    Shared(SharedLock),
-}
-
-impl HeldLock {
-    fn abandon(self) {
-        match self {
-            HeldLock::Exclusive(lock) => lock.abandon(),
-            HeldLock::Shared(lock) => lock.abandon(),
-        }
-    }
-}
-
-/// `"pid token"` — what a lock file (and a fleet lease) stamps to
-/// identify its holder against pid reuse.
-fn lock_stamp() -> String {
-    format!("{} {}", std::process::id(), own_start_token())
-}
-
-/// Parses a lock stamp. Legacy bare-pid locks parse with no token (and
-/// keep the pure liveness check).
-fn parse_lock_stamp(s: &str) -> Option<(u32, Option<u64>)> {
-    let mut parts = s.split_whitespace();
-    let pid = parts.next()?.parse().ok()?;
-    Some((pid, parts.next().and_then(|t| t.parse().ok())))
-}
-
-/// Whether the stamped holder is gone: pid vanished, or — the pid-reuse
-/// case — the pid is alive but its start token no longer matches the
-/// stamp, so it is an unrelated newer process. A stamp without a token
-/// (legacy) falls back to pid liveness alone.
-pub(crate) fn holder_dead(pid: u32, token: Option<u64>) -> bool {
-    if !pid_alive(pid) {
-        return true;
-    }
-    match (token, process_start_token(pid)) {
-        (Some(stamped), Some(current)) => stamped != current,
-        _ => false,
-    }
-}
-
-#[cfg(target_os = "linux")]
-pub(crate) fn pid_alive(pid: u32) -> bool {
-    Path::new(&format!("/proc/{pid}")).exists()
-}
-
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn pid_alive(_pid: u32) -> bool {
-    // without a portable liveness probe, assume the holder is alive;
-    // operators break genuinely stale locks by deleting store.lock
-    true
-}
-
-/// The kernel's start time of `pid` (clock ticks since boot) — a token
-/// that distinguishes a process from a later one that recycled its pid.
-/// `/proc/<pid>/stat` field 22; the command name can contain spaces and
-/// parentheses, so parsing anchors on the *last* `)`.
-#[cfg(target_os = "linux")]
-pub(crate) fn process_start_token(pid: u32) -> Option<u64> {
-    let stat = fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    let after_comm = &stat[stat.rfind(')')? + 1..];
-    // after_comm starts at field 3 (state); starttime is field 22
-    after_comm.split_whitespace().nth(19)?.parse().ok()
-}
-
-#[cfg(not(target_os = "linux"))]
-pub(crate) fn process_start_token(_pid: u32) -> Option<u64> {
-    None
-}
-
-/// This process's own start token (0 when the platform offers none —
-/// the stamp then degrades to the legacy pure-pid check on readers
-/// that cannot resolve tokens either). Public because fleet tooling
-/// stamps it into lease files alongside the pid.
-pub fn own_start_token() -> u64 {
-    static TOKEN: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *TOKEN.get_or_init(|| process_start_token(std::process::id()).unwrap_or(0))
 }
 
 /// One segment file on disk, with the read side of its records.
@@ -825,7 +476,7 @@ impl Segment {
     }
 }
 
-/// The writer half: the currently-open active segment.
+/// The writer half: the segment this handle created and appends to.
 #[derive(Debug)]
 struct ActiveSegment {
     /// The segment's slot in `Inner::segments`.
@@ -839,14 +490,15 @@ struct Inner {
     /// segment's `start` plus its offset there). The record's length is
     /// read from its header.
     index: HashMap<u64, u64>,
-    /// Every segment on disk, in sequence order.
+    /// Every segment this handle knows, in sequence order.
     segments: Vec<Segment>,
+    /// The segment this handle appends to: none until its first insert.
     active: Option<ActiveSegment>,
 }
 
 impl Inner {
-    /// Adds a segment after every known one; returns its slot.
-    fn push_segment(&mut self, seq: u64, bytes: u64) -> usize {
+    /// Adds an empty segment after every known one; returns its slot.
+    fn push_segment(&mut self, seq: u64) -> usize {
         let start = self
             .segments
             .last()
@@ -854,7 +506,7 @@ impl Inner {
         self.segments.push(Segment {
             seq,
             start,
-            bytes,
+            bytes: 0,
             reader: None,
             block_start: 0,
             block: Vec::new(),
@@ -868,8 +520,6 @@ impl Inner {
 pub struct AnswerStore {
     dir: PathBuf,
     config: StoreConfig,
-    mode: StoreMode,
-    lock: Mutex<Option<HeldLock>>,
     inner: Mutex<Inner>,
     telemetry: Telemetry,
     hits: AtomicU64,
@@ -878,34 +528,27 @@ pub struct AnswerStore {
     rejected: AtomicU64,
     recovered_segments: AtomicU64,
     recovered_bytes: AtomicU64,
-    lifetime_hits: AtomicU64,
-    lifetime_misses: AtomicU64,
-    lifetime_inserts: AtomicU64,
 }
 
 impl fmt::Debug for AnswerStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AnswerStore")
             .field("dir", &self.dir)
-            .field("mode", &self.mode)
             .finish_non_exhaustive()
     }
 }
 
 impl AnswerStore {
-    /// Opens (creating if absent) a writable store with default tuning.
+    /// Opens (creating the directory if absent) a store with default
+    /// tuning.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<AnswerStore> {
         AnswerStore::open_with(dir, StoreConfig::default())
     }
 
-    /// Opens (creating if absent) a writable store with explicit tuning.
+    /// Opens (creating the directory if absent) a store with explicit
+    /// tuning.
     pub fn open_with(dir: impl AsRef<Path>, config: StoreConfig) -> io::Result<AnswerStore> {
-        AnswerStore::open_impl(
-            dir.as_ref(),
-            config,
-            StoreMode::Exclusive,
-            Telemetry::disabled(),
-        )
+        AnswerStore::open_with_telemetry(dir, config, Telemetry::disabled())
     }
 
     /// [`open_with`](AnswerStore::open_with) with a telemetry handle
@@ -918,65 +561,11 @@ impl AnswerStore {
         config: StoreConfig,
         telemetry: Telemetry,
     ) -> io::Result<AnswerStore> {
-        AnswerStore::open_impl(dir.as_ref(), config, StoreMode::Exclusive, telemetry)
-    }
-
-    /// Opens an existing store for reading only: no lock is taken and
-    /// no file is modified (recovery stops at corruption instead of
-    /// truncating). Lookups work; [`AnswerStore::insert`] and meta
-    /// persistence are inert.
-    pub fn open_read_only(dir: impl AsRef<Path>) -> io::Result<AnswerStore> {
-        AnswerStore::open_impl(
-            dir.as_ref(),
-            StoreConfig::default(),
-            StoreMode::ReadOnly,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// Opens (creating if absent) a *shared* cooperative-multi-writer
-    /// handle — the fleet answer plane (see [`fleet`](crate::fleet)).
-    ///
-    /// Any number of shared handles (across processes) coexist: each
-    /// appends into its own freshly claimed segments and takes a
-    /// per-handle `store.lock.*` marker instead of the exclusive lock.
-    /// A shared handle never truncates or writes `meta.json` — another
-    /// writer's unflushed tail is pending data, not damage, and
-    /// concurrent writers would race the lifetime counters. Refused
-    /// ([`WouldBlock`](io::ErrorKind::WouldBlock)) while a live
-    /// exclusive writer holds the store, and vice versa.
-    pub fn open_shared(
-        dir: impl AsRef<Path>,
-        config: StoreConfig,
-        telemetry: Telemetry,
-    ) -> io::Result<AnswerStore> {
-        AnswerStore::open_impl(dir.as_ref(), config, StoreMode::Shared, telemetry)
-    }
-
-    fn open_impl(
-        dir: &Path,
-        config: StoreConfig,
-        mode: StoreMode,
-        telemetry: Telemetry,
-    ) -> io::Result<AnswerStore> {
-        // a store of another format is refused before the lock, a new
-        // segment or a truncation touches it
-        check_format(dir)?;
-        if mode != StoreMode::ReadOnly {
-            fs::create_dir_all(dir)?;
-        }
-        let lock = match mode {
-            StoreMode::ReadOnly => None,
-            StoreMode::Exclusive => Some(HeldLock::Exclusive(StoreLock::acquire(dir)?)),
-            StoreMode::Shared => Some(HeldLock::Shared(SharedLock::acquire(dir)?)),
-        };
-
-        let meta = read_meta(dir)?;
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir)?;
         let store = AnswerStore {
             dir: dir.to_path_buf(),
             config,
-            mode,
-            lock: Mutex::new(lock),
             inner: Mutex::new(Inner::default()),
             telemetry,
             hits: AtomicU64::new(0),
@@ -985,9 +574,6 @@ impl AnswerStore {
             rejected: AtomicU64::new(0),
             recovered_segments: AtomicU64::new(0),
             recovered_bytes: AtomicU64::new(0),
-            lifetime_hits: AtomicU64::new(meta.lifetime_hits),
-            lifetime_misses: AtomicU64::new(meta.lifetime_misses),
-            lifetime_inserts: AtomicU64::new(meta.lifetime_inserts),
         };
         store.replay_segments()?;
         Ok(store)
@@ -1004,24 +590,18 @@ impl AnswerStore {
         self
     }
 
-    /// Rebuilds the in-memory index by scanning every segment in
-    /// sequence order, repairing truncated tails on writable opens.
+    /// Builds the in-memory index by scanning every segment in sequence
+    /// order; a torn or damaged tail ends its segment's scan.
     fn replay_segments(&self) -> io::Result<()> {
         let mut inner = lock_inner(&self.inner);
         let inner = &mut *inner;
-        let seqs = segment_seqs(&self.dir)?;
-        for &seq in &seqs {
-            let path = self.segment_path(seq);
-            let slot = inner.push_segment(seq, 0);
+        for seq in segment_seqs(&self.dir)? {
+            let slot = inner.push_segment(seq);
             let start = inner.segments[slot].start;
-            let scan = scan_segment(&path, |offset, record| {
+            let scan = scan_segment(&self.segment_path(seq), |offset, record| {
                 inner.index.insert(record.khash, start + offset);
             })?;
             if scan.dropped_bytes > 0 {
-                if self.mode == StoreMode::Exclusive {
-                    let f = OpenOptions::new().write(true).open(&path)?;
-                    f.set_len(scan.good_bytes)?;
-                }
                 self.recovered_segments.fetch_add(1, Ordering::Relaxed);
                 self.recovered_bytes
                     .fetch_add(scan.dropped_bytes, Ordering::Relaxed);
@@ -1037,47 +617,24 @@ impl AnswerStore {
             }
             inner.segments[slot].bytes = scan.good_bytes;
         }
-
-        match self.mode {
-            // the highest segment continues as the active one
-            StoreMode::Exclusive => {
-                let seq = seqs.last().copied().unwrap_or(0).max(1);
-                let path = self.segment_path(seq);
-                let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                if seqs.is_empty() {
-                    inner.push_segment(seq, 0);
-                }
-                inner.active = Some(ActiveSegment {
-                    slot: inner.segments.len() - 1,
-                    writer: BufWriter::new(file),
-                });
-            }
-            // a shared writer must never append into another writer's
-            // segment: claim a fresh sequence number atomically
-            StoreMode::Shared => {
-                let from = seqs.last().copied().unwrap_or(0) + 1;
-                self.claim_fresh_segment(inner, from)?;
-            }
-            StoreMode::ReadOnly => {}
-        }
         if self.telemetry.enabled() {
             self.telemetry.event(
                 "store.open",
                 vec![
                     kv("entries", inner.index.len()),
                     kv("segments", inner.segments.len()),
-                    kv("read_only", self.mode == StoreMode::ReadOnly),
                 ],
             );
         }
         Ok(())
     }
 
-    /// Claims the first free segment sequence number at or after `from`
-    /// with `create_new` — atomic against every other writer — and
-    /// installs it as this handle's active segment.
-    fn claim_fresh_segment(&self, inner: &mut Inner, from: u64) -> io::Result<()> {
-        let mut seq = from.max(1);
+    /// Claims the first free segment sequence number after every
+    /// segment this handle knows with `create_new` — atomic against
+    /// every other writer — and installs it as this handle's active
+    /// segment.
+    fn claim_segment(&self, inner: &mut Inner) -> io::Result<()> {
+        let mut seq = inner.segments.last().map_or(1, |last| last.seq + 1);
         loop {
             match OpenOptions::new()
                 .create_new(true)
@@ -1085,7 +642,7 @@ impl AnswerStore {
                 .open(self.segment_path(seq))
             {
                 Ok(file) => {
-                    let slot = inner.push_segment(seq, 0);
+                    let slot = inner.push_segment(seq);
                     inner.active = Some(ActiveSegment {
                         slot,
                         writer: BufWriter::new(file),
@@ -1109,11 +666,6 @@ impl AnswerStore {
         &self.dir
     }
 
-    /// How this handle was opened.
-    pub fn mode(&self) -> StoreMode {
-        self.mode
-    }
-
     /// Keys currently indexed (one per key hash).
     pub fn len(&self) -> usize {
         lock_inner(&self.inner).index.len()
@@ -1124,7 +676,7 @@ impl AnswerStore {
         self.len() == 0
     }
 
-    /// Paths of every segment currently on disk, in sequence order.
+    /// Paths of every segment this handle knows, in sequence order.
     pub fn segment_paths(&self) -> Vec<PathBuf> {
         lock_inner(&self.inner)
             .segments
@@ -1188,17 +740,17 @@ impl AnswerStore {
     }
 
     /// The answer stored under `key`, if its record is intact and holds
-    /// exactly this key.
+    /// exactly this key. The key is hashed once: for the index, and as
+    /// the start of the record's checksums.
     fn find(&self, key: &CacheKey) -> Option<CachedAnswer> {
         let key_bytes = key.canonical_bytes();
+        let khash = fnv1a64(&key_bytes);
         let record = {
             let mut inner = lock_inner(&self.inner);
-            let pos = *inner.index.get(&fnv1a64(&key_bytes))?;
+            let pos = *inner.index.get(&khash)?;
             self.read_record(&mut inner, pos).ok()?
         };
-        check_record(&record)
-            .filter(|record| record.key == key_bytes.as_slice())
-            .map(|record| record.answer())
+        check_record(&record, Some((&key_bytes, khash))).map(|record| record.answer())
     }
 
     /// Looks up one answer on disk: the index locates its record, which
@@ -1207,11 +759,9 @@ impl AnswerStore {
         let found = self.find(key);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.lifetime_hits.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("store.hit", 1);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.lifetime_misses.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("store.miss", 1);
         }
         found
@@ -1222,13 +772,10 @@ impl AnswerStore {
     /// accepted.
     ///
     /// Refused — with a `store.rejected` count, in release builds too —
-    /// when the answer carries fault-corruption markers, when the store
-    /// is read-only, or when the key already maps to this exact answer
-    /// (idempotent re-insert needs no new record).
+    /// when the answer carries fault-corruption markers, or when the
+    /// key already maps to this exact answer (idempotent re-insert
+    /// needs no new record).
     pub fn insert(&self, key: CacheKey, answer: CachedAnswer) -> bool {
-        if self.mode == StoreMode::ReadOnly {
-            return false;
-        }
         if is_corrupted_text(&answer.text) {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             self.telemetry.counter("store.rejected", 1);
@@ -1259,72 +806,45 @@ impl AnswerStore {
         }
         drop(inner);
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.lifetime_inserts.fetch_add(1, Ordering::Relaxed);
         self.telemetry.counter("store.insert", 1);
         true
     }
 
+    /// Appends `record` to this handle's segment: claims one on the
+    /// first append, and seals it for a fresh one when the record would
+    /// take it past [`StoreConfig::segment_max_bytes`]. After a failed
+    /// write, which may have left part of the record behind, the next
+    /// append claims a fresh segment, so no append lands after a tear.
     fn append_record(&self, inner: &mut Inner, khash: u64, record: &[u8]) -> io::Result<()> {
-        self.rotate_if_needed(inner, record.len() as u64)?;
-        let active = inner
-            .active
-            .as_mut()
-            .expect("writable store has an active segment");
-        active.writer.write_all(record)?;
+        let incoming = record.len() as u64;
+        if let Some(active) = &inner.active {
+            if inner.segments[active.slot].bytes + incoming > self.config.segment_max_bytes {
+                let mut sealed = inner.active.take().expect("checked above");
+                sealed.writer.flush()?;
+                self.telemetry.counter("store.rotate", 1);
+            }
+        }
+        if inner.active.is_none() {
+            self.claim_segment(inner)?;
+        }
+        let active = inner.active.as_mut().expect("claimed above");
+        if let Err(e) = active.writer.write_all(record) {
+            inner.active = None;
+            return Err(e);
+        }
         let segment = &mut inner.segments[active.slot];
         let pos = segment.start + segment.bytes;
-        segment.bytes += record.len() as u64;
+        segment.bytes += incoming;
         inner.index.insert(khash, pos);
         Ok(())
     }
 
-    /// Seals the active segment and starts a fresh one when the next
-    /// record would overflow [`StoreConfig::segment_max_bytes`].
-    fn rotate_if_needed(&self, inner: &mut Inner, incoming: u64) -> io::Result<()> {
-        let Some(active) = &inner.active else {
-            return Ok(());
-        };
-        let bytes = inner.segments[active.slot].bytes;
-        if bytes == 0 || bytes + incoming <= self.config.segment_max_bytes {
-            return Ok(());
-        }
-        let mut old = inner.active.take().expect("checked above");
-        old.writer.flush()?;
-        // another shared writer may own the next sequence number
-        // already; claiming atomically moves past it (an exclusive
-        // writer holds the highest segment, so its next one is free)
-        let next = inner.segments[old.slot].seq + 1;
-        self.claim_fresh_segment(inner, next)?;
-        self.telemetry.counter("store.rotate", 1);
-        Ok(())
-    }
-
-    /// Flushes buffered appends and persists `meta.json` (format
-    /// version + run-spanning counters). A no-op on read-only handles.
-    /// Shared handles flush their segment but skip `meta.json` —
-    /// concurrent writers would race the lifetime counters.
+    /// Flushes buffered appends to this handle's segment.
     pub fn flush(&self) -> io::Result<()> {
-        if self.mode == StoreMode::ReadOnly {
-            return Ok(());
+        match lock_inner(&self.inner).active.as_mut() {
+            Some(active) => active.writer.flush(),
+            None => Ok(()),
         }
-        {
-            let mut inner = lock_inner(&self.inner);
-            if let Some(active) = inner.active.as_mut() {
-                active.writer.flush()?;
-            }
-        }
-        if self.mode == StoreMode::Shared {
-            return Ok(());
-        }
-        write_meta(
-            &self.dir,
-            StoreMeta {
-                format_version: FORMAT_VERSION,
-                lifetime_hits: self.lifetime_hits.load(Ordering::Relaxed),
-                lifetime_misses: self.lifetime_misses.load(Ordering::Relaxed),
-                lifetime_inserts: self.lifetime_inserts.load(Ordering::Relaxed),
-            },
-        )
     }
 
     /// All entries in deterministic key order — the persistent
@@ -1338,7 +858,7 @@ impl AnswerStore {
             .into_iter()
             .filter_map(|pos| {
                 let record = self.read_record(&mut inner, pos).ok()?;
-                let view = check_record(&record)?;
+                let view = check_record(&record, None)?;
                 Some((view.key(), view.answer()))
             })
             .collect();
@@ -1357,9 +877,6 @@ impl AnswerStore {
             rejected: self.rejected.load(Ordering::Relaxed),
             recovered_segments: self.recovered_segments.load(Ordering::Relaxed),
             recovered_bytes: self.recovered_bytes.load(Ordering::Relaxed),
-            lifetime_hits: self.lifetime_hits.load(Ordering::Relaxed),
-            lifetime_misses: self.lifetime_misses.load(Ordering::Relaxed),
-            lifetime_inserts: self.lifetime_inserts.load(Ordering::Relaxed),
             entries: inner.index.len(),
             segments: inner.segments.len(),
             bytes: inner.segments.iter().map(|segment| segment.bytes).sum(),
@@ -1367,13 +884,9 @@ impl AnswerStore {
     }
 
     /// Simulates a killed writer — test hook for the durability suite:
-    /// buffered (unflushed) appends are lost and the lock file is left
-    /// behind, exactly as `kill -9` would leave them. The next writable
-    /// open must break the lock and recover the tail.
+    /// buffered (unflushed) appends are lost, exactly as `kill -9`
+    /// would lose them.
     pub fn simulate_crash(self) {
-        if let Some(lock) = lock_inner(&self.lock).take() {
-            lock.abandon();
-        }
         let mut inner = lock_inner(&self.inner);
         if let Some(active) = inner.active.take() {
             // dropping a BufWriter flushes; forgetting it drops the
@@ -1387,9 +900,7 @@ impl AnswerStore {
 
 impl Drop for AnswerStore {
     fn drop(&mut self) {
-        if self.mode != StoreMode::ReadOnly {
-            let _ = self.flush();
-        }
+        let _ = self.flush();
     }
 }
 
@@ -1405,72 +916,16 @@ fn segment_seq(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// Sequence numbers of every segment in `dir`, ascending (none when the
-/// directory does not exist).
+/// Sequence numbers of every segment in `dir`, ascending.
 fn segment_seqs(dir: &Path) -> io::Result<Vec<u64>> {
     let mut seqs = Vec::new();
-    if dir.is_dir() {
-        for entry in fs::read_dir(dir)? {
-            if let Some(seq) = segment_seq(&entry?.file_name().to_string_lossy()) {
-                seqs.push(seq);
-            }
+    for entry in fs::read_dir(dir)? {
+        if let Some(seq) = segment_seq(&entry?.file_name().to_string_lossy()) {
+            seqs.push(seq);
         }
     }
     seqs.sort_unstable();
     Ok(seqs)
-}
-
-/// Refuses a store this build cannot read, reading only `meta.json`
-/// and the first bytes of each segment: one stamped with a newer
-/// format, and a format-v1 store, known by its `meta.json` or by a
-/// segment that starts with a v1 record.
-fn check_format(dir: &Path) -> io::Result<()> {
-    let version = read_meta(dir)?.format_version;
-    if version > FORMAT_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("store format v{version} is newer than supported v{FORMAT_VERSION}"),
-        ));
-    }
-    let mut v1 = version == 1;
-    for seq in segment_seqs(dir)? {
-        v1 = v1 || starts_with_v1_record(&segment_file(dir, seq))?;
-    }
-    if v1 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "answer store {} holds format v1 records, and this build reads only \
-                 format v{FORMAT_VERSION}: delete the directory to start a new store",
-                dir.display()
-            ),
-        ));
-    }
-    Ok(())
-}
-
-fn starts_with_v1_record(segment: &Path) -> io::Result<bool> {
-    let mut head = Vec::with_capacity(4);
-    File::open(segment)?.take(4).read_to_end(&mut head)?;
-    Ok(head == V1_RECORD_MAGIC.to_le_bytes())
-}
-
-fn read_meta(dir: &Path) -> io::Result<StoreMeta> {
-    let path = dir.join("meta.json");
-    match fs::read_to_string(&path) {
-        Ok(json) => Ok(serde_json::from_str(&json).unwrap_or_default()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(StoreMeta::default()),
-        Err(e) => Err(e),
-    }
-}
-
-/// Atomic meta write: tmp file + rename, so a crash mid-write leaves
-/// the previous meta intact.
-fn write_meta(dir: &Path, meta: StoreMeta) -> io::Result<()> {
-    let tmp = dir.join("meta.json.tmp");
-    let json = serde_json::to_string(&meta).expect("meta serializes");
-    fs::write(&tmp, json)?;
-    fs::rename(&tmp, dir.join("meta.json"))
 }
 
 /// Poison-tolerant mutex lock (same rationale as the cache's lock
@@ -1514,6 +969,20 @@ mod tests {
         }
     }
 
+    /// Each file in `dir` with its size, by name.
+    fn listing(dir: &Path) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = fs::read_dir(dir)
+            .expect("lists")
+            .map(|entry| {
+                let entry = entry.expect("entry");
+                let len = entry.metadata().expect("metadata").len();
+                (entry.file_name().to_string_lossy().into_owned(), len)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
     #[test]
     fn roundtrip_survives_reopen() {
         let dir = tmp_dir("roundtrip");
@@ -1533,29 +1002,30 @@ mod tests {
         assert!(store.lookup(&key(99)).is_none());
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (20, 1));
-        assert_eq!(stats.lifetime_inserts, 20, "lifetime counters persist");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn meta_written_with_an_eviction_generation_still_parses() {
-        let dir = tmp_dir("legacymeta");
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(
-            dir.join("meta.json"),
-            r#"{"format_version":2,"generation":3,"lifetime_hits":5,"lifetime_misses":6,"lifetime_inserts":7}"#,
-        )
-        .expect("plants meta");
-        let stats = AnswerStore::open(&dir).expect("opens").stats();
-        assert_eq!(
-            (
-                stats.lifetime_hits,
-                stats.lifetime_misses,
-                stats.lifetime_inserts
-            ),
-            (5, 6, 7),
-            "the counters beside the old key are read"
-        );
+    fn an_open_that_only_looks_up_changes_no_file() {
+        let dir = tmp_dir("lookup-only");
+        {
+            let store = AnswerStore::open(&dir).expect("opens");
+            for i in 0..10 {
+                store.insert(key(i), answer(i));
+            }
+        }
+        let before = listing(&dir);
+        assert_eq!(before.len(), 1, "one segment: {before:?}");
+        {
+            let store = AnswerStore::open(&dir).expect("reopens");
+            for i in 0..11 {
+                store.lookup(&key(i));
+            }
+            assert!(!store.insert(key(3), answer(3)), "already stored");
+            store.flush().expect("flushes");
+            assert_eq!((store.stats().hits, store.stats().misses), (10, 1));
+        }
+        assert_eq!(listing(&dir), before, "no file added, removed or resized");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1622,27 +1092,7 @@ mod tests {
     }
 
     #[test]
-    fn second_writer_is_locked_out_but_reader_is_not() {
-        let dir = tmp_dir("lock");
-        let store = AnswerStore::open(&dir).expect("opens");
-        store.insert(key(1), answer(1));
-        store.flush().expect("flushes");
-        let err = AnswerStore::open(&dir).expect_err("second writer refused");
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        let reader = AnswerStore::open_read_only(&dir).expect("reader opens");
-        assert_eq!(reader.lookup(&key(1)), Some(answer(1)));
-        assert!(
-            !reader.insert(key(2), answer(2)),
-            "read-only refuses writes"
-        );
-        drop(store);
-        let again = AnswerStore::open(&dir).expect("lock released on drop");
-        assert_eq!(again.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crashed_writer_lock_is_broken_and_tail_recovered() {
+    fn crashed_writer_loses_only_its_unflushed_tail() {
         let dir = tmp_dir("crash");
         let store = AnswerStore::open(&dir).expect("opens");
         for i in 0..5 {
@@ -1652,10 +1102,9 @@ mod tests {
         for i in 5..10 {
             store.insert(key(i), answer(i));
         }
-        store.simulate_crash(); // unflushed tail lost, lock left behind
-        assert!(dir.join("store.lock").exists(), "crash leaves the lock");
+        store.simulate_crash(); // unflushed tail lost
 
-        let recovered = AnswerStore::open(&dir).expect("breaks the stale lock");
+        let recovered = AnswerStore::open(&dir).expect("reopens");
         assert_eq!(recovered.len(), 5, "flushed prefix survives");
         for i in 0..5 {
             assert_eq!(recovered.lookup(&key(i)), Some(answer(i)));
@@ -1664,164 +1113,74 @@ mod tests {
     }
 
     #[test]
-    fn truncated_tail_is_repaired_on_open() {
-        let dir = tmp_dir("trunc");
+    fn a_torn_tail_never_hides_a_later_record() {
+        let dir = tmp_dir("torn");
         {
             let store = AnswerStore::open(&dir).expect("opens");
             for i in 0..10 {
                 store.insert(key(i), answer(i));
             }
         }
-        let seg = AnswerStore::open_read_only(&dir)
-            .expect("reader")
-            .segment_paths()[0]
-            .clone();
-        let len = fs::metadata(&seg).expect("segment exists").len();
+        let torn = segment_file(&dir, 1);
+        let len = fs::metadata(&torn).expect("segment exists").len();
         // chop mid-record
         OpenOptions::new()
             .write(true)
-            .open(&seg)
+            .open(&torn)
             .expect("writable")
             .set_len(len - 7)
             .expect("truncates");
+        let torn_bytes = fs::read(&torn).expect("reads");
 
-        let store = AnswerStore::open(&dir).expect("recovers");
-        assert_eq!(store.len(), 9, "one record lost to the torn tail");
-        assert_eq!(store.stats().recovered_segments, 1);
-        assert!(store.stats().recovered_bytes > 0);
-        // the repaired file replays cleanly
-        let (_, scan) = decode_segment(&store.segment_paths()[0]).expect("decodes");
-        assert_eq!(scan.dropped_bytes, 0);
+        {
+            let store = AnswerStore::open(&dir).expect("opens past the tear");
+            assert_eq!(store.len(), 9, "one record lost to the torn tail");
+            assert_eq!(store.stats().recovered_segments, 1);
+            assert!(store.stats().recovered_bytes > 0);
+            assert_eq!(store.lookup(&key(9)), None);
+            assert!(store.insert(key(9), answer(9)), "the lost answer again");
+            assert!(store.insert(key(10), answer(10)), "a new key");
+            let paths = store.segment_paths();
+            assert_eq!(paths, [torn.clone(), segment_file(&dir, 2)]);
+            assert_eq!(fs::read(&torn).expect("reads"), torn_bytes);
+        }
+        assert_eq!(
+            fs::read(&torn).expect("reads"),
+            torn_bytes,
+            "the torn segment is left byte for byte"
+        );
+
+        let store = AnswerStore::open(&dir).expect("reopens");
+        assert_eq!(store.len(), 11);
+        for i in 0..11 {
+            assert_eq!(store.lookup(&key(i)), Some(answer(i)), "key {i}");
+        }
+        assert_eq!(store.stats().recovered_segments, 1, "skipped the same way");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn pid_reuse_stale_lock_is_broken_on_token_mismatch() {
-        let dir = tmp_dir("pidreuse");
-        fs::create_dir_all(&dir).expect("mkdir");
-        if process_start_token(1).is_some() {
-            // pid 1 is always alive, but this start token is from "an
-            // older process that used to own pid 1": recycled pid
-            fs::write(dir.join("store.lock"), "1 18446744073709551615").expect("plants lock");
-            let store = AnswerStore::open(&dir).expect("token mismatch breaks the lock");
-            drop(store);
-        }
-
-        if let Some(token) = process_start_token(1) {
-            // the *real* pid-1 stamp is a live holder: refused
-            fs::write(dir.join("store.lock"), format!("1 {token}")).expect("plants lock");
-            let err = AnswerStore::open(&dir).expect_err("live holder keeps the lock");
-            assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-            fs::remove_file(dir.join("store.lock")).expect("cleanup");
-        }
-
-        // legacy bare-pid stamp of a live pid still blocks
-        fs::write(dir.join("store.lock"), "1").expect("plants lock");
-        if pid_alive(1) {
-            let err = AnswerStore::open(&dir).expect_err("legacy live-pid lock holds");
-            assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_writers_coexist_and_exclusive_sees_the_union() {
-        let dir = tmp_dir("shared");
-        let a = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
-            .expect("first shared handle");
-        let b = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
-            .expect("second shared handle coexists");
-        assert_eq!(a.mode(), StoreMode::Shared);
+    fn two_handles_coexist_and_a_third_sees_the_union() {
+        let dir = tmp_dir("two-handles");
+        let a = AnswerStore::open(&dir).expect("first handle");
+        let b = AnswerStore::open(&dir).expect("second handle coexists");
         for i in 0..5 {
             assert!(a.insert(key(i), answer(i)));
             assert!(b.insert(key(100 + i), answer(100 + i)));
         }
-        // a live shared writer excludes an exclusive open
-        let err = AnswerStore::open(&dir).expect_err("exclusive refused under shared writers");
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert_ne!(
+            a.segment_paths(),
+            b.segment_paths(),
+            "each appends to a segment of its own"
+        );
         drop(a);
         drop(b);
-        let merged = AnswerStore::open(&dir).expect("markers released on drop");
+        let merged = AnswerStore::open(&dir).expect("third handle");
         assert_eq!(merged.len(), 10, "both writers' records replay");
         for i in 0..5 {
             assert_eq!(merged.lookup(&key(i)), Some(answer(i)));
             assert_eq!(merged.lookup(&key(100 + i)), Some(answer(100 + i)));
         }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn exclusive_writer_excludes_shared_and_crashed_shared_marker_is_swept() {
-        let dir = tmp_dir("sharedx");
-        let exclusive = AnswerStore::open(&dir).expect("opens");
-        let err = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
-            .expect_err("shared refused under a live exclusive writer");
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        drop(exclusive);
-
-        let shared = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
-            .expect("shared opens after release");
-        shared.insert(key(1), answer(1));
-        shared.flush().expect("flushes");
-        shared.simulate_crash(); // marker left behind, holder "dead"
-        let markers = shared_markers(&fs::canonicalize(&dir).expect("canon")).expect("lists");
-        assert_eq!(markers.len(), 1, "crash leaves the marker");
-        let again = AnswerStore::open(&dir).expect("stale shared marker is swept");
-        assert_eq!(again.lookup(&key(1)), Some(answer(1)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A shared open sweeps a dead writer's marker and leaves a live
-    /// handle's alone.
-    #[test]
-    fn shared_open_sweeps_dead_markers_only() {
-        let dir = tmp_dir("sharedsweep");
-        let live = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
-            .expect("first shared handle");
-        let canonical = fs::canonicalize(&dir).expect("canon");
-        let names = || -> Vec<PathBuf> {
-            let mut paths: Vec<PathBuf> = shared_markers(&canonical)
-                .expect("lists")
-                .into_iter()
-                .map(|marker| marker.path)
-                .collect();
-            paths.sort();
-            paths
-        };
-        let live_marker = names();
-        assert_eq!(live_marker.len(), 1);
-        // far beyond any real pid on the box
-        let dead = canonical.join(format!("store.lock.{}-1-0", u32::MAX - 2));
-        fs::write(&dead, format!("{} 1", u32::MAX - 2)).expect("plants dead marker");
-
-        let second = AnswerStore::open_shared(&dir, StoreConfig::default(), Telemetry::disabled())
-            .expect("second shared handle");
-        let after = names();
-        assert!(!dead.exists(), "the dead writer's marker is swept");
-        assert!(after.contains(&live_marker[0]), "the live marker stays");
-        assert_eq!(after.len(), 2, "the live handle's and the new one's");
-        drop((live, second));
-        assert!(names().is_empty());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_mode_never_writes_meta() {
-        let dir = tmp_dir("sharedro");
-        let config = StoreConfig {
-            segment_max_bytes: 256,
-        };
-        let store = AnswerStore::open_shared(&dir, config, Telemetry::disabled()).expect("opens");
-        for i in 0..50 {
-            assert!(store.insert(key(i), answer(i)));
-        }
-        store.flush().expect("flushes");
-        assert_eq!(store.len(), 50);
-        assert!(store.segment_paths().len() > 1, "shared writers rotate too");
-        assert!(
-            !dir.join("meta.json").exists(),
-            "shared flush skips meta.json"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1836,25 +1195,38 @@ mod tests {
         }
         let store = AnswerStore::open(&dir).expect("reopens");
         assert_eq!(store.len(), 10, "every record indexed at open");
-        // flip the last text byte of record 3 behind the open handle
+        // behind the open handle, damage one byte of a record each: the
+        // last answer byte, a key byte, the key hash and the payload hash
         let seg = store.segment_paths()[0].clone();
         let mut bytes = fs::read(&seg).expect("reads");
-        let record_3_end: usize = (0..4)
-            .map(|i| encode_record(&key(i), &answer(i)).len())
-            .sum();
-        bytes[record_3_end - 1] ^= 0x01;
+        let start = |i: u64| -> usize {
+            (0..i)
+                .map(|j| encode_record(&key(j), &answer(j)).len())
+                .sum()
+        };
+        let damaged = [
+            (3, start(4) - 1),
+            (4, start(4) + RECORD_HEADER_BYTES + 1),
+            (5, start(5) + 8),
+            (6, start(6) + 16),
+        ];
+        for &(_, at) in &damaged {
+            bytes[at] ^= 0x01;
+        }
         fs::write(&seg, &bytes).expect("writes");
 
-        assert_eq!(store.lookup(&key(3)), None, "the damaged record is a miss");
-        assert!(
-            store.insert(key(3), answer(3)),
-            "its answer is appended again"
-        );
-        assert_eq!(store.lookup(&key(3)), Some(answer(3)));
-        for i in (0..10).filter(|&i| i != 3) {
+        for &(i, _) in &damaged {
+            assert_eq!(store.lookup(&key(i)), None, "record {i} is a miss");
+            assert!(
+                store.insert(key(i), answer(i)),
+                "its answer is appended again"
+            );
             assert_eq!(store.lookup(&key(i)), Some(answer(i)));
         }
-        assert_eq!((store.stats().hits, store.stats().misses), (10, 1));
+        for i in (0..10).filter(|i| !(3..7).contains(i)) {
+            assert_eq!(store.lookup(&key(i)), Some(answer(i)));
+        }
+        assert_eq!((store.stats().hits, store.stats().misses), (10, 4));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1910,10 +1282,7 @@ mod tests {
                 store.insert(key(i), answer(i));
             }
         }
-        let seg = {
-            let r = AnswerStore::open_read_only(&dir).expect("reader");
-            r.segment_paths()[0].clone()
-        };
+        let seg = segment_file(&dir, 1);
         let mut bytes = fs::read(&seg).expect("reads");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;

@@ -160,7 +160,7 @@ fn store_backed_storm_heals_and_never_persists_faulted_answers() {
     }
 
     // every record of every segment carries a clean answer
-    let reader = AnswerStore::open_read_only(&dir).expect("reader opens");
+    let reader = AnswerStore::open(&dir).expect("reader opens");
     let mut records = 0usize;
     for seg in reader.segment_paths() {
         let (decoded, _) = decode_segment(&seg).expect("segment decodes");
@@ -451,7 +451,7 @@ fn streamed_storm_never_persists_faulted_answers_and_heals_warm() {
     }
 
     // every record of every segment carries a clean answer
-    let reader = AnswerStore::open_read_only(&dir).expect("reader opens");
+    let reader = AnswerStore::open(&dir).expect("reader opens");
     let mut records = 0usize;
     for seg in reader.segment_paths() {
         let (decoded, _) = decode_segment(&seg).expect("segment decodes");

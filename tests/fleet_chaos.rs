@@ -226,7 +226,7 @@ fn fleet_worker_subprocess_entry() {
         .unwrap_or(0.0);
     let (pipes, spec) = grid();
     let store = Arc::new(
-        AnswerStore::open_shared(
+        AnswerStore::open_with_telemetry(
             dir.join("store"),
             StoreConfig::default(),
             Telemetry::disabled(),
@@ -415,8 +415,8 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         .sink(Arc::clone(&sink))
         .build();
     let store = Arc::new(
-        AnswerStore::open_shared(dir.join("store"), StoreConfig::default(), tele.clone())
-            .expect("shared store reopens despite dead writers' markers"),
+        AnswerStore::open_with_telemetry(dir.join("store"), StoreConfig::default(), tele.clone())
+            .expect("shared store reopens after the kills"),
     );
     let cache = Arc::new(AnswerCache::new().with_store(store));
     let exec = ParallelExecutor::new(2)
@@ -477,7 +477,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     // decodable record is clean, and no key maps to two different
     // answers (duplicate identical writes from racing workers are
     // benign; conflicting ones would be corruption)
-    let reader = AnswerStore::open_read_only(dir.join("store")).expect("reader opens");
+    let reader = AnswerStore::open(dir.join("store")).expect("reader opens");
     let mut by_key: HashMap<String, String> = HashMap::new();
     let mut records = 0usize;
     for seg in reader.segment_paths() {
@@ -595,7 +595,7 @@ fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
     let frozen = Lease {
         shard_index: 0,
         pid: std::process::id(),
-        start_token: chipvqa::eval::store::own_start_token(),
+        start_token: chipvqa::eval::fleet::own_start_token(),
         nonce: 424_242,
         heartbeat: 9,
         manifest_fingerprint: manifest_fp,

@@ -379,7 +379,7 @@ fn graceful_shutdown_flushes_the_store_with_no_torn_tail() {
 
     // The flushed store reopens with zero recovered segments — no torn
     // tail — and still serves the answers written before the stop.
-    let store = AnswerStore::open_read_only(&dir).expect("reopens");
+    let store = AnswerStore::open(&dir).expect("reopens");
     let stats = store.stats();
     assert_eq!(
         (stats.recovered_segments, stats.recovered_bytes),

@@ -17,9 +17,9 @@
 //! explores different corruption sites while staying reproducible.
 
 use std::fs::{self, OpenOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use chipvqa::core::{ChipVqa, DatasetSpec, BASE_SIZE};
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
@@ -122,18 +122,6 @@ fn warm_restart_is_byte_identical_and_serves_from_disk() {
     assert_eq!(counters.get("store.hit"), Some(&inserted));
     assert_eq!(counters.get("store.miss"), None);
     assert_eq!(counters.get("store.insert"), None, "nothing new to insert");
-
-    // run-spanning accounting (the counter that used to reset between
-    // runs): the warm run's lifetime view includes the cold run's
-    // traffic, surfaced on EvalReport.cache_stats
-    assert_eq!(
-        warm_cache.lifetime_misses, cold_store.lifetime_misses,
-        "a fully warm run adds no lifetime misses"
-    );
-    assert!(
-        warm_cache.lifetime_hits >= inserted,
-        "lifetime hits span both runs"
-    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -163,14 +151,69 @@ fn streamed_scaled_run_warm_starts_byte_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Two threads, each with its own handle on one directory, run the same
+/// streamed grid at once: both reports are the cold bytes, and a third
+/// open serves every key from the segments both left.
 #[test]
-fn kill_mid_append_breaks_lock_and_converges() {
+fn two_threads_running_one_grid_on_one_store_both_get_cold_bytes() {
+    let dir = tmp_dir("two-threads");
+    let spec = DatasetSpec::scaled(2);
+    let pipe = VlmPipeline::new(ModelZoo::phi3_vision());
+    let open = || AnswerStore::open(&dir).expect("store opens");
+    let run = |store: AnswerStore| {
+        let cache = Arc::new(AnswerCache::new().with_store(Arc::new(store)));
+        let exec = ParallelExecutor::new(2).with_cache(Arc::clone(&cache));
+        let (report, _) =
+            exec.evaluate_spec_stream(&pipe, &spec, BASE_SIZE, EvalOptions::default());
+        (report_bytes(report), cache.stats())
+    };
+    let (cold, _) = ParallelExecutor::new(2).evaluate_spec_stream(
+        &pipe,
+        &spec,
+        BASE_SIZE,
+        EvalOptions::default(),
+    );
+    let cold = report_bytes(cold);
+    // both handles are open before either writes, and both runs start
+    // together
+    let (first, second) = (open(), open());
+    let start = Barrier::new(2);
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| {
+            start.wait();
+            run(first)
+        });
+        let b = scope.spawn(|| {
+            start.wait();
+            run(second)
+        });
+        (
+            a.join().expect("first thread"),
+            b.join().expect("second thread"),
+        )
+    });
+    assert_eq!(a.0, cold, "first thread's report");
+    assert_eq!(b.0, cold, "second thread's report");
+    assert!(
+        a.1.misses > 0 && b.1.misses > 0,
+        "both inferred on an empty store"
+    );
+
+    let (third, stats) = run(open());
+    assert_eq!(third, cold, "third open's report");
+    assert_eq!(stats.misses, 0, "the third open serves every key");
+    assert_eq!(stats.store_hits, a.1.misses);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn kill_mid_append_converges() {
     let reference = report_bytes(cold_reference());
 
     // harvest the real answers once
     let source_dir = tmp_dir("kill-src");
     let (_, _, _) = eval_with_store(&source_dir, StoreConfig::default(), Telemetry::disabled());
-    let entries = AnswerStore::open_read_only(&source_dir)
+    let entries = AnswerStore::open(&source_dir)
         .expect("source reopens")
         .entries();
     assert!(entries.len() > 100);
@@ -189,10 +232,9 @@ fn kill_mid_append_breaks_lock_and_converges() {
         store.insert(key.clone(), answer.clone());
     }
     store.simulate_crash();
-    assert!(dir.join("store.lock").exists(), "kill leaves the lock file");
 
-    // next run: stale lock broken, tail recovered, missing answers
-    // re-inferred — same bytes as the cold reference
+    // next run: the flushed prefix is served, the lost tail re-inferred
+    // — same bytes as the cold reference
     let (report, cache_stats, store_stats) =
         eval_with_store(&dir, StoreConfig::default(), Telemetry::disabled());
     assert_eq!(report_bytes(report), reference, "post-kill run converges");
@@ -220,7 +262,7 @@ fn rotation_converges_and_writes_each_key_once() {
     let (cold_report, _, cold_store) = eval_with_store(&dir, config, Telemetry::disabled());
     assert_eq!(report_bytes(cold_report), reference, "rotated cold run");
     assert!(cold_store.segments > 1, "rotation produced segments");
-    let cold_segments: Vec<(PathBuf, u64)> = AnswerStore::open_read_only(&dir)
+    let cold_segments: Vec<(PathBuf, u64)> = AnswerStore::open(&dir)
         .expect("reader")
         .segment_paths()
         .into_iter()
@@ -238,7 +280,7 @@ fn rotation_converges_and_writes_each_key_once() {
     assert_eq!(warm_store.inserts, 0, "a warm run appends nothing");
 
     // each key is on disk exactly once, and segments only ever grow
-    let records: usize = AnswerStore::open_read_only(&dir)
+    let records: usize = AnswerStore::open(&dir)
         .expect("reader")
         .segment_paths()
         .iter()
@@ -255,14 +297,14 @@ fn rotation_converges_and_writes_each_key_once() {
 }
 
 #[test]
-fn concurrent_reader_sees_flushed_prefix_while_writer_holds_the_lock() {
+fn concurrent_reader_sees_flushed_prefix_while_writer_is_live() {
     let dir = tmp_dir("reader");
     let writer = AnswerStore::open(&dir).expect("writer opens");
     let (_, _, _) = {
         // populate through a second cache-less route: reuse the writer
         let entries_src = tmp_dir("reader-src");
         let out = eval_with_store(&entries_src, StoreConfig::default(), Telemetry::disabled());
-        for (key, answer) in AnswerStore::open_read_only(&entries_src)
+        for (key, answer) in AnswerStore::open(&entries_src)
             .expect("source reopens")
             .entries()
         {
@@ -273,12 +315,8 @@ fn concurrent_reader_sees_flushed_prefix_while_writer_holds_the_lock() {
     };
     writer.flush().expect("flushes");
 
-    // a second writer is refused while the first is live …
-    let refused = AnswerStore::open(&dir).expect_err("second writer refused");
-    assert_eq!(refused.kind(), std::io::ErrorKind::WouldBlock);
-
-    // … but a read-only open works and sees every flushed record
-    let reader = AnswerStore::open_read_only(&dir).expect("reader opens");
+    // a second open beside the live writer sees every flushed record
+    let reader = AnswerStore::open(&dir).expect("reader opens");
     assert_eq!(reader.len(), writer.len());
     for (key, answer) in reader.entries() {
         assert_eq!(writer.lookup(&key), Some(answer));
@@ -288,9 +326,8 @@ fn concurrent_reader_sees_flushed_prefix_while_writer_holds_the_lock() {
 }
 
 /// A directory written in format v1 (JSON payloads under the magic
-/// `0xC51A_D0C5`) is refused by every kind of open, and nothing in it
-/// is touched: read as v2, its records would look like damage and a
-/// writable open would truncate them.
+/// `0xC51A_D0C5`) is refused by every open, and nothing in it is
+/// touched.
 #[test]
 fn a_v1_store_is_refused_and_left_untouched() {
     let dir = tmp_dir("v1");
@@ -336,24 +373,15 @@ fn a_v1_store_is_refused_and_left_untouched() {
     };
     let tele = Telemetry::recording();
     refused(
-        "exclusive",
+        "open",
         AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), tele.clone()),
     );
-    refused(
-        "shared",
-        AnswerStore::open_shared(&dir, StoreConfig::default(), tele.clone()),
-    );
-    refused("read-only", AnswerStore::open_read_only(&dir));
 
     // a segment that starts with a v1 record is refused without the meta
     fs::remove_file(dir.join("meta.json")).expect("drops the meta");
     refused(
-        "exclusive, no meta",
+        "open, no meta",
         AnswerStore::open_with_telemetry(&dir, StoreConfig::default(), tele.clone()),
-    );
-    refused(
-        "shared, no meta",
-        AnswerStore::open_shared(&dir, StoreConfig::default(), tele.clone()),
     );
 
     assert_eq!(fs::read(&seg).expect("segment still there"), segment);
@@ -380,11 +408,48 @@ fn a_v1_store_is_refused_and_left_untouched() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// What the run after damage to `victim` must leave behind: the victim
+/// byte for byte as the damage left it (a tear is skipped, never
+/// truncated), every other segment clean, and a store from which a
+/// further warm run converges to `reference` with no miss and no insert.
+fn recovered_around(
+    dir: &Path,
+    victim: &Path,
+    damaged: &[u8],
+    reference: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        fs::read(victim).expect("victim reads") == damaged,
+        "the recovering run changed the victim {}",
+        victim.display()
+    );
+    for seg in AnswerStore::open(dir).expect("reopens").segment_paths() {
+        if seg != victim {
+            let (_, scan) = decode_segment(&seg).expect("decodes");
+            prop_assert_eq!(scan.dropped_bytes, 0, "{} scans clean", seg.display());
+        }
+    }
+    let (report, cache, store) =
+        eval_with_store(dir, StoreConfig::default(), Telemetry::disabled());
+    prop_assert_eq!(
+        report_bytes(report),
+        reference,
+        "the further warm run converges"
+    );
+    prop_assert_eq!(
+        (cache.misses, store.inserts),
+        (0, 0),
+        "the further warm run is all hits"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Any truncation point in any segment recovers to cold bytes: the
-    /// torn tail is dropped on open and re-inferred during the run.
+    /// torn tail is skipped in place on open and re-inferred during the
+    /// run.
     #[test]
     fn seeded_truncations_recover_to_cold_bytes(
         seed in 0u64..1_000_000,
@@ -397,7 +462,7 @@ proptest! {
         prop_assert!(populated.inserts > 0);
 
         // pick a segment and a byte offset from the seeds
-        let segments = AnswerStore::open_read_only(&dir).expect("reader").segment_paths();
+        let segments = AnswerStore::open(&dir).expect("reader").segment_paths();
         prop_assert!(!segments.is_empty());
         let victim = &segments[((seed ^ chaos_seed()) % segments.len() as u64) as usize];
         let len = fs::metadata(victim).expect("victim exists").len();
@@ -408,20 +473,17 @@ proptest! {
             .expect("victim writable")
             .set_len(keep)
             .expect("truncates");
+        let damaged = fs::read(victim).expect("victim reads");
 
         let tele = Telemetry::recording();
         let (report, _, stats) = eval_with_store(&dir, StoreConfig::default(), tele.clone());
-        prop_assert_eq!(report_bytes(report), reference, "truncated store converges");
+        prop_assert_eq!(report_bytes(report), reference.as_str(), "truncated store converges");
         if keep < len && stats.recovered_segments > 0 {
-            // a mid-record cut is repaired and reported
+            // a mid-record cut is skipped and reported
             prop_assert!(stats.recovered_bytes > 0);
             prop_assert!(tele.snapshot().counters.contains_key("store.recovered"));
         }
-        // the repaired segments replay cleanly on the next open
-        for seg in AnswerStore::open_read_only(&dir).expect("reader").segment_paths() {
-            let (_, scan) = decode_segment(&seg).expect("decodes");
-            prop_assert_eq!(scan.dropped_bytes, 0, "no residual damage");
-        }
+        recovered_around(&dir, victim, &damaged, &reference)?;
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -436,7 +498,7 @@ proptest! {
         let dir = tmp_dir("flip");
         eval_with_store(&dir, StoreConfig { segment_max_bytes: 16 << 10 }, Telemetry::disabled());
 
-        let segments = AnswerStore::open_read_only(&dir).expect("reader").segment_paths();
+        let segments = AnswerStore::open(&dir).expect("reader").segment_paths();
         let victim = &segments[((seed ^ chaos_seed()) % segments.len() as u64) as usize];
         let mut bytes = fs::read(victim).expect("victim reads");
         prop_assert!(!bytes.is_empty());
@@ -445,11 +507,8 @@ proptest! {
         fs::write(victim, &bytes).expect("victim writes");
 
         let (report, _, _) = eval_with_store(&dir, StoreConfig::default(), Telemetry::disabled());
-        prop_assert_eq!(report_bytes(report), reference, "bit-flipped store converges");
-        for seg in AnswerStore::open_read_only(&dir).expect("reader").segment_paths() {
-            let (_, scan) = decode_segment(&seg).expect("decodes");
-            prop_assert_eq!(scan.dropped_bytes, 0, "no residual damage");
-        }
+        prop_assert_eq!(report_bytes(report), reference.as_str(), "bit-flipped store converges");
+        recovered_around(&dir, victim, &bytes, &reference)?;
         let _ = fs::remove_dir_all(&dir);
     }
 }
