@@ -26,9 +26,10 @@
 //! single-process run, generating nothing — refusing a mismatched spec
 //! fingerprint or a directory of another fleet format (exit 4).
 //! `--report-json FILE` writes the table (with the run-metadata
-//! `cache_stats` nulled) as JSON for byte comparison, one row at a time.
-//! A `--trace` file ends with one `telemetry.snapshot` event holding
-//! every counter and gauge of the run.
+//! `cache_stats` nulled) as JSON for byte comparison, outcome by outcome
+//! with no copy of the table, inside a `report.write` span. A `--trace`
+//! file ends with one `telemetry.snapshot` event holding every counter
+//! and gauge of the run.
 //!
 //! `--chaos RATE` (scaled runs) places the whole grid under a seeded
 //! fault supervisor: every fault kind injected at RATE, seed taken from
@@ -56,7 +57,6 @@ use std::sync::Arc;
 
 use chipvqa_bench::{
     paper_reference, run_table2_fleet_merge, run_table2_fleet_worker, run_table2_on,
-    write_report_json,
 };
 use chipvqa_core::DatasetSpec;
 use chipvqa_eval::fleet::FleetConfig;
@@ -287,7 +287,7 @@ fn main() {
             gpt.standard.overall() - table.open_source_mean("GPT4o")
         );
     }
-    write_report(report_json, &table);
+    write_report(report_json, &table, &telemetry);
     write_trace(trace_file, sink, &telemetry);
     if table.is_degraded() {
         std::process::exit(EXIT_DEGRADED);
@@ -351,10 +351,14 @@ fn run_grid(
 }
 
 /// Writes the `--report-json` file, if one was requested
-/// ([`write_report_json`]).
-fn write_report(path: Option<std::path::PathBuf>, table: &Table2) {
+/// ([`Table2::write_report_json`]), inside a `report.write` span, so a
+/// traced run shows what the writer costs on its own.
+fn write_report(path: Option<std::path::PathBuf>, table: &Table2, telemetry: &Telemetry) {
     let Some(path) = path else { return };
-    let written = std::fs::File::create(&path).and_then(|file| write_report_json(table, file));
+    let written = {
+        let _span = telemetry.span("report.write");
+        std::fs::File::create(&path).and_then(|file| table.write_report_json(file))
+    };
     if let Err(e) = written {
         eprintln!("failed to write report {}: {e}", path.display());
         std::process::exit(1);

@@ -3,7 +3,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -54,30 +53,6 @@ pub fn run_table2_on(exec: &ParallelExecutor, scale: usize, streamed: bool) -> T
     };
     let challenge = standard.clone().with_mc_sa_ratio(0.0);
     Table2::from_columns([column(standard), column(challenge)].concat())
-}
-
-/// Writes `table` as `table2 --report-json` does: JSON with each
-/// report's run-metadata `cache_stats` nulled, so two runs with
-/// identical results (one warm, one cold; one fleet, one
-/// single-process) produce byte-identical files. The bytes equal
-/// `serde_json::to_string` of the nulled table, but rows are serialized
-/// and written one at a time through a buffer, so neither the nulled
-/// copy nor the document ever exists whole in memory.
-pub fn write_report_json(table: &Table2, out: impl Write) -> io::Result<()> {
-    let mut out = BufWriter::new(out);
-    out.write_all(b"{\"rows\":[")?;
-    for (i, row) in table.rows.iter().enumerate() {
-        if i > 0 {
-            out.write_all(b",")?;
-        }
-        let mut row = row.clone();
-        row.standard.cache_stats = None;
-        row.challenge.cache_stats = None;
-        let json = serde_json::to_string(&row).map_err(io::Error::other)?;
-        out.write_all(json.as_bytes())?;
-    }
-    out.write_all(b"]}")?;
-    out.flush()
 }
 
 /// The twelve zoo models, in paper order.
@@ -195,7 +170,9 @@ mod tests {
             row.challenge.cache_stats = None;
         }
         let mut written = Vec::new();
-        write_report_json(&table, &mut written).expect("report written");
+        table
+            .write_report_json(&mut written)
+            .expect("report written");
         assert_eq!(
             String::from_utf8(written).expect("utf-8"),
             serde_json::to_string(&canonical).expect("table serializes")

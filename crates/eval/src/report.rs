@@ -8,6 +8,7 @@
 //! renders byte-identically to the pre-supervision layout.
 
 use std::fmt;
+use std::io::{self, Write};
 
 use chipvqa_core::question::Category;
 use serde::{Deserialize, Serialize};
@@ -66,6 +67,31 @@ impl Table2 {
         rows.iter().map(|r| r.standard.overall()).sum::<f64>() / rows.len() as f64
     }
 
+    /// Writes the table as `table2 --report-json` does: JSON with each
+    /// report's run-metadata `cache_stats` nulled, so two runs with
+    /// identical results (one warm, one cold; one fleet, one
+    /// single-process) produce byte-identical files. The bytes equal
+    /// `serde_json::to_string` of the nulled table, but nothing is cloned
+    /// and no document is built: each report is written here with
+    /// `cache_stats` as `null`, each outcome by its derived
+    /// [`Serialize::write_json`] into one reused buffer, which goes to
+    /// `out` whenever it holds 64 KiB.
+    pub fn write_report_json(&self, mut out: impl Write) -> io::Result<()> {
+        let mut json = String::with_capacity(2 * REPORT_CHUNK);
+        json.push_str("{\"rows\":[");
+        for (i, row) in self.rows.iter().enumerate() {
+            json.push_str(if i == 0 { "{" } else { ",{" });
+            json.push_str("\"standard\":");
+            write_nulled_report(&row.standard, &mut json, &mut out)?;
+            json.push_str(",\"challenge\":");
+            write_nulled_report(&row.challenge, &mut json, &mut out)?;
+            json.push('}');
+        }
+        json.push_str("]}");
+        out.write_all(json.as_bytes())?;
+        out.flush()
+    }
+
     /// Whether any row (standard or challenge) carries terminal
     /// infrastructure failures.
     pub fn is_degraded(&self) -> bool {
@@ -107,6 +133,34 @@ impl Table2 {
         }
         emitted
     }
+}
+
+/// How much report JSON [`Table2::write_report_json`] buffers before a
+/// write.
+const REPORT_CHUNK: usize = 64 * 1024;
+
+/// Appends `report` as its derived writer would with `cache_stats`
+/// `None`, handing full chunks of `json` to `out` between outcomes.
+fn write_nulled_report(
+    report: &EvalReport,
+    json: &mut String,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    json.push_str("{\"model\":");
+    report.model.write_json(json);
+    json.push_str(",\"outcomes\":[");
+    for (i, outcome) in report.outcomes.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        outcome.write_json(json);
+        if json.len() >= REPORT_CHUNK {
+            out.write_all(json.as_bytes())?;
+            json.clear();
+        }
+    }
+    json.push_str("],\"cache_stats\":null}");
+    Ok(())
 }
 
 impl fmt::Display for Table2 {

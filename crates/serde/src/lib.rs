@@ -3,10 +3,28 @@
 //! The real serde could not be fetched (no registry access), so this
 //! crate provides the same *spelling* — `serde::Serialize`,
 //! `serde::Deserialize`, `#[derive(Serialize, Deserialize)]`,
-//! `#[serde(skip)]`, `#[serde(default)]` — over a much smaller core:
-//! every serializable type converts to and from a JSON-shaped [`Value`]
-//! tree. `serde_json` in this workspace renders that tree to text and
-//! parses it back.
+//! `#[serde(skip)]`, `#[serde(default)]` — over a much smaller core
+//! with two ways out and one way in:
+//!
+//! * [`Serialize::write_json`] appends compact JSON text straight to a
+//!   `String`, building no tree. `serde_json::to_string` is this call.
+//! * [`Serialize::to_value`] builds a JSON-shaped [`Value`] tree, for
+//!   callers that inspect or assemble one (`serde_json::to_value`,
+//!   pretty printing).
+//! * [`Deserialize::from_value`] rebuilds a type from a [`Value`] tree,
+//!   which `serde_json` parses text into.
+//!
+//! The byte contract: for every type, `write_json` appends exactly the
+//! compact rendering of `to_value()`, which is itself `Value`'s
+//! `write_json`. One string escaper and one float formatter, both in
+//! this crate, decide that format: `"`, `\`, `\n`, `\r` and `\t` get
+//! short escapes, other control characters `\u00XX` with lowercase
+//! hex, everything else (U+007F and multi-byte text included) is
+//! copied; a float prints as Rust's shortest round-trip `{:?}` (so it
+//! keeps a `.` or an exponent), an `f32` widened to `f64` first, and a
+//! non-finite float as `null`. Object keys keep field order, a
+//! `BTreeMap` its key order and a `HashMap` the order of its rendered
+//! keys.
 //!
 //! Representation choices mirror serde's JSON conventions so existing
 //! expectations (externally-tagged enums, newtype transparency, maps as
@@ -14,8 +32,8 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::{self, Write as _};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -103,16 +121,95 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can render themselves into a [`Value`].
+/// Types that serialize, as a [`Value`] tree or straight to compact
+/// JSON text. Both methods are required; the derive generates both.
 pub trait Serialize {
     /// Converts to the value tree.
     fn to_value(&self) -> Value;
+
+    /// Appends compact JSON to `out`: the same bytes as rendering
+    /// [`to_value`](Serialize::to_value) compactly, written without
+    /// building the tree.
+    fn write_json(&self, out: &mut String);
 }
 
 /// Types that can rebuild themselves from a [`Value`].
 pub trait Deserialize: Sized {
     /// Converts from the value tree.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+}
+
+// ------------------------------------------------------------ JSON format
+
+/// Appends `s` as a JSON string literal: each run of bytes that needs no
+/// escape is copied with one `push_str`.
+fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut unicode = *b"\\u0000";
+    out.push('"');
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => {
+                unicode[4] = HEX[usize::from(b >> 4)];
+                unicode[5] = HEX[usize::from(b & 0xf)];
+                std::str::from_utf8(&unicode).expect("an ASCII escape")
+            }
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        out.push_str(escape);
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+    out.push('"');
+}
+
+/// Appends a float: Rust's `Debug` form is the shortest round-trip
+/// representation and always keeps a decimal point or an exponent
+/// (float-ness survives the round trip, like serde_json/ryu).
+/// Non-finite floats serialize as `null`, as serde_json does.
+fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        write!(out, "{x:?}").expect("writing to a String cannot fail");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Appends `[a,b,…]`.
+fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
+}
+
+/// Appends `{"k":v,…}` from already-rendered keys, in the given order.
+fn write_obj<'a, K: AsRef<str> + 'a, V: Serialize + 'a>(
+    out: &mut String,
+    fields: impl IntoIterator<Item = (K, &'a V)>,
+) {
+    out.push('{');
+    for (i, (key, value)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(out, key.as_ref());
+        out.push(':');
+        value.write_json(out);
+    }
+    out.push('}');
 }
 
 // ---------------------------------------------------------------- numbers
@@ -126,6 +223,9 @@ macro_rules! int_impl {
                 } else {
                     Value::I64(*self as i64)
                 }
+            }
+            fn write_json(&self, out: &mut String) {
+                write!(out, "{self}").expect("writing to a String cannot fail");
             }
         }
         impl Deserialize for $t {
@@ -157,6 +257,9 @@ macro_rules! float_impl {
                     Value::Null
                 }
             }
+            fn write_json(&self, out: &mut String) {
+                write_f64(out, *self as f64);
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -180,6 +283,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 impl Deserialize for bool {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -193,6 +299,9 @@ impl Deserialize for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
     }
 }
 impl Deserialize for String {
@@ -208,11 +317,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self);
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_str(out, self.encode_utf8(&mut [0; 4]));
     }
 }
 impl Deserialize for char {
@@ -227,6 +342,9 @@ impl Deserialize for char {
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("null");
     }
 }
 impl Deserialize for () {
@@ -244,11 +362,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -262,6 +386,12 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(x) => x.to_value(),
             None => Value::Null,
+        }
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -278,6 +408,9 @@ impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
+    }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -292,11 +425,17 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
+    }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
     }
 }
 impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
@@ -321,6 +460,16 @@ macro_rules! tuple_impl {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Arr(vec![$(self.$n.to_value()),+])
+            }
+            fn write_json(&self, out: &mut String) {
+                out.push('[');
+                $(
+                    if $n > 0 {
+                        out.push(',');
+                    }
+                    self.$n.write_json(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -394,13 +543,16 @@ impl<A: MapKey, B: MapKey> MapKey for (A, B) {
     }
 }
 
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
+impl<T: Serialize> Serialize for VecDeque<T> {
     fn to_value(&self) -> Value {
         Value::Arr(self.iter().map(Serialize::to_value).collect())
     }
+    fn write_json(&self, out: &mut String) {
+        write_seq(out, self);
+    }
 }
 
-impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
+impl<T: Deserialize> Deserialize for VecDeque<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
             Value::Arr(items) => items.iter().map(T::from_value).collect(),
@@ -417,6 +569,9 @@ impl<K: MapKey + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
                 .collect(),
         )
     }
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, self.iter().map(|(k, v)| (k.to_key(), v)));
+    }
 }
 impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -430,15 +585,25 @@ impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     }
 }
 
+/// A `HashMap`'s entries ordered by rendered key, for deterministic
+/// output.
+fn sorted_entries<K: MapKey, V>(map: &HashMap<K, V>) -> Vec<(String, &V)> {
+    let mut fields: Vec<(String, &V)> = map.iter().map(|(k, v)| (k.to_key(), v)).collect();
+    fields.sort_by(|a, b| a.0.cmp(&b.0));
+    fields
+}
+
 impl<K: MapKey + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V> {
     fn to_value(&self) -> Value {
-        // deterministic output: sort keys
-        let mut fields: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        fields.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Obj(fields)
+        Value::Obj(
+            sorted_entries(self)
+                .into_iter()
+                .map(|(k, v)| (k, v.to_value()))
+                .collect(),
+        )
+    }
+    fn write_json(&self, out: &mut String) {
+        write_obj(out, sorted_entries(self));
     }
 }
 impl<K: MapKey + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K, V> {
@@ -453,9 +618,23 @@ impl<K: MapKey + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K
     }
 }
 
+/// A tree renders as compact JSON: the format every other type's
+/// `write_json` reproduces without building one.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::I64(x) => x.write_json(out),
+            Value::U64(x) => x.write_json(out),
+            Value::F64(x) => write_f64(out, *x),
+            Value::Str(s) => write_str(out, s),
+            Value::Arr(items) => write_seq(out, items),
+            Value::Obj(fields) => write_obj(out, fields.iter().map(|(k, v)| (k, v))),
+        }
     }
 }
 impl Deserialize for Value {

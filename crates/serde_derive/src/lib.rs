@@ -390,9 +390,124 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{\n{arms}}}")
         }
     };
+    let write = gen_write_json(item);
     format!(
-        "impl{generics} ::serde::Serialize for {ty} {{\n fn to_value(&self) -> ::serde::Value {{\n {body}\n }}\n }}"
+        "impl{generics} ::serde::Serialize for {ty} {{\n fn to_value(&self) -> ::serde::Value {{\n {body}\n }}\n fn write_json(&self, __out: &mut ::std::string::String) {{\n {write}\n }}\n }}"
     )
+}
+
+/// The body of a generated `write_json`: the JSON text between fields
+/// (braces, keys, commas, variant tags) is known here, so it is emitted
+/// as string literals, adjacent ones merged into one `push_str`, around
+/// one `Serialize::write_json` call per field. Keys and variant names
+/// are identifiers, which need no JSON escape.
+#[derive(Default)]
+struct JsonCode {
+    code: String,
+    literal: String,
+}
+
+impl JsonCode {
+    fn text(&mut self, json: &str) {
+        self.literal.push_str(json);
+    }
+
+    fn value(&mut self, expr: &str) {
+        self.flush();
+        self.code
+            .push_str(&format!("::serde::Serialize::write_json({expr}, __out);\n"));
+    }
+
+    fn flush(&mut self) {
+        if !self.literal.is_empty() {
+            self.code
+                .push_str(&format!("__out.push_str({:?});\n", self.literal));
+            self.literal.clear();
+        }
+    }
+
+    /// `{"a":…,"b":…}` over the fields not marked `#[serde(skip)]`.
+    fn named(&mut self, fields: &[Field], accessor: impl Fn(&str) -> String) {
+        let mut sep = "{";
+        for f in fields.iter().filter(|f| !f.attrs.skip) {
+            let name = f.name.as_deref().expect("named field");
+            self.text(&format!("{sep}\"{name}\":"));
+            self.value(&accessor(name));
+            sep = ",";
+        }
+        self.text(if sep == "{" { "{}" } else { "}" });
+    }
+
+    /// One element transparently, otherwise `[…]` (skip is not honoured
+    /// on tuple fields, as in `to_value`).
+    fn tuple(&mut self, exprs: &[String]) {
+        if let [only] = exprs {
+            return self.value(only);
+        }
+        self.text("[");
+        for (i, expr) in exprs.iter().enumerate() {
+            if i > 0 {
+                self.text(",");
+            }
+            self.value(expr);
+        }
+        self.text("]");
+    }
+
+    fn finish(mut self) -> String {
+        self.flush();
+        self.code
+    }
+}
+
+fn gen_write_json(item: &Item) -> String {
+    let mut w = JsonCode::default();
+    match &item.kind {
+        Kind::Struct(Shape::Unit) => w.text("null"),
+        Kind::Struct(Shape::Named(fields)) => w.named(fields, |name| format!("&self.{name}")),
+        Kind::Struct(Shape::Tuple(fields)) => {
+            let exprs: Vec<String> = (0..fields.len()).map(|i| format!("&self.{i}")).collect();
+            w.tuple(&exprs);
+        }
+        Kind::Enum(variants) => {
+            let iname = &item.name;
+            w.code.push_str("match self {\n");
+            for v in variants {
+                let vname = &v.name;
+                let mut arm = JsonCode::default();
+                let pattern = match &v.shape {
+                    Shape::Unit => {
+                        arm.text(&format!("\"{vname}\""));
+                        format!("{iname}::{vname}")
+                    }
+                    Shape::Tuple(fields) => {
+                        let binds: Vec<String> =
+                            (0..fields.len()).map(|i| format!("__f{i}")).collect();
+                        arm.text(&format!("{{\"{vname}\":"));
+                        arm.tuple(&binds);
+                        arm.text("}");
+                        format!("{iname}::{vname}({})", binds.join(", "))
+                    }
+                    Shape::Named(fields) => {
+                        let mut binds: Vec<&str> = fields
+                            .iter()
+                            .filter(|f| !f.attrs.skip)
+                            .map(|f| f.name.as_deref().expect("named field"))
+                            .collect();
+                        binds.push("..");
+                        arm.text(&format!("{{\"{vname}\":"));
+                        arm.named(fields, str::to_string);
+                        arm.text("}");
+                        format!("{iname}::{vname} {{ {} }}", binds.join(", "))
+                    }
+                };
+                w.code
+                    .push_str(&format!("{pattern} => {{\n{}}}\n", arm.finish()));
+            }
+            w.code.push('}');
+        }
+    }
+    w.finish()
 }
 
 fn gen_deserialize(item: &Item) -> String {

@@ -1,10 +1,14 @@
 //! Offline, vendored stand-in for [`serde_json`]: JSON text rendering
-//! and parsing over the workspace `serde` crate's [`Value`] tree.
+//! and parsing for the workspace `serde` crate.
 //!
 //! Provides the call surface this workspace uses — [`to_string`],
 //! [`to_string_pretty`], [`from_str`], [`Error`] and [`Value`] — with
 //! serde_json-compatible conventions (shortest round-trip float
 //! formatting, `\uXXXX` escapes, nested-object pretty printing).
+//! [`to_string`] writes through [`Serialize::write_json`] and builds no
+//! tree; [`to_string_pretty`] and [`from_str`] go through a [`Value`].
+//! The `serde` crate owns the format (one escaper, one float
+//! formatter), so compact and pretty text agree on every scalar.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +41,8 @@ impl From<serde::DeError> for Error {
     }
 }
 
-/// Serializes a value to compact JSON.
+/// Serializes a value to compact JSON, written straight from the value
+/// ([`Serialize::write_json`]) with no [`Value`] tree in between.
 ///
 /// # Errors
 ///
@@ -45,7 +50,7 @@ impl From<serde::DeError> for Error {
 /// signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    value.write_json(&mut out);
     Ok(out)
 }
 
@@ -57,7 +62,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// signature.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some("  "), 0);
+    write_pretty(&mut out, &value.to_value(), 0);
     Ok(out)
 }
 
@@ -88,92 +93,44 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T, Error> {
 
 // -------------------------------------------------------------- rendering
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        // Rust's Debug for f64 is the shortest round-trip representation
-        // and always keeps a decimal point or exponent (float-ness
-        // survives the round trip, like serde_json/ryu).
-        out.push_str(&format!("{x:?}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_value(out: &mut String, v: &Value, indent: Option<&str>, depth: usize) {
-    let nl = |out: &mut String, depth: usize| {
-        if let Some(pad) = indent {
-            out.push('\n');
-            for _ in 0..depth {
-                out.push_str(pad);
-            }
+/// Renders `v` with a two-space indent: arrays and objects with at least
+/// one element open a line per element, and everything else (scalars,
+/// `[]`, `{}`) prints as in compact JSON.
+fn write_pretty(out: &mut String, v: &Value, depth: usize) {
+    let newline = |out: &mut String, depth: usize| {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
         }
     };
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::F64(x) => write_f64(out, *x),
-        Value::Str(s) => write_escaped(out, s),
-        Value::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
+        Value::Arr(items) if !items.is_empty() => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
-                    if indent.is_none() {
-                        // compact: no space
-                    }
                 }
-                nl(out, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                newline(out, depth + 1);
+                write_pretty(out, item, depth + 1);
             }
-            nl(out, depth);
+            newline(out, depth);
             out.push(']');
         }
-        Value::Obj(fields) => {
-            if fields.is_empty() {
-                out.push_str("{}");
-                return;
-            }
+        Value::Obj(fields) if !fields.is_empty() => {
             out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
+            for (i, (key, val)) in fields.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                nl(out, depth + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
+                newline(out, depth + 1);
+                key.write_json(out);
+                out.push_str(": ");
+                write_pretty(out, val, depth + 1);
             }
-            nl(out, depth);
+            newline(out, depth);
             out.push('}');
         }
+        compact => compact.write_json(out),
     }
 }
 
@@ -341,14 +298,15 @@ impl<'a> Parser<'a> {
                         b'u' => {
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
-                                // surrogate pair
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
+                                // a high surrogate must open a pair
+                                let unpaired = || Error::new("unpaired surrogate");
+                                self.expect(b'\\').map_err(|_| unpaired())?;
+                                self.expect(b'u').map_err(|_| unpaired())?;
                                 let lo = self.hex4()?;
-                                let code = 0x10000
-                                    + ((hi - 0xD800) << 10)
-                                    + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                char::from_u32(code)
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(unpaired());
+                                }
+                                char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
                             } else {
                                 char::from_u32(hi)
                             };
@@ -364,15 +322,21 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four hex digits (`from_str_radix` alone would also take
+    /// a sign).
     fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error::new("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| Error::new("bad \\u escape"))?;
+            v = (v << 4) | d;
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| Error::new("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error::new("bad \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(v)
     }
 
@@ -454,6 +418,28 @@ mod tests {
     fn unicode_escapes() {
         let v = parse_value("\"\\u00e9\\ud83d\\ude00\"").unwrap();
         assert_eq!(v, Value::Str("é😀".into()));
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_one() {
+        for json in [
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+            r#""\ud83d""#,
+            r#""\ud83dA""#,
+            r#""\ude00""#,
+        ] {
+            assert!(parse_value(json).is_err(), "{json} parsed");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        for json in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#] {
+            assert!(parse_value(json).is_err(), "{json} parsed");
+        }
+        let v = parse_value(r#""\u0041\u00E9\uFFFF""#).unwrap();
+        assert_eq!(v, Value::Str("Aé\u{ffff}".into()));
     }
 
     #[test]
