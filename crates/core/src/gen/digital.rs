@@ -4,11 +4,11 @@
 
 use chipvqa_logic::expr::{Expr, TruthTable};
 use chipvqa_logic::seq::{FlipFlop, StateTable};
-use chipvqa_logic::{builders, numbers, render};
+use chipvqa_logic::{builders, minimize, numbers, render};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{expr_distractors, memo, numeric_distractors, pick, shuffle_choices, text_panel};
+use super::{expr_distractors, numeric_distractors, pick, shuffle_choices, text_panel};
 use crate::question::{
     trim_float, AnswerSpec, Category, Difficulty, Question, QuestionKind, VisualKind,
 };
@@ -97,7 +97,7 @@ fn state_table_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question
         // form is pinned to the paper's literal text after verifying
         // equivalence.
         let t = StateTable::paper_example();
-        let derived = memo::next_state_expr_cached(&t, 0);
+        let derived = t.next_state_expr(0);
         let paper = Expr::parse("S'Q + SR'").expect("well-formed");
         assert!(
             derived.equivalent(&paper).expect("small expr"),
@@ -111,7 +111,7 @@ fn state_table_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question
             let Ok(t) = StateTable::new(1, vec!['S', 'R'], rows) else {
                 continue;
             };
-            let g = memo::next_state_expr_cached(&t, 0);
+            let g = t.next_state_expr(0);
             if !matches!(g, Expr::Const(_)) && g.literal_count() >= 2 {
                 break (t, g);
             }
@@ -160,7 +160,7 @@ fn random_function(rng: &mut StdRng, vars: usize) -> TruthTable {
 fn kmap_question(idx: &mut usize, rng: &mut StdRng) -> Question {
     let vars = 3 + rng.gen_range(0..2); // 3 or 4
     let table = random_function(rng, vars);
-    let gold = memo::minimize_table_cached(&table);
+    let gold = minimize::minimize_table(&table);
     let vis = render::render_kmap(&table);
     let key_marks: Vec<usize> = (0..vis.marks.len()).collect();
     let gold_text = format!("F = {gold}");
@@ -189,7 +189,7 @@ fn kmap_question(idx: &mut usize, rng: &mut StdRng) -> Question {
 
 fn schematic_function_question(idx: &mut usize, rng: &mut StdRng) -> Question {
     let table = random_function(rng, 3);
-    let gold = memo::minimize_table_cached(&table);
+    let gold = minimize::minimize_table(&table);
     let netlist = chipvqa_logic::Netlist::from_expr(&gold);
     let vis = render::render_schematic(&netlist);
     let key_marks: Vec<usize> = (0..vis.marks.len()).collect();

@@ -1,223 +1,14 @@
-//! Content-keyed memoization of the substrate solvers used during
-//! question generation.
-//!
-//! The scale engine re-runs the same generators for every replica block,
-//! and the streamed `table2` grid re-generates the *identical* question
-//! stream once per (model, column) pass — so the expensive solver calls
-//! (Quine–McCluskey minimization, next-state derivation, rectilinear
-//! Steiner trees) recur with identical inputs many times over. Each
-//! cached solver is keyed on the **full canonical content bytes** of its
-//! input (never a lossy hash: a collision would silently produce a wrong
-//! golden), so a hit is exactly the value the solver would have computed
-//! and memoization is behaviour-neutral by construction.
-//!
-//! The layer can be disabled (for differential testing) with
-//! [`set_enabled`], and exposes hit/miss counters so tests can assert
-//! the cache is actually exercised. `gen/verify.rs` deliberately does
-//! NOT route through this module: re-verification must re-solve
-//! independently, otherwise a corrupted cache entry could confirm
-//! itself.
+//! Generation memoizes nothing: the generators call their solvers
+//! directly. `hits` and `misses` remain only because
+//! `perfbench/harness/src/{grid,serve}.rs` import them for
+//! `gen.memo_hit_ratio`; the benchmark's next change drops both.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use chipvqa_logic::expr::{Expr, TruthTable};
-use chipvqa_logic::minimize::minimize_table;
-use chipvqa_logic::seq::StateTable;
-use chipvqa_physd::geom::Point;
-use chipvqa_physd::steiner::{rsmt, RouteTree};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Turns the memo layer on or off process-wide. Disabled, every cached
-/// entry point falls straight through to its solver (and the tables are
-/// left untouched), which is what the memoization-equivalence tests
-/// diff against.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether solver memoization is currently active.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
-}
-
-/// Cache hits since the last [`reset`].
+/// Always 0.
 pub fn hits() -> u64 {
-    HITS.load(Ordering::SeqCst)
+    0
 }
 
-/// Cache misses (solver runs that populated an entry) since [`reset`].
+/// Always 0.
 pub fn misses() -> u64 {
-    MISSES.load(Ordering::SeqCst)
-}
-
-/// Clears every memo table and zeroes the hit/miss counters.
-pub fn reset() {
-    MINIMIZE.clear();
-    NEXT_STATE.clear();
-    RSMT.clear();
-    HITS.store(0, Ordering::SeqCst);
-    MISSES.store(0, Ordering::SeqCst);
-}
-
-/// One solver's memo table: canonical content bytes → solved value.
-struct MemoTable<V> {
-    map: Mutex<Option<HashMap<Vec<u8>, V>>>,
-}
-
-impl<V: Clone> MemoTable<V> {
-    const fn new() -> Self {
-        MemoTable {
-            map: Mutex::new(None),
-        }
-    }
-
-    fn get_or_compute(&self, key: Vec<u8>, compute: impl FnOnce() -> V) -> V {
-        {
-            let guard = self.map.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(v) = guard.as_ref().and_then(|m| m.get(&key)) {
-                HITS.fetch_add(1, Ordering::SeqCst);
-                return v.clone();
-            }
-        }
-        // Solve outside the lock: concurrent generators may redundantly
-        // solve the same key (both arrive at the identical value), but
-        // never block each other on a long minimization.
-        MISSES.fetch_add(1, Ordering::SeqCst);
-        let v = compute();
-        let mut guard = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        guard
-            .get_or_insert_with(HashMap::new)
-            .insert(key, v.clone());
-        v
-    }
-
-    fn clear(&self) {
-        *self.map.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-}
-
-static MINIMIZE: MemoTable<Expr> = MemoTable::new();
-static NEXT_STATE: MemoTable<Expr> = MemoTable::new();
-static RSMT: MemoTable<RouteTree> = MemoTable::new();
-
-/// [`minimize_table`] with content-keyed memoization.
-pub fn minimize_table_cached(table: &TruthTable) -> Expr {
-    if !enabled() {
-        return minimize_table(table);
-    }
-    MINIMIZE.get_or_compute(truth_table_key(table), || minimize_table(table))
-}
-
-/// [`StateTable::next_state_expr`] with content-keyed memoization.
-pub fn next_state_expr_cached(table: &StateTable, bit: usize) -> Expr {
-    if !enabled() {
-        return table.next_state_expr(bit);
-    }
-    NEXT_STATE.get_or_compute(state_table_key(table, bit), || table.next_state_expr(bit))
-}
-
-/// [`rsmt`] with content-keyed memoization.
-pub fn rsmt_cached(pins: &[Point]) -> RouteTree {
-    if !enabled() {
-        return rsmt(pins);
-    }
-    RSMT.get_or_compute(pins_key(pins), || rsmt(pins))
-}
-
-fn truth_table_key(table: &TruthTable) -> Vec<u8> {
-    let mut key = Vec::with_capacity(4 * table.vars.len() + 1 + table.outputs.len());
-    for &v in &table.vars {
-        key.extend_from_slice(&(v as u32).to_le_bytes());
-    }
-    key.push(0xFF);
-    key.extend(table.outputs.iter().map(|&b| b as u8));
-    key
-}
-
-fn state_table_key(table: &StateTable, bit: usize) -> Vec<u8> {
-    let mut key = Vec::new();
-    key.extend_from_slice(&(table.state_bits() as u64).to_le_bytes());
-    key.extend_from_slice(&(bit as u64).to_le_bytes());
-    for &c in table.input_names() {
-        key.extend_from_slice(&(c as u32).to_le_bytes());
-    }
-    key.push(0xFF);
-    for &s in table.rows() {
-        key.extend_from_slice(&(s as u64).to_le_bytes());
-    }
-    key
-}
-
-fn pins_key(pins: &[Point]) -> Vec<u8> {
-    let mut key = Vec::with_capacity(16 * pins.len());
-    for p in pins {
-        key.extend_from_slice(&p.x.to_le_bytes());
-        key.extend_from_slice(&p.y.to_le_bytes());
-    }
-    key
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Serializes tests that read or reset the global counters.
-    static STATS_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn minimize_hits_on_repeat_and_matches_solver() {
-        let _guard = STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        let table = TruthTable::new(vec!['A', 'B'], vec![false, true, true, true]);
-        let first = minimize_table_cached(&table);
-        let second = minimize_table_cached(&table);
-        assert_eq!(first, second);
-        assert_eq!(first, minimize_table(&table));
-        assert!(hits() >= 1, "second lookup must hit");
-        reset();
-    }
-
-    #[test]
-    fn disabled_layer_bypasses_tables() {
-        let _guard = STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_enabled(false);
-        let table = TruthTable::new(vec!['A'], vec![true, false]);
-        let a = minimize_table_cached(&table);
-        let b = minimize_table_cached(&table);
-        set_enabled(true);
-        assert_eq!(a, b);
-        assert_eq!(hits() + misses(), 0, "disabled layer must not touch stats");
-        reset();
-    }
-
-    #[test]
-    fn rsmt_cached_matches_solver() {
-        let _guard = STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        let pins = vec![
-            Point::new(0, 0),
-            Point::new(5, 2),
-            Point::new(3, 7),
-            Point::new(9, 9),
-        ];
-        assert_eq!(rsmt_cached(&pins), rsmt(&pins));
-        assert_eq!(rsmt_cached(&pins), rsmt(&pins));
-        assert!(hits() >= 1);
-        reset();
-    }
-
-    #[test]
-    fn keys_distinguish_content() {
-        let a = truth_table_key(&TruthTable::new(vec!['A'], vec![true, false]));
-        let b = truth_table_key(&TruthTable::new(vec!['A'], vec![false, true]));
-        let c = truth_table_key(&TruthTable::new(vec!['B'], vec![true, false]));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
+    0
 }

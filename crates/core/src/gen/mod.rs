@@ -180,7 +180,7 @@ pub(crate) fn expr_distractors(
             let i = rng.gen_range(0..rows);
             flipped.outputs[i] = !flipped.outputs[i];
         }
-        let cand = memo::minimize_table_cached(&flipped);
+        let cand = chipvqa_logic::minimize::minimize_table(&flipped);
         if matches!(cand, chipvqa_logic::Expr::Const(_)) {
             continue;
         }

@@ -10,11 +10,11 @@ use chipvqa_physd::net::Net;
 use chipvqa_physd::place::{legalize, total_displacement, Cell, PlacementRegion};
 use chipvqa_physd::render as prender;
 use chipvqa_physd::sta::{TimingGraph, TimingNode};
-use chipvqa_physd::steiner::{rmst, star_tree};
+use chipvqa_physd::steiner::{rmst, rsmt, star_tree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::{memo, numeric_distractors, shuffle_choices, text_panel};
+use super::{numeric_distractors, shuffle_choices, text_panel};
 use crate::question::{
     trim_float, AnswerSpec, Category, Difficulty, Question, QuestionKind, VisualKind,
 };
@@ -80,7 +80,7 @@ fn random_pins(rng: &mut StdRng, n: usize) -> Vec<Point> {
 fn route_comparison_question(k: usize, idx: &mut usize, rng: &mut StdRng) -> Question {
     let extra = rng.gen_range(0..2);
     let pins = random_pins(rng, 4 + extra);
-    let good = memo::rsmt_cached(&pins);
+    let good = rsmt(&pins);
     let bad = star_tree(&pins);
     let vis = prender::render_route_comparison(&good, &bad, &pins);
     let key_marks: Vec<usize> = (0..vis.marks.len()).collect();
@@ -176,7 +176,7 @@ fn steiner_gain_question(idx: &mut usize, rng: &mut StdRng) -> Question {
     let (pins, mst, smt) = loop {
         let pins = random_pins(rng, 4);
         let m = rmst(&pins);
-        let s = memo::rsmt_cached(&pins);
+        let s = rsmt(&pins);
         if s.cost() < m.cost() {
             break (pins, m, s);
         }

@@ -349,33 +349,6 @@ impl AnswerCache {
             store_misses: self.store_misses.load(Ordering::Relaxed),
         }
     }
-
-    /// Serialisable snapshot of the current contents (the store's, when
-    /// one is attached), in deterministic key order.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        if let Some(store) = &self.store {
-            return CacheSnapshot {
-                entries: store.entries(),
-            };
-        }
-        let map = read_lock(&self.entries);
-        let mut entries: Vec<(CacheKey, CachedAnswer)> =
-            map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        CacheSnapshot { entries }
-    }
-
-    /// Rebuilds a cache from a snapshot (counters start at zero).
-    pub fn from_snapshot(snapshot: CacheSnapshot) -> Self {
-        let cache = AnswerCache::new();
-        {
-            let mut map = write_lock(&cache.entries);
-            for (k, v) in snapshot.entries {
-                map.insert(k, v);
-            }
-        }
-        cache
-    }
 }
 
 /// Poison-tolerant read lock: a panic caught by the supervised
@@ -394,13 +367,6 @@ fn write_lock<K, V>(
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Point-in-time, order-stable copy of a cache for persistence.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct CacheSnapshot {
-    /// Cached (key, answer) pairs sorted by key.
-    pub entries: Vec<(CacheKey, CachedAnswer)>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,7 +374,7 @@ mod tests {
     use chipvqa_models::{ModelZoo, VlmPipeline};
 
     #[test]
-    fn hit_miss_accounting_and_roundtrip() {
+    fn hit_miss_accounting() {
         let bench = ChipVqa::standard();
         let pipe = VlmPipeline::new(ModelZoo::gpt4o());
         let cache = AnswerCache::new();
@@ -424,11 +390,6 @@ mod tests {
         assert_eq!(hit.text, resp.text);
         assert_eq!(hit.path, resp.path);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
-
-        let snap = cache.snapshot();
-        let restored = AnswerCache::from_snapshot(snap.clone());
-        assert_eq!(restored.len(), 1);
-        assert_eq!(restored.snapshot(), snap);
     }
 
     #[test]
@@ -475,7 +436,6 @@ mod tests {
         assert_eq!(store.stats().hits, 2, "both lookups read the store");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.store_hits, stats.misses), (2, 2, 0));
-        assert_eq!(cache.snapshot().entries, store.entries());
         drop((cache, store));
         let _ = std::fs::remove_dir_all(&dir);
     }

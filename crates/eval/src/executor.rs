@@ -1613,19 +1613,20 @@ mod tests {
         let exec = ParallelExecutor::new(2).with_cache(Arc::clone(&cache));
         let spec = DatasetSpec::default();
         let (_, _) = exec.evaluate_spec_stream(&pipe, &spec, 16, EvalOptions::default());
-        let snapshot = cache.snapshot();
-        assert!(!snapshot.entries.is_empty());
+        let bench = ChipVqa::standard();
+        let q = &bench.questions()[0];
+        let fp = pipe.fingerprint();
         assert!(
-            snapshot
-                .entries
-                .iter()
-                .all(|(k, _)| k.dataset_fingerprint == spec.fingerprint()),
+            cache
+                .lookup(&CacheKey::for_dataset(fp, spec.fingerprint(), q, 1, 0))
+                .is_some(),
             "streamed entries are bound to the spec"
         );
         // the canonical batch path uses fingerprint 0, so the same
         // questions miss rather than crossing specs
+        assert!(cache.lookup(&CacheKey::new(fp, q, 1, 0)).is_none());
         let before = cache.len();
-        exec.evaluate(&pipe, &ChipVqa::standard(), EvalOptions::default());
+        exec.evaluate(&pipe, &bench, EvalOptions::default());
         assert_eq!(cache.len(), 2 * before, "no cross-spec hits");
     }
 

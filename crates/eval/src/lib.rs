@@ -83,7 +83,7 @@ pub mod resolution;
 pub mod store;
 pub mod supervisor;
 
-pub use cache::{AnswerCache, CacheKey, CacheSnapshot, CacheStats, CachedAnswer};
+pub use cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 pub use checkpoint::{Checkpoint, CheckpointError, RunIdentity, RunMismatch, ShardResult};
 pub use executor::{ParallelExecutor, RetryPolicy, StreamStats};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};

@@ -847,9 +847,8 @@ impl AnswerStore {
         }
     }
 
-    /// All entries in deterministic key order — the persistent
-    /// mirror of [`AnswerCache::snapshot`](crate::cache::AnswerCache::snapshot).
-    /// Reads and decodes every indexed record, in file order.
+    /// All entries in deterministic key order. Reads and decodes every
+    /// indexed record, in file order.
     pub fn entries(&self) -> Vec<(CacheKey, CachedAnswer)> {
         let mut inner = lock_inner(&self.inner);
         let mut positions: Vec<u64> = inner.index.values().copied().collect();

@@ -371,7 +371,6 @@ pub struct Supervisor {
     injector: FaultInjector,
     recovery: RecoveryPolicy,
     deadline_ms: u64,
-    breaker: BreakerConfig,
 }
 
 impl Default for Supervisor {
@@ -388,7 +387,6 @@ impl Supervisor {
             injector: FaultInjector::new(plan),
             recovery: RecoveryPolicy::default(),
             deadline_ms: 30_000,
-            breaker: BreakerConfig::default(),
         }
     }
 
@@ -404,13 +402,6 @@ impl Supervisor {
         self
     }
 
-    /// Sets the circuit-breaker tuning.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        breaker.validate();
-        self.breaker = breaker;
-        self
-    }
-
     /// The fault plan being injected.
     pub fn plan(&self) -> &FaultPlan {
         self.injector.plan()
@@ -419,11 +410,6 @@ impl Supervisor {
     /// The recovery policy.
     pub fn recovery(&self) -> RecoveryPolicy {
         self.recovery
-    }
-
-    /// The breaker tuning.
-    pub fn breaker_config(&self) -> BreakerConfig {
-        self.breaker
     }
 
     /// First-attempt health of one `(model, question)` cell: the terminal
@@ -472,7 +458,7 @@ impl Supervisor {
     pub fn stream_breaker_at(&self, window: usize) -> WindowedBreaker {
         WindowedBreaker {
             zero: self.plan().is_zero(),
-            breaker: CircuitBreaker::new(self.breaker),
+            breaker: CircuitBreaker::new(BreakerConfig::default()),
             next_index: window * BREAKER_WINDOW,
             trips: 0,
         }
@@ -508,7 +494,7 @@ impl Supervisor {
         }
         if index.is_multiple_of(BREAKER_WINDOW) {
             // window boundary: state resets, cumulative trips persist
-            wb.breaker = CircuitBreaker::new(self.breaker);
+            wb.breaker = CircuitBreaker::new(BreakerConfig::default());
         }
         let before = wb.breaker.state();
         let trips_before = wb.breaker.trips();
@@ -798,7 +784,7 @@ mod tests {
         // per window, attempts are bounded by threshold + periodic
         // probes; the windowed reset restarts that budget each window
         let attempted = bench.len() - shed;
-        let cfg = sup.breaker_config();
+        let cfg = BreakerConfig::default();
         let per_window =
             cfg.failure_threshold as usize + BREAKER_WINDOW / (cfg.cooldown as usize + 1) + 1;
         let max_attempted = per_window * bench.len().div_ceil(BREAKER_WINDOW);

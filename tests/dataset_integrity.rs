@@ -444,3 +444,50 @@ fn supervised_table2_grid_report_bytes_are_frozen() {
         "supervised table2 --scale 2 report bytes drifted (got 0x{h:016x})"
     );
 }
+
+#[test]
+fn generated_stream_content_is_frozen() {
+    // The generated stream is the dataset, so this wall sees all of it:
+    // every question of the scale-10 stream in order, both columns (the
+    // no-choice column is `to_short_answer` of the with-choice one), the
+    // marks and the pixels, which `Question` does not serialize. The
+    // report hashes see pixels only through legibility. It was captured
+    // before generation lost its solver memo, with the memo on and off,
+    // and is the same at shard lengths 16 and 142. Re-capture (only for
+    // a deliberate behaviour change) with CHIPVQA_PRINT_GOLDENS=1.
+    use chipvqa::core::DatasetSpec;
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let mut questions = 0usize;
+    for q in DatasetSpec::scaled(10).stream(16).flatten() {
+        let json = [
+            serde_json::to_string(&q),
+            serde_json::to_string(&q.to_short_answer()),
+            serde_json::to_string(&q.visual.marks),
+        ];
+        for part in json {
+            feed(part.expect("serializes").as_bytes());
+        }
+        let image = &q.visual.image;
+        feed(&(image.width() as u64).to_le_bytes());
+        feed(&(image.height() as u64).to_le_bytes());
+        feed(image.pixels());
+        questions += 1;
+    }
+    assert_eq!(questions, 1420);
+    if std::env::var("CHIPVQA_PRINT_GOLDENS").is_ok() {
+        println!("generated scale-10 stream content hash: 0x{h:016x}");
+        return;
+    }
+    const FROZEN: u64 = 0x81b33baa7dc026b1;
+    assert_eq!(
+        h, FROZEN,
+        "generated scale-10 stream content drifted (got 0x{h:016x})"
+    );
+}

@@ -4,9 +4,7 @@ use chipvqa::core::stats::DatasetStats;
 use chipvqa::core::ChipVqa;
 use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::harness::EvalOptions;
-use chipvqa::eval::{
-    AnswerCache, CacheKey, CacheSnapshot, CachedAnswer, Checkpoint, ParallelExecutor, RuleJudge,
-};
+use chipvqa::eval::{AnswerCache, CachedAnswer, Checkpoint, ParallelExecutor, RuleJudge};
 use chipvqa::models::backbone::AnswerPath;
 use chipvqa::models::{ModelZoo, VlmPipeline};
 
@@ -95,33 +93,6 @@ fn empty_checkpoint_roundtrip() {
     let back = Checkpoint::from_json(&ckpt.to_json().expect("serializes")).expect("deserializes");
     assert_eq!(back, ckpt);
     assert_eq!(back.completed_shards(), 0);
-}
-
-#[test]
-fn cache_snapshot_json_roundtrip() {
-    let bench = ChipVqa::standard();
-    let pipe = VlmPipeline::new(ModelZoo::phi3_vision());
-    let cache = AnswerCache::new();
-    for (i, q) in bench.iter().take(5).enumerate() {
-        let key = CacheKey::new(pipe.fingerprint(), q, 1 + i % 2, i as u64 % 3);
-        cache.insert(
-            key,
-            CachedAnswer::from(&pipe.infer(q, 1 + i % 2, i as u64 % 3)),
-        );
-    }
-    let snap = cache.snapshot();
-    let json = serde_json::to_string(&snap).expect("serializes");
-    let back: CacheSnapshot = serde_json::from_str(&json).expect("deserializes");
-    assert_eq!(back, snap);
-
-    let restored = AnswerCache::from_snapshot(back);
-    assert_eq!(restored.len(), 5);
-    let q = &bench.questions()[0];
-    let key = CacheKey::new(pipe.fingerprint(), q, 1, 0);
-    assert_eq!(
-        restored.lookup(&key).expect("restored entry").text,
-        pipe.infer(q, 1, 0).text
-    );
 }
 
 #[test]
