@@ -29,6 +29,9 @@ use chipvqa_logic::render::{
 use chipvqa_logic::{StateTable, TruthTable};
 use chipvqa_models::encoder::perceive;
 use chipvqa_models::{ModelZoo, VlmPipeline};
+use chipvqa_physd::render::render_route_comparison;
+use chipvqa_physd::steiner::{rsmt, star_tree};
+use chipvqa_physd::Point;
 use chipvqa_raster::Pixmap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,6 +119,13 @@ fn bench_mark_renderers(c: &mut Criterion) {
     let signals: Vec<(&str, &[bool])> = vec![("clk", &clk), ("d", &data)];
     group.bench_function("waveform", |b| {
         b.iter(|| black_box(render_waveform(&signals)))
+    });
+    // the paper's "which routing topology has lower cost?" figure, as
+    // the physical generator draws it: Steiner tree beside star
+    let pins = [(1, 2), (12, 3), (7, 14), (15, 9), (4, 11)].map(|(x, y)| Point::new(x, y));
+    let (smt, star) = (rsmt(&pins), star_tree(&pins));
+    group.bench_function("route_comparison", |b| {
+        b.iter(|| black_box(render_route_comparison(&smt, &star, &pins)))
     });
 
     group.finish();

@@ -8,7 +8,7 @@
 //! collection is the paper's.
 //!
 //! `--store DIR` backs the executor's answer cache with a persistent
-//! [`AnswerStore`](chipvqa_eval::AnswerStore) at DIR, at any scale: the
+//! [`AnswerStore`] at DIR, at any scale: the
 //! first run populates it, every later run warm-starts from it —
 //! byte-identical table, no inference. Runs on one DIR may overlap, as
 //! fleet workers do: each appends only to segments it created. `--trace

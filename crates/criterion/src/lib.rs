@@ -2,7 +2,7 @@
 //!
 //! Implements the API subset this workspace's benches use:
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::sample_size`],
-//! [`BenchmarkGroup::bench_function`] / [`bench_with_input`],
+//! [`BenchmarkGroup::bench_function`] / [`bench_with_input`](BenchmarkGroup::bench_with_input),
 //! [`BenchmarkId::new`], `criterion_group!` / `criterion_main!`, and
 //! [`black_box`]. Measurement is wall-clock with adaptive batching;
 //! per-benchmark mean and median sample times are printed.

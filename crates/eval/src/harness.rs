@@ -48,7 +48,7 @@ pub struct QuestionOutcome {
     /// Terminal infrastructure failure, if the question has no
     /// trustworthy answer (`None` = the model genuinely answered). Set
     /// only by supervised execution; see
-    /// [`EvalError`](crate::supervisor::EvalError).
+    /// [`EvalError`].
     pub error: Option<EvalError>,
 }
 

@@ -32,7 +32,7 @@
 //! Supervision works on both the materialized grid path and streaming
 //! intake ([`evaluate_spec_stream`](executor::ParallelExecutor::evaluate_spec_stream))
 //! with byte-identical reports. Failures that exhaust recovery become a
-//! structured [`EvalError`](supervisor::EvalError) on the outcome, and
+//! structured [`EvalError`] on the outcome, and
 //! reports carry explicit coverage/failure accounting so a degraded
 //! report is visibly degraded rather than silently wrong.
 //!

@@ -1,6 +1,6 @@
 //! Persistent, append-only, content-addressed answer store.
 //!
-//! [`AnswerStore`] is the on-disk tier beneath [`AnswerCache`]: the
+//! [`AnswerStore`] is the on-disk tier beneath [`AnswerCache`](crate::AnswerCache): the
 //! "only ask again if prompt or model changed" caching the in-memory
 //! cache provides *within* a process, made durable *across* processes.
 //! A warm-started rerun — same models, same spec, same options — serves
@@ -122,7 +122,7 @@
 //! The in-memory cache debug-asserts that no faulted answer is
 //! inserted; the store enforces it *in release builds too* —
 //! [`AnswerStore::insert`] refuses text carrying corruption markers
-//! (see [`is_corrupted_text`](crate::fault::is_corrupted_text)) and
+//! (see [`is_corrupted_text`]) and
 //! counts the refusal on `store.rejected`. A crashed chaos run can
 //! therefore never poison future runs through the persistent tier.
 

@@ -2,7 +2,7 @@
 //! topologies (the paper's example question), cell layouts and clock
 //! trees.
 
-use chipvqa_raster::{Annotated, Pixmap, Region, BLACK, GRAY};
+use chipvqa_raster::{Annotated, Pixmap, Region, BLACK, GRAY, WHITE};
 
 use crate::cts::ClockTree;
 use crate::geom::{Point, Rect};
@@ -24,60 +24,24 @@ fn scale_points(points: &[Point], w: usize, h: usize, margin: i64) -> impl Fn(Po
     }
 }
 
+/// Width and height of one routing panel; a comparison puts two side by
+/// side on one canvas.
+const PANEL_W: usize = 420;
+const PANEL_H: usize = 360;
+
 /// Renders a routing tree with every pin's coordinates annotated — the
 /// exact visual style of the paper's "which routing topology has lower
 /// cost?" question. Steiner points draw as hollow squares.
 pub fn render_route_tree(tree: &RouteTree, pins: &[Point], title: &str) -> Annotated {
-    let (w, h) = (420usize, 360usize);
-    let mut img = Pixmap::new(w, h);
-    let mut marks: Vec<(String, Region)> = Vec::new();
-    let mut all: Vec<Point> = pins.to_vec();
-    all.extend(tree.steiner_points.iter().copied());
-    for e in &tree.edges {
-        all.push(e.a);
-        all.push(e.b);
-    }
-    if all.is_empty() {
-        return Annotated::new(img);
-    }
-    let map = scale_points(&all, w, h - 40, 50);
-    img.draw_text(10, 10, title, TEXT, BLACK);
-    marks.push((format!("title {title}"), Region::new(8, 6, 200, 22)));
-
-    for e in &tree.edges {
-        let (x0, y0) = map(e.a);
-        let (x1, y1) = map(e.b);
-        // rectilinear elbow: horizontal then vertical
-        img.draw_polyline(&[(x0, y0), (x1, y0), (x1, y1)], STROKE, BLACK);
-    }
-    for &p in pins {
-        let (x, y) = map(p);
-        img.fill_circle(x, y, 5, BLACK);
-        let label = format!("({},{})", p.x, p.y);
-        img.draw_text(x + 8, y - 16, &label, TEXT, BLACK);
-        marks.push((
-            format!("pin at {label}"),
-            Region::new((x - 6).max(0) as usize, (y - 18).max(0) as usize, 90, 32),
-        ));
-    }
-    for &sp in &tree.steiner_points {
-        let (x, y) = map(sp);
-        img.draw_rect(x - 5, y - 5, 10, 10, STROKE, BLACK);
-        marks.push((
-            format!("steiner point at ({},{})", sp.x, sp.y),
-            Region::new((x - 7).max(0) as usize, (y - 7).max(0) as usize, 14, 14),
-        ));
-    }
-    img.draw_text(
-        10,
-        (h - 26) as i64,
-        &format!("total wirelength = {}", tree.cost()),
-        TEXT,
-        GRAY,
-    );
-    let mut out = Annotated::new(img);
-    for (label, region) in marks {
-        out.mark(label, region);
+    let mut out = Annotated::new(Pixmap::new(PANEL_W, PANEL_H));
+    if draw_route_panel(&mut out, 0, tree, pins, title) {
+        out.image.draw_text(
+            10,
+            (PANEL_H - 26) as i64,
+            &format!("total wirelength = {}", tree.cost()),
+            TEXT,
+            GRAY,
+        );
     }
     out
 }
@@ -86,47 +50,83 @@ pub fn render_route_tree(tree: &RouteTree, pins: &[Point], title: &str) -> Annot
 /// comparison). The wirelength captions are deliberately *omitted* so the
 /// reader must compute costs from the annotated coordinates.
 pub fn render_route_comparison(left: &RouteTree, right: &RouteTree, pins: &[Point]) -> Annotated {
-    let single_l = render_route_tree_bare(left, pins, "topology A");
-    let single_r = render_route_tree_bare(right, pins, "topology B");
-    let w = single_l.image.width() + single_r.image.width();
-    let h = single_l.image.height().max(single_r.image.height());
-    let mut img = Pixmap::new(w, h);
-    let mut out_marks = Vec::new();
-    for (dx, vis) in [(0usize, &single_l), (single_l.image.width(), &single_r)] {
-        for y in 0..vis.image.height() {
-            for x in 0..vis.image.width() {
-                img.set(
-                    (x + dx) as i64,
-                    y as i64,
-                    vis.image.pixels()[y * vis.image.width() + x],
-                );
-            }
-        }
-        for m in &vis.marks {
-            out_marks.push((
-                m.label.clone(),
-                Region::new(m.region.x + dx, m.region.y, m.region.w, m.region.h),
-            ));
-        }
-    }
-    let mut out = Annotated::new(img);
-    for (label, region) in out_marks {
-        out.mark(label, region);
-    }
+    let mut out = Annotated::new(Pixmap::new(2 * PANEL_W, PANEL_H));
+    draw_route_panel(&mut out, 0, left, pins, "topology A");
+    // Pin labels near the left panel's right edge run into the right
+    // half; a panel of its own would have clipped them there.
+    let (w, h) = (PANEL_W as i64, PANEL_H as i64);
+    out.image.fill_rect(w, 0, w, h, WHITE);
+    draw_route_panel(&mut out, PANEL_W, right, pins, "topology B");
     out
 }
 
-fn render_route_tree_bare(tree: &RouteTree, pins: &[Point], title: &str) -> Annotated {
-    let mut vis = render_route_tree(tree, pins, title);
-    // strip the cost caption (bottom strip) so the answer isn't printed
-    let h = vis.image.height();
-    let w = vis.image.width();
-    for y in (h - 32)..h {
-        for x in 0..w {
-            vis.image.set(x as i64, y as i64, chipvqa_raster::WHITE);
-        }
+/// Draws one routing panel (title, rectilinear edges, annotated pins and
+/// Steiner points, no caption) with its left edge at column `dx` of
+/// `out`, marking each feature. Every tree point maps into columns
+/// 50–370 and rows 50–270 of the panel, so nothing lands left of its
+/// column 10 or in its bottom 40 rows. Returns `false`, drawing nothing,
+/// when the tree and pins hold no point.
+fn draw_route_panel(
+    out: &mut Annotated,
+    dx: usize,
+    tree: &RouteTree,
+    pins: &[Point],
+    title: &str,
+) -> bool {
+    let mut all: Vec<Point> = pins.to_vec();
+    all.extend(tree.steiner_points.iter().copied());
+    for e in &tree.edges {
+        all.push(e.a);
+        all.push(e.b);
     }
-    vis
+    if all.is_empty() {
+        return false;
+    }
+    let map = scale_points(&all, PANEL_W, PANEL_H - 40, 50);
+    let ox = dx as i64;
+    out.image.draw_text(ox + 10, 10, title, TEXT, BLACK);
+    out.mark(format!("title {title}"), Region::new(dx + 8, 6, 200, 22));
+
+    for e in &tree.edges {
+        let (x0, y0) = map(e.a);
+        let (x1, y1) = map(e.b);
+        // rectilinear elbow: horizontal then vertical
+        out.image.draw_polyline(
+            &[(ox + x0, y0), (ox + x1, y0), (ox + x1, y1)],
+            STROKE,
+            BLACK,
+        );
+    }
+    for &p in pins {
+        let (x, y) = map(p);
+        out.image.fill_circle(ox + x, y, 5, BLACK);
+        let label = format!("({},{})", p.x, p.y);
+        out.image.draw_text(ox + x + 8, y - 16, &label, TEXT, BLACK);
+        out.mark(
+            format!("pin at {label}"),
+            Region::new(
+                dx + (x - 6).max(0) as usize,
+                (y - 18).max(0) as usize,
+                90,
+                32,
+            ),
+        );
+    }
+    for &sp in &tree.steiner_points {
+        let (x, y) = map(sp);
+        out.image
+            .draw_rect(ox + x - 5, y - 5, 10, 10, STROKE, BLACK);
+        out.mark(
+            format!("steiner point at ({},{})", sp.x, sp.y),
+            Region::new(
+                dx + (x - 7).max(0) as usize,
+                (y - 7).max(0) as usize,
+                14,
+                14,
+            ),
+        );
+    }
+    true
 }
 
 /// Renders a standard-cell layout (rows of labelled rectangles).

@@ -1,4 +1,4 @@
-//! Offline, vendored stand-in for [`serde_json`]: JSON text rendering
+//! Offline, vendored stand-in for `serde_json`: JSON text rendering
 //! and parsing for the workspace `serde` crate.
 //!
 //! Provides the call surface this workspace uses — [`to_string`],

@@ -12,13 +12,13 @@
 //!   cancellable and resumable with byte-identical reports.
 //! - [`admission`] — bounded run queue, per-tenant running quotas and
 //!   in-flight limits, and per-tenant circuit breakers; saturation sheds
-//!   with structured [`ShedReason`](admission::ShedReason)s instead of
+//!   with structured [`ShedReason`]s instead of
 //!   queueing unboundedly or hanging.
-//! - [`service`] — [`EvalService`](service::EvalService): runner pool
+//! - [`service`] — [`EvalService`]: runner pool
 //!   over [`ParallelExecutor`](chipvqa_eval::ParallelExecutor), shared
 //!   answer-cache plane (optionally store-backed) for cross-session
 //!   batching, heartbeat/stall detection, graceful drop-guard shutdown.
-//! - [`progress`] — per-shard [`ProgressEvent`](progress::ProgressEvent)
+//! - [`progress`] — per-shard [`ProgressEvent`]
 //!   stream sourced from the executor's existing telemetry spans.
 //! - [`latency`] — p50/p95/p99 summaries the `chipvqa-load` generator
 //!   writes to `BENCH_service.json`.

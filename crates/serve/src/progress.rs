@@ -5,7 +5,7 @@
 //! annotations) for every shard it completes, into whatever
 //! [`Telemetry`] handle it carries. The service gives each running
 //! session its own handle whose sink — a
-//! [`FnSink`](chipvqa_telemetry::FnSink) built by
+//! [`FnSink`] built by
 //! [`session_progress_telemetry`] — converts those spans into
 //! [`ProgressEvent::Shard`]s on the service's [`ProgressHub`].
 //!

@@ -3,7 +3,7 @@
 //! [`EvalService`] owns a fixed pool of **runner** threads, an
 //! [`AdmissionController`] guarding a bounded run queue, one shared
 //! [`AnswerCache`] (optionally backed by a persistent
-//! [`AnswerStore`](chipvqa_eval::AnswerStore)), a [`ProgressHub`]
+//! [`AnswerStore`]), a [`ProgressHub`]
 //! broadcasting per-shard events, and a heartbeat thread watching for
 //! stalls. Sessions are submitted with [`EvalService::submit`], move
 //! through Queued → Admitted → Running → terminal, and can be
@@ -93,7 +93,7 @@ pub struct ServiceConfig {
     /// [`ProgressEvent::Stalled`] from the heartbeat.
     pub stall_after: Duration,
     /// Back the shared answer cache with a persistent
-    /// [`AnswerStore`](chipvqa_eval::AnswerStore) at this directory.
+    /// [`AnswerStore`] at this directory.
     pub store_dir: Option<std::path::PathBuf>,
 }
 

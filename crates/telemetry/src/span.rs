@@ -6,7 +6,7 @@
 //! total duration of its direct children — so the summary table can
 //! show where time is actually spent, not just who is on the stack.
 //!
-//! A span from a disabled [`Telemetry`](crate::Telemetry) handle is a
+//! A span from a disabled [`Telemetry`] handle is a
 //! no-op shell: no clock read, no thread-local touch, no allocation.
 
 use std::cell::RefCell;

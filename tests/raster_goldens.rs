@@ -19,9 +19,13 @@
 //!    per-pixel reference implementations (built only from `get`/`set`),
 //!    asserting byte-identical buffers. Region-local legibility is held
 //!    to its definition (a whole-image downsample, then an ink count)
-//!    bit for bit.
+//!    bit for bit, and the one-canvas route comparison to the two-panel
+//!    composition it replaced.
 
-use chipvqa::raster::{Pixmap, Region, WHITE};
+use chipvqa::physd::render::render_route_tree;
+use chipvqa::physd::steiner::RouteTree;
+use chipvqa::physd::Point;
+use chipvqa::raster::{font, Annotated, Pixmap, Region, WHITE};
 
 /// FNV-1a over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -263,6 +267,29 @@ fn ref_draw_line(img: &mut Pixmap, x0: i64, y0: i64, x1: i64, y1: i64, stroke: i
     }
 }
 
+fn ref_draw_text(img: &mut Pixmap, x: i64, y: i64, text: &str, scale: i64, shade: u8) -> i64 {
+    let scale = scale.max(1);
+    let mut cursor = x;
+    for ch in text.chars() {
+        for (col, bits) in (0i64..).zip(font::glyph(ch)) {
+            for row in 0..font::HEIGHT {
+                if bits >> row & 1 == 1 {
+                    ref_fill_rect(
+                        img,
+                        cursor + col * scale,
+                        y + row * scale,
+                        scale,
+                        scale,
+                        shade,
+                    );
+                }
+            }
+        }
+        cursor += font::ADVANCE * scale;
+    }
+    cursor - x
+}
+
 fn ref_fill_circle(img: &mut Pixmap, cx: i64, cy: i64, r: i64, shade: u8) {
     for yy in -r..=r {
         for xx in -r..=r {
@@ -320,6 +347,39 @@ fn ref_ink_fraction(img: &Pixmap, region: Region) -> f64 {
     ref_ink(img, region) as f64 / area as f64
 }
 
+/// The route comparison as it was composed before it drew on one canvas:
+/// two captioned `render_route_tree` panels, each with its bottom 32 rows
+/// (the wirelength caption) set white, copied pixel by pixel side by
+/// side, each panel's marks shifted by its column offset.
+fn ref_route_comparison(left: &RouteTree, right: &RouteTree, pins: &[Point]) -> Annotated {
+    let mut panels = [
+        render_route_tree(left, pins, "topology A"),
+        render_route_tree(right, pins, "topology B"),
+    ];
+    for vis in &mut panels {
+        let (w, h) = (vis.image.width() as i64, vis.image.height() as i64);
+        ref_fill_rect(&mut vis.image, 0, h - 32, w, 32, WHITE);
+    }
+    let w = panels[0].image.width() + panels[1].image.width();
+    let h = panels[0].image.height().max(panels[1].image.height());
+    let mut out = Annotated::new(Pixmap::new(w, h));
+    let mut dx = 0;
+    for vis in &panels {
+        for y in 0..vis.image.height() {
+            for x in 0..vis.image.width() {
+                let shade = vis.image.pixels()[y * vis.image.width() + x];
+                out.image.set((x + dx) as i64, y as i64, shade);
+            }
+        }
+        for m in &vis.marks {
+            let r = m.region;
+            out.mark(m.label.clone(), Region::new(r.x + dx, r.y, r.w, r.h));
+        }
+        dx += vis.image.width();
+    }
+    out
+}
+
 /// Legibility by its definition: downsample the whole image, then count
 /// ink over `region.scaled_down(factor)` of the result (clipped to it)
 /// against ink over `region` of the original.
@@ -338,8 +398,22 @@ fn ref_legibility(img: &Pixmap, region: Region, factor: usize) -> f64 {
 
 mod differential {
     use super::*;
+    use chipvqa::physd::render::render_route_comparison;
+    use chipvqa::physd::steiner::{rmst, rsmt, star_tree};
     use chipvqa::raster::legibility_after_downsample;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Printable ASCII (lowercase included) and one character the font
+    /// does not cover, which draws as a blank.
+    const TEXT_POOL: &str = " !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ\
+                             [\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\u{e9}";
+
+    /// `len` characters of [`TEXT_POOL`] from `start`, wrapping.
+    fn pool_text(start: usize, len: usize) -> String {
+        TEXT_POOL.chars().cycle().skip(start).take(len).collect()
+    }
 
     /// One random drawing op, applied identically to both images.
     fn apply(op: u8, a: i64, b: i64, c: i64, d: i64, fast: &mut Pixmap, slow: &mut Pixmap) {
@@ -362,12 +436,115 @@ mod differential {
                 fast.draw_line(a, b, a, d, 3, 32);
                 ref_draw_line(slow, a, b, a, d, 3, 32);
             }
-            _ => {
+            4 => {
                 let r = c.rem_euclid(24);
                 fast.fill_circle(a, b, r, 0);
                 ref_fill_circle(slow, a, b, r, 0);
             }
+            _ => {
+                // text at scales 1-4 from an origin that may clip it on
+                // any edge of the 120x80 image
+                let scale = 1 + c.rem_euclid(4);
+                let text = pool_text(
+                    d.rem_euclid(96) as usize,
+                    1 + (c / 4).rem_euclid(16) as usize,
+                );
+                let width = fast.draw_text(a, b, &text, scale, 0);
+                assert_eq!(
+                    width,
+                    ref_draw_text(slow, a, b, &text, scale, 0),
+                    "{text:?}"
+                );
+            }
         }
+    }
+
+    /// `draw_text` == its per-bit reference for the whole pool at scales
+    /// 1-4, from origins that clip it on the left, top, right and bottom
+    /// edges, and that put it wholly outside the image.
+    #[test]
+    fn draw_text_matches_reference_clipped_on_every_edge() {
+        let text = pool_text(0, TEXT_POOL.chars().count());
+        for scale in 1..=4 {
+            let (w, h) = (Pixmap::text_width(&text, scale), font::HEIGHT * scale);
+            for x in [-w + 6, -3, 0, 50, 117, 200] {
+                for y in [-h + 1, -3, 0, 40, 77, 200] {
+                    let mut fast = Pixmap::new(120, 80);
+                    let mut slow = Pixmap::new(120, 80);
+                    let drawn = fast.draw_text(x, y, &text, scale, 32);
+                    assert_eq!(drawn, ref_draw_text(&mut slow, x, y, &text, scale, 32));
+                    assert_eq!(fast, slow, "scale {scale} at ({x}, {y})");
+                }
+            }
+        }
+    }
+
+    /// The one-canvas `render_route_comparison` == the two-panel
+    /// composition, pixels and marks, over 240 seeded sets of 1-6 pins
+    /// on the 16x16 grid: random (repeats allowed), a horizontal line, a
+    /// vertical line, and a set with one pin repeated; the right tree is
+    /// a star or a spanning tree. Every set's largest-x pins lie on its
+    /// bounding box's right edge; a horizontal line maps them to column
+    /// 370, whose labels run past column 420, where the one-canvas
+    /// renderer must clear them. The test counts those sets.
+    #[test]
+    fn route_comparison_matches_two_panel_reference() {
+        let mut crossing = 0;
+        for case in 0..240u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let n = rng.gen_range(1..=6);
+            let mut pins: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.gen_range(0..16), rng.gen_range(0..16)))
+                .collect();
+            match case % 4 {
+                1 => {
+                    let y = pins[0].y;
+                    pins.iter_mut().for_each(|p| p.y = y);
+                }
+                2 => {
+                    let x = pins[0].x;
+                    pins.iter_mut().for_each(|p| p.x = x);
+                }
+                3 => pins.push(pins[0]),
+                _ => {}
+            }
+            let left = rsmt(&pins);
+            let right = if case % 2 == 0 {
+                star_tree(&pins)
+            } else {
+                rmst(&pins)
+            };
+            let fast = render_route_comparison(&left, &right, &pins);
+            let slow = ref_route_comparison(&left, &right, &pins);
+            // `assert!`, not `assert_eq!`: a failure names the first
+            // differing pixel instead of printing 302,400 of them.
+            assert!(
+                fast.image == slow.image,
+                "case {case}: pixels differ for {pins:?}, first at index {:?}",
+                fast.image
+                    .pixels()
+                    .iter()
+                    .zip(slow.image.pixels())
+                    .position(|(a, b)| a != b)
+            );
+            assert_eq!(
+                fast.marks, slow.marks,
+                "case {case}: marks differ for {pins:?}"
+            );
+            // A left-panel pin mark starts 6 px left of its pin and the
+            // label 8 px right of it; the label ends in ')', whose last
+            // lit column is 5 px short of its advance at scale 2.
+            crossing += usize::from(fast.marks.iter().any(|m| {
+                let coords = m.label.strip_prefix("pin at ").unwrap_or("");
+                m.region.x < 420
+                    && !coords.is_empty()
+                    && m.region.x as i64 + 14 + Pixmap::text_width(coords, 2) - 5 >= 420
+            }));
+        }
+        assert!(
+            crossing >= 40,
+            "only {crossing} sets put a label across column 420"
+        );
     }
 
     /// Legibility of every key mark of the standard collection at
@@ -413,7 +590,7 @@ mod differential {
         #[test]
         fn optimized_ops_match_scalar_reference(
             ops in proptest::collection::vec(
-                (0u8..5, -40i64..160, -40i64..160, -40i64..160, -40i64..160),
+                (0u8..6, -40i64..160, -40i64..160, -40i64..160, -40i64..160),
                 1..32,
             ),
         ) {
