@@ -20,7 +20,8 @@
 //! the streamed run's grid through lease files and one shared answer
 //! store — one claim per 16-question spec shard, every model in both
 //! columns, so no fleet process builds a collection — stealing the
-//! leases of killed workers and healing their quarantined shards. When
+//! leases of killed workers; a claim re-runs its panicked rows calm
+//! before it commits. When
 //! every shard is committed, `table2 merge --fleet DIR --scale N` folds
 //! the records into the canonical table — byte-identical to a
 //! single-process run, generating nothing — refusing a mismatched spec
@@ -218,12 +219,11 @@ fn main() {
             });
         println!(
             "fleet worker pid {} done in {:.3}s: {} shards evaluated ({} healed), \
-             {} quarantined, {} leases stolen ({} lost), {} swept, {} duplicate commits",
+             {} leases stolen ({} lost), {} swept, {} duplicate commits",
             std::process::id(),
             started.elapsed().as_secs_f64(),
             outcome.shards_evaluated,
             outcome.shards_healed,
-            outcome.shards_quarantined,
             outcome.leases_stolen,
             outcome.steals_lost,
             outcome.leases_swept,

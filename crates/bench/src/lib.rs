@@ -67,8 +67,8 @@ fn zoo() -> Vec<VlmPipeline> {
 /// created — every process that calls this on the same `dir` joins the
 /// same run. Safe to invoke any
 /// number of times, from any number of processes, in any kill order:
-/// shards already committed are skipped, stale leases are stolen,
-/// quarantined shards are healed. No process builds a collection.
+/// shards already committed are skipped, stale leases are stolen, a
+/// claim heals its panicked rows. No process builds a collection.
 pub fn run_table2_fleet_worker(
     dir: &Path,
     scale: usize,

@@ -26,14 +26,14 @@
 //!
 //! # Healing
 //!
-//! Supervised (chaos) runs additionally record **quarantined shards** —
-//! shards whose worker caught a panic. Their (degraded) outcomes still
-//! enter the merged report, but the quarantine list survives in the
-//! checkpoint. The heal is [`Checkpoint::requeue_quarantined`] followed
-//! by a resume on [`ParallelExecutor::unsupervised`]: only the poisoned
-//! shards re-run, calm. A fleet worker heals a quarantine record the
-//! same way (`tests/fleet_chaos.rs` proves the two produce identical
-//! reports).
+//! A shard whose worker caught a panic is **quarantined**: its
+//! (degraded) outcomes are recorded like any other, and the
+//! [`WorkerPanic`](crate::supervisor::EvalError::WorkerPanic) among them
+//! says so. The heal is [`Checkpoint::requeue_quarantined`] followed by
+//! a resume on [`ParallelExecutor::unsupervised`]: only the poisoned
+//! shards re-run, calm. A fleet claim heals its panicked rows the same
+//! way, inside the claim (`tests/fleet_chaos.rs` proves the two produce
+//! identical reports).
 
 use std::collections::HashSet;
 use std::fmt;
@@ -191,11 +191,9 @@ impl fmt::Display for RunMismatch {
 pub struct Checkpoint {
     /// The run this checkpoint belongs to.
     pub identity: RunIdentity,
-    /// Completed shards, in completion order.
+    /// Completed shards, in completion order; the quarantined ones hold
+    /// a `WorkerPanic` outcome.
     pub completed: Vec<ShardResult>,
-    /// Shards whose worker caught a panic (their outcomes are recorded,
-    /// degraded). Candidates for [`Checkpoint::requeue_quarantined`].
-    pub quarantined: Vec<ShardKey>,
 }
 
 /// Why a checkpoint cannot drive a resume.
@@ -252,7 +250,6 @@ impl Checkpoint {
         Checkpoint {
             identity: RunIdentity::new(pipes, source, options),
             completed: Vec::new(),
-            quarantined: Vec::new(),
         }
     }
 
@@ -271,12 +268,8 @@ impl Checkpoint {
             .check(&expected)
             .map_err(CheckpointError::Mismatch)?;
         let plan: HashSet<ShardKey> = source.plan(pipes.len()).into_iter().collect();
-        let recorded = self.completed.iter().map(|done| &done.key);
-        match recorded
-            .chain(&self.quarantined)
-            .find(|key| !plan.contains(key))
-        {
-            Some(key) => Err(CheckpointError::UnknownShard(*key)),
+        match self.completed.iter().find(|done| !plan.contains(&done.key)) {
+            Some(done) => Err(CheckpointError::UnknownShard(done.key)),
             None => Ok(()),
         }
     }
@@ -285,15 +278,17 @@ impl Checkpoint {
     /// resume re-executes them (after the driver fixed whatever crashed
     /// the workers). Returns how many shards were requeued.
     pub fn requeue_quarantined(&mut self) -> usize {
-        let quarantined = std::mem::take(&mut self.quarantined);
         let before = self.completed.len();
-        self.completed.retain(|d| !quarantined.contains(&d.key));
+        self.completed.retain(|done| !quarantines(&done.outcomes));
         before - self.completed.len()
     }
 
     /// Shards currently quarantined.
     pub fn quarantined_shards(&self) -> usize {
-        self.quarantined.len()
+        self.completed
+            .iter()
+            .filter(|done| quarantines(&done.outcomes))
+            .count()
     }
 
     /// Number of completed shards.
@@ -316,8 +311,8 @@ impl ParallelExecutor {
     /// Runs the shards of the grid over `source` that `checkpoint` still
     /// lacks, recording each finished shard. First checks the checkpoint
     /// against the run ([`Checkpoint::validate_source`]). A shard whose
-    /// worker caught a panic is recorded (degraded) and quarantined for
-    /// [`Checkpoint::requeue_quarantined`]. `stop` is polled before each
+    /// worker caught a panic is recorded (degraded), which quarantines it
+    /// for [`Checkpoint::requeue_quarantined`]. `stop` is polled before each
     /// dispatch — when an executor worker takes the next shard, on that
     /// worker — with the number of shards dispatched so far; once it
     /// returns true no further shard starts, and the ones already
@@ -344,23 +339,18 @@ impl ParallelExecutor {
         self.run(pipes, source, None, options, judge, &select, stop, &sink);
         let mut finished = finished.into_inner().expect("finished shards lock");
         finished.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
+        let tele = self.telemetry();
         for (key, outcomes) in finished {
-            // a caught worker panic quarantines the shard: results are
-            // recorded (degraded) but flagged for retry-on-resume
-            if quarantines(&outcomes) && !checkpoint.quarantined.contains(&key) {
-                checkpoint.quarantined.push(key);
-                let tele = self.telemetry();
-                if tele.enabled() {
-                    tele.counter("checkpoint.quarantined", 1);
-                    tele.event(
-                        "checkpoint.quarantine",
-                        vec![
-                            kv("model_idx", key.model_idx),
-                            kv("q_start", key.q_start),
-                            kv("q_end", key.q_end),
-                        ],
-                    );
-                }
+            if tele.enabled() && quarantines(&outcomes) {
+                tele.counter("checkpoint.quarantined", 1);
+                tele.event(
+                    "checkpoint.quarantine",
+                    vec![
+                        kv("model_idx", key.model_idx),
+                        kv("q_start", key.q_start),
+                        kv("q_end", key.q_end),
+                    ],
+                );
             }
             checkpoint.completed.push(ShardResult { key, outcomes });
         }

@@ -326,10 +326,10 @@ impl ParallelExecutor {
 
     /// A copy of this executor with the supervisor detached (cache,
     /// retry policy and telemetry are kept). The calm twin of a
-    /// supervised executor: a heal resumes a checkpoint on it after
-    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined),
-    /// and a fleet worker re-runs a quarantined claim's panicked rows on
-    /// it.
+    /// supervised executor, on which both heals run: a checkpoint resume
+    /// after [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined),
+    /// and a fleet claim's re-run of its panicked rows. A genuine panic
+    /// recurs here and stays a `WorkerPanic` outcome.
     pub fn unsupervised(&self) -> ParallelExecutor {
         ParallelExecutor {
             supervisor: None,

@@ -26,8 +26,6 @@
 //!                            nonce + heartbeat
 //!   done/shard-0007.json     committed ShardRecord, every row of shard
 //!                            7 (exactly one, ever)
-//!   quarantine/shard-0007.json  a record with panicked rows, awaiting
-//!                            heal
 //! ```
 //!
 //! # The lease protocol
@@ -61,20 +59,21 @@
 //!
 //! # Healing
 //!
-//! A claim in which some row's supervised evaluation caught a worker
-//! panic is committed to `quarantine/` instead of `done/` and stays
-//! claimable. The next worker to claim it (possibly the same process,
-//! possibly a thief healing a dead worker's wreckage) keeps the
-//! record's rows that caught no panic, re-runs the others — and any row
-//! the record lacks — *calm*, on [`ParallelExecutor::unsupervised`] (the
-//! same executor minus the fault plan), and commits every row to
-//! `done/`. That is the granularity of
+//! A claim runs every row on the worker's executor as given (supervised,
+//! if a fault plan is attached), re-runs the rows that caught a worker
+//! panic *calm*, on [`ParallelExecutor::unsupervised`], and commits every
+//! row to `done/` once: the granularity of
 //! [`Checkpoint::requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-//! followed by a resume on the unsupervised executor: one (row, shard).
+//! followed by an unsupervised resume, one (row, shard). A calm re-run
+//! that panics again hit a genuine, deterministic panic, and the record
+//! keeps the `WorkerPanic` outcomes a single-process run records. A
+//! worker killed between its supervised pass and its commit leaves
+//! nothing to heal from: the thief re-runs the whole claim, to the same
+//! bytes.
 //!
-//! A claim, first pass or heal, is one engine run over both columns of
-//! the job's spec, made as `evaluate_table2` makes it and selecting the
-//! claim's shard (and, healing, its rows). Its walk starts at that shard,
+//! Each pass of a claim is one engine run over both columns of the job's
+//! spec, made as `evaluate_table2` makes it and selecting the claim's
+//! shard (and, calm, its panicked rows). Its walk starts at that shard,
 //! so it generates that shard alone, and each row gets exactly the
 //! breaker decisions and cache keys a single-process run gives it.
 //!
@@ -113,10 +112,11 @@ use crate::judge::Judge;
 use crate::report::Table2;
 use crate::store::fnv1a64;
 
-/// On-disk fleet format version, stamped in `manifest.json`. Version 4
+/// On-disk fleet format version, stamped in `manifest.json`. Version 5
 /// holds one directory per Table II grid, one claim per spec shard and
-/// one record per claim with every row.
-pub const FLEET_FORMAT_VERSION: u32 = 4;
+/// one done record per claim with every row; version 4 also kept the
+/// records of claims with panicked rows apart, awaiting a heal.
+pub const FLEET_FORMAT_VERSION: u32 = 5;
 
 /// Tuning knobs of a fleet worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,10 +132,6 @@ pub struct FleetConfig {
     /// Sleep between scan passes when every remaining shard is leased
     /// by a live worker.
     pub idle_backoff: Duration,
-    /// Pause between claiming a lease and evaluating it — a test hook
-    /// that widens the window in which a `kill -9` lands on a held
-    /// lease. Zero (the default) in production.
-    pub post_claim_delay: Duration,
 }
 
 impl Default for FleetConfig {
@@ -144,7 +140,6 @@ impl Default for FleetConfig {
             heartbeat_interval: Duration::from_millis(100),
             stall_timeout: Duration::from_secs(30),
             idle_backoff: Duration::from_millis(25),
-            post_claim_delay: Duration::ZERO,
         }
     }
 }
@@ -197,11 +192,33 @@ impl FleetJob<'_> {
             && row.outcomes.len() == q_end - q_start
     }
 
+    /// Runs claim `idx` (see the module docs): every row on `exec`, then
+    /// the rows that caught a worker panic again on `calm`. Returns the
+    /// rows in row order, and whether any was re-run.
+    fn run_claim(
+        &self,
+        exec: &ParallelExecutor,
+        calm: &ParallelExecutor,
+        judge: &dyn Judge,
+        idx: usize,
+    ) -> (Vec<ShardResult>, bool) {
+        let mut rows = self.run_rows(exec, judge, idx, &|_| true);
+        let panicked: Vec<bool> = rows.iter().map(|row| quarantines(&row.outcomes)).collect();
+        if !panicked.contains(&true) {
+            return (rows, false);
+        }
+        for row in self.run_rows(calm, judge, idx, &|row| panicked[row]) {
+            let slot = row.key.model_idx;
+            rows[slot] = row;
+        }
+        (rows, true)
+    }
+
     /// Runs the rows of claim `idx` that `row` selects on `exec` — one
     /// engine run with the no-choice twin, made as
     /// [`evaluate_table2`](ParallelExecutor::evaluate_table2) makes it —
     /// and returns them in row order.
-    fn run_claim(
+    fn run_rows(
         &self,
         exec: &ParallelExecutor,
         judge: &dyn Judge,
@@ -270,18 +287,13 @@ pub struct Lease {
     pub heartbeat: u64,
     /// Fingerprint of the manifest this claim belongs to.
     pub manifest_fingerprint: u64,
-    /// Whether this claim re-runs a quarantined shard calm.
-    pub healing: bool,
 }
 
-/// One committed claim: the done/quarantine file payload.
+/// One committed claim: the done file payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardRecord {
     /// Fingerprint of the manifest the shard was evaluated under.
     pub manifest_fingerprint: u64,
-    /// Whether some row caught a worker panic (quarantine files only;
-    /// [`merge`] refuses a done record with this set).
-    pub quarantined: bool,
     /// Pid of the committing worker (forensics only).
     pub worker_pid: u32,
     /// The shard's rows in row order, each keyed with its row
@@ -295,11 +307,9 @@ pub struct ShardRecord {
 pub struct FleetOutcome {
     /// Shards this worker evaluated and committed to `done/`.
     pub shards_evaluated: usize,
-    /// Of those, shards that were quarantined re-runs (healed).
+    /// Of those, shards in which some row caught a worker panic and was
+    /// re-run calm (healed).
     pub shards_healed: usize,
-    /// Shards whose supervised run caught a panic and went to
-    /// `quarantine/` instead.
-    pub shards_quarantined: usize,
     /// Stale leases this worker removed and successfully re-claimed.
     pub leases_stolen: usize,
     /// Stale leases this worker removed but lost the re-claim race for.
@@ -337,9 +347,9 @@ pub enum FleetError {
         /// Shards in the plan.
         total: usize,
     },
-    /// A done record carries a foreign manifest fingerprint, rows that
-    /// do not tile its shard, or a quarantined flag — it does not belong
-    /// to this run's `done/` set.
+    /// A done record carries a foreign manifest fingerprint or rows that
+    /// do not tile its shard — it does not belong to this run's `done/`
+    /// set.
     ForeignShard {
         /// Index of the offending shard.
         shard_index: usize,
@@ -408,11 +418,6 @@ pub fn lease_path(dir: &Path, idx: usize) -> PathBuf {
 /// Path of shard `idx`'s committed done record.
 pub fn done_path(dir: &Path, idx: usize) -> PathBuf {
     dir.join("done").join(format!("shard-{idx:04}.json"))
-}
-
-/// Path of shard `idx`'s quarantine record.
-pub fn quarantine_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join("quarantine").join(format!("shard-{idx:04}.json"))
 }
 
 /// A process-unique claim nonce: pid × start token × a process-local
@@ -663,12 +668,11 @@ impl Drop for LeaseGuard {
 /// steals) leases, evaluates, commits, and loops until every claim has a
 /// done record. Returns what this worker contributed.
 ///
-/// The worker evaluates with `exec` as given (supervised, if a fault
-/// plan is attached) for first-pass claims, and heals a quarantined
-/// claim's panicked rows on
-/// [`exec.unsupervised()`](ParallelExecutor::unsupervised). If `exec`
-/// carries a cache backed by the shared answer store, the store is
-/// flushed before returning.
+/// The worker evaluates each claim with `exec` as given (supervised, if
+/// a fault plan is attached) and heals the rows that caught a panic on
+/// [`exec.unsupervised()`](ParallelExecutor::unsupervised) inside the
+/// same claim. If `exec` carries a cache backed by the shared answer
+/// store, the store is flushed before returning.
 pub fn run_worker(
     dir: &Path,
     exec: &ParallelExecutor,
@@ -676,7 +680,7 @@ pub fn run_worker(
     judge: &dyn Judge,
     config: &FleetConfig,
 ) -> Result<FleetOutcome, FleetError> {
-    for sub in ["leases", "done", "quarantine"] {
+    for sub in ["leases", "done"] {
         fs::create_dir_all(dir.join(sub))?;
     }
     let manifest = job.manifest();
@@ -706,12 +710,10 @@ pub fn run_worker(
                 continue;
             }
             remaining += 1;
-            let healing = quarantine_path(dir, idx).exists();
             let Some(guard) = try_claim(
                 dir,
                 idx,
                 manifest_fp,
-                healing,
                 &mut observed,
                 config,
                 tele,
@@ -722,51 +724,30 @@ pub fn run_worker(
             };
             progressed = true;
             observed.remove(&idx);
-            if config.post_claim_delay > Duration::ZERO {
-                std::thread::sleep(config.post_claim_delay);
-            }
-            let rows = if healing {
-                heal(dir, idx, job, &calm, judge, manifest_fp)
-            } else {
-                job.run_claim(exec, judge, idx, &|_| true)
-            };
-            let panicked = rows.iter().any(|row| quarantines(&row.outcomes));
+            let (rows, healed) = job.run_claim(exec, &calm, judge, idx);
             let record = ShardRecord {
                 manifest_fingerprint: manifest_fp,
-                quarantined: panicked,
                 worker_pid: std::process::id(),
                 rows,
             };
             let bytes = serde_json::to_string(&record).expect("record serializes");
-            if panicked {
-                // quarantine commit: first-wins, the shard stays
-                // claimable (healable) because done/ has no record
-                let fresh = atomic_create(&quarantine_path(dir, idx), bytes.as_bytes())?;
-                outcome.shards_quarantined += 1;
-                tele.counter("fleet.shard.quarantined", 1);
-                if tele.enabled() {
-                    tele.event(
-                        "fleet.shard.quarantined",
-                        vec![kv("shard", idx), kv("first", fresh)],
-                    );
-                }
-            } else if atomic_create(&done_path(dir, idx), bytes.as_bytes())? {
+            if atomic_create(&done_path(dir, idx), bytes.as_bytes())? {
                 outcome.shards_evaluated += 1;
                 tele.counter("fleet.shard.done", 1);
-                if healing {
+                if healed {
                     outcome.shards_healed += 1;
                     tele.counter("fleet.shard.healed", 1);
                 }
                 if tele.enabled() {
                     tele.event(
                         "fleet.shard.done",
-                        vec![kv("shard", idx), kv("healed", healing)],
+                        vec![kv("shard", idx), kv("healed", healed)],
                     );
                 }
             } else {
-                // another worker (a thief that judged us stalled, or a
-                // racer on a healed shard) committed first — identical
-                // bytes by determinism, so losing is benign
+                // another worker (a thief that judged us stalled)
+                // committed first — identical bytes by determinism, so
+                // losing is benign
                 outcome.duplicate_commits += 1;
                 tele.counter("fleet.shard.duplicate", 1);
             }
@@ -797,38 +778,6 @@ pub fn run_worker(
         );
     }
     Ok(outcome)
-}
-
-/// Claim `idx`'s rows, healed (see the module docs): each row of the
-/// quarantine record that fits the claim and caught no panic is kept,
-/// and every other row re-runs on `calm`. An unreadable record, or one
-/// of another manifest, keeps no row.
-fn heal(
-    dir: &Path,
-    idx: usize,
-    job: &FleetJob<'_>,
-    calm: &ParallelExecutor,
-    judge: &dyn Judge,
-    manifest_fp: u64,
-) -> Vec<ShardResult> {
-    let recorded = match read_record(&quarantine_path(dir, idx)) {
-        Ok(Some(record)) if record.manifest_fingerprint == manifest_fp => record.rows,
-        _ => Vec::new(),
-    };
-    let mut rows: Vec<Option<ShardResult>> = vec![None; job.rows()];
-    for row in recorded {
-        if job.fits(idx, &row) && !quarantines(&row.outcomes) {
-            rows[row.key.model_idx].get_or_insert(row);
-        }
-    }
-    let rerun = job.run_claim(calm, judge, idx, &|row| rows[row].is_none());
-    for row in rerun {
-        let slot = row.key.model_idx;
-        rows[slot] = Some(row);
-    }
-    rows.into_iter()
-        .map(|row| row.expect("every row kept or re-run"))
-        .collect()
 }
 
 /// The closing sweep over `leases/` (see the module docs). A live
@@ -879,12 +828,10 @@ fn sweep_leases(dir: &Path, tele: &Telemetry, outcome: &mut FleetOutcome) -> io:
 /// One claim attempt for shard `idx`. Judges an existing lease, steals
 /// it if stale, and races the atomic create. `Ok(None)` means the shard
 /// is legitimately busy (or we lost the race) — move on.
-#[allow(clippy::too_many_arguments)]
 fn try_claim(
     dir: &Path,
     idx: usize,
     manifest_fp: u64,
-    healing: bool,
     observed: &mut HashMap<usize, (u64, Instant)>,
     config: &FleetConfig,
     tele: &Telemetry,
@@ -921,7 +868,6 @@ fn try_claim(
         nonce: fresh_nonce(),
         heartbeat: 0,
         manifest_fingerprint: manifest_fp,
-        healing,
     };
     let bytes = serde_json::to_string(&lease).expect("lease serializes");
     if !atomic_create(&path, bytes.as_bytes())? {
@@ -958,10 +904,7 @@ fn try_claim(
     }
     tele.counter("fleet.lease.claim", 1);
     if tele.enabled() {
-        tele.event(
-            "fleet.lease.claim",
-            vec![kv("shard", idx), kv("healing", healing)],
-        );
+        tele.event("fleet.lease.claim", vec![kv("shard", idx)]);
     }
     Ok(Some(LeaseGuard::start(
         path,
@@ -994,7 +937,7 @@ pub fn merge(dir: &Path, job: &FleetJob<'_>, telemetry: &Telemetry) -> Result<Ta
         let tiles = record.rows.len() == job.rows()
             && (record.rows.iter().enumerate())
                 .all(|(row, result)| result.key.model_idx == row && job.fits(idx, result));
-        if record.manifest_fingerprint != manifest_fp || record.quarantined || !tiles {
+        if record.manifest_fingerprint != manifest_fp || !tiles {
             return Err(FleetError::ForeignShard { shard_index: idx });
         }
         for row in record.rows {
@@ -1050,7 +993,6 @@ mod tests {
             heartbeat_interval: Duration::from_millis(20),
             stall_timeout: Duration::from_secs(30),
             idle_backoff: Duration::from_millis(5),
-            post_claim_delay: Duration::ZERO,
         }
     }
 
@@ -1073,7 +1015,7 @@ mod tests {
         let outcome =
             run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config()).expect("runs");
         assert_eq!(outcome.shards_evaluated, job.claims());
-        assert_eq!(outcome.shards_quarantined, 0);
+        assert_eq!(outcome.shards_healed, 0);
         assert_eq!(outcome.leases_stolen, 0);
         let merged = merge(&dir, &job, &Telemetry::disabled()).expect("merges");
         assert_eq!(
@@ -1099,12 +1041,13 @@ mod tests {
         let outcome =
             run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config()).expect("runs");
         assert!(
-            outcome.shards_quarantined > 0,
-            "a 25% panic rate must quarantine at least one shard"
+            outcome.shards_healed > 0,
+            "a 25% panic rate must heal at least one claim"
         );
         assert_eq!(
-            outcome.shards_healed, outcome.shards_quarantined,
-            "the same worker heals its own quarantine on later passes"
+            outcome.shards_evaluated,
+            job.claims(),
+            "every claim is committed, healed inside the claim"
         );
         let merged = merge(&dir, &job, &Telemetry::disabled()).expect("merges");
         assert_eq!(
@@ -1116,14 +1059,14 @@ mod tests {
     }
 
     #[test]
-    fn dead_pid_lease_is_stolen_and_fabricated_quarantine_healed() {
+    fn dead_pid_lease_is_stolen_and_its_claim_rerun() {
         let dir = tmp_dir("steal");
         let spec = DatasetSpec::default();
         let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
         let job = small_job(&pipes, &spec);
         let manifest = job.manifest();
         let manifest_fp = manifest.fingerprint();
-        for sub in ["leases", "done", "quarantine"] {
+        for sub in ["leases", "done"] {
             fs::create_dir_all(dir.join(sub)).expect("mkdir");
         }
         fs::write(
@@ -1132,7 +1075,7 @@ mod tests {
         )
         .expect("writes manifest");
         // the wreckage of a kill -9'd worker: a lease held by a dead
-        // pid, over a shard it had quarantined before dying
+        // pid, over a shard it never committed
         let dead = Lease {
             shard_index: 0,
             pid: u32::MAX - 2, // far beyond any real pid on the box
@@ -1140,33 +1083,18 @@ mod tests {
             nonce: 999,
             heartbeat: 3,
             manifest_fingerprint: manifest_fp,
-            healing: false,
         };
         fs::write(
             lease_path(&dir, 0),
             serde_json::to_string(&dead).expect("serializes"),
         )
         .expect("plants lease");
-        let degraded = ShardRecord {
-            manifest_fingerprint: manifest_fp,
-            quarantined: true,
-            worker_pid: dead.pid,
-            rows: Vec::new(), // lacks every row: the heal re-runs them all
-        };
-        fs::write(
-            quarantine_path(&dir, 0),
-            serde_json::to_string(&degraded).expect("serializes"),
-        )
-        .expect("plants quarantine");
 
         let exec = ParallelExecutor::new(2);
         let outcome =
             run_worker(&dir, &exec, &job, &RuleJudge::new(), &quick_config()).expect("runs");
         assert!(outcome.leases_stolen >= 1, "the dead pid's lease is stolen");
-        assert!(
-            outcome.shards_healed >= 1,
-            "the dead worker's quarantined shard is healed"
-        );
+        assert_eq!(outcome.shards_evaluated, job.claims(), "its claim re-runs");
         let merged = merge(&dir, &job, &Telemetry::disabled()).expect("merges");
         assert_eq!(merged, reference(&exec, &job));
         let _ = fs::remove_dir_all(&dir);
@@ -1187,7 +1115,7 @@ mod tests {
         fs::create_dir_all(&dir).expect("mkdir");
         let manifest = serde_json::to_string(&job.manifest()).expect("serializes");
         // a manifest of another format version is refused as such
-        for old in [1, 2, 3] {
+        for old in [1, 2, 3, 4] {
             fs::write(
                 dir.join("manifest.json"),
                 manifest.replace(
@@ -1345,7 +1273,6 @@ mod tests {
             nonce: 1,
             heartbeat: 0,
             manifest_fingerprint: 0,
-            healing: false,
         };
         if let Some(token) = process_start_token(1) {
             // pid 1 is always alive; a stamp with another start token is

@@ -14,13 +14,15 @@
 //!    claims, leases left mid-flight — the survivors steal exactly the
 //!    orphaned leases over unfinished shards (`fleet.lease.steal`
 //!    telemetry counts match), sweep the dead leases left over done
-//!    shards, heal the dead workers' quarantined shards, and the merge
-//!    is still byte-identical, with the shared `AnswerStore` free of
-//!    corrupted or conflicting records (the chaos storm scan, extended
-//!    to the fleet's shared store);
+//!    shards, and the merge is still byte-identical, with the shared
+//!    `AnswerStore` free of corrupted or conflicting records (the chaos
+//!    storm scan, extended to the fleet's shared store);
 //! 3. a **stalled** live worker (heartbeat frozen) loses its lease too;
 //! 4. `merge` refuses mismatched spec fingerprints, incomplete fleets
-//!    and directories of another fleet format with structured errors.
+//!    and directories of another fleet format with structured errors;
+//! 5. a claim heals its panicked rows before it commits, so a
+//!    **genuine** panic, which a calm re-run hits again, ends in the
+//!    table a single-process run records, not in a livelock.
 //!
 //! Subprocess workers re-exec this test binary: the
 //! `fleet_worker_subprocess_entry` "test" is a no-op unless
@@ -33,21 +35,22 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use chipvqa::core::question::Question;
 use chipvqa::core::DatasetSpec;
 use chipvqa::eval::executor::{ShardSource, SHARD_SIZE};
-use chipvqa::eval::fault::install_quiet_panic_hook;
+use chipvqa::eval::fault::{install_quiet_panic_hook, InjectedPanic};
 use chipvqa::eval::fleet::{
-    self, done_path, lease_path, quarantine_path, FleetConfig, FleetError, FleetJob, Lease,
-    ShardRecord, FLEET_FORMAT_VERSION,
+    self, done_path, lease_path, FleetConfig, FleetError, FleetJob, Lease, ShardRecord,
+    FLEET_FORMAT_VERSION,
 };
 use chipvqa::eval::harness::{EvalOptions, EvalReport};
 use chipvqa::eval::report::Table2;
 use chipvqa::eval::store::{decode_segment, AnswerStore, StoreConfig};
 use chipvqa::eval::{
-    AnswerCache, Checkpoint, FaultPlan, ParallelExecutor, RuleJudge, RunMismatch, Supervisor,
+    AnswerCache, Checkpoint, FaultPlan, Judge, ParallelExecutor, RuleJudge, RunMismatch, Supervisor,
 };
 use chipvqa::models::{ModelZoo, VlmPipeline};
 use chipvqa::telemetry::{MemorySink, MockClock, Telemetry};
@@ -203,11 +206,22 @@ fn a_lone_worker_generates_and_perceives_what_a_single_process_run_does() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The rule judge, about 2 ms slower per verdict: a claim's 64
+/// verdicts hold its lease long enough that a `kill -9` reliably lands
+/// while a lease is held.
+struct PacedJudge;
+
+impl Judge for PacedJudge {
+    fn is_correct(&self, question: &Question, response: &str) -> bool {
+        std::thread::sleep(Duration::from_millis(2));
+        RuleJudge::new().is_correct(question, response)
+    }
+}
+
 /// Re-exec entry point: joins the fleet named by
 /// `CHIPVQA_FLEET_WORKER_DIR` (no-op when unset, i.e. in a normal test
 /// run). The worker shares the store at `DIR/store`, runs the chaos
-/// grid's fleet at `DIR/fleet`, paced by `CHIPVQA_FLEET_POST_CLAIM_MS`
-/// so a `kill -9` reliably lands while a lease is held, optionally
+/// grid's fleet at `DIR/fleet` with the [`PacedJudge`], optionally
 /// under a panic-only fault plan (`CHIPVQA_FLEET_PANIC_RATE`).
 #[test]
 fn fleet_worker_subprocess_entry() {
@@ -216,10 +230,6 @@ fn fleet_worker_subprocess_entry() {
     };
     install_quiet_panic_hook();
     let dir = PathBuf::from(dir);
-    let post_claim_ms: u64 = std::env::var("CHIPVQA_FLEET_POST_CLAIM_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
     let panic_rate: f64 = std::env::var("CHIPVQA_FLEET_PANIC_RATE")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -247,10 +257,9 @@ fn fleet_worker_subprocess_entry() {
     let config = FleetConfig {
         heartbeat_interval: Duration::from_millis(25),
         idle_backoff: Duration::from_millis(5),
-        post_claim_delay: Duration::from_millis(post_claim_ms),
         ..FleetConfig::default()
     };
-    fleet::run_worker(&dir.join("fleet"), &exec, &job, &RuleJudge::new(), &config)
+    fleet::run_worker(&dir.join("fleet"), &exec, &job, &PacedJudge, &config)
         .expect("subprocess worker runs");
     std::process::exit(0);
 }
@@ -289,7 +298,7 @@ fn done_records(fleet_dir: &Path) -> usize {
     })
 }
 
-fn spawn_worker(dir: &Path, post_claim_ms: u64, panic_rate: f64) -> std::process::Child {
+fn spawn_worker(dir: &Path, panic_rate: f64) -> std::process::Child {
     Command::new(std::env::current_exe().expect("own binary"))
         .args([
             "fleet_worker_subprocess_entry",
@@ -298,7 +307,6 @@ fn spawn_worker(dir: &Path, post_claim_ms: u64, panic_rate: f64) -> std::process
             "--nocapture",
         ])
         .env("CHIPVQA_FLEET_WORKER_DIR", dir)
-        .env("CHIPVQA_FLEET_POST_CLAIM_MS", post_claim_ms.to_string())
         .env("CHIPVQA_FLEET_PANIC_RATE", panic_rate.to_string())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -308,10 +316,10 @@ fn spawn_worker(dir: &Path, post_claim_ms: u64, panic_rate: f64) -> std::process
 
 /// Contract 2, the headline: three real subprocess workers, each
 /// `kill -9`'d once the fleet's `done/` holds a seeded number of the 18
-/// claims (at most 12, so work is always left), leases and quarantines
-/// left as wreckage. A fresh worker steals exactly the orphaned leases
-/// (telemetry counts match), heals the dead workers' quarantined
-/// shards, and the merged table is byte-identical to the single-process
+/// claims (at most 12, so work is always left), leases left as
+/// wreckage. A fresh worker steals exactly the orphaned leases
+/// (telemetry counts match), sweeps the dead leases over done shards,
+/// and the merged table is byte-identical to the single-process
 /// reference — with the shared store clean.
 #[test]
 fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() {
@@ -324,9 +332,9 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     // a panic-prone worker plus two calm ones, paced so kills land
     // while leases are held
     let mut children = [
-        spawn_worker(&dir, 150, 0.35),
-        spawn_worker(&dir, 150, 0.0),
-        spawn_worker(&dir, 150, 0.0),
+        spawn_worker(&dir, 0.35),
+        spawn_worker(&dir, 0.0),
+        spawn_worker(&dir, 0.0),
     ];
     // kill thresholds: rising, one to four records apart, the last at
     // most 12 of 18
@@ -349,8 +357,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     }
 
     // fabricate the one piece of wreckage the schedule can't guarantee:
-    // a dead worker's lease over a shard it had already quarantined —
-    // the steal-then-heal path must cope with it regardless
+    // a dead worker's lease over an unfinished shard
     let job = job(&pipes, &spec);
     let claims = job.claims();
     let manifest_fp = {
@@ -370,43 +377,25 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
         nonce: 7,
         heartbeat: 3,
         manifest_fingerprint: manifest_fp,
-        healing: false,
     };
     fs::write(
         lease_path(&fleet_dir, open_idx),
         serde_json::to_string(&wreck).expect("serializes"),
     )
     .expect("plants wreck lease");
-    if !quarantine_path(&fleet_dir, open_idx).exists() {
-        let degraded = ShardRecord {
-            manifest_fingerprint: manifest_fp,
-            quarantined: true,
-            worker_pid: dead_pids[0],
-            rows: Vec::new(),
-        };
-        fs::write(
-            quarantine_path(&fleet_dir, open_idx),
-            serde_json::to_string(&degraded).expect("serializes"),
-        )
-        .expect("plants quarantine");
-    }
 
     // exact wreckage census, after the fabrication: the finisher must
-    // steal every orphan lease over an unfinished shard, sweep every
+    // steal every orphan lease over an unfinished shard and sweep every
     // lease left over a done shard (by a worker killed between its done
     // commit and its lease release: no claim looks at a done shard, so
-    // no steal can count it), and heal every orphan quarantine
+    // no steal can count it)
     let orphan_leases = (0..claims)
         .filter(|&i| lease_path(&fleet_dir, i).exists() && !done_path(&fleet_dir, i).exists())
         .count();
     let done_leases = (0..claims)
         .filter(|&i| lease_path(&fleet_dir, i).exists() && done_path(&fleet_dir, i).exists())
         .count();
-    let orphan_quarantines = (0..claims)
-        .filter(|&i| quarantine_path(&fleet_dir, i).exists() && !done_path(&fleet_dir, i).exists())
-        .count();
     assert!(orphan_leases >= 1, "census includes the fabricated lease");
-    assert!(orphan_quarantines >= 1, "census includes the quarantine");
 
     // the finisher: calm, instrumented, sharing the same store
     let sink = Arc::new(MemorySink::new());
@@ -441,10 +430,6 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
     assert_eq!(
         outcome.leases_swept, done_leases,
         "every dead lease over a done shard swept (seed {seed})"
-    );
-    assert_eq!(
-        outcome.shards_healed, orphan_quarantines,
-        "every orphan quarantine healed calm (seed {seed})"
     );
     let counters = tele.snapshot().counters;
     assert_eq!(
@@ -506,7 +491,7 @@ fn kill_nine_storm_steals_orphan_leases_heals_quarantine_and_merges_identical() 
 /// Writes `job`'s manifest into a fresh fleet directory, as a first
 /// worker would.
 fn plant_manifest(dir: &Path, job: &FleetJob<'_>) -> u64 {
-    for sub in ["leases", "done", "quarantine"] {
+    for sub in ["leases", "done"] {
         fs::create_dir_all(dir.join(sub)).expect("mkdir");
     }
     let manifest = job.manifest();
@@ -530,7 +515,6 @@ fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
     let victim = dead_pid();
     let done = ShardRecord {
         manifest_fingerprint: manifest_fp,
-        quarantined: false,
         worker_pid: victim,
         rows: Vec::new(),
     };
@@ -546,7 +530,6 @@ fn a_dead_holders_lease_over_a_done_shard_is_swept_not_stolen() {
         nonce: 99,
         heartbeat: 0,
         manifest_fingerprint: manifest_fp,
-        healing: false,
     };
     fs::write(
         lease_path(&dir, 0),
@@ -599,7 +582,6 @@ fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
         nonce: 424_242,
         heartbeat: 9,
         manifest_fingerprint: manifest_fp,
-        healing: false,
     };
     fs::write(
         lease_path(&dir, 0),
@@ -617,7 +599,6 @@ fn stalled_heartbeat_lease_is_stolen_with_reason_stalled() {
         heartbeat_interval: Duration::from_millis(20),
         stall_timeout: Duration::ZERO, // stalled on the second look
         idle_backoff: Duration::from_millis(2),
-        ..FleetConfig::default()
     };
     let outcome =
         fleet::run_worker(&dir, &exec, &job, &RuleJudge::new(), &config).expect("worker runs");
@@ -691,7 +672,7 @@ fn merge_refusals_are_structured() {
 /// The fleet's healing semantics match the checkpoint layer's
 /// `requeue_quarantined`: a supervised checkpointed run of each column,
 /// requeued and resumed calm, converges to the same bytes as a
-/// supervised fleet that heals its own quarantined claims. The plan
+/// supervised fleet that heals its claims' panicked rows. The plan
 /// injects every fault kind, so the rows a heal keeps carry supervised
 /// outcomes a calm re-run would not: only a heal that re-runs exactly
 /// the panicked (row, shard) pairs matches.
@@ -725,7 +706,7 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
     );
     let via_checkpoint = table_bytes(table);
 
-    // fleet path: one supervised worker (self-heals on later passes)
+    // fleet path: one supervised worker (heals inside each claim)
     let dir = tmp_dir("heal-parity");
     let job = job(&pipes, &spec);
     let config = FleetConfig {
@@ -740,6 +721,71 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
         merged_bytes(&dir, &job),
         via_checkpoint,
         "fleet healing and checkpoint requeue converge to the same bytes"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A judge with a bug on one question: it panics there on every run, as
+/// a genuine panic does.
+struct PanicsOn(&'static str);
+
+impl Judge for PanicsOn {
+    fn is_correct(&self, question: &Question, response: &str) -> bool {
+        if question.id == self.0 {
+            std::panic::panic_any(InjectedPanic {
+                fingerprint: 0,
+                question_id: question.id.clone(),
+            });
+        }
+        RuleJudge::new().is_correct(question, response)
+    }
+}
+
+/// Contract 5: an unsupervised worker over a grid whose judge panics on
+/// one question re-runs that claim's panicked rows, which panic again,
+/// and commits them: the merge equals the degraded single-process
+/// table. A fleet that set such a claim aside for a later heal would
+/// re-claim it forever, so the worker runs behind a timeout.
+#[test]
+fn a_genuine_panic_is_committed_where_it_is_caught_and_merges_like_one_process() {
+    install_quiet_panic_hook();
+    let (pipes, spec) = grid();
+    let judge = PanicsOn("digital-003");
+    let (table, _) = ParallelExecutor::new(2).evaluate_table2(
+        &pipes,
+        &spec,
+        SHARD_SIZE,
+        EvalOptions::default(),
+        &judge,
+    );
+    assert!(table.is_degraded(), "the judge bug degrades the table");
+    let reference = table_bytes(table);
+
+    let dir = tmp_dir("genuine-panic");
+    let (done, finished) = mpsc::channel();
+    let worker_dir = dir.clone();
+    // not scoped: a livelocked worker cannot be joined, only left behind
+    let worker = std::thread::spawn(move || {
+        let (pipes, spec) = grid();
+        let config = FleetConfig {
+            heartbeat_interval: Duration::from_millis(20),
+            idle_backoff: Duration::from_millis(2),
+            ..FleetConfig::default()
+        };
+        let exec = ParallelExecutor::new(2);
+        let outcome = fleet::run_worker(&worker_dir, &exec, &job(&pipes, &spec), &judge, &config);
+        let _ = done.send(outcome);
+    });
+    let outcome = finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the worker finishes: a genuine panic must not livelock its claim");
+    worker.join().expect("worker thread");
+    let outcome = outcome.expect("worker runs");
+    assert!(outcome.shards_healed >= 1, "the panicked claim re-ran calm");
+    assert_eq!(
+        merged_bytes(&dir, &job(&pipes, &spec)),
+        reference,
+        "the fleet commits the WorkerPanic outcomes one process records"
     );
     let _ = fs::remove_dir_all(&dir);
 }

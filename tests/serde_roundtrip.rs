@@ -537,7 +537,6 @@ mod byte_contract {
             .collect();
         direct_equals_tree(&ShardRecord {
             manifest_fingerprint: u64::MAX - 7,
-            quarantined: true,
             worker_pid: 4242,
             rows,
         })
