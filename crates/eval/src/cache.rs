@@ -468,10 +468,7 @@ mod tests {
             truncate_rate: 0.45,
             ..FaultPlan::none()
         })
-        .with_recovery(RecoveryPolicy {
-            max_retries: 1,
-            ..RecoveryPolicy::default()
-        });
+        .with_recovery(RecoveryPolicy { max_retries: 1 });
         let fp = pipe.fingerprint();
         let recovered = bench
             .iter()

@@ -317,8 +317,11 @@ impl ParallelExecutor {
     /// worker — with the number of shards dispatched so far; once it
     /// returns true no further shard starts, and the ones already
     /// dispatched (at most one per worker) finish and are recorded.
-    /// Returns the merged reports once the checkpoint covers the whole
-    /// grid, `None` while work remains.
+    /// `on_shard` is called once with the key of every shard the call
+    /// runs, on the worker that finished it, right after the shard is
+    /// recorded. Returns the merged reports once the checkpoint covers
+    /// the whole grid, `None` while work remains.
+    #[allow(clippy::too_many_arguments)]
     pub fn evaluate_checkpointed(
         &self,
         pipes: &[VlmPipeline],
@@ -327,13 +330,17 @@ impl ParallelExecutor {
         judge: &dyn Judge,
         checkpoint: &mut Checkpoint,
         stop: &mut (dyn FnMut(usize) -> bool + Send),
+        on_shard: &(dyn Fn(ShardKey) + Sync),
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
         checkpoint.validate_source(pipes, source, options)?;
         let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();
         let finished = Mutex::new(Vec::new());
         let sink = |key, outcomes| {
-            let mut finished = finished.lock().expect("finished shards lock");
-            finished.push((key, outcomes));
+            finished
+                .lock()
+                .expect("finished shards lock")
+                .push((key, outcomes));
+            on_shard(key);
         };
         let select = |k: &ShardKey| !done.contains(k);
         self.run(pipes, source, None, options, judge, &select, stop, &sink);
@@ -397,6 +404,7 @@ mod tests {
             &RuleJudge::new(),
             checkpoint,
             &mut budget,
+            &|_| {},
         )
     }
 
@@ -435,6 +443,64 @@ mod tests {
         for (pipe, report) in pipes.iter().zip(&resumed) {
             assert_eq!(&evaluate(pipe, &bench, options), report);
         }
+    }
+
+    /// Over a 2-model spec source, a call stopped by a dispatch budget
+    /// hands the hook each shard it recorded once, and the resume hands
+    /// it exactly the plan keys the first call lacked.
+    #[test]
+    fn the_shard_hook_reports_each_recorded_shard_exactly_once() {
+        let spec = DatasetSpec::default();
+        let source = ShardSource::Spec(&spec, 16);
+        let pipes = pipes();
+        let exec = ParallelExecutor::new(2);
+        let options = EvalOptions::default();
+        let sorted = |mut keys: Vec<ShardKey>| {
+            keys.sort_by_key(|k| (k.model_idx, k.q_start));
+            keys
+        };
+        let reported = Mutex::new(Vec::new());
+        let hook = |key| reported.lock().expect("hook lock").push(key);
+        let run = |checkpoint: &mut Checkpoint, max_shards: Option<usize>| {
+            let mut budget = |dispatched: usize| max_shards.is_some_and(|max| dispatched >= max);
+            let out = exec
+                .evaluate_checkpointed(
+                    &pipes,
+                    source,
+                    options,
+                    &RuleJudge::new(),
+                    checkpoint,
+                    &mut budget,
+                    &hook,
+                )
+                .expect("valid");
+            (
+                out,
+                sorted(std::mem::take(&mut *reported.lock().expect("hook lock"))),
+            )
+        };
+
+        let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+        let (out, first) = run(&mut ckpt, Some(5));
+        assert!(out.is_none(), "run is incomplete after 5 shards");
+        assert_eq!(first.len(), 5);
+        let recorded = sorted(ckpt.completed.iter().map(|d| d.key).collect());
+        assert_eq!(first, recorded, "each recorded shard is reported once");
+
+        let (out, rest) = run(&mut ckpt, None);
+        assert!(out.is_some(), "the resume completes the grid");
+        let plan = sorted(source.plan(pipes.len()));
+        let pending: Vec<ShardKey> = plan
+            .iter()
+            .copied()
+            .filter(|k| !first.contains(k))
+            .collect();
+        assert_eq!(rest, pending, "the resume reports exactly the missing keys");
+        assert_eq!(
+            sorted([first, rest].concat()),
+            plan,
+            "no key is reported twice"
+        );
     }
 
     #[test]

@@ -44,9 +44,8 @@
 //!   collections;
 //! * a [`RetryPolicy`] that re-queries a flaky judge (e.g.
 //!   [`NoisyJudge`](crate::noisy::NoisyJudge)) several times per verdict
-//!   and takes the majority, with seeded exponential backoff between
-//!   attempts. The default policy (one attempt, no backoff) reproduces
-//!   single-shot judging bit-for-bit;
+//!   and takes the majority. The default policy (one attempt)
+//!   reproduces single-shot judging bit-for-bit;
 //! * a [`Supervisor`] that hardens the run against infrastructure
 //!   failure: per-call deadlines, bounded retries and a per-model
 //!   windowed circuit breaker. The producer drives one
@@ -93,21 +92,11 @@ pub struct RetryPolicy {
     /// Judge queries per verdict; the majority wins (ties fall to the
     /// first attempt, so `attempts = 1` is exactly single-shot judging).
     pub attempts: u64,
-    /// Base backoff before each re-query, in milliseconds; attempt `i`
-    /// waits `backoff_base_ms << (i - 1)` plus seeded jitter. Zero (the
-    /// default) disables sleeping, which is right for in-process judges.
-    pub backoff_base_ms: u64,
-    /// Seed for the backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            attempts: 1,
-            backoff_base_ms: 0,
-            seed: 0,
-        }
+        RetryPolicy { attempts: 1 }
     }
 }
 
@@ -115,31 +104,25 @@ impl RetryPolicy {
     /// Majority vote over `attempts` queries of a possibly-flaky judge.
     pub fn with_attempts(attempts: u64) -> Self {
         assert!(attempts >= 1, "at least one judge attempt required");
-        RetryPolicy {
-            attempts,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { attempts }
     }
 
     /// Judges `response` under this policy.
     pub fn judged(&self, judge: &dyn Judge, question: &Question, response: &str) -> bool {
         let verdict = |attempt| Ok::<_, Infallible>(judge.verdict(question, response, attempt));
-        self.vote(question, verdict)
-            .unwrap_or_else(|never| match never {})
+        self.vote(verdict).unwrap_or_else(|never| match never {})
     }
 
-    /// Majority vote over `attempts` verdicts drawn from `verdict`, with
-    /// backoff between draws; the first error aborts the vote. Strict
-    /// majority wins, ties fall to the first attempt.
+    /// Majority vote over `attempts` verdicts drawn from `verdict`; the
+    /// first error aborts the vote. Strict majority wins, ties fall to
+    /// the first attempt.
     pub(crate) fn vote<E>(
         &self,
-        question: &Question,
         mut verdict: impl FnMut(u64) -> Result<bool, E>,
     ) -> Result<bool, E> {
         let first = verdict(0)?;
         let mut yes = u64::from(first);
         for attempt in 1..self.attempts {
-            backoff_sleep(self.backoff_base_ms, self.seed, &question.id, attempt);
             yes += u64::from(verdict(attempt)?);
         }
         Ok(if 2 * yes == self.attempts {
@@ -148,24 +131,6 @@ impl RetryPolicy {
             2 * yes > self.attempts
         })
     }
-}
-
-/// Sleeps the backoff before retry `attempt` (>= 1): the base
-/// `base_ms << (attempt - 1)` plus seeded jitter in `[0, base)`,
-/// deterministic per (seed, question, attempt) so reruns sleep
-/// identically. Zero `base_ms` disables sleeping. Shared by
-/// [`RetryPolicy`] and the [`Supervisor`]'s recovery backoff.
-pub(crate) fn backoff_sleep(base_ms: u64, seed: u64, question_id: &str, attempt: u64) {
-    if base_ms == 0 {
-        return;
-    }
-    let base = base_ms << (attempt - 1).min(16);
-    let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
-    for b in question_id.bytes().chain(attempt.to_le_bytes()) {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    std::thread::sleep(std::time::Duration::from_millis(base + h % base));
 }
 
 /// One shard of a grid: a contiguous question range of one model — the
@@ -1216,10 +1181,9 @@ fn eval_question(
             let _span = tele.span("judge");
             let response = answer.text.as_str();
             match sup {
-                Some(sup) => retry.vote(q, |attempt| {
-                    sup.verdict(judge, fingerprint, q, response, attempt, tele)
-                }),
-                None => retry.vote(q, |attempt| Ok(judge.verdict(q, response, attempt))),
+                Some(sup) => retry
+                    .vote(|attempt| sup.verdict(judge, fingerprint, q, response, attempt, tele)),
+                None => retry.vote(|attempt| Ok(judge.verdict(q, response, attempt))),
             }
         };
         match judged {
@@ -1706,6 +1670,7 @@ mod tests {
                 &RuleJudge::new(),
                 ckpt,
                 &mut |_| false,
+                &|_| {},
             )
             .expect("valid checkpoint")
             .expect("grid completes")
@@ -1764,6 +1729,7 @@ mod tests {
                 &RuleJudge::new(),
                 &mut ckpt,
                 &mut stop,
+                &|_| {},
             )
         }));
         assert!(caught.is_err(), "the producer panic propagates");
@@ -1886,6 +1852,7 @@ mod tests {
                 &RuleJudge::new(),
                 &mut ckpt,
                 &mut |_| finished.load(Ordering::SeqCst),
+                &|_| {},
             )
             .expect("a fresh checkpoint matches its run");
         assert!(partial.is_none(), "the stop ended the run early");

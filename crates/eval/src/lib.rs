@@ -27,8 +27,8 @@
 //! For *in-run* resilience, [`fault`] provides a deterministic, seeded
 //! fault-injection harness (timeouts, truncated/garbled responses,
 //! rate-limit bursts, transient errors, worker panics) and
-//! [`supervisor`] the recovery side: deadlines, bounded jittered
-//! retries, per-model *windowed* circuit breakers, and panic isolation.
+//! [`supervisor`] the recovery side: deadlines, bounded retries,
+//! per-model *windowed* circuit breakers, and panic isolation.
 //! Supervision works on both the materialized grid path and streaming
 //! intake ([`evaluate_spec_stream`](executor::ParallelExecutor::evaluate_spec_stream))
 //! with byte-identical reports. Failures that exhaust recovery become a

@@ -3,11 +3,10 @@
 //! [`Supervisor`] sits between the executor's per-question loop and the
 //! fallible outside world ([`VlmPipeline::infer`] and [`Judge::verdict`]
 //! calls, with faults injected by a [`FaultInjector`]). It enforces a
-//! per-call deadline, retries transient failures with bounded, seeded,
-//! jittered backoff (the same jitter stream as
-//! [`RetryPolicy`](crate::executor::RetryPolicy)), and runs one
-//! three-state [`CircuitBreaker`] per model so a persistently failing
-//! backend is shed instead of burning the whole grid's time budget.
+//! per-call deadline, retries transient failures a bounded number of
+//! times, and runs one three-state [`CircuitBreaker`] per model so a
+//! persistently failing backend is shed instead of burning the whole
+//! grid's time budget.
 //!
 //! Failures that exhaust recovery become a structured [`EvalError`]
 //! recorded on the question's outcome — a degraded report says exactly
@@ -39,7 +38,7 @@ use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{AnswerCache, CachedAnswer};
-use crate::executor::{backoff_sleep, LegibilitySlots};
+use crate::executor::LegibilitySlots;
 use crate::fault::{
     CallKey, CallSite, FaultInjector, FaultKind, FaultPlan, InjectedPanic, StreamCoord,
 };
@@ -109,22 +108,11 @@ pub struct RecoveryPolicy {
     /// Retries after the first attempt (so a call is made at most
     /// `max_retries + 1` times).
     pub max_retries: u64,
-    /// Base backoff before retry `r`, growing as `base << (r - 1)` with
-    /// seeded jitter (the [`RetryPolicy`](crate::executor::RetryPolicy)
-    /// stream). Zero disables sleeping — right for simulated faults and
-    /// tests.
-    pub backoff_base_ms: u64,
-    /// Seed for the backoff jitter.
-    pub seed: u64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 2,
-            backoff_base_ms: 0,
-            seed: 0,
-        }
+        RecoveryPolicy { max_retries: 2 }
     }
 }
 
@@ -380,8 +368,8 @@ impl Default for Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor injecting `plan`, with default recovery (2 retries,
-    /// no sleep), a 30 s deadline and default breaker tuning.
+    /// A supervisor injecting `plan`, with default recovery (2 retries),
+    /// a 30 s deadline and default breaker tuning.
     pub fn new(plan: FaultPlan) -> Self {
         Supervisor {
             injector: FaultInjector::new(plan),
@@ -405,11 +393,6 @@ impl Supervisor {
     /// The fault plan being injected.
     pub fn plan(&self) -> &FaultPlan {
         self.injector.plan()
-    }
-
-    /// The recovery policy.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.recovery
     }
 
     /// First-attempt health of one `(model, question)` cell: the terminal
@@ -564,11 +547,11 @@ impl Supervisor {
     }
 
     /// One supervised call at `site` (model fingerprint, call site,
-    /// attempt): a fault is drawn per recovery attempt, with backoff
-    /// between attempts, until one draws clean and runs `clean`. Every
-    /// fault is recorded; an injected [`FaultKind::WorkerPanic`]
-    /// genuinely panics, any other fault keeps `faulted`'s evidence, and
-    /// exhausting recovery returns the last fault's error with it.
+    /// attempt): a fault is drawn per recovery attempt until one draws
+    /// clean and runs `clean`. Every fault is recorded; an injected
+    /// [`FaultKind::WorkerPanic`] genuinely panics, any other fault keeps
+    /// `faulted`'s evidence, and exhausting recovery returns the last
+    /// fault's error with it.
     fn call<T, D>(
         &self,
         question: &Question,
@@ -580,8 +563,6 @@ impl Supervisor {
         let mut last = None;
         for recovery in 0..=self.recovery.max_retries {
             if recovery > 0 {
-                let policy = self.recovery;
-                backoff_sleep(policy.backoff_base_ms, policy.seed, &question.id, recovery);
                 tele.counter("supervisor.retry", 1);
             }
             let key = CallKey {
@@ -944,10 +925,7 @@ mod tests {
         let bench = ChipVqa::standard();
         let pipe = chipvqa_models::VlmPipeline::new(ModelZoo::gpt4o());
         let sup = Supervisor::new(FaultPlan::none().with_broken_model(pipe.fingerprint()))
-            .with_recovery(RecoveryPolicy {
-                max_retries: 1,
-                ..RecoveryPolicy::default()
-            });
+            .with_recovery(RecoveryPolicy { max_retries: 1 });
         let q = &bench.questions()[0];
         let (err, degraded) = sup
             .infer(
@@ -1055,10 +1033,7 @@ mod tests {
             seed: 9,
             ..FaultPlan::none()
         })
-        .with_recovery(RecoveryPolicy {
-            max_retries: 1,
-            ..RecoveryPolicy::default()
-        });
+        .with_recovery(RecoveryPolicy { max_retries: 1 });
         let sink = Arc::new(MemorySink::new());
         let tele = chipvqa_telemetry::Telemetry::builder()
             .clock(MockClock::new(1))

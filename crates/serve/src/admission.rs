@@ -211,7 +211,6 @@ impl AdmissionController {
     /// queue capacity.
     pub fn offer(&mut self, id: SessionId, tenant: &str) -> Result<(), ShedReason> {
         self.stats.offered += 1;
-        let before = self.breaker_mut(tenant).state();
         if !self.breaker_mut(tenant).allow() {
             self.stats.shed_breaker_open += 1;
             return Err(ShedReason::TenantBreakerOpen {
@@ -220,7 +219,6 @@ impl AdmissionController {
         }
         // allow() may have flipped Open → HalfOpen; that transition is
         // the probe the shed budget paid for, so the probe proceeds.
-        let _ = before;
         let in_flight = self.tenant_in_flight(tenant);
         if in_flight >= self.config.tenant_in_flight_limit {
             self.stats.shed_tenant_saturated += 1;

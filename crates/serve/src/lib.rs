@@ -19,7 +19,7 @@
 //!   answer-cache plane (optionally store-backed) for cross-session
 //!   batching, heartbeat/stall detection, graceful drop-guard shutdown.
 //! - [`progress`] — per-shard [`ProgressEvent`]
-//!   stream sourced from the executor's existing telemetry spans.
+//!   stream, fed by the engine's per-shard hook.
 //! - [`latency`] — p50/p95/p99 summaries the `chipvqa-load` generator
 //!   writes to `BENCH_service.json`.
 

@@ -1,23 +1,19 @@
 //! Streamed per-shard progress events.
 //!
-//! Progress is not a new instrumentation layer: the executor already
-//! emits a `stream.shard` span (with `model`/`q_start`/`q_end`
-//! annotations) for every shard it completes, into whatever
-//! [`Telemetry`] handle it carries. The service gives each running
-//! session its own handle whose sink — a
-//! [`FnSink`] built by
-//! [`session_progress_telemetry`] — converts those spans into
-//! [`ProgressEvent::Shard`]s on the service's [`ProgressHub`].
+//! Progress is not a new instrumentation layer: the engine's
+//! checkpointed entry point
+//! ([`evaluate_checkpointed`](chipvqa_eval::ParallelExecutor::evaluate_checkpointed))
+//! hands the key of every shard it records to a hook, and a session's
+//! hook publishes one [`ProgressEvent::Shard`] per key on the service's
+//! [`ProgressHub`].
 //!
 //! The hub is a replaying broadcast channel: subscribers get the full
 //! backlog first (a late subscriber misses nothing), then live events
 //! as they happen. Dead receivers are pruned on the next publish.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
-use chipvqa_telemetry::{FnSink, Telemetry, TraceRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::session::{SessionId, SessionState};
@@ -135,45 +131,6 @@ impl std::fmt::Debug for ProgressHub {
     }
 }
 
-/// Builds the per-session [`Telemetry`] handle whose sink turns the
-/// executor's `stream.shard` spans into [`ProgressEvent::Shard`]s.
-///
-/// `done` carries the session's completed-shard count (pre-seeded with
-/// the checkpoint's count on resume, so a resumed session's events
-/// continue the sequence instead of restarting at 1). `epoch` is bumped
-/// on every shard — the heartbeat's stall detector watches it.
-pub fn session_progress_telemetry(
-    hub: Arc<ProgressHub>,
-    session: SessionId,
-    shards_total: usize,
-    done: Arc<AtomicUsize>,
-    epoch: Arc<AtomicU64>,
-) -> Telemetry {
-    let sink = FnSink::new(move |record: &TraceRecord| {
-        if record.name() != "stream.shard" {
-            return;
-        }
-        let (Some(model), Some(q_start), Some(q_end)) = (
-            record.get("model"),
-            record.get("q_start").and_then(|v| v.parse().ok()),
-            record.get("q_end").and_then(|v| v.parse().ok()),
-        ) else {
-            return;
-        };
-        let shards_done = done.fetch_add(1, Ordering::SeqCst) + 1;
-        epoch.fetch_add(1, Ordering::SeqCst);
-        hub.publish(ProgressEvent::Shard {
-            session,
-            model: model.to_string(),
-            q_start,
-            q_end,
-            shards_done,
-            shards_total,
-        });
-    });
-    Telemetry::builder().sink(Arc::new(sink)).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,60 +170,6 @@ mod tests {
         let live = hub.subscribe();
         hub.publish(state_event(1, SessionState::Running));
         assert_eq!(live.try_iter().count(), 2);
-    }
-
-    #[test]
-    fn shard_spans_become_progress_events() {
-        use chipvqa_core::ChipVqa;
-        use chipvqa_eval::harness::EvalOptions;
-        use chipvqa_eval::ParallelExecutor;
-        use chipvqa_models::{ModelZoo, VlmPipeline};
-
-        let hub = Arc::new(ProgressHub::new());
-        let done = Arc::new(AtomicUsize::new(0));
-        let epoch = Arc::new(AtomicU64::new(0));
-        let bench = ChipVqa::standard();
-        let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
-        let tele = session_progress_telemetry(
-            Arc::clone(&hub),
-            SessionId(7),
-            9,
-            Arc::clone(&done),
-            Arc::clone(&epoch),
-        );
-        let rx = hub.subscribe();
-        ParallelExecutor::new(2).with_telemetry(tele).evaluate_grid(
-            &pipes,
-            &bench,
-            EvalOptions::default(),
-            &chipvqa_eval::RuleJudge::new(),
-        );
-
-        // 142 questions / 16-question shards → 9 shards
-        let events: Vec<ProgressEvent> = rx.try_iter().collect();
-        assert_eq!(events.len(), 9);
-        assert_eq!(done.load(Ordering::SeqCst), 9);
-        assert_eq!(epoch.load(Ordering::SeqCst), 9);
-        let mut dones: Vec<usize> = events
-            .iter()
-            .map(|e| match e {
-                ProgressEvent::Shard {
-                    session,
-                    model,
-                    shards_done,
-                    shards_total,
-                    ..
-                } => {
-                    assert_eq!(*session, SessionId(7));
-                    assert_eq!(model, "GPT4o");
-                    assert_eq!(*shards_total, 9);
-                    *shards_done
-                }
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        dones.sort_unstable();
-        assert_eq!(dones, (1..=9).collect::<Vec<usize>>());
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use chipvqa_eval::cache::AnswerCache;
 use chipvqa_eval::checkpoint::Checkpoint;
-use chipvqa_eval::executor::{ParallelExecutor, ShardSource, SHARD_SIZE};
+use chipvqa_eval::executor::{ParallelExecutor, ShardKey, ShardSource, SHARD_SIZE};
 use chipvqa_eval::judge::RuleJudge;
 use chipvqa_eval::store::AnswerStore;
 use chipvqa_eval::CacheStats;
@@ -65,7 +65,7 @@ use serde::{Deserialize, Serialize};
 use crate::admission::{
     AdmissionConfig, AdmissionController, AdmissionStats, SessionOutcome, ShedReason,
 };
-use crate::progress::{session_progress_telemetry, ProgressEvent, ProgressHub};
+use crate::progress::{ProgressEvent, ProgressHub};
 use crate::session::{
     SessionError, SessionId, SessionReport, SessionRequest, SessionSnapshot, SessionState,
 };
@@ -159,11 +159,10 @@ struct SessionEntry {
     checkpoint: Option<Checkpoint>,
     report: Option<SessionReport>,
     error: Option<String>,
+    /// Bumped by the engine's shard hook on every shard; the
+    /// heartbeat's stall detector watches it.
     shards_done: Arc<AtomicUsize>,
     shards_total: usize,
-    /// Bumped by the progress sink on every shard; the heartbeat's
-    /// stall detector watches it.
-    progress_epoch: Arc<AtomicU64>,
     submitted_at: Instant,
     queue_wait_ns: Option<u64>,
     total_ns: Option<u64>,
@@ -209,7 +208,7 @@ struct Shared {
     hb_gate: Mutex<()>,
     hb_cv: Condvar,
     stop: AtomicBool,
-    hub: Arc<ProgressHub>,
+    hub: ProgressHub,
     cache: Arc<AnswerCache>,
     heartbeats: AtomicU64,
 }
@@ -264,7 +263,7 @@ impl EvalService {
             hb_gate: Mutex::new(()),
             hb_cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            hub: Arc::new(ProgressHub::new()),
+            hub: ProgressHub::new(),
             cache: Arc::new(cache),
             heartbeats: AtomicU64::new(0),
             config,
@@ -315,7 +314,6 @@ impl EvalService {
                 error: None,
                 shards_done: Arc::new(AtomicUsize::new(0)),
                 shards_total: 0,
-                progress_epoch: Arc::new(AtomicU64::new(0)),
                 submitted_at: Instant::now(),
                 queue_wait_ns: None,
                 total_ns: None,
@@ -557,7 +555,7 @@ fn runner_loop(shared: &Shared) {
 /// Runs one admitted session to a terminal state.
 fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
     // Claim the entry's run context under the lock, then work unlocked.
-    let (request, cancel, taken_checkpoint, shards_done, epoch) = {
+    let (request, cancel, taken_checkpoint, shards_done) = {
         let mut st = lock(&shared.state);
         let entry = st.sessions.get_mut(&id).expect("admitted session exists");
         entry.state = SessionState::Admitted;
@@ -568,7 +566,6 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
             Arc::clone(&entry.cancel),
             entry.checkpoint.take(),
             Arc::clone(&entry.shards_done),
-            Arc::clone(&entry.progress_epoch),
         )
     };
 
@@ -603,16 +600,8 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         shared.publish_state(id, SessionState::Running);
     }
 
-    let telemetry = session_progress_telemetry(
-        Arc::clone(&shared.hub),
-        id,
-        shards_total,
-        shards_done,
-        epoch,
-    );
-    let mut executor = ParallelExecutor::new(shared.config.workers)
-        .with_cache(Arc::clone(&shared.cache))
-        .with_telemetry(telemetry);
+    let mut executor =
+        ParallelExecutor::new(shared.config.workers).with_cache(Arc::clone(&shared.cache));
     if let Some(plan) = &request.fault_plan {
         executor = executor.with_supervisor(chipvqa_eval::Supervisor::new(plan.clone()));
     }
@@ -628,6 +617,19 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         }
         cancel.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst)
     };
+    // called on the worker that recorded the shard; a resumed session's
+    // count continues from its checkpoint's
+    let on_shard = |key: ShardKey| {
+        let done = shards_done.fetch_add(1, Ordering::SeqCst) + 1;
+        shared.hub.publish(ProgressEvent::Shard {
+            session: id,
+            model: pipes[key.model_idx].profile().name.clone(),
+            q_start: key.q_start,
+            q_end: key.q_end,
+            shards_done: done,
+            shards_total,
+        });
+    };
     let judge = RuleJudge::new();
     // a resumed checkpoint that no longer matches its models,
     // collection, options or shard plan is refused by the engine
@@ -640,6 +642,7 @@ fn run_session(shared: &Shared, id: SessionId, tenant: &str) {
         &judge,
         &mut checkpoint,
         &mut stop,
+        &on_shard,
     ) {
         Ok(Some(reports)) => finish_done(shared, id, tenant, SessionReport::new(reports)),
         Ok(None) => finish_cancelled(shared, id, tenant, checkpoint),
@@ -688,9 +691,9 @@ fn finish_failed(shared: &Shared, id: SessionId, tenant: &str, error: String) {
 }
 
 /// Heartbeat: periodic liveness tick plus stall detection over the
-/// sessions' progress epochs.
+/// sessions' completed-shard counts.
 fn heartbeat_loop(shared: &Shared) {
-    let mut watched: HashMap<SessionId, (u64, Instant)> = HashMap::new();
+    let mut watched: HashMap<SessionId, (usize, Instant)> = HashMap::new();
     loop {
         {
             let gate = lock(&shared.hb_gate);
@@ -716,10 +719,10 @@ fn heartbeat_loop(shared: &Shared) {
                 if entry.state != SessionState::Running {
                     continue;
                 }
-                let epoch = entry.progress_epoch.load(Ordering::SeqCst);
-                let slot = watched.entry(*id).or_insert((epoch, now));
-                if slot.0 != epoch {
-                    *slot = (epoch, now);
+                let done = entry.shards_done.load(Ordering::SeqCst);
+                let slot = watched.entry(*id).or_insert((done, now));
+                if slot.0 != done {
+                    *slot = (done, now);
                 } else if now.duration_since(slot.1) >= shared.config.stall_after {
                     stalled.push((*id, now.duration_since(slot.1).as_millis() as u64));
                     // restart the window so one stall is one event per

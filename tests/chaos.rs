@@ -221,6 +221,7 @@ fn panic_quarantine_then_requeue_resumes_to_a_clean_report() {
             &RuleJudge::new(),
             &mut ckpt,
             &mut |_| false,
+            &|_| {},
         )
         .expect("compatible checkpoint")
         .expect("no budget, runs to completion");
@@ -245,6 +246,7 @@ fn panic_quarantine_then_requeue_resumes_to_a_clean_report() {
             &RuleJudge::new(),
             &mut ckpt,
             &mut |_| false,
+            &|_| {},
         )
         .expect("compatible checkpoint")
         .expect("runs to completion");
@@ -283,6 +285,7 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
             &RuleJudge::new(),
             &mut ckpt,
             &mut |_| false,
+            &|_| {},
         )
         .expect("compatible checkpoint")
         .expect("no budget, runs to completion");
@@ -320,6 +323,7 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
             &RuleJudge::new(),
             &mut ckpt,
             &mut |_| false,
+            &|_| {},
         )
         .expect("compatible checkpoint")
         .expect("runs to completion");
@@ -383,6 +387,7 @@ fn scaled_streamed_quarantine_and_requeue_heal_a_1420_question_storm() {
             &RuleJudge::new(),
             ckpt,
             &mut |_| false,
+            &|_| {},
         )
         .expect("compatible checkpoint")
         .expect("runs to completion")

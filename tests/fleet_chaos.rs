@@ -691,12 +691,28 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
         let mut cp = Checkpoint::for_source(&pipes, source, options);
         let judge = RuleJudge::new();
         supervised
-            .evaluate_checkpointed(&pipes, source, options, &judge, &mut cp, &mut |_| false)
+            .evaluate_checkpointed(
+                &pipes,
+                source,
+                options,
+                &judge,
+                &mut cp,
+                &mut |_| false,
+                &|_| {},
+            )
             .expect("supervised pass");
         assert!(cp.requeue_quarantined() > 0, "the plan quarantines shards");
-        calm.evaluate_checkpointed(&pipes, source, options, &judge, &mut cp, &mut |_| false)
-            .expect("calm resume")
-            .expect("grid completes")
+        calm.evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &judge,
+            &mut cp,
+            &mut |_| false,
+            &|_| {},
+        )
+        .expect("calm resume")
+        .expect("grid completes")
     };
     let challenge = spec.clone().with_mc_sa_ratio(0.0);
     let table = Table2::from_columns([column(&spec), column(&challenge)].concat());

@@ -111,6 +111,7 @@ fn interrupted_grid_resume_matches_sequential() {
                 &RuleJudge::new(),
                 &mut ckpt,
                 &mut |dispatched| dispatched >= 2,
+                &|_| {},
             )
             .expect("compatible checkpoint")
         {

@@ -346,7 +346,15 @@ fn a_resume_generates_only_its_pending_shards() {
     let exec = ParallelExecutor::new(2);
     let mut full = Checkpoint::for_source(&pipes, source, options);
     let reference = exec
-        .evaluate_checkpointed(&pipes, source, options, &judge, &mut full, &mut |_| false)
+        .evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &judge,
+            &mut full,
+            &mut |_| false,
+            &|_| {},
+        )
         .expect("valid checkpoint")
         .expect("grid completes");
     let shards = spec.total().div_ceil(shard_len);
@@ -357,9 +365,15 @@ fn a_resume_generates_only_its_pending_shards() {
             .retain(|s| s.key.q_start < done * shard_len);
         let tele = Telemetry::recording();
         let reports = (exec.clone().with_telemetry(tele.clone()))
-            .evaluate_checkpointed(&pipes, source, options, &judge, &mut resumed, &mut |_| {
-                false
-            })
+            .evaluate_checkpointed(
+                &pipes,
+                source,
+                options,
+                &judge,
+                &mut resumed,
+                &mut |_| false,
+                &|_| {},
+            )
             .expect("valid checkpoint")
             .expect("grid completes");
         assert_eq!(reports, reference, "{done} shards done");

@@ -66,6 +66,7 @@ fn checkpoint_json_roundtrip_mid_run() {
             &RuleJudge::new(),
             &mut ckpt,
             &mut |dispatched| dispatched >= 4,
+            &|_| {},
         )
         .expect("compatible");
     assert!(partial.is_none(), "4 of 18 shards is not a full grid");
@@ -584,6 +585,7 @@ mod byte_contract {
                 &RuleJudge::new(),
                 &mut ckpt,
                 &mut |dispatched| dispatched >= 5,
+                &|_| {},
             )
             .expect("compatible");
         assert!(ckpt.completed_shards() >= 5);

@@ -5,6 +5,7 @@
 //! cross-session answer sharing without cross-spec collisions, fault
 //! plans on every intake path, and the progress event stream.
 
+use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
@@ -504,6 +505,68 @@ fn progress_stream_narrates_the_full_lifecycle() {
         .collect();
     shard_counts.sort_unstable();
     assert_eq!(shard_counts, (1..=9).collect::<Vec<usize>>());
+    service.shutdown().expect("clean stop");
+}
+
+/// Every model of a multi-model session reports each of its shards once,
+/// under its own name, and the shared count runs 1..=shards_total.
+#[test]
+fn multi_model_sessions_report_every_shard_of_every_model() {
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    let models = vec![ModelZoo::gpt4o(), ModelZoo::llava_7b(), ModelZoo::fuyu_8b()];
+    let rx = service.subscribe();
+    let id = service
+        .submit(SessionRequest {
+            tenant: "trio".to_string(),
+            models: models.clone(),
+            spec: DatasetSpec::default(),
+            options: EvalOptions::default(),
+            fault_plan: None,
+            stream_shard_len: None,
+        })
+        .expect("accepted");
+    assert_eq!(
+        service.wait(id, WAIT).expect("terminates"),
+        SessionState::Done
+    );
+
+    // 142 questions in 16-question shards: 9 per model
+    let shards_total = 3 * 9;
+    let mut ranges: HashMap<String, Vec<(usize, usize)>> = HashMap::new();
+    let mut counts = Vec::new();
+    for event in rx.try_iter() {
+        if let ProgressEvent::Shard {
+            session,
+            model,
+            q_start,
+            q_end,
+            shards_done,
+            shards_total: total,
+        } = event
+        {
+            assert_eq!(session, id);
+            assert_eq!(total, shards_total);
+            ranges.entry(model).or_default().push((q_start, q_end));
+            counts.push(shards_done);
+        }
+    }
+    counts.sort_unstable();
+    assert_eq!(counts, (1..=shards_total).collect::<Vec<usize>>());
+    let every_shard: Vec<(usize, usize)> = (0..142)
+        .step_by(16)
+        .map(|q| (q, (q + 16).min(142)))
+        .collect();
+    assert_eq!(ranges.len(), models.len(), "no event under a foreign name");
+    for profile in &models {
+        let mut got = ranges.remove(&profile.name).expect("the model reports");
+        got.sort_unstable();
+        assert_eq!(got, every_shard, "{} reports each shard once", profile.name);
+    }
     service.shutdown().expect("clean stop");
 }
 

@@ -199,6 +199,7 @@ fn streamed_panic_quarantine_heals_by_requeue_to_clean_bytes() {
             &RuleJudge::new(),
             ckpt,
             &mut |_| false,
+            &|_| {},
         )
         .expect("compatible checkpoint")
         .expect("runs to completion")
