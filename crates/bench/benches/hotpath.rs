@@ -1,8 +1,8 @@
 //! Hot-path benches for the compute side of the perf trajectory:
 //! raster primitives, per-substrate render time, per-category
-//! generation, patch-grid perception, cache-hit replay, executor
-//! worker scaling, and scaled build-vs-stream — everything the
-//! streamed `table2 --scale N` grid spends its time in.
+//! generation, patch-grid perception, cache-hit replay, rule judging,
+//! executor worker scaling, and scaled build-vs-stream — everything
+//! the streamed `table2 --scale N` grid spends its time in.
 //!
 //! Run with `CRITERION_JSON=… cargo bench -p chipvqa-bench --bench
 //! hotpath` to append machine-readable trend lines (the source of
@@ -19,9 +19,9 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use chipvqa_bench::run_table2_on;
-use chipvqa_core::{ChipVqa, DatasetSpec, BASE_SIZE};
+use chipvqa_core::{no_choice, ChipVqa, DatasetSpec, BASE_SIZE};
 use chipvqa_eval::harness::EvalOptions;
-use chipvqa_eval::{AnswerCache, ParallelExecutor};
+use chipvqa_eval::{AnswerCache, Judge, ParallelExecutor, RuleJudge};
 use chipvqa_logic::builders::full_adder;
 use chipvqa_logic::render::{
     render_kmap, render_schematic, render_state_table, render_truth_table, render_waveform,
@@ -209,6 +209,33 @@ fn bench_executor_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// The rule judge over every (question, response) pair of a scale-1
+/// Table II grid: the twelve zoo models on the with-choice column and
+/// its no-choice twin, 3,408 verdicts per iteration. The responses are
+/// inferred before the timer starts.
+fn bench_rule_judge(c: &mut Criterion) {
+    let standard = DatasetSpec::scaled(1).build();
+    let twin = no_choice(standard.questions());
+    let mut pairs = Vec::new();
+    for pipe in ModelZoo::all().into_iter().map(VlmPipeline::new) {
+        for q in standard.questions().iter().chain(&twin) {
+            pairs.push((q, pipe.infer(q, 1, 0).text));
+        }
+    }
+    assert_eq!(pairs.len(), 12 * 2 * 142);
+    let judge = RuleJudge::new();
+    let mut group = c.benchmark_group("hotpath_judge");
+    group.bench_function("rule_judge_3408", |b| {
+        b.iter(|| {
+            black_box(&pairs)
+                .iter()
+                .filter(|(q, response)| judge.is_correct(q, response))
+                .count()
+        })
+    });
+    group.finish();
+}
+
 fn bench_build_vs_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_stream");
     group.sample_size(10);
@@ -259,6 +286,7 @@ criterion_group!(
     bench_generators,
     bench_encoder,
     bench_executor_scaling,
+    bench_rule_judge,
     bench_build_vs_stream,
     bench_streamed_table2_macro,
 );

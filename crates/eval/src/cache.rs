@@ -152,10 +152,15 @@ pub struct CachedAnswer {
     pub solve_probability: f64,
 }
 
-impl From<&ModelResponse> for CachedAnswer {
-    fn from(resp: &ModelResponse) -> Self {
+impl From<ModelResponse> for CachedAnswer {
+    /// Takes the response's text without copying it, shrunk to its
+    /// length: a formatted answer carries spare capacity, and an answer
+    /// lives on in its outcome until the run's report is written.
+    fn from(resp: ModelResponse) -> Self {
+        let mut text = resp.text;
+        text.shrink_to_fit();
         CachedAnswer {
-            text: resp.text.clone(),
+            text,
             path: resp.path,
             solve_probability: resp.solve_probability,
         }
@@ -385,7 +390,7 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
         let resp = pipe.infer(q, 1, 0);
-        cache.insert(key.clone(), CachedAnswer::from(&resp));
+        cache.insert(key.clone(), CachedAnswer::from(resp.clone()));
         let hit = cache.lookup(&key).expect("inserted");
         assert_eq!(hit.text, resp.text);
         assert_eq!(hit.path, resp.path);
@@ -399,7 +404,7 @@ mod tests {
         let cache = AnswerCache::new();
         for q in bench.iter().take(3) {
             let key = CacheKey::new(pipe.fingerprint(), q, 1, 0);
-            cache.insert(key, CachedAnswer::from(&pipe.infer(q, 1, 0)));
+            cache.insert(key, CachedAnswer::from(pipe.infer(q, 1, 0)));
         }
         let q0 = &bench.questions()[0];
         let key0 = CacheKey::new(pipe.fingerprint(), q0, 1, 0);
@@ -424,7 +429,7 @@ mod tests {
         let cache = AnswerCache::new().with_store(Arc::clone(&store));
         for q in bench.iter().take(3) {
             let key = CacheKey::new(pipe.fingerprint(), q, 1, 0);
-            cache.insert(key, CachedAnswer::from(&pipe.infer(q, 1, 0)));
+            cache.insert(key, CachedAnswer::from(pipe.infer(q, 1, 0)));
         }
         assert_eq!(cache.len(), store.len());
         assert_eq!(cache.len(), 3);
@@ -492,6 +497,7 @@ mod tests {
                 &pipe,
                 recovered,
                 &crate::executor::LegibilitySlots::new(recovered, std::slice::from_ref(&pipe), 1),
+                &std::sync::OnceLock::new(),
                 1,
                 0,
                 Some(&cache),

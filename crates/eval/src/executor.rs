@@ -468,7 +468,9 @@ impl ParallelExecutor {
     ///
     /// Every shard carries one [`LegibilitySlots`] per question, shared
     /// by all rows and by the twin, filled on the first cache miss that
-    /// reads a slot, and dropped with the shard's last item.
+    /// reads a slot, and dropped with the shard's last item. The shard
+    /// and its twin each carry one prompt-hash slot per question, filled
+    /// on a cache-attached worker by the first lookup that keys it.
     ///
     /// The run is bounded by resident shards: the producer takes a
     /// permit before it generates (or slices) a shard, queues all of the
@@ -548,7 +550,6 @@ impl ParallelExecutor {
             })
             .min()
             .unwrap_or(0);
-        let fingerprints: Vec<u64> = pipes.iter().map(VlmPipeline::fingerprint).collect();
         // dropped however the run ends, emitting its lifetime gauges
         let mut producer = Producer {
             walk: match source {
@@ -587,7 +588,7 @@ impl ParallelExecutor {
             for _ in 0..workers {
                 let dispatch = Arc::clone(&dispatch);
                 let (in_flight, quarantined) = (&in_flight, &quarantined);
-                let (fingerprints, residency) = (&fingerprints, &residency);
+                let residency = &residency;
                 scope.spawn(move || loop {
                     // a worker whose stop hook panicked poisons the lock:
                     // the others stop too
@@ -617,12 +618,13 @@ impl ParallelExecutor {
                         .questions
                         .iter()
                         .zip(shard.resident.legibility.iter())
+                        .zip(shard.prompt_hashes.iter())
                         .enumerate()
-                        .map(|(offset, (q, legibility))| {
+                        .map(|(offset, ((q, legibility), prompt_hash))| {
                             let _t = tele.timer("executor.question_ns");
                             let _q_span = tele.span("executor.question");
                             if let Some(admit) = admits.as_ref().map(|a| a[offset]) {
-                                admit.report(tele, fingerprints[model_idx], &q.id);
+                                admit.report(tele, pipe.fingerprint(), &q.id);
                                 if !admit.allowed {
                                     return failed_outcome(q, EvalError::BreakerOpen);
                                 }
@@ -632,6 +634,7 @@ impl ParallelExecutor {
                                     pipe,
                                     q,
                                     legibility,
+                                    prompt_hash,
                                     options,
                                     judge,
                                     &retry,
@@ -699,7 +702,7 @@ impl ParallelExecutor {
                         let skip = wb.next_index().saturating_sub(q_start);
                         questions[skip.min(questions.len())..]
                             .iter()
-                            .map(|q| sup.decide(wb, fingerprints[row % models], &q.id))
+                            .map(|q| sup.decide(wb, pipes[row % models].fingerprint(), &q.id))
                             .collect::<Vec<Admit>>()
                     });
                     let key = ShardKey {
@@ -746,12 +749,18 @@ impl ParallelExecutor {
 /// breaker decisions when supervised.
 type Item<'a> = (ShardKey, Shard<'a>, Option<Vec<Admit>>);
 
-/// A shard as workers see it: its questions, what it shares with its
-/// twin while resident, and the dataset fingerprint its answers are
-/// cached under. Every item of the shard holds a clone.
+/// A shard as workers see it: its questions with their prompt hashes,
+/// what it shares with its twin while resident, and the dataset
+/// fingerprint its answers are cached under. Every item of the shard
+/// holds a clone.
 #[derive(Clone)]
 struct Shard<'a> {
     questions: ShardQuestions<'a>,
+    /// One [`prompt_hash`](crate::cache::prompt_hash) slot per question,
+    /// filled by the first cache lookup that keys it, so a storeless run
+    /// never hashes a prompt and a cached one hashes each once per
+    /// column, not once per model.
+    prompt_hashes: Arc<[OnceLock<u64>]>,
     resident: Arc<Resident<'a>>,
     dataset_fp: u64,
 }
@@ -779,6 +788,7 @@ impl<'a> Shard<'a> {
             .map(|q| LegibilitySlots::new(q, pipes, downsample))
             .collect();
         Shard {
+            prompt_hashes: empty_slots(questions.len()),
             questions,
             resident: Arc::new(Resident {
                 legibility,
@@ -790,14 +800,21 @@ impl<'a> Shard<'a> {
 
     /// The shard's [`no_choice`] twin, keyed with `dataset_fp`: same ids,
     /// same pixels, same key marks, so it shares the legibility slots
-    /// (and the permit).
+    /// (and the permit); its prompts lost their choices, so it has
+    /// prompt-hash slots of its own.
     fn no_choice_twin(&self, dataset_fp: u64) -> Shard<'a> {
         Shard {
             questions: ShardQuestions::Generated(Arc::new(no_choice(&self.questions))),
+            prompt_hashes: empty_slots(self.questions.len()),
             resident: Arc::clone(&self.resident),
             dataset_fp,
         }
     }
+}
+
+/// `n` empty prompt-hash slots.
+fn empty_slots(n: usize) -> Arc<[OnceLock<u64>]> {
+    (0..n).map(|_| OnceLock::new()).collect()
 }
 
 /// The workers' side of the queue: whoever holds the lock takes the
@@ -1132,12 +1149,15 @@ impl Reports {
 /// failure at any site aborts the question with a structured error
 /// (degraded truncated/garbled evidence is kept as the recorded
 /// response). Inference reads `q`'s legibility from its shard's slots;
-/// `dataset_fp` keys the cache to the source's dataset (0 = canonical).
+/// the cache key takes `q`'s prompt hash from its slot and `dataset_fp`,
+/// the source's dataset (0 = canonical). The first attempt's answer
+/// text moves into the outcome.
 #[allow(clippy::too_many_arguments)]
 fn eval_question(
     pipe: &VlmPipeline,
     q: &Question,
     legibility: &LegibilitySlots,
+    prompt_hash: &OnceLock<u64>,
     options: EvalOptions,
     judge: &dyn Judge,
     retry: &RetryPolicy,
@@ -1146,7 +1166,6 @@ fn eval_question(
     tele: &Telemetry,
     dataset_fp: u64,
 ) -> QuestionOutcome {
-    let fingerprint = pipe.fingerprint();
     let mut passed = false;
     let mut first_response = String::new();
     let mut first_path = AnswerPath::Failed;
@@ -1155,10 +1174,26 @@ fn eval_question(
         let downsample = options.downsample;
         let answer = match sup {
             Some(sup) => sup.infer(
-                pipe, q, legibility, downsample, attempt, cache, tele, dataset_fp,
+                pipe,
+                q,
+                legibility,
+                prompt_hash,
+                downsample,
+                attempt,
+                cache,
+                tele,
+                dataset_fp,
             ),
             None => Ok(infer_cached_for(
-                pipe, q, legibility, downsample, attempt, cache, tele, dataset_fp,
+                pipe,
+                q,
+                legibility,
+                prompt_hash,
+                downsample,
+                attempt,
+                cache,
+                tele,
+                dataset_fp,
             )),
         };
         let answer = match answer {
@@ -1173,19 +1208,20 @@ fn eval_question(
                 break;
             }
         };
-        if attempt == 0 {
-            first_response = answer.text.clone();
-            first_path = answer.path;
-        }
         let judged = {
             let _span = tele.span("judge");
             let response = answer.text.as_str();
             match sup {
-                Some(sup) => retry
-                    .vote(|attempt| sup.verdict(judge, fingerprint, q, response, attempt, tele)),
+                Some(sup) => retry.vote(|attempt| {
+                    sup.verdict(judge, pipe.fingerprint(), q, response, attempt, tele)
+                }),
                 None => retry.vote(|attempt| Ok(judge.verdict(q, response, attempt))),
             }
         };
+        if attempt == 0 {
+            first_response = answer.text;
+            first_path = answer.path;
+        }
         match judged {
             Ok(true) => {
                 passed = true;
@@ -1241,11 +1277,15 @@ fn failed_outcome(q: &Question, error: EvalError) -> QuestionOutcome {
 /// Cache-interposed inference, keyed to a spec fingerprint so answers
 /// for spec-generated collections never cross specs (0 = canonical). A
 /// miss infers through `q`'s legibility slots; a hit never reads them.
+/// The key is [`CacheKey::for_dataset`]'s, with `q`'s prompt hash read
+/// from `prompt_hash` (computed there first if the slot is empty); a
+/// run without a cache never computes it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn infer_cached_for(
     pipe: &VlmPipeline,
     q: &Question,
     legibility: &LegibilitySlots,
+    prompt_hash: &OnceLock<u64>,
     downsample: usize,
     attempt: u64,
     cache: Option<&AnswerCache>,
@@ -1254,9 +1294,16 @@ pub(crate) fn infer_cached_for(
 ) -> CachedAnswer {
     let Some(cache) = cache else {
         let _span = tele.span("inference");
-        return CachedAnswer::from(&legibility.infer(pipe, q, downsample, attempt, tele));
+        return CachedAnswer::from(legibility.infer(pipe, q, downsample, attempt, tele));
     };
-    let key = CacheKey::for_dataset(pipe.fingerprint(), dataset_fp, q, downsample, attempt);
+    let key = CacheKey {
+        model_fingerprint: pipe.fingerprint(),
+        question_id: q.id.clone(),
+        prompt_hash: *prompt_hash.get_or_init(|| crate::cache::prompt_hash(q)),
+        downsample,
+        attempt,
+        dataset_fingerprint: dataset_fp,
+    };
     if let Some(hit) = cache.lookup(&key) {
         tele.counter("cache.hit", 1);
         return hit;
@@ -1264,7 +1311,7 @@ pub(crate) fn infer_cached_for(
     tele.counter("cache.miss", 1);
     let answer = {
         let _span = tele.span("inference");
-        CachedAnswer::from(&legibility.infer(pipe, q, downsample, attempt, tele))
+        CachedAnswer::from(legibility.infer(pipe, q, downsample, attempt, tele))
     };
     cache.insert(key, answer.clone());
     tele.counter("cache.insert", 1);

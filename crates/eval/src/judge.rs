@@ -72,19 +72,20 @@ impl RuleJudge {
                     })
             }
             AnswerSpec::BoolExpr { canonical } => {
-                let Ok(gold) = Expr::parse(canonical) else {
-                    return false;
-                };
-                // strip a leading "Q =" / "F =" style binding
+                // strip a leading "Q =" / "F =" style binding; the gold
+                // is parsed only once the response parses
                 let rhs = response
                     .split_once('=')
                     .map(|(_, r)| r)
                     .unwrap_or(response)
                     .trim();
-                match Expr::parse(rhs) {
-                    Ok(e) => e.equivalent(&gold).unwrap_or(false),
-                    Err(_) => false,
-                }
+                let Ok(e) = Expr::parse(rhs) else {
+                    return false;
+                };
+                let Ok(gold) = Expr::parse(canonical) else {
+                    return false;
+                };
+                e.equivalent(&gold).unwrap_or(false)
             }
         }
     }

@@ -2,28 +2,23 @@
 //! comparing a model response to the golden answer.
 
 /// Lowercases, trims, strips leading articles and surrounding
-/// punctuation, and collapses whitespace.
+/// punctuation, and collapses whitespace. Lowercases the whole text
+/// once (so a word-final `Σ` becomes `ς`) and writes its words, joined
+/// by one space, into one output buffer.
 pub fn normalize_text(s: &str) -> String {
-    let lowered = s.trim().to_lowercase();
-    let stripped: String = lowered
-        .chars()
-        .map(|c| {
-            if c.is_alphanumeric() || c == '.' || c == '-' || c == '+' || c == '\'' {
-                c
-            } else {
-                ' '
-            }
-        })
-        .collect();
-    let mut words: Vec<&str> = stripped.split_whitespace().collect();
-    while let Some(first) = words.first() {
-        if ["a", "an", "the"].contains(first) {
-            words.remove(0);
-        } else {
-            break;
+    let lowered = s.to_lowercase();
+    let mut out = String::with_capacity(lowered.len());
+    let words = lowered
+        .split(|c: char| !(c.is_alphanumeric() || matches!(c, '.' | '-' | '+' | '\'')))
+        .filter(|word| !word.is_empty())
+        .skip_while(|word| matches!(*word, "a" | "an" | "the"));
+    for word in words {
+        if !out.is_empty() {
+            out.push(' ');
         }
+        out.push_str(word);
     }
-    words.join(" ")
+    out
 }
 
 /// Extracts an MC option letter from typical response shapes:
@@ -38,21 +33,20 @@ pub fn extract_choice_letter(s: &str) -> Option<char> {
         }
     }
     // leading "b)", "b.", "b:" or a lone letter
-    let first = lower.split_whitespace().next()?;
-    let head: Vec<char> = first.chars().collect();
-    if head.len() <= 2
-        && ('a'..='d').contains(&head[0])
-        && (head.len() == 1 || matches!(head[1], ')' | '.' | ':'))
+    let mut head = lower.split_whitespace().next()?.chars();
+    if let (Some(letter @ 'a'..='d'), None | Some(')' | '.' | ':'), None) =
+        (head.next(), head.next(), head.next())
     {
-        return Some(head[0]);
+        return Some(letter);
     }
     // "answer is b" / "answer: b"
     if let Some(pos) = lower.find("answer") {
         let tail = &lower[pos..];
         for token in tail.split_whitespace().skip(1).take(3) {
-            let t: Vec<char> = token.chars().collect();
-            if t.len() <= 2 && ('a'..='d').contains(&t[0]) {
-                return Some(t[0]);
+            let mut chars = token.chars();
+            if let (Some(letter @ 'a'..='d'), _, None) = (chars.next(), chars.next(), chars.next())
+            {
+                return Some(letter);
             }
         }
     }
@@ -91,6 +85,158 @@ pub fn extract_number(s: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The allocation-per-step `normalize_text` the one-buffer version
+    /// replaced: the reference the differential test holds it to.
+    fn reference_normalize_text(s: &str) -> String {
+        let lowered = s.trim().to_lowercase();
+        let stripped: String = lowered
+            .chars()
+            .map(|c| {
+                if c.is_alphanumeric() || c == '.' || c == '-' || c == '+' || c == '\'' {
+                    c
+                } else {
+                    ' '
+                }
+            })
+            .collect();
+        let mut words: Vec<&str> = stripped.split_whitespace().collect();
+        while let Some(first) = words.first() {
+            if ["a", "an", "the"].contains(first) {
+                words.remove(0);
+            } else {
+                break;
+            }
+        }
+        words.join(" ")
+    }
+
+    /// The `Vec<char>` `extract_choice_letter` the current one replaced.
+    fn reference_extract_choice_letter(s: &str) -> Option<char> {
+        let lower = s.trim().to_lowercase();
+        let bytes = lower.as_bytes();
+        for i in 0..bytes.len().saturating_sub(2) {
+            if bytes[i] == b'(' && bytes[i + 2] == b')' && (b'a'..=b'd').contains(&bytes[i + 1]) {
+                return Some(bytes[i + 1] as char);
+            }
+        }
+        let first = lower.split_whitespace().next()?;
+        let head: Vec<char> = first.chars().collect();
+        if head.len() <= 2
+            && ('a'..='d').contains(&head[0])
+            && (head.len() == 1 || matches!(head[1], ')' | '.' | ':'))
+        {
+            return Some(head[0]);
+        }
+        if let Some(pos) = lower.find("answer") {
+            let tail = &lower[pos..];
+            for token in tail.split_whitespace().skip(1).take(3) {
+                let t: Vec<char> = token.chars().collect();
+                if t.len() <= 2 && ('a'..='d').contains(&t[0]) {
+                    return Some(t[0]);
+                }
+            }
+        }
+        None
+    }
+
+    /// Pieces a response is built from: ASCII letters of both cases
+    /// (the option letters most), digits, the punctuation the rules
+    /// look at, every char `char::is_whitespace` accepts, the words the
+    /// rules key on, and non-ASCII text whose lowercasing is not
+    /// char-by-char (`Σ` ending a word, `İ`) or leaves ASCII (`µ`, `Ω`,
+    /// full-width letters).
+    fn piece() -> impl Strategy<Value = String> {
+        static PIECES: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        proptest::sample::select(PIECES.get_or_init(pieces).clone())
+    }
+
+    fn pieces() -> Vec<String> {
+        let mut pieces: Vec<String> = ('a'..='z').chain('A'..='Z').map(String::from).collect();
+        pieces.extend(["a", "b", "c", "d", "A", "B", "C", "D"].map(String::from));
+        pieces.extend(('0'..='9').map(String::from));
+        pieces.extend("().,:;=+-'".chars().map(String::from));
+        pieces.extend(
+            (0..=u32::from(char::MAX))
+                .filter_map(char::from_u32)
+                .filter(|c| c.is_whitespace())
+                .map(String::from),
+        );
+        pieces.extend([" ", " "].map(String::from));
+        pieces.extend(
+            "answer Answer ANSWER: is (b) (C) b) D. a: the An half-adder S'Q 2-to-1 \
+             ΟΔΟΣ Σ ΣΑ İ µ Ω Ａ ｂ Ｃ ｄ"
+                .split_whitespace()
+                .map(String::from),
+        );
+        pieces
+    }
+
+    /// A run of leading articles in mixed case, each followed by a
+    /// space, a tab or a no-break space.
+    fn articles() -> impl Strategy<Value = String> {
+        let article = proptest::sample::select(
+            ["a", "A", "an", "An", "aN", "the", "The", "THE", "tHe"].to_vec(),
+        );
+        let gap = proptest::sample::select([" ", "\t", "\u{a0}", "  "].to_vec());
+        proptest::collection::vec((article, gap), 0..4).prop_map(|run| {
+            run.into_iter()
+                .map(|(article, gap)| format!("{article}{gap}"))
+                .collect()
+        })
+    }
+
+    /// Half the time nothing, else an option-letter token's start: a
+    /// letter near `a`–`d` in either case and the mark after it.
+    fn letter_lead() -> impl Strategy<Value = String> {
+        let letter = proptest::sample::select("aAbBcCdDeE".chars().collect::<Vec<_>>());
+        let mark = proptest::sample::select(["", ")", ".", ":", ";", "x"].to_vec());
+        prop_oneof![
+            Just(String::new()),
+            (letter, mark).prop_map(|(letter, mark)| format!("{letter}{mark}")),
+        ]
+    }
+
+    fn response() -> impl Strategy<Value = String> {
+        let rest = proptest::collection::vec(piece(), 0..16);
+        (articles(), letter_lead(), rest)
+            .prop_map(|(articles, lead, rest)| articles + &lead + &rest.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn text_functions_match_their_references(s in response()) {
+            prop_assert_eq!(normalize_text(&s), reference_normalize_text(&s), "{:?}", s);
+            prop_assert_eq!(
+                extract_choice_letter(&s),
+                reference_extract_choice_letter(&s),
+                "{:?}",
+                s
+            );
+        }
+    }
+
+    #[test]
+    fn unicode_lowercasing_keeps_its_context() {
+        for s in [
+            "ΟΔΟΣ ΟΔΟΣ.",
+            " İstanbul ",
+            "µΩ ａＢ",
+            "The  ΣΑ\u{a0}Σ",
+            "\x0bA) x",
+        ] {
+            assert_eq!(normalize_text(s), reference_normalize_text(s), "{s:?}");
+            assert_eq!(
+                extract_choice_letter(s),
+                reference_extract_choice_letter(s),
+                "{s:?}"
+            );
+        }
+        assert_eq!(normalize_text("ΟΔΟΣ ΟΔΟΣ."), "οδος οδος.");
+    }
 
     #[test]
     fn text_normalisation() {

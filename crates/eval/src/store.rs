@@ -50,15 +50,16 @@
 //! answer's size; the record's length is in its header. A lookup hashes
 //! the key, reads the record through its segment's read-ahead block
 //! (one [`READ_BLOCK_BYTES`] buffer per segment, refilled from the
-//! record's offset when the record is not in it), compares the record's
-//! key bytes with its own, checks the header's key hash against its
-//! hash and the payload checksum continued from it, and decodes only
-//! that answer. So two keys whose hashes collide never cross answers:
-//! the loser's lookup is a miss, and its re-inserted record takes the
-//! index entry. A record still in the handle's write buffer is flushed
-//! before it is read. Positions never move: a handle appends only to
-//! its own active segment, the last one it knows, and no segment is
-//! ever truncated.
+//! record's offset when the record is not in it) and, where the record
+//! sits in the block, under the lock the read took, compares its key
+//! bytes with its own, checks the header's key hash against its hash
+//! and the payload checksum continued from it, and decodes only that
+//! answer: the answer text is the one copy a hit makes. So two keys
+//! whose hashes collide never cross answers: the loser's lookup is a
+//! miss, and its re-inserted record takes the index entry. A record
+//! still in the handle's write buffer is flushed before it is read.
+//! Positions never move: a handle appends only to its own active
+//! segment, the last one it knows, and no segment is ever truncated.
 //!
 //! # Format versions
 //!
@@ -685,14 +686,15 @@ impl AnswerStore {
             .collect()
     }
 
-    /// A copy of the record at store position `pos`: its header, then
-    /// the length the header gives.
-    fn read_record(&self, inner: &mut Inner, pos: u64) -> io::Result<Vec<u8>> {
+    /// The record at store position `pos` where it sits in its
+    /// segment's read-ahead block: its header, then the length the
+    /// header gives. Unchecked; callers check it under the same lock.
+    fn read_record<'a>(&self, inner: &'a mut Inner, pos: u64) -> io::Result<&'a [u8]> {
         let slot = inner.segments.partition_point(|s| s.start <= pos) - 1;
         let offset = pos - inner.segments[slot].start;
         let header = self.read_span(inner, slot, offset, RECORD_HEADER_BYTES)?;
         let len = RECORD_HEADER_BYTES + le_u32(header, 4) as usize;
-        Ok(self.read_span(inner, slot, offset, len)?.to_vec())
+        self.read_span(inner, slot, offset, len)
     }
 
     /// `len` bytes at `offset` of segment `slot`, read through the
@@ -740,17 +742,16 @@ impl AnswerStore {
     }
 
     /// The answer stored under `key`, if its record is intact and holds
-    /// exactly this key. The key is hashed once: for the index, and as
-    /// the start of the record's checksums.
+    /// exactly this key, checked and decoded where it sits in the block.
+    /// The key is hashed once: for the index, and as the start of the
+    /// record's checksums.
     fn find(&self, key: &CacheKey) -> Option<CachedAnswer> {
         let key_bytes = key.canonical_bytes();
         let khash = fnv1a64(&key_bytes);
-        let record = {
-            let mut inner = lock_inner(&self.inner);
-            let pos = *inner.index.get(&khash)?;
-            self.read_record(&mut inner, pos).ok()?
-        };
-        check_record(&record, Some((&key_bytes, khash))).map(|record| record.answer())
+        let mut inner = lock_inner(&self.inner);
+        let pos = *inner.index.get(&khash)?;
+        let record = self.read_record(&mut inner, pos).ok()?;
+        check_record(record, Some((&key_bytes, khash))).map(|record| record.answer())
     }
 
     /// Looks up one answer on disk: the index locates its record, which
@@ -793,10 +794,11 @@ impl AnswerStore {
         let khash = le_u64(&record, 8);
         let mut inner = lock_inner(&self.inner);
         if let Some(&pos) = inner.index.get(&khash) {
-            // encoding is deterministic: equal bytes, same key and answer
+            // encoding is deterministic: bytes equal to this well-formed
+            // record are the same key and answer, intact
             if self
                 .read_record(&mut inner, pos)
-                .is_ok_and(|stored| stored == record)
+                .is_ok_and(|stored| stored == record.as_slice())
             {
                 return false;
             }
@@ -847,8 +849,8 @@ impl AnswerStore {
         }
     }
 
-    /// All entries in deterministic key order. Reads and decodes every
-    /// indexed record, in file order.
+    /// All entries in deterministic key order. Checks and decodes every
+    /// indexed record where it sits in its block, in file order.
     pub fn entries(&self) -> Vec<(CacheKey, CachedAnswer)> {
         let mut inner = lock_inner(&self.inner);
         let mut positions: Vec<u64> = inner.index.values().copied().collect();
@@ -857,7 +859,7 @@ impl AnswerStore {
             .into_iter()
             .filter_map(|pos| {
                 let record = self.read_record(&mut inner, pos).ok()?;
-                let view = check_record(&record, None)?;
+                let view = check_record(record, None)?;
                 Some((view.key(), view.answer()))
             })
             .collect();

@@ -31,6 +31,7 @@
 //! gives it.
 
 use std::panic::panic_any;
+use std::sync::OnceLock;
 
 use chipvqa_core::question::Question;
 use chipvqa_models::VlmPipeline;
@@ -507,7 +508,8 @@ impl Supervisor {
     /// faulted answer either — and the store independently re-checks
     /// the corruption markers in release builds as a second line of
     /// defence. Clean and degraded inference both read `question`'s
-    /// legibility slots; a degraded re-inference runs in an
+    /// legibility slots, and a clean one keys the cache with the prompt
+    /// hash in `prompt_hash`; a degraded re-inference runs in an
     /// `inference.degraded` span.
     ///
     /// An injected [`FaultKind::WorkerPanic`] genuinely panics — the
@@ -518,6 +520,7 @@ impl Supervisor {
         pipe: &VlmPipeline,
         question: &Question,
         legibility: &LegibilitySlots,
+        prompt_hash: &OnceLock<u64>,
         downsample: usize,
         attempt: u64,
         cache: Option<&AnswerCache>,
@@ -526,7 +529,15 @@ impl Supervisor {
     ) -> Result<CachedAnswer, (EvalError, Option<String>)> {
         let clean = || {
             crate::executor::infer_cached_for(
-                pipe, question, legibility, downsample, attempt, cache, tele, dataset_fp,
+                pipe,
+                question,
+                legibility,
+                prompt_hash,
+                downsample,
+                attempt,
+                cache,
+                tele,
+                dataset_fp,
             )
         };
         // Truncation/garbling corrupt a response that did arrive;
@@ -908,6 +919,7 @@ mod tests {
                 &pipe,
                 q,
                 &slots(&pipe, q),
+                &OnceLock::new(),
                 1,
                 0,
                 None,
@@ -932,6 +944,7 @@ mod tests {
                 &pipe,
                 q,
                 &slots(&pipe, q),
+                &OnceLock::new(),
                 1,
                 0,
                 None,
@@ -970,6 +983,7 @@ mod tests {
                 &pipe,
                 q,
                 &slots(&pipe, q),
+                &OnceLock::new(),
                 1,
                 0,
                 None,
@@ -1041,7 +1055,17 @@ mod tests {
             .build();
         let q = &bench.questions()[0];
         let (err, _) = sup
-            .infer(&pipe, q, &slots(&pipe, q), 1, 0, None, &tele, 0)
+            .infer(
+                &pipe,
+                q,
+                &slots(&pipe, q),
+                &OnceLock::new(),
+                1,
+                0,
+                None,
+                &tele,
+                0,
+            )
             .unwrap_err();
         assert!(matches!(err, EvalError::Timeout { .. }));
         let snap = tele.snapshot();

@@ -46,13 +46,19 @@ impl Default for InferenceConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VlmPipeline {
     profile: ModelProfile,
+    /// `profile.fingerprint()`, taken once: the profile never changes.
+    fingerprint: u64,
 }
 
 impl VlmPipeline {
     /// Builds a pipeline, validating the profile.
     pub fn new(profile: ModelProfile) -> Self {
         profile.validate();
-        VlmPipeline { profile }
+        let fingerprint = profile.fingerprint();
+        VlmPipeline {
+            profile,
+            fingerprint,
+        }
     }
 
     /// The underlying profile.
@@ -64,7 +70,7 @@ impl VlmPipeline {
     /// [`ModelProfile::fingerprint`]. Cached answers and checkpoints are
     /// keyed on this value.
     pub fn fingerprint(&self) -> u64 {
-        self.profile.fingerprint()
+        self.fingerprint
     }
 
     /// Zero-shot inference on one question with the default configuration
@@ -97,14 +103,13 @@ impl VlmPipeline {
     ) -> ModelResponse {
         let baseline = crate::prompt::PromptStyle::zero_shot().adherence_bonus();
         let scale = style.adherence_bonus() / baseline;
-        let mut profile = self.profile.clone();
-        profile.instruction_following = (profile.instruction_following * scale).clamp(0.0, 0.99);
-        let styled = VlmPipeline { profile };
+        let mut styled = self.profile.clone();
+        styled.instruction_following = (styled.instruction_following * scale).clamp(0.0, 0.99);
         // keep the seed stream identical to the unstyled pipeline (same
         // name), so only the adherence mechanism differs
         let mut rng = self.rng_for(question, attempt);
-        let percept = encoder::perceive(&styled.profile, question, config.downsample, &mut rng);
-        styled.respond(question, percept, config.temperature, &mut rng)
+        let percept = encoder::perceive(&styled, question, config.downsample, &mut rng);
+        respond(&styled, question, percept, config.temperature, &mut rng)
     }
 
     /// Inference with explicit settings.
@@ -116,7 +121,13 @@ impl VlmPipeline {
     ) -> ModelResponse {
         let mut rng = self.rng_for(question, attempt);
         let percept = encoder::perceive(&self.profile, question, config.downsample, &mut rng);
-        self.respond(question, percept, config.temperature, &mut rng)
+        respond(
+            &self.profile,
+            question,
+            percept,
+            config.temperature,
+            &mut rng,
+        )
     }
 
     /// The total downsampling factor this model's encoder sees
@@ -141,26 +152,7 @@ impl VlmPipeline {
         let mut rng = self.rng_for(question, attempt);
         let percept = encoder::score(&self.profile, question, legibility, &mut rng);
         let temperature = InferenceConfig::default().temperature;
-        self.respond(question, percept, temperature, &mut rng)
-    }
-
-    /// The language backbone's answer to what the encoder perceived
-    /// (projector: identity in the simulation — visual tokens join the
-    /// text tokens directly).
-    fn respond(
-        &self,
-        question: &Question,
-        percept: Percept,
-        temperature: f64,
-        rng: &mut StdRng,
-    ) -> ModelResponse {
-        let ans = backbone::answer(&self.profile, question, &percept, temperature, rng);
-        ModelResponse {
-            text: ans.text,
-            path: ans.path,
-            percept,
-            solve_probability: ans.solve_probability,
-        }
+        respond(&self.profile, question, percept, temperature, &mut rng)
     }
 
     /// Deterministic per-(model, question, attempt) RNG.
@@ -180,11 +172,45 @@ impl VlmPipeline {
     }
 }
 
+/// The language backbone's answer to what the encoder perceived
+/// (projector: identity in the simulation — visual tokens join the text
+/// tokens directly).
+fn respond(
+    profile: &ModelProfile,
+    question: &Question,
+    percept: Percept,
+    temperature: f64,
+    rng: &mut StdRng,
+) -> ModelResponse {
+    let ans = backbone::answer(profile, question, &percept, temperature, rng);
+    ModelResponse {
+        text: ans.text,
+        path: ans.path,
+        percept,
+        solve_probability: ans.solve_probability,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zoo::ModelZoo;
     use chipvqa_core::ChipVqa;
+
+    #[test]
+    fn stored_fingerprint_is_the_profiles() {
+        let all = ModelZoo::all();
+        assert_eq!(all.len(), 12);
+        for profile in all {
+            let pipe = VlmPipeline::new(profile);
+            assert_eq!(
+                pipe.fingerprint(),
+                pipe.profile().fingerprint(),
+                "{}",
+                pipe.profile().name
+            );
+        }
+    }
 
     #[test]
     fn inference_is_deterministic_per_attempt() {

@@ -12,14 +12,16 @@
 //! change meaning — not a refactor.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use chipvqa::core::{no_choice, ChipVqa, DatasetSpec};
 use chipvqa::eval::cache::{prompt_hash, AnswerCache, CacheKey, CachedAnswer};
 use chipvqa::eval::store::{
-    decode_segment, encode_record, fnv1a64, RECORD_HEADER_BYTES, RECORD_MAGIC,
+    decode_segment, encode_record, fnv1a64, AnswerStore, RECORD_HEADER_BYTES, RECORD_MAGIC,
 };
+use chipvqa::eval::ParallelExecutor;
 use chipvqa::models::backbone::AnswerPath;
+use chipvqa::models::{ModelZoo, VlmPipeline};
 use proptest::prelude::*;
 
 fn standard() -> &'static ChipVqa {
@@ -137,6 +139,43 @@ fn golden_cache_key_fingerprint_bytes_are_frozen() {
         fnv1a64(&record),
         0x69f5_a975_5834_4c38,
         "record bytes moved"
+    );
+}
+
+/// The engine keys each answer from the prompt hash its shard holds
+/// for the question's column: a cold streamed Table II grid stores
+/// exactly the keys [`CacheKey::for_dataset`] gives every zoo model
+/// over the built with-choice column and its [`no_choice`] twin, each
+/// twin key under the twin spec's fingerprint and the hash of the
+/// prompt without its choices.
+#[test]
+fn a_cold_streamed_grid_stores_the_keys_for_dataset_gives() {
+    let dir = std::env::temp_dir().join(format!("chipvqa-grid-keys-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(AnswerStore::open(&dir).expect("store opens"));
+    let cache = Arc::new(AnswerCache::new().with_store(Arc::clone(&store)));
+    chipvqa_bench::run_table2_on(&ParallelExecutor::new(2).with_cache(cache), 2, true);
+    let stored: Vec<CacheKey> = store.entries().into_iter().map(|(key, _)| key).collect();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let spec = DatasetSpec::scaled(2);
+    let twin_fp = spec.clone().with_mc_sa_ratio(0.0).fingerprint();
+    let built = spec.build();
+    let twin = no_choice(built.questions());
+    let mut expected = Vec::new();
+    for profile in ModelZoo::all() {
+        let fp = VlmPipeline::new(profile).fingerprint();
+        for (q, t) in built.questions().iter().zip(&twin) {
+            expected.push(CacheKey::for_dataset(fp, spec.fingerprint(), q, 1, 0));
+            expected.push(CacheKey::for_dataset(fp, twin_fp, t, 1, 0));
+        }
+    }
+    expected.sort();
+    assert_eq!(stored.len(), 12 * 2 * built.len());
+    assert!(
+        stored == expected,
+        "the store's keys differ from for_dataset's"
     );
 }
 
