@@ -203,6 +203,9 @@ pub enum CheckpointError {
     Mismatch(RunMismatch),
     /// A recorded shard is not part of the canonical plan (corruption).
     UnknownShard(ShardKey),
+    /// A recorded shard repeats an earlier one, or does not hold one
+    /// outcome per question of its range (corruption).
+    MalformedShard(ShardKey),
 }
 
 impl fmt::Display for CheckpointError {
@@ -214,6 +217,12 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnknownShard(k) => write!(
                 f,
                 "checkpoint contains a shard outside the plan: model {} questions {}..{}",
+                k.model_idx, k.q_start, k.q_end
+            ),
+            CheckpointError::MalformedShard(k) => write!(
+                f,
+                "checkpoint records shard model {} questions {}..{} twice or \
+                 without one outcome per question",
                 k.model_idx, k.q_start, k.q_end
             ),
         }
@@ -255,8 +264,9 @@ impl Checkpoint {
 
     /// Whether this checkpoint belongs to a grid run over `source`: its
     /// [`RunIdentity`] equals the run's, and every recorded shard lies
-    /// inside the source's plan. A streamed spec is checked without
-    /// building the bench.
+    /// inside the source's plan, is recorded once and holds one outcome
+    /// per question. A streamed spec is checked without building the
+    /// bench.
     pub fn validate_source(
         &self,
         pipes: &[VlmPipeline],
@@ -268,10 +278,16 @@ impl Checkpoint {
             .check(&expected)
             .map_err(CheckpointError::Mismatch)?;
         let plan: HashSet<ShardKey> = source.plan(pipes.len()).into_iter().collect();
-        match self.completed.iter().find(|done| !plan.contains(&done.key)) {
-            Some(done) => Err(CheckpointError::UnknownShard(done.key)),
-            None => Ok(()),
+        let mut seen = HashSet::with_capacity(self.completed.len());
+        for ShardResult { key, outcomes } in &self.completed {
+            if !plan.contains(key) {
+                return Err(CheckpointError::UnknownShard(*key));
+            }
+            if !seen.insert(key) || outcomes.len() != key.q_end - key.q_start {
+                return Err(CheckpointError::MalformedShard(*key));
+            }
         }
+        Ok(())
     }
 
     /// Drops every quarantined shard's recorded outcomes so the next

@@ -42,10 +42,6 @@
 //!   cache skips inference entirely and re-judges the stored answers),
 //!   keyed with the source's dataset fingerprint so answers never cross
 //!   collections;
-//! * a [`RetryPolicy`] that re-queries a flaky judge (e.g.
-//!   [`NoisyJudge`](crate::noisy::NoisyJudge)) several times per verdict
-//!   and takes the majority. The default policy (one attempt)
-//!   reproduces single-shot judging bit-for-bit;
 //! * a [`Supervisor`] that hardens the run against infrastructure
 //!   failure: per-call deadlines, bounded retries and a per-model
 //!   windowed circuit breaker. The producer drives one
@@ -61,7 +57,6 @@
 //! quarantines its shard instead of aborting the run.
 
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,53 +80,6 @@ use crate::supervisor::{Admit, EvalError, Supervisor, WindowedBreaker, BREAKER_W
 /// that 8 workers on one 142-question model all stay busy, large enough
 /// that shard bookkeeping is negligible against inference.
 pub const SHARD_SIZE: usize = 16;
-
-/// Judge retry behaviour for one verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Judge queries per verdict; the majority wins (ties fall to the
-    /// first attempt, so `attempts = 1` is exactly single-shot judging).
-    pub attempts: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { attempts: 1 }
-    }
-}
-
-impl RetryPolicy {
-    /// Majority vote over `attempts` queries of a possibly-flaky judge.
-    pub fn with_attempts(attempts: u64) -> Self {
-        assert!(attempts >= 1, "at least one judge attempt required");
-        RetryPolicy { attempts }
-    }
-
-    /// Judges `response` under this policy.
-    pub fn judged(&self, judge: &dyn Judge, question: &Question, response: &str) -> bool {
-        let verdict = |attempt| Ok::<_, Infallible>(judge.verdict(question, response, attempt));
-        self.vote(verdict).unwrap_or_else(|never| match never {})
-    }
-
-    /// Majority vote over `attempts` verdicts drawn from `verdict`; the
-    /// first error aborts the vote. Strict majority wins, ties fall to
-    /// the first attempt.
-    pub(crate) fn vote<E>(
-        &self,
-        mut verdict: impl FnMut(u64) -> Result<bool, E>,
-    ) -> Result<bool, E> {
-        let first = verdict(0)?;
-        let mut yes = u64::from(first);
-        for attempt in 1..self.attempts {
-            yes += u64::from(verdict(attempt)?);
-        }
-        Ok(if 2 * yes == self.attempts {
-            first
-        } else {
-            2 * yes > self.attempts
-        })
-    }
-}
 
 /// One shard of a grid: a contiguous question range of one model — the
 /// key outcomes come back under, and the stable identity checkpoints
@@ -217,7 +165,6 @@ impl ShardSource<'_> {
 #[derive(Debug, Clone)]
 pub struct ParallelExecutor {
     workers: usize,
-    retry: RetryPolicy,
     cache: Option<Arc<AnswerCache>>,
     supervisor: Option<Arc<Supervisor>>,
     telemetry: Telemetry,
@@ -225,12 +172,10 @@ pub struct ParallelExecutor {
 
 impl ParallelExecutor {
     /// An executor with `workers` threads (clamped to at least one), no
-    /// cache, single-shot judging, unsupervised execution, telemetry
-    /// disabled.
+    /// cache, unsupervised execution, telemetry disabled.
     pub fn new(workers: usize) -> Self {
         ParallelExecutor {
             workers: workers.max(1),
-            retry: RetryPolicy::default(),
             cache: None,
             supervisor: None,
             telemetry: Telemetry::disabled(),
@@ -240,13 +185,6 @@ impl ParallelExecutor {
     /// Attaches a shared answer cache; hits skip inference.
     pub fn with_cache(mut self, cache: Arc<AnswerCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Sets the judge retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        assert!(retry.attempts >= 1, "at least one judge attempt required");
-        self.retry = retry;
         self
     }
 
@@ -289,9 +227,9 @@ impl ParallelExecutor {
         self.supervisor.as_ref()
     }
 
-    /// A copy of this executor with the supervisor detached (cache,
-    /// retry policy and telemetry are kept). The calm twin of a
-    /// supervised executor, on which both heals run: a checkpoint resume
+    /// A copy of this executor with the supervisor detached (cache and
+    /// telemetry are kept). The calm twin of a supervised executor, on
+    /// which both heals run: a checkpoint resume
     /// after [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined),
     /// and a fleet claim's re-run of its panicked rows. A genuine panic
     /// recurs here and stays a `WorkerPanic` outcome.
@@ -309,18 +247,8 @@ impl ParallelExecutor {
         bench: &ChipVqa,
         options: EvalOptions,
     ) -> EvalReport {
-        self.evaluate_with_judge(pipe, bench, options, &RuleJudge::new())
-    }
-
-    /// Evaluates one model with a caller-supplied judge.
-    pub fn evaluate_with_judge(
-        &self,
-        pipe: &VlmPipeline,
-        bench: &ChipVqa,
-        options: EvalOptions,
-        judge: &dyn Judge,
-    ) -> EvalReport {
-        self.evaluate_grid(std::slice::from_ref(pipe), bench, options, judge)
+        let pipes = std::slice::from_ref(pipe);
+        self.evaluate_grid(pipes, bench, options, &RuleJudge::new())
             .pop()
             .expect("one model")
     }
@@ -581,7 +509,6 @@ impl ParallelExecutor {
         let in_flight = AtomicUsize::new(0);
         let quarantined = AtomicUsize::new(0);
         let cache = self.cache.as_deref();
-        let retry = self.retry;
         let mut stats = StreamStats::default();
 
         std::thread::scope(|scope| {
@@ -637,7 +564,6 @@ impl ParallelExecutor {
                                     prompt_hash,
                                     options,
                                     judge,
-                                    &retry,
                                     cache,
                                     supervisor,
                                     tele,
@@ -1143,11 +1069,11 @@ impl Reports {
 }
 
 /// Exactly the sequential harness's per-question loop, with the cache
-/// interposed before inference and the retry policy around the judge.
-/// Supervised, every inference and judge call goes through the
-/// supervisor's fault injection + recovery, and the first terminal
-/// failure at any site aborts the question with a structured error
-/// (degraded truncated/garbled evidence is kept as the recorded
+/// interposed before inference: one inference and one judge call per
+/// pass@k attempt. Supervised, every inference and judge call goes
+/// through the supervisor's fault injection + recovery, and the first
+/// terminal failure at any site aborts the question with a structured
+/// error (degraded truncated/garbled evidence is kept as the recorded
 /// response). Inference reads `q`'s legibility from its shard's slots;
 /// the cache key takes `q`'s prompt hash from its slot and `dataset_fp`,
 /// the source's dataset (0 = canonical). The first attempt's answer
@@ -1160,7 +1086,6 @@ fn eval_question(
     prompt_hash: &OnceLock<u64>,
     options: EvalOptions,
     judge: &dyn Judge,
-    retry: &RetryPolicy,
     cache: Option<&AnswerCache>,
     sup: Option<&Supervisor>,
     tele: &Telemetry,
@@ -1210,12 +1135,9 @@ fn eval_question(
         };
         let judged = {
             let _span = tele.span("judge");
-            let response = answer.text.as_str();
             match sup {
-                Some(sup) => retry.vote(|attempt| {
-                    sup.verdict(judge, pipe.fingerprint(), q, response, attempt, tele)
-                }),
-                None => retry.vote(|attempt| Ok(judge.verdict(q, response, attempt))),
+                Some(sup) => sup.verdict(judge, pipe.fingerprint(), q, &answer.text, tele),
+                None => Ok(judge.is_correct(q, &answer.text)),
             }
         };
         if attempt == 0 {
@@ -1321,8 +1243,6 @@ pub(crate) fn infer_cached_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::evaluate_with_judge;
-    use crate::noisy::NoisyJudge;
     use chipvqa_models::ModelZoo;
 
     #[test]
@@ -1354,53 +1274,6 @@ mod tests {
 
         let seq = crate::harness::evaluate(&pipe, &bench, EvalOptions::default());
         assert_eq!(seq, warm, "cache never changes results");
-    }
-
-    #[test]
-    fn default_retry_is_single_shot() {
-        let bench = ChipVqa::standard();
-        let pipe = VlmPipeline::new(ModelZoo::fuyu_8b());
-        let judge = NoisyJudge::new(RuleJudge::new(), 0.05, 9);
-        let seq = evaluate_with_judge(&pipe, &bench, EvalOptions::default(), &judge);
-        let par = ParallelExecutor::new(4).evaluate_with_judge(
-            &pipe,
-            &bench,
-            EvalOptions::default(),
-            &judge,
-        );
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn majority_vote_tames_a_flaky_judge() {
-        let bench = ChipVqa::standard();
-        let pipe = VlmPipeline::new(ModelZoo::gpt4o());
-        let clean = crate::harness::evaluate(&pipe, &bench, EvalOptions::default());
-        let flaky = NoisyJudge::new(RuleJudge::new(), 0.10, 3);
-
-        let single = ParallelExecutor::new(4).evaluate_with_judge(
-            &pipe,
-            &bench,
-            EvalOptions::default(),
-            &flaky,
-        );
-        let voted = ParallelExecutor::new(4)
-            .with_retry(RetryPolicy::with_attempts(5))
-            .evaluate_with_judge(&pipe, &bench, EvalOptions::default(), &flaky);
-
-        let disagree = |a: &EvalReport, b: &EvalReport| {
-            a.outcomes
-                .iter()
-                .zip(&b.outcomes)
-                .filter(|(x, y)| x.passed != y.passed)
-                .count()
-        };
-        let err_single = disagree(&clean, &single);
-        let err_voted = disagree(&clean, &voted);
-        assert!(
-            err_voted < err_single,
-            "majority vote must reduce flips: {err_voted} vs {err_single}"
-        );
     }
 
     #[test]
@@ -1908,27 +1781,6 @@ mod tests {
             (1..=workers).contains(&done),
             "{done} items finished; at most one per worker was dispatched"
         );
-    }
-
-    #[test]
-    fn tie_votes_fall_to_first_attempt() {
-        struct AlternatingJudge;
-        impl Judge for AlternatingJudge {
-            fn is_correct(&self, _q: &Question, _r: &str) -> bool {
-                true
-            }
-            fn verdict(&self, _q: &Question, _r: &str, attempt: u64) -> bool {
-                attempt.is_multiple_of(2)
-            }
-        }
-        let bench = ChipVqa::standard();
-        let q = &bench.questions()[0];
-        // attempts = 2: one yes (attempt 0), one no -> tie -> first = yes
-        let policy = RetryPolicy::with_attempts(2);
-        assert!(policy.judged(&AlternatingJudge, q, "x"));
-        // attempts = 4: 2 yes, 2 no -> tie -> still the first attempt
-        let policy = RetryPolicy::with_attempts(4);
-        assert!(policy.judged(&AlternatingJudge, q, "x"));
     }
 
     #[test]

@@ -5,16 +5,16 @@
 //! in transport, rate-limit bursts, transient 5xx-style errors, crashed
 //! workers. [`FaultPlan`] describes a reproducible storm of such faults:
 //! every draw is a pure function of `(plan seed, model fingerprint,
-//! question id, call site, attempt, recovery attempt)`, so the *same*
-//! faults hit the *same* calls no matter how many workers the
+//! question id, call site, pass@k attempt, recovery attempt)`, so the
+//! *same* faults hit the *same* calls no matter how many workers the
 //! [`ParallelExecutor`](crate::executor::ParallelExecutor) runs, in
 //! which order shards are stolen, or whether the run was resumed from a
 //! checkpoint. That key choice is what lets the chaos suite assert
 //! byte-identical reports across 1/2/8 workers under any plan.
 //!
 //! [`FaultInjector`] turns a plan into decisions at the two supervised
-//! call sites (model inference and judge verdicts); the recovery
-//! machinery lives in [`supervisor`](crate::supervisor).
+//! call sites (model inference and the judge's verdict on each answer);
+//! the recovery machinery lives in [`supervisor`](crate::supervisor).
 
 use serde::{Deserialize, Serialize};
 
@@ -69,7 +69,8 @@ impl FaultKind {
 pub enum CallSite {
     /// `VlmPipeline::infer` / `infer_with` — the model answering.
     Inference,
-    /// `Judge::verdict` — the (possibly remote LLM) judge scoring.
+    /// `Judge::is_correct` — the (possibly remote LLM) judge scoring one
+    /// answer.
     Judge,
 }
 
@@ -235,7 +236,8 @@ pub struct CallKey<'a> {
     pub question_id: &'a str,
     /// Which call is being made.
     pub site: CallSite,
-    /// The pass@k / judge-vote attempt index.
+    /// The pass@k attempt index of an inference call; 0 for every judge
+    /// call.
     pub attempt: u64,
     /// The supervisor's recovery attempt (0 = first try).
     pub recovery: u64,

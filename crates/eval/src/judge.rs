@@ -1,6 +1,8 @@
 //! The equivalence judge: decides whether a model response matches the
 //! golden answer.
 
+use std::collections::HashMap;
+
 use chipvqa_core::question::{AnswerSpec, Question, QuestionKind};
 use chipvqa_logic::Expr;
 
@@ -8,12 +10,12 @@ use crate::normalize::{extract_choice_letter, extract_number, normalize_text};
 
 /// Binary equivalence judgement between a response and a question's gold.
 /// The paper uses GPT-4 in this role; the reproduction's default is
-/// [`RuleJudge`].
+/// [`RuleJudge`], and [`HybridJudge`] adds the paper's manual overrides.
 ///
 /// Judges are `Sync` so the parallel executor can share one judge across
-/// worker threads.
+/// worker threads. The executor asks the judge once per pass@k attempt.
 ///
-/// Under supervised execution every [`Judge::verdict`] call is treated
+/// Under supervised execution every [`Judge::is_correct`] call is treated
 /// as fallible infrastructure (a remote LLM judge can time out or be
 /// rate-limited): the [`Supervisor`](crate::supervisor::Supervisor)
 /// wraps each call with fault injection, deadline and bounded retries,
@@ -23,18 +25,6 @@ use crate::normalize::{extract_choice_letter, extract_number, normalize_text};
 pub trait Judge: Sync {
     /// Returns `true` when `response` answers `question` correctly.
     fn is_correct(&self, question: &Question, response: &str) -> bool;
-
-    /// Verdict for one *judging attempt* of the same response.
-    ///
-    /// A deterministic judge returns the same verdict for every attempt
-    /// (the default ignores `judge_attempt`); a flaky judge such as
-    /// [`NoisyJudge`](crate::noisy::NoisyJudge) redraws its noise per
-    /// attempt, which is what makes retry-with-majority-vote in the
-    /// executor meaningful. Attempt 0 MUST equal [`Judge::is_correct`].
-    fn verdict(&self, question: &Question, response: &str, judge_attempt: u64) -> bool {
-        let _ = judge_attempt;
-        self.is_correct(question, response)
-    }
 }
 
 /// Deterministic rule-based judge (see crate docs for the substitution
@@ -107,6 +97,43 @@ impl Judge for RuleJudge {
                 self.semantic_match(&question.answer, response)
             }
             QuestionKind::ShortAnswer => self.semantic_match(&question.answer, response),
+        }
+    }
+}
+
+/// The paper's hybrid evaluation: an automatic judge plus explicit
+/// per-question manual verdict overrides for the visually-entangled
+/// cases an auto-judge cannot settle (§IV: "for certain questions ... we
+/// conduct manual checks by the annotators").
+#[derive(Debug, Clone, Default)]
+pub struct HybridJudge {
+    auto: RuleJudge,
+    overrides: HashMap<String, bool>,
+}
+
+impl HybridJudge {
+    /// A hybrid judge with no overrides yet.
+    pub fn new() -> Self {
+        HybridJudge::default()
+    }
+
+    /// Records an annotator verdict for a question id, bypassing the
+    /// auto judge for that question.
+    pub fn override_verdict(&mut self, question_id: impl Into<String>, correct: bool) {
+        self.overrides.insert(question_id.into(), correct);
+    }
+
+    /// Number of manual overrides registered.
+    pub fn override_count(&self) -> usize {
+        self.overrides.len()
+    }
+}
+
+impl Judge for HybridJudge {
+    fn is_correct(&self, question: &Question, response: &str) -> bool {
+        match self.overrides.get(&question.id) {
+            Some(&verdict) => verdict,
+            None => self.auto.is_correct(question, response),
         }
     }
 }
@@ -278,5 +305,19 @@ mod tests {
                 q.golden_text()
             );
         }
+    }
+
+    #[test]
+    fn hybrid_overrides_win() {
+        let bench = chipvqa_core::ChipVqa::standard();
+        let q = &bench.questions()[0];
+        let mut j = HybridJudge::new();
+        assert!(j.is_correct(q, &q.golden_text()), "auto path first");
+        j.override_verdict(q.id.clone(), false);
+        assert!(!j.is_correct(q, &q.golden_text()), "annotator overrules");
+        assert_eq!(j.override_count(), 1);
+        // other questions still use the auto judge
+        let other = &bench.questions()[1];
+        assert!(j.is_correct(other, &other.golden_text()));
     }
 }

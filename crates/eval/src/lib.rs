@@ -8,21 +8,21 @@
 //! free text, and *semantic* boolean-expression equivalence through the
 //! logic substrate. For machine-generated golds the rule judge is exact
 //! where an LLM judge is approximate; the [`judge::Judge`] trait keeps
-//! the seam where a model-based judge would plug in.
+//! the seam where a model-based judge would plug in, and
+//! [`HybridJudge`] adds the paper's per-question manual overrides.
 //!
 //! [`harness`] runs models over collections and produces the per-category
 //! pass@1 reports of Table II; [`resolution`] runs the §IV-B image
-//! degradation study; [`noisy`] models an imperfect LLM auto-judge and
-//! the paper's hybrid manual-override mechanism for robustness studies.
+//! degradation study.
 //!
 //! For large runs, [`executor`] provides [`ParallelExecutor`], one
 //! producer/worker shard engine whose reports are identical to the
 //! sequential harness for any worker count, with an optional answer
-//! [`cache`] (hits skip inference) and judge retry with majority vote;
-//! [`checkpoint`] adds kill/resume for grid evaluations. The cache can
-//! be backed by a persistent content-addressed [`store`] — an
-//! append-only, checksummed, crash-recoverable on-disk tier — so reruns
-//! warm-start across process restarts.
+//! [`cache`] (hits skip inference); [`checkpoint`] adds kill/resume for
+//! grid evaluations. The cache can be backed by a persistent
+//! content-addressed [`store`] — an append-only, checksummed,
+//! crash-recoverable on-disk tier — so reruns warm-start across process
+//! restarts.
 //!
 //! For *in-run* resilience, [`fault`] provides a deterministic, seeded
 //! fault-injection harness (timeouts, truncated/garbled responses,
@@ -76,7 +76,6 @@ pub mod fault;
 pub mod fleet;
 pub mod harness;
 pub mod judge;
-pub mod noisy;
 pub mod normalize;
 pub mod report;
 pub mod resolution;
@@ -85,12 +84,11 @@ pub mod supervisor;
 
 pub use cache::{AnswerCache, CacheKey, CacheStats, CachedAnswer};
 pub use checkpoint::{Checkpoint, CheckpointError, RunIdentity, RunMismatch, ShardResult};
-pub use executor::{ParallelExecutor, RetryPolicy, StreamStats};
+pub use executor::{ParallelExecutor, StreamStats};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use fleet::{FleetConfig, FleetError, FleetJob, FleetManifest, FleetOutcome};
 pub use harness::{evaluate, EvalOptions, EvalReport};
-pub use judge::{Judge, RuleJudge};
-pub use noisy::{HybridJudge, NoisyJudge};
+pub use judge::{HybridJudge, Judge, RuleJudge};
 pub use store::{AnswerStore, StoreConfig, StoreStats};
 pub use supervisor::{
     BreakerConfig, BreakerState, CircuitBreaker, EvalError, RecoveryPolicy, Supervisor,

@@ -1,7 +1,7 @@
 //! Supervised execution: deadlines, bounded retries, circuit breakers.
 //!
 //! [`Supervisor`] sits between the executor's per-question loop and the
-//! fallible outside world ([`VlmPipeline::infer`] and [`Judge::verdict`]
+//! fallible outside world ([`VlmPipeline::infer`] and [`Judge::is_correct`]
 //! calls, with faults injected by a [`FaultInjector`]). It enforces a
 //! per-call deadline, retries transient failures a bounded number of
 //! times, and runs one three-state [`CircuitBreaker`] per model so a
@@ -625,18 +625,19 @@ impl Supervisor {
         );
     }
 
-    /// One supervised judge verdict (one voting attempt).
+    /// One supervised judge verdict on one answer. Its draw key's
+    /// attempt is 0 whichever pass@k attempt gave the answer, so every
+    /// answer to one question meets the same judge faults.
     pub(crate) fn verdict(
         &self,
         judge: &dyn Judge,
         fingerprint: u64,
         question: &Question,
         response: &str,
-        judge_attempt: u64,
         tele: &Telemetry,
     ) -> Result<bool, EvalError> {
-        let clean = || judge.verdict(question, response, judge_attempt);
-        let site = (fingerprint, CallSite::Judge, judge_attempt);
+        let clean = || judge.is_correct(question, response);
+        let site = (fingerprint, CallSite::Judge, 0);
         self.call(question, site, clean, |_, _| (), tele)
             .map_err(|(e, ())| e)
     }
@@ -961,7 +962,6 @@ mod tests {
                 pipe.fingerprint(),
                 q,
                 &q.golden_text(),
-                0,
                 &Telemetry::disabled(),
             )
             .expect("judge path unaffected by broken model");

@@ -4,7 +4,9 @@
 //! generators (seeded from the test function's name, so every run and
 //! every machine sees the same cases) and there is **no shrinking** — a
 //! failing case panics with the generated inputs' debug representation
-//! instead. The surface covered is exactly what this workspace uses:
+//! instead. A test builds its strategies once, before its first case,
+//! and each case draws its parameters left to right. The surface covered
+//! is exactly what this workspace uses:
 //!
 //! * `proptest! { #[test] fn f(x in strategy, y: Type) { … } }` with an
 //!   optional `#![proptest_config(ProptestConfig::with_cases(n))]`
@@ -56,7 +58,15 @@ macro_rules! __proptest_items {
         $(#[$meta])+
         fn $name() {
             let __cfg = $cfg;
+            let __strategy = $crate::__proptest_strategy!($($params)*);
             let mut __rng = $crate::test_runner::TestRng::for_test(stringify!($name));
+            // one case; a closure, so that the body's `prop_assert!`s return from it
+            let mut __case = || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
+                let $crate::__proptest_pattern!($($params)*) =
+                    $crate::strategy::Strategy::new_value(&__strategy, &mut __rng);
+                { $body }
+                Ok(())
+            };
             let mut __ran: u32 = 0;
             let mut __attempts: u32 = 0;
             while __ran < __cfg.cases {
@@ -66,9 +76,7 @@ macro_rules! __proptest_items {
                     "proptest {}: too many rejected cases (prop_assume too strict?)",
                     stringify!($name),
                 );
-                let __outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    $crate::__proptest_case!(__rng; ($($params)*) $body);
-                match __outcome {
+                match __case() {
                     Ok(()) => __ran += 1,
                     Err($crate::test_runner::TestCaseError::Reject) => continue,
                     Err($crate::test_runner::TestCaseError::Fail(msg)) => {
@@ -87,37 +95,39 @@ macro_rules! __proptest_items {
     };
 }
 
+/// One strategy for a whole parameter list, built once per test: nested
+/// `(parameter, rest)` pairs ending in `Just(())`, so a case draws its
+/// parameters left to right.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __proptest_case {
-    ($rng:ident; ($($params:tt)*) $body:block) => {
-        (|| -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
-            $crate::__proptest_bind! { $rng; $($params)* }
-            { $body }
-            Ok(())
-        })()
+macro_rules! __proptest_strategy {
+    () => {
+        $crate::strategy::Just(())
+    };
+    ($pat:pat in $strat:expr $(, $($rest:tt)*)?) => {
+        ($strat, $crate::__proptest_strategy!($($($rest)*)?))
+    };
+    ($name:ident: $ty:ty $(, $($rest:tt)*)?) => {
+        (
+            $crate::arbitrary::any::<$ty>(),
+            $crate::__proptest_strategy!($($($rest)*)?),
+        )
     };
 }
 
+/// The pattern that binds a value of [`__proptest_strategy!`] over the
+/// same parameter list.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __proptest_bind {
-    ($rng:ident;) => {};
-    ($rng:ident; $pat:pat in $strat:expr, $($rest:tt)*) => {
-        let $pat = $crate::strategy::Strategy::new_value(&($strat), &mut $rng);
-        $crate::__proptest_bind! { $rng; $($rest)* }
+macro_rules! __proptest_pattern {
+    () => {
+        ()
     };
-    ($rng:ident; $pat:pat in $strat:expr) => {
-        let $pat = $crate::strategy::Strategy::new_value(&($strat), &mut $rng);
+    ($pat:pat in $strat:expr $(, $($rest:tt)*)?) => {
+        ($pat, $crate::__proptest_pattern!($($($rest)*)?))
     };
-    ($rng:ident; $name:ident: $ty:ty, $($rest:tt)*) => {
-        let $name: $ty =
-            $crate::strategy::Strategy::new_value(&$crate::arbitrary::any::<$ty>(), &mut $rng);
-        $crate::__proptest_bind! { $rng; $($rest)* }
-    };
-    ($rng:ident; $name:ident: $ty:ty) => {
-        let $name: $ty =
-            $crate::strategy::Strategy::new_value(&$crate::arbitrary::any::<$ty>(), &mut $rng);
+    ($name:ident: $ty:ty $(, $($rest:tt)*)?) => {
+        ($name, $crate::__proptest_pattern!($($($rest)*)?))
     };
 }
 
@@ -205,4 +215,61 @@ macro_rules! prop_oneof {
             $($crate::strategy::Strategy::boxed($strat)),+
         ])
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::{Cell, RefCell};
+
+    use crate::prelude::*;
+
+    thread_local! {
+        static BUILT: Cell<u32> = const { Cell::new(0) };
+        static CASES: Cell<u32> = const { Cell::new(0) };
+        static SEEN: RefCell<Vec<(u32, u64, String)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// A strategy that counts its constructions.
+    fn counted() -> std::ops::Range<u32> {
+        BUILT.with(|built| built.set(built.get() + 1));
+        0..100
+    }
+
+    // Called by the tests below, on their threads.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(50))]
+
+        /// Fifty cases over one counted strategy.
+        fn fifty_cases(x in counted()) {
+            prop_assert!(x < 100);
+            CASES.with(|cases| cases.set(cases.get() + 1));
+        }
+
+        /// Three parameters, one of them `name: Type`.
+        fn three_params(a in 0u32..1000, b: u64, c in "[a-z]{1,8}") {
+            SEEN.with(|seen| seen.borrow_mut().push((a, b, c)));
+        }
+    }
+
+    #[test]
+    fn strategies_are_built_once_per_test() {
+        fifty_cases();
+        assert_eq!(CASES.with(Cell::get), 50);
+        assert_eq!(BUILT.with(Cell::get), 1, "built once, not once per case");
+    }
+
+    #[test]
+    fn cases_draw_their_parameters_left_to_right() {
+        three_params();
+        let mut rng = TestRng::for_test("three_params");
+        let expected: Vec<(u32, u64, String)> = (0..50)
+            .map(|_| {
+                let a = (0u32..1000).new_value(&mut rng);
+                let b = any::<u64>().new_value(&mut rng);
+                let c = "[a-z]{1,8}".new_value(&mut rng);
+                (a, b, c)
+            })
+            .collect();
+        assert_eq!(SEEN.with(RefCell::take), expected);
+    }
 }

@@ -4,7 +4,9 @@ use chipvqa::core::stats::DatasetStats;
 use chipvqa::core::ChipVqa;
 use chipvqa::eval::executor::ShardSource;
 use chipvqa::eval::harness::EvalOptions;
-use chipvqa::eval::{AnswerCache, CachedAnswer, Checkpoint, ParallelExecutor, RuleJudge};
+use chipvqa::eval::{
+    AnswerCache, CachedAnswer, Checkpoint, CheckpointError, ParallelExecutor, RuleJudge,
+};
 use chipvqa::models::backbone::AnswerPath;
 use chipvqa::models::{ModelZoo, VlmPipeline};
 
@@ -80,6 +82,68 @@ fn checkpoint_json_roundtrip_mid_run() {
         "checkpoint round-trips mid-run, outcomes and all"
     );
     assert!(back.validate_source(&pipes, source, options).is_ok());
+}
+
+/// The array field `name` of the JSON object `value`.
+fn array_field<'v>(value: &'v mut serde_json::Value, name: &str) -> &'v mut Vec<serde_json::Value> {
+    use serde_json::Value;
+    let Value::Obj(fields) = value else {
+        panic!("{name}: not in an object")
+    };
+    match fields.iter_mut().find(|(key, _)| key == name) {
+        Some((_, Value::Arr(items))) => items,
+        _ => panic!("no array field {name}"),
+    }
+}
+
+#[test]
+fn malformed_checkpoint_shards_are_refused() {
+    let bench = ChipVqa::standard();
+    let pipes: Vec<VlmPipeline> = [ModelZoo::gpt4o(), ModelZoo::llava_7b()]
+        .into_iter()
+        .map(VlmPipeline::new)
+        .collect();
+    let options = EvalOptions::default();
+    let exec = ParallelExecutor::new(2);
+    let source = ShardSource::Bench(&bench, 0);
+    // a resume that dispatches at most `max` shards
+    let resume = |ckpt: &mut Checkpoint, max: usize| {
+        exec.evaluate_checkpointed(
+            &pipes,
+            source,
+            options,
+            &RuleJudge::new(),
+            ckpt,
+            &mut |dispatched| dispatched >= max,
+            &|_| {},
+        )
+    };
+    let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+    assert_eq!(resume(&mut ckpt, 3), Ok(None), "3 of 18 shards");
+    let json = ckpt.to_json().expect("serializes");
+    let key = ckpt.completed[1].key;
+
+    // the second shard recorded twice, and the second shard one outcome short
+    let edit = |edit: fn(&mut Vec<serde_json::Value>)| {
+        let mut tree = serde_json::from_str(&json).expect("parses");
+        edit(array_field(&mut tree, "completed"));
+        serde_json::to_string(&tree).expect("serializes")
+    };
+    let repeated = edit(|shards| shards.push(shards[1].clone()));
+    let short = edit(|shards| {
+        array_field(&mut shards[1], "outcomes").pop();
+    });
+    // refused before any shard runs, rather than panicking in the final
+    // fold once the rest of the grid has run
+    for edited in [repeated, short] {
+        let mut back = Checkpoint::from_json(&edited).expect("still parses as a checkpoint");
+        let before = back.clone();
+        assert_eq!(
+            resume(&mut back, usize::MAX),
+            Err(CheckpointError::MalformedShard(key))
+        );
+        assert_eq!(back, before, "a refused checkpoint records nothing");
+    }
 }
 
 #[test]
