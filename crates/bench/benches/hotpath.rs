@@ -4,6 +4,14 @@
 //! executor worker scaling, and scaled build-vs-stream — everything
 //! the streamed `table2 --scale N` grid spends its time in.
 //!
+//! A `Pixmap` records its drawing and rasterizes on its first pixel
+//! read, so each row says whether it reads: `hotpath_pixmap` rows draw
+//! into a rasterized buffer, `hotpath_render` rows read the image they
+//! render, `hotpath_gen/*_replica` and `hotpath_stream` rows generate
+//! without reading (what a warm run pays), and
+//! `hotpath_gen/*_replica_read` rows generate and then read every
+//! image (what a run that infers pays).
+//!
 //! Run with `CRITERION_JSON=… cargo bench -p chipvqa-bench --bench
 //! hotpath` to append machine-readable trend lines (the source of
 //! `BENCH_hotpath.json`). Set `CHIPVQA_HOTPATH_SCALE=10,100` (any
@@ -19,7 +27,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use chipvqa_bench::run_table2_on;
-use chipvqa_core::{no_choice, ChipVqa, DatasetSpec, BASE_SIZE};
+use chipvqa_core::{no_choice, ChipVqa, DatasetSpec, Question, BASE_SIZE};
 use chipvqa_eval::harness::EvalOptions;
 use chipvqa_eval::{AnswerCache, Judge, ParallelExecutor, RuleJudge};
 use chipvqa_logic::builders::full_adder;
@@ -32,7 +40,7 @@ use chipvqa_models::{ModelZoo, VlmPipeline};
 use chipvqa_physd::render::render_route_comparison;
 use chipvqa_physd::steiner::{rsmt, star_tree};
 use chipvqa_physd::Point;
-use chipvqa_raster::Pixmap;
+use chipvqa_raster::{Annotated, Pixmap};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,7 +78,10 @@ fn bench_pixmap_primitives(c: &mut Criterion) {
         })
     });
     group.bench_function("draw_text_2x", |b| {
+        // read once first: every timed call then draws into the buffer,
+        // instead of recording a call that nothing replays
         let mut img = Pixmap::new(400, 300);
+        black_box(img.pixels());
         b.iter(|| black_box(img.draw_text(8, 8, "VDD RAIL: 1.8V nominal swing", 2, 0)))
     });
     group.bench_function("downsample_4", |b| {
@@ -94,6 +105,13 @@ fn bench_pixmap_primitives(c: &mut Criterion) {
     group.finish();
 }
 
+/// `vis` with its image rasterized: the render rows time recording the
+/// calls and drawing the pixels, not recording alone.
+fn read(vis: Annotated) -> Annotated {
+    black_box(vis.image.pixels());
+    vis
+}
+
 fn bench_mark_renderers(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath_render");
     group.sample_size(20);
@@ -103,55 +121,65 @@ fn bench_mark_renderers(c: &mut Criterion) {
         vec![false, true, true, false, true, false, false, true],
     );
     group.bench_function("truth_table", |b| {
-        b.iter(|| black_box(render_truth_table(&tt, "F")))
+        b.iter(|| black_box(read(render_truth_table(&tt, "F"))))
     });
-    group.bench_function("kmap", |b| b.iter(|| black_box(render_kmap(&tt))));
+    group.bench_function("kmap", |b| b.iter(|| black_box(read(render_kmap(&tt)))));
     let nl = full_adder();
     group.bench_function("schematic_full_adder", |b| {
-        b.iter(|| black_box(render_schematic(&nl)))
+        b.iter(|| black_box(read(render_schematic(&nl))))
     });
     let st = StateTable::paper_example();
     group.bench_function("state_table", |b| {
-        b.iter(|| black_box(render_state_table(&st)))
+        b.iter(|| black_box(read(render_state_table(&st))))
     });
     let clk = [true, false].repeat(8);
     let data = [true, true, false, false].repeat(4);
     let signals: Vec<(&str, &[bool])> = vec![("clk", &clk), ("d", &data)];
     group.bench_function("waveform", |b| {
-        b.iter(|| black_box(render_waveform(&signals)))
+        b.iter(|| black_box(read(render_waveform(&signals))))
     });
     // the paper's "which routing topology has lower cost?" figure, as
     // the physical generator draws it: Steiner tree beside star
     let pins = [(1, 2), (12, 3), (7, 14), (15, 9), (4, 11)].map(|(x, y)| Point::new(x, y));
     let (smt, star) = (rsmt(&pins), star_tree(&pins));
     group.bench_function("route_comparison", |b| {
-        b.iter(|| black_box(render_route_comparison(&smt, &star, &pins)))
+        b.iter(|| black_box(read(render_route_comparison(&smt, &star, &pins))))
     });
 
     group.finish();
 }
 
+/// One replica block per category: generated only, as a warm stream
+/// pays for it (`<category>_replica`), and generated then read image by
+/// image, as a run that infers pays (`<category>_replica_read`).
 fn bench_generators(c: &mut Criterion) {
     use chipvqa_core::gen;
     let mut group = c.benchmark_group("hotpath_gen");
     group.sample_size(10);
 
     let seed = 0xC41Fu64;
-    group.bench_function("digital_replica", |b| {
-        b.iter(|| black_box(gen::digital::generate_replica(seed, 1)))
-    });
-    group.bench_function("analog_replica", |b| {
-        b.iter(|| black_box(gen::analog::generate_replica(seed, 1)))
-    });
-    group.bench_function("architecture_replica", |b| {
-        b.iter(|| black_box(gen::architecture::generate_replica(seed, 1)))
-    });
-    group.bench_function("manufacturing_replica", |b| {
-        b.iter(|| black_box(gen::manufacturing::generate_replica(seed, 1)))
-    });
-    group.bench_function("physical_replica", |b| {
-        b.iter(|| black_box(gen::physical::generate_replica(seed, 1)))
-    });
+    type Generate = fn(u64, usize) -> Vec<Question>;
+    let generators: [(&str, Generate); 5] = [
+        ("digital", gen::digital::generate_replica),
+        ("analog", gen::analog::generate_replica),
+        ("architecture", gen::architecture::generate_replica),
+        ("manufacturing", gen::manufacturing::generate_replica),
+        ("physical", gen::physical::generate_replica),
+    ];
+    for (category, generate) in generators {
+        group.bench_function(format!("{category}_replica"), |b| {
+            b.iter(|| black_box(generate(seed, 1)))
+        });
+        group.bench_function(format!("{category}_replica_read"), |b| {
+            b.iter(|| {
+                let questions = generate(seed, 1);
+                for q in &questions {
+                    black_box(q.visual.image.pixels());
+                }
+                questions
+            })
+        });
+    }
 
     group.finish();
 }
@@ -198,11 +226,12 @@ fn bench_executor_scaling(c: &mut Criterion) {
         );
     }
 
-    // warm cache: populate once, then measure pure replay + judging
+    // warm cache: populate once, then measure pure replay + judging, on
+    // one worker, so a per-answer saving is not lost in spawning threads
     let cache = Arc::new(AnswerCache::new());
-    let exec = ParallelExecutor::new(4).with_cache(Arc::clone(&cache));
+    let exec = ParallelExecutor::new(1).with_cache(Arc::clone(&cache));
     exec.evaluate(&pipe, &bench, EvalOptions::default());
-    group.bench_function("cache_hit_142", |b| {
+    group.bench_function("cache_hit_142_w1", |b| {
         b.iter(|| black_box(exec.evaluate(&pipe, &bench, EvalOptions::default())))
     });
 

@@ -400,6 +400,16 @@ impl ParallelExecutor {
     /// and its twin each carry one prompt-hash slot per question, filled
     /// on a cache-attached worker by the first lookup that keys it.
     ///
+    /// Images are drawn on demand ([`chipvqa_raster::Pixmap`]): a
+    /// generated image is rasterized on its first pixel read, and only a
+    /// legibility fill reads pixels. So when the producer builds a shard
+    /// it rasterizes the images its fills will read
+    /// ([`LegibilitySlots::reads_pixels`]), keeping that work off the
+    /// workers, unless a cache is attached and has not missed since the
+    /// run began: a warm run reads no pixel, and rasterizes nothing. The
+    /// images go to the `stream.rasterized` counter, and on a spec walk
+    /// the work runs in a `stream.rasterize` span.
+    ///
     /// The run is bounded by resident shards: the producer takes a
     /// permit before it generates (or slices) a shard, queues all of the
     /// shard's selected rows without blocking, and the shard returns its
@@ -509,6 +519,10 @@ impl ParallelExecutor {
         let in_flight = AtomicUsize::new(0);
         let quarantined = AtomicUsize::new(0);
         let cache = self.cache.as_deref();
+        // a run whose cache has not missed since it began has read no
+        // pixel, so its producer rasterizes nothing ahead
+        let misses_at_start = cache.map(|c| (c, c.misses()));
+        let missed = || misses_at_start.is_none_or(|(c, m)| c.misses() > m);
         let mut stats = StreamStats::default();
 
         std::thread::scope(|scope| {
@@ -642,7 +656,13 @@ impl ParallelExecutor {
                     let produced = produced.get_or_insert_with(|| {
                         let fp = source.fingerprint();
                         let permit = permit.take().expect("one permit per shard");
-                        Shard::new(questions.clone(), pipes, options.downsample, fp, permit)
+                        let shard =
+                            Shard::new(questions.clone(), pipes, options.downsample, fp, permit);
+                        if missed() {
+                            let _r_span = generated.then(|| tele.span("stream.rasterize"));
+                            tele.counter("stream.rasterized", shard.rasterize() as u64);
+                        }
+                        shard
                     });
                     let view = match twin {
                         Some(fp) if row >= models => twinned
@@ -722,6 +742,22 @@ impl<'a> Shard<'a> {
             }),
             dataset_fp,
         }
+    }
+
+    /// Rasterizes every image a legibility fill of this shard reads
+    /// ([`LegibilitySlots::reads_pixels`]), returning how many. The
+    /// producer calls it ahead of the workers on a run that infers; an
+    /// image it skips is rasterized by whatever reads it first, if
+    /// anything does.
+    fn rasterize(&self) -> usize {
+        let mut images = 0;
+        for (q, slots) in self.questions.iter().zip(self.resident.legibility.iter()) {
+            if slots.reads_pixels(q) {
+                q.visual.image.pixels();
+                images += 1;
+            }
+        }
+        images
     }
 
     /// The shard's [`no_choice`] twin, keyed with `dataset_fp`: same ids,
@@ -850,6 +886,13 @@ impl LegibilitySlots {
         factors.sort_unstable();
         factors.dedup();
         LegibilitySlots(factors.into_iter().map(|f| (f, OnceLock::new())).collect())
+    }
+
+    /// Whether filling these slots reads `q`'s pixels: `q` has a key
+    /// mark and a slot's total factor is 2 or more (at a factor of 1
+    /// every mark is fully legible, and nothing is read).
+    pub(crate) fn reads_pixels(&self, q: &Question) -> bool {
+        !q.key_marks.is_empty() && self.0.iter().any(|&(factor, _)| factor >= 2)
     }
 
     /// `pipe`'s response to `q`, the question these slots belong to:

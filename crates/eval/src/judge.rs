@@ -102,13 +102,17 @@ impl Judge for RuleJudge {
 }
 
 /// The paper's hybrid evaluation: an automatic judge plus explicit
-/// per-question manual verdict overrides for the visually-entangled
-/// cases an auto-judge cannot settle (§IV: "for certain questions ... we
-/// conduct manual checks by the annotators").
+/// manual verdict overrides for the visually-entangled cases an
+/// auto-judge cannot settle (§IV: "for certain questions ... we conduct
+/// manual checks by the annotators"). An annotator judges one answer:
+/// an override decides one response text to one question, and every
+/// other response to that question (another model's, or the no-choice
+/// column's, which keeps the id) goes to the auto judge.
 #[derive(Debug, Clone, Default)]
 pub struct HybridJudge {
     auto: RuleJudge,
-    overrides: HashMap<String, bool>,
+    /// Verdicts by question id, then by response text.
+    overrides: HashMap<String, HashMap<String, bool>>,
 }
 
 impl HybridJudge {
@@ -117,21 +121,33 @@ impl HybridJudge {
         HybridJudge::default()
     }
 
-    /// Records an annotator verdict for a question id, bypassing the
-    /// auto judge for that question.
-    pub fn override_verdict(&mut self, question_id: impl Into<String>, correct: bool) {
-        self.overrides.insert(question_id.into(), correct);
+    /// Records an annotator verdict on `response` to question
+    /// `question_id`, bypassing the auto judge for that answer only.
+    pub fn override_verdict(
+        &mut self,
+        question_id: impl Into<String>,
+        response: impl Into<String>,
+        correct: bool,
+    ) {
+        self.overrides
+            .entry(question_id.into())
+            .or_default()
+            .insert(response.into(), correct);
     }
 
     /// Number of manual overrides registered.
     pub fn override_count(&self) -> usize {
-        self.overrides.len()
+        self.overrides.values().map(HashMap::len).sum()
     }
 }
 
 impl Judge for HybridJudge {
     fn is_correct(&self, question: &Question, response: &str) -> bool {
-        match self.overrides.get(&question.id) {
+        let verdict = self
+            .overrides
+            .get(&question.id)
+            .and_then(|responses| responses.get(response));
+        match verdict {
             Some(&verdict) => verdict,
             None => self.auto.is_correct(question, response),
         }
@@ -313,11 +329,36 @@ mod tests {
         let q = &bench.questions()[0];
         let mut j = HybridJudge::new();
         assert!(j.is_correct(q, &q.golden_text()), "auto path first");
-        j.override_verdict(q.id.clone(), false);
+        j.override_verdict(q.id.clone(), q.golden_text(), false);
         assert!(!j.is_correct(q, &q.golden_text()), "annotator overrules");
         assert_eq!(j.override_count(), 1);
         // other questions still use the auto judge
         let other = &bench.questions()[1];
         assert!(j.is_correct(other, &other.golden_text()));
+    }
+
+    #[test]
+    fn an_override_decides_one_response_not_the_question() {
+        let bench = chipvqa_core::ChipVqa::standard();
+        let q = &bench.questions()[0];
+        let gold = q.golden_text();
+        let wrong = "I cannot determine the answer from the provided image.";
+        let rule = RuleJudge::new();
+        assert!(rule.is_correct(q, &gold) && !rule.is_correct(q, wrong));
+        let mut j = HybridJudge::new();
+        j.override_verdict(q.id.clone(), wrong, true);
+        assert!(j.is_correct(q, wrong), "the annotated answer is overruled");
+        assert!(
+            j.is_correct(q, &gold),
+            "a different answer goes to the rule"
+        );
+        assert!(
+            !j.is_correct(q, "(z)"),
+            "a different answer goes to the rule"
+        );
+        // a second verdict on the same question is a second override
+        j.override_verdict(q.id.clone(), gold.clone(), false);
+        assert!(!j.is_correct(q, &gold) && j.is_correct(q, wrong));
+        assert_eq!(j.override_count(), 2);
     }
 }

@@ -9,7 +9,8 @@
 //! logic substrate. For machine-generated golds the rule judge is exact
 //! where an LLM judge is approximate; the [`judge::Judge`] trait keeps
 //! the seam where a model-based judge would plug in, and
-//! [`HybridJudge`] adds the paper's per-question manual overrides.
+//! [`HybridJudge`] adds the paper's manual overrides, one verdict per
+//! (question, response).
 //!
 //! [`harness`] runs models over collections and produces the per-category
 //! pass@1 reports of Table II; [`resolution`] runs the §IV-B image

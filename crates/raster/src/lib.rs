@@ -9,6 +9,14 @@
 //! paper's resolution study (§IV-B), and the [`metrics`] the simulated
 //! visual encoders consume (ink coverage, legibility after downsampling).
 //!
+//! A [`Pixmap`] is drawn on demand: it records its draw calls and
+//! rasterizes them once, on its first pixel read, into the pixels an
+//! eager draw would give. An image nothing reads costs its recorded
+//! calls and no pixel buffer, which is what a run that answers from its
+//! cache does with every image it generates. The first read is
+//! thread-safe, and a draw after it goes straight to the buffer; the
+//! [`Pixmap`] docs give the cost model.
+//!
 //! # Example
 //!
 //! ```

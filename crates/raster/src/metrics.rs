@@ -138,9 +138,10 @@ fn clip(region: Region, w: usize, h: usize) -> (Range<usize>, Range<usize>) {
 
 fn region_ink(img: &Pixmap, region: Region) -> usize {
     let (cols, rows) = clip(region, img.width(), img.height());
+    let pixels = img.pixels();
     rows.map(|y| {
         let base = y * img.width();
-        count_ink(&img.pixels()[base + cols.start..base + cols.end])
+        count_ink(&pixels[base + cols.start..base + cols.end])
     })
     .sum()
 }

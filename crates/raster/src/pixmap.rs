@@ -1,8 +1,10 @@
-//! Grayscale pixel buffer with drawing primitives.
+//! Grayscale pixel buffer with drawing primitives, drawn on demand.
 
+use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::font;
 use crate::{INK_THRESHOLD, WHITE};
@@ -14,6 +16,33 @@ use crate::{INK_THRESHOLD, WHITE};
 /// darker shades (typically `0`). All drawing primitives silently clip to
 /// the image bounds, so callers never need to pre-clip geometry.
 ///
+/// # Drawn on demand
+///
+/// A `Pixmap` records its draw calls and rasterizes them on the first
+/// pixel read: [`pixels`](Pixmap::pixels), [`get`](Pixmap::get),
+/// [`ink_pixels`](Pixmap::ink_pixels), [`ink_fraction`](Pixmap::ink_fraction),
+/// [`downsample`](Pixmap::downsample), [`to_ascii_into`](Pixmap::to_ascii_into),
+/// [`crate::legibility_after_downsample`], [`write_pgm`](Pixmap::write_pgm),
+/// `==` and serialization. That read replays every recorded call, in
+/// call order, into a white buffer, through the same primitive code an
+/// eager draw runs, so the pixels are exactly the ones drawing eagerly
+/// gives. A draw on a rasterized pixmap goes straight to its buffer.
+///
+/// The buffer is a [`OnceLock`]: a `Pixmap` is `Send + Sync`, and when
+/// several threads make the first read of one image together, one of
+/// them replays and all of them see its bytes.
+///
+/// Cost model: [`new`](Pixmap::new) allocates nothing, and a recorded
+/// call is one push onto a list (the text of every
+/// [`draw_text`](Pixmap::draw_text) goes into one string per image, so
+/// recording text allocates nothing per call). The first read pays for
+/// the buffer, its white fill and every primitive, which is what drawing
+/// eagerly cost, so an image that is read costs its recording on top.
+/// An image that is never read costs its recorded calls and no pixels.
+/// The calls stay recorded after the replay; a `set` per pixel of a
+/// large region records one call per pixel, where one
+/// [`fill_rect`](Pixmap::fill_rect) records one.
+///
 /// # Example
 ///
 /// ```
@@ -22,17 +51,84 @@ use crate::{INK_THRESHOLD, WHITE};
 /// let mut img = Pixmap::new(64, 64);
 /// img.draw_rect(8, 8, 48, 48, 2, 0);
 /// img.draw_circle(32, 32, 12, 2, 0);
-/// assert_eq!(img.get(8, 8), Some(0));
+/// assert_eq!(img.get(8, 8), Some(0)); // the first read rasterizes
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Pixmap {
     width: usize,
     height: usize,
-    data: Vec<u8>,
+    /// The draw calls made before the first read, in call order.
+    ops: Vec<Op>,
+    /// The text of every recorded [`Op::Text`], end to end.
+    text: String,
+    /// The pixels, row-major: set by the first read, or at construction
+    /// from pixels.
+    data: OnceLock<Vec<u8>>,
+}
+
+/// One recorded draw call. The composite calls (`draw_rect`,
+/// `draw_polyline`, `draw_arrow`) record the lines they are made of.
+#[derive(Clone)]
+enum Op {
+    Set {
+        x: i64,
+        y: i64,
+        shade: u8,
+    },
+    Fill {
+        shade: u8,
+    },
+    FillRect {
+        x: i64,
+        y: i64,
+        w: i64,
+        h: i64,
+        shade: u8,
+    },
+    Line {
+        x0: i64,
+        y0: i64,
+        x1: i64,
+        y1: i64,
+        stroke: i64,
+        shade: u8,
+    },
+    DashedLine {
+        x0: i64,
+        y0: i64,
+        x1: i64,
+        y1: i64,
+        stroke: i64,
+        shade: u8,
+        dash_on: u32,
+        dash_off: u32,
+    },
+    Circle {
+        cx: i64,
+        cy: i64,
+        r: i64,
+        stroke: i64,
+        shade: u8,
+    },
+    FillCircle {
+        cx: i64,
+        cy: i64,
+        r: i64,
+        shade: u8,
+    },
+    /// `span` is the byte range of the pixmap's text string that holds
+    /// the call's text.
+    Text {
+        x: i64,
+        y: i64,
+        span: Range<usize>,
+        scale: i64,
+        shade: u8,
+    },
 }
 
 impl Pixmap {
-    /// Creates a white image of the given dimensions.
+    /// Creates a white image of the given dimensions. Nothing is
+    /// allocated until the first pixel read.
     ///
     /// # Panics
     ///
@@ -42,7 +138,21 @@ impl Pixmap {
         Pixmap {
             width,
             height,
-            data: vec![WHITE; width * height],
+            ops: Vec::new(),
+            text: String::new(),
+            data: OnceLock::new(),
+        }
+    }
+
+    /// A rasterized image holding `data`, row-major.
+    fn from_pixels(width: usize, height: usize, data: Vec<u8>) -> Self {
+        debug_assert_eq!(data.len(), width * height, "one byte per pixel");
+        Pixmap {
+            width,
+            height,
+            ops: Vec::new(),
+            text: String::new(),
+            data: OnceLock::from(data),
         }
     }
 
@@ -56,9 +166,21 @@ impl Pixmap {
         self.height
     }
 
-    /// Read-only view of the raw pixel data, row-major.
+    /// Read-only view of the raw pixel data, row-major. The first read
+    /// of an image rasterizes its recorded drawing.
     pub fn pixels(&self) -> &[u8] {
-        &self.data
+        self.data.get_or_init(|| {
+            let mut data = vec![WHITE; self.width * self.height];
+            let mut canvas = Canvas {
+                width: self.width,
+                height: self.height,
+                data: &mut data,
+            };
+            for op in &self.ops {
+                canvas.apply(op, &self.text);
+            }
+            data
+        })
     }
 
     /// Returns the shade at `(x, y)`, or `None` when out of bounds.
@@ -67,26 +189,443 @@ impl Pixmap {
         if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
             None
         } else {
-            Some(self.data[y as usize * self.width + x as usize])
+            Some(self.pixels()[y as usize * self.width + x as usize])
+        }
+    }
+
+    /// Records `op`, or draws it straight into the buffer once the image
+    /// is rasterized.
+    fn draw(&mut self, op: Op) {
+        let (width, height) = (self.width, self.height);
+        match self.data.get_mut() {
+            Some(data) => Canvas {
+                width,
+                height,
+                data,
+            }
+            .apply(&op, &self.text),
+            None => self.ops.push(op),
         }
     }
 
     /// Sets the shade at `(x, y)`; out-of-bounds writes are ignored.
-    #[inline]
     pub fn set(&mut self, x: i64, y: i64, shade: u8) {
-        if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
-            self.data[y as usize * self.width + x as usize] = shade;
-        }
+        self.draw(Op::Set { x, y, shade });
     }
 
     /// Fills the whole image with one shade.
     pub fn fill(&mut self, shade: u8) {
-        self.data.fill(shade);
+        self.draw(Op::Fill { shade });
     }
 
     /// Fills the axis-aligned rectangle with top-left `(x, y)` and the given
     /// width/height.
     pub fn fill_rect(&mut self, x: i64, y: i64, w: i64, h: i64, shade: u8) {
+        self.draw(Op::FillRect { x, y, w, h, shade });
+    }
+
+    /// Draws a straight line between `(x0, y0)` and `(x1, y1)` with the given
+    /// stroke width (in pixels) using Bresenham stepping.
+    pub fn draw_line(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, stroke: i64, shade: u8) {
+        self.draw(Op::Line {
+            x0,
+            y0,
+            x1,
+            y1,
+            stroke,
+            shade,
+        });
+    }
+
+    /// Draws a dashed line (alternating `dash_on` drawn pixels with
+    /// `dash_off` skipped pixels along the Bresenham walk).
+    #[allow(clippy::too_many_arguments)] // mirrors draw_line's endpoint/stroke signature
+    pub fn draw_dashed_line(
+        &mut self,
+        x0: i64,
+        y0: i64,
+        x1: i64,
+        y1: i64,
+        stroke: i64,
+        shade: u8,
+        dash_on: u32,
+        dash_off: u32,
+    ) {
+        self.draw(Op::DashedLine {
+            x0,
+            y0,
+            x1,
+            y1,
+            stroke,
+            shade,
+            dash_on,
+            dash_off,
+        });
+    }
+
+    /// Draws the outline of an axis-aligned rectangle.
+    pub fn draw_rect(&mut self, x: i64, y: i64, w: i64, h: i64, stroke: i64, shade: u8) {
+        self.draw_line(x, y, x + w - 1, y, stroke, shade);
+        self.draw_line(x, y + h - 1, x + w - 1, y + h - 1, stroke, shade);
+        self.draw_line(x, y, x, y + h - 1, stroke, shade);
+        self.draw_line(x + w - 1, y, x + w - 1, y + h - 1, stroke, shade);
+    }
+
+    /// Draws a circle outline centred at `(cx, cy)` using the midpoint
+    /// algorithm.
+    pub fn draw_circle(&mut self, cx: i64, cy: i64, r: i64, stroke: i64, shade: u8) {
+        self.draw(Op::Circle {
+            cx,
+            cy,
+            r,
+            stroke,
+            shade,
+        });
+    }
+
+    /// Fills a disc centred at `(cx, cy)`.
+    pub fn fill_circle(&mut self, cx: i64, cy: i64, r: i64, shade: u8) {
+        self.draw(Op::FillCircle { cx, cy, r, shade });
+    }
+
+    /// Draws connected line segments through the given points.
+    pub fn draw_polyline(&mut self, points: &[(i64, i64)], stroke: i64, shade: u8) {
+        for pair in points.windows(2) {
+            self.draw_line(pair[0].0, pair[0].1, pair[1].0, pair[1].1, stroke, shade);
+        }
+    }
+
+    /// Draws a line terminated by a small solid arrow head at `(x1, y1)`.
+    pub fn draw_arrow(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, stroke: i64, shade: u8) {
+        self.draw_line(x0, y0, x1, y1, stroke, shade);
+        let (dx, dy) = ((x1 - x0) as f64, (y1 - y0) as f64);
+        let len = (dx * dx + dy * dy).sqrt();
+        if len < 1.0 {
+            return;
+        }
+        let (ux, uy) = (dx / len, dy / len);
+        let size = 6.0_f64.min(len / 2.0);
+        // Two barbs at +-150 degrees from the shaft direction.
+        for angle in [2.6, -2.6_f64] {
+            let (s, c) = angle.sin_cos();
+            let bx = x1 + ((ux * c - uy * s) * size).round() as i64;
+            let by = y1 + ((ux * s + uy * c) * size).round() as i64;
+            self.draw_line(x1, y1, bx, by, stroke, shade);
+        }
+    }
+
+    /// Renders `text` with its top-left corner at `(x, y)` using the built-in
+    /// 5x7 font scaled by `scale`. Returns the width of the rendered text in
+    /// pixels. Characters outside the font map render as blanks.
+    pub fn draw_text(&mut self, x: i64, y: i64, text: &str, scale: i64, shade: u8) -> i64 {
+        let (width, height) = (self.width, self.height);
+        if let Some(data) = self.data.get_mut() {
+            let mut canvas = Canvas {
+                width,
+                height,
+                data,
+            };
+            return canvas.draw_text(x, y, text, scale, shade);
+        }
+        let start = self.text.len();
+        self.text.push_str(text);
+        self.ops.push(Op::Text {
+            x,
+            y,
+            span: start..self.text.len(),
+            scale,
+            shade,
+        });
+        Pixmap::text_width(text, scale)
+    }
+
+    /// Width in pixels that [`Pixmap::draw_text`] would occupy.
+    pub fn text_width(text: &str, scale: i64) -> i64 {
+        text.chars().count() as i64 * font::ADVANCE * scale.max(1)
+    }
+
+    /// Downsamples the image by an integer factor using a box filter (the
+    /// mean of each `factor x factor` block). Ragged edges are averaged over
+    /// the in-bounds pixels. This models the resolution degradation of the
+    /// paper's §IV-B study.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is zero.
+    pub fn downsample(&self, factor: usize) -> Pixmap {
+        assert!(factor > 0, "downsample factor must be nonzero");
+        if factor == 1 {
+            return self.clone();
+        }
+        let nw = self.width.div_ceil(factor);
+        let nh = self.height.div_ceil(factor);
+        let mut data = Vec::with_capacity(nw * nh);
+        self.box_filter(factor, 0..nw, 0..nh, |sum, n| data.push((sum / n) as u8));
+        Pixmap::from_pixels(nw, nh, data)
+    }
+
+    /// The one box-filter core, behind [`Pixmap::downsample`],
+    /// [`Pixmap::to_ascii_into`] and
+    /// [`crate::legibility_after_downsample`]: hands `visit(sum, n)` the
+    /// integer pixel sum and the in-bounds pixel count `n > 0` of every
+    /// block in `cols × rows` of the `div_ceil(factor)` grid, in
+    /// row-major order. Callers take the mean as `sum / n`, or compare
+    /// against it without dividing.
+    ///
+    /// It works one block row (band) at a time: the band's first pixel
+    /// row is copied into a `u32` column-sum buffer and the others are
+    /// added to it, in plain widening loops the compiler vectorizes;
+    /// then each block's `factor` columns are summed into a `u64`.
+    /// Integer sums are order-independent, so every `sum` equals the
+    /// naive per-pixel block sum however much of the grid is visited.
+    /// A column sum is at most `255 ×` the band's rows, so `u32` is
+    /// exact for bands of up to `u32::MAX / 255` (16,843,009) rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a band could hold more rows than that bound.
+    pub(crate) fn box_filter(
+        &self,
+        factor: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        mut visit: impl FnMut(u64, u64),
+    ) {
+        if cols.is_empty() || rows.is_empty() {
+            return;
+        }
+        assert!(
+            factor.min(self.height) <= (u32::MAX / u32::from(WHITE)) as usize,
+            "box-filter band too tall for u32 column sums"
+        );
+        let data = self.pixels();
+        let x_start = cols.start * factor;
+        let x_end = (cols.end * factor).min(self.width);
+        let mut column_sums = vec![0u32; x_end - x_start];
+        for by in rows {
+            let y_start = by * factor;
+            let y_end = ((by + 1) * factor).min(self.height);
+            let mut band = (y_start..y_end)
+                .map(|yy| &data[yy * self.width + x_start..yy * self.width + x_end]);
+            let first = band.next().expect("every band holds a row");
+            for (sum, &p) in column_sums.iter_mut().zip(first) {
+                *sum = u32::from(p);
+            }
+            for row in band {
+                for (sum, &p) in column_sums.iter_mut().zip(row) {
+                    *sum += u32::from(p);
+                }
+            }
+            let n_rows = (y_end - y_start) as u64;
+            for block in column_sums.chunks(factor) {
+                let sum = block.iter().map(|&s| u64::from(s)).sum();
+                visit(sum, n_rows * block.len() as u64);
+            }
+        }
+    }
+
+    /// Counts pixels darker than [`INK_THRESHOLD`] over the whole image.
+    pub fn ink_pixels(&self) -> usize {
+        count_ink(self.pixels())
+    }
+
+    /// Renders the image as ASCII art (one character per `cell x cell`
+    /// block), handy for terminal exploration of generated visuals.
+    pub fn to_ascii(&self, cell: usize) -> String {
+        let mut s = String::new();
+        self.to_ascii_into(cell, &mut s);
+        s
+    }
+
+    /// [`Pixmap::to_ascii`] into a caller-owned string (cleared first),
+    /// avoiding the per-call allocation when rendering many frames.
+    pub fn to_ascii_into(&self, cell: usize, s: &mut String) {
+        let cell = cell.max(1);
+        let shades = [b'#', b'+', b'.', b' '];
+        let nw = self.width.div_ceil(cell);
+        let nh = self.height.div_ceil(cell);
+        s.clear();
+        s.reserve(nh * (nw + 1));
+        let mut bx = 0;
+        self.box_filter(cell, 0..nw, 0..nh, |sum, n| {
+            let avg = (sum / n) as usize;
+            s.push(shades[avg * shades.len() / 256] as char);
+            bx += 1;
+            if bx == nw {
+                s.push('\n');
+                bx = 0;
+            }
+        });
+    }
+
+    /// Writes the image as a binary PGM (P5) stream. A mutable reference
+    /// to any `Write` implementor can be passed (e.g. `&mut file`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the writer.
+    pub fn write_pgm<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
+        write!(w, "P5\n{} {}\n255\n", self.width, self.height)?;
+        w.write_all(self.pixels())
+    }
+
+    /// The image as an in-memory PGM (P5) byte vector.
+    pub fn to_pgm_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.width * self.height + 32);
+        self.write_pgm(&mut out)
+            .expect("writing to a Vec cannot fail");
+        out
+    }
+}
+
+/// A clone of a rasterized pixmap copies its pixels; a clone of an
+/// unrasterized one copies its recorded calls, and rasterizes on its own
+/// first read.
+impl Clone for Pixmap {
+    fn clone(&self) -> Self {
+        match self.data.get() {
+            Some(data) => Pixmap::from_pixels(self.width, self.height, data.clone()),
+            None => Pixmap {
+                width: self.width,
+                height: self.height,
+                ops: self.ops.clone(),
+                text: self.text.clone(),
+                data: OnceLock::new(),
+            },
+        }
+    }
+}
+
+/// Two images are equal when their sizes and pixels are: comparing
+/// reads (so rasterizes) both.
+impl PartialEq for Pixmap {
+    fn eq(&self, other: &Self) -> bool {
+        self.width == other.width && self.height == other.height && self.pixels() == other.pixels()
+    }
+}
+
+impl Eq for Pixmap {}
+
+/// Shows the size and drawing state, and reads no pixel.
+impl fmt::Debug for Pixmap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pixmap")
+            .field("width", &self.width)
+            .field("height", &self.height)
+            .field("recorded_calls", &self.ops.len())
+            .field("rasterized", &self.data.get().is_some())
+            .finish()
+    }
+}
+
+/// `{"width":…,"height":…,"data":[…]}`, the pixels row-major.
+impl Serialize for Pixmap {
+    fn to_value(&self) -> Value {
+        Value::Obj(vec![
+            ("width".to_string(), self.width.to_value()),
+            ("height".to_string(), self.height.to_value()),
+            ("data".to_string(), self.pixels().to_value()),
+        ])
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"width\":");
+        self.width.write_json(out);
+        out.push_str(",\"height\":");
+        self.height.write_json(out);
+        out.push_str(",\"data\":");
+        self.pixels().write_json(out);
+        out.push('}');
+    }
+}
+
+/// Reads the serialized form back as a rasterized pixmap. Refuses
+/// dimensions of zero and a `data` array that does not hold one byte
+/// per pixel.
+impl Deserialize for Pixmap {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if v.as_obj().is_none() {
+            return Err(DeError::expected("object", v, "Pixmap"));
+        }
+        let field = |name| v.get(name).ok_or_else(|| DeError::missing(name, "Pixmap"));
+        let width = usize::from_value(field("width")?)?;
+        let height = usize::from_value(field("height")?)?;
+        let data = Vec::<u8>::from_value(field("data")?)?;
+        if width == 0 || height == 0 || width.checked_mul(height) != Some(data.len()) {
+            return Err(DeError(format!(
+                "a {width}x{height} pixmap cannot hold {} pixels",
+                data.len()
+            )));
+        }
+        Ok(Pixmap::from_pixels(width, height, data))
+    }
+}
+
+/// The rasterizer: the drawing primitives over a borrowed buffer. A
+/// pixmap's first read replays its recorded calls through it, and a draw
+/// on a rasterized pixmap calls it directly.
+struct Canvas<'a> {
+    width: usize,
+    height: usize,
+    data: &'a mut [u8],
+}
+
+impl Canvas<'_> {
+    /// Draws one recorded call; `text` is the pixmap's text string.
+    fn apply(&mut self, op: &Op, text: &str) {
+        match *op {
+            Op::Set { x, y, shade } => self.set(x, y, shade),
+            Op::Fill { shade } => self.data.fill(shade),
+            Op::FillRect { x, y, w, h, shade } => self.fill_rect(x, y, w, h, shade),
+            Op::Line {
+                x0,
+                y0,
+                x1,
+                y1,
+                stroke,
+                shade,
+            } => self.draw_line(x0, y0, x1, y1, stroke, shade),
+            Op::DashedLine {
+                x0,
+                y0,
+                x1,
+                y1,
+                stroke,
+                shade,
+                dash_on,
+                dash_off,
+            } => self.draw_dashed_line(x0, y0, x1, y1, stroke, shade, dash_on, dash_off),
+            Op::Circle {
+                cx,
+                cy,
+                r,
+                stroke,
+                shade,
+            } => self.draw_circle(cx, cy, r, stroke, shade),
+            Op::FillCircle { cx, cy, r, shade } => self.fill_circle(cx, cy, r, shade),
+            Op::Text {
+                x,
+                y,
+                ref span,
+                scale,
+                shade,
+            } => {
+                self.draw_text(x, y, &text[span.clone()], scale, shade);
+            }
+        }
+    }
+
+    /// Sets the shade at `(x, y)`; out-of-bounds writes are ignored.
+    #[inline]
+    fn set(&mut self, x: i64, y: i64, shade: u8) {
+        if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
+            self.data[y as usize * self.width + x as usize] = shade;
+        }
+    }
+
+    /// Fills the axis-aligned rectangle with top-left `(x, y)` and the given
+    /// width/height.
+    fn fill_rect(&mut self, x: i64, y: i64, w: i64, h: i64, shade: u8) {
         // Clip once, then fill whole row slices instead of testing bounds
         // per pixel — this primitive underlies lines, text, and stamps,
         // so it is the hottest routine in the renderer.
@@ -106,7 +645,7 @@ impl Pixmap {
 
     /// Draws a straight line between `(x0, y0)` and `(x1, y1)` with the given
     /// stroke width (in pixels) using Bresenham stepping.
-    pub fn draw_line(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, stroke: i64, shade: u8) {
+    fn draw_line(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, stroke: i64, shade: u8) {
         // Axis-aligned lines (the vast majority in schematic renders) are
         // exactly the union of their per-step stamps, which collapses to a
         // single clipped rectangle fill.
@@ -148,7 +687,7 @@ impl Pixmap {
     /// Draws a dashed line (alternating `dash_on` drawn pixels with
     /// `dash_off` skipped pixels along the Bresenham walk).
     #[allow(clippy::too_many_arguments)] // mirrors draw_line's endpoint/stroke signature
-    pub fn draw_dashed_line(
+    fn draw_dashed_line(
         &mut self,
         x0: i64,
         y0: i64,
@@ -187,17 +726,9 @@ impl Pixmap {
         }
     }
 
-    /// Draws the outline of an axis-aligned rectangle.
-    pub fn draw_rect(&mut self, x: i64, y: i64, w: i64, h: i64, stroke: i64, shade: u8) {
-        self.draw_line(x, y, x + w - 1, y, stroke, shade);
-        self.draw_line(x, y + h - 1, x + w - 1, y + h - 1, stroke, shade);
-        self.draw_line(x, y, x, y + h - 1, stroke, shade);
-        self.draw_line(x + w - 1, y, x + w - 1, y + h - 1, stroke, shade);
-    }
-
     /// Draws a circle outline centred at `(cx, cy)` using the midpoint
     /// algorithm.
-    pub fn draw_circle(&mut self, cx: i64, cy: i64, r: i64, stroke: i64, shade: u8) {
+    fn draw_circle(&mut self, cx: i64, cy: i64, r: i64, stroke: i64, shade: u8) {
         let mut x = r;
         let mut y = 0i64;
         let mut err = 1 - r;
@@ -225,7 +756,7 @@ impl Pixmap {
     }
 
     /// Fills a disc centred at `(cx, cy)`.
-    pub fn fill_circle(&mut self, cx: i64, cy: i64, r: i64, shade: u8) {
+    fn fill_circle(&mut self, cx: i64, cy: i64, r: i64, shade: u8) {
         // One clipped span per scanline: the row's extent is the largest
         // xx with xx² + yy² ≤ r² (float sqrt as a seed, corrected to the
         // exact integer bound so the pixel set matches the per-pixel
@@ -243,36 +774,10 @@ impl Pixmap {
         }
     }
 
-    /// Draws connected line segments through the given points.
-    pub fn draw_polyline(&mut self, points: &[(i64, i64)], stroke: i64, shade: u8) {
-        for pair in points.windows(2) {
-            self.draw_line(pair[0].0, pair[0].1, pair[1].0, pair[1].1, stroke, shade);
-        }
-    }
-
-    /// Draws a line terminated by a small solid arrow head at `(x1, y1)`.
-    pub fn draw_arrow(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, stroke: i64, shade: u8) {
-        self.draw_line(x0, y0, x1, y1, stroke, shade);
-        let (dx, dy) = ((x1 - x0) as f64, (y1 - y0) as f64);
-        let len = (dx * dx + dy * dy).sqrt();
-        if len < 1.0 {
-            return;
-        }
-        let (ux, uy) = (dx / len, dy / len);
-        let size = 6.0_f64.min(len / 2.0);
-        // Two barbs at +-150 degrees from the shaft direction.
-        for angle in [2.6, -2.6_f64] {
-            let (s, c) = angle.sin_cos();
-            let bx = x1 + ((ux * c - uy * s) * size).round() as i64;
-            let by = y1 + ((ux * s + uy * c) * size).round() as i64;
-            self.draw_line(x1, y1, bx, by, stroke, shade);
-        }
-    }
-
     /// Renders `text` with its top-left corner at `(x, y)` using the built-in
     /// 5x7 font scaled by `scale`. Returns the width of the rendered text in
     /// pixels. Characters outside the font map render as blanks.
-    pub fn draw_text(&mut self, x: i64, y: i64, text: &str, scale: i64, shade: u8) -> i64 {
+    fn draw_text(&mut self, x: i64, y: i64, text: &str, scale: i64, shade: u8) -> i64 {
         let scale = scale.max(1);
         let mut cursor = x;
         for ch in text.chars() {
@@ -293,146 +798,6 @@ impl Pixmap {
             cursor += font::ADVANCE * scale;
         }
         cursor - x
-    }
-
-    /// Width in pixels that [`Pixmap::draw_text`] would occupy.
-    pub fn text_width(text: &str, scale: i64) -> i64 {
-        text.chars().count() as i64 * font::ADVANCE * scale.max(1)
-    }
-
-    /// Downsamples the image by an integer factor using a box filter (the
-    /// mean of each `factor x factor` block). Ragged edges are averaged over
-    /// the in-bounds pixels. This models the resolution degradation of the
-    /// paper's §IV-B study.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is zero.
-    pub fn downsample(&self, factor: usize) -> Pixmap {
-        assert!(factor > 0, "downsample factor must be nonzero");
-        if factor == 1 {
-            return self.clone();
-        }
-        let nw = self.width.div_ceil(factor);
-        let nh = self.height.div_ceil(factor);
-        let mut out = Pixmap::new(nw, nh);
-        let mut px = out.data.iter_mut();
-        self.box_filter(factor, 0..nw, 0..nh, |sum, n| {
-            *px.next().expect("one mean per block") = (sum / n) as u8;
-        });
-        out
-    }
-
-    /// The one box-filter core, behind [`Pixmap::downsample`],
-    /// [`Pixmap::to_ascii_into`] and
-    /// [`crate::legibility_after_downsample`]: hands `visit(sum, n)` the
-    /// integer pixel sum and the in-bounds pixel count `n > 0` of every
-    /// block in `cols × rows` of the `div_ceil(factor)` grid, in
-    /// row-major order. Callers take the mean as `sum / n`, or compare
-    /// against it without dividing.
-    ///
-    /// It works one block row (band) at a time: the band's first pixel
-    /// row is copied into a `u32` column-sum buffer and the others are
-    /// added to it, in plain widening loops the compiler vectorizes;
-    /// then each block's `factor` columns are summed into a `u64`.
-    /// Integer sums are order-independent, so every `sum` equals the
-    /// naive per-pixel block sum however much of the grid is visited.
-    /// A column sum is at most `255 ×` the band's rows, so `u32` is
-    /// exact for bands of up to `u32::MAX / 255` (16,843,009) rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a band could hold more rows than that bound.
-    pub(crate) fn box_filter(
-        &self,
-        factor: usize,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        mut visit: impl FnMut(u64, u64),
-    ) {
-        if cols.is_empty() || rows.is_empty() {
-            return;
-        }
-        assert!(
-            factor.min(self.height) <= (u32::MAX / u32::from(WHITE)) as usize,
-            "box-filter band too tall for u32 column sums"
-        );
-        let x_start = cols.start * factor;
-        let x_end = (cols.end * factor).min(self.width);
-        let mut column_sums = vec![0u32; x_end - x_start];
-        for by in rows {
-            let y_start = by * factor;
-            let y_end = ((by + 1) * factor).min(self.height);
-            let mut band = (y_start..y_end)
-                .map(|yy| &self.data[yy * self.width + x_start..yy * self.width + x_end]);
-            let first = band.next().expect("every band holds a row");
-            for (sum, &p) in column_sums.iter_mut().zip(first) {
-                *sum = u32::from(p);
-            }
-            for row in band {
-                for (sum, &p) in column_sums.iter_mut().zip(row) {
-                    *sum += u32::from(p);
-                }
-            }
-            let n_rows = (y_end - y_start) as u64;
-            for block in column_sums.chunks(factor) {
-                let sum = block.iter().map(|&s| u64::from(s)).sum();
-                visit(sum, n_rows * block.len() as u64);
-            }
-        }
-    }
-
-    /// Counts pixels darker than [`INK_THRESHOLD`] over the whole image.
-    pub fn ink_pixels(&self) -> usize {
-        count_ink(&self.data)
-    }
-
-    /// Renders the image as ASCII art (one character per `cell x cell`
-    /// block), handy for terminal exploration of generated visuals.
-    pub fn to_ascii(&self, cell: usize) -> String {
-        let mut s = String::new();
-        self.to_ascii_into(cell, &mut s);
-        s
-    }
-
-    /// [`Pixmap::to_ascii`] into a caller-owned string (cleared first),
-    /// avoiding the per-call allocation when rendering many frames.
-    pub fn to_ascii_into(&self, cell: usize, s: &mut String) {
-        let cell = cell.max(1);
-        let shades = [b'#', b'+', b'.', b' '];
-        let nw = self.width.div_ceil(cell);
-        let nh = self.height.div_ceil(cell);
-        s.clear();
-        s.reserve(nh * (nw + 1));
-        let mut bx = 0;
-        self.box_filter(cell, 0..nw, 0..nh, |sum, n| {
-            let avg = (sum / n) as usize;
-            s.push(shades[avg * shades.len() / 256] as char);
-            bx += 1;
-            if bx == nw {
-                s.push('\n');
-                bx = 0;
-            }
-        });
-    }
-
-    /// Writes the image as a binary PGM (P5) stream. A mutable reference
-    /// to any `Write` implementor can be passed (e.g. `&mut file`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_pgm<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        write!(w, "P5\n{} {}\n255\n", self.width, self.height)?;
-        w.write_all(&self.data)
-    }
-
-    /// The image as an in-memory PGM (P5) byte vector.
-    pub fn to_pgm_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.data.len() + 32);
-        self.write_pgm(&mut out)
-            .expect("writing to a Vec cannot fail");
-        out
     }
 
     /// Stamps a `stroke x stroke` square centred on `(x, y)`.
@@ -680,5 +1045,83 @@ mod tests {
         let json = serde_json::to_string(&img).expect("serialize");
         let back: Pixmap = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(img, back);
+    }
+
+    /// Every recorded call kind, composites included, over a 96x64 image
+    /// on a gray fill; `read_first` reads a pixel before drawing, so
+    /// every call goes straight to the buffer (the eager replay).
+    fn scene(read_first: bool) -> Pixmap {
+        let mut img = Pixmap::new(96, 64);
+        if read_first {
+            assert_eq!(img.get(0, 0), Some(WHITE));
+        }
+        img.fill(240);
+        img.fill_rect(-4, 50, 30, 30, 96);
+        img.draw_line(0, 0, 95, 63, 2, 0);
+        img.draw_line(4, 40, 90, 40, 3, 64);
+        img.draw_dashed_line(0, 8, 95, 20, 1, 0, 4, 3);
+        img.draw_circle(48, 32, 20, 2, 32);
+        img.fill_circle(80, 10, 9, 0);
+        img.draw_rect(10, 10, 30, 20, 1, 0);
+        img.draw_polyline(&[(2, 60), (30, 45), (60, 62)], 2, 128);
+        img.draw_arrow(90, 60, 50, 50, 1, 0);
+        assert_eq!(img.draw_text(-3, 24, "Vout 1.8V", 2, 0), 9 * 6 * 2);
+        img.set(95, 63, 7);
+        img.set(-1, 5, 0);
+        img
+    }
+
+    #[test]
+    fn four_threads_making_the_first_read_together_see_one_raster() {
+        let eager = scene(true);
+        let deferred = scene(false);
+        assert!(format!("{eager:?}").contains("rasterized: true"));
+        assert!(format!("{deferred:?}").contains("rasterized: false"));
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    assert_eq!(deferred.pixels(), eager.pixels());
+                });
+            }
+        });
+        assert!(format!("{deferred:?}").contains("rasterized: true"));
+        assert_eq!(deferred.get(95, 63), Some(7));
+    }
+
+    #[test]
+    fn clones_and_serde_round_trips_keep_the_pixels() {
+        let eager = scene(true);
+        // a clone of an unrasterized pixmap rasterizes on its own read,
+        // and leaves the original unrasterized
+        let deferred = scene(false);
+        let copy = deferred.clone();
+        assert_eq!(copy.pixels(), eager.pixels());
+        assert!(format!("{deferred:?}").contains("rasterized: false"));
+        assert_eq!(deferred.clone(), eager);
+        // a clone of a rasterized one copies its pixels
+        let mut drawn_on = eager.clone();
+        assert!(format!("{drawn_on:?}").contains("rasterized: true"));
+        drawn_on.set(0, 0, 1);
+        assert_eq!(drawn_on.get(0, 0), Some(1));
+        assert_ne!(eager.get(0, 0), Some(1), "the clone owns its pixels");
+        // serialization reads the pixels; the direct writer writes the
+        // tree's bytes, and reading them back gives a rasterized equal
+        let json = serde_json::to_string(&scene(false)).expect("serialize");
+        let mut tree = String::new();
+        scene(false).to_value().write_json(&mut tree);
+        assert_eq!(json, tree);
+        let back: Pixmap = serde_json::from_str(&json).expect("deserialize");
+        assert!(format!("{back:?}").contains("rasterized: true"));
+        assert_eq!(back, eager);
+        for bad in [
+            r#"{"width":2,"height":2,"data":[0,0,0]}"#,
+            r#"{"width":0,"height":0,"data":[]}"#,
+            r#"{"width":2,"data":[0,0]}"#,
+            "[1,2]",
+        ] {
+            assert!(serde_json::from_str::<Pixmap>(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -67,7 +67,7 @@ fn custom_judge_parallel_matches_sequential() {
             .step_by(9)
             .take(3)
         {
-            judge.override_verdict(outcome.id.clone(), !verdict);
+            judge.override_verdict(outcome.id.clone(), outcome.response.clone(), !verdict);
         }
     }
     assert_eq!(judge.override_count(), 6);

@@ -20,7 +20,11 @@
 //!    asserting byte-identical buffers. Region-local legibility is held
 //!    to its definition (a whole-image downsample, then an ink count)
 //!    bit for bit, and the one-canvas route comparison to the two-panel
-//!    composition it replaced.
+//!    composition it replaced. A `Pixmap` records its drawing and
+//!    rasterizes on its first read, so the op proptest also reads the
+//!    fast image mid-sequence: recorded-then-replayed drawing, drawing
+//!    straight into a rasterized buffer and the scalar reference must
+//!    all agree.
 
 use chipvqa::physd::render::render_route_tree;
 use chipvqa::physd::steiner::RouteTree;
@@ -586,17 +590,26 @@ mod differential {
 
     proptest! {
         /// Optimized primitives == scalar reference, pixel for pixel,
-        /// under arbitrary (including out-of-range) op sequences.
+        /// under arbitrary (including out-of-range) op sequences. The
+        /// fast image is also read before the ops at the seeded `reads`
+        /// positions: its first read replays the calls recorded so far,
+        /// and every later call draws straight into its buffer. The slow
+        /// image records every `set` and is read only at the end, so the
+        /// check holds deferred drawing to eager drawing as well.
         #[test]
         fn optimized_ops_match_scalar_reference(
             ops in proptest::collection::vec(
                 (0u8..6, -40i64..160, -40i64..160, -40i64..160, -40i64..160),
                 1..32,
             ),
+            reads in proptest::collection::vec(0usize..32, 0..3),
         ) {
             let mut fast = Pixmap::new(120, 80);
             let mut slow = Pixmap::new(120, 80);
-            for (op, a, b, c, d) in ops {
+            for (i, (op, a, b, c, d)) in ops.into_iter().enumerate() {
+                if reads.contains(&i) {
+                    std::hint::black_box(fast.get(a, b));
+                }
                 apply(op, a, b, c, d, &mut fast, &mut slow);
             }
             prop_assert_eq!(fast.pixels(), slow.pixels());

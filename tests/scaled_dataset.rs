@@ -247,6 +247,35 @@ proptest! {
     }
 }
 
+/// A storeless grid rasterizes, on its producer, exactly the images
+/// perception reads: each question with a key mark that some zoo model
+/// sees at a total factor of 2 or more, once for both columns.
+#[test]
+fn a_storeless_grid_rasterizes_the_images_perception_reads() {
+    let spec = DatasetSpec::scaled(2);
+    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let read = spec
+        .build()
+        .iter()
+        .filter(|q| !q.key_marks.is_empty() && pipes.iter().any(|p| p.total_factor(q, 1) >= 2))
+        .count();
+    assert!(read > 0);
+
+    let tele = Telemetry::recording();
+    let exec = ParallelExecutor::new(2).with_telemetry(tele.clone());
+    chipvqa_bench::run_table2_on(&exec, 2, true);
+    let snap = tele.snapshot();
+    assert_eq!(snap.counters.get("stream.rasterized"), Some(&(read as u64)));
+    // one stream.rasterize span per generated shard, on the producer
+    let spans: u64 = snap
+        .spans
+        .iter()
+        .filter(|(path, _)| path.ends_with("stream.rasterize"))
+        .map(|(_, span)| span.count)
+        .sum();
+    assert_eq!(spans, snap.counters["stream.shard_generated"]);
+}
+
 /// A grid computes each legibility value once: over both columns of a
 /// small grid and all twelve models, the slot fills at total factors of
 /// 2 or more count exactly the distinct (question, key mark, factor)

@@ -151,6 +151,40 @@ fn streamed_scaled_run_warm_starts_byte_identically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A warm restart of the Table II grid reads no pixel: its producer
+/// rasterizes no image ahead and no legibility slot is filled, while
+/// the cold fill that stored the answers rasterized ahead.
+#[test]
+fn a_warm_table2_grid_rasterizes_nothing() {
+    let dir = tmp_dir("warm-raster");
+    let run = || {
+        let store = Arc::new(AnswerStore::open(&dir).expect("store opens"));
+        let cache = Arc::new(AnswerCache::new().with_store(store));
+        let tele = Telemetry::recording();
+        let exec = ParallelExecutor::new(1)
+            .with_cache(Arc::clone(&cache))
+            .with_telemetry(tele.clone());
+        let mut bytes = Vec::new();
+        chipvqa_bench::run_table2_on(&exec, 2, true)
+            .write_report_json(&mut bytes)
+            .expect("report writes");
+        (bytes, cache.stats(), tele.snapshot())
+    };
+    let spanned = |snap: &chipvqa::telemetry::MetricsSnapshot, name: &str| {
+        snap.spans.keys().any(|path| path.ends_with(name))
+    };
+    let (cold, _, cold_snap) = run();
+    assert!(cold_snap.counters.get("stream.rasterized") > Some(&0));
+    assert!(spanned(&cold_snap, "perceive.legibility"));
+    let (warm, stats, snap) = run();
+    assert_eq!(warm, cold, "warm restart converges to cold bytes");
+    assert_eq!(stats.misses, 0, "no inference on a warm start");
+    assert_eq!(snap.counters.get("stream.rasterized"), None);
+    assert!(!spanned(&snap, "stream.rasterize"));
+    assert!(!spanned(&snap, "perceive.legibility"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Two threads, each with its own handle on one directory, run the same
 /// streamed grid at once: both reports are the cold bytes, and a third
 /// open serves every key from the segments both left.
