@@ -39,7 +39,8 @@ fn main() {
         ("With Choice", &bench, 0.44, 0.49),
         ("No Choice", &challenge, 0.20, 0.21),
     ] {
-        let base = evaluate(&gpt, collection, EvalOptions::default()).overall();
+        let report = evaluate(&gpt, collection, EvalOptions::default());
+        let base = report.overall();
         let (agent_all, per_cat) = agent_report(&agent, collection);
         println!("{label:<14} {:<8} {base:>8.2}   ({paper_gpt:.2})", "GPT4o");
         println!(
@@ -48,8 +49,7 @@ fn main() {
         );
         // the paper notes a regression specifically on Manufacture
         if label == "No Choice" {
-            let base_manuf = evaluate(&gpt, collection, EvalOptions::default())
-                .category_rate(Category::Manufacture);
+            let base_manuf = report.category_rate(Category::Manufacture);
             let agent_manuf = per_cat
                 .iter()
                 .find(|(c, _)| *c == Category::Manufacture)

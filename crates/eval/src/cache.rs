@@ -461,7 +461,7 @@ mod tests {
         // must cache only the clean success — the invariant the
         // supervisor's recovery loop upholds.
         use crate::fault::FaultPlan;
-        use crate::supervisor::{RecoveryPolicy, Supervisor};
+        use crate::supervisor::Supervisor;
 
         let bench = ChipVqa::standard();
         let pipe = VlmPipeline::new(ModelZoo::gpt4o());
@@ -472,8 +472,7 @@ mod tests {
         let sup = Supervisor::new(FaultPlan {
             truncate_rate: 0.45,
             ..FaultPlan::none()
-        })
-        .with_recovery(RecoveryPolicy { max_retries: 1 });
+        });
         let fp = pipe.fingerprint();
         let recovered = bench
             .iter()

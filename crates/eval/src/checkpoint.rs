@@ -29,13 +29,13 @@
 //! A shard whose worker caught a panic is **quarantined**: its
 //! (degraded) outcomes are recorded like any other, and the
 //! [`WorkerPanic`](crate::supervisor::EvalError::WorkerPanic) among them
-//! says so. The heal is [`Checkpoint::requeue_quarantined`] followed by
-//! a resume on [`ParallelExecutor::unsupervised`]: only the poisoned
-//! shards re-run, calm. A fleet claim heals its panicked rows the same
-//! way, inside the claim (`tests/fleet_chaos.rs` proves the two produce
-//! identical reports).
+//! says so. The one heal is [`Checkpoint::heal`]: it re-runs exactly the
+//! quarantined shards calm, on [`ParallelExecutor::unsupervised`], and
+//! puts each result in its shard's place. A single-process run heals
+//! only when its caller asks. A fleet claim is a checkpoint of its
+//! shard's rows, healed by the same call before it commits.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -85,7 +85,9 @@ impl RunIdentity {
     pub fn new(pipes: &[VlmPipeline], source: ShardSource<'_>, options: EvalOptions) -> Self {
         let (bench_hash, spec_fingerprint) = match source {
             ShardSource::Bench(bench, fp) => (bench_hash(bench), (fp != 0).then_some(fp)),
-            ShardSource::Spec(spec, _) => (0, Some(spec.fingerprint())),
+            ShardSource::Spec(spec, _) | ShardSource::Table2(spec, _) => {
+                (0, Some(spec.fingerprint()))
+            }
         };
         RunIdentity {
             model_fingerprints: pipes.iter().map(VlmPipeline::fingerprint).collect(),
@@ -277,10 +279,9 @@ impl Checkpoint {
         self.identity
             .check(&expected)
             .map_err(CheckpointError::Mismatch)?;
-        let plan: HashSet<ShardKey> = source.plan(pipes.len()).into_iter().collect();
         let mut seen = HashSet::with_capacity(self.completed.len());
         for ShardResult { key, outcomes } in &self.completed {
-            if !plan.contains(key) {
+            if !source.covers(pipes.len(), key) {
                 return Err(CheckpointError::UnknownShard(*key));
             }
             if !seen.insert(key) || outcomes.len() != key.q_end - key.q_start {
@@ -290,21 +291,38 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Drops every quarantined shard's recorded outcomes so the next
-    /// resume re-executes them (after the driver fixed whatever crashed
-    /// the workers). Returns how many shards were requeued.
-    pub fn requeue_quarantined(&mut self) -> usize {
-        let before = self.completed.len();
-        self.completed.retain(|done| !quarantines(&done.outcomes));
-        before - self.completed.len()
-    }
-
-    /// Shards currently quarantined.
-    pub fn quarantined_shards(&self) -> usize {
-        self.completed
-            .iter()
-            .filter(|done| quarantines(&done.outcomes))
-            .count()
+    /// Heals this checkpoint of a grid run over `source`. First checks
+    /// it against the run ([`validate_source`](Self::validate_source)),
+    /// then re-runs, on [`exec.unsupervised()`](ParallelExecutor::unsupervised),
+    /// exactly the recorded shards that hold a
+    /// [`WorkerPanic`](crate::supervisor::EvalError::WorkerPanic), and
+    /// puts each result in its shard's place. Returns how many shards it
+    /// re-ran: 0 for a checkpoint with none. An injected panic heals to
+    /// the clean outcomes; a genuine one recurs calm and stays recorded.
+    pub fn heal(
+        &mut self,
+        exec: &ParallelExecutor,
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+        judge: &dyn Judge,
+    ) -> Result<usize, CheckpointError> {
+        self.validate_source(pipes, source, options)?;
+        let panicked: HashMap<ShardKey, usize> = (self.completed.iter().enumerate())
+            .filter(|(_, done)| quarantines(&done.outcomes))
+            .map(|(slot, done)| (done.key, slot))
+            .collect();
+        if panicked.is_empty() {
+            return Ok(0);
+        }
+        let select = |key: &ShardKey| panicked.contains_key(key);
+        let (stop, on_shard) = (&mut |_| false, &|_| {});
+        let calm = exec.unsupervised();
+        for healed in calm.collect_shards(pipes, source, options, judge, &select, stop, on_shard) {
+            let slot = panicked[&healed.key];
+            self.completed[slot] = healed;
+        }
+        Ok(panicked.len())
     }
 
     /// Number of completed shards.
@@ -328,7 +346,7 @@ impl ParallelExecutor {
     /// lacks, recording each finished shard. First checks the checkpoint
     /// against the run ([`Checkpoint::validate_source`]). A shard whose
     /// worker caught a panic is recorded (degraded), which quarantines it
-    /// for [`Checkpoint::requeue_quarantined`]. `stop` is polled before each
+    /// until a [`Checkpoint::heal`]. `stop` is polled before each
     /// dispatch — when an executor worker takes the next shard, on that
     /// worker — with the number of shards dispatched so far; once it
     /// returns true no further shard starts, and the ones already
@@ -350,41 +368,60 @@ impl ParallelExecutor {
     ) -> Result<Option<Vec<EvalReport>>, CheckpointError> {
         checkpoint.validate_source(pipes, source, options)?;
         let done: HashSet<ShardKey> = checkpoint.completed.iter().map(|d| d.key).collect();
-        let finished = Mutex::new(Vec::new());
-        let sink = |key, outcomes| {
-            finished
-                .lock()
-                .expect("finished shards lock")
-                .push((key, outcomes));
-            on_shard(key);
-        };
         let select = |k: &ShardKey| !done.contains(k);
-        self.run(pipes, source, None, options, judge, &select, stop, &sink);
-        let mut finished = finished.into_inner().expect("finished shards lock");
-        finished.sort_by_key(|&(key, _)| (key.model_idx, key.q_start));
+        let finished = self.collect_shards(pipes, source, options, judge, &select, stop, on_shard);
         let tele = self.telemetry();
-        for (key, outcomes) in finished {
-            if tele.enabled() && quarantines(&outcomes) {
+        for done in finished {
+            if tele.enabled() && quarantines(&done.outcomes) {
                 tele.counter("checkpoint.quarantined", 1);
                 tele.event(
                     "checkpoint.quarantine",
                     vec![
-                        kv("model_idx", key.model_idx),
-                        kv("q_start", key.q_start),
-                        kv("q_end", key.q_end),
+                        kv("model_idx", done.key.model_idx),
+                        kv("q_start", done.key.q_start),
+                        kv("q_end", done.key.q_end),
                     ],
                 );
             }
-            checkpoint.completed.push(ShardResult { key, outcomes });
+            checkpoint.completed.push(done);
         }
         if checkpoint.completed.len() < source.plan(pipes.len()).len() {
             return Ok(None);
         }
-        let reports = Reports::new(pipes, source.questions());
+        let reports = Reports::new(pipes, source);
         for done in &checkpoint.completed {
             reports.push(done.key, done.outcomes.clone());
         }
         Ok(Some(self.finalize(reports.finish())))
+    }
+
+    /// The one record path: runs the (row, shard) items of the grid over
+    /// `source` that `select` picks, with `stop` and `on_shard` as
+    /// [`evaluate_checkpointed`](Self::evaluate_checkpointed) polls and
+    /// calls them, and returns the finished ones in row order. A
+    /// checkpoint resume, its [`heal`](Checkpoint::heal) and a fleet
+    /// claim all record through it.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn collect_shards(
+        &self,
+        pipes: &[VlmPipeline],
+        source: ShardSource<'_>,
+        options: EvalOptions,
+        judge: &dyn Judge,
+        select: &dyn Fn(&ShardKey) -> bool,
+        stop: &mut (dyn FnMut(usize) -> bool + Send),
+        on_shard: &(dyn Fn(ShardKey) + Sync),
+    ) -> Vec<ShardResult> {
+        let finished = Mutex::new(Vec::new());
+        let sink = |key, outcomes| {
+            let done = ShardResult { key, outcomes };
+            finished.lock().expect("finished shards lock").push(done);
+            on_shard(key);
+        };
+        self.run(pipes, source, options, judge, select, stop, &sink);
+        let mut finished = finished.into_inner().expect("finished shards lock");
+        finished.sort_by_key(|done| (done.key.model_idx, done.key.q_start));
+        finished
     }
 }
 
@@ -517,6 +554,42 @@ mod tests {
             plan,
             "no key is reported twice"
         );
+    }
+
+    /// A panic storm over both Table II columns is healed in place and
+    /// folds to the sequential oracle: each model over the spec, then
+    /// each over its no-choice collection.
+    #[test]
+    fn a_healed_table2_checkpoint_folds_to_the_sequential_oracle() {
+        use crate::executor::SHARD_SIZE;
+        use crate::fault::{install_quiet_panic_hook, FaultPlan};
+        use crate::supervisor::Supervisor;
+        install_quiet_panic_hook();
+        let spec = DatasetSpec::scaled(2);
+        let source = ShardSource::Table2(&spec, SHARD_SIZE);
+        let pipes = pipes();
+        let options = EvalOptions::default();
+        let exec = ParallelExecutor::new(2).with_supervisor(Supervisor::new(FaultPlan {
+            panic_rate: 0.05,
+            ..FaultPlan::none()
+        }));
+        let mut ckpt = Checkpoint::for_source(&pipes, source, options);
+        let stormy = resume(&exec, &pipes, source, &mut ckpt, None)
+            .expect("valid")
+            .expect("complete");
+        assert!(stormy.iter().any(EvalReport::is_degraded), "DEGRADED");
+        let heal =
+            |ckpt: &mut Checkpoint| ckpt.heal(&exec, &pipes, source, options, &RuleJudge::new());
+        assert!(heal(&mut ckpt).expect("valid") > 0, "panicked shards heal");
+        assert_eq!(heal(&mut ckpt), Ok(0), "a healed checkpoint is clean");
+        let healed = resume(&exec, &pipes, source, &mut ckpt, None)
+            .expect("valid")
+            .expect("complete");
+        let columns = [spec.build(), spec.clone().with_mc_sa_ratio(0.0).build()];
+        let oracle: Vec<EvalReport> = (columns.iter())
+            .flat_map(|bench| pipes.iter().map(|pipe| evaluate(pipe, bench, options)))
+            .collect();
+        assert_eq!(healed, oracle);
     }
 
     #[test]

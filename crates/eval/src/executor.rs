@@ -13,9 +13,9 @@
 //! at most `2·workers + 1` shards (fewer when a shard has several rows)
 //! are generated and not yet finished, so a grid generates shard k + 1
 //! while its workers evaluate the rows of shard k. A row is
-//! one model over one column: a grid call has one row per model, and
-//! [`evaluate_table2`](ParallelExecutor::evaluate_table2) adds a second
-//! row per model over each shard's no-choice twin. Every model in every
+//! one model over one column: a grid call has one row per model, and a
+//! [`ShardSource::Table2`] grid adds a second row per model over each
+//! shard's no-choice twin. Every model in every
 //! column reads a shard's key-mark legibility from one set of slots,
 //! filled once per (question, total factor). Outcomes
 //! come back keyed by [`ShardKey`] and merge **positionally**; because
@@ -33,8 +33,9 @@
 //! and its no-choice twin for every model, checkpoint resume
 //! ([`evaluate_checkpointed`](ParallelExecutor::evaluate_checkpointed))
 //! runs the shards a [`Checkpoint`](crate::checkpoint::Checkpoint)
-//! lacks — after a requeue, the quarantined ones — and a fleet claim
-//! runs one spec shard over every row of the Table II grid.
+//! lacks, its [`heal`](crate::checkpoint::Checkpoint::heal) re-runs the
+//! quarantined ones, and a fleet claim runs one spec shard over every
+//! row of the Table II grid.
 //!
 //! Optional layers ride on the same loop:
 //!
@@ -108,6 +109,12 @@ pub enum ShardSource<'a> {
     /// length (which must be positive), keyed with the spec's
     /// fingerprint.
     Spec(&'a DatasetSpec, usize),
+    /// Both Table II columns of a spec, generated once at the given
+    /// shard length: row `m` is model `m` over the spec, as
+    /// [`Spec`](ShardSource::Spec) runs it, and row `models + m` is
+    /// model `m` over each shard's [`no_choice`] twin, whose answers are
+    /// cached under the fingerprint of `spec.with_mc_sa_ratio(0.0)`.
+    Table2(&'a DatasetSpec, usize),
 }
 
 impl ShardSource<'_> {
@@ -115,7 +122,7 @@ impl ShardSource<'_> {
     pub(crate) fn shard_len(&self) -> usize {
         match self {
             ShardSource::Bench(..) => SHARD_SIZE,
-            ShardSource::Spec(_, shard_len) => *shard_len,
+            ShardSource::Spec(_, shard_len) | ShardSource::Table2(_, shard_len) => *shard_len,
         }
     }
 
@@ -123,7 +130,7 @@ impl ShardSource<'_> {
     pub(crate) fn questions(&self) -> usize {
         match self {
             ShardSource::Bench(bench, _) => bench.len(),
-            ShardSource::Spec(spec, _) => spec.total(),
+            ShardSource::Spec(spec, _) | ShardSource::Table2(spec, _) => spec.total(),
         }
     }
 
@@ -131,15 +138,34 @@ impl ShardSource<'_> {
     pub(crate) fn fingerprint(&self) -> u64 {
         match self {
             ShardSource::Bench(_, fingerprint) => *fingerprint,
-            ShardSource::Spec(spec, _) => spec.fingerprint(),
+            ShardSource::Spec(spec, _) | ShardSource::Table2(spec, _) => spec.fingerprint(),
         }
     }
 
+    /// Rows of a `models`-model grid over this source: one per model,
+    /// two for [`Table2`](ShardSource::Table2).
+    pub(crate) fn rows(&self, models: usize) -> usize {
+        match self {
+            ShardSource::Table2(..) => 2 * models,
+            _ => models,
+        }
+    }
+
+    /// Whether `key` is in the [`plan`](Self::plan) of a `models`-model
+    /// grid over this source, without listing the plan.
+    pub(crate) fn covers(&self, models: usize, key: &ShardKey) -> bool {
+        let (questions, shard_len) = (self.questions(), self.shard_len());
+        key.model_idx < self.rows(models)
+            && key.q_start < questions
+            && key.q_start.is_multiple_of(shard_len)
+            && key.q_end == (key.q_start + shard_len).min(questions)
+    }
+
     /// The shard plan of a `models`-model grid over this source, in
-    /// canonical (model, question-range) order.
+    /// canonical (row, question-range) order.
     pub fn plan(&self, models: usize) -> Vec<ShardKey> {
         let (questions, shard_len) = (self.questions(), self.shard_len());
-        (0..models)
+        (0..self.rows(models))
             .flat_map(|model_idx| {
                 (0..questions)
                     .step_by(shard_len)
@@ -229,10 +255,9 @@ impl ParallelExecutor {
 
     /// A copy of this executor with the supervisor detached (cache and
     /// telemetry are kept). The calm twin of a supervised executor, on
-    /// which both heals run: a checkpoint resume
-    /// after [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined),
-    /// and a fleet claim's re-run of its panicked rows. A genuine panic
-    /// recurs here and stays a `WorkerPanic` outcome.
+    /// which [`Checkpoint::heal`](crate::checkpoint::Checkpoint::heal)
+    /// re-runs quarantined shards, a fleet claim's included. A genuine
+    /// panic recurs here and stays a `WorkerPanic` outcome.
     pub fn unsupervised(&self) -> ParallelExecutor {
         ParallelExecutor {
             supervisor: None,
@@ -271,8 +296,7 @@ impl ParallelExecutor {
 
     /// Evaluates every model of a grid over `source`: each source shard
     /// is produced once (generated, for a spec) and fanned out to every
-    /// model. Returns reports in model order plus the run's
-    /// [`StreamStats`].
+    /// row. Returns reports in row order plus the run's [`StreamStats`].
     pub fn evaluate_source(
         &self,
         pipes: &[VlmPipeline],
@@ -280,12 +304,11 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> (Vec<EvalReport>, StreamStats) {
-        let reports = Reports::new(pipes, source.questions());
+        let reports = Reports::new(pipes, source);
         let sink = |key, outcomes| reports.push(key, outcomes);
         let stats = self.run(
             pipes,
             source,
-            None,
             options,
             judge,
             &|_| true,
@@ -296,10 +319,10 @@ impl ParallelExecutor {
     }
 
     /// Evaluates every model on both Table II columns of `spec` in one
-    /// engine run. The with-choice column is `spec` generated at
-    /// `shard_len`; the no-choice column is each generated shard's
-    /// [`no_choice`] twin, equal to the matching shard of
-    /// `spec.with_mc_sa_ratio(0.0)` and cached under that spec's
+    /// engine run over [`ShardSource::Table2`]. The with-choice column is
+    /// `spec` generated at `shard_len`; the no-choice column is each
+    /// generated shard's [`no_choice`] twin, equal to the matching shard
+    /// of `spec.with_mc_sa_ratio(0.0)` and cached under that spec's
     /// fingerprint. So each question is generated once, and every model
     /// in both columns reads one legibility slot per (question, total
     /// factor). Each (model, column) row keeps its own breaker walk: the
@@ -313,24 +336,9 @@ impl ParallelExecutor {
         options: EvalOptions,
         judge: &dyn Judge,
     ) -> (Table2, StreamStats) {
-        let twin = Some(spec.clone().with_mc_sa_ratio(0.0).fingerprint());
-        let source = ShardSource::Spec(spec, shard_len);
-        // rows in run order: the with-choice rows of all models, then
-        // their no-choice rows
-        let reports = Reports::new(pipes.iter().chain(pipes), spec.total());
-        let sink = |key, outcomes| reports.push(key, outcomes);
-        let stats = self.run(
-            pipes,
-            source,
-            twin,
-            options,
-            judge,
-            &|_| true,
-            &mut |_| false,
-            &sink,
-        );
-        let table = Table2::from_columns(self.finalize(reports.finish()));
-        (table, stats)
+        let source = ShardSource::Table2(spec, shard_len);
+        let (reports, stats) = self.evaluate_source(pipes, source, options, judge);
+        (Table2::from_columns(reports), stats)
     }
 
     /// Streaming evaluation of a [`DatasetSpec`] for one model, judged by
@@ -389,10 +397,11 @@ impl ParallelExecutor {
     /// finished it, in completion order; the run returns its stats.
     ///
     /// A row is one model over one column. Row `m` is model `m` over the
-    /// source's shards as produced. With `twin` set, row
+    /// source's shards as produced. Over [`ShardSource::Table2`], row
     /// `pipes.len() + m` is model `m` over each shard's [`no_choice`]
-    /// twin, whose answers are cached under the dataset fingerprint
-    /// `twin`; [`ShardKey::model_idx`] holds the row.
+    /// twin, whose answers are cached under the fingerprint of
+    /// `spec.with_mc_sa_ratio(0.0)`; [`ShardKey::model_idx`] holds the
+    /// row.
     ///
     /// Every shard carries one [`LegibilitySlots`] per question, shared
     /// by all rows and by the twin, filled on the first cache miss that
@@ -443,7 +452,6 @@ impl ParallelExecutor {
         &self,
         pipes: &[VlmPipeline],
         source: ShardSource<'_>,
-        twin: Option<u64>,
         options: EvalOptions,
         judge: &dyn Judge,
         select: &dyn Fn(&ShardKey) -> bool,
@@ -462,11 +470,15 @@ impl ParallelExecutor {
         };
         let shard_len = source.shard_len();
         let models = pipes.len();
-        let rows = models * if twin.is_some() { 2 } else { 1 };
+        let rows = source.rows(models);
+        let twin = match source {
+            ShardSource::Table2(spec, _) => Some(spec.clone().with_mc_sa_ratio(0.0).fingerprint()),
+            _ => None,
+        };
         // each row's selected shard range (first, last); the walk ends
         // after the last selected shard of any row
         let mut ranges: Vec<Option<(usize, usize)>> = vec![None; rows];
-        for key in source.plan(rows).iter().filter(|k| select(k)) {
+        for key in source.plan(models).iter().filter(|k| select(k)) {
             let shard = key.q_start / shard_len;
             ranges[key.model_idx].get_or_insert((shard, shard)).1 = shard;
         }
@@ -494,7 +506,7 @@ impl ParallelExecutor {
                 ShardSource::Bench(bench, _) => {
                     Walk::Bench(bench.questions()[walk_start * shard_len..].chunks(shard_len))
                 }
-                ShardSource::Spec(spec, shard_len) => {
+                ShardSource::Spec(spec, shard_len) | ShardSource::Table2(spec, shard_len) => {
                     Walk::Spec(spec.stream_from(shard_len, walk_start))
                 }
             },
@@ -517,7 +529,6 @@ impl ParallelExecutor {
             stopped: false,
         }));
         let in_flight = AtomicUsize::new(0);
-        let quarantined = AtomicUsize::new(0);
         let cache = self.cache.as_deref();
         // a run whose cache has not missed since it began has read no
         // pixel, so its producer rasterizes nothing ahead
@@ -528,8 +539,7 @@ impl ParallelExecutor {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let dispatch = Arc::clone(&dispatch);
-                let (in_flight, quarantined) = (&in_flight, &quarantined);
-                let residency = &residency;
+                let (in_flight, residency) = (&in_flight, &residency);
                 scope.spawn(move || loop {
                     // a worker whose stop hook panicked poisons the lock:
                     // the others stop too
@@ -595,9 +605,6 @@ impl ParallelExecutor {
                         .collect();
                     in_flight.fetch_sub(outcomes.len(), Ordering::Relaxed);
                     tele.counter("stream.shard_evaluated", 1);
-                    if quarantines(&outcomes) {
-                        quarantined.fetch_add(1, Ordering::Relaxed);
-                    }
                     sink(key, outcomes);
                 });
             }
@@ -686,7 +693,6 @@ impl ParallelExecutor {
         if let Walk::Spec(stream) = &producer.walk {
             stats.generator_peak_resident = Some(stream.peak_resident());
         }
-        stats.quarantined_shards = quarantined.into_inner();
         stats
     }
 }
@@ -1027,13 +1033,6 @@ pub struct StreamStats {
     /// ([`ShardStream::peak_resident`](chipvqa_core::spec::ShardStream::peak_resident)),
     /// recorded for spec sources; `None` for built benches.
     pub generator_peak_resident: Option<usize>,
-    /// Shards containing at least one
-    /// [`EvalError::WorkerPanic`] outcome — the ones a checkpointed run
-    /// quarantines for
-    /// [`requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined).
-    /// Zero on unsupervised runs without genuine panics.
-    #[serde(default)]
-    pub quarantined_shards: usize,
 }
 
 /// Whether a shard's outcomes quarantine it: a worker caught a panic on
@@ -1062,13 +1061,9 @@ struct Rows {
 }
 
 impl Reports {
-    /// Empty reports for the rows `pipes` name, `questions` each.
-    pub(crate) fn new<'p>(
-        pipes: impl IntoIterator<Item = &'p VlmPipeline>,
-        questions: usize,
-    ) -> Self {
-        let reports = pipes
-            .into_iter()
+    /// Empty reports for every row of the grid of `pipes` over `source`.
+    pub(crate) fn new(pipes: &[VlmPipeline], source: ShardSource<'_>) -> Self {
+        let reports = (pipes.iter().cycle().take(source.rows(pipes.len())))
             .map(|pipe| EvalReport {
                 model: pipe.profile().name.clone(),
                 outcomes: Vec::new(),
@@ -1076,7 +1071,7 @@ impl Reports {
             })
             .collect();
         Reports {
-            questions,
+            questions: source.questions(),
             rows: Mutex::new(Rows {
                 reports,
                 early: BTreeMap::new(),
@@ -1353,6 +1348,50 @@ mod tests {
         assert!(seen.iter().flatten().all(|&n| n == 1));
     }
 
+    /// `covers` is membership in `plan` on every source shape, for each
+    /// plan key and its near misses.
+    #[test]
+    fn covers_is_plan_membership() {
+        let bench = ChipVqa::standard();
+        let spec = DatasetSpec::default();
+        for source in [
+            ShardSource::Bench(&bench, 0),
+            ShardSource::Spec(&spec, 17),
+            ShardSource::Table2(&spec, 17),
+        ] {
+            let (plan, len) = (source.plan(2), source.shard_len());
+            for &key in &plan {
+                for candidate in [
+                    key,
+                    ShardKey {
+                        model_idx: key.model_idx + 2,
+                        ..key
+                    },
+                    ShardKey {
+                        q_start: key.q_start + 1,
+                        ..key
+                    },
+                    ShardKey {
+                        q_end: key.q_end + 1,
+                        ..key
+                    },
+                    ShardKey {
+                        q_start: key.q_start + len,
+                        ..key
+                    },
+                    ShardKey {
+                        q_start: key.q_start + len,
+                        q_end: key.q_end + len,
+                        ..key
+                    },
+                ] {
+                    let member = plan.contains(&candidate);
+                    assert_eq!(source.covers(2, &candidate), member, "{candidate:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn supervised_zero_plan_is_byte_identical() {
         use crate::fault::FaultPlan;
@@ -1595,14 +1634,14 @@ mod tests {
         let supervised = calm
             .clone()
             .with_supervisor(Supervisor::new(FaultPlan::none()));
-        let (zero, stats) =
+        let (zero, _) =
             supervised.evaluate_spec_stream(&pipe, &spec, SHARD_SIZE, EvalOptions::default());
         assert_eq!(
             serde_json::to_string(&plain).expect("serializes"),
             serde_json::to_string(&zero).expect("serializes"),
             "zero-plan supervised streaming is byte-identical to unsupervised"
         );
-        assert_eq!(stats.quarantined_shards, 0);
+        assert!(!quarantines(&zero.outcomes));
         // detaching the supervisor (the fleet healing path) still works
         let detached = supervised.unsupervised();
         assert!(detached.supervisor().is_none());
@@ -1648,16 +1687,17 @@ mod tests {
             .filter(|shard| quarantines(shard))
             .count();
         assert!(quarantined > 0, "panics were injected");
-        let healed = ckpt.requeue_quarantined();
-        assert_eq!(healed, quarantined);
-        let report = resume(&exec.unsupervised(), &mut ckpt);
+        let heal =
+            |ckpt: &mut Checkpoint| ckpt.heal(&exec, &pipes, source, options, &RuleJudge::new());
+        assert_eq!(heal(&mut ckpt), Ok(quarantined));
+        let report = resume(&exec, &mut ckpt);
         assert_eq!(
             serde_json::to_string(&clean).expect("serializes"),
             serde_json::to_string(&report).expect("serializes"),
             "healed streamed report converges to the clean bytes"
         );
         // a clean report heals nothing
-        assert_eq!(ckpt.requeue_quarantined(), 0);
+        assert_eq!(heal(&mut ckpt), Ok(0));
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! A *fleet* is N independent worker processes cooperating on one Table
 //! II grid through a shared directory — no coordinator, no network, no
 //! shared memory. The grid is the one
-//! [`evaluate_table2`](ParallelExecutor::evaluate_table2) runs: every
-//! model over a [`DatasetSpec`] and over its no-choice twin. A *claim* is
-//! one [`SHARD_SIZE`]-question shard of the spec over every row (each
-//! model in both columns): the shard is generated once, and every row
-//! reads its legibility slots. Each worker claims shards through an
-//! atomically created **lease** file, evaluates them, and commits each
-//! shard's rows as one **done** record; a final [`merge`] folds the
-//! records into the canonical [`Table2`] without generating a question.
+//! [`evaluate_table2`](ParallelExecutor::evaluate_table2) runs, a
+//! [`ShardSource::Table2`]: every model over a [`DatasetSpec`] and over
+//! its no-choice twin. A *claim* is one [`SHARD_SIZE`]-question shard of
+//! the spec over every row (each model in both columns): the shard is
+//! generated once, and every row reads its legibility slots. Each worker
+//! claims shards through an atomically created **lease** file, evaluates
+//! them, and commits each shard's rows as one **done** record; a final
+//! [`merge`] folds the records into the canonical [`Table2`] without
+//! generating a question.
 //! The shared [`AnswerStore`](crate::store::AnswerStore), in which each
 //! worker appends only to segments it created, is the common answer
 //! plane, so work one worker already inferred is a disk hit for every
@@ -59,23 +60,22 @@
 //!
 //! # Healing
 //!
-//! A claim runs every row on the worker's executor as given (supervised,
-//! if a fault plan is attached), re-runs the rows that caught a worker
-//! panic *calm*, on [`ParallelExecutor::unsupervised`], and commits every
-//! row to `done/` once: the granularity of
-//! [`Checkpoint::requeue_quarantined`](crate::checkpoint::Checkpoint::requeue_quarantined)
-//! followed by an unsupervised resume, one (row, shard). A calm re-run
-//! that panics again hit a genuine, deterministic panic, and the record
-//! keeps the `WorkerPanic` outcomes a single-process run records. A
-//! worker killed between its supervised pass and its commit leaves
-//! nothing to heal from: the thief re-runs the whole claim, to the same
-//! bytes.
+//! A claim is a [`Checkpoint`] of the job's grid that holds the claim's
+//! rows. A worker runs every row on its executor as given (supervised,
+//! if a fault plan is attached), heals the claim with
+//! [`Checkpoint::heal`], which re-runs the rows that caught a worker
+//! panic calm, on [`ParallelExecutor::unsupervised`], and commits every
+//! row to `done/` once. A calm re-run that panics again hit a genuine,
+//! deterministic panic, and the record keeps the `WorkerPanic` outcomes
+//! a single-process run records. A worker killed between its supervised
+//! pass and its commit leaves nothing to heal from: the thief re-runs
+//! the whole claim, to the same bytes.
 //!
-//! Each pass of a claim is one engine run over both columns of the job's
-//! spec, made as `evaluate_table2` makes it and selecting the claim's
-//! shard (and, calm, its panicked rows). Its walk starts at that shard,
-//! so it generates that shard alone, and each row gets exactly the
-//! breaker decisions and cache keys a single-process run gives it.
+//! Each pass of a claim, the heal's included, is one engine run over the
+//! job's [`ShardSource::Table2`] that selects rows of the claim's shard.
+//! Its walk starts at that shard, so it generates that shard alone, and
+//! each row gets exactly the breaker decisions and cache keys a
+//! single-process run gives it.
 //!
 //! # Determinism contract
 //!
@@ -97,7 +97,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use chipvqa_core::DatasetSpec;
@@ -105,8 +105,8 @@ use chipvqa_models::VlmPipeline;
 use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::{RunIdentity, RunMismatch, ShardResult};
-use crate::executor::{quarantines, ParallelExecutor, Reports, ShardKey, ShardSource, SHARD_SIZE};
+use crate::checkpoint::{Checkpoint, RunIdentity, RunMismatch, ShardResult};
+use crate::executor::{ParallelExecutor, Reports, ShardKey, ShardSource, SHARD_SIZE};
 use crate::harness::EvalOptions;
 use crate::judge::Judge;
 use crate::report::Table2;
@@ -159,14 +159,20 @@ pub struct FleetJob<'a> {
     pub options: EvalOptions,
 }
 
-impl FleetJob<'_> {
+impl<'a> FleetJob<'a> {
+    /// The grid this job runs: both columns of its spec, at
+    /// [`SHARD_SIZE`].
+    fn source(&self) -> ShardSource<'a> {
+        ShardSource::Table2(self.spec, SHARD_SIZE)
+    }
+
     /// The manifest this job stamps (and checks against): the identity
-    /// a checkpoint of the with-choice column carries.
+    /// a checkpoint of its grid carries, which is that of the
+    /// with-choice column.
     pub fn manifest(&self) -> FleetManifest {
-        let source = ShardSource::Spec(self.spec, SHARD_SIZE);
         FleetManifest {
             format_version: FLEET_FORMAT_VERSION,
-            identity: RunIdentity::new(self.pipes, source, self.options),
+            identity: RunIdentity::new(self.pipes, self.source(), self.options),
         }
     }
 
@@ -176,70 +182,24 @@ impl FleetJob<'_> {
         self.spec.total().div_ceil(SHARD_SIZE)
     }
 
-    /// Rows of every claim: each model over the with-choice column, then
-    /// each over the no-choice one.
-    fn rows(&self) -> usize {
-        2 * self.pipes.len()
-    }
-
-    /// Whether `row` is one of claim `idx`'s rows, with an outcome per
-    /// question of the shard.
-    fn fits(&self, idx: usize, row: &ShardResult) -> bool {
-        let q_start = idx * SHARD_SIZE;
-        let q_end = (q_start + SHARD_SIZE).min(self.spec.total());
-        row.key.model_idx < self.rows()
-            && (row.key.q_start, row.key.q_end) == (q_start, q_end)
-            && row.outcomes.len() == q_end - q_start
-    }
-
     /// Runs claim `idx` (see the module docs): every row on `exec`, then
-    /// the rows that caught a worker panic again on `calm`. Returns the
-    /// rows in row order, and whether any was re-run.
+    /// the heal. Returns the rows in row order, and whether the heal
+    /// re-ran any.
     fn run_claim(
         &self,
         exec: &ParallelExecutor,
-        calm: &ParallelExecutor,
         judge: &dyn Judge,
         idx: usize,
     ) -> (Vec<ShardResult>, bool) {
-        let mut rows = self.run_rows(exec, judge, idx, &|_| true);
-        let panicked: Vec<bool> = rows.iter().map(|row| quarantines(&row.outcomes)).collect();
-        if !panicked.contains(&true) {
-            return (rows, false);
-        }
-        for row in self.run_rows(calm, judge, idx, &|row| panicked[row]) {
-            let slot = row.key.model_idx;
-            rows[slot] = row;
-        }
-        (rows, true)
-    }
-
-    /// Runs the rows of claim `idx` that `row` selects on `exec` — one
-    /// engine run with the no-choice twin, made as
-    /// [`evaluate_table2`](ParallelExecutor::evaluate_table2) makes it —
-    /// and returns them in row order.
-    fn run_rows(
-        &self,
-        exec: &ParallelExecutor,
-        judge: &dyn Judge,
-        idx: usize,
-        row: &dyn Fn(usize) -> bool,
-    ) -> Vec<ShardResult> {
-        let twin = Some(self.spec.clone().with_mc_sa_ratio(0.0).fingerprint());
-        let source = ShardSource::Spec(self.spec, SHARD_SIZE);
-        let finished = Mutex::new(Vec::new());
-        let sink = |key, outcomes| {
-            let mut finished = finished.lock().expect("claim rows lock");
-            finished.push(ShardResult { key, outcomes });
-        };
-        let select = |key: &ShardKey| key.q_start == idx * SHARD_SIZE && row(key.model_idx);
-        let (options, stop) = (self.options, &mut |_| false);
-        exec.run(
-            self.pipes, source, twin, options, judge, &select, stop, &sink,
-        );
-        let mut rows = finished.into_inner().expect("claim rows lock");
-        rows.sort_by_key(|row| row.key.model_idx);
-        rows
+        let (pipes, source, options) = (self.pipes, self.source(), self.options);
+        let mut claim = Checkpoint::for_source(pipes, source, options);
+        let select = |key: &ShardKey| key.q_start == idx * SHARD_SIZE;
+        let (stop, on_shard) = (&mut |_| false, &|_| {});
+        claim.completed =
+            exec.collect_shards(pipes, source, options, judge, &select, stop, on_shard);
+        let healed = (claim.heal(exec, pipes, source, options, judge))
+            .expect("a claim's checkpoint belongs to its job's run");
+        (claim.completed, healed > 0)
     }
 }
 
@@ -250,8 +210,7 @@ impl FleetJob<'_> {
 pub struct FleetManifest {
     /// On-disk fleet format version.
     pub format_version: u32,
-    /// The run's identity, as a [`Checkpoint`](crate::checkpoint::Checkpoint)
-    /// of the same run stamps it.
+    /// The run's identity, as a [`Checkpoint`] of the same run stamps it.
     pub identity: RunIdentity,
 }
 
@@ -669,10 +628,9 @@ impl Drop for LeaseGuard {
 /// done record. Returns what this worker contributed.
 ///
 /// The worker evaluates each claim with `exec` as given (supervised, if
-/// a fault plan is attached) and heals the rows that caught a panic on
-/// [`exec.unsupervised()`](ParallelExecutor::unsupervised) inside the
-/// same claim. If `exec` carries a cache backed by the shared answer
-/// store, the store is flushed before returning.
+/// a fault plan is attached) and heals it with [`Checkpoint::heal`]
+/// before it commits. If `exec` carries a cache backed by the shared
+/// answer store, the store is flushed before returning.
 pub fn run_worker(
     dir: &Path,
     exec: &ParallelExecutor,
@@ -698,7 +656,6 @@ pub fn run_worker(
             ],
         );
     }
-    let calm = exec.unsupervised();
     let mut observed: HashMap<usize, (u64, Instant)> = HashMap::new();
     let mut outcome = FleetOutcome::default();
 
@@ -724,7 +681,7 @@ pub fn run_worker(
             };
             progressed = true;
             observed.remove(&idx);
-            let (rows, healed) = job.run_claim(exec, &calm, judge, idx);
+            let (rows, healed) = job.run_claim(exec, judge, idx);
             let record = ShardRecord {
                 manifest_fingerprint: manifest_fp,
                 worker_pid: std::process::id(),
@@ -927,16 +884,20 @@ pub fn merge(dir: &Path, job: &FleetJob<'_>, telemetry: &Telemetry) -> Result<Ta
     check_manifest(dir, &manifest)?;
     let manifest_fp = manifest.fingerprint();
     let claims = job.claims();
-    let reports = Reports::new(job.pipes.iter().chain(job.pipes), job.spec.total());
+    let source = job.source();
+    let plan = source.plan(job.pipes.len());
+    let reports = Reports::new(job.pipes, source);
     let mut missing = 0usize;
     for idx in 0..claims {
         let Some(record) = read_record(&done_path(dir, idx))? else {
             missing += 1;
             continue;
         };
-        let tiles = record.rows.len() == job.rows()
-            && (record.rows.iter().enumerate())
-                .all(|(row, result)| result.key.model_idx == row && job.fits(idx, result));
+        // exactly the claim's plan keys, in row order, each holding one
+        // outcome per question
+        let claim = plan.iter().filter(|key| key.q_start == idx * SHARD_SIZE);
+        let tiles = (record.rows.iter().map(|row| (row.key, row.outcomes.len())))
+            .eq(claim.map(|&key| (key, key.q_end - key.q_start)));
         if record.manifest_fingerprint != manifest_fp || !tiles {
             return Err(FleetError::ForeignShard { shard_index: idx });
         }
@@ -1262,6 +1223,27 @@ mod tests {
         other.identity.options.attempts += 1;
         assert_ne!(fp, other.fingerprint());
         assert_eq!(fp, base.clone().fingerprint(), "stable for equal content");
+    }
+
+    /// The on-disk format: its version, and the manifest fingerprints a
+    /// one-model job and the 12-model `table2 --scale 10` job stamp on
+    /// every lease and record. A change here strands every fleet
+    /// directory already written.
+    #[test]
+    fn fleet_format_and_manifest_fingerprints_are_frozen() {
+        assert_eq!(FLEET_FORMAT_VERSION, 5);
+        let spec = DatasetSpec::default();
+        let pipes = vec![VlmPipeline::new(ModelZoo::gpt4o())];
+        assert_eq!(
+            small_job(&pipes, &spec).manifest().fingerprint(),
+            0x285d_f05a_2b8d_1091
+        );
+        let scaled = DatasetSpec::scaled(10);
+        let zoo: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+        assert_eq!(
+            small_job(&zoo, &scaled).manifest().fingerprint(),
+            0xee59_eacd_9669_4f09
+        );
     }
 
     #[test]

@@ -92,6 +92,6 @@ pub use harness::{evaluate, EvalOptions, EvalReport};
 pub use judge::{HybridJudge, Judge, RuleJudge};
 pub use store::{AnswerStore, StoreConfig, StoreStats};
 pub use supervisor::{
-    BreakerConfig, BreakerState, CircuitBreaker, EvalError, RecoveryPolicy, Supervisor,
-    WindowedBreaker, BREAKER_WINDOW,
+    BreakerConfig, BreakerState, CircuitBreaker, EvalError, Supervisor, WindowedBreaker,
+    BREAKER_WINDOW,
 };

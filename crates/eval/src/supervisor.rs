@@ -103,19 +103,13 @@ impl std::fmt::Display for EvalError {
     }
 }
 
-/// Bounded retry behaviour for one supervised call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RecoveryPolicy {
-    /// Retries after the first attempt (so a call is made at most
-    /// `max_retries + 1` times).
-    pub max_retries: u64,
-}
+/// Retries of one supervised call after its first attempt, so a call is
+/// made at most `MAX_RETRIES + 1` times.
+pub const MAX_RETRIES: u64 = 2;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy { max_retries: 2 }
-    }
-}
+/// The per-call deadline a [`EvalError::Timeout`] records, in
+/// milliseconds.
+pub const DEADLINE_MS: u64 = 30_000;
 
 /// Circuit breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -273,7 +267,7 @@ impl CircuitBreaker {
 pub const BREAKER_WINDOW: usize = crate::fault::StreamCoord::WINDOW;
 
 /// The windowed breaker: incremental per-window replay, advanced one
-/// question at a time in global-index order by [`Supervisor::admit`].
+/// question at a time in global-index order by the engine's producer.
 /// Holds O(1) state — exactly what a lazily generated collection
 /// permits — so the same decisions fall out for a materialized bench
 /// and a streamed spec.
@@ -352,14 +346,12 @@ impl Admit {
 }
 
 /// Supervised-execution policy: fault injection (for chaos runs),
-/// deadline, recovery retries and circuit breaking. Attach to a
+/// [`DEADLINE_MS`], [`MAX_RETRIES`] and circuit breaking. Attach to a
 /// [`ParallelExecutor`](crate::executor::ParallelExecutor) via
 /// [`with_supervisor`](crate::executor::ParallelExecutor::with_supervisor).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Supervisor {
     injector: FaultInjector,
-    recovery: RecoveryPolicy,
-    deadline_ms: u64,
 }
 
 impl Default for Supervisor {
@@ -369,26 +361,11 @@ impl Default for Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor injecting `plan`, with default recovery (2 retries),
-    /// a 30 s deadline and default breaker tuning.
+    /// A supervisor injecting `plan`, with default breaker tuning.
     pub fn new(plan: FaultPlan) -> Self {
         Supervisor {
             injector: FaultInjector::new(plan),
-            recovery: RecoveryPolicy::default(),
-            deadline_ms: 30_000,
         }
-    }
-
-    /// Sets the retry policy.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Sets the per-call deadline recorded on timeout failures.
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
     }
 
     /// The fault plan being injected.
@@ -404,7 +381,7 @@ impl Supervisor {
     pub fn question_health(&self, fingerprint: u64, question_id: &str) -> Option<EvalError> {
         for site in [CallSite::Inference, CallSite::Judge] {
             let mut last = None;
-            for recovery in 0..=self.recovery.max_retries {
+            for recovery in 0..=MAX_RETRIES {
                 let drawn = self.injector.draw(CallKey {
                     fingerprint,
                     question_id,
@@ -428,11 +405,6 @@ impl Supervisor {
         None
     }
 
-    /// A fresh [`WindowedBreaker`] positioned at global index 0.
-    pub fn stream_breaker(&self) -> WindowedBreaker {
-        self.stream_breaker_at(0)
-    }
-
     /// A [`WindowedBreaker`] positioned at the start of breaker window
     /// `window` (global index `window × BREAKER_WINDOW`). Because state
     /// resets at every window boundary, decisions from here on are
@@ -448,17 +420,12 @@ impl Supervisor {
         }
     }
 
-    /// Decides the question at `wb`'s next global index: `true` to
-    /// attempt, `false` to shed. Must be called in global-index order
-    /// (the producer's natural order). A zero plan admits everything
-    /// without touching breaker state, so zero-plan supervised runs stay
-    /// byte- and trace-identical to unsupervised ones.
-    pub fn admit(&self, wb: &mut WindowedBreaker, fingerprint: u64, question_id: &str) -> bool {
-        self.decide(wb, fingerprint, question_id).allowed
-    }
-
-    /// [`admit`](Supervisor::admit), returning the full decision for the
-    /// evaluating worker to [`report`](Admit::report).
+    /// Decides the question at `wb`'s next global index: attempt it, or
+    /// shed it. Must be called in global-index order (the producer's
+    /// natural order). A zero plan admits everything without touching
+    /// breaker state, so zero-plan supervised runs stay byte- and
+    /// trace-identical to unsupervised ones. The evaluating worker
+    /// [`report`](Admit::report)s the decision.
     pub(crate) fn decide(
         &self,
         wb: &mut WindowedBreaker,
@@ -572,7 +539,7 @@ impl Supervisor {
         tele: &Telemetry,
     ) -> Result<T, (EvalError, D)> {
         let mut last = None;
-        for recovery in 0..=self.recovery.max_retries {
+        for recovery in 0..=MAX_RETRIES {
             if recovery > 0 {
                 tele.counter("supervisor.retry", 1);
             }
@@ -645,7 +612,7 @@ impl Supervisor {
     fn error_for(&self, kind: FaultKind) -> EvalError {
         match kind {
             FaultKind::Timeout => EvalError::Timeout {
-                deadline_ms: self.deadline_ms,
+                deadline_ms: DEADLINE_MS,
             },
             FaultKind::Truncated => EvalError::Truncated,
             FaultKind::Garbled => EvalError::Garbled,
@@ -669,10 +636,10 @@ mod tests {
     /// The admit sequence a full run gives model `fp`: one breaker
     /// walking `bench` from the first question, in order.
     fn full_walk(sup: &Supervisor, fp: u64, bench: &ChipVqa) -> (Vec<bool>, WindowedBreaker) {
-        let mut wb = sup.stream_breaker();
+        let mut wb = sup.stream_breaker_at(0);
         let admits = bench
             .iter()
-            .map(|q| sup.admit(&mut wb, fp, &q.id))
+            .map(|q| sup.decide(&mut wb, fp, &q.id).allowed)
             .collect();
         (admits, wb)
     }
@@ -823,7 +790,6 @@ mod tests {
                 exec.run(
                     &pipes,
                     source,
-                    None,
                     EvalOptions::default(),
                     &RuleJudge::new(),
                     &picked,
@@ -861,10 +827,10 @@ mod tests {
         let bench = ChipVqa::standard();
         let fp = 0x51ac;
         let sup = Supervisor::new(FaultPlan::uniform(11, 0.15));
-        let mut full = sup.stream_breaker();
+        let mut full = sup.stream_breaker_at(0);
         let all: Vec<bool> = bench
             .iter()
-            .map(|q| sup.admit(&mut full, fp, &q.id))
+            .map(|q| sup.decide(&mut full, fp, &q.id).allowed)
             .collect();
         for window in 0..bench.len().div_ceil(BREAKER_WINDOW) {
             let start = window * BREAKER_WINDOW;
@@ -873,7 +839,7 @@ mod tests {
             assert_eq!(wb.next_index(), start);
             let alone: Vec<bool> = bench.questions()[start..end]
                 .iter()
-                .map(|q| sup.admit(&mut wb, fp, &q.id))
+                .map(|q| sup.decide(&mut wb, fp, &q.id).allowed)
                 .collect();
             assert_eq!(
                 alone,
@@ -892,9 +858,9 @@ mod tests {
     fn zero_plan_admits_everything_without_breaker_state() {
         let bench = ChipVqa::standard();
         let sup = Supervisor::new(FaultPlan::none());
-        let mut wb = sup.stream_breaker();
+        let mut wb = sup.stream_breaker_at(0);
         for q in bench.iter() {
-            assert!(sup.admit(&mut wb, 99, &q.id));
+            assert!(sup.decide(&mut wb, 99, &q.id).allowed);
         }
         assert_eq!(wb.trips(), 0);
         assert_eq!(wb.state(), BreakerState::Closed);
@@ -937,8 +903,7 @@ mod tests {
     fn exhausted_retries_surface_structured_errors() {
         let bench = ChipVqa::standard();
         let pipe = chipvqa_models::VlmPipeline::new(ModelZoo::gpt4o());
-        let sup = Supervisor::new(FaultPlan::none().with_broken_model(pipe.fingerprint()))
-            .with_recovery(RecoveryPolicy { max_retries: 1 });
+        let sup = Supervisor::new(FaultPlan::none().with_broken_model(pipe.fingerprint()));
         let q = &bench.questions()[0];
         let (err, degraded) = sup
             .infer(
@@ -975,8 +940,7 @@ mod tests {
         let sup = Supervisor::new(FaultPlan {
             timeout_rate: 1.0,
             ..FaultPlan::none()
-        })
-        .with_deadline_ms(1234);
+        });
         let q = &bench.questions()[3];
         let (err, _) = sup
             .infer(
@@ -991,7 +955,12 @@ mod tests {
                 0,
             )
             .unwrap_err();
-        assert_eq!(err, EvalError::Timeout { deadline_ms: 1234 });
+        assert_eq!(
+            err,
+            EvalError::Timeout {
+                deadline_ms: DEADLINE_MS
+            }
+        );
         assert_eq!(err.label(), "timeout");
     }
 
@@ -1046,8 +1015,7 @@ mod tests {
             timeout_rate: 1.0,
             seed: 9,
             ..FaultPlan::none()
-        })
-        .with_recovery(RecoveryPolicy { max_retries: 1 });
+        });
         let sink = Arc::new(MemorySink::new());
         let tele = chipvqa_telemetry::Telemetry::builder()
             .clock(MockClock::new(1))
@@ -1069,11 +1037,15 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EvalError::Timeout { .. }));
         let snap = tele.snapshot();
-        assert_eq!(snap.counters["fault.injected"], 2, "two recovery draws");
-        assert_eq!(snap.counters["supervisor.deadline_overrun"], 2);
-        assert_eq!(snap.counters["supervisor.retry"], 1);
+        let draws = MAX_RETRIES + 1;
+        assert_eq!(
+            snap.counters["fault.injected"], draws,
+            "one per recovery draw"
+        );
+        assert_eq!(snap.counters["supervisor.deadline_overrun"], draws);
+        assert_eq!(snap.counters["supervisor.retry"], MAX_RETRIES);
         let events = sink.named("fault.injected");
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len() as u64, draws);
         assert_eq!(events[0].get("kind"), Some("timeout"));
         assert_eq!(events[0].get("site"), Some("inference"));
         assert_eq!(events[0].get("plan_seed"), Some("9"));

@@ -231,12 +231,12 @@ fn panic_quarantine_then_requeue_resumes_to_a_clean_report() {
         .filter(|o| o.error == Some(EvalError::WorkerPanic))
         .count();
     assert!(panicked > 0, "the storm must hit something");
-    assert!(ckpt.quarantined_shards() > 0, "panicked shards quarantined");
 
-    // operator fixes the environment: requeue and resume without faults
-    let requeued = ckpt.requeue_quarantined();
-    assert!(requeued > 0);
-    assert_eq!(ckpt.quarantined_shards(), 0);
+    // operator fixes the environment: heal calm, then resume
+    let mut heal = || ckpt.heal(&stormy, &pipes, source, options, &RuleJudge::new());
+    let requeued = heal().expect("compatible checkpoint");
+    assert!(requeued > 0, "panicked shards quarantined");
+    assert_eq!(heal(), Ok(0));
     let calm = ParallelExecutor::new(4);
     let recovered = calm
         .evaluate_checkpointed(
@@ -295,7 +295,6 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
         .filter(|o| o.error == Some(EvalError::WorkerPanic))
         .count();
     assert!(panicked > 0, "the storm must hit something at N = 1420");
-    assert!(ckpt.quarantined_shards() > 0, "panicked shards quarantined");
     assert_eq!(
         degraded[0].answered() + degraded[0].failed() + degraded[0].breaker_skipped(),
         bench.len(),
@@ -312,9 +311,10 @@ fn scaled_quarantine_and_requeue_heal_a_1420_question_storm() {
         )
         .is_err());
 
-    let requeued = ckpt.requeue_quarantined();
-    assert!(requeued > 0);
-    assert_eq!(ckpt.quarantined_shards(), 0);
+    let mut heal = || ckpt.heal(&stormy, &pipes, source, options, &RuleJudge::new());
+    let requeued = heal().expect("compatible checkpoint");
+    assert!(requeued > 0, "panicked shards quarantined");
+    assert_eq!(heal(), Ok(0));
     let recovered = ParallelExecutor::new(4)
         .evaluate_checkpointed(
             &pipes,
@@ -410,9 +410,9 @@ fn scaled_streamed_quarantine_and_requeue_heal_a_1420_question_storm() {
         "degraded streamed accounting closes at scale"
     );
 
-    let healed = ckpt.requeue_quarantined();
-    assert_eq!(healed, quarantined);
-    let report = resume(&stormy.unsupervised(), &mut ckpt);
+    let healed = ckpt.heal(&stormy, &pipes, source, options, &RuleJudge::new());
+    assert_eq!(healed, Ok(quarantined));
+    let report = resume(&stormy, &mut ckpt);
     assert_eq!(report, clean, "requeued shards heal the streamed report");
     assert!(!report.is_degraded());
 }

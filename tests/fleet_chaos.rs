@@ -669,10 +669,109 @@ fn merge_refusals_are_structured() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The fleet's healing semantics match the checkpoint layer's
-/// `requeue_quarantined`: a supervised checkpointed run of each column,
-/// requeued and resumed calm, converges to the same bytes as a
-/// supervised fleet that heals its claims' panicked rows. The plan
+/// Merge checks each done record as it reaches it, in claim order: a
+/// record of claim 1 that is not exactly claim 1's rows of this run is
+/// refused as `ForeignShard { shard_index: 1 }`, also when a later
+/// record is missing, and one that does not parse as `Corrupt`. With
+/// the record restored, the fleet merges again.
+#[test]
+fn merge_refuses_a_rewritten_record_at_its_claim_before_a_later_missing_one() {
+    let (pipes, spec) = grid();
+    let dir = tmp_dir("rewrite");
+    let job = job(&pipes, &spec);
+    let config = FleetConfig {
+        heartbeat_interval: Duration::from_millis(20),
+        idle_backoff: Duration::from_millis(2),
+        ..FleetConfig::default()
+    };
+    fleet::run_worker(
+        &dir,
+        &ParallelExecutor::new(2),
+        &job,
+        &RuleJudge::new(),
+        &config,
+    )
+    .expect("worker runs");
+    let reference = merged_bytes(&dir, &job);
+    let (first, fifth) = (done_path(&dir, 1), done_path(&dir, 5));
+    let (first_bytes, fifth_bytes) = (
+        fs::read(&first).expect("claim 1 committed"),
+        fs::read(&fifth).expect("claim 5 committed"),
+    );
+    let record = |idx| -> ShardRecord {
+        let json = fs::read_to_string(done_path(&dir, idx)).expect("record reads");
+        serde_json::from_str(&json).expect("record parses")
+    };
+    let (own, other) = (record(1), record(2));
+    let rewrite = |edit: &dyn Fn(&mut ShardRecord)| {
+        let mut rewritten = own.clone();
+        edit(&mut rewritten);
+        rewritten
+    };
+    let rewrites = [
+        (
+            "a foreign manifest fingerprint",
+            rewrite(&|r| r.manifest_fingerprint ^= 1),
+        ),
+        (
+            "the last row dropped",
+            rewrite(&|r| {
+                r.rows.pop();
+            }),
+        ),
+        ("two rows swapped", rewrite(&|r| r.rows.swap(0, 1))),
+        (
+            "a row one outcome short",
+            rewrite(&|r| {
+                r.rows[1].outcomes.pop();
+            }),
+        ),
+        (
+            "a row of claim 2",
+            rewrite(&|r| r.rows[1] = other.rows[1].clone()),
+        ),
+        ("claim 2's whole record", other.clone()),
+    ];
+    for (what, rewritten) in &rewrites {
+        fs::write(
+            &first,
+            serde_json::to_string(rewritten).expect("serializes"),
+        )
+        .expect("rewrites claim 1");
+        for fifth_missing in [false, true] {
+            if fifth_missing {
+                fs::remove_file(&fifth).expect("removes claim 5");
+            } else {
+                fs::write(&fifth, &fifth_bytes).expect("restores claim 5");
+            }
+            match fleet::merge(&dir, &job, &Telemetry::disabled()) {
+                Err(FleetError::ForeignShard { shard_index: 1 }) => {}
+                other => panic!(
+                    "{what} (claim 5 missing: {fifth_missing}): expected \
+                     ForeignShard {{ shard_index: 1 }}, got {other:?}"
+                ),
+            }
+        }
+    }
+    fs::write(&fifth, &fifth_bytes).expect("restores claim 5");
+    fs::write(&first, "{\"manifest_fingerprint\":").expect("garbles claim 1");
+    match fleet::merge(&dir, &job, &Telemetry::disabled()) {
+        Err(FleetError::Corrupt { path, .. }) => assert_eq!(path, first),
+        other => panic!("a garbled record: expected Corrupt, got {other:?}"),
+    }
+    fs::write(&first, &first_bytes).expect("restores claim 1");
+    assert_eq!(
+        merged_bytes(&dir, &job),
+        reference,
+        "the restored fleet merges to its own bytes"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A fleet heals as a checkpoint does: a supervised checkpointed run of
+/// each column, healed by `Checkpoint::heal` and resumed, converges to
+/// the same bytes as a supervised fleet that heals its claims' panicked
+/// rows. The plan
 /// injects every fault kind, so the rows a heal keeps carry supervised
 /// outcomes a calm re-run would not: only a heal that re-runs exactly
 /// the panicked (row, shard) pairs matches.
@@ -682,7 +781,7 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
     let plan = FaultPlan::uniform(chaos_seed(), 0.05);
     install_quiet_panic_hook();
 
-    // checkpoint path, per column: supervised run, requeue, calm resume
+    // checkpoint path, per column: supervised run, heal, resume
     let supervised = ParallelExecutor::new(2).with_supervisor(Supervisor::new(plan.clone()));
     let calm = ParallelExecutor::new(2);
     let options = EvalOptions::default();
@@ -701,7 +800,11 @@ fn fleet_healing_matches_checkpoint_requeue_semantics() {
                 &|_| {},
             )
             .expect("supervised pass");
-        assert!(cp.requeue_quarantined() > 0, "the plan quarantines shards");
+        let healed = cp.heal(&supervised, &pipes, source, options, &judge);
+        assert!(
+            healed.expect("valid checkpoint") > 0,
+            "the plan quarantines shards"
+        );
         calm.evaluate_checkpointed(
             &pipes,
             source,
