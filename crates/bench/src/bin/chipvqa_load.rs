@@ -256,6 +256,8 @@ fn run_level(
                     )),
                     Err(e) => violation(&format!("accepted session lost or stuck: {e}")),
                 }
+                // the report is handed out once: read the snapshot first
+                let snap = service.snapshot(id).expect("session exists");
                 let report = service
                     .report(id)
                     .unwrap_or_else(|e| violation(&format!("done session has no report: {e}")));
@@ -264,7 +266,6 @@ fn run_level(
                         "session {id} report differs from the batch-mode reference"
                     ));
                 }
-                let snap = service.snapshot(id).expect("session exists");
                 Some(snap.total_ns.expect("terminal session has total_ns"))
             })
         })
@@ -342,15 +343,15 @@ fn run_store_smoke(
             Ok(SessionState::Done) => {}
             other => violation(&format!("store smoke session ended {other:?}")),
         }
-        let report = service.report(id).expect("done session has report");
-        if report.canonical_json() != reference {
-            violation("store-backed session differs from the batch-mode reference");
-        }
         let total_ns = service
             .snapshot(id)
             .expect("session exists")
             .total_ns
             .expect("terminal session has total_ns");
+        let report = service.report(id).expect("done session has report");
+        if report.canonical_json() != reference {
+            violation("store-backed session differs from the batch-mode reference");
+        }
         lines.push(LatencySummary::from_ns(label, vec![total_ns]).to_json_line());
         // graceful stop between the pair: the warm run must replay the
         // flushed store from a fresh service, not reuse a live cache

@@ -15,13 +15,15 @@
 //! | `resume` | `session` | re-queue a cancelled session |
 //! | `wait` | `session`, `timeout_ms?` | block until terminal |
 //! | `status` | `session` | snapshot |
-//! | `report` | `session` | canonical report JSON of a done session |
+//! | `report` | `session` | canonical report JSON of a done session, handed out once |
 //! | `stats` | — | service counters |
 //! | `shutdown` | — | graceful stop, then exit |
 //!
 //! Responses are `{"ok": ...}` or `{"err": ...}`; admission sheds are
 //! `{"shed": <structured reason>}` — distinct from errors because a
-//! shed is the service working as designed. With `--events`, progress
+//! shed is the service working as designed. Sessions are numbered
+//! from 1; read a session's `status` before its `report`, since a
+//! second `report` answers `unknown session`. With `--events`, progress
 //! events stream to stderr as JSON lines. EOF on stdin is a graceful
 //! shutdown.
 

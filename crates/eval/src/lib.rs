@@ -39,10 +39,11 @@
 //!
 //! For horizontal scale-out, [`fleet`] turns N independent processes
 //! into one cooperative run: workers claim shards through atomically
-//! created lease files, share one [`store`] (opened shared) as the
-//! common answer plane, steal the leases of dead, recycled, or stalled
-//! workers, heal panicked rows inside their claim, and commit records
-//! that [`fleet::merge`] folds — after checking the run identity a
+//! created lease files, share one [`store`] directory as the common
+//! answer plane (each writing worker appends to segments of its own),
+//! steal the leases of dead, recycled, or stalled workers, heal
+//! panicked rows inside their claim, and commit records that
+//! [`fleet::merge`] folds — after checking the run identity a
 //! checkpoint of the same run would carry — into reports byte-identical
 //! to a single-process run under any kill schedule.
 //!

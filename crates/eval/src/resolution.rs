@@ -4,7 +4,6 @@
 use chipvqa_core::question::Category;
 use chipvqa_core::ChipVqa;
 use chipvqa_models::VlmPipeline;
-use chipvqa_telemetry::{kv, Telemetry};
 use serde::{Deserialize, Serialize};
 
 use crate::harness::{evaluate, EvalOptions};
@@ -26,28 +25,9 @@ pub fn resolution_sweep(
     category: Category,
     factors: &[usize],
 ) -> Vec<ResolutionPoint> {
-    resolution_sweep_traced(pipe, bench, category, factors, &Telemetry::disabled())
-}
-
-/// [`resolution_sweep`] with per-level instrumentation: each
-/// downsampling factor is timed under a `resolution.level` span
-/// (annotated with the factor) and counted on `resolution.levels`.
-pub fn resolution_sweep_traced(
-    pipe: &VlmPipeline,
-    bench: &ChipVqa,
-    category: Category,
-    factors: &[usize],
-    tele: &Telemetry,
-) -> Vec<ResolutionPoint> {
     factors
         .iter()
         .map(|&factor| {
-            let _span = if tele.enabled() {
-                tele.counter("resolution.levels", 1);
-                tele.span_kv("resolution.level", vec![kv("factor", factor)])
-            } else {
-                tele.span("resolution.level")
-            };
             let report = evaluate(
                 pipe,
                 bench,
@@ -68,19 +48,6 @@ pub fn resolution_sweep_traced(
 mod tests {
     use super::*;
     use chipvqa_models::ModelZoo;
-
-    #[test]
-    fn traced_sweep_matches_and_records_levels() {
-        let bench = ChipVqa::standard();
-        let pipe = VlmPipeline::new(ModelZoo::kosmos_2());
-        let plain = resolution_sweep(&pipe, &bench, Category::Analog, &[1, 8]);
-        let tele = Telemetry::recording();
-        let traced = resolution_sweep_traced(&pipe, &bench, Category::Analog, &[1, 8], &tele);
-        assert_eq!(plain, traced);
-        let snap = tele.snapshot();
-        assert_eq!(snap.counters["resolution.levels"], 2);
-        assert_eq!(snap.spans["resolution.level"].count, 2);
-    }
 
     #[test]
     fn paper_shape_eight_x_holds_sixteen_x_drops() {

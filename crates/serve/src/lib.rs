@@ -17,9 +17,10 @@
 //! - [`service`] — [`EvalService`]: runner pool
 //!   over [`ParallelExecutor`](chipvqa_eval::ParallelExecutor), shared
 //!   answer-cache plane (optionally store-backed) for cross-session
-//!   batching, heartbeat/stall detection, graceful drop-guard shutdown.
-//! - [`progress`] — per-shard [`ProgressEvent`]
-//!   stream, fed by the engine's per-shard hook.
+//!   batching, graceful drop-guard shutdown; a session is held until
+//!   its report is handed out.
+//! - [`progress`] — per-shard [`ProgressEvent`] broadcast, fed by the
+//!   engine's per-shard hook.
 //! - [`latency`] — p50/p95/p99 summaries the `chipvqa-load` generator
 //!   writes to `BENCH_service.json`.
 

@@ -7,9 +7,12 @@
 //! hook publishes one [`ProgressEvent::Shard`] per key on the service's
 //! [`ProgressHub`].
 //!
-//! The hub is a replaying broadcast channel: subscribers get the full
-//! backlog first (a late subscriber misses nothing), then live events
-//! as they happen. Dead receivers are pruned on the next publish.
+//! The hub is a plain broadcast channel: a subscriber hears every event
+//! published after it subscribed, and nothing from before. Subscribe
+//! before the first submit to hear a session's whole story; a late
+//! subscriber reads a held session's state and shard counts from
+//! [`EvalService::snapshot`](crate::EvalService::snapshot). Dead
+//! receivers are pruned on the next publish.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard};
@@ -44,23 +47,13 @@ pub enum ProgressEvent {
         /// Shards the session needs in total.
         shards_total: usize,
     },
-    /// The heartbeat saw no shard progress on a running session for
-    /// longer than the configured stall window.
-    Stalled {
-        /// The session.
-        session: SessionId,
-        /// How long it has been idle, in milliseconds.
-        idle_ms: u64,
-    },
 }
 
 impl ProgressEvent {
     /// The session this event concerns.
     pub fn session(&self) -> SessionId {
         match self {
-            ProgressEvent::State { session, .. }
-            | ProgressEvent::Shard { session, .. }
-            | ProgressEvent::Stalled { session, .. } => *session,
+            ProgressEvent::State { session, .. } | ProgressEvent::Shard { session, .. } => *session,
         }
     }
 }
@@ -71,16 +64,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-#[derive(Default)]
-struct HubInner {
-    backlog: Vec<ProgressEvent>,
-    subscribers: Vec<Sender<ProgressEvent>>,
-}
-
-/// Replaying broadcast channel for [`ProgressEvent`]s.
-#[derive(Default)]
+/// Broadcast channel for [`ProgressEvent`]s.
+#[derive(Debug, Default)]
 pub struct ProgressHub {
-    inner: Mutex<HubInner>,
+    subscribers: Mutex<Vec<Sender<ProgressEvent>>>,
 }
 
 impl ProgressHub {
@@ -89,45 +76,17 @@ impl ProgressHub {
         ProgressHub::default()
     }
 
-    /// Publishes one event to the backlog and every live subscriber;
-    /// subscribers whose receiver was dropped are pruned.
+    /// Publishes one event to every live subscriber; subscribers whose
+    /// receiver was dropped are pruned.
     pub fn publish(&self, event: ProgressEvent) {
-        let mut inner = lock(&self.inner);
-        inner.backlog.push(event.clone());
-        inner
-            .subscribers
-            .retain(|tx| tx.send(event.clone()).is_ok());
+        lock(&self.subscribers).retain(|tx| tx.send(event.clone()).is_ok());
     }
 
-    /// Subscribes: the receiver first yields the entire backlog, then
-    /// live events.
+    /// Subscribes: the receiver yields every event published from now on.
     pub fn subscribe(&self) -> Receiver<ProgressEvent> {
         let (tx, rx) = channel();
-        let mut inner = lock(&self.inner);
-        for event in &inner.backlog {
-            // the receiver cannot be dropped yet: we hold it
-            let _ = tx.send(event.clone());
-        }
-        inner.subscribers.push(tx);
+        lock(&self.subscribers).push(tx);
         rx
-    }
-
-    /// Events published so far.
-    pub fn backlog_len(&self) -> usize {
-        lock(&self.inner).backlog.len()
-    }
-
-    /// A copy of every event published so far.
-    pub fn backlog(&self) -> Vec<ProgressEvent> {
-        lock(&self.inner).backlog.clone()
-    }
-}
-
-impl std::fmt::Debug for ProgressHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProgressHub")
-            .field("backlog_len", &self.backlog_len())
-            .finish()
     }
 }
 
@@ -143,22 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn late_subscribers_replay_the_backlog() {
+    fn subscribers_hear_only_what_is_published_after_they_subscribe() {
         let hub = ProgressHub::new();
         hub.publish(state_event(1, SessionState::Queued));
         hub.publish(state_event(1, SessionState::Running));
         let rx = hub.subscribe();
         hub.publish(state_event(1, SessionState::Done));
         let got: Vec<ProgressEvent> = rx.try_iter().collect();
-        assert_eq!(
-            got,
-            vec![
-                state_event(1, SessionState::Queued),
-                state_event(1, SessionState::Running),
-                state_event(1, SessionState::Done),
-            ]
-        );
-        assert_eq!(hub.backlog_len(), 3);
+        assert_eq!(got, vec![state_event(1, SessionState::Done)]);
     }
 
     #[test]
@@ -169,7 +120,7 @@ mod tests {
         hub.publish(state_event(1, SessionState::Queued));
         let live = hub.subscribe();
         hub.publish(state_event(1, SessionState::Running));
-        assert_eq!(live.try_iter().count(), 2);
+        assert_eq!(live.try_iter().count(), 1);
     }
 
     #[test]
@@ -183,10 +134,6 @@ mod tests {
                 q_end: 16,
                 shards_done: 1,
                 shards_total: 9,
-            },
-            ProgressEvent::Stalled {
-                session: SessionId(3),
-                idle_ms: 5000,
             },
         ];
         for event in events {

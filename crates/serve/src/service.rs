@@ -3,11 +3,18 @@
 //! [`EvalService`] owns a fixed pool of **runner** threads, an
 //! [`AdmissionController`] guarding a bounded run queue, one shared
 //! [`AnswerCache`] (optionally backed by a persistent
-//! [`AnswerStore`]), a [`ProgressHub`]
-//! broadcasting per-shard events, and a heartbeat thread watching for
-//! stalls. Sessions are submitted with [`EvalService::submit`], move
+//! [`AnswerStore`]), and a [`ProgressHub`] broadcasting per-shard
+//! events. Sessions are submitted with [`EvalService::submit`], move
 //! through Queued → Admitted → Running → terminal, and can be
 //! cancelled and resumed at shard-batch granularity.
+//!
+//! ## Retention
+//!
+//! The service holds a session only while a caller can still ask for
+//! it. [`EvalService::report`] hands a Done session's report out once,
+//! and the session leaves the table with it. A cancelled session keeps
+//! its checkpoint for [`EvalService::resume`], and a failed one keeps
+//! its error for [`EvalService::snapshot`].
 //!
 //! ## Determinism
 //!
@@ -41,14 +48,14 @@
 //! [`EvalService::shutdown`] (also run on drop) stops admission, asks
 //! in-flight sessions to cancel at their next batch boundary, joins
 //! every runner (executor workers are scoped threads — joining the
-//! runner joins them transitively) and the heartbeat, cancels the
-//! still-queued backlog, and flushes the answer store. No torn tail:
-//! a store written through a graceful shutdown recovers zero segments
-//! on reopen.
+//! runner joins them transitively), cancels the still-queued backlog,
+//! and flushes the answer store. No torn tail: a store written through
+//! a graceful shutdown recovers zero segments on reopen.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -87,11 +94,6 @@ pub struct ServiceConfig {
     /// Optional pause between steps — a pacing knob for tests and load
     /// shaping; zero (the default) runs flat out.
     pub step_delay: Duration,
-    /// Heartbeat cadence (stall detection, liveness counter).
-    pub heartbeat_interval: Duration,
-    /// A running session with no shard progress for this long gets a
-    /// [`ProgressEvent::Stalled`] from the heartbeat.
-    pub stall_after: Duration,
     /// Back the shared answer cache with a persistent
     /// [`AnswerStore`] at this directory.
     pub store_dir: Option<std::path::PathBuf>,
@@ -105,8 +107,6 @@ impl Default for ServiceConfig {
             admission: AdmissionConfig::default(),
             shard_batch: 4,
             step_delay: Duration::ZERO,
-            heartbeat_interval: Duration::from_millis(25),
-            stall_after: Duration::from_secs(5),
             store_dir: None,
         }
     }
@@ -118,10 +118,6 @@ impl ServiceConfig {
         assert!(self.workers >= 1, "workers must be >= 1");
         assert!(self.runners >= 1, "runners must be >= 1");
         assert!(self.shard_batch >= 1, "shard_batch must be >= 1");
-        assert!(
-            self.heartbeat_interval > Duration::ZERO,
-            "heartbeat_interval must be positive"
-        );
         self.admission.validate();
     }
 }
@@ -143,8 +139,6 @@ pub struct ServiceStats {
     pub queue_depth: usize,
     /// Sessions currently running.
     pub running: usize,
-    /// Heartbeat ticks since start.
-    pub heartbeats: u64,
     /// Admission counters (sheds by reason, breaker trips).
     pub admission: AdmissionStats,
 }
@@ -159,8 +153,7 @@ struct SessionEntry {
     checkpoint: Option<Checkpoint>,
     report: Option<SessionReport>,
     error: Option<String>,
-    /// Bumped by the engine's shard hook on every shard; the
-    /// heartbeat's stall detector watches it.
+    /// Bumped by the engine's shard hook on every shard.
     shards_done: Arc<AtomicUsize>,
     shards_total: usize,
     submitted_at: Instant,
@@ -195,7 +188,7 @@ struct State {
     resumed: u64,
 }
 
-/// Everything the runner and heartbeat threads share with the handle.
+/// Everything the runner threads share with the handle.
 struct Shared {
     config: ServiceConfig,
     state: Mutex<State>,
@@ -204,13 +197,9 @@ struct Shared {
     work_cv: Condvar,
     /// Signalled on every terminal transition (for [`EvalService::wait`]).
     done_cv: Condvar,
-    /// Signalled to wake the heartbeat early (shutdown).
-    hb_gate: Mutex<()>,
-    hb_cv: Condvar,
     stop: AtomicBool,
     hub: ProgressHub,
     cache: Arc<AnswerCache>,
-    heartbeats: AtomicU64,
 }
 
 /// Poison-tolerant lock (a panicking runner must not wedge the
@@ -229,7 +218,6 @@ impl Shared {
 pub struct EvalService {
     shared: Arc<Shared>,
     runners: Vec<std::thread::JoinHandle<()>>,
-    heartbeat: Option<std::thread::JoinHandle<()>>,
 }
 
 impl EvalService {
@@ -238,8 +226,8 @@ impl EvalService {
         EvalService::start(ServiceConfig::default()).expect("no store configured: cannot fail")
     }
 
-    /// Starts runners and the heartbeat. Fails only when the
-    /// configured answer store cannot be opened.
+    /// Starts the runners. Fails only when the configured answer store
+    /// cannot be opened.
     pub fn start(config: ServiceConfig) -> std::io::Result<EvalService> {
         config.validate();
         let mut cache = AnswerCache::new();
@@ -260,12 +248,9 @@ impl EvalService {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            hb_gate: Mutex::new(()),
-            hb_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             hub: ProgressHub::new(),
             cache: Arc::new(cache),
-            heartbeats: AtomicU64::new(0),
             config,
         });
         let runner_handles = (0..runners)
@@ -277,17 +262,9 @@ impl EvalService {
                     .expect("spawn runner")
             })
             .collect();
-        let heartbeat = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-heartbeat".to_string())
-                .spawn(move || heartbeat_loop(&shared))
-                .expect("spawn heartbeat")
-        };
         Ok(EvalService {
             shared,
             runners: runner_handles,
-            heartbeat: Some(heartbeat),
         })
     }
 
@@ -423,20 +400,27 @@ impl EvalService {
             .ok_or(SessionError::UnknownSession(id))
     }
 
-    /// The finished report of a [`Done`](SessionState::Done) session.
+    /// Hands out the finished report of a [`Done`](SessionState::Done)
+    /// session, once: the session leaves the service with it, and every
+    /// later call on its id answers
+    /// [`UnknownSession`](SessionError::UnknownSession). Read its
+    /// [`snapshot`](Self::snapshot) first if you need one.
     pub fn report(&self, id: SessionId) -> Result<SessionReport, SessionError> {
-        let st = lock(&self.shared.state);
-        let entry = st
-            .sessions
-            .get(&id)
-            .ok_or(SessionError::UnknownSession(id))?;
-        entry
-            .report
-            .clone()
-            .ok_or(SessionError::NoReport(id, entry.state))
+        let mut st = lock(&self.shared.state);
+        let Entry::Occupied(mut entry) = st.sessions.entry(id) else {
+            return Err(SessionError::UnknownSession(id));
+        };
+        match entry.get_mut().report.take() {
+            Some(report) => {
+                entry.remove();
+                Ok(report)
+            }
+            None => Err(SessionError::NoReport(id, entry.get().state)),
+        }
     }
 
-    /// Subscribes to the progress stream (full backlog, then live).
+    /// Subscribes to the progress stream: every event published from
+    /// now on.
     pub fn subscribe(&self) -> Receiver<ProgressEvent> {
         self.shared.hub.subscribe()
     }
@@ -452,7 +436,6 @@ impl EvalService {
             resumed: st.resumed,
             queue_depth: st.admission.queue_depth(),
             running: st.admission.running_total(),
-            heartbeats: self.shared.heartbeats.load(Ordering::SeqCst),
             admission: st.admission.stats().clone(),
         }
     }
@@ -469,16 +452,12 @@ impl EvalService {
 
     /// Graceful stop: no new admissions, in-flight sessions cancel at
     /// their next batch boundary (checkpoints retained), every runner
-    /// and the heartbeat are joined, the queued backlog is cancelled,
-    /// and the answer store is flushed. Idempotent; also runs on drop.
+    /// is joined, the queued backlog is cancelled, and the answer store
+    /// is flushed. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) -> std::io::Result<()> {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.shared.work_cv.notify_all();
-        self.shared.hb_cv.notify_all();
         for handle in self.runners.drain(..) {
-            let _ = handle.join();
-        }
-        if let Some(handle) = self.heartbeat.take() {
             let _ = handle.join();
         }
         // Runners are gone: cancel whatever never got admitted.
@@ -510,8 +489,8 @@ impl Default for EvalService {
 
 impl Drop for EvalService {
     /// Drop-guard: dropping the handle is a graceful shutdown, so no
-    /// executor worker or heartbeat thread outlives the service and
-    /// the store tail is flushed even when the owner forgets to call
+    /// runner or executor worker outlives the service and the store
+    /// tail is flushed even when the owner forgets to call
     /// [`EvalService::shutdown`].
     fn drop(&mut self) {
         let _ = self.shutdown();
@@ -688,54 +667,4 @@ fn finish_failed(shared: &Shared, id: SessionId, tenant: &str, error: String) {
     shared.publish_state(id, SessionState::Failed);
     drop(st);
     shared.done_cv.notify_all();
-}
-
-/// Heartbeat: periodic liveness tick plus stall detection over the
-/// sessions' completed-shard counts.
-fn heartbeat_loop(shared: &Shared) {
-    let mut watched: HashMap<SessionId, (usize, Instant)> = HashMap::new();
-    loop {
-        {
-            let gate = lock(&shared.hb_gate);
-            let _ = shared
-                .hb_cv
-                .wait_timeout(gate, shared.config.heartbeat_interval)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        shared.heartbeats.fetch_add(1, Ordering::SeqCst);
-        let now = Instant::now();
-        let stalled: Vec<(SessionId, u64)> = {
-            let st = lock(&shared.state);
-            watched.retain(|id, _| {
-                st.sessions
-                    .get(id)
-                    .is_some_and(|e| e.state == SessionState::Running)
-            });
-            let mut stalled = Vec::new();
-            for (id, entry) in &st.sessions {
-                if entry.state != SessionState::Running {
-                    continue;
-                }
-                let done = entry.shards_done.load(Ordering::SeqCst);
-                let slot = watched.entry(*id).or_insert((done, now));
-                if slot.0 != done {
-                    *slot = (done, now);
-                } else if now.duration_since(slot.1) >= shared.config.stall_after {
-                    stalled.push((*id, now.duration_since(slot.1).as_millis() as u64));
-                    // restart the window so one stall is one event per
-                    // window, not one per heartbeat tick
-                    slot.1 = now;
-                }
-            }
-            stalled
-        };
-        for (session, idle_ms) in stalled {
-            shared
-                .hub
-                .publish(ProgressEvent::Stalled { session, idle_ms });
-        }
-    }
 }

@@ -942,3 +942,52 @@ fn cancelled_streamed_sessions_resume_from_their_checkpoint() {
     );
     service.shutdown().expect("clean stop");
 }
+
+/// A resident service holds a Done session only until its report is
+/// taken: after `report`, every call on the id answers `UnknownSession`,
+/// a fresh subscriber hears nothing, and the counters still add up.
+#[test]
+fn a_service_forgets_each_session_whose_report_it_handed_out() {
+    use chipvqa::serve::SessionError;
+
+    let mut service = EvalService::start(ServiceConfig {
+        workers: 2,
+        runners: 1,
+        ..ServiceConfig::default()
+    })
+    .expect("no store");
+    let request = SessionRequest {
+        tenant: "forget".to_string(),
+        models: vec![ModelZoo::gpt4o(), ModelZoo::llava_7b()],
+        spec: DatasetSpec::scaled(2),
+        options: EvalOptions::default(),
+        fault_plan: None,
+        stream_shard_len: None,
+    };
+    let reference = batch_reference(&request);
+    for n in 1..=10u64 {
+        let id = service
+            .submit(request.clone())
+            .expect("an idle service admits");
+        assert_eq!(
+            service.wait(id, WAIT).expect("terminates"),
+            SessionState::Done
+        );
+        assert_eq!(
+            service.report(id).expect("done").canonical_json(),
+            reference
+        );
+        let unknown = Err(SessionError::UnknownSession(id));
+        assert_eq!(service.snapshot(id).map(|_| ()), unknown);
+        assert_eq!(service.report(id).map(|_| ()), unknown);
+        assert_eq!(service.wait(id, WAIT).map(|_| ()), unknown);
+        assert_eq!(
+            service.subscribe().try_iter().count(),
+            0,
+            "a fresh subscriber hears nothing of session {n}"
+        );
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed), (n, n));
+    }
+    service.shutdown().expect("clean stop");
+}
