@@ -7,10 +7,14 @@
 //! A `Pixmap` records its drawing and rasterizes on its first pixel
 //! read, so each row says whether it reads: `hotpath_pixmap` rows draw
 //! into a rasterized buffer, `hotpath_render` rows read the image they
-//! render, `hotpath_gen/*_replica` and `hotpath_stream` rows generate
-//! without reading (what a warm run pays), and
+//! render, `hotpath_gen/*_replica` rows and the `hotpath_stream` build
+//! and stream rows generate without reading (what a warm run pays), and
 //! `hotpath_gen/*_replica_read` rows generate and then read every
-//! image (what a run that infers pays).
+//! image whole. A run that infers reads no image whole: perception
+//! replays one window per question. `hotpath_stream/table2_scale1_w1`
+//! times that run end to end, a storeless streamed Table II grid at
+//! scale 1 on one worker: generation, perception from windows on the
+//! producer, then inference and judging.
 //!
 //! Run with `CRITERION_JSON=… cargo bench -p chipvqa-bench --bench
 //! hotpath` to append machine-readable trend lines (the source of
@@ -279,6 +283,10 @@ fn bench_build_vs_stream(c: &mut Criterion) {
             }
             black_box(n)
         })
+    });
+    let exec = ParallelExecutor::new(1);
+    group.bench_function("table2_scale1_w1", |b| {
+        b.iter(|| black_box(run_table2_on(&exec, 1, true)))
     });
 
     group.finish();

@@ -17,7 +17,8 @@
 //! [`ShardSource::Table2`] grid adds a second row per model over each
 //! shard's no-choice twin. Every model in every
 //! column reads a shard's key-mark legibility from one set of slots,
-//! filled once per (question, total factor). Outcomes
+//! filled once per question for every total factor, from one window of
+//! its image, on the producer of a run that infers. Outcomes
 //! come back keyed by [`ShardKey`] and merge **positionally**; because
 //! the VLM pipeline is deterministic per (model, question, attempt), the
 //! parallel report is *identical* — not just statistically equal — to
@@ -404,20 +405,26 @@ impl ParallelExecutor {
     /// row.
     ///
     /// Every shard carries one [`LegibilitySlots`] per question, shared
-    /// by all rows and by the twin, filled on the first cache miss that
-    /// reads a slot, and dropped with the shard's last item. The shard
-    /// and its twin each carry one prompt-hash slot per question, filled
-    /// on a cache-attached worker by the first lookup that keys it.
+    /// by all rows and by the twin, and dropped with the shard's last
+    /// item. The shard and its twin each carry one prompt-hash slot per
+    /// question, filled on a cache-attached worker by the first lookup
+    /// that keys it.
     ///
-    /// Images are drawn on demand ([`chipvqa_raster::Pixmap`]): a
-    /// generated image is rasterized on its first pixel read, and only a
-    /// legibility fill reads pixels. So when the producer builds a shard
-    /// it rasterizes the images its fills will read
-    /// ([`LegibilitySlots::reads_pixels`]), keeping that work off the
-    /// workers, unless a cache is attached and has not missed since the
-    /// run began: a warm run reads no pixel, and rasterizes nothing. The
-    /// images go to the `stream.rasterized` counter, and on a spec walk
-    /// the work runs in a `stream.rasterize` span.
+    /// Perception reads pixels from windows: a question's slots are
+    /// filled together, for every total factor, from one window of its
+    /// image that holds its key marks
+    /// ([`encoder::key_mark_legibility_at`]), and no image is
+    /// rasterized whole. A run infers when it has no cache, or when its
+    /// cache has missed since the run began. When the producer builds a
+    /// shard on such a run, it fills every question's slots before it
+    /// queues the shard, so the workers only infer and judge. The
+    /// images whose window it replayed go to the `stream.rasterized`
+    /// counter, and on a spec walk the fills run in a
+    /// `stream.rasterize` span, one `perceive.legibility` span per
+    /// question. A worker that finds a question's slots empty (a shard
+    /// built before the cache first missed, or a fleet claim) fills them
+    /// the same way on the first miss that reads them. A warm run reads
+    /// no pixel.
     ///
     /// The run is bounded by resident shards: the producer takes a
     /// permit before it generates (or slices) a shard, queues all of the
@@ -445,8 +452,8 @@ impl ParallelExecutor {
     /// breaker's first question), and a spec is generated from there
     /// ([`DatasetSpec::stream_from`]): a resume, a heal or a fleet claim
     /// generates no shard before its first. A built bench's walk makes
-    /// no clock-touching telemetry call: with one worker, one thread
-    /// traces the whole run in dispatch order.
+    /// no clock-touching telemetry call (its fills open no span): with
+    /// one worker, one thread traces the whole run in dispatch order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run(
         &self,
@@ -531,7 +538,7 @@ impl ParallelExecutor {
         let in_flight = AtomicUsize::new(0);
         let cache = self.cache.as_deref();
         // a run whose cache has not missed since it began has read no
-        // pixel, so its producer rasterizes nothing ahead
+        // pixel, so its producer perceives nothing ahead
         let misses_at_start = cache.map(|c| (c, c.misses()));
         let missed = || misses_at_start.is_none_or(|(c, m)| c.misses() > m);
         let mut stats = StreamStats::default();
@@ -667,7 +674,8 @@ impl ParallelExecutor {
                             Shard::new(questions.clone(), pipes, options.downsample, fp, permit);
                         if missed() {
                             let _r_span = generated.then(|| tele.span("stream.rasterize"));
-                            tele.counter("stream.rasterized", shard.rasterize() as u64);
+                            let images = shard.perceive(tele, generated);
+                            tele.counter("stream.rasterized", images as u64);
                         }
                         shard
                     });
@@ -750,18 +758,16 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Rasterizes every image a legibility fill of this shard reads
-    /// ([`LegibilitySlots::reads_pixels`]), returning how many. The
-    /// producer calls it ahead of the workers on a run that infers; an
-    /// image it skips is rasterized by whatever reads it first, if
-    /// anything does.
-    fn rasterize(&self) -> usize {
+    /// Fills every question's legibility slots, each from one window of
+    /// its image, returning how many images had a window replayed
+    /// ([`LegibilitySlots::reads_pixels`]). The producer calls it on a
+    /// run that infers, `spanned` on a spec walk; a worker fills any
+    /// slots it finds empty the same way.
+    fn perceive(&self, tele: &Telemetry, spanned: bool) -> usize {
         let mut images = 0;
         for (q, slots) in self.questions.iter().zip(self.resident.legibility.iter()) {
-            if slots.reads_pixels(q) {
-                q.visual.image.pixels();
-                images += 1;
-            }
+            slots.fill(q, tele, spanned);
+            images += usize::from(slots.reads_pixels(q));
         }
         images
     }
@@ -874,12 +880,18 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// One question's key-mark legibility
-/// ([`encoder::key_mark_legibility`]): one slot per total downsampling
-/// factor the run's models see the question at, each filled by the
-/// first cache miss that reads it. A cache hit never reads a slot, so a
-/// warm restart does no legibility work.
-pub(crate) struct LegibilitySlots(Box<[(usize, OnceLock<Vec<f64>>)]>);
+/// One question's key-mark legibility at every total downsampling
+/// factor the run's models see it at, filled together from one window
+/// of its image ([`encoder::key_mark_legibility_at`]): by the producer
+/// of a run that infers, or else by the first cache miss that reads
+/// them. A cache hit never reads them, so a warm restart does no
+/// legibility work.
+pub(crate) struct LegibilitySlots {
+    /// The total factors, ascending and distinct.
+    factors: Box<[usize]>,
+    /// Each factor's key-mark legibility, in `factors` order.
+    values: OnceLock<Vec<Vec<f64>>>,
+}
 
 impl LegibilitySlots {
     /// Empty slots for every total factor `pipes` see `q` at under
@@ -891,14 +903,17 @@ impl LegibilitySlots {
             .collect();
         factors.sort_unstable();
         factors.dedup();
-        LegibilitySlots(factors.into_iter().map(|f| (f, OnceLock::new())).collect())
+        LegibilitySlots {
+            factors: factors.into(),
+            values: OnceLock::new(),
+        }
     }
 
     /// Whether filling these slots reads `q`'s pixels: `q` has a key
     /// mark and a slot's total factor is 2 or more (at a factor of 1
     /// every mark is fully legible, and nothing is read).
     pub(crate) fn reads_pixels(&self, q: &Question) -> bool {
-        !q.key_marks.is_empty() && self.0.iter().any(|&(factor, _)| factor >= 2)
+        !q.key_marks.is_empty() && self.factors.iter().any(|&factor| factor >= 2)
     }
 
     /// `pipe`'s response to `q`, the question these slots belong to:
@@ -916,23 +931,33 @@ impl LegibilitySlots {
         pipe.infer_legible(q, attempt, legibility)
     }
 
-    /// The slot of total factor `total`, filled first if empty. A fill
-    /// runs in a `perceive.legibility` span (a read that finds the slot
-    /// full records none), and a fill at a factor of 2 or more adds its
-    /// key-mark count to the `perceive.legibility_filled` counter.
+    /// The slot of total factor `total`, all slots filled first if they
+    /// are empty.
     fn read(&self, q: &Question, total: usize, tele: &Telemetry) -> &[f64] {
-        let (_, slot) = self
-            .0
+        let slot = self
+            .factors
             .iter()
-            .find(|&&(factor, _)| factor == total)
+            .position(|&factor| factor == total)
             .expect("a slot for every model of the run");
-        slot.get_or_init(|| {
-            let _span = tele.span("perceive.legibility");
-            let values = encoder::key_mark_legibility(q, total);
-            if total >= 2 {
-                tele.counter("perceive.legibility_filled", values.len() as u64);
+        &self.fill(q, tele, true)[slot]
+    }
+
+    /// Fills every slot, unless they are full, and returns them. A fill
+    /// runs in one `perceive.legibility` span when `spanned` (a built
+    /// bench's producer fills unspanned: it makes no clock-touching
+    /// call), and adds its key-mark count at each factor of 2 or more to
+    /// the `perceive.legibility_filled` counter.
+    fn fill(&self, q: &Question, tele: &Telemetry, spanned: bool) -> &[Vec<f64>] {
+        self.values.get_or_init(|| {
+            let _span = spanned.then(|| tele.span("perceive.legibility"));
+            let read = self.factors.iter().filter(|&&factor| factor >= 2).count();
+            if read > 0 {
+                tele.counter(
+                    "perceive.legibility_filled",
+                    (read * q.key_marks.len()) as u64,
+                );
             }
-            values
+            encoder::key_mark_legibility_at(q, &self.factors)
         })
     }
 }

@@ -3,7 +3,7 @@
 //! legibility at the encoder's effective input resolution.
 
 use chipvqa_core::question::Question;
-use chipvqa_raster::legibility_after_downsample;
+use chipvqa_raster::{legibility_after_downsample, legibility_footprint, Region};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -29,12 +29,14 @@ pub struct Percept {
 ///
 /// Each mark is scored from its own pixels
 /// ([`legibility_after_downsample`] filters only the blocks under the
-/// mark), so a call costs the key marks' area, not the whole image's.
-/// Legibility reads only the image, the mark's region and the total
-/// factor, never the model: an engine that evaluates many models on one
-/// question computes [`key_mark_legibility`] once per total factor and
-/// passes it to [`score`], which makes the same draws and returns the
-/// same percept as this function.
+/// mark), so after the image's first read a call costs the key marks'
+/// area, not the whole image's. Legibility reads only the image, the
+/// mark's region and the total factor, never the model: an engine that
+/// evaluates many models on one question computes it once for every
+/// total factor they need ([`key_mark_legibility_at`], from one window
+/// of the image, which it never rasterizes whole) and passes each
+/// factor's values to [`score`], which makes the same draws and returns
+/// the same percept as this function.
 pub fn perceive(
     profile: &ModelProfile,
     question: &Question,
@@ -72,6 +74,49 @@ pub fn key_mark_legibility(question: &Question, total: usize) -> Vec<f64> {
                 legibility_after_downsample(&visual.image, mark.region, total)
             })
         })
+        .collect()
+}
+
+/// [`key_mark_legibility`] at each of `totals`, in order, bit for bit:
+/// `result[i][k]` is the legibility of key mark `k` at total factor
+/// `totals[i]`.
+///
+/// All of it is read from one [`Window`](chipvqa_raster::Window) of the
+/// image: the bounding box, over the key marks and every factor of 2 or
+/// more, of each mark's
+/// [`legibility_footprint`] (its region and the blocks that cover it),
+/// clipped to the image. An unrasterized image replays its drawing into
+/// that window once and stays unrasterized (nothing is replayed when no
+/// factor is 2 or more), and each mark's region ink is counted once
+/// rather than once per factor.
+pub fn key_mark_legibility_at(question: &Question, totals: &[usize]) -> Vec<Vec<f64>> {
+    let visual = &question.visual;
+    let image = &visual.image;
+    let regions: Vec<Option<Region>> = question
+        .key_marks
+        .iter()
+        .map(|&mark_idx| visual.marks.get(mark_idx).map(|mark| mark.region))
+        .collect();
+    let (width, height) = (image.width(), image.height());
+    let footprint = regions
+        .iter()
+        .flatten()
+        .flat_map(|&region| {
+            totals
+                .iter()
+                .map(move |&total| legibility_footprint(region, total, width, height))
+        })
+        .fold(Region::new(0, 0, 0, 0), Region::bounding_box);
+    let window = image.window(footprint);
+    let per_mark: Vec<Vec<f64>> = regions
+        .iter()
+        .map(|region| match region {
+            Some(region) => window.legibility(*region, totals),
+            None => vec![1.0; totals.len()],
+        })
+        .collect();
+    (0..totals.len())
+        .map(|i| per_mark.iter().map(|values| values[i]).collect())
         .collect()
 }
 

@@ -14,7 +14,10 @@
 //! eager draw would give. An image nothing reads costs its recorded
 //! calls and no pixel buffer, which is what a run that answers from its
 //! cache does with every image it generates. The first read is
-//! thread-safe, and a draw after it goes straight to the buffer; the
+//! thread-safe, and a draw after it goes straight to the buffer. A
+//! reader that needs part of an image replays only that part, a
+//! [`Window`]: perception reads each question's key marks from one
+//! window, so a run that infers never rasterizes an image whole. The
 //! [`Pixmap`] docs give the cost model.
 //!
 //! # Example
@@ -40,8 +43,8 @@ pub mod metrics;
 pub mod pixmap;
 
 pub use mark::{Annotated, Mark};
-pub use metrics::{legibility_after_downsample, Region};
-pub use pixmap::Pixmap;
+pub use metrics::{legibility_after_downsample, legibility_footprint, Region};
+pub use pixmap::{Pixmap, Window};
 
 /// Shade value for fully black ink.
 pub const BLACK: u8 = 0;

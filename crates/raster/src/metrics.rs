@@ -10,13 +10,16 @@
 //! fine schematic detail. Only the blocks covering the region are
 //! filtered, each to the value a whole-image [`Pixmap::downsample`]
 //! gives it, so measuring a small mark costs a small mark's pixels.
+//! Those pixels are a region's [`legibility_footprint`], and a
+//! [`Window`] that holds the footprints of several regions and factors
+//! gives all of their legibility ([`Window::legibility`]) without the
+//! image ever being rasterized whole.
 
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::pixmap::count_ink;
-use crate::{Pixmap, INK_THRESHOLD};
+use crate::{Pixmap, Window, INK_THRESHOLD};
 
 /// An axis-aligned pixel region (used to localise visual facts on an
 /// image).
@@ -59,6 +62,21 @@ impl Region {
     pub fn area(&self) -> usize {
         self.w * self.h
     }
+
+    /// The smallest region that holds both `self` and `other`, where an
+    /// empty region (no area) holds nothing and adds nothing.
+    pub fn bounding_box(self, other: Region) -> Region {
+        if other.area() == 0 {
+            return self;
+        }
+        if self.area() == 0 {
+            return other;
+        }
+        let (x, y) = (self.x.min(other.x), self.y.min(other.y));
+        let right = (self.x + self.w).max(other.x + other.w);
+        let bottom = (self.y + self.h).max(other.y + other.h);
+        Region::new(x, y, right - x, bottom - y)
+    }
 }
 
 impl Pixmap {
@@ -70,7 +88,7 @@ impl Pixmap {
         if area == 0 {
             return 0.0;
         }
-        region_ink(self, region) as f64 / area as f64
+        self.whole().ink(region) as f64 / area as f64
     }
 }
 
@@ -80,7 +98,7 @@ impl Pixmap {
 /// The result is the ratio of ink *area* after downsampling (scaled back up
 /// by `factor²`) to ink area before, clamped to `[0, 1]`. Regions with no
 /// original ink report `1.0` (nothing to lose). A factor of `1` always
-/// reports `1.0`.
+/// reports `1.0`, and reads no pixel.
 ///
 /// "After downsampling" means the pixels of `region.scaled_down(factor)`
 /// in `img.downsample(factor)`, clipped to that image. Only those blocks
@@ -93,6 +111,11 @@ impl Pixmap {
 /// hold any band of up to 16,843,009 rows, and `u64` block sums), and
 /// integer sums do not depend on the order they were added in, so the
 /// result is bit for bit the one the definition gives.
+///
+/// This reads the whole image's buffer, so a factor of 2 or more
+/// rasterizes an unrasterized image. [`Window::legibility`] gives the
+/// same bits from a window that holds the region's
+/// [`legibility_footprint`], and leaves the image unrasterized.
 ///
 /// # Example
 ///
@@ -110,18 +133,101 @@ pub fn legibility_after_downsample(img: &Pixmap, region: Region, factor: usize) 
     if factor <= 1 {
         return 1.0;
     }
-    let original_ink = region_ink(img, region);
+    let window = img.whole();
+    retained(&window, region, factor, window.ink(region))
+}
+
+/// The pixels [`legibility_after_downsample`] reads for `region` at
+/// `factor` on a `width × height` image: the bounding box of `region`
+/// and of the blocks of the `factor` grid that cover
+/// `region.scaled_down(factor)`, clipped to the image. Empty at a factor
+/// of 1, which reads nothing.
+///
+/// # Example
+///
+/// ```
+/// use chipvqa_raster::{legibility_footprint, Region};
+///
+/// // blocks 1..3 of the 8-pixel grid cover a region at x = 12..24
+/// let footprint = legibility_footprint(Region::new(12, 12, 12, 12), 8, 100, 100);
+/// assert_eq!(footprint, Region::new(8, 8, 16, 16));
+/// assert_eq!(legibility_footprint(Region::new(12, 12, 12, 12), 1, 100, 100).area(), 0);
+/// ```
+pub fn legibility_footprint(region: Region, factor: usize, width: usize, height: usize) -> Region {
+    if factor <= 1 {
+        return Region::new(0, 0, 0, 0);
+    }
+    let (cols, rows) = clip(region, width, height);
+    let (block_cols, block_rows) = clip(
+        region.scaled_down(factor),
+        width.div_ceil(factor),
+        height.div_ceil(factor),
+    );
+    let pixels =
+        |blocks: Range<usize>, side: usize| blocks.start * factor..(blocks.end * factor).min(side);
+    let (x, y) = (pixels(block_cols, width), pixels(block_rows, height));
+    let blocks = Region::new(x.start, y.start, x.len(), y.len());
+    Region::new(cols.start, rows.start, cols.len(), rows.len()).bounding_box(blocks)
+}
+
+impl Window<'_> {
+    /// [`legibility_after_downsample`] of `region` at each of
+    /// `factors`, in order, bit for bit, read from this window, which
+    /// must hold the region's [`legibility_footprint`] at every factor
+    /// of 2 or more. The region's ink is counted once, and only if some
+    /// factor is 2 or more.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not hold a footprint it reads.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use chipvqa_raster::{legibility_after_downsample, legibility_footprint, Pixmap, Region};
+    ///
+    /// let mut img = Pixmap::new(256, 256);
+    /// img.draw_line(0, 128, 255, 128, 2, 0);
+    /// let mark = Region::new(40, 120, 60, 16);
+    /// let footprint = [8, 16]
+    ///     .map(|factor| legibility_footprint(mark, factor, 256, 256))
+    ///     .into_iter()
+    ///     .fold(mark, Region::bounding_box);
+    /// let values = img.window(footprint).legibility(mark, &[1, 8, 16]);
+    /// assert!(format!("{img:?}").contains("rasterized: false"));
+    /// assert_eq!(values, [1, 8, 16].map(|f| legibility_after_downsample(&img, mark, f)));
+    /// ```
+    pub fn legibility(&self, region: Region, factors: &[usize]) -> Vec<f64> {
+        let mut ink = None;
+        factors
+            .iter()
+            .map(|&factor| {
+                if factor <= 1 {
+                    return 1.0;
+                }
+                let ink = *ink.get_or_insert_with(|| self.ink(region));
+                retained(self, region, factor, ink)
+            })
+            .collect()
+    }
+}
+
+/// The legibility of `region` at `factor` ≥ 2 from `window`, given the
+/// region's ink: the ink blocks of `region.scaled_down(factor)`, scaled
+/// back up by `factor²`, over `original_ink`, clamped to 1 (1 when there
+/// was no ink to lose).
+fn retained(window: &Window<'_>, region: Region, factor: usize, original_ink: usize) -> f64 {
     if original_ink == 0 {
         return 1.0;
     }
     let (cols, rows) = clip(
         region.scaled_down(factor),
-        img.width().div_ceil(factor),
-        img.height().div_ceil(factor),
+        window.image_width.div_ceil(factor),
+        window.image_height.div_ceil(factor),
     );
     let threshold = u64::from(INK_THRESHOLD);
     let mut small_ink = 0usize;
-    img.box_filter(factor, cols, rows, |sum, n| {
+    window.box_filter(factor, cols, rows, |sum, n| {
         small_ink += usize::from(sum < threshold * n);
     });
     let retained = small_ink * factor * factor;
@@ -129,21 +235,11 @@ pub fn legibility_after_downsample(img: &Pixmap, region: Region, factor: usize) 
 }
 
 /// The column and row ranges of `region` clipped to a `w × h` image.
-fn clip(region: Region, w: usize, h: usize) -> (Range<usize>, Range<usize>) {
+pub(crate) fn clip(region: Region, w: usize, h: usize) -> (Range<usize>, Range<usize>) {
     (
         region.x.min(w)..(region.x + region.w).min(w),
         region.y.min(h)..(region.y + region.h).min(h),
     )
-}
-
-fn region_ink(img: &Pixmap, region: Region) -> usize {
-    let (cols, rows) = clip(region, img.width(), img.height());
-    let pixels = img.pixels();
-    rows.map(|y| {
-        let base = y * img.width();
-        count_ink(&pixels[base + cols.start..base + cols.end])
-    })
-    .sum()
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Grayscale pixel buffer with drawing primitives, drawn on demand.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -7,7 +8,8 @@ use std::sync::OnceLock;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::font;
-use crate::{INK_THRESHOLD, WHITE};
+use crate::metrics::clip;
+use crate::{Region, INK_THRESHOLD, WHITE};
 
 /// An 8-bit grayscale raster image.
 ///
@@ -28,6 +30,16 @@ use crate::{INK_THRESHOLD, WHITE};
 /// eager draw runs, so the pixels are exactly the ones drawing eagerly
 /// gives. A draw on a rasterized pixmap goes straight to its buffer.
 ///
+/// A reader that needs only part of an image asks for a
+/// [`window`](Pixmap::window): the same replay, into a buffer of that
+/// rectangle alone, with every primitive clipped to it. The window's
+/// bytes are the crop of the whole raster, and the image stays
+/// unrasterized. This is how perception reads key marks
+/// ([`Window::legibility`]). Replaying a window still walks every
+/// recorded call, so it saves the pixels outside the window, not the
+/// calls: a small window costs less than the whole image, and a window
+/// per mark and factor more than one whole raster.
+///
 /// The buffer is a [`OnceLock`]: a `Pixmap` is `Send + Sync`, and when
 /// several threads make the first read of one image together, one of
 /// them replays and all of them see its bytes.
@@ -38,8 +50,10 @@ use crate::{INK_THRESHOLD, WHITE};
 /// recording text allocates nothing per call). The first read pays for
 /// the buffer, its white fill and every primitive, which is what drawing
 /// eagerly cost, so an image that is read costs its recording on top.
-/// An image that is never read costs its recorded calls and no pixels.
-/// The calls stay recorded after the replay; a `set` per pixel of a
+/// An image that is never read costs its recorded calls and no pixels,
+/// and one read only through windows costs their buffers, each freed
+/// with its window. The calls stay recorded after the replay; a `set`
+/// per pixel of a
 /// large region records one call per pixel, where one
 /// [`fill_rect`](Pixmap::fill_rect) records one.
 ///
@@ -167,20 +181,61 @@ impl Pixmap {
     }
 
     /// Read-only view of the raw pixel data, row-major. The first read
-    /// of an image rasterizes its recorded drawing.
+    /// of an image rasterizes its recorded drawing: it replays the
+    /// window of the whole image.
     pub fn pixels(&self) -> &[u8] {
-        self.data.get_or_init(|| {
-            let mut data = vec![WHITE; self.width * self.height];
+        self.data
+            .get_or_init(|| self.replay(Region::new(0, 0, self.width, self.height)))
+    }
+
+    /// The pixels of `region` as a [`Window`], read without rasterizing
+    /// the image: an unrasterized image replays its recorded drawing
+    /// into a buffer of `region` clipped to the image (an empty one
+    /// replays nothing), and leaves itself unrasterized. A rasterized
+    /// image lends its buffer as the whole-image window instead, which
+    /// holds `region` too.
+    pub fn window(&self, region: Region) -> Window<'_> {
+        if self.data.get().is_some() {
+            return self.whole();
+        }
+        let (cols, rows) = clip(region, self.width, self.height);
+        let region = Region::new(cols.start, rows.start, cols.len(), rows.len());
+        Window {
+            data: Cow::Owned(self.replay(region)),
+            region,
+            image_width: self.width,
+            image_height: self.height,
+        }
+    }
+
+    /// The whole image as a [`Window`], lent from its buffer (the first
+    /// read rasterizes it).
+    pub(crate) fn whole(&self) -> Window<'_> {
+        Window {
+            data: Cow::Borrowed(self.pixels()),
+            region: Region::new(0, 0, self.width, self.height),
+            image_width: self.width,
+            image_height: self.height,
+        }
+    }
+
+    /// The one replay path: every recorded call, in call order, drawn
+    /// into a white buffer of `region` (which lies in the image).
+    fn replay(&self, region: Region) -> Vec<u8> {
+        let mut data = vec![WHITE; region.area()];
+        if !data.is_empty() {
             let mut canvas = Canvas {
-                width: self.width,
-                height: self.height,
+                x: region.x as i64,
+                y: region.y as i64,
+                width: region.w,
+                height: region.h,
                 data: &mut data,
             };
             for op in &self.ops {
                 canvas.apply(op, &self.text);
             }
-            data
-        })
+        }
+        data
     }
 
     /// Returns the shade at `(x, y)`, or `None` when out of bounds.
@@ -198,12 +253,7 @@ impl Pixmap {
     fn draw(&mut self, op: Op) {
         let (width, height) = (self.width, self.height);
         match self.data.get_mut() {
-            Some(data) => Canvas {
-                width,
-                height,
-                data,
-            }
-            .apply(&op, &self.text),
+            Some(data) => Canvas::whole(width, height, data).apply(&op, &self.text),
             None => self.ops.push(op),
         }
     }
@@ -320,12 +370,7 @@ impl Pixmap {
     pub fn draw_text(&mut self, x: i64, y: i64, text: &str, scale: i64, shade: u8) -> i64 {
         let (width, height) = (self.width, self.height);
         if let Some(data) = self.data.get_mut() {
-            let mut canvas = Canvas {
-                width,
-                height,
-                data,
-            };
-            return canvas.draw_text(x, y, text, scale, shade);
+            return Canvas::whole(width, height, data).draw_text(x, y, text, scale, shade);
         }
         let start = self.text.len();
         self.text.push_str(text);
@@ -360,68 +405,9 @@ impl Pixmap {
         let nw = self.width.div_ceil(factor);
         let nh = self.height.div_ceil(factor);
         let mut data = Vec::with_capacity(nw * nh);
-        self.box_filter(factor, 0..nw, 0..nh, |sum, n| data.push((sum / n) as u8));
+        self.whole()
+            .box_filter(factor, 0..nw, 0..nh, |sum, n| data.push((sum / n) as u8));
         Pixmap::from_pixels(nw, nh, data)
-    }
-
-    /// The one box-filter core, behind [`Pixmap::downsample`],
-    /// [`Pixmap::to_ascii_into`] and
-    /// [`crate::legibility_after_downsample`]: hands `visit(sum, n)` the
-    /// integer pixel sum and the in-bounds pixel count `n > 0` of every
-    /// block in `cols × rows` of the `div_ceil(factor)` grid, in
-    /// row-major order. Callers take the mean as `sum / n`, or compare
-    /// against it without dividing.
-    ///
-    /// It works one block row (band) at a time: the band's first pixel
-    /// row is copied into a `u32` column-sum buffer and the others are
-    /// added to it, in plain widening loops the compiler vectorizes;
-    /// then each block's `factor` columns are summed into a `u64`.
-    /// Integer sums are order-independent, so every `sum` equals the
-    /// naive per-pixel block sum however much of the grid is visited.
-    /// A column sum is at most `255 ×` the band's rows, so `u32` is
-    /// exact for bands of up to `u32::MAX / 255` (16,843,009) rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a band could hold more rows than that bound.
-    pub(crate) fn box_filter(
-        &self,
-        factor: usize,
-        cols: Range<usize>,
-        rows: Range<usize>,
-        mut visit: impl FnMut(u64, u64),
-    ) {
-        if cols.is_empty() || rows.is_empty() {
-            return;
-        }
-        assert!(
-            factor.min(self.height) <= (u32::MAX / u32::from(WHITE)) as usize,
-            "box-filter band too tall for u32 column sums"
-        );
-        let data = self.pixels();
-        let x_start = cols.start * factor;
-        let x_end = (cols.end * factor).min(self.width);
-        let mut column_sums = vec![0u32; x_end - x_start];
-        for by in rows {
-            let y_start = by * factor;
-            let y_end = ((by + 1) * factor).min(self.height);
-            let mut band = (y_start..y_end)
-                .map(|yy| &data[yy * self.width + x_start..yy * self.width + x_end]);
-            let first = band.next().expect("every band holds a row");
-            for (sum, &p) in column_sums.iter_mut().zip(first) {
-                *sum = u32::from(p);
-            }
-            for row in band {
-                for (sum, &p) in column_sums.iter_mut().zip(row) {
-                    *sum += u32::from(p);
-                }
-            }
-            let n_rows = (y_end - y_start) as u64;
-            for block in column_sums.chunks(factor) {
-                let sum = block.iter().map(|&s| u64::from(s)).sum();
-                visit(sum, n_rows * block.len() as u64);
-            }
-        }
     }
 
     /// Counts pixels darker than [`INK_THRESHOLD`] over the whole image.
@@ -447,7 +433,7 @@ impl Pixmap {
         s.clear();
         s.reserve(nh * (nw + 1));
         let mut bx = 0;
-        self.box_filter(cell, 0..nw, 0..nh, |sum, n| {
+        self.whole().box_filter(cell, 0..nw, 0..nh, |sum, n| {
             let avg = (sum / n) as usize;
             s.push(shades[avg * shades.len() / 256] as char);
             bx += 1;
@@ -561,16 +547,186 @@ impl Deserialize for Pixmap {
     }
 }
 
-/// The rasterizer: the drawing primitives over a borrowed buffer. A
-/// pixmap's first read replays its recorded calls through it, and a draw
-/// on a rasterized pixmap calls it directly.
+/// A rectangle of an image's pixels, for the readers that need only
+/// part of an image: the box filter and the ink count read one.
+/// [`Pixmap::window`] replays an unrasterized image into a window of
+/// its own, and a rasterized image lends its buffer as the window of the
+/// whole image.
+pub struct Window<'a> {
+    /// The window's pixels, row-major.
+    data: Cow<'a, [u8]>,
+    /// Where the window lies on the image.
+    region: Region,
+    /// The image's size: the `factor` grid's blocks are ragged at its
+    /// right and bottom edges, not at the window's.
+    pub(crate) image_width: usize,
+    pub(crate) image_height: usize,
+}
+
+impl Window<'_> {
+    /// Where the window lies on its image.
+    pub fn region(&self) -> Region {
+        self.region
+    }
+
+    /// The window's pixels, row-major: the pixels of
+    /// [`region`](Window::region) in [`Pixmap::pixels`], byte for byte.
+    pub fn pixels(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// Row `y` of the image between columns `cols`, which must lie in
+    /// the window.
+    fn row(&self, y: usize, cols: Range<usize>) -> &[u8] {
+        let Region { x, y: top, w, .. } = self.region;
+        let base = (y - top) * w;
+        &self.data[base + cols.start - x..base + cols.end - x]
+    }
+
+    /// Whether the window holds every pixel of `cols × rows` (an empty
+    /// range holds none).
+    fn holds(&self, cols: &Range<usize>, rows: &Range<usize>) -> bool {
+        let Region { x, y, w, h } = self.region;
+        cols.is_empty()
+            || rows.is_empty()
+            || (x <= cols.start && cols.end <= x + w && y <= rows.start && rows.end <= y + h)
+    }
+
+    /// Pixels darker than [`INK_THRESHOLD`] in `region` clipped to the
+    /// image, which the window must hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window does not hold the clipped region.
+    pub(crate) fn ink(&self, region: Region) -> usize {
+        let (cols, rows) = clip(region, self.image_width, self.image_height);
+        if cols.is_empty() {
+            return 0;
+        }
+        assert!(self.holds(&cols, &rows), "the window holds the region");
+        rows.map(|y| count_ink(self.row(y, cols.clone()))).sum()
+    }
+
+    /// The one box-filter core, behind [`Pixmap::downsample`],
+    /// [`Pixmap::to_ascii_into`] and legibility
+    /// ([`crate::legibility_after_downsample`], [`Window::legibility`]):
+    /// hands `visit(sum, n)` the integer pixel sum and the in-bounds
+    /// pixel count `n > 0` of every block in `cols × rows` of the
+    /// image's `div_ceil(factor)` grid, in row-major order. The window
+    /// must hold those blocks. Callers take the mean as `sum / n`, or
+    /// compare against it without dividing.
+    ///
+    /// It works one block row (band) at a time: the band's first pixel
+    /// row is copied into a `u32` column-sum buffer and the others are
+    /// added to it, in plain widening loops the compiler vectorizes;
+    /// then each block's `factor` columns are summed into a `u64`.
+    /// Integer sums are order-independent, so every `sum` equals the
+    /// naive per-pixel block sum however much of the grid is visited.
+    /// A column sum is at most `255 ×` the band's rows, so `u32` is
+    /// exact for bands of up to `u32::MAX / 255` (16,843,009) rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a band could hold more rows than that bound, or if the
+    /// window does not hold the blocks.
+    pub(crate) fn box_filter(
+        &self,
+        factor: usize,
+        cols: Range<usize>,
+        rows: Range<usize>,
+        mut visit: impl FnMut(u64, u64),
+    ) {
+        if cols.is_empty() || rows.is_empty() {
+            return;
+        }
+        let (width, height) = (self.image_width, self.image_height);
+        assert!(
+            factor.min(height) <= (u32::MAX / u32::from(WHITE)) as usize,
+            "box-filter band too tall for u32 column sums"
+        );
+        let x_range = cols.start * factor..(cols.end * factor).min(width);
+        let y_range = rows.start * factor..(rows.end * factor).min(height);
+        assert!(
+            self.holds(&x_range, &y_range),
+            "the window holds the blocks"
+        );
+        let mut column_sums = vec![0u32; x_range.len()];
+        for by in rows {
+            let y_start = by * factor;
+            let y_end = ((by + 1) * factor).min(height);
+            let mut band = (y_start..y_end).map(|yy| self.row(yy, x_range.clone()));
+            let first = band.next().expect("every band holds a row");
+            for (sum, &p) in column_sums.iter_mut().zip(first) {
+                *sum = u32::from(p);
+            }
+            for row in band {
+                for (sum, &p) in column_sums.iter_mut().zip(row) {
+                    *sum += u32::from(p);
+                }
+            }
+            let n_rows = (y_end - y_start) as u64;
+            match factor {
+                2 => visit_blocks::<2>(&column_sums, n_rows, &mut visit),
+                3 => visit_blocks::<3>(&column_sums, n_rows, &mut visit),
+                4 => visit_blocks::<4>(&column_sums, n_rows, &mut visit),
+                _ => {
+                    for block in column_sums.chunks(factor) {
+                        let sum = block.iter().map(|&s| u64::from(s)).sum();
+                        visit(sum, n_rows * block.len() as u64);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The block step of [`Window::box_filter`] at a constant factor `F`:
+/// hands `visit` the sum and pixel count of each `F`-column block of one
+/// band's column sums, the last block ragged. The factors 2–4 that
+/// perception reads most take this path, where the compiler unrolls
+/// each block's sum; a block loop of unknown length cost about four
+/// times as much per pixel at factor 2.
+fn visit_blocks<const F: usize>(sums: &[u32], n_rows: u64, visit: &mut impl FnMut(u64, u64)) {
+    let mut blocks = sums.chunks_exact(F);
+    for block in &mut blocks {
+        visit(block.iter().map(|&s| u64::from(s)).sum(), n_rows * F as u64);
+    }
+    let ragged = blocks.remainder();
+    if !ragged.is_empty() {
+        visit(
+            ragged.iter().map(|&s| u64::from(s)).sum(),
+            n_rows * ragged.len() as u64,
+        );
+    }
+}
+
+/// The rasterizer: the drawing primitives over a borrowed buffer that
+/// holds one window of the image, with its top-left corner at `(x, y)`.
+/// `set` and `fill_rect` clip to the window and offset into its buffer,
+/// and every other primitive draws through them. A pixmap's first read
+/// replays its recorded calls through it into the window of the whole
+/// image, [`Pixmap::window`] into a smaller one, and a draw on a
+/// rasterized pixmap calls it directly.
 struct Canvas<'a> {
+    x: i64,
+    y: i64,
     width: usize,
     height: usize,
     data: &'a mut [u8],
 }
 
-impl Canvas<'_> {
+impl<'a> Canvas<'a> {
+    /// The window of a whole `width × height` image.
+    fn whole(width: usize, height: usize, data: &'a mut [u8]) -> Self {
+        Canvas {
+            x: 0,
+            y: 0,
+            width,
+            height,
+            data,
+        }
+    }
+
     /// Draws one recorded call; `text` is the pixmap's text string.
     fn apply(&mut self, op: &Op, text: &str) {
         match *op {
@@ -615,9 +771,11 @@ impl Canvas<'_> {
         }
     }
 
-    /// Sets the shade at `(x, y)`; out-of-bounds writes are ignored.
+    /// Sets the shade at `(x, y)`; writes outside the window are
+    /// ignored.
     #[inline]
     fn set(&mut self, x: i64, y: i64, shade: u8) {
+        let (x, y) = (x.saturating_sub(self.x), y.saturating_sub(self.y));
         if x >= 0 && y >= 0 && (x as usize) < self.width && (y as usize) < self.height {
             self.data[y as usize * self.width + x as usize] = shade;
         }
@@ -626,18 +784,18 @@ impl Canvas<'_> {
     /// Fills the axis-aligned rectangle with top-left `(x, y)` and the given
     /// width/height.
     fn fill_rect(&mut self, x: i64, y: i64, w: i64, h: i64, shade: u8) {
-        // Clip once, then fill whole row slices instead of testing bounds
-        // per pixel — this primitive underlies lines, text, and stamps,
-        // so it is the hottest routine in the renderer.
-        let x0 = x.max(0);
-        let y0 = y.max(0);
-        let x1 = x.saturating_add(w.max(0)).min(self.width as i64);
-        let y1 = y.saturating_add(h.max(0)).min(self.height as i64);
+        // Clip once to the window, then fill whole row slices instead of
+        // testing bounds per pixel — this primitive underlies lines,
+        // text, and stamps, so it is the hottest routine in the renderer.
+        let x0 = x.max(self.x);
+        let y0 = y.max(self.y);
+        let x1 = x.saturating_add(w.max(0)).min(self.x + self.width as i64);
+        let y1 = y.saturating_add(h.max(0)).min(self.y + self.height as i64);
         if x0 >= x1 || y0 >= y1 {
             return;
         }
-        let (x0, x1) = (x0 as usize, x1 as usize);
-        for yy in y0 as usize..y1 as usize {
+        let (x0, x1) = ((x0 - self.x) as usize, (x1 - self.x) as usize);
+        for yy in (y0 - self.y) as usize..(y1 - self.y) as usize {
             let base = yy * self.width;
             self.data[base + x0..base + x1].fill(shade);
         }
@@ -810,10 +968,11 @@ impl Canvas<'_> {
 
 /// The one ink counter: pixels of `pixels` darker than
 /// [`INK_THRESHOLD`]. [`Pixmap::ink_pixels`] hands it the whole buffer,
-/// [`Pixmap::ink_fraction`] and legibility's region ink one clipped row
-/// at a time. Each 255-byte chunk is counted in a `u8`, which holds its
-/// at most 255 hits exactly and which the compiler vectorizes as byte
-/// lanes; the chunk counts are summed as `usize`.
+/// and a [`Window`]'s region ink (behind [`Pixmap::ink_fraction`] and
+/// legibility) one clipped row at a time. Each 255-byte chunk is
+/// counted in a `u8`, which holds its at most 255 hits exactly and
+/// which the compiler vectorizes as byte lanes; the chunk counts are
+/// summed as `usize`.
 pub(crate) fn count_ink(pixels: &[u8]) -> usize {
     pixels
         .chunks(usize::from(u8::MAX))

@@ -24,7 +24,9 @@
 //!    rasterizes on its first read, so the op proptest also reads the
 //!    fast image mid-sequence: recorded-then-replayed drawing, drawing
 //!    straight into a rasterized buffer and the scalar reference must
-//!    all agree.
+//!    all agree. A window replayed without rasterizing must equal the
+//!    crop of the whole raster, and one window's legibility of every
+//!    standard key mark must equal the definition.
 
 use chipvqa::physd::render::render_route_tree;
 use chipvqa::physd::steiner::RouteTree;
@@ -588,7 +590,109 @@ mod differential {
         });
     }
 
+    /// For every question of the standard collection, the legibility of
+    /// all its key marks at factors 1–32, read from one window of its
+    /// unrasterized image (`key_mark_legibility_at`), == the definition
+    /// per (mark, factor), bit for bit, and the image stays
+    /// unrasterized until the reference reads it. Split over a few
+    /// threads, as the reference downsamples a whole image per value.
+    #[test]
+    fn standard_key_mark_windows_match_reference() {
+        use chipvqa::models::encoder::key_mark_legibility_at;
+        let bench = chipvqa::core::ChipVqa::standard();
+        let questions: Vec<_> = bench.iter().collect();
+        let factors: Vec<usize> = (1..=32).collect();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+        std::thread::scope(|s| {
+            for part in questions.chunks(questions.len().div_ceil(threads)) {
+                let factors = &factors;
+                s.spawn(move || {
+                    for q in part {
+                        let image = &q.visual.image;
+                        let windowed = key_mark_legibility_at(q, factors);
+                        assert!(
+                            format!("{image:?}").contains("rasterized: false"),
+                            "{}: the window rasterized the image",
+                            q.id
+                        );
+                        for (values, &factor) in windowed.iter().zip(factors) {
+                            for (&value, &k) in values.iter().zip(&q.key_marks) {
+                                let slow =
+                                    q.visual.marks.get(k).map_or(1.0, |mark| {
+                                        ref_legibility(image, mark.region, factor)
+                                    });
+                                assert_eq!(
+                                    value.to_bits(),
+                                    slow.to_bits(),
+                                    "{} key mark {k} at factor {factor}: {value} vs {slow}",
+                                    q.id
+                                );
+                            }
+                        }
+                    }
+                });
+            }
+        });
+    }
+
+    /// The pixels of `window` (a region of a `width`-wide image) cut out
+    /// of the whole image's row-major `pixels`.
+    fn crop(pixels: &[u8], width: usize, window: Region) -> Vec<u8> {
+        (window.y..window.y + window.h)
+            .flat_map(|y| &pixels[y * width + window.x..y * width + window.x + window.w])
+            .copied()
+            .collect()
+    }
+
     proptest! {
+        /// A replayed window == the crop of the whole raster, byte for
+        /// byte: the `apply` ops (all six kinds) on the fast image and
+        /// on the scalar reference, which draws through `set` alone,
+        /// then a window that may be empty, ragged, on an edge or
+        /// outside the 120x80 image. Each image's window is taken
+        /// before its first read, so it is replayed, and the image stays
+        /// unrasterized; both windows must equal the crop of the
+        /// reference's pixels, and each image's window the crop of its
+        /// own. A rasterized image lends its whole buffer instead.
+        #[test]
+        fn window_replay_matches_crop(
+            ops in proptest::collection::vec(
+                (0u8..6, -40i64..160, -40i64..160, -40i64..160, -40i64..160),
+                1..24,
+            ),
+            wx in 0usize..140,
+            wy in 0usize..100,
+            ww in 0usize..140,
+            wh in 0usize..100,
+        ) {
+            let mut fast = Pixmap::new(120, 80);
+            let mut slow = Pixmap::new(120, 80);
+            for (op, a, b, c, d) in ops {
+                apply(op, a, b, c, d, &mut fast, &mut slow);
+            }
+            let (fast_window, slow_window) = {
+                let region = Region::new(wx, wy, ww, wh);
+                (fast.window(region), slow.window(region))
+            };
+            let clipped = fast_window.region();
+            prop_assert_eq!(clipped, slow_window.region());
+            let x2 = (wx + ww).min(120);
+            let y2 = (wy + wh).min(80);
+            prop_assert_eq!(
+                clipped,
+                Region::new(wx.min(x2), wy.min(y2), x2 - wx.min(x2), y2 - wy.min(y2))
+            );
+            prop_assert!(format!("{fast:?}").contains("rasterized: false"));
+            prop_assert!(format!("{slow:?}").contains("rasterized: false"));
+            let reference = crop(slow.pixels(), 120, clipped);
+            prop_assert_eq!(fast_window.pixels(), &reference[..]);
+            prop_assert_eq!(slow_window.pixels(), &reference[..]);
+            prop_assert_eq!(fast_window.pixels(), &crop(fast.pixels(), 120, clipped)[..]);
+            let lent = fast.window(clipped);
+            prop_assert_eq!(lent.region(), Region::full(&fast));
+            prop_assert_eq!(lent.pixels(), fast.pixels());
+        }
+
         /// Optimized primitives == scalar reference, pixel for pixel,
         /// under arbitrary (including out-of-range) op sequences. The
         /// fast image is also read before the ops at the seeded `reads`

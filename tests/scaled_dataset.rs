@@ -276,6 +276,35 @@ fn a_storeless_grid_rasterizes_the_images_perception_reads() {
     assert_eq!(spans, snap.counters["stream.shard_generated"]);
 }
 
+/// A run that infers rasterizes no whole image: a storeless grid of the
+/// twelve zoo models over a built scale-2 bench gives each model the
+/// sequential harness's report, and leaves every question's image
+/// unrasterized, because perception reads its key marks from windows.
+#[test]
+fn a_run_that_infers_rasterizes_no_whole_image() {
+    use chipvqa::eval::executor::ShardSource;
+    use chipvqa::eval::harness::evaluate;
+    let spec = DatasetSpec::scaled(2);
+    let bench = spec.build();
+    let pipes: Vec<VlmPipeline> = ModelZoo::all().into_iter().map(VlmPipeline::new).collect();
+    let options = EvalOptions::default();
+    let (reports, _) = ParallelExecutor::new(2).evaluate_source(
+        &pipes,
+        ShardSource::Bench(&bench, spec.fingerprint()),
+        options,
+        &RuleJudge::new(),
+    );
+    let reference = spec.build();
+    for (pipe, report) in pipes.iter().zip(&reports) {
+        assert_eq!(report, &evaluate(pipe, &reference, options));
+    }
+    let rasterized = bench
+        .iter()
+        .filter(|q| format!("{:?}", q.visual.image).contains("rasterized: true"))
+        .count();
+    assert_eq!(rasterized, 0, "images rasterized whole");
+}
+
 /// A grid computes each legibility value once: over both columns of a
 /// small grid and all twelve models, the slot fills at total factors of
 /// 2 or more count exactly the distinct (question, key mark, factor)
